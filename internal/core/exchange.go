@@ -126,11 +126,6 @@ type ExchangeConfig struct {
 	// (§4.4). Use ConsumerStreams to obtain the per-producer streams.
 	KeepStreams bool
 
-	// Pool, when set, runs producers on primed worker goroutines instead
-	// of forking fresh ones (§4.2's planned improvement). The pool must
-	// have at least Producers workers available.
-	Pool *WorkerPool
-
 	// Tracer, when set, records the exchange protocol as structured trace
 	// events: producer spawn, packet push/pop (connected by flow arrows),
 	// flow-control token waits, end-of-stream tags and the shutdown
@@ -172,9 +167,6 @@ func NewExchange(cfg ExchangeConfig) (*Exchange, error) {
 	}
 	if cfg.Inline && cfg.Producers != cfg.Consumers {
 		return nil, errState("exchange", "inline mode requires equal group sizes")
-	}
-	if cfg.Inline && cfg.Pool != nil {
-		return nil, errState("exchange", "inline mode does not fork onto a pool")
 	}
 	if cfg.Inline && cfg.KeepStreams {
 		return nil, errState("exchange", "inline mode does not keep per-producer streams")
@@ -347,14 +339,7 @@ func (x *Exchange) ensureStarted() {
 			mtk = x.cfg.Tracer.NewTrack(fmt.Sprintf("x%d.master", x.xid))
 		}
 		begin := time.Now()
-		switch {
-		case x.cfg.Pool != nil:
-			for g := 0; g < x.cfg.Producers; g++ {
-				g := g
-				mtk.Instant1("exchange", "submit", "producer", int64(g))
-				x.cfg.Pool.Submit(x.labeled(func() { x.producerLoop(g) }))
-			}
-		case x.cfg.Fork == ForkTree:
+		if x.cfg.Fork == ForkTree {
 			ids := make([]int, x.cfg.Producers)
 			for i := range ids {
 				ids[i] = i
@@ -363,7 +348,7 @@ func (x *Exchange) ensureStarted() {
 			// Labels set on the tree root propagate to every goroutine the
 			// tree forks below it.
 			go x.labeled(func() { x.spawnTree(ids) })()
-		default: // ForkCentral
+		} else { // ForkCentral
 			for g := 0; g < x.cfg.Producers; g++ {
 				g := g
 				x.forkCall(mtk)
@@ -377,9 +362,7 @@ func (x *Exchange) ensureStarted() {
 
 // labeled wraps a producer entry point with the query's pprof labels
 // (query_id, op) via pprof.Do, so /debug/pprof profiles segment producer
-// CPU by query. Without a QueryID it returns fn unchanged. Worker-pool
-// goroutines outlive the query, so the labels are scoped to the wrapped
-// call rather than inherited from the spawner.
+// CPU by query. Without a QueryID it returns fn unchanged.
 func (x *Exchange) labeled(fn func()) func() {
 	if x.cfg.QueryID == "" {
 		return fn

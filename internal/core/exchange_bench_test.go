@@ -110,54 +110,3 @@ func BenchmarkNetExchangeThroughput(b *testing.B) {
 	recs := float64(producers * benchRecordsPerProducer)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*recs), "ns/record")
 }
-
-// BenchmarkNetExchangeTCPThroughput is the real-wire variant: the same
-// shared-nothing exchange, but every packet is framed by a WireSender,
-// crosses a real TCP loopback socket, and is decoded back into a pooled
-// wire packet by the consumer's reader goroutine. The delta against
-// BenchmarkNetExchangeThroughput is the cost of the wire format plus two
-// kernel socket crossings per frame. allocs/op is part of the committed
-// BENCH_7.json gate: frame encode reuses the sender's scratch/arena and
-// frame decode reuses the pooled packets' arenas, so allocations must
-// stay flat in the record count (setup plus goroutine/socket bring-up
-// only).
-func BenchmarkNetExchangeTCPThroughput(b *testing.B) {
-	dst := newTestEnv(b, 1024)
-	rec := staticIntRec()
-	const producers = 2
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl, err := NewTCPLoopback(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := NewNetExchange(NetExchangeConfig{
-			Schema:     intSchema,
-			Producers:  producers,
-			Consumers:  1,
-			PacketSize: 83,
-			Transport:  tl,
-			NewProducer: func(g int) (Iterator, error) {
-				return &countedSource{rec: rec, n: benchRecordsPerProducer}, nil
-			},
-			ConsumerEnv: func(int) *Env { return dst.Env },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := Drain(x.Consumer(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != producers*benchRecordsPerProducer {
-			b.Fatalf("drained %d records", n)
-		}
-		if err := tl.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	recs := float64(producers * benchRecordsPerProducer)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*recs), "ns/record")
-}

@@ -397,40 +397,3 @@ func (s *xStream) Close() error {
 	s.x.port.queues[s.consumer].drain()
 	return s.x.consumerClosed(s.group.tk)
 }
-
-// WorkerPool is a set of primed processes (§4.2): goroutines that are
-// always present and wait for work packets, so exchange does not pay the
-// fork cost per producer. The pool must be at least as large as the
-// number of producers that need to run concurrently.
-type WorkerPool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	size  int
-}
-
-// NewWorkerPool primes n workers.
-func NewWorkerPool(n int) *WorkerPool {
-	p := &WorkerPool{tasks: make(chan func()), size: n}
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.wg.Done()
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-// Size returns the number of primed workers.
-func (p *WorkerPool) Size() int { return p.size }
-
-// Submit hands a task to a free worker, blocking until one accepts it.
-func (p *WorkerPool) Submit(f func()) { p.tasks <- f }
-
-// Close shuts the pool down after all running tasks complete.
-func (p *WorkerPool) Close() {
-	close(p.tasks)
-	p.wg.Wait()
-}

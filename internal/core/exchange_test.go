@@ -387,7 +387,7 @@ func TestExchangePaperExampleTopology(t *testing.T) {
 	env.checkNoPinLeak(t)
 }
 
-func TestExchangeForkSchemesAndPool(t *testing.T) {
+func TestExchangeForkSchemes(t *testing.T) {
 	run := func(cfgMod func(*ExchangeConfig)) {
 		env := newTestEnv(t, 512)
 		files := env.makePartitionedInts(t, "p", 800, 8)
@@ -411,19 +411,13 @@ func TestExchangeForkSchemesAndPool(t *testing.T) {
 		if len(rows) != 800 {
 			t.Fatalf("got %d rows", len(rows))
 		}
-		if cfg.Pool == nil && x.Stats().Forks != 8 {
+		if x.Stats().Forks != 8 {
 			t.Fatalf("forks = %d, want 8", x.Stats().Forks)
-		}
-		if cfg.Pool != nil && x.Stats().Forks != 0 {
-			t.Fatalf("primed pool still forked %d times", x.Stats().Forks)
 		}
 		env.checkNoPinLeak(t)
 	}
 	run(func(c *ExchangeConfig) { c.Fork = ForkCentral })
 	run(func(c *ExchangeConfig) { c.Fork = ForkTree })
-	pool := NewWorkerPool(8)
-	defer pool.Close()
-	run(func(c *ExchangeConfig) { c.Pool = pool })
 }
 
 func TestExchangeForkCostModel(t *testing.T) {
@@ -506,7 +500,6 @@ func TestExchangeConfigValidation(t *testing.T) {
 		"packet size 256":     func(c *ExchangeConfig) { c.PacketSize = 256 },
 		"packet size -1":      func(c *ExchangeConfig) { c.PacketSize = -1 },
 		"inline mismatch":     func(c *ExchangeConfig) { c.Inline = true; c.Consumers = 2 },
-		"inline with pool":    func(c *ExchangeConfig) { c.Inline = true; c.Pool = NewWorkerPool(1) },
 		"inline keep streams": func(c *ExchangeConfig) { c.Inline = true; c.KeepStreams = true },
 		"broadcast+partition": func(c *ExchangeConfig) {
 			c.Broadcast = true
@@ -662,28 +655,4 @@ func TestExchangeProtocolErrors(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestWorkerPool(t *testing.T) {
-	p := NewWorkerPool(3)
-	if p.Size() != 3 {
-		t.Fatal("wrong size")
-	}
-	var mu sync.Mutex
-	count := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		p.Submit(func() {
-			defer wg.Done()
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
-	}
-	wg.Wait()
-	if count != 10 {
-		t.Fatalf("ran %d tasks", count)
-	}
-	p.Close()
 }

@@ -33,9 +33,15 @@ type NetExchange struct {
 	err   atomic.Value
 	xid   int64
 
-	queues  []*netQueue
-	pool    *netPacketPool
+	queues []*netQueue
+	pool   *netPacketPool
+	// done counts running producers; closed counts consumers whose Close
+	// has drained their queue. A producer sends EOS before it closes its
+	// subtree, so the consumer whose Close completes the group waits on
+	// done: when the last Close returns, every producer-side pin, temp
+	// file and goroutine is gone.
 	done    sync.WaitGroup
+	closed  atomic.Int32
 	bytes   atomic.Int64
 	packets atomic.Int64
 	// Blocking-time counters, the network mirror of the in-process port's
@@ -64,20 +70,9 @@ type NetExchangeConfig struct {
 	NewPartition func(g int) expr.Partitioner
 	Broadcast    bool
 	PacketSize   int
-	// Transport, when non-nil, carries the packets over a real byte
-	// stream — frames on net.Conns (see WireTransport, TCPLoopback) —
-	// instead of the in-process loopback channels. Producers dial one
-	// connection per consumer endpoint and the hub accepts one
-	// connection per producer on each consumer's side; TCP's send window
-	// replaces the loopback's bounded channel as flow control. The
-	// iterator protocol is identical on both paths.
-	Transport WireTransport
-	// Latency and Bandwidth simulate the interconnect on the loopback
-	// path: each packet sleeps Latency plus size/Bandwidth. Zero
-	// disables simulation. Ignored when Transport is set — a real wire
-	// brings its own latency.
-	Latency   time.Duration
-	Bandwidth int64 // bytes per second
+	// Latency simulates the interconnect: each packet sleeps this long
+	// before it is queued. Zero disables simulation.
+	Latency time.Duration
 	// BatchSize switches producers to the batch-at-a-time protocol: each
 	// pulls records from its subtree in batches of this size (via
 	// NextBatch) instead of one Next call per record, amortising the
@@ -267,8 +262,7 @@ func (n *NetExchange) NetStats() NetExchangeStats {
 
 // netErrBox keeps every stored error the same concrete type:
 // atomic.Value.CompareAndSwap panics when racing stores carry different
-// dynamic types, and errors from the transport path and the operator
-// path rarely share one.
+// dynamic types, and errors from different operators rarely share one.
 type netErrBox struct{ err error }
 
 func (n *NetExchange) setErr(err error) {
@@ -286,9 +280,6 @@ func (n *NetExchange) firstErr() error {
 
 func (n *NetExchange) ensureStarted() {
 	n.start.Do(func() {
-		if n.cfg.Transport != nil {
-			n.startReceivers()
-		}
 		n.done.Add(n.cfg.Producers)
 		for g := 0; g < n.cfg.Producers; g++ {
 			go n.producerLoop(g)
@@ -330,13 +321,6 @@ func (n *NetExchange) producerLoop(g int) {
 			part = expr.RoundRobin(n.cfg.Consumers)
 		}
 	}
-	// Transport path: packets are framed onto per-consumer connections
-	// and recycled immediately — the wire owns the bytes once written.
-	var wo *wireOut
-	if n.cfg.Transport != nil {
-		wo = newWireOut(n)
-		defer wo.close()
-	}
 	// Once a packet is handed to the queue channel it must not be read
 	// again: the consumer may drain and recycle it, and another producer
 	// may already be refilling it — so everything send needs (size, eos,
@@ -344,19 +328,6 @@ func (n *NetExchange) producerLoop(g int) {
 	send := func(c int, eos bool) {
 		p := out[c]
 		out[c] = nil
-		if wo != nil {
-			errMsg := ""
-			if eos {
-				if e := n.firstErr(); e != nil {
-					errMsg = e.Error()
-				}
-			}
-			if _, err := wo.sendPacket(c, p, eos, errMsg); err != nil {
-				n.setErr(err)
-			}
-			n.pool.put(p)
-			return
-		}
 		if p == nil {
 			if !eos {
 				return
@@ -371,7 +342,9 @@ func (n *NetExchange) producerLoop(g int) {
 		for _, r := range p.recs {
 			size += len(r)
 		}
-		n.simulateWire(size)
+		if n.cfg.Latency > 0 {
+			time.Sleep(n.cfg.Latency)
+		}
 		n.packets.Add(1)
 		n.bytes.Add(int64(size))
 		xmNetPackets.Add(1)
@@ -449,10 +422,6 @@ func (n *NetExchange) producerLoop(g int) {
 			// Every pin was released by route; Reset drops the stale
 			// references (and returns any lent packet) without unfixing.
 			b.Reset()
-			if wo != nil && wo.err != nil {
-				// The wire is gone; pulling more records serves nobody.
-				break
-			}
 		}
 	} else {
 		for {
@@ -465,9 +434,6 @@ func (n *NetExchange) producerLoop(g int) {
 				break
 			}
 			route(r)
-			if wo != nil && wo.err != nil {
-				break
-			}
 		}
 	}
 	for c := range out {
@@ -476,33 +442,12 @@ func (n *NetExchange) producerLoop(g int) {
 	if tk != nil {
 		tk.SpanAt1("exchange", "produce", begin, time.Since(begin), "packets", n.packets.Load())
 	}
-	// No shared buffer: nothing the consumers hold can reference this
-	// machine's memory, so the producer may close immediately — the
-	// shutdown handshake of the shared-memory exchange is unnecessary.
 	if cerr := input.Close(); cerr != nil {
 		n.setErr(cerr)
 	}
 }
 
 func (n *NetExchange) broadcastEOS(tk *trace.Track) {
-	if n.cfg.Transport != nil {
-		// The producer failed before streaming anything: still open its
-		// connections so each consumer's accept loop sees the expected
-		// conn count, and terminate each with an error-EOS frame.
-		wo := newWireOut(n)
-		defer wo.close()
-		msg := "producer failed before start"
-		if e := n.firstErr(); e != nil {
-			msg = e.Error()
-		}
-		for c := range n.queues {
-			tk.Instant1("exchange", "eos", "consumer", int64(c))
-			if _, err := wo.sendPacket(c, nil, true, msg); err != nil {
-				n.setErr(err)
-			}
-		}
-		return
-	}
 	for c, q := range n.queues {
 		n.packets.Add(1)
 		xmNetPackets.Add(1)
@@ -512,17 +457,6 @@ func (n *NetExchange) broadcastEOS(tk *trace.Track) {
 		p.eos = true
 		p.err = n.firstErr()
 		q.ch <- p
-	}
-}
-
-// simulateWire models the interconnect cost of one packet.
-func (n *NetExchange) simulateWire(size int) {
-	d := n.cfg.Latency
-	if n.cfg.Bandwidth > 0 {
-		d += time.Duration(int64(size) * int64(time.Second) / n.cfg.Bandwidth)
-	}
-	if d > 0 {
-		time.Sleep(d)
 	}
 }
 
@@ -743,6 +677,10 @@ func (c *netConsumer) Close() error {
 	}
 	err := c.w.Dispose()
 	c.w = nil
+	if int(c.x.closed.Add(1)) == c.x.cfg.Consumers {
+		// Every queue is drained, so no producer can be blocked on a send.
+		c.x.done.Wait()
+	}
 	if e := c.x.firstErr(); err == nil && e != nil {
 		// Surface producer errors that arrived after the last Next.
 		err = e

@@ -196,6 +196,60 @@ func TestNetExchangeSimulatedWire(t *testing.T) {
 	}
 }
 
+// slowCloseHead yields the first n records of its input, then reports
+// end-of-stream while the input is still mid-page: the scan's pin is
+// released only by Close, which dawdles first.
+type slowCloseHead struct {
+	Iterator
+	n int
+}
+
+func (s *slowCloseHead) Next() (Rec, bool, error) {
+	if s.n == 0 {
+		return Rec{}, false, nil
+	}
+	s.n--
+	return s.Iterator.Next()
+}
+
+func (s *slowCloseHead) Close() error {
+	time.Sleep(20 * time.Millisecond)
+	return s.Iterator.Close()
+}
+
+// A producer sends EOS before it closes its subtree, so the last consumer
+// Close must wait for the producers: the query is not closed while a
+// producer still holds a scan pin.
+func TestNetExchangeCloseWaitsForProducers(t *testing.T) {
+	src := newTestEnv(t, 64)
+	dst := newTestEnv(t, 64)
+	f := src.makeInts(t, "t", shuffled(100, 14)...)
+	x, err := NewNetExchange(NetExchangeConfig{
+		Schema:    intSchema,
+		Producers: 2,
+		Consumers: 1,
+		NewProducer: func(int) (Iterator, error) {
+			sc, err := NewFileScan(f, nil, false)
+			if err != nil {
+				return nil, err
+			}
+			return &slowCloseHead{Iterator: sc, n: 10}, nil
+		},
+		ConsumerEnv: func(int) *Env { return dst.Env },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Drain(x.Consumer(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 20 {
+		t.Fatalf("drained %d records", n)
+	}
+	src.checkNoPinLeak(t)
+}
+
 func TestNetExchangeValidation(t *testing.T) {
 	env := newTestEnv(t, 64)
 	good := NetExchangeConfig{

@@ -308,15 +308,6 @@ func (q *queue) drain() {
 	}
 }
 
-// waitAllEOS blocks until every producer has delivered end-of-stream.
-func (q *queue) waitAllEOS(producers int) {
-	q.mu.Lock()
-	for q.eosSeen < producers {
-		q.cond.Wait()
-	}
-	q.mu.Unlock()
-}
-
 // port ties the queues together with the shutdown handshake.
 type port struct {
 	queues []*queue

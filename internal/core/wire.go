@@ -119,71 +119,57 @@ func (e *WireError) Error() string { return "core: wire: " + e.What }
 // anywhere later returns io.ErrUnexpectedEOF.
 func ReadWireFrame(r io.Reader, f *WireFrame, maxFrame int) error {
 	f.reset()
-	flags, err := readWireInto(r, &f.buf, &f.Recs, maxFrame)
-	if err != nil {
-		return err
-	}
-	f.Flags = flags
-	if flags&(WireFlagErr|WireFlagHello) != 0 {
-		f.Msg = f.buf
-	}
-	return nil
-}
-
-// readWireInto is the decoder core: it reads one frame into the caller's
-// arena and record-window slice (both reused across calls; control-frame
-// payloads land in the arena with recs untouched). The netexchange
-// receive path decodes straight into pooled wire packets through this.
-func readWireInto(r io.Reader, buf *[]byte, recs *[][]byte, maxFrame int) (byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxWireFrame
 	}
 	var hdr [wireHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return 0, err // io.EOF here means a clean end of stream
+		return err // io.EOF here means a clean end of stream
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, err
+		return err
 	}
 	if got := binary.BigEndian.Uint32(hdr[0:4]); got != wireMagic {
-		return 0, &WireError{What: fmt.Sprintf("bad magic %#08x", got)}
+		return &WireError{What: fmt.Sprintf("bad magic %#08x", got)}
 	}
 	flags := hdr[4]
 	payloadLen := int(binary.BigEndian.Uint32(hdr[8:12]))
 	if payloadLen > maxFrame {
-		return 0, &WireError{What: fmt.Sprintf("frame of %d bytes exceeds limit %d", payloadLen, maxFrame)}
+		return &WireError{What: fmt.Sprintf("frame of %d bytes exceeds limit %d", payloadLen, maxFrame)}
 	}
-	if cap(*buf) < payloadLen {
-		*buf = make([]byte, 0, payloadLen)
+	if cap(f.buf) < payloadLen {
+		f.buf = make([]byte, 0, payloadLen)
 	}
-	*buf = (*buf)[:payloadLen]
-	if _, err := io.ReadFull(r, *buf); err != nil {
+	f.buf = f.buf[:payloadLen]
+	if _, err := io.ReadFull(r, f.buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, err
+		return err
 	}
+	f.Flags = flags
 	if flags&(WireFlagErr|WireFlagHello) != 0 {
-		return flags, nil
+		f.Msg = f.buf
+		return nil
 	}
 	// Data frame: split the payload into record windows.
-	rest := *buf
+	rest := f.buf
 	for len(rest) > 0 {
 		if len(rest) < 4 {
-			return 0, &WireError{What: "truncated record length"}
+			return &WireError{What: "truncated record length"}
 		}
 		n := int(binary.BigEndian.Uint32(rest))
 		rest = rest[4:]
 		if n > len(rest) {
-			return 0, &WireError{What: fmt.Sprintf("record of %d bytes overruns frame (%d left)", n, len(rest))}
+			return &WireError{What: fmt.Sprintf("record of %d bytes overruns frame (%d left)", n, len(rest))}
 		}
-		*recs = append(*recs, rest[:n:n])
+		f.Recs = append(f.Recs, rest[:n:n])
 		rest = rest[n:]
 	}
-	return flags, nil
+	return nil
 }
 
 // WireSender packs record images into frames of up to packetSize records

@@ -221,17 +221,6 @@ var (
 	recordStr   = record.Str
 )
 
-// fieldIndex returns the resolved index for Field and Ident nodes.
-func fieldIndex(e Expr) (int, bool) {
-	switch n := e.(type) {
-	case *Field:
-		return n.Index, true
-	case *Ident:
-		return n.index, true
-	}
-	return 0, false
-}
-
 // likeMatch implements SQL LIKE with % (any run) and _ (any single byte).
 func likeMatch(s, pat []byte) bool {
 	// Iterative two-pointer matcher with backtracking on the last %.

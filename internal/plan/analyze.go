@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/storage/buffer"
-	"repro/internal/trace"
 )
 
 // Analysis is the EXPLAIN ANALYZE collector: runtime statistics per plan
@@ -81,17 +80,6 @@ type FragmentStat struct {
 // NodeStats are one node's counters; an alias for the shared core type so
 // callers can use either name.
 type NodeStats = core.OpStats
-
-// BuildAnalyzed is Build with instrumentation: every operator is wrapped
-// in a core.Instrumented adapter and every exchange hub is registered.
-// Inspect the returned Analysis after execution.
-func BuildAnalyzed(env *core.Env, cat Catalog, n *Node) (core.Iterator, *Analysis, error) {
-	return buildAnalyzed(env, cat, n, nil)
-}
-
-func buildAnalyzed(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer) (core.Iterator, *Analysis, error) {
-	return buildObserved(env, cat, n, 0, BuildOptions{Analyze: true, Tracer: tr})
-}
 
 // buildObserved performs the instrumented build. The env is expected to
 // already carry the meter when o.Meter is set (BuildWith derives it).
@@ -239,7 +227,7 @@ func (a *Analysis) ExchangeStats(n *Node) core.ExchangeStats {
 	return sum
 }
 
-// PoolStats returns the buffer pool's activity since BuildAnalyzed:
+// PoolStats returns the buffer pool's activity since the build:
 // hits/misses, device I/O, and the pin balance (outstanding pins are a
 // leak once the query has closed).
 func (a *Analysis) PoolStats() buffer.Stats {

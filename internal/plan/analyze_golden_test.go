@@ -37,7 +37,7 @@ func TestAnalyzeGoldenOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, an, err := BuildAnalyzed(db.env, db.cat, n)
+	it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestBuildAnalyzedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, an, err := BuildAnalyzed(db.env, db.cat, n)
+	it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBuildAnalyzedParallelAggregatesInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, an, err := BuildAnalyzed(db.env, db.cat, n)
+	it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}

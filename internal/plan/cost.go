@@ -227,7 +227,7 @@ func (c *coster) fillExchange(n *Node, est int64) {
 		case est < 50_000:
 			o.PacketSize = 64
 		default:
-			o.PacketSize = 256
+			o.PacketSize = 255 // the exchange accepts 1..255
 		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,6 +136,48 @@ func TestCostFillsExchangeDOP(t *testing.T) {
 	}
 	if got, want := tpl.Cost(db.cat, nil).Template.ProducerGoroutines(), tpl.ProducerGoroutines(); got <= want {
 		t.Errorf("costed ProducerGoroutines = %d, want > uncosted %d", got, want)
+	}
+}
+
+// TestCostLargeStreamPacketTier pins the top packet tier to a size the
+// exchange accepts: a knobless exchange over a stream estimated at 50 k
+// rows or more must cost, build, run, and agree with the same plan with
+// its knobs spelled out.
+func TestCostLargeStreamPacketTier(t *testing.T) {
+	db := newTestDB(t)
+	s := record.MustSchema(record.Field{Name: "v", Type: record.TInt})
+	for p := 0; p < 2; p++ {
+		name := fmt.Sprintf("big.%d", p)
+		f, err := db.vol.Create(name, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := p; i < 50_000; i += 2 {
+			if _, err := f.Insert(s.MustEncode(record.Int(int64(i)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.cat[name] = f
+	}
+	ref, err := Parse("pscan big 2 | exchange producers=2 packet=83 | filter v % 1000 = 0 | sort v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(db.env, db.cat, ref)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	tpl, err := Compile("pscan big 2 | exchange | filter v % 1000 = 0 | sort v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tpl.Cost(db.cat, nil).Template.Root()
+	got, err := Run(db.env, db.cat, root)
+	if err != nil {
+		t.Fatalf("costed run: %v\nplan:\n%s", err, Explain(root))
+	}
+	if len(want) != 50 || strings.Join(renderSorted(got), "\n") != strings.Join(renderSorted(want), "\n") {
+		t.Fatalf("costed plan returned %d rows, reference %d (want 50)\nplan:\n%s", len(got), len(want), Explain(root))
 	}
 }
 

@@ -253,8 +253,8 @@ type buildCtx struct {
 	env       *core.Env
 	cat       Catalog
 	partition int             // current producer index (for partitioned scans)
-	analysis  *Analysis       // non-nil when instrumenting (BuildAnalyzed)
-	tracer    *trace.Tracer   // non-nil when event tracing (BuildTraced)
+	analysis  *Analysis       // non-nil when instrumenting (BuildOptions.Analyze)
+	tracer    *trace.Tracer   // non-nil when event tracing (BuildOptions.Tracer)
 	done      <-chan struct{} // non-nil: cancellation for exchange producer groups
 	batch     int             // >0: enable the batch protocol on every operator
 	queryID   string          // stamped into exchanges for pprof labels
@@ -357,36 +357,9 @@ func BuildWith(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterat
 	return it, nil, err
 }
 
-// BuildObserved is the full observability build: EXPLAIN ANALYZE
-// instrumentation, optional event tracing, and per-operator Next
-// latency histograms registered on the metrics registry (family
-// volcano_op_next_seconds, labelled by operator kind and plan-node
-// position) so a live scraper sees the operators of the running query.
-// Either tr or mr (or both) may be nil; with both nil it is
-// BuildAnalyzed.
-func BuildObserved(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer, mr *metrics.Registry) (core.Iterator, *Analysis, error) {
-	return buildObserved(env, cat, n, 0, BuildOptions{Analyze: true, Tracer: tr, Metrics: mr})
-}
-
 // Build instantiates the plan into an iterator tree.
 func Build(env *core.Env, cat Catalog, n *Node) (core.Iterator, error) {
 	return build(&buildCtx{env: env, cat: cat}, n)
-}
-
-// BuildTraced is Build with event tracing: every operator is wrapped in
-// an instrumentation adapter recording open/next/close spans onto the
-// tracer, and every exchange (and the producer subtrees it forks at run
-// time) emits its protocol events — spawn, packet push/pop, token waits,
-// end-of-stream, shutdown handshake — onto per-goroutine tracks.
-func BuildTraced(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer) (core.Iterator, error) {
-	return build(&buildCtx{env: env, cat: cat, tracer: tr}, n)
-}
-
-// BuildAnalyzedTraced combines EXPLAIN ANALYZE instrumentation with
-// event tracing; the two share one set of wrappers, so the trace and the
-// aggregate counters describe exactly the same run.
-func BuildAnalyzedTraced(env *core.Env, cat Catalog, n *Node, tr *trace.Tracer) (core.Iterator, *Analysis, error) {
-	return buildAnalyzed(env, cat, n, tr)
 }
 
 // build instantiates one node, adding instrumentation when requested.

@@ -13,7 +13,7 @@ import (
 )
 
 // TestBuildObservedHistograms checks the metrics-registry path of
-// BuildObserved: operator latency lands in registry-owned histograms
+// BuildOptions.Metrics: operator latency lands in registry-owned histograms
 // (one child per node, labelled op + position) and the analyze report
 // renders quantiles from them.
 func TestBuildObservedHistograms(t *testing.T) {
@@ -24,7 +24,7 @@ func TestBuildObservedHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	mr := metrics.NewRegistry()
-	it, an, err := BuildObserved(db.env, db.cat, n, nil, mr)
+	it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true, Metrics: mr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLiveScrapeDuringParallelQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, _, err := BuildObserved(db.env, db.cat, n, nil, mr)
+	it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true, Metrics: mr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,6 @@ func (a *Analysis) Snapshot() OpSnapshot {
 	return a.snapshotNode(a.root)
 }
 
-// RootRows reports the rows the root operator has delivered so far — the
-// cheapest live progress signal for a running query.
-func (a *Analysis) RootRows() int64 {
-	if st := a.stats[a.root]; st != nil {
-		return st.Rows.Load()
-	}
-	return 0
-}
-
 func (a *Analysis) snapshotNode(n *Node) OpSnapshot {
 	s := OpSnapshot{Op: describe(n)}
 	if st := a.stats[n]; st != nil {

@@ -126,7 +126,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v\n%s", err, script)
 		}
-		it, an, err := BuildAnalyzed(env, cat, n)
+		it, an, err := BuildWith(env, cat, n, BuildOptions{Analyze: true})
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

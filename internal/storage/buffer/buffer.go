@@ -15,6 +15,22 @@
 // discusses ("we could have used one exclusive lock as in the memory
 // module [but] decreased concurrency would have removed most or all
 // advantages of parallel query processing").
+//
+// Frame life cycle. These hold whenever the pool lock is free and the
+// frame's descriptor lock is not held by an operation in progress:
+//
+//   - A page ID is in the table exactly when one frame holds that page or
+//     is being read into for it; frame.pid is that key. A frame whose
+//     page was discarded or whose read failed is unmapped and !valid.
+//   - A frame is on the LRU chain exactly when fixCount == 0.
+//   - In TwoLevel mode only a clean frame is stolen. A dirty victim is
+//     written back first, while its old page ID is still mapped and its
+//     descriptor locked, so a Fix, FlushPage or Discard of the old page
+//     meets the lock and restarts (§4.5) instead of missing and reading
+//     the device before the write lands. The fix then restarts too and
+//     steals the clean frame; a failed write-back leaves the page mapped,
+//     dirty and at the LRU head. Global mode holds the pool lock across
+//     the write-back, so no other operation can fall into that window.
 package buffer
 
 import (
@@ -179,6 +195,20 @@ func (p *Pool) chainPush(f *Frame) {
 	f.onChain = true
 }
 
+// chainPushHead inserts f at the LRU end, making it the next victim. Pool
+// lock must be held.
+func (p *Pool) chainPushHead(f *Frame) {
+	if f.onChain {
+		panic("buffer: frame already on LRU chain")
+	}
+	head := p.lru.next
+	f.next = head
+	f.prev = &p.lru
+	head.prev = f
+	p.lru.next = f
+	f.onChain = true
+}
+
 // chainRemove unlinks f from the LRU chain. Pool lock must be held.
 func (p *Pool) chainRemove(f *Frame) {
 	if !f.onChain {
@@ -329,6 +359,24 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 		return nil, errRetry
 	}
 	p.chainRemove(victim)
+	if victim.valid && victim.dirty && p.mode != Global {
+		// Clean before steal: the old page ID stays mapped and the
+		// descriptor locked during the write, so a Fix or Discard of it
+		// restarts (§4.5). The retry steals the now-clean frame.
+		p.mu.Unlock()
+		werr := p.writeBack(victim, victim.pid, m)
+		p.mu.Lock()
+		if werr == nil {
+			victim.dirty = false
+		}
+		p.chainPushHead(victim)
+		p.unlockFrame(victim)
+		p.mu.Unlock()
+		if werr != nil {
+			return nil, werr
+		}
+		return nil, errRetry
+	}
 	oldPid, oldDirty, oldValid := victim.pid, victim.dirty, victim.valid
 	if oldValid {
 		delete(p.table, oldPid)
@@ -372,22 +420,31 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 	return victim, nil
 }
 
-// replace performs the write-back of the old page and the read of the new
-// one while the caller holds the descriptor lock. Device I/O is attributed
-// to the meter of the fix that triggered the replacement — including a
-// write-back of a page another query dirtied, since the cost lands on this
-// query's critical path.
+// writeBack writes f's image to page pid while the caller holds the
+// descriptor lock. Device I/O is attributed to the meter of the fix that
+// triggered it — including a write-back of a page another query dirtied,
+// since the cost lands on this query's critical path.
+func (p *Pool) writeBack(f *Frame, pid record.PageID, m *meter.Meter) error {
+	d, err := p.reg.Get(pid.Dev)
+	if err != nil {
+		return fmt.Errorf("buffer: write-back: %w", err)
+	}
+	if err := d.WritePage(pid.Page, f.data); err != nil {
+		return fmt.Errorf("buffer: write-back %s: %w", pid, err)
+	}
+	p.writes.Add(1)
+	m.DeviceWrite(device.PageSize)
+	return nil
+}
+
+// replace reads the new page into f while the caller holds the descriptor
+// lock. writeBack is set only in Global mode, where the pool lock is held
+// across the I/O; otherwise fixOnce has already cleaned the victim.
 func (p *Pool) replace(f *Frame, oldPid record.PageID, writeBack, fresh bool, m *meter.Meter) error {
 	if writeBack {
-		d, err := p.reg.Get(oldPid.Dev)
-		if err != nil {
-			return fmt.Errorf("buffer: write-back: %w", err)
+		if err := p.writeBack(f, oldPid, m); err != nil {
+			return err
 		}
-		if err := d.WritePage(oldPid.Page, f.data); err != nil {
-			return fmt.Errorf("buffer: write-back %s: %w", oldPid, err)
-		}
-		p.writes.Add(1)
-		m.DeviceWrite(device.PageSize)
 	}
 	if fresh {
 		for i := range f.data {
@@ -567,12 +624,7 @@ func (p *Pool) Discard(pid record.PageID) error {
 		f.pid = record.PageID{}
 		// Move to the LRU head so the frame is reused first.
 		p.chainRemove(f)
-		head := p.lru.next
-		f.next = head
-		f.prev = &p.lru
-		head.prev = f
-		p.lru.next = f
-		f.onChain = true
+		p.chainPushHead(f)
 		p.unlockFrame(f)
 		p.mu.Unlock()
 		return nil

@@ -69,9 +69,3 @@ func (r Record) WithoutDirty() Record {
 	r.dirty = false
 	return r
 }
-
-// MakeRecord assembles a Record from its parts; used by storage-layer
-// iterators (B+-tree scans) that pin pages themselves.
-func MakeRecord(rid record.RID, data []byte, frame *buffer.Frame, pool *buffer.Pool) Record {
-	return Record{RID: rid, Data: data, frame: frame, pool: pool}
-}
