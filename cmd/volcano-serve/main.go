@@ -255,6 +255,13 @@ func run(o options) error {
 		return err
 	}
 
+	// The signal handler goes in before the listener exists: a supervisor
+	// may stop the server the moment /healthz answers, and that SIGTERM
+	// must start a drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
@@ -304,9 +311,6 @@ func run(o options) error {
 		o.readyHook(ln.Addr().String())
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "volcano-serve: %v: draining\n", sig)

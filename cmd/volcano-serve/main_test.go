@@ -2,14 +2,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -305,6 +308,58 @@ func TestServeSlowHeaderClientIsDisconnected(t *testing.T) {
 }
 
 // TestServeRequiresDB pins the usage error.
+// TestServeSigtermRightAfterHealthz runs the real binary and stops it the
+// way a supervisor does, the instant /healthz first answers 200: the
+// signal must start a drain and a clean exit, never kill the process.
+func TestServeSigtermRightAfterHealthz(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "volcano-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	db := buildTestDB(t, 10)
+	// Reserve a port so /healthz can be polled from before the banner.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	for round := 0; round < 5; round++ {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "-db", db, "-addr", addr)
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			resp, err := http.Get("http://" + addr + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				_ = cmd.Process.Kill()
+				t.Fatalf("round %d: /healthz never answered 200: %v\n%s", round, err, stderr.String())
+			}
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("round %d: exit after SIGTERM: %v\n%s", round, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "drained") {
+			t.Fatalf("round %d: exited without draining:\n%s", round, stderr.String())
+		}
+	}
+}
+
 func TestServeRequiresDB(t *testing.T) {
 	if err := run(options{}); err == nil || !strings.Contains(err.Error(), "-db") {
 		t.Fatalf("run without -db: %v, want usage error", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -158,18 +159,56 @@ type HashAggregate struct {
 	aggs    []AggSpec
 	schema  *record.Schema
 
-	w      *ResultWriter
-	groups map[string]*group
-	order  []string
-	emit   int
+	w          *ResultWriter
+	groups     map[string]*group
+	order      []*group // first-seen order
+	emit       int
+	key        []byte         // scratch: the current record's group key
+	vals       []record.Value // scratch: the output row being written
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch  int
+	batch      int
 }
 
 type group struct {
 	keyVals []record.Value
 	states  []aggState
+}
+
+// newGroup starts the group of the record's key: the one allocation an
+// aggregation makes per group rather than per record.
+func newGroup(in *record.Schema, data []byte, groupBy record.Key, aggs []AggSpec) *group {
+	return &group{keyVals: in.KeyValues(data, groupBy), states: make([]aggState, len(aggs))}
+}
+
+// accumulate folds one input record into the group's aggregate states.
+func (g *group) accumulate(in *record.Schema, data []byte, aggs []AggSpec) error {
+	for i, a := range aggs {
+		if a.Func == AggCount {
+			g.states[i].count++
+			continue
+		}
+		v, err := in.Get(data, a.Field)
+		if err != nil {
+			return err
+		}
+		g.states[i].add(v)
+	}
+	return nil
+}
+
+// appendRow appends the group's output row — key values, then aggregate
+// results — to vals.
+func (g *group) appendRow(vals []record.Value, in *record.Schema, aggs []AggSpec) []record.Value {
+	vals = append(vals, g.keyVals...)
+	for i, a := range aggs {
+		var t record.Type
+		if a.Func != AggCount {
+			t = in.Field(a.Field).Type
+		}
+		vals = append(vals, g.states[i].result(a.Func, t))
+	}
+	return vals
 }
 
 // NewHashAggregate constructs the operator.
@@ -222,31 +261,15 @@ func (h *HashAggregate) openImpl() error {
 		if !ok {
 			break
 		}
-		kv := in.KeyValues(r.Data, h.groupBy)
-		key := record.KeyString(kv)
-		g, exists := h.groups[key]
-		if !exists {
-			g = &group{keyVals: kv, states: make([]aggState, len(h.aggs))}
-			h.groups[key] = g
-			h.order = append(h.order, key)
-		}
-		for i, a := range h.aggs {
-			if a.Func == AggCount {
-				g.states[i].count++
-				continue
-			}
-			v, err := in.Get(r.Data, a.Field)
-			if err != nil {
-				r.Unfix()
-				src.release()
-				_ = h.input.Close()
-				_ = h.w.Dispose()
-				h.w = nil
-				return err
-			}
-			g.states[i].add(v)
-		}
+		err = h.absorb(in, r.Data)
 		r.Unfix()
+		if err != nil {
+			src.release()
+			_ = h.input.Close()
+			_ = h.w.Dispose()
+			h.w = nil
+			return err
+		}
 	}
 	if err := h.input.Close(); err != nil {
 		_ = h.w.Dispose()
@@ -258,24 +281,30 @@ func (h *HashAggregate) openImpl() error {
 	return nil
 }
 
+// absorb folds one input record into its group. The group is found by
+// the key bytes in a reused scratch buffer — a lookup by string(h.key)
+// does not allocate — so only a record that starts a group allocates.
+func (h *HashAggregate) absorb(in *record.Schema, data []byte) error {
+	h.key = in.AppendKey(h.key[:0], data, h.groupBy)
+	g, exists := h.groups[string(h.key)]
+	if !exists {
+		g = newGroup(in, data, h.groupBy, h.aggs)
+		h.groups[string(h.key)] = g
+		h.order = append(h.order, g)
+	}
+	return g.accumulate(in, data, h.aggs)
+}
+
 // EnableBatch implements BatchConfigurable: Open consumes the input
 // through batch refills of the given size.
 func (h *HashAggregate) EnableBatch(size int) { h.batch = size }
 
 // emitGroup materialises the next group's output record.
 func (h *HashAggregate) emitGroup() (Rec, error) {
-	g := h.groups[h.order[h.emit]]
+	g := h.order[h.emit]
 	h.emit++
-	vals := append([]record.Value(nil), g.keyVals...)
-	in := h.input.Schema()
-	for i, a := range h.aggs {
-		var t record.Type
-		if a.Func != AggCount {
-			t = in.Field(a.Field).Type
-		}
-		vals = append(vals, g.states[i].result(a.Func, t))
-	}
-	return h.w.Write(vals)
+	h.vals = g.appendRow(h.vals[:0], h.input.Schema(), h.aggs)
+	return h.w.Write(h.vals)
 }
 
 // Next implements Iterator: emits one group per call, in first-seen order.
@@ -338,13 +367,16 @@ type SortAggregate struct {
 	aggs    []AggSpec
 	schema  *record.Schema
 
-	w     *ResultWriter
-	cur   *group
-	done  bool
+	w          *ResultWriter
+	cur        *group
+	curKey     []byte         // the current group's key
+	key        []byte         // scratch: the incoming record's key
+	vals       []record.Value // scratch: the output row being written
+	done       bool
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch int
-	src   recSource
+	batch      int
+	src        recSource
 }
 
 // NewSortAggregate constructs the operator over a sorted input.
@@ -450,55 +482,31 @@ func (s *SortAggregate) nextGroup() (Rec, bool, error) {
 			s.cur = nil
 			return out, true, err
 		}
-		kv := in.KeyValues(r.Data, s.groupBy)
-		if s.cur != nil && record.KeyString(kv) != record.KeyString(s.cur.keyVals) {
-			// Key change: emit the finished group, start a new one.
-			finished := s.cur
-			s.cur = &group{keyVals: kv, states: make([]aggState, len(s.aggs))}
-			if err := s.accumulate(s.cur, r); err != nil {
-				return Rec{}, false, err
-			}
+		s.key = in.AppendKey(s.key[:0], r.Data, s.groupBy)
+		finished := s.cur
+		if finished == nil || !bytes.Equal(s.key, s.curKey) {
+			// Key change: start a new group; its key becomes the one to
+			// compare against and the old buffer the next scratch.
+			s.cur = newGroup(in, r.Data, s.groupBy, s.aggs)
+			s.key, s.curKey = s.curKey, s.key
+		} else {
+			finished = nil
+		}
+		err = s.cur.accumulate(in, r.Data, s.aggs)
+		r.Unfix()
+		if err != nil {
+			return Rec{}, false, err
+		}
+		if finished != nil {
 			out, err := s.emit(finished)
 			return out, true, err
 		}
-		if s.cur == nil {
-			s.cur = &group{keyVals: kv, states: make([]aggState, len(s.aggs))}
-		}
-		if err := s.accumulate(s.cur, r); err != nil {
-			return Rec{}, false, err
-		}
 	}
-}
-
-func (s *SortAggregate) accumulate(g *group, r Rec) error {
-	in := s.input.Schema()
-	for i, a := range s.aggs {
-		if a.Func == AggCount {
-			g.states[i].count++
-			continue
-		}
-		v, err := in.Get(r.Data, a.Field)
-		if err != nil {
-			r.Unfix()
-			return err
-		}
-		g.states[i].add(v)
-	}
-	r.Unfix()
-	return nil
 }
 
 func (s *SortAggregate) emit(g *group) (Rec, error) {
-	vals := append([]record.Value(nil), g.keyVals...)
-	in := s.input.Schema()
-	for i, a := range s.aggs {
-		var t record.Type
-		if a.Func != AggCount {
-			t = in.Field(a.Field).Type
-		}
-		vals = append(vals, g.states[i].result(a.Func, t))
-	}
-	return s.w.Write(vals)
+	s.vals = g.appendRow(s.vals[:0], s.input.Schema(), s.aggs)
+	return s.w.Write(s.vals)
 }
 
 // Close implements Iterator.

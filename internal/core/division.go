@@ -31,11 +31,11 @@ type HashDivision struct {
 	// counts and compares with the full divisor cardinality.
 	partial bool
 
-	w     *ResultWriter
-	order []string
-	table map[string]*quotient
-	ndiv  int
-	emit  int
+	w          *ResultWriter
+	order      []string
+	table      map[string]*quotient
+	ndiv       int
+	emit       int
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
@@ -134,7 +134,7 @@ func (d *HashDivision) openImpl() error {
 		if !ok {
 			break
 		}
-		key := record.KeyString(ds.KeyValues(r.Data, d.divisorKey))
+		key := string(ds.AppendKey(nil, r.Data, d.divisorKey))
 		if _, dup := divisorIdx[key]; !dup {
 			divisorIdx[key] = len(divisorIdx)
 		}
@@ -163,18 +163,17 @@ func (d *HashDivision) openImpl() error {
 		if !ok {
 			break
 		}
-		divK := record.KeyString(in.KeyValues(r.Data, d.divKey))
+		divK := string(in.AppendKey(nil, r.Data, d.divKey))
 		idx, inDivisor := divisorIdx[divK]
 		if !inDivisor {
 			// Dividend rows with divisor values outside S are irrelevant.
 			r.Unfix()
 			continue
 		}
-		kv := in.KeyValues(r.Data, d.quotKey)
-		qk := record.KeyString(kv)
+		qk := string(in.AppendKey(nil, r.Data, d.quotKey))
 		q, exists := d.table[qk]
 		if !exists {
-			q = &quotient{kv: kv, seen: make(map[int]struct{})}
+			q = &quotient{kv: in.KeyValues(r.Data, d.quotKey), seen: make(map[int]struct{})}
 			d.table[qk] = q
 			d.order = append(d.order, qk)
 		}
@@ -253,11 +252,12 @@ type SortDivision struct {
 	divisorKey record.Key
 	schema     *record.Schema
 
-	w        *ResultWriter
-	divisor2 map[string]struct{}
-	cur      []record.Value
-	curSeen  map[string]struct{}
-	done     bool
+	w          *ResultWriter
+	divisor2   map[string]struct{}
+	cur        []record.Value
+	curKey     string // AppendKey rendering of cur
+	curSeen    map[string]struct{}
+	done       bool
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
@@ -330,7 +330,7 @@ func (d *SortDivision) openImpl() error {
 		if !ok {
 			break
 		}
-		d.divisor2[record.KeyString(ds.KeyValues(r.Data, d.divisorKey))] = struct{}{}
+		d.divisor2[string(ds.AppendKey(nil, r.Data, d.divisorKey))] = struct{}{}
 		r.Unfix()
 	}
 	if err := d.divisor.Close(); err != nil {
@@ -372,17 +372,16 @@ func (d *SortDivision) Next() (Rec, bool, error) {
 			}
 			return Rec{}, false, nil
 		}
-		kv := in.KeyValues(r.Data, d.quotKey)
-		newGroup := d.cur == nil || record.KeyString(kv) != record.KeyString(d.cur)
+		qk := string(in.AppendKey(nil, r.Data, d.quotKey))
 		var finished []record.Value
-		if newGroup {
+		if d.cur == nil || qk != d.curKey {
 			if d.cur != nil && len(d.curSeen) == len(d.divisor2) && len(d.divisor2) > 0 {
 				finished = d.cur
 			}
-			d.cur = kv
+			d.cur, d.curKey = in.KeyValues(r.Data, d.quotKey), qk
 			d.curSeen = make(map[string]struct{})
 		}
-		divK := record.KeyString(in.KeyValues(r.Data, d.divKey))
+		divK := string(in.AppendKey(nil, r.Data, d.divKey))
 		if _, inS := d.divisor2[divK]; inS {
 			d.curSeen[divK] = struct{}{}
 		}

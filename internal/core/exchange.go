@@ -570,11 +570,8 @@ func (x *Exchange) newOutbox(g int) *outbox {
 }
 
 // route places one record (whose pin the outbox now owns) into the proper
-// packet(s), pushing packets as they fill. The dirty flag is dropped once
-// here — ownership passes to a reader — so add (which broadcast invokes
-// once per consumer) appends the already-clean record without re-copying.
+// packet(s), pushing packets as they fill.
 func (o *outbox) route(r Rec) {
-	r = r.WithoutDirty()
 	if o.x.cfg.Broadcast {
 		// Pin once per additional consumer; never copy (§4.4).
 		r.Share(len(o.packets) - 1)
@@ -680,14 +677,13 @@ func (o *outbox) routeBatch(recs []Rec) {
 				r.Unfix()
 				continue
 			}
-			o.add(c, r.WithoutDirty())
+			o.add(c, r)
 		}
 	}
 }
 
 // bulkAppend moves a run of records into consumer c's packets wholesale,
-// clearing the dirty flag as ownership passes and pushing packets as
-// they fill.
+// pushing packets as they fill.
 func (o *outbox) bulkAppend(c int, recs []Rec) {
 	size := o.x.cfg.PacketSize
 	for len(recs) > 0 {
@@ -700,9 +696,7 @@ func (o *outbox) bulkAppend(c int, recs []Rec) {
 		if n > len(recs) {
 			n = len(recs)
 		}
-		for _, r := range recs[:n] {
-			p.recs = append(p.recs, r.WithoutDirty())
-		}
+		p.recs = append(p.recs, recs[:n]...)
 		recs = recs[n:]
 		if len(p.recs) >= size {
 			o.push(c, false)

@@ -164,6 +164,7 @@ type Project struct {
 	proj   expr.Projector
 	schema *record.Schema
 	w      *ResultWriter
+	vals   []record.Value // the row being computed, reused across records
 
 	batch int
 	src   recSource
@@ -176,7 +177,10 @@ func NewProject(env *Env, input Iterator, exprs []expr.Expr, names []string, mod
 	if err != nil {
 		return nil, err
 	}
-	return &Project{env: env, input: input, proj: proj, schema: out}, nil
+	return &Project{
+		env: env, input: input, proj: proj, schema: out,
+		vals: make([]record.Value, out.NumFields()),
+	}, nil
 }
 
 // NewProjectExprs parses the given expression sources and builds a
@@ -222,17 +226,18 @@ func (p *Project) Next() (Rec, bool, error) {
 	if err != nil || !ok {
 		return Rec{}, false, err
 	}
-	vals, err := p.proj(r.Data)
-	if err != nil {
-		r.Unfix()
-		return Rec{}, false, err
+	out, err := p.project(r)
+	return out, err == nil, err
+}
+
+// project computes the output record of r in place in the virtual file
+// and releases r, whose bytes the computed values may alias until then.
+func (p *Project) project(r Rec) (Rec, error) {
+	defer r.Unfix()
+	if err := p.proj(r.Data, p.vals); err != nil {
+		return Rec{}, err
 	}
-	out, err := p.w.Write(vals)
-	r.Unfix()
-	if err != nil {
-		return Rec{}, false, err
-	}
-	return out, true, nil
+	return p.w.Write(p.vals)
 }
 
 // EnableBatch implements BatchConfigurable.
@@ -258,15 +263,7 @@ func (p *Project) NextBatch(b *Batch) error {
 		if !ok {
 			return nil
 		}
-		vals, err := p.proj(r.Data)
-		if err != nil {
-			r.Unfix()
-			p.src.release()
-			b.Release()
-			return err
-		}
-		out, err := p.w.Write(vals)
-		r.Unfix()
+		out, err := p.project(r)
 		if err != nil {
 			p.src.release()
 			b.Release()

@@ -19,11 +19,11 @@ type NestedLoops struct {
 	pred   expr.Predicate // over the combined schema; nil = always true
 	schema *record.Schema
 
-	w     *ResultWriter
-	inner *file.File
-	lrec  Rec
-	lok   bool
-	scan  *file.Scan
+	comb       combiner
+	inner      *file.File
+	lrec       Rec
+	lok        bool
+	scan       *file.Scan
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
@@ -40,7 +40,10 @@ func NewNestedLoops(env *Env, left, right Iterator, predSrc string, mode expr.Mo
 		}
 		pred = p
 	}
-	return &NestedLoops{env: env, left: left, right: right, pred: pred, schema: schema}, nil
+	return &NestedLoops{
+		env: env, left: left, right: right, pred: pred, schema: schema,
+		comb: newCombiner(left.Schema(), right.Schema()),
+	}, nil
 }
 
 // NewCartesianProduct builds the Cartesian product of the inputs.
@@ -106,7 +109,7 @@ func (n *NestedLoops) openImpl() error {
 		_ = n.env.DropTemp(inner)
 		return err
 	}
-	n.w, n.inner = w, inner
+	n.comb.w, n.inner = w, inner
 	n.lok = false
 	n.open = true
 	return nil
@@ -141,7 +144,7 @@ func (n *NestedLoops) Next() (Rec, bool, error) {
 			n.lok = false
 			continue
 		}
-		out, keep, err := n.combineFiltered(n.lrec.Data, r.Data)
+		out, keep, err := n.combine(n.lrec.Data, r.Data)
 		r.Unfix()
 		if err != nil {
 			return Rec{}, false, err
@@ -152,30 +155,12 @@ func (n *NestedLoops) Next() (Rec, bool, error) {
 	}
 }
 
-func (n *NestedLoops) combineFiltered(l, r []byte) (Rec, bool, error) {
-	lv, err := n.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, false, err
-	}
-	rv, err := n.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, false, err
-	}
-	combined, err := n.schema.Encode(append(lv, rv...))
-	if err != nil {
-		return Rec{}, false, err
-	}
+func (n *NestedLoops) combine(l, r []byte) (Rec, bool, error) {
 	if n.pred != nil {
-		keep, err := n.pred(combined)
-		if err != nil || !keep {
-			return Rec{}, false, err
-		}
+		return n.comb.combineIf(l, r, n.pred)
 	}
-	out, err := n.w.WriteBytes(combined)
-	if err != nil {
-		return Rec{}, false, err
-	}
-	return out, true, nil
+	out, err := n.comb.combine(l, r)
+	return out, err == nil, err
 }
 
 // Close implements Iterator.
@@ -204,9 +189,8 @@ func (n *NestedLoops) Close() error {
 		err = derr
 	}
 	n.inner = nil
-	if derr := n.w.Dispose(); err == nil {
+	if derr := n.comb.dispose(); err == nil {
 		err = derr
 	}
-	n.w = nil
 	return err
 }

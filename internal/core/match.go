@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/expr"
 	"repro/internal/record"
 )
 
@@ -86,23 +87,99 @@ func matchOutputSchema(op MatchOp, left, right *record.Schema) (*record.Schema, 
 	}
 }
 
-// zeroValues builds the zero-padding used for the missing side of outer
-// joins.
-func zeroValues(s *record.Schema) []record.Value {
-	out := make([]record.Value, s.NumFields())
-	for i := 0; i < s.NumFields(); i++ {
-		switch s.Field(i).Type {
-		case record.TInt:
-			out[i] = record.Int(0)
-		case record.TFloat:
-			out[i] = record.Float(0)
-		case record.TBool:
-			out[i] = record.Bool(false)
-		default:
-			out[i] = record.Value{Kind: s.Field(i).Type}
-		}
+// combiner creates the output records of the operators that concatenate
+// a left with a right record — the joins of both match algorithms and
+// nested loops — without decoding either: the two images are joined
+// straight into a slot of the operator's temp file. zeroL and zeroR are
+// the all-zero images outer joins pass for the missing side (Volcano has
+// no SQL NULL).
+type combiner struct {
+	ls, rs       *record.Schema
+	zeroL, zeroR []byte
+	w            *ResultWriter
+	scratch      []byte // combineIf's candidate image
+}
+
+func newCombiner(ls, rs *record.Schema) combiner {
+	return combiner{ls: ls, rs: rs, zeroL: ls.Zero(), zeroR: rs.Zero()}
+}
+
+// combine materialises the concatenation of l and r, pinned.
+func (c *combiner) combine(l, r []byte) (Rec, error) {
+	n, err := record.ConcatSize(c.ls, l, c.rs, r)
+	if err != nil {
+		return Rec{}, err
 	}
-	return out
+	out, err := c.w.Reserve(n)
+	if err != nil {
+		return Rec{}, err
+	}
+	record.ConcatInto(out.Data, c.ls, l, c.rs, r)
+	return out, nil
+}
+
+// combineIf is combine for a pair that must first pass pred over the
+// combined image: the candidate is built in a reused scratch buffer, so a
+// rejected pair leaves nothing behind in the temp file.
+func (c *combiner) combineIf(l, r []byte, pred expr.Predicate) (Rec, bool, error) {
+	n, err := record.ConcatSize(c.ls, l, c.rs, r)
+	if err != nil {
+		return Rec{}, false, err
+	}
+	if cap(c.scratch) < n {
+		c.scratch = make([]byte, n)
+	}
+	img := c.scratch[:n]
+	record.ConcatInto(img, c.ls, l, c.rs, r)
+	if keep, err := pred(img); err != nil || !keep {
+		return Rec{}, false, err
+	}
+	out, err := c.w.WriteBytes(img)
+	return out, err == nil, err
+}
+
+// dispose drops the temp file, if the operator opened one.
+func (c *combiner) dispose() error {
+	if c.w == nil {
+		return nil
+	}
+	err := c.w.Dispose()
+	c.w = nil
+	return err
+}
+
+// recQueue is the FIFO of output records a match step produced ahead of
+// its consumer. Popping keeps the backing array, so a join that queues a
+// record or two per probe allocates nothing in the steady state.
+type recQueue struct {
+	recs []Rec
+	head int
+}
+
+func (q *recQueue) push(r Rec) { q.recs = append(q.recs, r) }
+
+func (q *recQueue) pop() (Rec, bool) {
+	if q.head == len(q.recs) {
+		q.recs, q.head = q.recs[:0], 0
+		return Rec{}, false
+	}
+	r := q.recs[q.head]
+	q.head++
+	return r, true
+}
+
+// drainTo moves every queued record into b.
+func (q *recQueue) drainTo(b *Batch) {
+	for r, ok := q.pop(); ok; r, ok = q.pop() {
+		b.Append(r)
+	}
+}
+
+// release unfixes every queued record.
+func (q *recQueue) release() {
+	for r, ok := q.pop(); ok; r, ok = q.pop() {
+		r.Unfix()
+	}
 }
 
 // keysEqual verifies key equality between a left and right record (hash

@@ -21,18 +21,19 @@ type HashMatch struct {
 	rightKey record.Key
 	schema   *record.Schema
 
-	table     map[uint64][]*buildEntry
-	order     []*buildEntry // build order, for deterministic trailing output
-	w         *ResultWriter // for combined outputs
-	seen      map[string]struct{}
-	pending   []Rec
-	trail     int // cursor over order for right-only emission
-	probing   bool
-	rightOpen bool
+	table      map[uint64][]*buildEntry
+	order      []*buildEntry // build order, for deterministic trailing output
+	comb       combiner      // for combined outputs
+	seen       map[string]struct{}
+	seenKey    []byte // scratch for the seen lookup
+	pending    recQueue
+	trail      int // cursor over order for right-only emission
+	probing    bool
+	rightOpen  bool
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch     int
-	probeSrc  recSource
+	batch      int
+	probeSrc   recSource
 }
 
 // EnableBatch implements BatchConfigurable: both the build-phase drain of
@@ -58,6 +59,7 @@ func NewHashMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey 
 	return &HashMatch{
 		env: env, op: op, left: left, right: right,
 		leftKey: leftKey, rightKey: rightKey, schema: schema,
+		comb: newCombiner(left.Schema(), right.Schema()),
 	}, nil
 }
 
@@ -98,7 +100,7 @@ func (h *HashMatch) openImpl() error {
 		if err != nil {
 			return err
 		}
-		h.w = w
+		h.comb.w = w
 	}
 	h.table = make(map[uint64][]*buildEntry)
 	h.seen = make(map[string]struct{})
@@ -158,9 +160,7 @@ func (h *HashMatch) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("hashmatch", "next before open")
 	}
 	for {
-		if len(h.pending) > 0 {
-			out := h.pending[0]
-			h.pending = h.pending[1:]
+		if out, ok := h.pending.pop(); ok {
 			return out, true, nil
 		}
 		if h.probing {
@@ -195,12 +195,7 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 	}
 	b.Reset()
 	for {
-		if len(h.pending) > 0 {
-			for _, r := range h.pending {
-				b.Append(r)
-			}
-			h.pending = h.pending[:0]
-		}
+		h.pending.drainTo(b)
 		if b.Full() {
 			return nil
 		}
@@ -233,89 +228,64 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 }
 
 // probe handles one left record, queueing outputs on h.pending and
-// disposing of the left pin.
+// disposing of the left pin: the record is passed on where the operation
+// outputs it as it is, and unfixed otherwise.
 func (h *HashMatch) probe(l Rec) error {
-	ls, rs := h.left.Schema(), h.right.Schema()
-	hk := ls.Hash(l.Data, h.leftKey)
-	var matches []*buildEntry
-	for _, e := range h.table[hk] {
-		if keysEqual(ls, l.Data, h.leftKey, rs, e.rec.Data, h.rightKey) {
-			matches = append(matches, e)
-		}
+	pass, err := h.match(l.Data)
+	if pass {
+		h.pending.push(l)
+	} else {
+		l.Unfix()
 	}
-	matched := len(matches) > 0
-	if h.distinctProbe() {
-		key := record.KeyString(ls.KeyValues(l.Data, h.leftKey))
-		if _, dup := h.seen[key]; dup {
-			l.Unfix()
-			for _, e := range matches {
-				e.matched = true
-			}
-			return nil
-		}
-		h.seen[key] = struct{}{}
-	}
-	defer l.Unfix()
-	switch h.op {
-	case MatchJoin, MatchLeftOuter, MatchRightOuter, MatchFullOuter:
-		for _, e := range matches {
-			e.matched = true
-			out, err := h.combine(l.Data, e.rec.Data)
-			if err != nil {
-				return err
-			}
-			h.pending = append(h.pending, out)
-		}
-		if !matched && (h.op == MatchLeftOuter || h.op == MatchFullOuter) {
-			out, err := h.combinePadRight(l.Data)
-			if err != nil {
-				return err
-			}
-			h.pending = append(h.pending, out)
-		}
-	case MatchSemi:
-		if matched {
-			// Pass the left record through; it keeps its pin.
-			h.pending = append(h.pending, h.holdLeft(l))
-			return nil
-		}
-	case MatchAnti:
-		if !matched {
-			h.pending = append(h.pending, h.holdLeft(l))
-			return nil
-		}
-	case MatchUnion:
-		for _, e := range matches {
-			e.matched = true
-		}
-		h.pending = append(h.pending, h.holdLeft(l))
-		return nil
-	case MatchIntersect:
-		if matched {
-			for _, e := range matches {
-				e.matched = true
-			}
-			h.pending = append(h.pending, h.holdLeft(l))
-			return nil
-		}
-	case MatchDifference:
-		if !matched {
-			h.pending = append(h.pending, h.holdLeft(l))
-			return nil
-		}
-	case MatchAntiDifference:
-		for _, e := range matches {
-			e.matched = true
-		}
-	}
-	return nil
+	return err
 }
 
-// holdLeft cancels the deferred unfix by taking an extra pin: the record
-// passes through to the consumer.
-func (h *HashMatch) holdLeft(l Rec) Rec {
-	l.Share(1)
-	return l.WithoutDirty()
+// match looks the left record image up in the hash table, queues the
+// combined outputs it gives rise to, and reports whether the operation
+// passes the left record itself through.
+func (h *HashMatch) match(l []byte) (pass bool, err error) {
+	ls, rs := h.left.Schema(), h.right.Schema()
+	combines := h.op.combinesSchemas()
+	matched := false
+	for _, e := range h.table[ls.Hash(l, h.leftKey)] {
+		if !keysEqual(ls, l, h.leftKey, rs, e.rec.Data, h.rightKey) {
+			continue
+		}
+		// Only the operations with a trailing right-only class read the
+		// mark; setting it for all of them is harmless.
+		matched, e.matched = true, true
+		if combines {
+			out, err := h.comb.combine(l, e.rec.Data)
+			if err != nil {
+				return false, err
+			}
+			h.pending.push(out)
+		}
+	}
+	if h.distinctProbe() {
+		h.seenKey = ls.AppendKey(h.seenKey[:0], l, h.leftKey)
+		if _, dup := h.seen[string(h.seenKey)]; dup {
+			return false, nil
+		}
+		h.seen[string(h.seenKey)] = struct{}{}
+	}
+	switch h.op {
+	case MatchLeftOuter, MatchFullOuter:
+		if !matched {
+			out, err := h.comb.combine(l, h.comb.zeroR)
+			if err != nil {
+				return false, err
+			}
+			h.pending.push(out)
+		}
+	case MatchSemi, MatchIntersect:
+		return matched, nil
+	case MatchAnti, MatchDifference:
+		return !matched, nil
+	case MatchUnion:
+		return true, nil
+	}
+	return false, nil
 }
 
 // trailNext emits right-side records after the probe phase: unmatched
@@ -339,7 +309,7 @@ func (h *HashMatch) trailNext() (Rec, bool, error) {
 			continue
 		}
 		if pad {
-			out, err := h.combinePadLeft(e.rec.Data)
+			out, err := h.comb.combine(h.comb.zeroL, e.rec.Data)
 			if err != nil {
 				return Rec{}, false, err
 			}
@@ -347,38 +317,9 @@ func (h *HashMatch) trailNext() (Rec, bool, error) {
 		}
 		// Pass the build record through with its own pin.
 		e.rec.Share(1)
-		return e.rec.WithoutDirty(), true, nil
+		return e.rec, true, nil
 	}
 	return Rec{}, false, nil
-}
-
-// combine materialises a concatenated output record.
-func (h *HashMatch) combine(l, r []byte) (Rec, error) {
-	lv, err := h.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	rv, err := h.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return h.w.Write(append(lv, rv...))
-}
-
-func (h *HashMatch) combinePadRight(l []byte) (Rec, error) {
-	lv, err := h.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	return h.w.Write(append(lv, zeroValues(h.right.Schema())...))
-}
-
-func (h *HashMatch) combinePadLeft(r []byte) (Rec, error) {
-	rv, err := h.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return h.w.Write(append(zeroValues(h.left.Schema()), rv...))
 }
 
 // Close implements Iterator: releases the hash table pins, closes both
@@ -408,7 +349,7 @@ func (h *HashMatch) Close() error {
 			err = rerr
 		}
 	}
-	if derr := h.dispose(); err == nil {
+	if derr := h.comb.dispose(); err == nil {
 		err = derr
 	}
 	return err
@@ -420,26 +361,14 @@ func (h *HashMatch) abort() {
 		h.rightOpen = false
 		_ = h.right.Close()
 	}
-	_ = h.dispose()
+	_ = h.comb.dispose()
 }
 
 func (h *HashMatch) release() {
-	for _, r := range h.pending {
-		r.Unfix()
-	}
-	h.pending = nil
+	h.pending.release()
 	for _, e := range h.order {
 		e.rec.Unfix()
 	}
 	h.order = nil
 	h.table = nil
-}
-
-func (h *HashMatch) dispose() error {
-	if h.w == nil {
-		return nil
-	}
-	err := h.w.Dispose()
-	h.w = nil
-	return err
 }

@@ -19,17 +19,17 @@ type MergeMatch struct {
 	rightKey record.Key
 	schema   *record.Schema
 
-	w       *ResultWriter
-	lrec    Rec
-	lok     bool
-	rrec    Rec
-	rok     bool
-	pending []Rec
+	comb       combiner
+	lrec       Rec
+	lok        bool
+	rrec       Rec
+	rok        bool
+	pending    recQueue
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch   int
-	lsrc    recSource
-	rsrc    recSource
+	batch      int
+	lsrc       recSource
+	rsrc       recSource
 }
 
 // EnableBatch implements BatchConfigurable: both inputs are consumed
@@ -58,6 +58,7 @@ func NewMergeMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey
 	return &MergeMatch{
 		env: env, op: op, left: left, right: right,
 		leftKey: leftKey, rightKey: rightKey, schema: schema,
+		comb: newCombiner(left.Schema(), right.Schema()),
 	}, nil
 }
 
@@ -94,15 +95,15 @@ func (m *MergeMatch) openImpl() error {
 		if err != nil {
 			return err
 		}
-		m.w = w
+		m.comb.w = w
 	}
 	if err := m.left.Open(); err != nil {
-		_ = m.dispose()
+		_ = m.comb.dispose()
 		return err
 	}
 	if err := m.right.Open(); err != nil {
 		_ = m.left.Close()
-		_ = m.dispose()
+		_ = m.comb.dispose()
 		return err
 	}
 	m.lsrc = inputSource(m.left, m.batch)
@@ -139,9 +140,7 @@ func (m *MergeMatch) Next() (Rec, bool, error) {
 		return Rec{}, false, errState("mergematch", "next before open")
 	}
 	for {
-		if len(m.pending) > 0 {
-			out := m.pending[0]
-			m.pending = m.pending[1:]
+		if out, ok := m.pending.pop(); ok {
 			return out, true, nil
 		}
 		done, err := m.step()
@@ -187,12 +186,7 @@ func (m *MergeMatch) NextBatch(b *Batch) error {
 	}
 	b.Reset()
 	for {
-		if len(m.pending) > 0 {
-			for _, r := range m.pending {
-				b.Append(r)
-			}
-			m.pending = m.pending[:0]
-		}
+		m.pending.drainTo(b)
 		if b.Full() {
 			return nil
 		}
@@ -229,17 +223,17 @@ func (m *MergeMatch) leftOnlyGroup() error {
 	for m.lok && m.sameKey(m.left.Schema(), m.lrec.Data, m.leftKey, groupKey, m.leftKey) {
 		switch {
 		case emitEach && pad:
-			out, err := m.combinePadRight(m.lrec.Data)
+			out, err := m.comb.combine(m.lrec.Data, m.comb.zeroR)
 			if err != nil {
 				m.lrec.Unfix()
 				return err
 			}
-			m.pending = append(m.pending, out)
+			m.pending.push(out)
 			m.lrec.Unfix()
 		case emitEach:
-			m.pending = append(m.pending, m.lrec.WithoutDirty())
+			m.pending.push(m.lrec)
 		case emitOne && first:
-			m.pending = append(m.pending, m.lrec.WithoutDirty())
+			m.pending.push(m.lrec)
 		default:
 			m.lrec.Unfix()
 		}
@@ -265,17 +259,17 @@ func (m *MergeMatch) rightOnlyGroup() error {
 	for m.rok && m.sameKey(m.right.Schema(), m.rrec.Data, m.rightKey, groupKey, m.rightKey) {
 		switch {
 		case emitEach && pad:
-			out, err := m.combinePadLeft(m.rrec.Data)
+			out, err := m.comb.combine(m.comb.zeroL, m.rrec.Data)
 			if err != nil {
 				m.rrec.Unfix()
 				return err
 			}
-			m.pending = append(m.pending, out)
+			m.pending.push(out)
 			m.rrec.Unfix()
 		case emitEach:
-			m.pending = append(m.pending, m.rrec.WithoutDirty())
+			m.pending.push(m.rrec)
 		case emitOne && first:
-			m.pending = append(m.pending, m.rrec.WithoutDirty())
+			m.pending.push(m.rrec)
 		default:
 			m.rrec.Unfix()
 		}
@@ -314,20 +308,20 @@ func (m *MergeMatch) matchedGroup() error {
 		switch m.op {
 		case MatchJoin, MatchLeftOuter, MatchRightOuter, MatchFullOuter:
 			for _, r := range rgroup {
-				out, err := m.combine(m.lrec.Data, r.Data)
+				out, err := m.comb.combine(m.lrec.Data, r.Data)
 				if err != nil {
 					m.lrec.Unfix()
 					releaseGroup()
 					return err
 				}
-				m.pending = append(m.pending, out)
+				m.pending.push(out)
 			}
 			m.lrec.Unfix()
 		case MatchSemi:
-			m.pending = append(m.pending, m.lrec.WithoutDirty())
+			m.pending.push(m.lrec)
 		case MatchUnion, MatchIntersect:
 			if first {
-				m.pending = append(m.pending, m.lrec.WithoutDirty())
+				m.pending.push(m.lrec)
 			} else {
 				m.lrec.Unfix()
 			}
@@ -342,34 +336,6 @@ func (m *MergeMatch) matchedGroup() error {
 	}
 	releaseGroup()
 	return nil
-}
-
-func (m *MergeMatch) combine(l, r []byte) (Rec, error) {
-	lv, err := m.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	rv, err := m.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return m.w.Write(append(lv, rv...))
-}
-
-func (m *MergeMatch) combinePadRight(l []byte) (Rec, error) {
-	lv, err := m.left.Schema().Decode(l)
-	if err != nil {
-		return Rec{}, err
-	}
-	return m.w.Write(append(lv, zeroValues(m.right.Schema())...))
-}
-
-func (m *MergeMatch) combinePadLeft(r []byte) (Rec, error) {
-	rv, err := m.right.Schema().Decode(r)
-	if err != nil {
-		return Rec{}, err
-	}
-	return m.w.Write(append(zeroValues(m.left.Schema()), rv...))
 }
 
 // Close implements Iterator.
@@ -390,7 +356,7 @@ func (m *MergeMatch) Close() error {
 	if rerr := m.right.Close(); err == nil {
 		err = rerr
 	}
-	if derr := m.dispose(); err == nil {
+	if derr := m.comb.dispose(); err == nil {
 		err = derr
 	}
 	return err
@@ -400,14 +366,11 @@ func (m *MergeMatch) abort() {
 	m.releasePending()
 	_ = m.left.Close()
 	_ = m.right.Close()
-	_ = m.dispose()
+	_ = m.comb.dispose()
 }
 
 func (m *MergeMatch) releasePending() {
-	for _, r := range m.pending {
-		r.Unfix()
-	}
-	m.pending = nil
+	m.pending.release()
 	if m.lok {
 		m.lrec.Unfix()
 		m.lok = false
@@ -424,13 +387,4 @@ func (m *MergeMatch) releasePending() {
 		m.rsrc.release()
 		m.rsrc = nil
 	}
-}
-
-func (m *MergeMatch) dispose() error {
-	if m.w == nil {
-		return nil
-	}
-	err := m.w.Dispose()
-	m.w = nil
-	return err
 }

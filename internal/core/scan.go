@@ -45,8 +45,7 @@ func (s *FileScan) Next() (Rec, bool, error) {
 	if s.scan == nil {
 		return Rec{}, false, errState("filescan", "next before open")
 	}
-	r, ok, err := s.scan.Next()
-	return r.WithoutDirty(), ok, err
+	return s.scan.Next()
 }
 
 // NextBatch implements BatchIterator natively: one call drives the
@@ -65,7 +64,7 @@ func (s *FileScan) NextBatch(b *Batch) error {
 		if !ok {
 			break
 		}
-		b.Append(r.WithoutDirty())
+		b.Append(r)
 	}
 	return nil
 }

@@ -451,7 +451,7 @@ func newRunMerge(env *Env, runs []*file.File, schema *record.Schema, cmp expr.Ke
 			return nil, err
 		}
 		if ok {
-			m.h.entries = append(m.h.entries, mergeEntry{rec: r.WithoutDirty(), src: i})
+			m.h.entries = append(m.h.entries, mergeEntry{rec: r, src: i})
 		}
 	}
 	heap.Init(&m.h)
@@ -468,7 +468,7 @@ func (m *runMerge) next() (Rec, bool, error) {
 		return Rec{}, false, err
 	}
 	if ok {
-		m.h.entries[0] = mergeEntry{rec: r.WithoutDirty(), src: e.src}
+		m.h.entries[0] = mergeEntry{rec: r, src: e.src}
 		heap.Fix(&m.h, 0)
 	} else {
 		heap.Pop(&m.h)
@@ -492,10 +492,10 @@ func (m *runMerge) close() {
 // is a merge network above an exchange operator that keeps producer
 // streams separate.
 type Merge struct {
-	inputs []Iterator
-	cmp    expr.KeyCompare
-	h      mergeHeap
-	open   bool
+	inputs     []Iterator
+	cmp        expr.KeyCompare
+	h          mergeHeap
+	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
 }
 

@@ -9,11 +9,13 @@ import (
 // file on the temp volume, following the ownership protocol: every record
 // written is returned pinned ("complex operations like join that create
 // new records have to fix them in the buffer before passing them on",
-// paper §3).
+// paper §3). It holds the file's append cursor from creation to Dispose,
+// so a record is built in its slot on the file's tail page.
 type ResultWriter struct {
 	env    *Env
 	schema *record.Schema
 	f      *file.File
+	cur    *file.Appender
 }
 
 // NewResultWriter creates a writer with a fresh temp file.
@@ -22,35 +24,36 @@ func (e *Env) NewResultWriter(prefix string, schema *record.Schema) (*ResultWrit
 	if err != nil {
 		return nil, err
 	}
-	return &ResultWriter{env: e, schema: schema, f: f}, nil
+	return &ResultWriter{env: e, schema: schema, f: f, cur: f.NewAppender()}, nil
 }
 
-// Schema returns the writer's record schema.
-func (w *ResultWriter) Schema() *record.Schema { return w.schema }
+// Reserve appends an n-byte record for the caller to fill in place and
+// returns it pinned.
+func (w *ResultWriter) Reserve(n int) (Rec, error) { return w.cur.Reserve(n) }
 
-// File returns the backing temp file (for operators that rescan output).
-func (w *ResultWriter) File() *file.File { return w.f }
-
-// Write encodes the values and appends them, returning the pinned record.
+// Write encodes the values into a new record, returning it pinned.
 func (w *ResultWriter) Write(vals []record.Value) (Rec, error) {
-	data, err := w.schema.Encode(vals)
+	n, err := w.schema.EncodedLen(vals)
 	if err != nil {
 		return Rec{}, err
 	}
-	return w.f.InsertPinned(data)
+	r, err := w.cur.Reserve(n)
+	if err != nil {
+		return Rec{}, err
+	}
+	w.schema.EncodeInto(r.Data, vals)
+	return r, nil
 }
 
 // WriteBytes appends pre-encoded record bytes, returning the pinned record.
-func (w *ResultWriter) WriteBytes(data []byte) (Rec, error) {
-	return w.f.InsertPinned(data)
-}
+func (w *ResultWriter) WriteBytes(data []byte) (Rec, error) { return w.cur.Append(data) }
 
 // WriteBytesBatch appends len(datas) pre-encoded records, filling out
 // with the pinned results — the batch protocol's materialisation path:
-// one page fix per page instead of one per record. out must have the
-// same length as datas.
+// pins are granted once per page instead of once per record. out must
+// have the same length as datas.
 func (w *ResultWriter) WriteBytesBatch(datas [][]byte, out []Rec) error {
-	return w.f.InsertPinnedBatch(datas, out)
+	return w.cur.AppendBatch(datas, out)
 }
 
 // Dispose deletes the temp file. All written records must have been
@@ -59,6 +62,7 @@ func (w *ResultWriter) Dispose() error {
 	if w.f == nil {
 		return nil
 	}
+	w.cur.Close()
 	err := w.env.DropTemp(w.f)
 	w.f = nil
 	return err

@@ -246,8 +246,8 @@ func TestProjector(t *testing.T) {
 			out.Field(1).Type != record.TString || out.Field(2).Type != record.TBool {
 			t.Fatalf("%v: output schema %v", mode, out)
 		}
-		vals, err := proj(rec(21, 3.5, "n", true))
-		if err != nil {
+		vals := make([]record.Value, out.NumFields())
+		if err := proj(rec(21, 3.5, "n", true), vals); err != nil {
 			t.Fatal(err)
 		}
 		if vals[0].I != 42 || string(vals[1].S) != "n" || !vals[2].B {
@@ -262,7 +262,7 @@ func TestProjector(t *testing.T) {
 	if out.Field(0).Name != "c0" || out.Field(1).Name != "name" {
 		t.Fatalf("default names: %v", out)
 	}
-	if _, err := proj(rec(1, 0, "x", false)); err != nil {
+	if err := proj(rec(1, 0, "x", false), make([]record.Value, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Arity mismatch.

@@ -71,9 +71,10 @@ func ParsePredicate(src string, s *record.Schema, mode Mode) (Predicate, error) 
 	return NewPredicate(e, s, mode)
 }
 
-// Projector is a support function computing an output value list from a
-// record; project/compute operators use one evaluator per output field.
-type Projector func(data []byte) ([]record.Value, error)
+// Projector is a support function computing the output values of a
+// record into out, one per output field; project/compute operators use
+// one evaluator per output field. Values may alias data.
+type Projector func(data []byte, out []record.Value) error
 
 // NewProjector builds a projector evaluating the given expressions, and
 // returns the output schema with the given field names (names may be nil,
@@ -112,16 +113,15 @@ func NewProjector(exprs []Expr, names []string, s *record.Schema, mode Mode) (Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	proj := func(d []byte) ([]record.Value, error) {
-		vals := make([]record.Value, len(evs))
+	proj := func(d []byte, out []record.Value) error {
 		for i, ev := range evs {
 			v, err := ev(d)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			vals[i] = v
+			out[i] = v
 		}
-		return vals, nil
+		return nil
 	}
 	return proj, out, nil
 }

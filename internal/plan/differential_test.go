@@ -207,6 +207,43 @@ func TestDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// diffRejected are plans that parse but that both modes must refuse at
+// build time, naming the offending stage: `pscan T N` used to read
+// T.0..N-1 whatever the catalog held, and an exchange whose producers=
+// disagreed with N read a subset or failed at Open.
+var diffRejected = []struct {
+	name, script, want string
+}{
+	{"pscan-too-few", "pscan nums 3 | exchange producers=3 packet=16",
+		"line 1, stage 1: pscan nums 3: the table has more than 3 partitions (nums.3 exists)"},
+	{"pscan-too-many", "pscan nums 5 | exchange producers=5 packet=16",
+		"line 1, stage 1: pscan nums 5: partition nums.4 is missing"},
+	{"producers-mismatch", "with d = scan dept\npscan nums 4 | exchange producers=2 packet=16 | join hash d on v = dno",
+		"line 2, stage 2: exchange producers=2 over a pscan of 4 partitions"},
+}
+
+func TestDifferentialRejected(t *testing.T) {
+	db := newDiffDB(t)
+	for _, tc := range diffRejected {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := Parse(tc.script)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			for _, size := range append([]int{0}, diffBatchSizes...) {
+				_, _, err := BuildWith(db.env, db.cat, n, BuildOptions{BatchSize: size})
+				var pe *ParseError
+				if !errors.As(err, &pe) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("batch size %d: build error = %v, want %q", size, err, tc.want)
+				}
+			}
+			if pinned := db.pool.PinnedFrames(); pinned != 0 {
+				t.Fatalf("%d frames still pinned after the refused builds", pinned)
+			}
+		})
+	}
+}
+
 // TestDifferentialIndexScan replays index-scan plans (which need a
 // durable volume with a saved B+-tree) through both modes.
 func TestDifferentialIndexScan(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/record"
 )
 
@@ -50,11 +51,29 @@ func describe(n *Node) string {
 	case KindDistinct:
 		return fmt.Sprintf("distinct [%s]", n.Algo)
 	case KindAggregate:
-		parts := make([]string, len(n.Aggs))
-		for i, a := range n.Aggs {
-			parts[i] = fmt.Sprintf("%s($%d)", a.Func, a.Field)
+		// Parsed plans carry names (GroupTerms, AggTerms) and resolve the
+		// indexes only at build time; plans built in code carry indexes.
+		var group []string
+		for _, t := range n.GroupTerms {
+			group = append(group, t.ref())
 		}
-		return fmt.Sprintf("aggregate group=%v %s [%s]", n.GroupBy, strings.Join(parts, ","), n.Algo)
+		if n.GroupTerms == nil {
+			for _, f := range n.GroupBy {
+				group = append(group, fmt.Sprintf("$%d", f))
+			}
+		}
+		aggs := make([]string, len(n.Aggs))
+		for i, a := range n.Aggs {
+			switch {
+			case a.Func == core.AggCount:
+				aggs[i] = "count"
+			case n.AggTerms != nil:
+				aggs[i] = fmt.Sprintf("%s(%s)", a.Func, n.AggTerms[i].ref())
+			default:
+				aggs[i] = fmt.Sprintf("%s($%d)", a.Func, a.Field)
+			}
+		}
+		return fmt.Sprintf("aggregate group=%s %s [%s]", strings.Join(group, ","), strings.Join(aggs, ","), n.Algo)
 	case KindMatch:
 		if n.AllFieldKeys {
 			return fmt.Sprintf("%s [%s]", n.MatchOp, n.Algo)
@@ -126,14 +145,19 @@ func max1(n int) int {
 	return n
 }
 
+// ref renders the field a term names: its name, or $index.
+func (t Term) ref() string {
+	if t.ByName {
+		return t.Name
+	}
+	return fmt.Sprintf("$%d", t.Index)
+}
+
 // termsString renders unresolved field terms; withDir appends asc/desc.
 func termsString(terms []Term, withDir bool) string {
 	parts := make([]string, len(terms))
 	for i, t := range terms {
-		ref := t.Name
-		if !t.ByName {
-			ref = fmt.Sprintf("$%d", t.Index)
-		}
+		ref := t.ref()
 		if withDir {
 			dir := " asc"
 			if t.Desc {

@@ -75,6 +75,10 @@ type Node struct {
 	Kind   Kind
 	Inputs []*Node
 
+	// Line and Stage locate the stage of the plan script the node was
+	// parsed from (0 for nodes built in code), for positioned build errors.
+	Line, Stage int
+
 	// Scan / PartitionedScan / IndexScan.
 	Table      string
 	Partitions int // PartitionedScan: files "<Table>.<g>"
@@ -94,13 +98,13 @@ type Node struct {
 	SortBy []record.SortSpec
 
 	// Aggregate / Distinct / Match / Division keys.
-	GroupBy  record.Key
-	Aggs     []core.AggSpec
-	Algo     Algo
+	GroupBy record.Key
+	Aggs    []core.AggSpec
+	Algo    Algo
 	// AlgoSet records that the plan text named the algorithm explicitly
 	// (join hash ..., agg sort ...). The cost pass only overrides
 	// strategy choices the author left open.
-	AlgoSet bool
+	AlgoSet  bool
 	MatchOp  core.MatchOp
 	LeftKey  record.Key
 	RightKey record.Key
@@ -159,15 +163,15 @@ type XOpts struct {
 	// explicitly (producers=N); without it the cost pass may choose.
 	ProducersSet bool
 	Consumers    int
-	PacketSize  int
-	FlowControl bool
-	Slack       int
-	Broadcast   bool
-	Inline      bool
-	KeepStreams bool
-	MergeSort   []record.SortSpec // with KeepStreams: merge streams on this order
-	Fork        core.ForkScheme
-	ForkCost    time.Duration
+	PacketSize   int
+	FlowControl  bool
+	Slack        int
+	Broadcast    bool
+	Inline       bool
+	KeepStreams  bool
+	MergeSort    []record.SortSpec // with KeepStreams: merge streams on this order
+	Fork         core.ForkScheme
+	ForkCost     time.Duration
 	// Partition: "" (round robin), or hash keys.
 	HashKeys  record.Key
 	RangeCol  int
@@ -420,8 +424,14 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		return core.NewFileScan(meteredFile(ctx, f), nil, n.ReadAhead)
 
 	case KindPartitionedScan:
-		name := fmt.Sprintf("%s.%d", n.Table, ctx.partition)
-		f, err := ctx.cat.Lookup(name)
+		// Instance 0 — the exchange's schema probe, built before any
+		// producer — checks the partition count for all of them.
+		if ctx.partition == 0 {
+			if err := checkPartitions(ctx.cat, n); err != nil {
+				return nil, err
+			}
+		}
+		f, err := ctx.cat.Lookup(partitionName(n.Table, ctx.partition))
 		if err != nil {
 			return nil, err
 		}
@@ -640,6 +650,29 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	}
 }
 
+func partitionName(table string, g int) string { return fmt.Sprintf("%s.%d", table, g) }
+
+// checkPartitions fails a pscan whose partition count is not the one the
+// catalog holds: producer g reads "<Table>.<g>", so a count that is too
+// small would silently drop the partitions above it.
+func checkPartitions(cat Catalog, n *Node) error {
+	for g := 0; g < n.Partitions; g++ {
+		if _, err := cat.Lookup(partitionName(n.Table, g)); err != nil {
+			return n.errorf("pscan %s %d: partition %s is missing", n.Table, n.Partitions, partitionName(n.Table, g))
+		}
+	}
+	if _, err := cat.Lookup(partitionName(n.Table, n.Partitions)); err == nil {
+		return n.errorf("pscan %s %d: the table has more than %d partitions (%s exists)",
+			n.Table, n.Partitions, n.Partitions, partitionName(n.Table, n.Partitions))
+	}
+	return nil
+}
+
+// errorf builds a build-time error carrying the node's script position.
+func (n *Node) errorf(format string, args ...any) error {
+	return &ParseError{Line: n.Line, Stage: n.Stage, Op: n.Kind.String(), Err: fmt.Errorf("plan: "+format, args...)}
+}
+
 // buildExchange instantiates an exchange node: the child subtree template
 // is built once per producer with the producer index in scope, so
 // partitioned scans resolve to their partition files.
@@ -647,6 +680,12 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	o := n.X
 	if o == nil {
 		return nil, fmt.Errorf("plan: exchange node without options")
+	}
+	// Producer g scans partition g: a spelled-out producer count other
+	// than the partition count reads a subset of the table or asks for a
+	// partition that is not there.
+	if parts := partitionsBelow(n.Inputs[0]); parts > 0 && o.ProducersSet && o.Producers != parts {
+		return nil, n.errorf("exchange producers=%d over a pscan of %d partitions", o.Producers, parts)
 	}
 	// Determine the schema by building a probe instance of the subtree.
 	probe, err := build(&buildCtx{env: ctx.env, cat: ctx.cat, partition: 0}, n.Inputs[0])

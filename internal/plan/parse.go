@@ -280,6 +280,7 @@ func parsePipeline(stages []srcStage, named map[string]*Node) (*Node, error) {
 			head, _ := splitHead(st.text)
 			return nil, &ParseError{Line: st.line, Stage: i + 1, Op: strings.ToLower(head), Err: err}
 		}
+		node.Line, node.Stage = st.line, i+1
 		cur = node
 	}
 	return cur, nil

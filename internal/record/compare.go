@@ -1,8 +1,8 @@
 package record
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 )
 
 // SortSpec describes one ordering term: a field and a direction.
@@ -80,34 +80,52 @@ func CompareKeys(sa *Schema, a []byte, ka Key, sb *Schema, b []byte, kb Key) int
 	return 0
 }
 
+// FNV-1a, 64 bit: the constants of hash/fnv, folded in line so hashing a
+// key makes no hash.Hash64 and no call per field.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ (v >> i & 0xff)) * fnvPrime64
+	}
+	return h
+}
+
 // Hash computes a 64-bit FNV-1a hash of the given key fields of an encoded
 // record. Equal keys hash equally across schemas as long as the field
 // values are equal.
 func (s *Schema) Hash(data []byte, key Key) uint64 {
-	h := fnv.New64a()
-	var scratch [8]byte
+	h := uint64(fnvOffset64)
 	for _, f := range key {
 		switch s.fields[f].Type {
 		case TInt:
-			putUint64(scratch[:], uint64(s.GetInt(data, f)))
-			h.Write(scratch[:])
+			h = fnvUint64(h, uint64(s.GetInt(data, f)))
 		case TFloat:
 			// Hash the canonical integer value when the float is integral so
 			// joins across int/float keys behave; otherwise hash the bits.
-			putUint64(scratch[:], canonicalFloatBits(s.GetFloat(data, f)))
-			h.Write(scratch[:])
+			h = fnvUint64(h, canonicalFloatBits(s.GetFloat(data, f)))
 		case TBool:
+			var b uint64
 			if s.GetBool(data, f) {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
+				b = 1
 			}
+			h = (h ^ b) * fnvPrime64
 		default:
-			h.Write(s.GetBytes(data, f))
-			h.Write([]byte{0xff}) // terminator so ("a","b") != ("ab","")
+			h = fnvBytes(h, s.GetBytes(data, f))
+			h = (h ^ 0xff) * fnvPrime64 // terminator so ("a","b") != ("ab","")
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 func canonicalFloatBits(f float64) uint64 {
@@ -117,14 +135,8 @@ func canonicalFloatBits(f float64) uint64 {
 	return mathFloat64bits(f)
 }
 
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-// KeyValues extracts the key fields of a record as copied values, usable
-// as map keys after KeyString.
+// KeyValues extracts the key fields of a record as copied values, for
+// holding on to a key past the life of the record's pin.
 func (s *Schema) KeyValues(data []byte, key Key) []Value {
 	out := make([]Value, len(key))
 	for i, f := range key {
@@ -137,35 +149,34 @@ func (s *Schema) KeyValues(data []byte, key Key) []Value {
 	return out
 }
 
-// KeyString renders key values into a canonical string usable as a Go map
-// key. Numeric values of equal magnitude render identically.
-func KeyString(vals []Value) string {
-	out := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		switch v.Kind {
+// AppendKey appends to dst a canonical rendering of the key fields of an
+// encoded record, usable as a Go map key: two records render the same
+// bytes exactly when their key fields are equal, and numeric values of
+// equal magnitude render identically. Callers look groups up with
+// m[string(buf)] over a reused buf, which does not allocate.
+func (s *Schema) AppendKey(dst, data []byte, key Key) []byte {
+	for _, f := range key {
+		switch s.fields[f].Type {
 		case TInt:
-			out = appendUint64(out, 'i', uint64(v.I))
+			dst = appendUint64(dst, 'i', uint64(s.GetInt(data, f)))
 		case TFloat:
-			out = appendUint64(out, 'f', canonicalFloatBits(v.F))
+			dst = appendUint64(dst, 'f', canonicalFloatBits(s.GetFloat(data, f)))
 		case TBool:
-			if v.B {
-				out = append(out, 'b', 1)
+			if s.GetBool(data, f) {
+				dst = append(dst, 'b', 1)
 			} else {
-				out = append(out, 'b', 0)
+				dst = append(dst, 'b', 0)
 			}
 		default:
-			out = append(out, 's')
-			out = appendUint64(out, 'l', uint64(len(v.S)))
-			out = append(out, v.S...)
+			b := s.GetBytes(data, f)
+			dst = append(dst, 's')
+			dst = appendUint64(dst, 'l', uint64(len(b)))
+			dst = append(dst, b...)
 		}
 	}
-	return string(out)
+	return dst
 }
 
 func appendUint64(out []byte, tag byte, v uint64) []byte {
-	out = append(out, tag)
-	for i := 0; i < 8; i++ {
-		out = append(out, byte(v>>(8*i)))
-	}
-	return out
+	return binary.LittleEndian.AppendUint64(append(out, tag), v)
 }

@@ -77,12 +77,11 @@ type Schema struct {
 	offsets []int
 	// fixedLen is the total length of the fixed area.
 	fixedLen int
-	// varFields counts variable-length fields.
-	varFields int
-	// dense marks an all-fixed schema: every byte of the fixed area is
-	// covered by a field write, so encoding needs no zero-fill pass.
-	dense  bool
-	byName map[string]int
+	// varOffs holds the fixed-area offsets of the variable-length fields'
+	// end-offset slots, in field order; boolOffs those of the booleans.
+	varOffs  []int
+	boolOffs []int
+	byName   map[string]int
 }
 
 // NewSchema builds a schema from the given fields. Field names must be
@@ -102,13 +101,15 @@ func NewSchema(fields ...Field) (*Schema, error) {
 		}
 		s.byName[f.Name] = i
 		s.offsets = append(s.offsets, off)
-		off += f.Type.fixedSize()
-		if !f.Type.Fixed() {
-			s.varFields++
+		switch {
+		case !f.Type.Fixed():
+			s.varOffs = append(s.varOffs, off)
+		case f.Type == TBool:
+			s.boolOffs = append(s.boolOffs, off)
 		}
+		off += f.Type.fixedSize()
 	}
 	s.fixedLen = off
-	s.dense = s.varFields == 0
 	return s, nil
 }
 
@@ -215,88 +216,66 @@ func (s *Schema) Encode(vals []Value) ([]byte, error) {
 // across records (batch sources, writers) encode without a per-record
 // allocation once the buffer has grown to the working record size.
 func (s *Schema) AppendEncode(dst []byte, vals []Value) ([]byte, error) {
-	if len(vals) != len(s.fields) {
-		return nil, fmt.Errorf("record: encode: got %d values for %d fields", len(vals), len(s.fields))
-	}
-	if s.dense {
-		return s.appendEncodeDense(dst, vals)
-	}
-	varLen := 0
-	for i, v := range vals {
-		if err := v.checkType(s.fields[i].Type); err != nil {
-			return nil, fmt.Errorf("record: encode field %q: %w", s.fields[i].Name, err)
-		}
-		if !s.fields[i].Type.Fixed() {
-			varLen += len(v.S)
-		}
+	n, err := s.EncodedLen(vals)
+	if err != nil {
+		return nil, err
 	}
 	base := len(dst)
-	if n := base + s.fixedLen + varLen; cap(dst) >= n {
-		dst = dst[:n]
+	if cap(dst) >= base+n {
+		dst = dst[:base+n]
 	} else {
-		grown := make([]byte, n)
+		grown := make([]byte, base+n)
 		copy(grown, dst)
 		dst = grown
 	}
-	buf := dst[base:]
-	for i := range buf {
-		buf[i] = 0
-	}
-	varEnd := 0
-	for i, v := range vals {
-		off := s.offsets[i]
-		switch s.fields[i].Type {
-		case TInt:
-			binary.LittleEndian.PutUint64(buf[off:], uint64(v.I))
-		case TFloat:
-			binary.LittleEndian.PutUint64(buf[off:], mathFloat64bits(v.F))
-		case TBool:
-			if v.B {
-				buf[off] = 1
-			}
-		default:
-			copy(buf[s.fixedLen+varEnd:], v.S)
-			varEnd += len(v.S)
-			binary.LittleEndian.PutUint32(buf[off:], uint32(varEnd))
-		}
-	}
+	s.EncodeInto(dst[base:], vals)
 	return dst, nil
 }
 
-// appendEncodeDense is the all-fixed-fields fast path of AppendEncode:
-// every byte of the fixed area is written by a field, so the zero-fill
-// pass and the variable-length bookkeeping disappear from the encode hot
-// loop (the dominant per-record cost of batch generators).
-func (s *Schema) appendEncodeDense(dst []byte, vals []Value) ([]byte, error) {
-	base := len(dst)
-	if n := base + s.fixedLen; cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		grown := make([]byte, n)
-		copy(grown, dst)
-		dst = grown
+// EncodedLen checks the number and types of vals against the schema and
+// returns the size of their record image.
+func (s *Schema) EncodedLen(vals []Value) (int, error) {
+	if len(vals) != len(s.fields) {
+		return 0, fmt.Errorf("record: encode: got %d values for %d fields", len(vals), len(s.fields))
 	}
-	buf := dst[base:]
-	for i, v := range vals {
+	n := s.fixedLen
+	for i := range vals {
 		t := s.fields[i].Type
-		if err := v.checkType(t); err != nil {
-			return nil, fmt.Errorf("record: encode field %q: %w", s.fields[i].Name, err)
+		if err := vals[i].checkType(t); err != nil {
+			return 0, fmt.Errorf("record: encode field %q: %w", s.fields[i].Name, err)
 		}
-		off := s.offsets[i]
-		switch t {
-		case TInt:
-			binary.LittleEndian.PutUint64(buf[off:], uint64(v.I))
-		case TFloat:
-			binary.LittleEndian.PutUint64(buf[off:], mathFloat64bits(v.F))
-		default: // TBool
-			if v.B {
-				buf[off] = 1
-			} else {
-				buf[off] = 0
-			}
+		if !t.Fixed() {
+			n += len(vals[i].S)
 		}
 	}
-	return dst, nil
+	return n, nil
+}
+
+// EncodeInto writes the record image of vals into dst, which must be
+// exactly EncodedLen(vals) bytes — typically a slot reserved on a buffer
+// page, so a new record is built where it will live. Every byte of dst is
+// written.
+func (s *Schema) EncodeInto(dst []byte, vals []Value) {
+	varEnd := 0
+	for i := range vals {
+		v := &vals[i]
+		off := s.offsets[i]
+		switch s.fields[i].Type {
+		case TInt:
+			binary.LittleEndian.PutUint64(dst[off:], uint64(v.I))
+		case TFloat:
+			binary.LittleEndian.PutUint64(dst[off:], mathFloat64bits(v.F))
+		case TBool:
+			dst[off] = 0
+			if v.B {
+				dst[off] = 1
+			}
+		default:
+			copy(dst[s.fixedLen+varEnd:], v.S)
+			varEnd += len(v.S)
+			binary.LittleEndian.PutUint32(dst[off:], uint32(varEnd))
+		}
+	}
 }
 
 // MustEncode is like Encode but panics on error.

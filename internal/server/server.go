@@ -475,8 +475,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	rec.state.Store(stateStreaming)
 	streamStart := time.Now()
 
-	sch := it.Schema()
-	rw := newRowWriter(sch)
+	rw := newRowWriter(it.Schema())
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	// Arm the per-write stall deadline and push it forward before every
@@ -498,11 +497,10 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	var rows int64
 	var streamErr error
 	emit := func(r core.Rec) error {
-		vals, err := sch.Decode(r.Data)
+		line, err := rw.row(r.Data)
 		if err != nil {
 			return err
 		}
-		line := rw.row(vals)
 		if _, err := w.Write(line); err != nil {
 			return err
 		}

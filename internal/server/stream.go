@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -14,16 +15,18 @@ import (
 )
 
 // rowWriter renders result rows as NDJSON objects keyed by the schema's
-// field names. The keys are JSON-marshaled once per query, and each row
-// is appended into one reused buffer, so the per-row cost is the value
-// rendering alone.
+// field names, straight from the encoded record: no value slice, and
+// strings escaped by appendJSONString without leaving the row buffer. The
+// keys are JSON-marshaled once per query, and each row is appended into
+// one reused buffer, so the per-row cost is the value rendering alone.
 type rowWriter struct {
-	keys [][]byte // `"name":` fragments, one per field
-	buf  []byte
+	schema *record.Schema
+	keys   [][]byte // `"name":` fragments, one per field
+	buf    []byte
 }
 
 func newRowWriter(s *record.Schema) *rowWriter {
-	w := &rowWriter{keys: make([][]byte, s.NumFields())}
+	w := &rowWriter{schema: s, keys: make([][]byte, s.NumFields())}
 	for i := range w.keys {
 		name, _ := json.Marshal(s.Field(i).Name)
 		w.keys[i] = append(name, ':')
@@ -31,21 +34,24 @@ func newRowWriter(s *record.Schema) *rowWriter {
 	return w
 }
 
-// row renders one decoded row as a single JSON line (newline included).
-// The returned slice is valid until the next call.
-func (w *rowWriter) row(vals []record.Value) []byte {
-	b := w.buf[:0]
-	b = append(b, '{')
-	for i, v := range vals {
+// row renders one encoded record as a single JSON line (newline
+// included). The returned slice is valid until the next call.
+func (w *rowWriter) row(data []byte) ([]byte, error) {
+	b := append(w.buf[:0], '{')
+	for i, key := range w.keys {
+		v, err := w.schema.Get(data, i)
+		if err != nil {
+			return nil, err
+		}
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, w.keys[i]...)
+		b = append(b, key...)
 		b = appendValue(b, v)
 	}
 	b = append(b, '}', '\n')
 	w.buf = b
-	return b
+	return b, nil
 }
 
 // appendValue renders a record value as JSON. Floats that JSON cannot
@@ -63,18 +69,63 @@ func appendValue(b []byte, v record.Value) []byte {
 	case record.TBool:
 		return strconv.AppendBool(b, v.B)
 	case record.TString:
-		s, _ := json.Marshal(string(v.S))
-		return append(b, s...)
+		return appendJSONString(b, v.S)
 	case record.TBytes:
-		n := base64.StdEncoding.EncodedLen(len(v.S))
 		b = append(b, '"')
-		off := len(b)
-		b = append(b, make([]byte, n)...)
-		base64.StdEncoding.Encode(b[off:], v.S)
+		b = base64.StdEncoding.AppendEncode(b, v.S)
 		return append(b, '"')
 	default:
 		return append(b, "null"...)
 	}
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// json.Marshal(string(s)) produces: control characters, quote and
+// backslash escaped, <, > and & as \u00XX, invalid UTF-8 as \ufffd, and
+// U+2028/U+2029 escaped.
+func appendJSONString(dst, s []byte) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is verbatim text not yet appended
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRune(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				dst = append(append(dst, s[start:i]...), `\ufffd`...)
+				start = i + size
+			case r == '\u2028' || r == '\u2029':
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+				start = i + size
+			}
+			i += size
+			continue
+		}
+		i++
+		if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			continue
+		}
+		dst = append(dst, s[start:i-1]...)
+		start = i
+		switch c {
+		case '\\', '"':
+			dst = append(dst, '\\', c)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		}
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // phaseMillis is the lifecycle phase breakdown attached to trailers,

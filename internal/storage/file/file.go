@@ -167,9 +167,10 @@ type File struct {
 	// same file.
 	meter *meter.Meter
 
-	// appendMu serialises inserts; Volcano files have a single writer in
-	// practice (no record-level concurrency control, §4.5), but partitioned
-	// inserts from a data generator are convenient to allow.
+	// appendMu is held by the handle's open Appender: Volcano files have a
+	// single writer in practice (no record-level concurrency control,
+	// §4.5), but partitioned inserts from a data generator through one
+	// handle are convenient to allow, and queue up here.
 	appendMu sync.Mutex
 }
 
@@ -212,165 +213,30 @@ func (f *File) FirstPage() record.PageID {
 // Insert appends a record and returns its RID. The record is written,
 // marked dirty and unpinned.
 func (f *File) Insert(data []byte) (record.RID, error) {
-	r, err := f.InsertPinned(data)
+	a := f.NewAppender()
+	defer a.Close()
+	slot, rid, err := a.slot(len(data))
 	if err != nil {
 		return record.RID{}, err
 	}
-	rid := r.RID
-	r.Unfix()
+	copy(slot, data)
 	return rid, nil
 }
 
 // InsertPinned appends a record and returns it pinned, transferring one
-// buffer pin to the caller. This is the path operators use to create
-// intermediate result records: "complex operations like join that create
-// new records have to fix them in the buffer before passing them on"
-// (paper, §3).
+// buffer pin to the caller.
 func (f *File) InsertPinned(data []byte) (Record, error) {
-	if len(data) > MaxRecordLen {
-		return Record{}, fmt.Errorf("file: record of %d bytes exceeds max %d", len(data), MaxRecordLen)
-	}
-	f.appendMu.Lock()
-	defer f.appendMu.Unlock()
-
-	f.vol.vtoc.Lock()
-	last := f.meta.lastPage
-	f.vol.vtoc.Unlock()
-
-	fr, err := f.vol.pool.FixFor(pid(f.vol.dev, last), f.meter)
-	if err != nil {
-		return Record{}, err
-	}
-	pg := page{fr.Data()}
-	if pg.freeSpace() < len(data) {
-		// Allocate and link a fresh page.
-		nfr, npid, err := f.vol.pool.FixNewFor(f.vol.dev, f.meter)
-		if err != nil {
-			f.vol.pool.Unfix(fr, false)
-			return Record{}, err
-		}
-		page{nfr.Data()}.init()
-		pg.setNext(npid.Page)
-		f.vol.pool.Unfix(fr, true)
-		fr, pg = nfr, page{nfr.Data()}
-		last = npid.Page
-		f.vol.vtoc.Lock()
-		f.meta.lastPage = last
-		f.meta.pages++
-		f.vol.vtoc.Unlock()
-	}
-	slot := pg.insert(data)
-	f.vol.vtoc.Lock()
-	f.meta.records++
-	f.vol.vtoc.Unlock()
-	stored, err := pg.record(slot)
-	if err != nil {
-		f.vol.pool.Unfix(fr, true)
-		return Record{}, err
-	}
-	// Mark dirty now; the pin transfers to the returned Record.
-	return Record{
-		RID:   record.RID{PageID: pid(f.vol.dev, last), Slot: uint16(slot)},
-		Data:  stored,
-		frame: fr,
-		pool:  f.vol.pool,
-		dirty: true,
-	}, nil
+	a := f.NewAppender()
+	defer a.Close()
+	return a.Append(data)
 }
 
 // InsertPinnedBatch appends len(datas) records, filling out[i] with the
 // pinned record of datas[i] — the batch counterpart of InsertPinned.
-// The page is fixed once per batch (plus once per page spill), and the
-// per-record pins the ownership protocol requires are granted in bulk
-// (Pool.Pin), so the buffer pool is consulted once per page instead of
-// once per record. Each returned record transfers one pin to the caller,
-// exactly as InsertPinned does.
 func (f *File) InsertPinnedBatch(datas [][]byte, out []Record) error {
-	if len(datas) != len(out) {
-		return fmt.Errorf("file: batch insert of %d records into %d slots", len(datas), len(out))
-	}
-	if len(datas) == 0 {
-		return nil
-	}
-	for _, d := range datas {
-		if len(d) > MaxRecordLen {
-			return fmt.Errorf("file: record of %d bytes exceeds max %d", len(d), MaxRecordLen)
-		}
-	}
-	f.appendMu.Lock()
-	defer f.appendMu.Unlock()
-
-	f.vol.vtoc.Lock()
-	last := f.meta.lastPage
-	f.vol.vtoc.Unlock()
-
-	fr, err := f.vol.pool.FixFor(pid(f.vol.dev, last), f.meter)
-	if err != nil {
-		return err
-	}
-	pg := page{fr.Data()}
-	onPage := 0 // records of this batch on the currently fixed page
-	// fail grants the current page's records their pins, drops the work
-	// pin, and then releases everything inserted so far.
-	fail := func(i int, err error) error {
-		if onPage > 0 {
-			f.vol.pool.Pin(fr, onPage)
-		}
-		f.vol.pool.Unfix(fr, true)
-		for j := 0; j < i; j++ {
-			out[j].Unfix()
-		}
-		return err
-	}
-	inserted := 0
-	for i, data := range datas {
-		if pg.freeSpace() < len(data) {
-			nfr, npid, err := f.vol.pool.FixNewFor(f.vol.dev, f.meter)
-			if err != nil {
-				return fail(i, err)
-			}
-			page{nfr.Data()}.init()
-			pg.setNext(npid.Page)
-			// Hand the filled page's pins to its records, drop our work
-			// pin, and move on with a fresh one.
-			if onPage > 0 {
-				f.vol.pool.Pin(fr, onPage)
-			}
-			f.vol.pool.Unfix(fr, true)
-			fr, pg = nfr, page{nfr.Data()}
-			onPage = 0
-			last = npid.Page
-			f.vol.vtoc.Lock()
-			f.meta.lastPage = last
-			f.meta.pages++
-			f.meta.records += inserted
-			f.vol.vtoc.Unlock()
-			inserted = 0
-		}
-		slot := pg.insert(data)
-		stored, err := pg.record(slot)
-		if err != nil {
-			return fail(i, err)
-		}
-		// The frame is marked dirty when the work pin is dropped below, so
-		// the records themselves carry no dirty flag to re-apply on Unfix.
-		out[i] = Record{
-			RID:   record.RID{PageID: pid(f.vol.dev, last), Slot: uint16(slot)},
-			Data:  stored,
-			frame: fr,
-			pool:  f.vol.pool,
-		}
-		onPage++
-		inserted++
-	}
-	f.vol.vtoc.Lock()
-	f.meta.records += inserted
-	f.vol.vtoc.Unlock()
-	if onPage > 0 {
-		f.vol.pool.Pin(fr, onPage)
-	}
-	f.vol.pool.Unfix(fr, true)
-	return nil
+	a := f.NewAppender()
+	defer a.Close()
+	return a.AppendBatch(datas, out)
 }
 
 // Fetch pins the record's page and returns the record. The caller owns the

@@ -1,6 +1,8 @@
 package file
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -361,7 +363,7 @@ func TestInsertPinnedOwnership(t *testing.T) {
 		t.Fatalf("FixCount = %d, want 3", pool.FixCount(r.RID.PageID))
 	}
 	r.Unfix()
-	r2 := r.WithoutDirty()
+	r2 := r
 	r2.Unfix()
 	r2.Unfix()
 	if pool.Stats().CurrentlyFixedHint != 0 {
@@ -421,5 +423,111 @@ func TestQuickInsertScanRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanCount scans the whole file, releasing every record.
+func scanCount(t *testing.T, f *File) int {
+	t.Helper()
+	sc := f.NewScan(false)
+	defer sc.Close()
+	n := 0
+	for {
+		r, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return n
+		}
+		r.Unfix()
+		n++
+	}
+}
+
+// TestAppenderAccounting drives the append cursor through every way
+// records enter a file — reserved slots, copies, batches — across page
+// switches, and requires what the cursor defers to be exact afterwards:
+// the VTOC counters after Close, after a rescan and a second cursor, and
+// after reserves that fail; and every pin handed out released, with the
+// cursor's own pin on the tail page gone.
+func TestAppenderAccounting(t *testing.T) {
+	pool, _, mem := env(t, 8)
+	f, err := mem.Create("tmp", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perPage = 13
+	rec := bytes.Repeat([]byte{7}, 300) // perPage of these fill a page
+	a := f.NewAppender()
+	var held []Record
+	for i := 0; i < 20; i++ {
+		r, err := a.Reserve(len(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(r.Data, rec)
+		held = append(held, r)
+	}
+	if _, err := a.Reserve(MaxRecordLen + 1); err == nil {
+		t.Fatal("reserve beyond a page succeeded")
+	}
+	datas, batch := make([][]byte, 30), make([]Record, 30)
+	for i := range datas {
+		datas[i] = rec
+	}
+	if err := a.AppendBatch(datas, batch); err != nil {
+		t.Fatal(err)
+	}
+	held = append(held, batch...)
+	// Hold every record until the pool has no frame left for a new page:
+	// that reserve fails, and leaves the cursor where it was.
+	for {
+		r, err := a.Append(rec)
+		if err != nil {
+			if !errors.Is(err, buffer.ErrBufferFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+		held = append(held, r)
+	}
+	if len(held) != 8*perPage {
+		t.Fatalf("%d records fit 8 frames, want %d", len(held), 8*perPage)
+	}
+	UnfixBatch(held)
+	r, err := a.Append(rec)
+	if err != nil {
+		t.Fatalf("append after the pool drained: %v", err)
+	}
+	r.Unfix()
+	a.Close()
+
+	check := func(when string, records int) {
+		t.Helper()
+		pages := (records + perPage - 1) / perPage
+		if f.Records() != records || f.Pages() != pages {
+			t.Fatalf("%s: VTOC says %d records on %d pages, want %d on %d", when, f.Records(), f.Pages(), records, pages)
+		}
+		if n := scanCount(t, f); n != records {
+			t.Fatalf("%s: scan finds %d records, want %d", when, n, records)
+		}
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Fatalf("%s: %d frames still pinned", when, n)
+		}
+	}
+	check("after close", 8*perPage+1)
+	// A second cursor picks the tail page up where the first left it.
+	for i := 0; i < perPage; i++ {
+		if _, err := f.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after reopening", 9*perPage+1)
+	if err := mem.Delete("tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if n := pool.Stats().CurrentlyFixedHint; n != 0 {
+		t.Fatalf("%d pins outstanding", n)
 	}
 }

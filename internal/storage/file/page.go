@@ -64,15 +64,22 @@ func (p page) freeSpace() int {
 	return p.dataStart() - (pageHdrSize + p.nslots()*slotSize) - slotSize
 }
 
+// reserve makes room for an n-byte record and returns its slot number and
+// its bytes on the page. The caller must have checked freeSpace.
+func (p page) reserve(n int) (int, []byte) {
+	slot := p.nslots()
+	off := p.dataStart() - n
+	p.setDataStart(off)
+	p.setSlot(slot, off, n)
+	p.setNslots(slot + 1)
+	return slot, p.b[off : off+n : off+n]
+}
+
 // insert places data in the page and returns its slot number.
 // The caller must have checked freeSpace.
 func (p page) insert(data []byte) int {
-	slot := p.nslots()
-	off := p.dataStart() - len(data)
-	copy(p.b[off:], data)
-	p.setDataStart(off)
-	p.setSlot(slot, off, len(data))
-	p.setNslots(slot + 1)
+	slot, b := p.reserve(len(data))
+	copy(b, data)
 	return slot
 }
 

@@ -17,17 +17,17 @@ type Record struct {
 
 	frame *buffer.Frame
 	pool  *buffer.Pool
-	dirty bool
 }
 
 // Valid reports whether the record holds a pinned buffer resident.
 func (r Record) Valid() bool { return r.frame != nil }
 
 // Unfix releases the owner's pin on the record's page. The Data slice must
-// not be used afterwards.
+// not be used afterwards. A record never marks its page dirty: the append
+// cursor that wrote it does, when it leaves the page.
 func (r Record) Unfix() {
 	if r.frame != nil {
-		r.pool.Unfix(r.frame, r.dirty)
+		r.pool.Unfix(r.frame, false)
 	}
 }
 
@@ -53,19 +53,11 @@ func UnfixBatch(recs []Record) {
 			i++
 			continue
 		}
-		n, dirty := 1, r.dirty
+		n := 1
 		for i+n < len(recs) && recs[i+n].frame == r.frame {
-			dirty = dirty || recs[i+n].dirty
 			n++
 		}
-		r.pool.UnfixN(r.frame, n, dirty)
+		r.pool.UnfixN(r.frame, n, false)
 		i += n
 	}
-}
-
-// WithoutDirty returns a copy of the record whose eventual Unfix will not
-// mark the page dirty (used when ownership passes to a reader).
-func (r Record) WithoutDirty() Record {
-	r.dirty = false
-	return r
 }
