@@ -328,7 +328,7 @@ func DrainBatch(it Iterator, size int) (int, error) {
 		}
 		n += b.Len()
 		// Coalesced release: records created together share pages, so a
-		// batch typically costs one or two pool-lock rounds to unpin.
+		// batch typically costs one or two UnfixN calls to unpin.
 		file.UnfixBatch(b.Recs())
 	}
 	b.Reset()

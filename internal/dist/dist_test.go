@@ -118,19 +118,28 @@ const distScript = "pscan nums 4 | exchange producers=4 packet=16"
 // coordinator's binder installed, plus the summary it fills.
 func bind(t testing.TB, c *Coordinator, db *distDB, queryID, script string) (core.Iterator, *Summary) {
 	t.Helper()
+	return bindBatch(t, c, db, queryID, script, 0)
+}
+
+// bindBatch is bind with the plan, and every fragment shipped from it,
+// built under the batch protocol at the given batch size (0 = rows).
+func bindBatch(t testing.TB, c *Coordinator, db *distDB, queryID, script string, batch int) (core.Iterator, *Summary) {
+	t.Helper()
 	tpl, err := plan.Compile(script)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := &Summary{}
 	it, _, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
+		BatchSize: batch,
 		Remote: c.Binder(BindRequest{
-			QueryID: queryID,
-			Source:  tpl.Source(),
-			Root:    tpl.Root(),
-			Env:     db.env,
-			Cat:     db.cat,
-			Summary: sum,
+			QueryID:   queryID,
+			Source:    tpl.Source(),
+			Root:      tpl.Root(),
+			Env:       db.env,
+			Cat:       db.cat,
+			Summary:   sum,
+			BatchSize: batch,
 		}),
 	})
 	if err != nil {
@@ -216,6 +225,51 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 	}
 	if pinned := db.pool.PinnedFrames(); pinned != 0 {
 		t.Fatalf("%d frames still pinned", pinned)
+	}
+}
+
+// TestDistBatchedFragments ships fragments that the worker drains under
+// the batch protocol. Each record's pin must be released exactly once:
+// the rows at batch sizes 7 and 64 equal those at batch size 0, every
+// fragment finishes on its first attempt on the one worker (a double
+// unfix would panic it), and no pin outlives the query on either side.
+func TestDistBatchedFragments(t *testing.T) {
+	const rows = 2000
+	f := newFleet(t, rows, 8, 1, nil)
+	db := newDistDB(t, rows, 8)
+	const script = "pscan nums 4 | filter v > 300 | exchange producers=4 packet=83"
+
+	var want []string
+	for _, batch := range []int{0, 7, 64} {
+		it, sum := bindBatch(t, f.c, db, fmt.Sprintf("q-batch-%d", batch), script, batch)
+		got, err := core.Collect(it)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		if batch == 0 {
+			want = renderSorted(got)
+			if len(want) != rows-301 {
+				t.Fatalf("batch 0 returned %d rows, want %d", len(want), rows-301)
+			}
+		} else if g := renderSorted(got); strings.Join(g, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("batch %d returned %d rows that differ from batch 0's %d", batch, len(g), len(want))
+		}
+		for _, fr := range sum.Fragments() {
+			if fr.State != "done" || fr.Attempts != 1 {
+				t.Errorf("batch %d: fragment %s/%d state %q after %d attempts", batch, fr.Path, fr.Producer, fr.State, fr.Attempts)
+			}
+		}
+		if pinned := db.pool.PinnedFrames(); pinned != 0 {
+			t.Fatalf("batch %d: %d frames still pinned on the coordinator", batch, pinned)
+		}
+		for addr, w := range f.workers {
+			if st := w.cfg.Env.Pool.Stats(); st.CurrentlyFixedHint != 0 {
+				t.Fatalf("batch %d: worker %s holds %d pins after the query", batch, addr, st.CurrentlyFixedHint)
+			}
+		}
+	}
+	if live := f.c.LiveWorkers(); live != 1 {
+		t.Fatalf("%d live workers after the batched queries, want 1", live)
 	}
 }
 

@@ -244,16 +244,15 @@ func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec Fra
 	if err := it.Open(); err != nil {
 		return fail(fmt.Errorf("open: %w", err))
 	}
+	// send copies a record onto the wire (or skips it on a replay); the
+	// caller still owns the record's pin.
 	skip := spec.Skip
-	emit := func(r core.Rec) error {
+	send := func(r core.Rec) error {
 		if skip > 0 {
 			skip--
-			r.Unfix()
 			return nil
 		}
-		err := s.Add(r.Data)
-		r.Unfix()
-		return err
+		return s.Add(r.Data)
 	}
 	var runErr error
 	if spec.BatchSize > 0 {
@@ -267,15 +266,19 @@ func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec Fra
 			if b.Len() == 0 {
 				break
 			}
+			var sendErr error
 			for _, r := range b.Recs() {
-				if err := emit(r); err != nil {
-					// Transport gone: stop pulling, skip the EOS.
-					b.Release()
-					_ = it.Close()
-					return err
+				if sendErr = send(r); sendErr != nil {
+					break
 				}
 			}
+			// One coalesced release per batch, sent records or not.
 			b.Release()
+			if sendErr != nil {
+				// Transport gone: stop pulling, skip the EOS.
+				_ = it.Close()
+				return sendErr
+			}
 		}
 	} else {
 		for {
@@ -287,7 +290,9 @@ func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec Fra
 			if !ok {
 				break
 			}
-			if err := emit(r); err != nil {
+			err = send(r)
+			r.Unfix()
+			if err != nil {
 				_ = it.Close()
 				return err
 			}

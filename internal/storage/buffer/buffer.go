@@ -22,15 +22,34 @@
 //   - A page ID is in the table exactly when one frame holds that page or
 //     is being read into for it; frame.pid is that key. A frame whose
 //     page was discarded or whose read failed is unmapped and !valid.
-//   - A frame is on the LRU chain exactly when fixCount == 0.
+//   - A frame on the chain has fixCount 0; a frame at 0 is on the chain
+//     except between an atomic unfix to zero and that unfix's pool-lock
+//     round, and meanwhile no one can steal it. fixCount is atomic: a
+//     pin on a frame the caller already holds, and an unfix that leaves
+//     pins behind, change neither the table nor the chain, so they take
+//     no lock. A count moves from 0 to 1 only under the pool lock — the
+//     hit path of fixOnce and FlushPage pin a mapped frame, a miss pins
+//     the victim it takes off the chain — and none of them unlinks a
+//     frame that is not on the chain. An unfix to zero then takes the
+//     pool lock once and pushes the frame if it is still at zero and not
+//     already linked; Discard and FlushPage accept the frame in that
+//     window. Victims come only from the chain, so a frame waiting for
+//     its round cannot be stolen. Whoever releases the pool lock with a
+//     frame off the chain for I/O holds a pin on it meanwhile, so a late
+//     round cannot link a frame in the middle of a transfer.
 //   - In TwoLevel mode only a clean frame is stolen. A dirty victim is
 //     written back first, while its old page ID is still mapped and its
 //     descriptor locked, so a Fix, FlushPage or Discard of the old page
 //     meets the lock and restarts (§4.5) instead of missing and reading
-//     the device before the write lands. The fix then restarts too and
-//     steals the clean frame; a failed write-back leaves the page mapped,
-//     dirty and at the LRU head. Global mode holds the pool lock across
-//     the write-back, so no other operation can fall into that window.
+//     the device before the write lands. The fix holds the victim at
+//     count 1 during the write, as FlushPage holds its frame: no other
+//     pin can exist on it (it was on the chain, and a new one needs the
+//     descriptor lock), and a late unfix round leaves a held frame
+//     alone. The fix then puts it back at the LRU head at zero and
+//     restarts to steal the clean frame; a failed write-back leaves the
+//     page mapped, dirty and at the LRU head. Global mode holds the pool
+//     lock across the write-back, so no other operation can fall into
+//     that window.
 package buffer
 
 import (
@@ -63,19 +82,32 @@ var ErrBufferFull = errors.New("buffer: all frames pinned")
 // Frame is a buffer descriptor plus its page image. Callers receive *Frame
 // from Fix/FixNew and must balance every fix with exactly one Unfix.
 type Frame struct {
-	mu   sync.Mutex // the descriptor ("cluster") lock
-	pid  record.PageID
-	data []byte
+	mu     sync.Mutex // the descriptor ("cluster") lock
+	pid    record.PageID
+	data   []byte
+	stripe *pinStripe // where this frame's unfixes and extra pins are counted
+
+	fixCount atomic.Int32
 
 	// The fields below are protected by the pool lock.
-	fixCount int
-	dirty    bool
-	valid    bool
+	dirty bool
+	valid bool
 
-	// LRU chain links, protected by the pool lock. A frame is on the
-	// chain exactly when fixCount == 0.
+	// LRU chain links, protected by the pool lock.
 	prev, next *Frame
 	onChain    bool
+}
+
+// pinStripes is how many counter stripes a pool spreads its per-pin
+// counters over; frame i counts on stripe i % pinStripes.
+const pinStripes = 16
+
+// pinStripe holds the counters every Pin and Unfix bumps, padded so that
+// goroutines unpinning frames of different stripes do not share a cache
+// line (128 bytes: two lines, whatever the array's alignment).
+type pinStripe struct {
+	unfixes, xtraPins atomic.Int64
+	_                 [112]byte
 }
 
 // PageID returns the identity of the page currently held by the frame.
@@ -134,11 +166,14 @@ type Pool struct {
 
 	// Activity counters. Atomic so a live scraper (internal/metrics) can
 	// read them while queries and the flush/read-ahead daemons run,
-	// without taking the pool lock.
-	fixes, unfixes, hits, misses  atomic.Int64
-	reads, writes                 atomic.Int64
-	evictions, restarts, xtraPins atomic.Int64
-	daemonReads, daemonWrites     atomic.Int64
+	// without taking the pool lock. A fix is a hit or a miss, so fixes
+	// are not counted apart; unfixes and extra pins are counted on the
+	// frames' stripes, off the shared line.
+	hits, misses              atomic.Int64
+	reads, writes             atomic.Int64
+	evictions, restarts       atomic.Int64
+	daemonReads, daemonWrites atomic.Int64
+	stripes                   [pinStripes]pinStripe
 
 	daemon *daemon
 	tracer *trace.Tracer
@@ -170,6 +205,7 @@ func NewPool(reg *device.Registry, nframes int, mode LockMode) *Pool {
 	for i := range p.frames {
 		f := &slab[i]
 		f.data = arena[i*device.PageSize : (i+1)*device.PageSize : (i+1)*device.PageSize]
+		f.stripe = &p.stripes[i%pinStripes]
 		p.frames[i] = f
 		p.chainPush(f)
 	}
@@ -336,11 +372,10 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 			p.mu.Unlock()
 			return nil, errRetry
 		}
-		f.fixCount++
-		if f.fixCount == 1 {
+		f.fixCount.Add(1)
+		if f.onChain {
 			p.chainRemove(f)
 		}
-		p.fixes.Add(1)
 		p.hits.Add(1)
 		p.unlockFrame(f)
 		p.mu.Unlock()
@@ -362,13 +397,17 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 	if victim.valid && victim.dirty && p.mode != Global {
 		// Clean before steal: the old page ID stays mapped and the
 		// descriptor locked during the write, so a Fix or Discard of it
-		// restarts (§4.5). The retry steals the now-clean frame.
+		// restarts (§4.5). The fix holds the victim across the write, as
+		// FlushPage does, so a late unfix round leaves it unlinked. The
+		// retry steals the now-clean frame.
+		victim.fixCount.Store(1)
 		p.mu.Unlock()
 		werr := p.writeBack(victim, victim.pid, m)
 		p.mu.Lock()
 		if werr == nil {
 			victim.dirty = false
 		}
+		victim.fixCount.Store(0)
 		p.chainPushHead(victim)
 		p.unlockFrame(victim)
 		p.mu.Unlock()
@@ -383,11 +422,10 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 		p.evictions.Add(1)
 	}
 	victim.pid = pid
-	victim.fixCount = 1
+	victim.fixCount.Store(1)
 	victim.valid = false
 	victim.dirty = false
 	p.table[pid] = victim
-	p.fixes.Add(1)
 	p.misses.Add(1)
 	m.FixMiss()
 	if p.mode != Global {
@@ -404,7 +442,7 @@ func (p *Pool) fixOnce(pid record.PageID, fresh bool, m *meter.Meter) (*Frame, e
 	if err != nil {
 		// Abandon the frame: unmap it and return it to the LRU chain.
 		delete(p.table, pid)
-		victim.fixCount = 0
+		victim.fixCount.Store(0)
 		victim.valid = false
 		p.chainPush(victim)
 		p.unlockFrame(victim)
@@ -467,86 +505,75 @@ func (p *Pool) replace(f *Frame, oldPid record.PageID, writeBack, fresh bool, m 
 // Unfix releases one pin on the frame, optionally marking the page dirty.
 // When the fix count reaches zero the frame joins the MRU end of the LRU
 // chain and becomes replaceable.
-func (p *Pool) Unfix(f *Frame, dirty bool) {
-	for {
-		p.mu.Lock()
-		if !p.lockFrame(f) {
-			p.mu.Unlock()
-			p.restart()
-			continue
-		}
-		if f.fixCount <= 0 {
-			p.unlockFrame(f)
-			p.mu.Unlock()
-			panic(fmt.Sprintf("buffer: unfix of unpinned page %s", f.pid))
-		}
-		f.dirty = f.dirty || dirty
-		f.fixCount--
-		p.unfixes.Add(1)
-		if f.fixCount == 0 {
-			p.chainPush(f)
-		}
-		p.unlockFrame(f)
-		p.mu.Unlock()
-		return
-	}
-}
+func (p *Pool) Unfix(f *Frame, dirty bool) { p.UnfixN(f, 1, dirty) }
 
-// UnfixN releases n pins on the frame in one pool-lock round — the bulk
-// counterpart of Unfix for batch consumers releasing many records that
-// share a page.
+// UnfixN releases n pins on the frame at once — the bulk counterpart of
+// Unfix for batch consumers releasing many records that share a page. A
+// clean unfix that leaves pins behind is one atomic add. A dirty one sets
+// the flag under the pool and descriptor locks, as before, so that a
+// write-back in progress cannot clear it; a clean unfix to zero takes the
+// pool lock alone to put the frame on the chain.
 func (p *Pool) UnfixN(f *Frame, n int, dirty bool) {
 	if n <= 0 {
 		return
 	}
-	for {
-		p.mu.Lock()
-		if !p.lockFrame(f) {
-			p.mu.Unlock()
-			p.restart()
-			continue
-		}
-		if f.fixCount < n {
-			p.unlockFrame(f)
-			p.mu.Unlock()
-			panic(fmt.Sprintf("buffer: unfix of %d pins with %d held on page %s", n, f.fixCount, f.pid))
-		}
-		f.dirty = f.dirty || dirty
-		f.fixCount -= n
-		p.unfixes.Add(int64(n))
-		if f.fixCount == 0 {
-			p.chainPush(f)
-		}
-		p.unlockFrame(f)
-		p.mu.Unlock()
+	if dirty {
+		p.lockPoolAndFrame(f)
+		defer p.unlockPoolAndFrame(f)
+	}
+	left := f.fixCount.Add(-int32(n))
+	if left < 0 {
+		f.fixCount.Add(int32(n))
+		panic(fmt.Sprintf("buffer: unfix of %d pins with %d held on page %s", n, left+int32(n), f.pid))
+	}
+	f.stripe.unfixes.Add(int64(n))
+	if dirty {
+		f.dirty = true
+	}
+	if left > 0 {
 		return
+	}
+	if !dirty {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	// A fix may have taken the frame since the add, and an unfix to zero
+	// after it may already have linked it.
+	if f.fixCount.Load() == 0 && !f.onChain {
+		p.chainPush(f)
 	}
 }
 
-// Pin adds an extra pin to an already-fixed frame. The exchange operator
-// uses this for its broadcast variant: "it is not necessary to copy the
-// records ...; it is sufficient to pin them such that each consumer can
-// unpin them as if it were the only process using them" (§4.4).
-// The caller must already hold at least one fix.
-func (p *Pool) Pin(f *Frame, n int) {
+// lockPoolAndFrame takes the pool lock and f's descriptor lock, releasing
+// the pool lock and restarting while the try-lock fails (§4.5).
+func (p *Pool) lockPoolAndFrame(f *Frame) {
 	for {
 		p.mu.Lock()
-		if !p.lockFrame(f) {
-			p.mu.Unlock()
-			p.restart()
-			continue
+		if p.lockFrame(f) {
+			return
 		}
-		if f.fixCount <= 0 {
-			p.unlockFrame(f)
-			p.mu.Unlock()
-			panic(fmt.Sprintf("buffer: extra pin on unpinned page %s", f.pid))
-		}
-		f.fixCount += n
-		p.xtraPins.Add(int64(n))
-		p.unlockFrame(f)
 		p.mu.Unlock()
-		return
+		p.restart()
 	}
+}
+
+func (p *Pool) unlockPoolAndFrame(f *Frame) {
+	p.unlockFrame(f)
+	p.mu.Unlock()
+}
+
+// Pin adds n extra pins to an already-fixed frame — one atomic add, since
+// a frame that is held is neither on the chain nor about to leave the
+// table. The exchange operator uses this for its broadcast variant: "it
+// is not necessary to copy the records ...; it is sufficient to pin them
+// such that each consumer can unpin them as if it were the only process
+// using them" (§4.4). The caller must already hold at least one fix.
+func (p *Pool) Pin(f *Frame, n int) {
+	if f.fixCount.Add(int32(n)) <= int32(n) {
+		f.fixCount.Add(-int32(n))
+		panic(fmt.Sprintf("buffer: extra pin on unpinned page %s", f.pid))
+	}
+	f.stripe.xtraPins.Add(int64(n))
 }
 
 // FlushPage writes the page to its device if it is resident and dirty.
@@ -569,9 +596,8 @@ func (p *Pool) FlushPage(pid record.PageID) error {
 			p.mu.Unlock()
 			return nil
 		}
-		wasFree := f.fixCount == 0
-		f.fixCount++ // hold the frame across the I/O
-		if wasFree {
+		f.fixCount.Add(1) // hold the frame across the I/O
+		if f.onChain {
 			p.chainRemove(f)
 		}
 		if p.mode != Global {
@@ -588,12 +614,10 @@ func (p *Pool) FlushPage(pid record.PageID) error {
 			f.dirty = false
 			p.writes.Add(1)
 		}
-		f.fixCount--
-		if f.fixCount == 0 {
+		if f.fixCount.Add(-1) == 0 && !f.onChain {
 			p.chainPush(f)
 		}
-		p.unlockFrame(f)
-		p.mu.Unlock()
+		p.unlockPoolAndFrame(f)
 		return err
 	}
 }
@@ -613,7 +637,7 @@ func (p *Pool) Discard(pid record.PageID) error {
 			p.restart()
 			continue
 		}
-		if f.fixCount > 0 {
+		if f.fixCount.Load() > 0 {
 			p.unlockFrame(f)
 			p.mu.Unlock()
 			return fmt.Errorf("buffer: discard of pinned page %s", pid)
@@ -622,8 +646,11 @@ func (p *Pool) Discard(pid record.PageID) error {
 		f.valid = false
 		f.dirty = false
 		f.pid = record.PageID{}
-		// Move to the LRU head so the frame is reused first.
-		p.chainRemove(f)
+		// Move to the LRU head so the frame is reused first; a frame
+		// still waiting for its unfix round is linked here instead.
+		if f.onChain {
+			p.chainRemove(f)
+		}
 		p.chainPushHead(f)
 		p.unlockFrame(f)
 		p.mu.Unlock()
@@ -663,7 +690,7 @@ func (p *Pool) FixCount(pid record.PageID) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f, ok := p.table[pid]; ok {
-		return f.fixCount
+		return int(f.fixCount.Load())
 	}
 	return 0
 }
@@ -673,8 +700,8 @@ func (p *Pool) FixCount(pid record.PageID) int {
 // atomics, so no lock is taken.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Fixes:        p.fixes.Load(),
-		Unfixes:      p.unfixes.Load(),
+		Fixes:        p.fixes(),
+		Unfixes:      p.unfixes(),
 		Hits:         p.hits.Load(),
 		Misses:       p.misses.Load(),
 		Reads:        p.reads.Load(),
@@ -683,10 +710,27 @@ func (p *Pool) Stats() Stats {
 		Restarts:     p.restarts.Load(),
 		DaemonReads:  p.daemonReads.Load(),
 		DaemonWrites: p.daemonWrites.Load(),
-		ExtraPins:    p.xtraPins.Load(),
+		ExtraPins:    p.xtraPins(),
 	}
 	s.CurrentlyFixedHint = s.Fixes + s.ExtraPins - s.Unfixes
 	return s
+}
+
+func (p *Pool) fixes() int64 { return p.hits.Load() + p.misses.Load() }
+
+// unfixes and xtraPins sum the pin counters over the stripes.
+func (p *Pool) unfixes() (n int64) {
+	for i := range p.stripes {
+		n += p.stripes[i].unfixes.Load()
+	}
+	return n
+}
+
+func (p *Pool) xtraPins() (n int64) {
+	for i := range p.stripes {
+		n += p.stripes[i].xtraPins.Load()
+	}
+	return n
 }
 
 // PinnedFrames returns how many frames are currently pinned (for tests and
@@ -696,7 +740,7 @@ func (p *Pool) PinnedFrames() int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, f := range p.frames {
-		if f.fixCount > 0 {
+		if f.fixCount.Load() > 0 {
 			n++
 		}
 	}

@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 )
 
 // env builds a registry with one disk and one virtual device plus a pool.
-func env(t *testing.T, frames int, mode LockMode) (*Pool, *device.Registry, record.DeviceID, record.DeviceID) {
+func env(t testing.TB, frames int, mode LockMode) (*Pool, *device.Registry, record.DeviceID, record.DeviceID) {
 	t.Helper()
 	reg := device.NewRegistry()
 	diskID := reg.NextID()
@@ -264,6 +265,13 @@ func TestFixErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentFixUnfixStress runs fixers, holders and flushers over
+// twice as many pages as frames, so eviction and clean-before-steal run
+// under the lock-free pin paths. Fixers fix and unfix; holders keep a
+// page fixed while they Pin and UnfixN on it and hand extra pins to
+// releasers, whose unfixes (some dirty) race the fixers' to reach zero;
+// flushers write pages back while all of that goes on. At quiescence the
+// pins balance and the LRU chain holds exactly the unpinned frames.
 func TestConcurrentFixUnfixStress(t *testing.T) {
 	for _, mode := range []LockMode{TwoLevel, Global} {
 		p, _, diskID, _ := env(t, 32, mode)
@@ -279,34 +287,100 @@ func TestConcurrentFixUnfixStress(t *testing.T) {
 			p.Unfix(f, true)
 			pids[i] = pid
 		}
-		const workers = 8
-		var wg sync.WaitGroup
+		// fix returns page k fixed, checking it holds what was written.
+		fix := func(k int) (*Frame, bool) {
+			f, err := p.Fix(pids[k])
+			if err != nil {
+				t.Errorf("mode %v: fix: %v", mode, err)
+				return nil, false
+			}
+			if f.Data()[0] != byte(k) {
+				t.Errorf("mode %v: wrong page contents", mode)
+				p.Unfix(f, false)
+				return nil, false
+			}
+			return f, true
+		}
+		const workers, holders, releasers, flushers = 8, 4, 2, 2
+		var wg, rel sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 500; i++ {
-					pid := pids[(w*31+i*7)%npages]
-					f, err := p.Fix(pid)
-					if err != nil {
-						t.Errorf("mode %v: fix: %v", mode, err)
-						return
-					}
-					if f.Data()[0] != byte((w*31+i*7)%npages) {
-						t.Errorf("mode %v: wrong page contents", mode)
-						p.Unfix(f, false)
+					f, ok := fix((w*31 + i*7) % npages)
+					if !ok {
 						return
 					}
 					p.Unfix(f, false)
 				}
 			}(w)
 		}
+		handoff := make(chan *Frame)
+		for r := 0; r < releasers; r++ {
+			rel.Add(1)
+			go func(r int) {
+				defer rel.Done()
+				i := 0
+				for f := range handoff {
+					p.Unfix(f, (r+i)%3 == 0)
+					i++
+				}
+			}(r)
+		}
+		for h := 0; h < holders; h++ {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				for i := 0; i < 300; i++ {
+					f, ok := fix((h*17 + i*5) % npages)
+					if !ok {
+						return
+					}
+					p.Pin(f, 3)
+					handoff <- f
+					for j := 0; j < 4; j++ {
+						p.Pin(f, 2)
+						p.UnfixN(f, 2, false)
+					}
+					handoff <- f
+					p.UnfixN(f, 2, i%4 == 0)
+				}
+			}(h)
+		}
+		stop := make(chan struct{})
+		var fl sync.WaitGroup
+		for k := 0; k < flushers; k++ {
+			fl.Add(1)
+			go func(k int) {
+				defer fl.Done()
+				for i := k; ; i += 3 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := p.FlushPage(pids[i%npages]); err != nil {
+						t.Errorf("mode %v: flush: %v", mode, err)
+						return
+					}
+					runtime.Gosched() // at -cpu 1, let the fixers run
+				}
+			}(k)
+		}
 		wg.Wait()
+		close(handoff)
+		rel.Wait()
+		close(stop)
+		fl.Wait()
 		if got := p.Stats().CurrentlyFixedHint; got != 0 {
 			t.Fatalf("mode %v: pin imbalance %d after stress", mode, got)
 		}
 		if p.PinnedFrames() != 0 {
 			t.Fatalf("mode %v: frames still pinned after stress", mode)
+		}
+		if err := p.checkChain(); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
 }
@@ -465,4 +539,25 @@ func TestFlushAllSelectiveDevice(t *testing.T) {
 	if err := m.ReadPage(pidM.Page, buf); err != nil || string(buf[:3]) != "mem" {
 		t.Fatalf("mem page not flushed by FlushAll(0): %q %v", buf[:3], err)
 	}
+}
+
+// BenchmarkPinUnfixHeld is the per-record pin traffic of a scan and its
+// consumer: one extra pin and one clean unfix on a frame the goroutine
+// already holds fixed, each goroutine on a frame of its own. Neither call
+// changes the hash table or the LRU chain, so a pair should cost no more
+// wall time at -cpu 2 than at -cpu 1.
+func BenchmarkPinUnfixHeld(b *testing.B) {
+	p, _, _, memID := env(b, 64, TwoLevel)
+	b.RunParallel(func(pb *testing.PB) {
+		f, _, err := p.FixNew(memID)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		for pb.Next() {
+			p.Pin(f, 1)
+			p.Unfix(f, false)
+		}
+		p.Unfix(f, false)
+	})
 }

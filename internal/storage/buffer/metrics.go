@@ -9,7 +9,7 @@ func (p *Pool) FrameGauges() (pinned, dirty int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, f := range p.frames {
-		if f.fixCount > 0 {
+		if f.fixCount.Load() > 0 {
 			pinned++
 		}
 		if f.valid && f.dirty {
@@ -32,8 +32,8 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry) {
 	counter := func(name, help string, load func() int64) {
 		r.SetCounterFunc(name, help, func() float64 { return float64(load()) })
 	}
-	counter("volcano_buffer_fixes_total", "Pages pinned via Fix/FixNew.", p.fixes.Load)
-	counter("volcano_buffer_unfixes_total", "Pins released via Unfix.", p.unfixes.Load)
+	counter("volcano_buffer_fixes_total", "Pages pinned via Fix/FixNew.", p.fixes)
+	counter("volcano_buffer_unfixes_total", "Pins released via Unfix.", p.unfixes)
 	counter("volcano_buffer_hits_total", "Fix requests satisfied from the buffer.", p.hits.Load)
 	counter("volcano_buffer_misses_total", "Fix requests that required device I/O.", p.misses.Load)
 	counter("volcano_buffer_reads_total", "Pages read from devices on buffer misses.", p.reads.Load)
@@ -42,7 +42,7 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry) {
 	counter("volcano_buffer_restarts_total", "Operations restarted after a failed descriptor try-lock.", p.restarts.Load)
 	counter("volcano_buffer_daemon_reads_total", "Pages read by the read-ahead daemon.", p.daemonReads.Load)
 	counter("volcano_buffer_daemon_writes_total", "Pages flushed by the write-behind daemon.", p.daemonWrites.Load)
-	counter("volcano_buffer_extra_pins_total", "Extra pins taken for broadcast record sharing.", p.xtraPins.Load)
+	counter("volcano_buffer_extra_pins_total", "Extra pins taken for broadcast record sharing.", p.xtraPins)
 	r.SetGaugeFunc("volcano_buffer_frames", "Total frames in the buffer pool.",
 		func() float64 { return float64(len(p.frames)) })
 	r.SetGaugeFunc("volcano_buffer_pinned_frames", "Frames currently pinned.",

@@ -73,7 +73,7 @@ func (a *Appender) slot(n int) ([]byte, record.RID, error) {
 }
 
 // grant gives the records handed out on the tail page their own pins, in
-// one pool-lock round.
+// one Pin call.
 func (a *Appender) grant() {
 	if a.owed > 0 {
 		a.f.vol.pool.Pin(a.fr, a.owed)

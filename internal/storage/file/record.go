@@ -44,8 +44,8 @@ func (r Record) Share(n int) {
 // UnfixBatch releases every record's pin, coalescing runs of records on
 // the same page into one bulk release (Pool.UnfixN) — the batch
 // consumer's counterpart of per-record Unfix. Records created together
-// land on the same page, so a typical batch costs one or two pool-lock
-// rounds instead of one per record.
+// land on the same page, so a typical batch costs one or two atomic
+// subtractions instead of one per record.
 func UnfixBatch(recs []Record) {
 	for i := 0; i < len(recs); {
 		r := recs[i]
