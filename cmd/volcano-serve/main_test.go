@@ -307,7 +307,27 @@ func TestServeSlowHeaderClientIsDisconnected(t *testing.T) {
 	}
 }
 
-// TestServeRequiresDB pins the usage error.
+// TestServeRefusesBatchBelowOne runs main in a child process with -batch 0:
+// it must exit non-zero before serving, naming the per-request way to run
+// record-at-a-time.
+func TestServeRefusesBatchBelowOne(t *testing.T) {
+	if os.Getenv("VOLCANO_SERVE_MAIN") == "1" {
+		os.Args = []string{"volcano-serve", "-db", "unused.vdb", "-addr", "127.0.0.1:0", "-batch", "0"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestServeRefusesBatchBelowOne$")
+	cmd.Env = append(os.Environ(), "VOLCANO_SERVE_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("volcano-serve -batch 0: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "X-Volcano-Batch: 0") {
+		t.Fatalf("refusal does not name X-Volcano-Batch: 0:\n%s", out)
+	}
+}
+
 // TestServeSigtermRightAfterHealthz runs the real binary and stops it the
 // way a supervisor does, the instant /healthz first answers 200: the
 // signal must start a drain and a clean exit, never kill the process.

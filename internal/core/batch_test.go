@@ -251,6 +251,50 @@ func TestBatchSizeOneMatchesRowShim(t *testing.T) {
 	env.checkNoPinLeak(t)
 }
 
+// TestFilterNextBatchEarlyReturnAndClose stops a batch filter mid-input-
+// batch: each NextBatch returns on a full output batch with the tail of
+// its input batch unjudged, and by then the call's rejects are released
+// already, so the pins held are exactly the output, that tail and the
+// scan's own page pin. Close in the same state leaves no pin at all.
+func TestFilterNextBatchEarlyReturnAndClose(t *testing.T) {
+	env := newTestEnv(t, 512)
+	ints := env.makeInts(t, "ints", shuffled(500, 43)...)
+	f, err := NewFilterExpr(scanOf(t, ints), "v % 3 = 1", expr.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.EnableBatch(DefaultBatchSize)
+	if err := f.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatch(5)
+	for call := 0; call < 3; call++ {
+		if err := f.NextBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() != 5 {
+			t.Fatalf("call %d: %d records, want a full batch of 5", call, b.Len())
+		}
+		for _, r := range b.Recs() {
+			if v, _ := intSchema.Get(r.Data, 0); v.I%3 != 1 {
+				t.Fatalf("call %d: record %d passed the filter", call, v.I)
+			}
+		}
+		tail := f.inb.Len() - f.inpos
+		if tail == 0 {
+			t.Fatalf("call %d: input batch fully judged; the case needs a partial one", call)
+		}
+		if got, want := env.pool.Stats().CurrentlyFixedHint, int64(b.Len()+tail+1); got != want {
+			t.Fatalf("call %d: %d pins held, want %d (output %d + unjudged %d + scan page 1)", call, got, want, b.Len(), tail)
+		}
+		b.Release()
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env.checkNoPinLeak(t)
+}
+
 // TestExchangeConsumerNextBatchZeroAlloc is the batch-mode counterpart of
 // TestExchangeConsumerNextZeroAlloc: with a zero-alloc source, batch-mode
 // producers drawing from the hub's batch free list, and packet lending on

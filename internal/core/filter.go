@@ -3,12 +3,14 @@ package core
 import (
 	"repro/internal/expr"
 	"repro/internal/record"
+	"repro/internal/storage/file"
 )
 
 // Filter passes through input records satisfying a predicate support
-// function; rejected records are unfixed immediately ("the operator can
-// ... unfix it, e.g., when a predicate fails", paper §3). Filter creates
-// no new records, so qualifying records flow through with their pins.
+// function; rejected records are unfixed ("the operator can ... unfix it,
+// e.g., when a predicate fails", paper §3) at once, or in batch mode
+// together by page run. Filter creates no new records, so qualifying
+// records flow through with their pins.
 type Filter struct {
 	input Iterator
 	pred  expr.Predicate
@@ -17,13 +19,15 @@ type Filter struct {
 	// Batch-mode state: the input batch being filtered, the cursor into
 	// it, and the scratch slices PredicateBatch evaluates over — one
 	// support-function sweep per input batch instead of one closure call
-	// per Next.
-	batch int
-	bin   BatchIterator
-	inb   *Batch
-	inpos int
-	datas [][]byte
-	keep  []bool
+	// per Next. Rejects are collected and released by page run before the
+	// input batch refills and before NextBatch returns.
+	batch   int
+	bin     BatchIterator
+	inb     *Batch
+	inpos   int
+	datas   [][]byte
+	keep    []bool
+	rejects []Rec
 }
 
 // NewFilter wraps input with the given predicate.
@@ -84,8 +88,9 @@ func (f *Filter) EnableBatch(size int) { f.batch = size }
 
 // NextBatch implements BatchIterator natively: it pulls whole input
 // batches, evaluates the predicate support function over each batch in
-// one PredicateBatch sweep, and compacts the qualifying records into b,
-// unfixing rejects immediately as the row path does.
+// one PredicateBatch sweep, and compacts the qualifying records into b.
+// Rejects are unfixed with one UnfixN per page run (file.UnfixBatch), at
+// the latest before the call returns.
 func (f *Filter) NextBatch(b *Batch) error {
 	if !f.open {
 		return errState("filter", "next before open")
@@ -102,16 +107,18 @@ func (f *Filter) NextBatch(b *Batch) error {
 	for {
 		for f.inpos < f.inb.Len() {
 			if b.Full() {
+				f.releaseRejects()
 				return nil
 			}
 			r := f.inb.Recs()[f.inpos]
 			if f.keep[f.inpos] {
 				b.Append(r)
 			} else {
-				r.Unfix()
+				f.rejects = append(f.rejects, r)
 			}
 			f.inpos++
 		}
+		f.releaseRejects()
 		if err := f.bin.NextBatch(f.inb); err != nil {
 			f.inpos = 0
 			b.Release()
@@ -138,6 +145,12 @@ func (f *Filter) NextBatch(b *Batch) error {
 	}
 }
 
+// releaseRejects unfixes the collected rejects, one UnfixN per page run.
+func (f *Filter) releaseRejects() {
+	file.UnfixBatch(f.rejects)
+	f.rejects = f.rejects[:0]
+}
+
 // Close implements Iterator.
 func (f *Filter) Close() error {
 	if !f.open {
@@ -146,9 +159,7 @@ func (f *Filter) Close() error {
 	f.open = false
 	if f.inb != nil {
 		// Release input records judged but not yet served.
-		for _, r := range f.inb.Recs()[f.inpos:] {
-			r.Unfix()
-		}
+		file.UnfixBatch(f.inb.Recs()[f.inpos:])
 		f.inb.Reset()
 		f.inpos = 0
 	}

@@ -48,23 +48,24 @@ func (s *FileScan) Next() (Rec, bool, error) {
 	return s.scan.Next()
 }
 
-// NextBatch implements BatchIterator natively: one call drives the
-// underlying storage scan for a whole run of records.
+// NextBatch implements BatchIterator natively: the batch fills by page
+// runs of the storage scan, each pinned with one Pool.Pin.
 func (s *FileScan) NextBatch(b *Batch) error {
 	if s.scan == nil {
 		return errState("filescan", "next before open")
 	}
 	b.Reset()
 	for !b.Full() {
-		r, ok, err := s.scan.Next()
+		n := b.Len()
+		run, err := s.scan.NextRun(b.own, b.target-n)
+		b.own, b.recs = run, run
 		if err != nil {
 			b.Release()
 			return err
 		}
-		if !ok {
+		if len(run) == n {
 			break
 		}
-		b.Append(r)
 	}
 	return nil
 }

@@ -276,36 +276,58 @@ func TestDistBatchedFragments(t *testing.T) {
 // TestDistWorkerLossRetry kills one worker while its fragments are
 // mid-stream and checks the coordinator re-dispatches them to the
 // survivor with an exact skip: the query completes with every value
-// delivered exactly once.
+// delivered exactly once. It runs record-at-a-time and at the served
+// batch size, where the workers drain their fragments by batches and the
+// coordinator pulls the root the same way.
 func TestDistWorkerLossRetry(t *testing.T) {
+	for _, batch := range []int{0, core.DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) { testWorkerLossRetry(t, batch) })
+	}
+}
+
+func testWorkerLossRetry(t *testing.T, batch int) {
 	// Fat rows, far beyond socket buffering: the victim's fragments
 	// cannot finish before the kill.
 	const rows = 40000
 	f := newFleet(t, rows, 400, 2, nil)
 	db := newDistDB(t, rows, 400)
 
-	it, sum := bind(t, f.c, db, "q-loss", distScript)
+	it, sum := bindBatch(t, f.c, db, "q-loss", distScript, batch)
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
 	schema := it.Schema()
 	counts := map[string]int{}
+	// pull hands out the next run of records: one batch, or one record
+	// at batch 0. An empty run is the end of the stream.
+	src, b := core.AsBatch(it), core.NewBatch(batch)
+	pull := func() ([]core.Rec, error) {
+		if batch > 0 {
+			err := src.NextBatch(b)
+			return b.Recs(), err
+		}
+		r, ok, err := it.Next()
+		if !ok {
+			return nil, err
+		}
+		return []core.Rec{r}, nil
+	}
 	drain := func(limit int) error {
-		for n := 0; limit <= 0 || n < limit; n++ {
-			r, ok, err := it.Next()
-			if err != nil {
+		for n := 0; limit <= 0 || n < limit; {
+			run, err := pull()
+			if err != nil || len(run) == 0 {
 				return err
 			}
-			if !ok {
-				return nil
+			for _, r := range run {
+				vals, err := schema.Decode(r.Data)
+				if err != nil {
+					file.UnfixBatch(run)
+					return err
+				}
+				counts[vals[0].String()]++
 			}
-			vals, err := schema.Decode(r.Data)
-			if err != nil {
-				r.Unfix()
-				return err
-			}
-			counts[vals[0].String()]++
-			r.Unfix()
+			file.UnfixBatch(run)
+			n += len(run)
 		}
 		return nil
 	}
@@ -361,6 +383,11 @@ func TestDistWorkerLossRetry(t *testing.T) {
 	}
 	if pinned := db.pool.PinnedFrames(); pinned != 0 {
 		t.Fatalf("%d frames still pinned", pinned)
+	}
+	for addr, w := range f.workers {
+		if st := w.cfg.Env.Pool.Stats(); addr != victim && st.CurrentlyFixedHint != 0 {
+			t.Fatalf("surviving worker %s holds %d pins after the query", addr, st.CurrentlyFixedHint)
+		}
 	}
 }
 

@@ -73,13 +73,14 @@ type Config struct {
 	// left alone either way.
 	DisableCosting bool
 	// FlushEvery flushes the response stream every N rows (default 64).
+	// The first row is always flushed on its own.
 	FlushEvery int
-	// BatchSize, when positive, executes every query under the
-	// batch-at-a-time protocol with this batch size: plans are built with
-	// plan.BuildOptions.BatchSize and the result stream drains the root
-	// through NextBatch. A request may override it (either way) with the
+	// BatchSize is the batch size every query executes under: plans are
+	// built with plan.BuildOptions.BatchSize and the result stream drains
+	// the root through NextBatch (default core.DefaultBatchSize, the
+	// exchange packet size). A request may override it with the
 	// X-Volcano-Batch header: a positive integer selects that batch size,
-	// 0 forces record-at-a-time. Zero keeps record-at-a-time execution.
+	// 0 forces record-at-a-time.
 	BatchSize int
 
 	// SlowQuery is the slow-query threshold: a completed query whose
@@ -132,6 +133,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 64
+	}
+	if c.BatchSize <= 0 {
+		c.BatchSize = core.DefaultBatchSize
 	}
 	return c
 }
@@ -343,7 +347,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // batchSize resolves the effective batch size for one request: the
 // X-Volcano-Batch header when present (0 = force record-at-a-time),
-// otherwise the server default.
+// otherwise the server default, which is always positive.
 func (s *Server) batchSize(r *http.Request) (int, error) {
 	h := r.Header.Get("X-Volcano-Batch")
 	if h == "" {
@@ -412,7 +416,8 @@ func (s *Server) compile(src string) (*cacheEntry, bool, error) {
 
 // execute builds a fresh iterator tree from the template and streams its
 // rows. Past the 200 header, errors travel in the NDJSON trailer. A
-// positive batch runs the whole query under the batch-at-a-time protocol.
+// positive batch runs the whole query under the batch-at-a-time protocol;
+// 0 (X-Volcano-Batch: 0) runs it record-at-a-time.
 //
 // Every build is analyzed: the instrumentation wrappers' OpStats are
 // atomic, so rec exposes live per-operator progress to /debug/queries
@@ -510,35 +515,16 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		// (TestRegistryHotPathZeroAlloc, TestMeterHotPathZeroAlloc).
 		rec.addRows(1)
 		rec.meter.StreamRow(len(line))
-		if flusher != nil && rows%int64(s.cfg.FlushEvery) == 0 {
+		// The first row leaves at once, whatever the protocol; after it,
+		// one flush every FlushEvery rows.
+		if flusher != nil && (rows == 1 || rows%int64(s.cfg.FlushEvery) == 0) {
 			bumpDeadline()
 			flusher.Flush()
 		}
 		return nil
 	}
 	if batch > 0 {
-		// Batch drain: one NextBatch refill per batch, pins released in one
-		// coalesced pass per batch.
-		src := core.AsBatch(it)
-		b := core.NewBatch(batch)
-	drain:
-		for ctx.Err() == nil {
-			if err := src.NextBatch(b); err != nil {
-				streamErr = err
-				break
-			}
-			if b.Len() == 0 {
-				break
-			}
-			for _, rec := range b.Recs() {
-				if err := emit(rec); err != nil {
-					streamErr = err
-					b.Release()
-					break drain
-				}
-			}
-			b.Release()
-		}
+		streamErr = drainBatches(ctx, it, batch, emit)
 	} else {
 		for ctx.Err() == nil {
 			rec, ok, err := it.Next()
@@ -616,6 +602,38 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	}
 
 	s.finishQuery(rec, t.Status, t.Error)
+}
+
+// drainBatches streams it into emit through the batch protocol until the
+// stream ends, a pull or emit fails, or ctx is done. The first pulls go
+// through a one-slot batch, so the first row reaches emit after one record
+// and a one-row answer allocates no batch storage beyond that slot; once
+// the stream is past its first row, each pull fills a batch of size. The
+// pins of a batch are released in one coalesced pass.
+func drainBatches(ctx context.Context, it core.Iterator, size int, emit func(core.Rec) error) error {
+	src := core.AsBatch(it)
+	b := core.NewBatch(1)
+	rows := 0
+	for ctx.Err() == nil {
+		if err := src.NextBatch(b); err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			return nil
+		}
+		for _, r := range b.Recs() {
+			if err := emit(r); err != nil {
+				b.Release()
+				return err
+			}
+		}
+		rows += b.Len()
+		b.Release()
+		if rows > 1 && b.Target() < size {
+			b = core.NewBatch(size)
+		}
+	}
+	return nil
 }
 
 // recordChoices settles the run's choose-plan decisions into the

@@ -269,6 +269,119 @@ func TestScanAbortMidwayReleasesPins(t *testing.T) {
 	}
 }
 
+// TestScanNextRun holds page runs to the record-at-a-time scan: at run
+// limits below, at and above a page's live records, over deleted slots
+// and on to the end of the file, every run stays on one page, is short
+// only where its page ends, carries exactly one pin per record, and the
+// runs concatenate to what Next returns. A slice filled run by run, as a
+// batch is, crosses a page boundary and releases in one UnfixBatch.
+func TestScanNextRun(t *testing.T) {
+	pool, vol, _ := env(t, 16)
+	f, _ := vol.Create("t", nil)
+	var rids []record.RID
+	for i := 0; i < 300; i++ {
+		rid, err := f.Insert([]byte(fmt.Sprintf("rec-%04d-%090d", i, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	// Deleted slots at the head of the file, in its middle and at its end.
+	for _, i := range []int{0, 1, 40, 299} {
+		if err := f.DeleteRecord(rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	live := map[record.PageID]int{}
+	s := f.NewScan(false)
+	for {
+		r, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		want = append(want, string(r.Data))
+		live[r.RID.PageID]++
+		r.Unfix()
+	}
+	s.Close()
+	if len(live) < 3 {
+		t.Fatalf("fixture spans %d pages, want at least 3", len(live))
+	}
+	first := live[rids[0].PageID]
+
+	for _, max := range []int{1, 7, first, first + 1, 1000} {
+		s := f.NewScan(false)
+		taken := map[record.PageID]int{}
+		var got []string
+		var run []Record
+		for {
+			var err error
+			if run, err = s.NextRun(run[:0], max); err != nil {
+				t.Fatal(err)
+			}
+			if len(run) == 0 {
+				break
+			}
+			pg := run[0].RID.PageID
+			for _, r := range run {
+				if r.RID.PageID != pg {
+					t.Fatalf("max %d: run spans pages %v and %v", max, pg, r.RID.PageID)
+				}
+				got = append(got, string(r.Data))
+			}
+			taken[pg] += len(run)
+			if len(run) > max || (len(run) < max && taken[pg] != live[pg]) {
+				t.Fatalf("max %d: run of %d on page %v with %d of %d taken", max, len(run), pg, taken[pg], live[pg])
+			}
+			// The scan's own pin on the page plus one per record.
+			if h := pool.Stats().CurrentlyFixedHint; h != int64(len(run))+1 {
+				t.Fatalf("max %d: %d pins held with a run of %d", max, h, len(run))
+			}
+			UnfixBatch(run)
+		}
+		if run, err := s.NextRun(run[:0], max); err != nil || len(run) != 0 {
+			t.Fatalf("max %d: NextRun past the end = %d records, %v", max, len(run), err)
+		}
+		s.Close()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("max %d: runs gave %d records that differ from Next's %d", max, len(got), len(want))
+		}
+		if h := pool.Stats().CurrentlyFixedHint; h != 0 {
+			t.Fatalf("max %d: %d pins left after the scan", max, h)
+		}
+	}
+
+	s = f.NewScan(false)
+	batch := make([]Record, 0, first+5)
+	for len(batch) < cap(batch) {
+		n := len(batch)
+		var err error
+		if batch, err = s.NextRun(batch, cap(batch)-n); err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == n {
+			break
+		}
+	}
+	if len(batch) != cap(batch) || batch[0].RID.PageID == batch[len(batch)-1].RID.PageID {
+		t.Fatalf("batch of %d/%d records did not fill across a page boundary", len(batch), cap(batch))
+	}
+	for i, r := range batch {
+		if string(r.Data) != want[i] {
+			t.Fatalf("batch record %d = %q, want %q", i, r.Data, want[i])
+		}
+	}
+	UnfixBatch(batch)
+	s.Close()
+	if h := pool.Stats().CurrentlyFixedHint; h != 0 {
+		t.Fatalf("%d pins left after the cross-page batch", h)
+	}
+}
+
 func TestScanWithReadAheadDaemon(t *testing.T) {
 	pool, vol, _ := env(t, 64)
 	if err := pool.StartDaemons(1); err != nil {

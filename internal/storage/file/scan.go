@@ -33,19 +33,33 @@ func (f *File) NewScan(readAhead bool) *Scan {
 // Next returns the next record, pinned for the caller. It returns ok=false
 // at end of file.
 func (s *Scan) Next() (Record, bool, error) {
-	for {
+	var one [1]Record
+	run, err := s.NextRun(one[:0], 1)
+	if err != nil || len(run) == 0 {
+		return Record{}, false, err
+	}
+	return run[0], true, nil
+}
+
+// NextRun appends up to max of the next records to dst and returns the
+// extended slice. The records all come from one page and carry one pin
+// each for the caller, granted by a single Pool.Pin for the whole run:
+// the mirror of UnfixBatch. dst comes back unextended only at end of file
+// or on an error.
+func (s *Scan) NextRun(dst []Record, max int) ([]Record, error) {
+	for max > 0 {
 		if s.done {
-			return Record{}, false, nil
+			return dst, nil
 		}
 		if s.frame == nil {
 			if s.cur.Page == 0 {
 				s.done = true
-				return Record{}, false, nil
+				return dst, nil
 			}
 			fr, err := s.f.vol.pool.FixFor(s.cur, s.f.meter)
 			if err != nil {
 				s.done = true
-				return Record{}, false, fmt.Errorf("file: scan %q: %w", s.f.Name(), err)
+				return dst, fmt.Errorf("file: scan %q: %w", s.f.Name(), err)
 			}
 			pg := page{fr.Data()}
 			s.frame = &pinnedPage{
@@ -57,23 +71,25 @@ func (s *Scan) Next() (Record, bool, error) {
 				s.f.vol.pool.RequestReadAhead(pid(s.cur.Dev, pg.next()))
 			}
 		}
-		pg := s.frame.pg
-		for s.slot < pg.nslots() {
+		pg, fr := s.frame.pg, s.frame.rec.frame
+		n := len(dst)
+		for s.slot < pg.nslots() && len(dst)-n < max {
 			slot := s.slot
 			s.slot++
 			data, err := pg.record(slot)
 			if err != nil {
 				continue // deleted slot
 			}
-			// Transfer one extra pin to the caller.
-			out := Record{
+			dst = append(dst, Record{
 				RID:   record.RID{PageID: s.cur, Slot: uint16(slot)},
 				Data:  data,
-				frame: s.frame.rec.frame,
+				frame: fr,
 				pool:  s.f.vol.pool,
-			}
-			out.Share(1)
-			return out, true, nil
+			})
+		}
+		if k := len(dst) - n; k > 0 {
+			s.f.vol.pool.Pin(fr, k) // the run's pins, transferred to the caller
+			return dst, nil
 		}
 		// Page exhausted: release our pin, move on.
 		next := pg.next()
@@ -81,10 +97,11 @@ func (s *Scan) Next() (Record, bool, error) {
 		s.frame = nil
 		if next == 0 {
 			s.done = true
-			return Record{}, false, nil
+			return dst, nil
 		}
 		s.cur = pid(s.cur.Dev, next)
 	}
+	return dst, nil
 }
 
 // Close releases the scan's resources. Safe to call at any point.
