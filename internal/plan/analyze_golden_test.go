@@ -68,7 +68,11 @@ func TestAnalyzeGoldenOutput(t *testing.T) {
 // run: the planner-chosen exchange fan-out, the est= column next to the
 // observed rows on every operator, and the chosen= line under the
 // choose-plan node. The plan leaves its knobs open on purpose — the
-// report is the proof that the costing pass filled them.
+// report is the proof that the costing pass filled them. The build side
+// (dept, 5 rows) is small against the 600-row probe, so the pass moves
+// the join below the exchange: each of the 3 producers builds its own
+// table (scan dept opens=3), and the exchange carries the 5 joined
+// records instead of the 600 scanned ones.
 // Regenerate with: go test ./internal/plan -run TestCostedAnalyzeGolden -update
 func TestCostedAnalyzeGolden(t *testing.T) {
 	db := newTestDB(t)

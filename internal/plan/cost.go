@@ -39,6 +39,11 @@ var DefaultHashBuildThreshold int64 = 1 << 16
 // beyond which a plan-cache entry is re-costed.
 const MisEstimateFactor = 4
 
+// smallBuildFactor is the margin the join rewrite demands: moving a join
+// below a P-producer exchange builds its hash table P times, which pays
+// only when est(build)·P·smallBuildFactor ≤ est(probe).
+const smallBuildFactor = 8
+
 // CostedPlan is the result of costing a Template: a derived Template
 // whose tree has every open knob filled (safe to build concurrently,
 // like any Template), per-node cardinality estimates for EXPLAIN
@@ -54,7 +59,8 @@ type CostedPlan struct {
 	Estimates map[*Node]int64
 	// origin maps costed nodes back to the original template's nodes.
 	// Nodes the pass invented (choose-plan wrappers, sorts under a merge
-	// alternative) have no origin.
+	// alternative) have no origin; a split aggregate's combiner takes the
+	// original's, and its partial maps to nil.
 	origin map[*Node]*Node
 }
 
@@ -66,9 +72,23 @@ type CostedPlan struct {
 // is how a mis-estimated plan converges. The template itself is never
 // written; the costed tree is a deep copy.
 func (t *Template) Cost(cat Catalog, observed map[*Node]int64) *CostedPlan {
+	return t.cost(cat, observed, false)
+}
+
+// CostKeepingCuts is Cost for a process that ships distributable
+// exchanges to a worker fleet: no work moves across such an exchange.
+// A worker recompiles the uncosted source and builds the producer
+// subtree at the cut's path, so a subtree rewritten here only would
+// ship records of the wrong schema.
+func (t *Template) CostKeepingCuts(cat Catalog, observed map[*Node]int64) *CostedPlan {
+	return t.cost(cat, observed, true)
+}
+
+func (t *Template) cost(cat Catalog, observed map[*Node]int64, keepCuts bool) *CostedPlan {
 	c := &coster{
 		cat:      cat,
 		observed: observed,
+		keepCuts: keepCuts,
 		est:      map[*Node]int64{},
 		origin:   map[*Node]*Node{},
 	}
@@ -93,7 +113,7 @@ func (c *CostedPlan) Observed(an *Analysis) map[*Node]int64 {
 	out := map[*Node]int64{}
 	for n, orig := range c.origin {
 		st := an.Stats(n)
-		if st == nil || st.Opens.Load() == 0 {
+		if orig == nil || st == nil || st.Opens.Load() == 0 {
 			continue
 		}
 		out[orig] = st.Rows.Load()
@@ -132,6 +152,7 @@ type coster struct {
 	observed map[*Node]int64 // keyed by original template nodes
 	est      map[*Node]int64 // keyed by costed nodes
 	origin   map[*Node]*Node // costed -> original
+	keepCuts bool            // no rewrite crosses a Distributable exchange
 }
 
 // clone deep-copies a plan subtree, recording node correspondence. XOpts
@@ -183,8 +204,9 @@ func (c *coster) cloneCosted(n *Node) *Node {
 }
 
 // walk costs a subtree bottom-up, filling open knobs as it returns. The
-// returned node replaces n in the parent (a match may come back wrapped
-// in a choose-plan).
+// returned node replaces n in the parent: a match may come back wrapped
+// in a choose-plan, or moved below the exchange that now takes its
+// place; an aggregate may come back as the combiner over its own split.
 func (c *coster) walk(n *Node) (*Node, int64) {
 	for i := range n.Inputs {
 		n.Inputs[i], _ = c.walk(n.Inputs[i])
@@ -195,7 +217,14 @@ func (c *coster) walk(n *Node) (*Node, int64) {
 	switch n.Kind {
 	case KindExchange:
 		c.fillExchange(n, est)
+	case KindAggregate:
+		if combine := c.splitAggregate(n, est); combine != nil {
+			return combine, est
+		}
 	case KindMatch:
+		if x := c.pushJoin(n); x != nil {
+			return x, est
+		}
 		if choose := c.maybeChoose(n, est); choose != nil {
 			return choose, est
 		}
@@ -203,11 +232,119 @@ func (c *coster) walk(n *Node) (*Node, int64) {
 	return n, est
 }
 
+// Rewrites across the exchange. The paper's exchange parallelises
+// whatever subtree sits below it, so work the text put above a gathering
+// exchange runs on one consumer unless it moves down. Two fixed rules,
+// not a search, move it: a join with a small build side (pushJoin) and
+// an aggregate that decomposes (splitAggregate). Both keep the
+// exchange's own knobs as written; a knob the text left open is
+// re-filled from the new, smaller stream.
+
+// gathers reports whether the rewrites may move work below exchange n:
+// forked producers feeding one consumer, with no stream order (merge),
+// no replication (broadcast) and no partitioning function, so what
+// arrives is the plain union of the producers' outputs — and any
+// operator that distributes over union may run once per producer.
+func (c *coster) gathers(n *Node) bool {
+	if n.Kind != KindExchange || n.X == nil {
+		return false
+	}
+	o := n.X
+	if o.Inline || o.KeepStreams || o.Broadcast || o.Consumers > 1 ||
+		len(o.HashKeys) > 0 || n.HashTerms != nil || o.UseRange {
+		return false
+	}
+	return !c.keepCuts || !Distributable(n)
+}
+
+// pushJoin is the first rule: an inner join whose probe input is a
+// gathering exchange moves below it when its build input is the same
+// for every producer (no pscan, no exchange) and small against the
+// probe stream. Each producer then builds its own copy of the table —
+// the general form is §4.4's broadcast of the build input — and the
+// exchange carries joined records.
+func (c *coster) pushJoin(n *Node) *Node {
+	if n.MatchOp != core.MatchJoin || n.AllFieldKeys || len(n.Inputs) != 2 {
+		return nil
+	}
+	x, build := n.Inputs[0], n.Inputs[1]
+	if !c.gathers(x) || !sameForEveryProducer(build) {
+		return nil
+	}
+	if c.est[build]*int64(max1(x.X.Producers))*smallBuildFactor > c.est[x.Inputs[0]] {
+		return nil
+	}
+	n.Inputs[0], x.Inputs[0] = x.Inputs[0], n
+	if choose := c.maybeChoose(n, c.est[n]); choose != nil {
+		x.Inputs[0] = choose
+	}
+	c.est[x] = c.est[n]
+	c.fillExchange(x, c.est[x])
+	return x
+}
+
+// splitAggregate is the second rule: an aggregate over a gathering
+// exchange moves below it unchanged, as a partial aggregate per
+// producer, and one combining aggregate above merges the partials —
+// counts and sums add up, minima and maxima are taken again. avg does
+// not combine from one column and blocks the split. Returns the
+// combiner, which replaces n in the parent.
+func (c *coster) splitAggregate(n *Node, est int64) *Node {
+	if len(n.Inputs) != 1 || !c.gathers(n.Inputs[0]) {
+		return nil
+	}
+	funcs := make([]core.AggSpec, len(n.Aggs))
+	for i, a := range n.Aggs {
+		switch a.Func {
+		case core.AggCount, core.AggSum:
+			funcs[i].Func = core.AggSum
+		case core.AggMin, core.AggMax:
+			funcs[i].Func = a.Func
+		default:
+			return nil
+		}
+	}
+	x := n.Inputs[0]
+	n.Inputs[0], x.Inputs[0] = x.Inputs[0], n
+	combine := &Node{
+		Kind: KindAggregate, Inputs: []*Node{x}, Line: n.Line, Stage: n.Stage,
+		Aggs: funcs, Combine: true, Algo: n.Algo, AlgoSet: n.AlgoSet,
+	}
+	// The combiner's output is the original aggregate's, so observations
+	// of it correct the original's estimate. The partial's cardinality —
+	// the groups of every producer — has no node in the text: it is
+	// derived from the combiner's, so a re-cost converges on it too.
+	c.origin[combine] = c.origin[n]
+	c.origin[n] = nil
+	c.est[combine] = est
+	c.est[n] = mini(c.est[n.Inputs[0]], est*int64(max1(x.X.Producers)))
+	c.est[x] = c.est[n]
+	c.fillExchange(x, c.est[x])
+	return combine
+}
+
+// sameForEveryProducer reports whether a subtree built once per producer
+// yields the same rows in each: no partitioned scan (producer g reads
+// partition g) and no exchange.
+func sameForEveryProducer(n *Node) bool {
+	if n.Kind == KindPartitionedScan || n.Kind == KindExchange {
+		return false
+	}
+	for _, in := range n.Inputs {
+		if !sameForEveryProducer(in) {
+			return false
+		}
+	}
+	return true
+}
+
 // fillExchange picks the knobs the plan text left open. The producer
 // count is structural, not just a cost choice: each producer builds the
 // whole subtree, so a non-partitioned subtree *duplicates* its input
 // once per producer — the only correct fan-out is the partition count
-// of the pscan below (or 1 when there is none).
+// of the pscan below (or 1 when there is none). It runs again when a
+// rewrite changes the stream below, so an open knob is judged by the
+// text, not by this pass's earlier fill.
 func (c *coster) fillExchange(n *Node, est int64) {
 	o := n.X
 	if o == nil || o.Inline {
@@ -218,7 +355,11 @@ func (c *coster) fillExchange(n *Node, est int64) {
 			o.Producers = parts
 		}
 	}
-	if o.PacketSize == 0 {
+	text := o
+	if orig := c.origin[n]; orig != nil && orig.X != nil {
+		text = orig.X
+	}
+	if text.PacketSize == 0 {
 		// Small results keep latency low with small packets; big streams
 		// amortise port overhead with full ones.
 		switch {

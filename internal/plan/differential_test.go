@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -22,7 +23,10 @@ import (
 // duplicate elimination, set operations, division, sorting, and single,
 // partitioned, merging and nested exchanges — so a batch-protocol bug
 // anywhere in an operator's consume or produce path shows up as a
-// mode mismatch here rather than as a wrong answer in production.
+// mode mismatch here rather than as a wrong answer in production. Every
+// plan also runs as the cost pass derives it, in row mode and at every
+// batch size, so a rewrite across an exchange that changes an answer
+// shows up the same way.
 
 // diffBatchSizes are the batch sizes every corpus plan is replayed
 // under: the degenerate size, a tiny prime that never divides the row
@@ -89,6 +93,37 @@ func newDiffDB(t testing.TB) *diffDB {
 		parts[i%4].Insert(numSchema.MustEncode(record.Int(int64(i))))
 	}
 
+	// staff.0..staff.3: 800 emp-shaped rows dealt round robin, so every
+	// partition meets every department; dept = i%7 leaves 4..6 without a
+	// dept row, and salaries carry fractions, so float sums round.
+	// dparts.0..dparts.3: dept dealt one row per partition, a small build
+	// side that differs from producer to producer.
+	deal := func(name string, schema *record.Schema, rows [][]byte) {
+		for p := 0; p < 4; p++ {
+			f, err := vol.Create(fmt.Sprintf("%s.%d", name, p), schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := p; i < len(rows); i += 4 {
+				f.Insert(rows[i])
+			}
+			db.cat[fmt.Sprintf("%s.%d", name, p)] = f
+		}
+	}
+	staff := make([][]byte, 800)
+	for i := range staff {
+		staff[i] = empSchema.MustEncode(
+			record.Int(int64(i)), record.Int(int64(i%7)),
+			record.Float(1000+float64(i%13)*10.01), record.Str(fmt.Sprintf("staff-%d", i)),
+		)
+	}
+	deal("staff", empSchema, staff)
+	dparts := make([][]byte, 4)
+	for i := range dparts {
+		dparts[i] = deptSchema.MustEncode(record.Int(int64(i)), record.Str(fmt.Sprintf("dept-%d", i)))
+	}
+	deal("dparts", deptSchema, dparts)
+
 	// enrolled(student, course) ÷ required(course).
 	es := record.MustSchema(
 		record.Field{Name: "student", Type: record.TInt},
@@ -134,12 +169,67 @@ func renderSorted(rows [][]record.Value) []string {
 	return out
 }
 
-// diffCorpus is the conformance corpus. Every script must parse and run
-// against the diffDB fixture.
-var diffCorpus = []struct {
+// sameRows compares two result sets as multisets. With tol = 0 the
+// rendered rows must be identical; with tol > 0 float cells may differ
+// by that relative amount — a float sum through a gathering exchange
+// adds in arrival order, which varies from run to run. Toleranced rows
+// are ordered by their cells at six significant digits, so toleranced
+// corpus plans keep a unique group key ahead of any float.
+func sameRows(got, want [][]record.Value, tol float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d", len(got), len(want))
+	}
+	if tol == 0 {
+		g, w := renderSorted(got), renderSorted(want)
+		for i := range w {
+			if g[i] != w[i] {
+				return fmt.Errorf("row %d differs:\n got %q\nwant %q", i, g[i], w[i])
+			}
+		}
+		return nil
+	}
+	order := func(rows [][]record.Value) [][]record.Value {
+		key := func(row []record.Value) string {
+			cells := make([]string, len(row))
+			for j, v := range row {
+				cells[j] = v.String()
+				if v.Kind == record.TFloat {
+					cells[j] = fmt.Sprintf("%.6g", v.F)
+				}
+			}
+			return strings.Join(cells, "\x1f")
+		}
+		out := append([][]record.Value(nil), rows...)
+		sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
+		return out
+	}
+	g, w := order(got), order(want)
+	for i := range w {
+		for j := range w[i] {
+			a, b := g[i][j], w[i][j]
+			if a.Kind == record.TFloat && b.Kind == record.TFloat {
+				if math.Abs(a.F-b.F) > tol*math.Max(math.Abs(a.F), math.Abs(b.F)) {
+					return fmt.Errorf("row %d field %d: %v, want %v within %g", i, j, a.F, b.F, tol)
+				}
+				continue
+			}
+			if a.String() != b.String() {
+				return fmt.Errorf("row %d field %d: %s, want %s", i, j, a, b)
+			}
+		}
+	}
+	return nil
+}
+
+// corpusCase is one conformance plan: it must parse and run against the
+// diffDB fixture.
+type corpusCase struct {
 	name   string
 	script string
-}{
+}
+
+// diffCorpus is the conformance corpus, one plan per operator family.
+var diffCorpus = []corpusCase{
 	{"scan", "scan emp"},
 	{"filter", "scan emp | filter dept = 2 AND salary < 1100.0"},
 	{"project-sort", "scan emp | project id, salary * 2 as double | sort double desc, id"},
@@ -166,9 +256,32 @@ var diffCorpus = []struct {
 	{"exchange-agg", "pscan nums 4 | exchange producers=4 packet=16 flow=on slack=3 | agg hash group v compute count | filter v < 10"},
 }
 
+// rewriteCorpus holds the shapes the cost pass rewrites across an
+// exchange and the ones its guards must leave alone
+// (TestCostRewritesAcrossExchange says which is which). It runs with
+// diffCorpus everywhere but the fragment golden, which pins the cuts of
+// the operator families only.
+var rewriteCorpus = []corpusCase{
+	{"exchange-join-agg", "with d = scan dept\npscan staff 4 | filter salary > 1020.0 | exchange producers=4 packet=16 | join hash d on dept = dno | agg group dname compute count, sum(id), min(salary), max(salary) | sort dname"},
+	{"exchange-join-agg-positional", "with d = scan dept\npscan staff 4 | filter salary > 1020.0 | exchange producers=4 packet=16 | join hash d on dept = dno | agg sort group $5 compute count, sum($0), min($2), max($2)"},
+	{"exchange-group-only", "pscan staff 4 | exchange producers=4 packet=16 | agg group dept, $2"},
+	{"exchange-agg-avg", "pscan staff 4 | exchange producers=4 packet=16 | agg group dept compute count, avg(salary)"},
+	{"exchange-leftouter", "with d = scan dept\npscan staff 4 | exchange producers=4 packet=16 | leftouter d on dept = dno"},
+	{"exchange-build-pscan", "with d = pscan dparts 4\npscan staff 4 | exchange producers=4 packet=16 | join hash d on dept = dno"},
+	{"exchange-merge-agg", "pscan staff 4 | sort id | exchange producers=4 merge=id packet=16 | agg group dept compute count, max(id)"},
+	{"exchange-float-sum", "pscan staff 4 | exchange producers=4 packet=16 | agg group dept compute sum(salary), count"},
+}
+
+// diffTolerance is the relative tolerance (see sameRows) of the corpus
+// plans whose float results add up in exchange arrival order.
+var diffTolerance = map[string]float64{
+	"exchange-agg-avg":   1e-9,
+	"exchange-float-sum": 1e-9,
+}
+
 func TestDifferentialCorpus(t *testing.T) {
 	db := newDiffDB(t)
-	for _, tc := range diffCorpus {
+	for _, tc := range append(diffCorpus, rewriteCorpus...) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, err := Parse(tc.script)
 			if err != nil {
@@ -184,24 +297,33 @@ func TestDifferentialCorpus(t *testing.T) {
 				// differential comparison vacuous.
 				t.Fatalf("row mode produced no rows — corpus case is vacuous")
 			}
-			want := renderSorted(rowRows)
-			for _, size := range diffBatchSizes {
-				batchRows, err := RunBatch(db.env, db.cat, n, size)
-				if err != nil {
-					t.Fatalf("batch size %d: %v", size, err)
-				}
-				got := renderSorted(batchRows)
-				if len(got) != len(want) {
-					t.Fatalf("batch size %d: %d rows, row mode gave %d", size, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("batch size %d: row %d differs:\n got %q\nwant %q", size, i, got[i], want[i])
+			// The costed tree — knobs as written, rewrites across the
+			// exchange applied — must answer like the text's own tree.
+			tpl, err := Compile(tc.script)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			costed := tpl.Cost(db.cat, nil).Template.Root()
+			costedRows, err := Run(db.env, db.cat, costed)
+			if err != nil {
+				t.Fatalf("costed row mode: %v", err)
+			}
+			if err := sameRows(costedRows, rowRows, diffTolerance[tc.name]); err != nil {
+				t.Fatalf("costed row mode: %v\nplan:\n%s", err, Explain(costed))
+			}
+			for _, root := range []*Node{n, costed} {
+				for _, size := range diffBatchSizes {
+					got, err := RunBatch(db.env, db.cat, root, size)
+					if err != nil {
+						t.Fatalf("batch size %d: %v\nplan:\n%s", size, err, Explain(root))
+					}
+					if err := sameRows(got, rowRows, diffTolerance[tc.name]); err != nil {
+						t.Fatalf("batch size %d: %v\nplan:\n%s", size, err, Explain(root))
 					}
 				}
 			}
 			if pinned := db.pool.PinnedFrames(); pinned != 0 {
-				t.Fatalf("%d frames still pinned after both modes", pinned)
+				t.Fatalf("%d frames still pinned after both modes, costed and not", pinned)
 			}
 		})
 	}

@@ -51,29 +51,37 @@ func describe(n *Node) string {
 	case KindDistinct:
 		return fmt.Sprintf("distinct [%s]", n.Algo)
 	case KindAggregate:
-		// Parsed plans carry names (GroupTerms, AggTerms) and resolve the
-		// indexes only at build time; plans built in code carry indexes.
-		var group []string
-		for _, t := range n.GroupTerms {
-			group = append(group, t.ref())
-		}
-		if n.GroupTerms == nil {
-			for _, f := range n.GroupBy {
-				group = append(group, fmt.Sprintf("$%d", f))
-			}
-		}
 		aggs := make([]string, len(n.Aggs))
 		for i, a := range n.Aggs {
 			switch {
-			case a.Func == core.AggCount:
-				aggs[i] = "count"
+			case n.Combine, a.Func == core.AggCount:
+				// A combiner's fields are positional over the partials' output.
+				aggs[i] = a.Func.String()
 			case n.AggTerms != nil:
 				aggs[i] = fmt.Sprintf("%s(%s)", a.Func, n.AggTerms[i].ref())
 			default:
 				aggs[i] = fmt.Sprintf("%s($%d)", a.Func, a.Field)
 			}
 		}
-		return fmt.Sprintf("aggregate group=%s %s [%s]", strings.Join(group, ","), strings.Join(aggs, ","), n.Algo)
+		desc := "aggregate combine"
+		if !n.Combine {
+			// Parsed plans carry names (GroupTerms, AggTerms) and resolve the
+			// indexes only at build time; plans built in code carry indexes.
+			var group []string
+			for _, t := range n.GroupTerms {
+				group = append(group, t.ref())
+			}
+			if n.GroupTerms == nil {
+				for _, f := range n.GroupBy {
+					group = append(group, fmt.Sprintf("$%d", f))
+				}
+			}
+			desc = "aggregate group=" + strings.Join(group, ",")
+		}
+		if len(aggs) > 0 {
+			desc += " " + strings.Join(aggs, ",")
+		}
+		return fmt.Sprintf("%s [%s]", desc, n.Algo)
 	case KindMatch:
 		if n.AllFieldKeys {
 			return fmt.Sprintf("%s [%s]", n.MatchOp, n.Algo)

@@ -100,6 +100,12 @@ type Node struct {
 	// Aggregate / Distinct / Match / Division keys.
 	GroupBy record.Key
 	Aggs    []core.AggSpec
+	// Combine marks the upper half of an aggregation the cost pass split
+	// across an exchange: its input is the partial aggregates' output, so
+	// Aggs carries only the combining functions and the build derives
+	// every field (group fields first, one column per aggregate, names
+	// kept) from the input schema.
+	Combine bool
 	Algo    Algo
 	// AlgoSet records that the plan text named the algorithm explicitly
 	// (join hash ..., agg sort ...). The cost pass only overrides
@@ -505,13 +511,17 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		groupBy := n.GroupBy
+		groupBy, aggs := n.GroupBy, n.Aggs
+		if n.Combine {
+			if groupBy, aggs, err = combineSpec(in.Schema(), n.Aggs); err != nil {
+				return nil, err
+			}
+		}
 		if n.GroupTerms != nil {
 			if groupBy, err = resolveKey(in.Schema(), n.GroupTerms); err != nil {
 				return nil, err
 			}
 		}
-		aggs := n.Aggs
 		if n.AggTerms != nil {
 			aggs = append([]core.AggSpec(nil), n.Aggs...)
 			for i, t := range n.AggTerms {
@@ -777,6 +787,22 @@ func meteredFile(ctx *buildCtx, f *file.File) *file.File {
 		return f.WithMeter(m)
 	}
 	return f
+}
+
+// combineSpec derives a combining aggregate's keys from its input, the
+// partial aggregates' output: the first k fields are the group, and
+// field k+i is partial aggregate i, combined by funcs[i] under its own
+// name — so the output is column for column the unsplit aggregate's.
+func combineSpec(in *record.Schema, funcs []core.AggSpec) (record.Key, []core.AggSpec, error) {
+	k := in.NumFields() - len(funcs)
+	if k < 0 {
+		return nil, nil, fmt.Errorf("plan: combining aggregate over %d fields needs at least %d", in.NumFields(), len(funcs))
+	}
+	aggs := make([]core.AggSpec, len(funcs))
+	for i, a := range funcs {
+		aggs[i] = core.AggSpec{Func: a.Func, Field: k + i, Name: in.Field(k + i).Name}
+	}
+	return allFieldsKey(in)[:k], aggs, nil
 }
 
 func allFieldsKey(s *record.Schema) record.Key {

@@ -30,7 +30,7 @@ import (
 //	project [interpreted|compiled] EXPR [as NAME] {, ...}
 //	sort FIELD [asc|desc] {, ...}
 //	distinct [hash|sort]
-//	agg [hash|sort] group FIELDS compute AGG {, AGG}
+//	agg [hash|sort] group FIELDS [compute AGG {, AGG}]
 //	    AGG := count | sum(F) | min(F) | max(F) | avg(F)
 //	join [hash|merge] NAME on L = R {, L = R}
 //	join loops NAME on EXPR
@@ -487,20 +487,31 @@ func parseAgg(rest string, input *Node) (*Node, error) {
 		rest = r
 	}
 	low := strings.ToLower(rest)
-	gi := strings.Index(low, "group ")
-	ci := strings.Index(low, " compute ")
-	// ci must leave room for the group field list: "group compute x" has
-	// the two keywords overlapping and no fields between them.
-	if gi != 0 || ci < len("group ") {
-		return nil, fmt.Errorf("plan: usage: agg [hash|sort] group FIELDS compute AGGS")
+	usage := fmt.Errorf("plan: usage: agg [hash|sort] group FIELDS [compute AGGS]")
+	if !strings.HasPrefix(low, "group ") {
+		return nil, usage
 	}
-	groupTerms, err := parseTerms(rest[len("group "):ci])
+	fields, items := rest[len("group "):], ""
+	// ci must leave room for the group field list: "group compute x" has
+	// the two keywords overlapping and no fields between them. Without a
+	// compute clause the aggregate only groups.
+	switch ci := strings.Index(low, " compute "); {
+	case ci >= len("group ") && strings.TrimSpace(rest[ci+len(" compute "):]) != "":
+		fields, items = rest[len("group "):ci], rest[ci+len(" compute "):]
+	case ci >= 0 || strings.EqualFold(strings.TrimSpace(fields), "compute") || strings.HasSuffix(low, " compute"):
+		return nil, usage
+	}
+	groupTerms, err := parseTerms(fields)
 	if err != nil {
 		return nil, err
 	}
 	var aggs []core.AggSpec
 	var aggTerms []Term
-	for _, item := range strings.Split(rest[ci+len(" compute "):], ",") {
+	var list []string
+	if items != "" {
+		list = strings.Split(items, ",")
+	}
+	for _, item := range list {
 		item = strings.TrimSpace(item)
 		if strings.EqualFold(item, "count") {
 			aggs = append(aggs, core.AggSpec{Func: core.AggCount})

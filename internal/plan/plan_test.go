@@ -336,6 +336,7 @@ func TestPlanParseErrors(t *testing.T) {
 		"scan emp | join hash d on a",            // bad condition (and unknown subplan)
 		"with x scan emp",                        // missing =
 		"scan emp | agg group compute",           // malformed agg
+		"scan emp | agg group a compute",         // compute with no aggregate
 		"scan emp | agg group a compute blah(x)", // unknown aggregate
 		"scan emp | exchange bogus=1",            // unknown exchange option
 		"scan emp | exchange producers=x",        // bad int

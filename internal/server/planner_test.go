@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/plan"
+	"repro/internal/record"
 )
 
 // postQueryAnalyze is postQuery with X-Volcano-Analyze: the trailer
@@ -204,5 +206,59 @@ func TestPlannerReplanConcurrent(t *testing.T) {
 	}
 	if got := e.replanCount(); got != 1 {
 		t.Fatalf("replans = %d, want exactly 1 across the burst", got)
+	}
+}
+
+// TestPlannerParallelRewriteConverges drives the feedback loop over a
+// plan the cost pass rewrites across its exchange: the par workload's
+// shape (pscan | exchange | join hash | agg | sort) over sales, 4 000
+// rows in four partitions that each meet both of its departments. The
+// join moves below the exchange and the aggregate splits; the partial
+// aggregate has no node in the text, so its estimate must derive from
+// the combiner's — observed 2 groups — or every run would find it off
+// by far more than MisEstimateFactor and re-plan again.
+func TestPlannerParallelRewriteConverges(t *testing.T) {
+	s, w, ts, _ := newTestServer(t, nil)
+	vol := w.cat.(plan.VolumeCatalog)[0]
+	salesSchema := record.MustSchema(
+		record.Field{Name: "id", Type: record.TInt},
+		record.Field{Name: "dept", Type: record.TInt},
+		record.Field{Name: "salary", Type: record.TFloat},
+	)
+	const salesRows, salesDepts = 4000, 2
+	for p := 0; p < empParts; p++ {
+		f := mustCreate(t, vol, fmt.Sprintf("sales.%d", p), salesSchema)
+		for i := p; i < salesRows; i += empParts {
+			mustInsert(t, f, salesSchema.MustEncode(
+				record.Int(int64(i)), record.Int(int64(i/empParts%salesDepts)), record.Float(float64(i%100))))
+		}
+	}
+	const query = "with d = scan dept\npscan sales 4 | exchange producers=4 packet=83 flow=on slack=4 | join hash d on dept = dno | agg group budget compute count, sum(id), max(salary) | sort budget"
+	for i := 0; i < 5; i++ {
+		res, err := postQueryAnalyze(ts, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.trailer.Status != "ok" || res.rows != salesDepts {
+			t.Fatalf("run %d: status %q rows %d: %s", i, res.trailer.Status, res.rows, res.body)
+		}
+		// The exchange carries each producer's groups, not the table.
+		want := fmt.Sprintf("records=%d ", empParts*salesDepts)
+		if !strings.Contains(res.trailer.Analyze, "aggregate combine") || !strings.Contains(res.trailer.Analyze, want) {
+			t.Fatalf("run %d: plan not rewritten or exchange not carrying %s:\n%s", i, want, res.trailer.Analyze)
+		}
+	}
+	e, ok := s.cache.get(cacheKey("test-v1", query))
+	if !ok {
+		t.Fatal("query has no cache entry")
+	}
+	if got := e.replanCount(); got > 1 {
+		t.Errorf("replans = %d, want at most 1", got)
+	}
+	if got := scrapeCounter(t, ts, "volcano_planner_replans_total"); got > 1 {
+		t.Errorf("volcano_planner_replans_total = %v, want at most 1", got)
+	}
+	if got := scrapeCounter(t, ts, "volcano_planner_costed_total"); got > 2 {
+		t.Errorf("volcano_planner_costed_total = %v, want at most 2", got)
 	}
 }

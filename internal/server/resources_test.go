@@ -44,23 +44,40 @@ func TestTrailerResources(t *testing.T) {
 		}
 	})
 
-	t.Run("parallel", func(t *testing.T) {
-		res, err := postQuery(ts, "pscan emp 4 | exchange producers=4 | agg group dept compute count")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := res.trailer.Resources
-		if r == nil {
-			t.Fatal("trailer has no resources block")
-		}
-		if r.ExchangePackets <= 0 || r.ExchangeRecords <= 0 {
-			t.Errorf("exchange traffic = %d packets / %d records, want > 0 (producer-side work must attribute)",
-				r.ExchangePackets, r.ExchangeRecords)
-		}
-		if r.ExchangeRecords != empRows {
-			t.Errorf("exchange_records = %d, want %d (every scanned row crosses the port)", r.ExchangeRecords, empRows)
-		}
-	})
+	// Partition p holds the ids i ≡ p (mod empParts), so it meets
+	// empDepts/empParts departments: the groups its partial aggregate sends.
+	partialGroups := int64(empParts * (empDepts / empParts))
+	for _, tc := range []struct {
+		name, plan string
+		records    int64
+		why        string
+	}{
+		{"parallel", "pscan emp 4 | exchange producers=4 | agg group dept compute count, avg(salary)",
+			empRows, "avg blocks the split: every scanned row crosses the port"},
+		{"parallel-split", "pscan emp 4 | exchange producers=4 | agg group dept compute count",
+			partialGroups, "the partial aggregates run below the exchange: only their groups cross"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := postQuery(ts, tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := res.trailer.Resources
+			if r == nil {
+				t.Fatal("trailer has no resources block")
+			}
+			if r.ExchangePackets <= 0 || r.ExchangeRecords <= 0 {
+				t.Errorf("exchange traffic = %d packets / %d records, want > 0 (producer-side work must attribute)",
+					r.ExchangePackets, r.ExchangeRecords)
+			}
+			if r.ExchangeRecords != tc.records {
+				t.Errorf("exchange_records = %d, want %d (%s)", r.ExchangeRecords, tc.records, tc.why)
+			}
+			if res.rows != empDepts {
+				t.Errorf("rows = %d, want %d", res.rows, empDepts)
+			}
+		})
+	}
 }
 
 // TestResourceReconciliation is the attribution soundness check: many

@@ -68,7 +68,8 @@ type Config struct {
 	PlanCacheSize int
 	// DisableCosting turns the cost-based planning pass off: queries
 	// execute the compiled template exactly as written, with no knob
-	// filling, no choose-plan insertion, and no cardinality feedback.
+	// filling, no choose-plan insertion, no work moved across an
+	// exchange, and no cardinality feedback.
 	// Costing is on by default; plans that spell out their knobs are
 	// left alone either way.
 	DisableCosting bool
@@ -278,7 +279,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tpl := entry.tpl
 	var costed *plan.CostedPlan
 	if !s.cfg.DisableCosting {
-		costed = entry.costedFor(s.cfg.Catalog, s.m)
+		costed = entry.costedFor(s.cfg.Catalog, s.cfg.Dist != nil, s.m)
 		tpl = costed.Template
 	}
 	planDur := time.Since(start)
