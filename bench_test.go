@@ -71,34 +71,17 @@ func BenchmarkT1_PipelineNoFlowControl(b *testing.B) {
 	}
 }
 
-// BenchmarkExchangeE2EPlan is the end-to-end plan benchmark of the
-// committed BENCH_5.json baseline: the full Figure-2 topology (3→3→3→1,
+// BenchmarkExchangeE2EPlanBatch is the end-to-end plan benchmark of the
+// committed BENCH_6.json baseline: the full Figure-2 topology (3→3→3→1,
 // three exchange boundaries, flow control, the standard 83-record
-// packets) from record creation to the sink. allocs/op here watches the
-// whole plan, so a per-record allocation regression anywhere in the
-// exchange path moves it by tens of thousands.
-func BenchmarkExchangeE2EPlan(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig2aPoint(benchRecords, 83)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportPass(b, res)
-	}
-}
-
-// BenchmarkExchangeE2EPlanBatch is BenchmarkExchangeE2EPlan under the
-// batch-at-a-time protocol: the same 3→3→3→1 topology and 83-record
-// packets, with generators, exchange producers and the sink all moving
-// batches of 83 records. The gap to the row benchmark is the measured
-// worth of the batch protocol — amortised iterator calls, scratch-buffer
-// encoding and wholesale packet lending; the committed BENCH_6.json
-// baseline pins it against regression.
+// packets) from record creation to the sink, with generators, exchange
+// producers and the sink all moving batches of 83 records. allocs/op
+// here watches the whole plan, so a per-record allocation regression
+// anywhere in the exchange path moves it by tens of thousands.
 func BenchmarkExchangeE2EPlanBatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig2aPointBatch(benchRecords, 83, 83)
+		res, err := bench.RunFig2aPoint(benchRecords, 83, 83)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,13 +90,13 @@ func BenchmarkExchangeE2EPlanBatch(b *testing.B) {
 }
 
 // BenchmarkFig2a sweeps the packet size on the 3→3→3→1 topology with
-// three slack packets, reproducing Figure 2a (and, on a log-log scale,
-// Figure 2b).
+// three slack packets, record-at-a-time, reproducing Figure 2a (and, on
+// a log-log scale, Figure 2b).
 func BenchmarkFig2a(b *testing.B) {
 	for _, ps := range bench.Fig2aPacketSizes {
 		b.Run(fmt.Sprintf("packet=%d", ps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunFig2aPoint(benchRecords, ps)
+				res, err := bench.RunFig2aPoint(benchRecords, ps, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

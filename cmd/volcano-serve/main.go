@@ -71,7 +71,7 @@ type options struct {
 	drainTimeout  time.Duration
 	// batch is the batch size every query executes under (0 picks
 	// core.DefaultBatchSize); requests override it per query with
-	// X-Volcano-Batch, where 0 forces record-at-a-time.
+	// X-Volcano-Batch.
 	batch int
 	// noCost turns the cost-based planning pass off: queries run their
 	// plan text verbatim, with no planner-chosen knobs and no
@@ -126,7 +126,7 @@ func main() {
 	flag.DurationVar(&o.queueWait, "queue-wait", 10*time.Second, "longest a query waits for admission before a 503")
 	flag.DurationVar(&o.maxQueryTime, "max-query-time", 0, "per-query execution deadline (0 = unbounded)")
 	flag.IntVar(&o.planCache, "plan-cache", 128, "compiled-plan LRU capacity (negative disables)")
-	flag.IntVar(&o.batch, "batch", core.DefaultBatchSize, "batch size for query execution, overridable per request with X-Volcano-Batch (X-Volcano-Batch: 0 = record-at-a-time)")
+	flag.IntVar(&o.batch, "batch", core.DefaultBatchSize, fmt.Sprintf("batch size for query execution, 1..%d (1 = record-at-a-time), overridable per request with X-Volcano-Batch", core.MaxBatchSize))
 	cost := flag.Bool("cost", true, "cost-based planning: fill unset exchange parallelism, packet sizes and match strategy from table statistics, with cardinality feedback on repeats")
 	flag.DurationVar(&o.slowQuery, "slow-query", time.Second, "slow-query log threshold; errored/canceled queries are always logged (0 = only those, negative = no log)")
 	flag.StringVar(&o.queryLog, "query-log", "", "append slow-query entries to this file as JSON lines (empty = in-memory ring only)")
@@ -140,8 +140,8 @@ func main() {
 	flag.DurationVar(&o.writeStall, "write-stall-timeout", 2*time.Minute, "longest one result flush may block on a non-reading client")
 	flag.Parse()
 	o.noCost = !*cost
-	if o.batch < 1 {
-		fmt.Fprintf(os.Stderr, "volcano-serve: -batch %d: want a batch size of at least 1; to run one request record-at-a-time, send it with X-Volcano-Batch: 0\n", o.batch)
+	if err := core.CheckBatchSize(o.batch); err != nil {
+		fmt.Fprintln(os.Stderr, "volcano-serve: -batch:", err)
 		os.Exit(2)
 	}
 

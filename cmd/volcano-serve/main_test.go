@@ -308,8 +308,8 @@ func TestServeSlowHeaderClientIsDisconnected(t *testing.T) {
 }
 
 // TestServeRefusesBatchBelowOne runs main in a child process with -batch 0:
-// it must exit non-zero before serving, naming the per-request way to run
-// record-at-a-time.
+// it must exit non-zero before serving, naming 1 as the record-at-a-time
+// size.
 func TestServeRefusesBatchBelowOne(t *testing.T) {
 	if os.Getenv("VOLCANO_SERVE_MAIN") == "1" {
 		os.Args = []string{"volcano-serve", "-db", "unused.vdb", "-addr", "127.0.0.1:0", "-batch", "0"}
@@ -323,8 +323,8 @@ func TestServeRefusesBatchBelowOne(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
 		t.Fatalf("volcano-serve -batch 0: err %v, want a non-zero exit\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "X-Volcano-Batch: 0") {
-		t.Fatalf("refusal does not name X-Volcano-Batch: 0:\n%s", out)
+	if !strings.Contains(string(out), "1 is record-at-a-time") {
+		t.Fatalf("refusal does not name the record-at-a-time size:\n%s", out)
 	}
 }
 

@@ -75,9 +75,9 @@ type options struct {
 	// sizes, hash-vs-merge strategy via choose-plan).
 	cost    bool
 	maxRows int
-	// batch, when positive, builds and drives the plan under the
-	// batch-at-a-time protocol: operators consume their inputs in batches
-	// of this size and the result printer drains the root via NextBatch.
+	// batch is the batch size the plan is built and drained at:
+	// operators pull their inputs in batches of this size and the result
+	// printer drains the root via NextBatch (0 = core.DefaultBatchSize).
 	batch     int
 	db        string
 	dbPages   int
@@ -107,7 +107,7 @@ func main() {
 	flag.BoolVar(&o.analyze, "analyze", false, "after running, print the plan with per-operator statistics")
 	flag.BoolVar(&o.cost, "cost", false, "cost the plan first: pick unset exchange parallelism, packet sizes and match strategy from table statistics")
 	flag.IntVar(&o.maxRows, "maxrows", 0, "print at most this many rows (0 = all)")
-	flag.IntVar(&o.batch, "batch", 0, "run under the batch-at-a-time protocol with this batch size (0 = record-at-a-time)")
+	flag.IntVar(&o.batch, "batch", core.DefaultBatchSize, fmt.Sprintf("batch size for query execution, 1..%d (1 = record-at-a-time)", core.MaxBatchSize))
 	flag.StringVar(&o.db, "db", "", "durable database file: created if absent, loaded tables persist")
 	flag.IntVar(&o.dbPages, "dbpages", 1<<18, "capacity in pages when creating a new -db file")
 	flag.StringVar(&o.tracePath, "trace", "", "record the run and write Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing)")
@@ -123,6 +123,10 @@ func main() {
 	}
 	flag.Parse()
 	o.schemas, o.loads, o.partitions = schemas, loads, partitions
+	if err := core.CheckBatchSize(o.batch); err != nil {
+		fmt.Fprintln(os.Stderr, "volcano: -batch:", err)
+		os.Exit(2)
+	}
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "volcano:", err)
@@ -300,8 +304,8 @@ func run(o options) error {
 
 	// BuildWith composes all the facilities: -metrics implies the observed
 	// build even without -analyze (the operator-latency histograms live in
-	// the registry's children), and -batch switches every batch-capable
-	// operator and exchange boundary to the batch protocol.
+	// the registry's children), and -batch sets the batch size every
+	// operator and exchange boundary pulls with.
 	it, analysis, err := plan.BuildWith(env, cat, node, plan.BuildOptions{
 		Analyze:   o.analyze,
 		Tracer:    tracer,
@@ -484,48 +488,12 @@ func printResult(it core.Iterator, maxRows, batch int) error {
 		header = append(header, sch.Field(i).Name)
 	}
 	fmt.Println(strings.Join(header, "\t"))
-	if batch > 0 {
-		return printBatches(it, sch, maxRows, batch)
-	}
-	n := 0
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			_ = it.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
-		if maxRows == 0 || n < maxRows {
-			vals, err := sch.Decode(r.Data)
-			if err != nil {
-				r.Unfix()
-				_ = it.Close()
-				return err
-			}
-			cells := make([]string, len(vals))
-			for i, v := range vals {
-				cells[i] = v.String()
-			}
-			fmt.Println(strings.Join(cells, "\t"))
-		}
-		r.Unfix()
-		n++
-	}
-	fmt.Fprintf(os.Stderr, "(%d rows)\n", n)
-	return it.Close()
-}
-
-// printBatches drains the root through the batch protocol: one NextBatch
-// refill per batch, printing each record and releasing the whole batch's
-// pins in one coalesced pass.
-func printBatches(it core.Iterator, sch *record.Schema, maxRows, batch int) error {
-	src := core.AsBatch(it)
+	// One NextBatch refill per batch: each record is printed and the whole
+	// batch's pins are released in one coalesced pass.
 	b := core.NewBatch(batch)
 	n := 0
 	for {
-		if err := src.NextBatch(b); err != nil {
+		if err := it.NextBatch(b); err != nil {
 			_ = it.Close()
 			return err
 		}

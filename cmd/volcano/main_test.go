@@ -80,7 +80,7 @@ func TestRunAnalyze(t *testing.T) {
 			loads:   []string{"emp=" + csv},
 		})
 	})
-	// Per-operator lines carry row counts, Next calls, and wall times.
+	// Per-operator lines carry row counts, NextBatch calls, and wall times.
 	for _, want := range []string{"scan emp", "rows=4", "calls=", "next=", "buffer: fixes=", "pins balanced"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analyze output missing %q:\n%s", want, out)

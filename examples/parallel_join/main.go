@@ -69,7 +69,7 @@ func main() {
 		j, err := core.NewHashMatch(env, core.MatchJoin, os, cs, record.Key{1}, record.Key{0})
 		must(err)
 		start := time.Now()
-		n, err := core.Drain(j)
+		n, err := core.Drain(j, 0)
 		must(err)
 		return n, time.Since(start)
 	}
@@ -108,7 +108,7 @@ func main() {
 		})
 		must(err)
 		start := time.Now()
-		n, err := core.Drain(gather.Consumer(0))
+		n, err := core.Drain(gather.Consumer(0), 0)
 		must(err)
 		return n, time.Since(start)
 	}

@@ -51,7 +51,7 @@ func TestRunPassAnalyzeBreakdown(t *testing.T) {
 }
 
 func TestSmokeFig2Point(t *testing.T) {
-	p, err := RunFig2aPoint(20000, 5)
+	p, err := RunFig2aPoint(20000, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ type Gen struct {
 	w *core.ResultWriter
 	i int
 	// vals is the reusable value buffer; arena, offs, datas and recs are
-	// the batch path's scratch: a whole batch is encoded into the arena
+	// the refill's scratch: a whole batch is encoded into the arena
 	// (AppendEncode reuses its backing array), then materialised through
 	// one WriteBytesBatch call, so steady-state generation performs no
 	// per-record allocation and no per-record page fix.
@@ -83,11 +83,7 @@ type Gen struct {
 	offs  []int
 	datas [][]byte
 	recs  []core.Rec
-	batch int
 }
-
-// EnableBatch implements core.BatchConfigurable.
-func (g *Gen) EnableBatch(size int) { g.batch = size }
 
 // NewGen creates a generator of n records with keys start..start+n-1.
 func NewGen(env *core.Env, n int, start int64) *Gen {
@@ -112,29 +108,7 @@ func (g *Gen) Open() error {
 	return nil
 }
 
-// Next implements core.Iterator: creates the next record in the buffer.
-func (g *Gen) Next() (core.Rec, bool, error) {
-	if g.w == nil {
-		return core.Rec{}, false, fmt.Errorf("bench: gen next before open")
-	}
-	if g.i >= g.n {
-		return core.Rec{}, false, nil
-	}
-	k := g.start + int64(g.i)
-	g.i++
-	g.vals[0] = record.Int(k)
-	g.vals[1] = record.Int(k * 2)
-	g.vals[2] = record.Int(k ^ 0x5555)
-	g.vals[3] = record.Int(-k)
-	r, err := g.w.Write(g.vals)
-	if err != nil {
-		return core.Rec{}, false, err
-	}
-	return r, true, nil
-}
-
-// NextBatch implements core.BatchIterator natively: a whole batch of
-// records is encoded into one reusable arena (Schema.AppendEncode), then
+// NextBatch implements core.Iterator: a whole batch of records is encoded into one reusable arena (Schema.AppendEncode), then
 // materialised through a single WriteBytesBatch call — one page fix per
 // page instead of one per record, and no per-record allocation in the
 // steady state.

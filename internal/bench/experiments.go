@@ -76,7 +76,7 @@ type Fig2Result struct {
 func RunFig2(records int) (*Fig2Result, error) {
 	res := &Fig2Result{Records: records}
 	for _, ps := range Fig2aPacketSizes {
-		p, err := RunFig2aPoint(records, ps)
+		p, err := RunFig2aPoint(records, ps, 1)
 		if err != nil {
 			return nil, fmt.Errorf("fig2a packet=%d: %w", ps, err)
 		}

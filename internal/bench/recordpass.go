@@ -29,11 +29,9 @@ type PassConfig struct {
 	// Groups is the producer-group size at each boundary for the
 	// Figure-2 topology; len(Groups) == Stages. nil = all size 1.
 	Groups []int
-	// BatchSize, when positive, runs the whole pass under the
-	// batch-at-a-time protocol: generators encode through a reusable
-	// scratch and emit batches, every exchange boundary pulls and routes
-	// its producers' records in batches, and the sink drains the root
-	// through NextBatch. Zero keeps record-at-a-time operation.
+	// BatchSize is the number of records every pull of the pass moves:
+	// generator refills, exchange producer pulls and the sink's drain.
+	// Zero is 1 — the paper's program passes records one at a time.
 	BatchSize int
 	// Analyze instruments the run: the sink is wrapped in a
 	// core.Instrumented and every exchange hub's port counters are
@@ -73,6 +71,9 @@ type PassResult struct {
 func RunPass(cfg PassConfig) (PassResult, error) {
 	if cfg.Records <= 0 {
 		return PassResult{}, fmt.Errorf("bench: no records to pass")
+	}
+	if cfg.BatchSize < 1 {
+		cfg.BatchSize = 1
 	}
 	// Size the pool to the workload: the pass keeps roughly one page per
 	// hundred records live (generator temp files plus in-flight packets),
@@ -116,12 +117,7 @@ func RunPass(cfg PassConfig) (PassResult, error) {
 	poolBase := w.Pool.Stats()
 
 	start := time.Now()
-	var n int
-	if cfg.BatchSize > 0 {
-		n, err = core.DrainBatch(root, cfg.BatchSize)
-	} else {
-		n, err = core.Drain(root)
-	}
+	n, err := core.Drain(root, cfg.BatchSize)
 	elapsed := time.Since(start)
 	if err != nil {
 		return PassResult{}, err
@@ -204,11 +200,7 @@ func buildPassTree(w *World, cfg PassConfig, hubs *[]*core.Exchange) (core.Itera
 				if g < extra {
 					n++
 				}
-				gen := NewGen(w.Env, n, int64(g)*1_000_000)
-				if cfg.BatchSize > 0 {
-					gen.EnableBatch(cfg.BatchSize)
-				}
-				return gen, nil
+				return NewGen(w.Env, n, int64(g)*1_000_000), nil
 			}
 		}
 		lower := makeLevel(stage - 1)
@@ -275,25 +267,9 @@ var Fig2aPaperSeconds = map[int]float64{
 
 // RunFig2aPoint runs one Figure-2a sweep point: 100,000 records from a
 // producer group of three through two intermediate groups of three to a
-// single consumer, flow control with three slack packets.
-func RunFig2aPoint(records, packetSize int) (PassResult, error) {
-	return RunPass(PassConfig{
-		Records:     records,
-		Stages:      3,
-		Groups:      []int{3, 3, 3},
-		FlowControl: true,
-		Slack:       3,
-		PacketSize:  packetSize,
-	})
-}
-
-// RunFig2aPointBatch is RunFig2aPoint under the batch-at-a-time protocol:
-// the same topology and packet size, with generators, exchange producers
-// and the sink all moving batches of the given size.
-func RunFig2aPointBatch(records, packetSize, batchSize int) (PassResult, error) {
-	if batchSize <= 0 {
-		batchSize = core.DefaultBatchSize
-	}
+// single consumer, flow control with three slack packets, every pull
+// moving batchSize records (1 is the paper's record-at-a-time).
+func RunFig2aPoint(records, packetSize, batchSize int) (PassResult, error) {
 	return RunPass(PassConfig{
 		Records:     records,
 		Stages:      3,

@@ -167,7 +167,6 @@ type HashAggregate struct {
 	vals       []record.Value // scratch: the output row being written
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch      int
 }
 
 type group struct {
@@ -249,9 +248,9 @@ func (h *HashAggregate) openImpl() error {
 		return err
 	}
 	in := h.input.Schema()
-	src := inputSource(h.input, h.batch)
+	src := NewCursor(h.input, h.env.BatchSize())
 	for {
-		r, ok, err := src.next()
+		r, ok, err := src.Pull()
 		if err != nil {
 			_ = h.input.Close()
 			_ = h.w.Dispose()
@@ -264,7 +263,7 @@ func (h *HashAggregate) openImpl() error {
 		err = h.absorb(in, r.Data)
 		r.Unfix()
 		if err != nil {
-			src.release()
+			src.Release()
 			_ = h.input.Close()
 			_ = h.w.Dispose()
 			h.w = nil
@@ -295,10 +294,6 @@ func (h *HashAggregate) absorb(in *record.Schema, data []byte) error {
 	return g.accumulate(in, data, h.aggs)
 }
 
-// EnableBatch implements BatchConfigurable: Open consumes the input
-// through batch refills of the given size.
-func (h *HashAggregate) EnableBatch(size int) { h.batch = size }
-
 // emitGroup materialises the next group's output record.
 func (h *HashAggregate) emitGroup() (Rec, error) {
 	g := h.order[h.emit]
@@ -307,20 +302,8 @@ func (h *HashAggregate) emitGroup() (Rec, error) {
 	return h.w.Write(h.vals)
 }
 
-// Next implements Iterator: emits one group per call, in first-seen order.
-func (h *HashAggregate) Next() (Rec, bool, error) {
-	if !h.open {
-		return Rec{}, false, errState("hashaggregate", "next before open")
-	}
-	if h.emit >= len(h.order) {
-		return Rec{}, false, nil
-	}
-	r, err := h.emitGroup()
-	return r, err == nil, err
-}
-
-// NextBatch implements BatchIterator natively: one call emits a whole
-// run of groups in first-seen order.
+// NextBatch implements Iterator: one call emits a whole run of groups in
+// first-seen order.
 func (h *HashAggregate) NextBatch(b *Batch) error {
 	if !h.open {
 		return errState("hashaggregate", "next before open")
@@ -374,9 +357,8 @@ type SortAggregate struct {
 	vals       []record.Value // scratch: the output row being written
 	done       bool
 	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
-	batch      int
-	src        recSource
+	openFailed bool    // Open ran and failed: next Close is a no-op
+	src        *Cursor // the sorted input
 }
 
 // NewSortAggregate constructs the operator over a sorted input.
@@ -416,49 +398,18 @@ func (s *SortAggregate) openImpl() error {
 	s.w = w
 	s.cur = nil
 	s.done = false
-	s.src = inputSource(s.input, s.batch)
+	s.src = NewCursor(s.input, s.env.BatchSize())
 	s.open = true
 	return nil
 }
 
-// EnableBatch implements BatchConfigurable. The size also propagates to
-// a batch-capable input — NewSortDistinct and the sort-based aggregation
-// plans wrap the visible input in a hidden Sort that would otherwise
-// stay row-at-a-time.
-func (s *SortAggregate) EnableBatch(size int) {
-	s.batch = size
-	if bc, ok := s.input.(BatchConfigurable); ok {
-		bc.EnableBatch(size)
-	}
-}
-
-// Next implements Iterator.
-func (s *SortAggregate) Next() (Rec, bool, error) {
-	if !s.open {
-		return Rec{}, false, errState("sortaggregate", "next before open")
-	}
-	return s.nextGroup()
-}
-
-// NextBatch implements BatchIterator natively: one call emits a whole
-// run of finished groups.
+// NextBatch implements Iterator: one call emits a whole run of finished
+// groups.
 func (s *SortAggregate) NextBatch(b *Batch) error {
 	if !s.open {
 		return errState("sortaggregate", "next before open")
 	}
-	b.Reset()
-	for !b.Full() {
-		r, ok, err := s.nextGroup()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			break
-		}
-		b.Append(r)
-	}
-	return nil
+	return fill(b, s.nextGroup)
 }
 
 // nextGroup emits the next finished group, consuming input until a key
@@ -469,7 +420,7 @@ func (s *SortAggregate) nextGroup() (Rec, bool, error) {
 	}
 	in := s.input.Schema()
 	for {
-		r, ok, err := s.src.next()
+		r, ok, err := s.src.Pull()
 		if err != nil {
 			return Rec{}, false, err
 		}
@@ -522,10 +473,7 @@ func (s *SortAggregate) Close() error {
 		return errState("sortaggregate", "close before open")
 	}
 	s.open = false
-	if s.src != nil {
-		s.src.release()
-		s.src = nil
-	}
+	s.src.Release()
 	err := s.input.Close()
 	if derr := s.w.Dispose(); err == nil {
 		err = derr

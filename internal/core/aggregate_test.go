@@ -27,7 +27,7 @@ func runAgg(t *testing.T, algo string, env *testEnv, in Iterator, groupBy record
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(it)
+	rows, err := Collect(it, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDistinctBothAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Collect(d)
+		rows, err := Collect(d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestDivisionBothAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Collect(it)
+		rows, err := Collect(it, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestDivisionEmptyDivisor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Collect(it)
+		rows, err := Collect(it, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestDivisionPartialMode(t *testing.T) {
 	if err := d.SetPartial(true); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(d)
+	rows, err := Collect(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,22 +21,21 @@ func (l *loopScan) Schema() *record.Schema { return l.cur.Schema() }
 
 func (l *loopScan) Open() error { return l.cur.Open() }
 
-func (l *loopScan) Next() (Rec, bool, error) {
+func (l *loopScan) NextBatch(b *Batch) error {
 	for {
-		r, ok, err := l.cur.Next()
-		if err != nil || ok {
-			return r, ok, err
+		if err := l.cur.NextBatch(b); err != nil || b.Len() > 0 {
+			return err
 		}
 		if err := l.cur.Close(); err != nil {
-			return Rec{}, false, err
+			return err
 		}
 		next, err := l.newScan()
 		if err != nil {
-			return Rec{}, false, err
+			return err
 		}
 		l.cur = next
 		if err := l.cur.Open(); err != nil {
-			return Rec{}, false, err
+			return err
 		}
 	}
 }
@@ -77,13 +76,15 @@ func TestExchangeDoneCancelsEndlessProducers(t *testing.T) {
 	if err := c.Open(); err != nil {
 		t.Fatal(err)
 	}
+	cur := NewCursor(c, 1)
 	for i := 0; i < 10; i++ {
-		r, ok, err := c.Next()
+		r, ok, err := cur.Pull()
 		if err != nil || !ok {
 			t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
 		}
 		r.Unfix()
 	}
+	cur.Release()
 	close(done)
 
 	// Close must complete even though no producer will ever see EOS on its
@@ -129,7 +130,7 @@ func TestExchangeDoneNilIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := Drain(x.Consumer(0))
+	count, err := Drain(x.Consumer(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

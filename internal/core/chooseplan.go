@@ -21,11 +21,9 @@ type ChoosePlan struct {
 	decide       func() (int, error)
 	schema       *record.Schema
 	chosen       Iterator
-	chosenBatch  BatchIterator // batch face of chosen, set at Open
-	choice       int           // index of chosen, valid while chosen != nil
-	batch        int           // EnableBatch size propagated to alternatives
-	openFailed   bool          // Open ran and failed: next Close is a no-op
-	onChoose     func(int)     // observability hook, may be nil
+	choice       int       // index of chosen, valid while chosen != nil
+	openFailed   bool      // Open ran and failed: next Close is a no-op
+	onChoose     func(int) // observability hook, may be nil
 }
 
 // NewChoosePlan builds the operator. All alternatives must produce the
@@ -88,7 +86,6 @@ func (c *ChoosePlan) Open() error {
 		return err
 	}
 	c.chosen = c.alternatives[i]
-	c.chosenBatch = AsBatch(c.chosen)
 	c.choice = i
 	if c.onChoose != nil {
 		c.onChoose(i)
@@ -96,35 +93,13 @@ func (c *ChoosePlan) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (c *ChoosePlan) Next() (Rec, bool, error) {
-	if c.chosen == nil {
-		return Rec{}, false, errState("chooseplan", "next before open")
-	}
-	return c.chosen.Next()
-}
-
-// NextBatch implements BatchIterator by passing batches straight through
-// from the chosen alternative (via AsBatch, so row-only alternatives
-// stay valid), preserving the batch protocol end to end instead of
-// degrading the subtree above the choice to the row-at-a-time shim.
+// NextBatch implements Iterator by passing batches straight through from
+// the chosen alternative.
 func (c *ChoosePlan) NextBatch(b *Batch) error {
-	if c.chosenBatch == nil {
+	if c.chosen == nil {
 		return errState("chooseplan", "next before open")
 	}
-	return c.chosenBatch.NextBatch(b)
-}
-
-// EnableBatch implements BatchConfigurable: the batch size propagates to
-// every alternative (the decision has not run yet at configure time, so
-// all of them must be ready to serve batches).
-func (c *ChoosePlan) EnableBatch(size int) {
-	c.batch = size
-	for _, alt := range c.alternatives {
-		if bc, ok := alt.(BatchConfigurable); ok {
-			bc.EnableBatch(size)
-		}
-	}
+	return c.chosen.NextBatch(b)
 }
 
 // Close implements Iterator. A Close directly after a failed Open is a
@@ -141,6 +116,5 @@ func (c *ChoosePlan) Close() error {
 	}
 	err := c.chosen.Close()
 	c.chosen = nil
-	c.chosenBatch = nil
 	return err
 }

@@ -124,8 +124,9 @@ func (d *HashDivision) openImpl() error {
 		return err
 	}
 	ds := d.divisor.Schema()
+	src := NewCursor(d.divisor, d.env.BatchSize())
 	for {
-		r, ok, err := d.divisor.Next()
+		r, ok, err := src.Pull()
 		if err != nil {
 			_ = d.divisor.Close()
 			d.abort()
@@ -153,8 +154,9 @@ func (d *HashDivision) openImpl() error {
 		return err
 	}
 	in := d.dividend.Schema()
+	src = NewCursor(d.dividend, d.env.BatchSize())
 	for {
-		r, ok, err := d.dividend.Next()
+		r, ok, err := src.Pull()
 		if err != nil {
 			_ = d.dividend.Close()
 			d.abort()
@@ -189,12 +191,16 @@ func (d *HashDivision) openImpl() error {
 	return nil
 }
 
-// Next implements Iterator: emits qualifying quotients (or, in Partial
-// mode, every candidate with its match count).
-func (d *HashDivision) Next() (Rec, bool, error) {
+// NextBatch implements Iterator: emits qualifying quotients (or, in
+// Partial mode, every candidate with its match count).
+func (d *HashDivision) NextBatch(b *Batch) error {
 	if !d.open {
-		return Rec{}, false, errState("hashdivision", "next before open")
+		return errState("hashdivision", "next before open")
 	}
+	return fill(b, d.next)
+}
+
+func (d *HashDivision) next() (Rec, bool, error) {
 	for d.emit < len(d.order) {
 		q := d.table[d.order[d.emit]]
 		d.emit++
@@ -253,6 +259,7 @@ type SortDivision struct {
 	schema     *record.Schema
 
 	w          *ResultWriter
+	src        *Cursor // the sorted dividend
 	divisor2   map[string]struct{}
 	cur        []record.Value
 	curKey     string // AppendKey rendering of cur
@@ -319,8 +326,9 @@ func (d *SortDivision) openImpl() error {
 		return err
 	}
 	ds := d.divisor.Schema()
+	src := NewCursor(d.divisor, d.env.BatchSize())
 	for {
-		r, ok, err := d.divisor.Next()
+		r, ok, err := src.Pull()
 		if err != nil {
 			_ = d.divisor.Close()
 			_ = d.w.Dispose()
@@ -343,6 +351,7 @@ func (d *SortDivision) openImpl() error {
 		d.w = nil
 		return err
 	}
+	d.src = NewCursor(d.dividend, d.env.BatchSize())
 	d.cur = nil
 	d.curSeen = nil
 	d.done = false
@@ -350,17 +359,23 @@ func (d *SortDivision) openImpl() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (d *SortDivision) Next() (Rec, bool, error) {
+// NextBatch implements Iterator.
+func (d *SortDivision) NextBatch(b *Batch) error {
 	if !d.open {
-		return Rec{}, false, errState("sortdivision", "next before open")
+		return errState("sortdivision", "next before open")
 	}
+	return fill(b, d.nextGroup)
+}
+
+// nextGroup consumes the sorted dividend up to the next finished quotient
+// group that matched every divisor tuple.
+func (d *SortDivision) nextGroup() (Rec, bool, error) {
 	if d.done {
 		return Rec{}, false, nil
 	}
 	in := d.dividend.Schema()
 	for {
-		r, ok, err := d.dividend.Next()
+		r, ok, err := d.src.Pull()
 		if err != nil {
 			return Rec{}, false, err
 		}
@@ -406,6 +421,7 @@ func (d *SortDivision) Close() error {
 		return errState("sortdivision", "close before open")
 	}
 	d.open = false
+	d.src.Release()
 	err := d.dividend.Close()
 	if derr := d.w.Dispose(); err == nil {
 		err = derr

@@ -19,12 +19,12 @@ type countedSource struct {
 
 func (s *countedSource) Schema() *record.Schema { return intSchema }
 func (s *countedSource) Open() error            { s.left = s.n; return nil }
-func (s *countedSource) Next() (Rec, bool, error) {
-	if s.left == 0 {
-		return Rec{}, false, nil
+func (s *countedSource) NextBatch(b *Batch) error {
+	b.Reset()
+	for ; !b.Full() && s.left > 0; s.left-- {
+		b.Append(s.rec)
 	}
-	s.left--
-	return s.rec, true, nil
+	return nil
 }
 func (s *countedSource) Close() error { return nil }
 
@@ -58,7 +58,7 @@ func BenchmarkExchangeThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				n, err := Drain(x.Consumer(0))
+				n, err := Drain(x.Consumer(0), 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,7 +98,7 @@ func BenchmarkNetExchangeThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n, err := Drain(x.Consumer(0))
+		n, err := Drain(x.Consumer(0), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

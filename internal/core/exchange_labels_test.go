@@ -10,13 +10,13 @@ import (
 	"repro/internal/record"
 )
 
-// gateScan blocks in Next until its gate closes, then reports end of
+// gateScan blocks in NextBatch until its gate closes, then reports end of
 // stream: it parks exchange producer goroutines somewhere a goroutine
 // profile can observe them.
 type gateScan struct{ gate chan struct{} }
 
 func (g *gateScan) Open() error              { return nil }
-func (g *gateScan) Next() (Rec, bool, error) { <-g.gate; return Rec{}, false, nil }
+func (g *gateScan) NextBatch(b *Batch) error { <-g.gate; b.Reset(); return nil }
 func (g *gateScan) Close() error             { return nil }
 func (g *gateScan) Schema() *record.Schema   { return intSchema }
 
@@ -63,14 +63,8 @@ func TestExchangeProducerPprofLabels(t *testing.T) {
 	}
 
 	close(gate)
-	for {
-		_, ok, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := c.NextBatch(NewBatch(1)); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

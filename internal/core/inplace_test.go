@@ -70,13 +70,15 @@ func TestProjectZeroAlloc(t *testing.T) {
 	if err := p.Open(); err != nil {
 		t.Fatal(err)
 	}
+	cur := NewCursor(p, 1)
 	n := testing.AllocsPerRun(rows-100, func() {
-		out, ok, err := p.Next()
+		out, ok, err := cur.Pull()
 		if err != nil || !ok {
 			t.Fatalf("next: ok=%v err=%v", ok, err)
 		}
 		out.Unfix()
 	})
+	cur.Release()
 	if n != 0 {
 		t.Fatalf("project allocates %.0f times per record, want 0", n)
 	}

@@ -21,6 +21,7 @@ type NestedLoops struct {
 
 	comb       combiner
 	inner      *file.File
+	lsrc       *Cursor
 	lrec       Rec
 	lok        bool
 	scan       *file.Scan
@@ -74,61 +75,60 @@ func (n *NestedLoops) openImpl() error {
 		_ = w.Dispose()
 		return err
 	}
-	if err := n.right.Open(); err != nil {
+	fail := func(err error) error {
 		_ = w.Dispose()
 		_ = n.env.DropTemp(inner)
 		return err
 	}
+	if err := n.right.Open(); err != nil {
+		return fail(err)
+	}
+	src := NewCursor(n.right, n.env.BatchSize())
 	for {
-		r, ok, err := n.right.Next()
+		r, ok, err := src.Pull()
+		if err == nil && ok {
+			_, err = inner.Insert(r.Data)
+			r.Unfix()
+		}
 		if err != nil {
+			src.Release()
 			_ = n.right.Close()
-			_ = w.Dispose()
-			_ = n.env.DropTemp(inner)
-			return err
+			return fail(err)
 		}
 		if !ok {
 			break
 		}
-		_, err = inner.Insert(r.Data)
-		r.Unfix()
-		if err != nil {
-			_ = n.right.Close()
-			_ = w.Dispose()
-			_ = n.env.DropTemp(inner)
-			return err
-		}
 	}
 	if err := n.right.Close(); err != nil {
-		_ = w.Dispose()
-		_ = n.env.DropTemp(inner)
-		return err
+		return fail(err)
 	}
 	if err := n.left.Open(); err != nil {
-		_ = w.Dispose()
-		_ = n.env.DropTemp(inner)
-		return err
+		return fail(err)
 	}
 	n.comb.w, n.inner = w, inner
+	n.lsrc = NewCursor(n.left, n.env.BatchSize())
 	n.lok = false
 	n.open = true
 	return nil
 }
 
-// Next implements Iterator.
-func (n *NestedLoops) Next() (Rec, bool, error) {
+// NextBatch implements Iterator.
+func (n *NestedLoops) NextBatch(b *Batch) error {
 	if !n.open {
-		return Rec{}, false, errState("nestedloops", "next before open")
+		return errState("nestedloops", "next before open")
 	}
+	return fill(b, n.next)
+}
+
+// next emits the next qualifying combination of the current outer record
+// with the inner file, advancing the outer input as the inner scan ends.
+func (n *NestedLoops) next() (Rec, bool, error) {
 	for {
 		if !n.lok {
 			var err error
-			n.lrec, n.lok, err = n.left.Next()
-			if err != nil {
+			n.lrec, n.lok, err = n.lsrc.Pull()
+			if err != nil || !n.lok {
 				return Rec{}, false, err
-			}
-			if !n.lok {
-				return Rec{}, false, nil
 			}
 			n.scan = n.inner.NewScan(false)
 		}
@@ -184,6 +184,7 @@ func (n *NestedLoops) Close() error {
 		n.lrec.Unfix()
 		n.lok = false
 	}
+	n.lsrc.Release()
 	err := n.left.Close()
 	if derr := n.env.DropTemp(n.inner); err == nil {
 		err = derr

@@ -31,15 +31,9 @@ type HashMatch struct {
 	probing    bool
 	rightOpen  bool
 	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
-	batch      int
-	probeSrc   recSource
+	openFailed bool    // Open ran and failed: next Close is a no-op
+	probeSrc   *Cursor // the left input during the probe phase
 }
-
-// EnableBatch implements BatchConfigurable: both the build-phase drain of
-// the right input and the probe-phase consumption of the left input pull
-// batches of the given size.
-func (h *HashMatch) EnableBatch(size int) { h.batch = size }
 
 type buildEntry struct {
 	rec     Rec
@@ -110,11 +104,10 @@ func (h *HashMatch) openImpl() error {
 	}
 	h.rightOpen = true
 	rs := h.right.Schema()
-	build := inputSource(h.right, h.batch)
+	build := NewCursor(h.right, h.env.BatchSize())
 	for {
-		r, ok, err := build.next()
+		r, ok, err := build.Pull()
 		if err != nil {
-			build.release()
 			h.abort()
 			return err
 		}
@@ -139,7 +132,7 @@ func (h *HashMatch) openImpl() error {
 		h.abort()
 		return err
 	}
-	h.probeSrc = inputSource(h.left, h.batch)
+	h.probeSrc = NewCursor(h.left, h.env.BatchSize())
 	h.probing = true
 	h.open = true
 	return nil
@@ -154,41 +147,9 @@ func (h *HashMatch) bucketHasKey(hk uint64, rs *record.Schema, data []byte) bool
 	return false
 }
 
-// Next implements Iterator: the probe phase, then right-only emission.
-func (h *HashMatch) Next() (Rec, bool, error) {
-	if !h.open {
-		return Rec{}, false, errState("hashmatch", "next before open")
-	}
-	for {
-		if out, ok := h.pending.pop(); ok {
-			return out, true, nil
-		}
-		if h.probing {
-			l, ok, err := h.probeSrc.next()
-			if err != nil {
-				return Rec{}, false, err
-			}
-			if !ok {
-				h.probing = false
-				continue
-			}
-			if err := h.probe(l); err != nil {
-				return Rec{}, false, err
-			}
-			continue
-		}
-		// Trailing phase: right-only classes.
-		r, ok, err := h.trailNext()
-		if err != nil || ok {
-			return r, ok, err
-		}
-		return Rec{}, false, nil
-	}
-}
-
-// NextBatch implements BatchIterator natively: queued outputs move into
-// the batch wholesale, and the probe loop keeps going until the batch
-// fills or both phases are exhausted.
+// NextBatch implements Iterator: the probe phase, then right-only
+// emission. Queued outputs move into the batch wholesale, and the probe
+// loop keeps going until the batch fills or both phases are exhausted.
 func (h *HashMatch) NextBatch(b *Batch) error {
 	if !h.open {
 		return errState("hashmatch", "next before open")
@@ -200,7 +161,7 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 			return nil
 		}
 		if h.probing {
-			l, ok, err := h.probeSrc.next()
+			l, ok, err := h.probeSrc.Pull()
 			if err != nil {
 				b.Release()
 				return err
@@ -337,10 +298,7 @@ func (h *HashMatch) Close() error {
 		return errState("hashmatch", "close before open")
 	}
 	h.open = false
-	if h.probeSrc != nil {
-		h.probeSrc.release()
-		h.probeSrc = nil
-	}
+	h.probeSrc.Release()
 	err := h.left.Close()
 	h.release()
 	if h.rightOpen {

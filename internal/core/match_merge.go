@@ -27,23 +27,8 @@ type MergeMatch struct {
 	pending    recQueue
 	open       bool
 	openFailed bool // Open ran and failed: next Close is a no-op
-	batch      int
-	lsrc       recSource
-	rsrc       recSource
-}
-
-// EnableBatch implements BatchConfigurable: both inputs are consumed
-// through batch refills of the given size. The size also propagates to
-// batch-capable inputs, so the hidden Sorts of NewMergeMatchSorted
-// switch along with the match itself.
-func (m *MergeMatch) EnableBatch(size int) {
-	m.batch = size
-	if bc, ok := m.left.(BatchConfigurable); ok {
-		bc.EnableBatch(size)
-	}
-	if bc, ok := m.right.(BatchConfigurable); ok {
-		bc.EnableBatch(size)
-	}
+	lsrc       *Cursor
+	rsrc       *Cursor
 }
 
 // NewMergeMatch builds the operator over already-sorted inputs.
@@ -106,14 +91,14 @@ func (m *MergeMatch) openImpl() error {
 		_ = m.comb.dispose()
 		return err
 	}
-	m.lsrc = inputSource(m.left, m.batch)
-	m.rsrc = inputSource(m.right, m.batch)
+	m.lsrc = NewCursor(m.left, m.env.BatchSize())
+	m.rsrc = NewCursor(m.right, m.env.BatchSize())
 	var err error
-	if m.lrec, m.lok, err = m.lsrc.next(); err != nil {
+	if m.lrec, m.lok, err = m.lsrc.Pull(); err != nil {
 		m.abort()
 		return err
 	}
-	if m.rrec, m.rok, err = m.rsrc.next(); err != nil {
+	if m.rrec, m.rok, err = m.rsrc.Pull(); err != nil {
 		m.abort()
 		return err
 	}
@@ -124,33 +109,14 @@ func (m *MergeMatch) openImpl() error {
 // advanceLeft fetches the next left record.
 func (m *MergeMatch) advanceLeft() error {
 	var err error
-	m.lrec, m.lok, err = m.lsrc.next()
+	m.lrec, m.lok, err = m.lsrc.Pull()
 	return err
 }
 
 func (m *MergeMatch) advanceRight() error {
 	var err error
-	m.rrec, m.rok, err = m.rsrc.next()
+	m.rrec, m.rok, err = m.rsrc.Pull()
 	return err
-}
-
-// Next implements Iterator.
-func (m *MergeMatch) Next() (Rec, bool, error) {
-	if !m.open {
-		return Rec{}, false, errState("mergematch", "next before open")
-	}
-	for {
-		if out, ok := m.pending.pop(); ok {
-			return out, true, nil
-		}
-		done, err := m.step()
-		if err != nil {
-			return Rec{}, false, err
-		}
-		if done {
-			return Rec{}, false, nil
-		}
-	}
 }
 
 // step consumes the next key group from whichever side is due, queueing
@@ -177,8 +143,8 @@ func (m *MergeMatch) step() (done bool, err error) {
 	}
 }
 
-// NextBatch implements BatchIterator natively: queued outputs move into
-// the batch wholesale, and group consumption keeps going until the batch
+// NextBatch implements Iterator: queued outputs move into the batch
+// wholesale, and group consumption keeps going until the batch
 // fills or both inputs are exhausted.
 func (m *MergeMatch) NextBatch(b *Batch) error {
 	if !m.open {
@@ -380,11 +346,8 @@ func (m *MergeMatch) releasePending() {
 		m.rok = false
 	}
 	if m.lsrc != nil {
-		m.lsrc.release()
-		m.lsrc = nil
-	}
-	if m.rsrc != nil {
-		m.rsrc.release()
-		m.rsrc = nil
+		m.lsrc.Release()
+		m.rsrc.Release()
+		m.lsrc, m.rsrc = nil, nil
 	}
 }

@@ -30,7 +30,7 @@ func runMatch(t *testing.T, algo string, op MatchOp, left, right [][2]int64, lk,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(m)
+	rows, err := Collect(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

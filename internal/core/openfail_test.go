@@ -17,10 +17,8 @@ var errRootCause = errors.New("disk on fire")
 
 func (f *failOpen) Schema() *record.Schema { return f.schema }
 func (f *failOpen) Open() error            { return errRootCause }
-func (f *failOpen) Next() (Rec, bool, error) {
-	return Rec{}, false, errState("failopen", "next before open")
-}
-func (f *failOpen) Close() error { return errState("failopen", "close before open") }
+func (f *failOpen) NextBatch(*Batch) error { return errState("failopen", "next before open") }
+func (f *failOpen) Close() error           { return errState("failopen", "close before open") }
 
 // TestCloseAfterFailedOpen drives every stop-and-go operator through the
 // standard drain sequence a plan executor uses on error — Open fails,

@@ -65,7 +65,7 @@ func TestParallelAggregationLocalGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := NewSort(env.Env, global, []record.SortSpec{{Field: 0}})
-	rows, err := Collect(final)
+	rows, err := Collect(final, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestParallelAggregationRepartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(NewSort(env.Env, gather.Consumer(0), []record.SortSpec{{Field: 0}}))
+	rows, err := Collect(NewSort(env.Env, gather.Consumer(0), []record.SortSpec{{Field: 0}}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // staticSource is an endless iterator that hands out the same pinned-free
 // record forever: Data points at a process-lifetime byte slice and there
-// is no frame, so Unfix is a no-op. Next performs zero allocations, which
+// is no frame, so Unfix is a no-op. NextBatch performs zero allocations, which
 // makes the source suitable for AllocsPerRun measurements of the exchange
 // itself — any allocation the harness observes belongs to the exchange
 // hot path, not to the data source.
@@ -21,8 +21,12 @@ type staticSource struct {
 
 func (s *staticSource) Schema() *record.Schema { return intSchema }
 func (s *staticSource) Open() error            { return nil }
-func (s *staticSource) Next() (Rec, bool, error) {
-	return s.rec, true, nil
+func (s *staticSource) NextBatch(b *Batch) error {
+	b.Reset()
+	for !b.Full() {
+		b.Append(s.rec)
+	}
+	return nil
 }
 func (s *staticSource) Close() error { return nil }
 
@@ -51,7 +55,7 @@ func TestExchangePacketRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := Drain(x.Consumer(0))
+	count, err := Drain(x.Consumer(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestNetExchangePacketRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := Drain(x.Consumer(0))
+	count, err := Drain(x.Consumer(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +147,10 @@ func TestPacketRefillZeroAlloc(t *testing.T) {
 }
 
 // TestExchangeConsumerNextZeroAlloc is the end-to-end allocation guard
-// for the tentpole: with a zero-alloc source, a running producer
-// goroutine and a warmed packet pool, the consumer's Next path must
-// settle into zero amortised allocations per record. AllocsPerRun counts
+// for record-at-a-time consumption: with a zero-alloc source, a running
+// producer goroutine and a warmed packet pool, pulling the consumer one
+// record at a time through a cursor must settle into zero amortised
+// allocations per record. AllocsPerRun counts
 // process-global mallocs, so the producer side of the port (outbox
 // refill, push, flow control) is inside the measurement too.
 func TestExchangeConsumerNextZeroAlloc(t *testing.T) {
@@ -167,8 +172,9 @@ func TestExchangeConsumerNextZeroAlloc(t *testing.T) {
 	if err := c.Open(); err != nil {
 		t.Fatal(err)
 	}
+	cur := NewCursor(c, 1)
 	next := func() {
-		r, ok, err := c.Next()
+		r, ok, err := cur.Pull()
 		if err != nil || !ok {
 			t.Fatalf("next: ok=%v err=%v", ok, err)
 		}
@@ -185,18 +191,19 @@ func TestExchangeConsumerNextZeroAlloc(t *testing.T) {
 		}
 	})
 	if perRecord := avg / perRun; perRecord > 0.01 {
-		t.Fatalf("consumer Next allocates %.4f objects per record (%.1f per run), want 0 amortised", perRecord, avg)
+		t.Fatalf("consumer pull allocates %.4f objects per record (%.1f per run), want 0 amortised", perRecord, avg)
 	}
 	// The source never ends: cancel, drain to the tagged final packet,
 	// and run the ordinary shutdown handshake.
 	close(done)
 	for {
-		r, ok, err := c.Next()
+		r, ok, err := cur.Pull()
 		if err != nil || !ok {
 			break
 		}
 		r.Unfix()
 	}
+	cur.Release()
 	if err := c.Close(); err != nil && !errors.Is(err, ErrCanceled) {
 		t.Fatalf("close: %v", err)
 	}
@@ -248,8 +255,9 @@ func TestExchangeRecycleShutdownStress(t *testing.T) {
 					limit = 5 * (iter%7 + 1)
 				}
 				got := 0
+				cur := NewCursor(c, 1)
 				for limit < 0 || got < limit {
-					r, ok, err := c.Next()
+					r, ok, err := cur.Pull()
 					if err != nil {
 						errs <- err
 						return
@@ -260,6 +268,7 @@ func TestExchangeRecycleShutdownStress(t *testing.T) {
 					r.Unfix()
 					got++
 				}
+				cur.Release()
 				errs <- c.Close()
 			}(ci, iter)
 		}
@@ -341,13 +350,15 @@ func TestExchangeStatsMatchMetricsOnShutdownPaths(t *testing.T) {
 				if err := c.Open(); err != nil {
 					t.Fatal(err)
 				}
+				cur := NewCursor(c, 1)
 				for i := 0; i < 25; i++ {
-					r, ok, err := c.Next()
+					r, ok, err := cur.Pull()
 					if err != nil || !ok {
 						t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
 					}
 					r.Unfix()
 				}
+				cur.Release()
 				close(done)
 				if err := c.Close(); err != nil && !errors.Is(err, ErrCanceled) {
 					t.Fatalf("close: %v", err)
@@ -376,13 +387,15 @@ func TestExchangeStatsMatchMetricsOnShutdownPaths(t *testing.T) {
 				if err := c.Open(); err != nil {
 					t.Fatal(err)
 				}
+				cur := NewCursor(c, 1)
 				for i := 0; i < 10; i++ {
-					r, ok, err := c.Next()
+					r, ok, err := cur.Pull()
 					if err != nil || !ok {
 						t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
 					}
 					r.Unfix()
 				}
+				cur.Release()
 				// Close with thousands of records unread: the drain closes
 				// the queue and the remaining producer pushes take the
 				// closed-queue path — which must still count.

@@ -40,16 +40,8 @@ func (s *FileScan) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (s *FileScan) Next() (Rec, bool, error) {
-	if s.scan == nil {
-		return Rec{}, false, errState("filescan", "next before open")
-	}
-	return s.scan.Next()
-}
-
-// NextBatch implements BatchIterator natively: the batch fills by page
-// runs of the storage scan, each pinned with one Pool.Pin.
+// NextBatch implements Iterator: the batch fills by page runs of the
+// storage scan, each pinned with one Pool.Pin.
 func (s *FileScan) NextBatch(b *Batch) error {
 	if s.scan == nil {
 		return errState("filescan", "next before open")
@@ -121,11 +113,17 @@ func (s *IndexScan) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (s *IndexScan) Next() (Rec, bool, error) {
+// NextBatch implements Iterator: one call walks the B-tree cursor and
+// resolves a whole run of RIDs.
+func (s *IndexScan) NextBatch(b *Batch) error {
 	if s.cur == nil {
-		return Rec{}, false, errState("indexscan", "next before open")
+		return errState("indexscan", "next before open")
 	}
+	return fill(b, s.next)
+}
+
+// next resolves the cursor's next RID to its record.
+func (s *IndexScan) next() (Rec, bool, error) {
 	_, rid, ok, err := s.cur.Next()
 	if err != nil || !ok {
 		return Rec{}, false, err
@@ -135,32 +133,6 @@ func (s *IndexScan) Next() (Rec, bool, error) {
 		return Rec{}, false, fmt.Errorf("core: indexscan: %w", err)
 	}
 	return r, true, nil
-}
-
-// NextBatch implements BatchIterator natively: one call walks the B-tree
-// cursor and resolves a whole run of RIDs.
-func (s *IndexScan) NextBatch(b *Batch) error {
-	if s.cur == nil {
-		return errState("indexscan", "next before open")
-	}
-	b.Reset()
-	for !b.Full() {
-		_, rid, ok, err := s.cur.Next()
-		if err != nil {
-			b.Release()
-			return err
-		}
-		if !ok {
-			break
-		}
-		r, err := s.f.Fetch(rid)
-		if err != nil {
-			b.Release()
-			return fmt.Errorf("core: indexscan: %w", err)
-		}
-		b.Append(r)
-	}
-	return nil
 }
 
 // Close implements Iterator.

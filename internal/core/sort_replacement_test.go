@@ -14,7 +14,7 @@ func TestReplacementSelectionSortsCorrectly(t *testing.T) {
 		s := NewSort(env.Env, scanOf(t, f), []record.SortSpec{{Field: 0}})
 		s.RunSize = 16
 		s.RunGen = RunGenReplacementSelection
-		rows, err := Collect(s)
+		rows, err := Collect(s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestReplacementSelectionProducesFewerRuns(t *testing.T) {
 		s := NewSort(env.Env, scanOf(t, f), []record.SortSpec{{Field: 0}})
 		s.RunSize = runSize
 		s.RunGen = gen
-		if _, err := Collect(s); err != nil {
+		if _, err := Collect(s, 0); err != nil {
 			t.Fatal(err)
 		}
 		counts[gen] = s.RunsGenerated()
@@ -67,7 +67,7 @@ func TestReplacementSelectionSortedInputSingleRun(t *testing.T) {
 	s := NewSort(env.Env, scanOf(t, f), []record.SortSpec{{Field: 0}})
 	s.RunSize = 16
 	s.RunGen = RunGenReplacementSelection
-	rows, err := Collect(s)
+	rows, err := Collect(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestReplacementSelectionStability(t *testing.T) {
 	s := NewSort(env.Env, scanOf(t, f), []record.SortSpec{{Field: 0}})
 	s.RunSize = 8
 	s.RunGen = RunGenReplacementSelection
-	rows, err := Collect(s)
+	rows, err := Collect(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,13 @@ import (
 // — the per-producer subtrees an exchange instantiates — and updated
 // concurrently without coordination beyond the counter itself.
 type OpStats struct {
-	Rows      atomic.Int64 // records returned by Next
-	NextCalls atomic.Int64 // Next invocations (including the EOS call)
+	Rows      atomic.Int64 // records returned by NextBatch
+	NextCalls atomic.Int64 // NextBatch invocations (including the EOS call)
 	Opens     atomic.Int64 // Open invocations (parallel instances add up)
 	Closes    atomic.Int64 // Close invocations
 
 	OpenNanos  atomic.Int64 // wall time inside Open
-	NextNanos  atomic.Int64 // cumulative wall time inside Next
+	NextNanos  atomic.Int64 // cumulative wall time inside NextBatch
 	CloseNanos atomic.Int64 // wall time inside Close
 }
 
@@ -73,7 +73,7 @@ func (s OpStatsSnapshot) String() string {
 // allocate or touch an Instrumented.
 //
 // With a tracer attached (WithTracer) the wrapper additionally records
-// its Open, Next and Close calls as spans on a private trace track,
+// its Open, NextBatch and Close calls as spans on a private trace track,
 // reusing the wall-time measurements it already takes for OpStats — so
 // tracing adds no extra clock reads, and a nil tracer costs one branch.
 type Instrumented struct {
@@ -86,14 +86,10 @@ type Instrumented struct {
 	openName  string
 	closeName string
 
-	// hist, when attached, receives every Next duration so a scraper (or
+	// hist, when attached, receives every NextBatch duration so a scraper (or
 	// EXPLAIN ANALYZE) can report latency quantiles, not just totals. The
 	// nil histogram costs one branch, like the nil tracer.
 	hist *metrics.Histogram
-
-	// bin caches the inner iterator's batch face so NextBatch forwarding
-	// does not re-wrap per call.
-	bin BatchIterator
 }
 
 // Instrument wraps it with a fresh, private OpStats.
@@ -115,7 +111,7 @@ func (i *Instrumented) WithTracer(t *trace.Tracer) *Instrumented {
 }
 
 // WithHistogram attaches a latency histogram fed one observation per
-// Next call, reusing the wall-time measurement the wrapper already
+// NextBatch call, reusing the wall-time measurement the wrapper already
 // takes. Sibling wrappers of parallel instances may share one
 // histogram; Observe is atomic. Returns i.
 func (i *Instrumented) WithHistogram(h *metrics.Histogram) *Instrumented {
@@ -154,30 +150,12 @@ func (i *Instrumented) Open() error {
 	return err
 }
 
-// Next implements Iterator.
-func (i *Instrumented) Next() (Rec, bool, error) {
-	start := time.Now()
-	r, ok, err := i.inner.Next()
-	d := time.Since(start)
-	i.st.NextNanos.Add(int64(d))
-	i.st.NextCalls.Add(1)
-	if ok {
-		i.st.Rows.Add(1)
-	}
-	i.hist.Observe(d)
-	i.tk.SpanAt("op", i.name, start, d)
-	return r, ok, err
-}
-
-// NextBatch implements BatchIterator: the wrapper times the whole batch
-// call and counts every delivered record, so EXPLAIN ANALYZE row counts
-// agree between modes while NextCalls reflects the amortisation.
+// NextBatch implements Iterator: the wrapper times the whole batch call
+// and counts every delivered record, so EXPLAIN ANALYZE row counts agree
+// at every batch size while NextCalls reflects the amortisation.
 func (i *Instrumented) NextBatch(b *Batch) error {
-	if i.bin == nil {
-		i.bin = AsBatch(i.inner)
-	}
 	start := time.Now()
-	err := i.bin.NextBatch(b)
+	err := i.inner.NextBatch(b)
 	d := time.Since(start)
 	i.st.NextNanos.Add(int64(d))
 	i.st.NextCalls.Add(1)
@@ -185,14 +163,6 @@ func (i *Instrumented) NextBatch(b *Batch) error {
 	i.hist.Observe(d)
 	i.tk.SpanAt("op", i.name, start, d)
 	return err
-}
-
-// EnableBatch implements BatchConfigurable by forwarding to the wrapped
-// operator, so instrumented builds batch exactly like plain ones.
-func (i *Instrumented) EnableBatch(size int) {
-	if bc, ok := i.inner.(BatchConfigurable); ok {
-		bc.EnableBatch(size)
-	}
 }
 
 // Close implements Iterator.

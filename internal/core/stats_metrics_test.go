@@ -11,18 +11,19 @@ import (
 type nopIter struct{ schema *record.Schema }
 
 func (n *nopIter) Open() error              { return nil }
-func (n *nopIter) Next() (Rec, bool, error) { return Rec{}, true, nil }
+func (n *nopIter) NextBatch(b *Batch) error { b.Reset(); return nil }
 func (n *nopIter) Close() error             { return nil }
 func (n *nopIter) Schema() *record.Schema   { return n.schema }
 
 // TestInstrumentedNextZeroAlloc pins the acceptance criterion: with
-// metrics disabled (nil histogram, nil tracer) the instrumented Next
+// metrics disabled (nil histogram, nil tracer) the instrumented NextBatch
 // path allocates nothing, and attaching a histogram still allocates
 // nothing — Observe is atomic adds over preallocated buckets.
 func TestInstrumentedNextZeroAlloc(t *testing.T) {
+	b := NewBatch(1)
 	bare := Instrument(&nopIter{}, "nop")
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, _, err := bare.Next(); err != nil {
+		if err := bare.NextBatch(b); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -32,7 +33,7 @@ func TestInstrumentedNextZeroAlloc(t *testing.T) {
 	withHist := Instrument(&nopIter{}, "nop").
 		WithHistogram(metrics.NewRegistry().Histogram("volcano_op_next_seconds", "op latency", nil, metrics.Label{Key: "op", Value: "nop"}))
 	if n := testing.AllocsPerRun(1000, func() {
-		if _, _, err := withHist.Next(); err != nil {
+		if err := withHist.NextBatch(b); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -40,25 +41,26 @@ func TestInstrumentedNextZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInstrumentedHistogramObserves checks the wiring: every Next call
-// lands one observation, shared across sibling wrappers like OpStats.
+// TestInstrumentedHistogramObserves checks the wiring: every NextBatch
+// call lands one observation, shared across sibling wrappers like OpStats.
 func TestInstrumentedHistogramObserves(t *testing.T) {
 	h := metrics.NewHistogram(nil)
 	st := &OpStats{}
 	a := InstrumentWith(&nopIter{}, "op", st).WithHistogram(h)
 	b := InstrumentWith(&nopIter{}, "op", st).WithHistogram(h)
+	batch := NewBatch(1)
 	for i := 0; i < 5; i++ {
-		if _, _, err := a.Next(); err != nil {
+		if err := a.NextBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := b.Next(); err != nil {
+		if err := b.NextBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if h.Count() != 8 {
-		t.Fatalf("histogram observed %d Next calls, want 8", h.Count())
+		t.Fatalf("histogram observed %d NextBatch calls, want 8", h.Count())
 	}
 	s := h.Snapshot()
 	if s.Quantile(0.5) <= 0 {

@@ -7,13 +7,13 @@ import (
 )
 
 // TestInstrumentCountsAndTimes drains a wrapped scan and checks the
-// counters agree with the protocol: one open, rows + EOS Next calls,
-// one close, and non-negative accumulated times.
+// counters agree with the protocol at batch size 1: one open, rows + EOS
+// NextBatch calls, one close, and non-negative accumulated times.
 func TestInstrumentCountsAndTimes(t *testing.T) {
 	env := newTestEnv(t, 256)
 	f := env.makeInts(t, "t", 1, 2, 3, 4, 5)
 	ins := Instrument(scanOf(t, f), "scan t")
-	n, err := Drain(ins)
+	n, err := Drain(ins, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestInstrumentWithSharedStats(t *testing.T) {
 				errs[w] = err
 				return
 			}
-			_, errs[w] = Drain(InstrumentWith(sc, "pscan p", shared))
+			_, errs[w] = Drain(InstrumentWith(sc, "pscan p", shared), 1)
 		}(w)
 	}
 	wg.Wait()

@@ -43,7 +43,7 @@ func TestExchangeTraceProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(x.Consumer(0))
+	rows, err := Collect(x.Consumer(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExchangeTraceTreeFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(x.Consumer(0)); err != nil {
+	if _, err := Collect(x.Consumer(0), 0); err != nil {
 		t.Fatal(err)
 	}
 	forksOnProducers := 0
@@ -166,7 +166,7 @@ func TestNetExchangeTraceProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(x.Consumer(0))
+	rows, err := Collect(x.Consumer(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,29 +208,31 @@ type countRec struct {
 func (c *countRec) Schema() *record.Schema { return intSchema }
 func (c *countRec) Open() error            { c.n = 0; return nil }
 func (c *countRec) Close() error           { return nil }
-func (c *countRec) Next() (Rec, bool, error) {
-	if c.n >= c.limit {
-		return Rec{}, false, nil
+func (c *countRec) NextBatch(b *Batch) error {
+	b.Reset()
+	for !b.Full() && c.n < c.limit {
+		c.n++
+		b.Append(Rec{})
 	}
-	c.n++
-	return Rec{}, true, nil
+	return nil
 }
 
 // TestInstrumentedDisabledTracerNoAllocs pins the disabled-tracing cost on
-// the instrumented Next hot path: zero allocations per call.
+// the instrumented NextBatch hot path: zero allocations per call.
 func TestInstrumentedDisabledTracerNoAllocs(t *testing.T) {
 	it := Instrument(&countRec{limit: 1 << 30}, "src").WithTracer(nil)
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
+	b := NewBatch(1)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok, err := it.Next(); !ok || err != nil {
+		if err := it.NextBatch(b); b.Len() == 0 || err != nil {
 			t.Fatal("source ended")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("disabled-tracer Next allocates %.1f per call, want 0", allocs)
+		t.Errorf("disabled-tracer NextBatch allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -242,23 +244,24 @@ func BenchmarkInstrumentedNext(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer it.Close()
+	batch := NewBatch(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it.Next()
+		it.NextBatch(batch)
 	}
 }
 
 // TestInstrumentedTraceSpans checks the enabled wrapper registers one
-// track per operator and emits open/next/close spans on it.
+// track per operator and emits open/NextBatch/close spans on it.
 func TestInstrumentedTraceSpans(t *testing.T) {
 	tr := trace.New()
 	it := Instrument(&countRec{limit: 3}, "src").WithTracer(tr)
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok, err := it.Next(); err != nil || !ok {
+	for b := NewBatch(1); ; {
+		if err := it.NextBatch(b); err != nil || b.Len() == 0 {
 			break
 		}
 	}

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -122,7 +125,7 @@ func bind(t testing.TB, c *Coordinator, db *distDB, queryID, script string) (cor
 }
 
 // bindBatch is bind with the plan, and every fragment shipped from it,
-// built under the batch protocol at the given batch size (0 = rows).
+// built at the given batch size (0 = core.DefaultBatchSize).
 func bindBatch(t testing.TB, c *Coordinator, db *distDB, queryID, script string, batch int) (core.Iterator, *Summary) {
 	t.Helper()
 	tpl, err := plan.Compile(script)
@@ -173,14 +176,14 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localRows, err := plan.Run(db.env, db.cat, n)
+	localRows, err := plan.Run(db.env, db.cat, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderSorted(localRows)
 
 	it, sum := bind(t, f.c, db, "q-e2e", distScript)
-	gotRows, err := core.Collect(it)
+	gotRows, err := core.Collect(it, 0)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
@@ -228,9 +231,9 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDistBatchedFragments ships fragments that the worker drains under
-// the batch protocol. Each record's pin must be released exactly once:
-// the rows at batch sizes 7 and 64 equal those at batch size 0, every
+// TestDistBatchedFragments ships fragments that the worker drains in
+// batches. Each record's pin must be released exactly once: the rows at
+// batch sizes 7 and 64 equal those at batch size 1, every
 // fragment finishes on its first attempt on the one worker (a double
 // unfix would panic it), and no pin outlives the query on either side.
 func TestDistBatchedFragments(t *testing.T) {
@@ -240,19 +243,19 @@ func TestDistBatchedFragments(t *testing.T) {
 	const script = "pscan nums 4 | filter v > 300 | exchange producers=4 packet=83"
 
 	var want []string
-	for _, batch := range []int{0, 7, 64} {
+	for _, batch := range []int{1, 7, 64} {
 		it, sum := bindBatch(t, f.c, db, fmt.Sprintf("q-batch-%d", batch), script, batch)
-		got, err := core.Collect(it)
+		got, err := core.Collect(it, 0)
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
-		if batch == 0 {
+		if batch == 1 {
 			want = renderSorted(got)
 			if len(want) != rows-301 {
-				t.Fatalf("batch 0 returned %d rows, want %d", len(want), rows-301)
+				t.Fatalf("batch 1 returned %d rows, want %d", len(want), rows-301)
 			}
 		} else if g := renderSorted(got); strings.Join(g, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("batch %d returned %d rows that differ from batch 0's %d", batch, len(g), len(want))
+			t.Fatalf("batch %d returned %d rows that differ from batch 1's %d", batch, len(g), len(want))
 		}
 		for _, fr := range sum.Fragments() {
 			if fr.State != "done" || fr.Attempts != 1 {
@@ -277,10 +280,10 @@ func TestDistBatchedFragments(t *testing.T) {
 // mid-stream and checks the coordinator re-dispatches them to the
 // survivor with an exact skip: the query completes with every value
 // delivered exactly once. It runs record-at-a-time and at the served
-// batch size, where the workers drain their fragments by batches and the
-// coordinator pulls the root the same way.
+// batch size; the workers drain their fragments and the coordinator
+// pulls the root at that size.
 func TestDistWorkerLossRetry(t *testing.T) {
-	for _, batch := range []int{0, core.DefaultBatchSize} {
+	for _, batch := range []int{1, core.DefaultBatchSize} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) { testWorkerLossRetry(t, batch) })
 	}
 }
@@ -298,19 +301,12 @@ func testWorkerLossRetry(t *testing.T, batch int) {
 	}
 	schema := it.Schema()
 	counts := map[string]int{}
-	// pull hands out the next run of records: one batch, or one record
-	// at batch 0. An empty run is the end of the stream.
-	src, b := core.AsBatch(it), core.NewBatch(batch)
+	// pull hands out the next batch of records; an empty one is the end
+	// of the stream.
+	b := core.NewBatch(batch)
 	pull := func() ([]core.Rec, error) {
-		if batch > 0 {
-			err := src.NextBatch(b)
-			return b.Recs(), err
-		}
-		r, ok, err := it.Next()
-		if !ok {
-			return nil, err
-		}
-		return []core.Rec{r}, nil
+		err := it.NextBatch(b)
+		return b.Recs(), err
 	}
 	drain := func(limit int) error {
 		for n := 0; limit <= 0 || n < limit; {
@@ -399,7 +395,7 @@ func TestDistNoWorkersLocalFallback(t *testing.T) {
 	db := newDistDB(t, rows, 8)
 
 	it, sum := bind(t, f.c, db, "q-local", distScript)
-	gotRows, err := core.Collect(it)
+	gotRows, err := core.Collect(it, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +436,7 @@ func TestDistCatalogVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Collect(it)
+	_, err = core.Collect(it, 0)
 	if err == nil {
 		t.Fatal("expected catalog mismatch to fail the query")
 	}
@@ -464,11 +460,37 @@ func TestDistRemoteBuildError(t *testing.T) {
 	db := newDistDB(t, rows, 8)
 
 	it, _ := bind(t, f.c, db, "q-builderr", distScript)
-	_, err := core.Collect(it)
+	_, err := core.Collect(it, 0)
 	if err == nil {
 		t.Fatal("expected remote build failure to fail the query")
 	}
 	if !strings.Contains(err.Error(), "nums.3") {
 		t.Fatalf("error %q does not carry the remote cause", err)
+	}
+}
+
+// TestWorkerRefusesBatchSizeOutOfRange posts fragment specs whose batch
+// size is outside 1..core.MaxBatchSize: the worker answers 400 before it
+// compiles or dials anything, naming 1 as the record-at-a-time size.
+func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
+	db := newDistDB(t, 10, 8)
+	w, err := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Log: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	for _, size := range []int{0, -1, core.MaxBatchSize + 1, 1 << 62} {
+		body, err := json.Marshal(FragmentSpec{
+			QueryID: "q-bad-batch", Plan: distScript, Path: "", Producer: 0, Attempt: 1,
+			BatchSize: size, Endpoint: "127.0.0.1:1",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "1 is record-at-a-time") {
+			t.Errorf("batch size %d: status %d, body %q; want 400 naming the record-at-a-time size", size, rec.Code, rec.Body.String())
+		}
 	}
 }

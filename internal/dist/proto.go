@@ -49,9 +49,10 @@ type FragmentSpec struct {
 	// Skip is the number of leading records the worker must produce and
 	// discard before streaming — the skip-replay resume point.
 	Skip int64 `json:"skip"`
-	// BatchSize, when positive, builds and pulls the fragment under the
-	// batch-at-a-time protocol, mirroring the coordinator's own build.
-	BatchSize int `json:"batch_size,omitempty"`
+	// BatchSize is the batch size the fragment is built and pulled at,
+	// 1..core.MaxBatchSize (1 is record-at-a-time), mirroring the
+	// coordinator's own build.
+	BatchSize int `json:"batch_size"`
 	// Endpoint is the coordinator's data-plane TCP address the worker
 	// must dial and stream frames to.
 	Endpoint string `json:"endpoint"`

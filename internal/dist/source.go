@@ -28,7 +28,8 @@ type BindRequest struct {
 	// CatalogVersion travels in every dispatch; workers on a different
 	// catalog epoch reject it.
 	CatalogVersion string
-	// BatchSize mirrors BuildOptions.BatchSize into dispatched fragments.
+	// BatchSize mirrors BuildOptions.BatchSize into dispatched fragments
+	// (0 = core.DefaultBatchSize).
 	BatchSize int
 	// Env and Cat build probe instances (fragment schemas) and
 	// materialise arriving records.
@@ -49,6 +50,9 @@ type BindRequest struct {
 // with a remoteSource whose producers run on the worker fleet. With no
 // live workers the binder declines and the plan builds locally.
 func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
+	if req.BatchSize < 1 {
+		req.BatchSize = core.DefaultBatchSize
+	}
 	return func(path string, n *plan.Node) (core.Iterator, bool, error) {
 		if c.LiveWorkers() == 0 {
 			return nil, false, nil
@@ -121,7 +125,7 @@ func (s *Summary) Fragments() []plan.FragmentStat {
 	return out
 }
 
-// srcItem is one unit flowing from a fragment controller to Next: a
+// srcItem is one unit flowing from a fragment controller to NextBatch: a
 // bundle of record images (copied out of the wire frame's arena), or a
 // producer's terminal EOS/error.
 type srcItem struct {
@@ -137,7 +141,7 @@ type srcItem struct {
 // makes skip-replay exact (see runProducer).
 type fragState struct {
 	worker    string
-	attempt   int   // attempt whose records Next accepts
+	attempt   int   // attempt whose records NextBatch accepts
 	delivered int64 // records handed to the consumer
 	wireBytes int64
 	state     string // running | done | failed
@@ -154,7 +158,7 @@ var errCanceled = errors.New("dist: query canceled")
 // loss re-dispatch with Skip set to the records already delivered. The
 // delivered count and the accepted-attempt number share one mutex, so a
 // retry's skip value is exact: once the controller bumps the attempt,
-// Next drops any stale buffered records instead of counting them.
+// NextBatch drops any stale buffered records instead of counting them.
 type remoteSource struct {
 	c         *Coordinator
 	req       BindRequest
@@ -218,44 +222,60 @@ func (s *remoteSource) Open() error {
 	return nil
 }
 
-func (s *remoteSource) Next() (core.Rec, bool, error) {
+// NextBatch implements core.Iterator: it materialises the records of the
+// current bundle into b, counting each run of them as delivered under one
+// s.mu hold, and returns once b is full or the bundle is used up — it
+// never waits on the controllers with records in hand.
+func (s *remoteSource) NextBatch(b *core.Batch) error {
+	b.Reset()
 	for {
 		if s.havePend && s.pendIdx < len(s.pend.recs) {
-			data := s.pend.recs[s.pendIdx]
-			s.pendIdx++
+			run := s.pend.recs[s.pendIdx:]
+			if room := b.Target() - b.Len(); len(run) > room {
+				run = run[:room]
+			}
 			s.mu.Lock()
 			f := s.frags[s.pend.g]
-			if f.attempt != s.pend.attempt {
+			stale := f.attempt != s.pend.attempt
+			if !stale {
+				f.delivered += int64(len(run))
+			}
+			s.mu.Unlock()
+			if stale {
 				// The controller moved on to a replacement attempt;
 				// everything left in this bundle will be re-delivered by
 				// the replay, so it must not reach the consumer twice.
 				s.havePend = false
-				s.mu.Unlock()
 				continue
 			}
-			f.delivered++
-			s.mu.Unlock()
-			rec, err := s.w.WriteBytes(data)
-			if err != nil {
-				return core.Rec{}, false, err
+			s.pendIdx += len(run)
+			for _, data := range run {
+				rec, err := s.w.WriteBytes(data)
+				if err != nil {
+					b.Release()
+					return err
+				}
+				b.Append(rec)
 			}
-			return rec, true, nil
+			if b.Full() {
+				return nil
+			}
+			continue
 		}
 		s.havePend = false
+		if b.Len() > 0 {
+			return nil
+		}
 		if s.eosLeft == 0 {
 			s.mu.Lock()
-			err := s.firstErr
-			s.mu.Unlock()
-			if err != nil {
-				return core.Rec{}, false, err
-			}
-			return core.Rec{}, false, nil
+			defer s.mu.Unlock()
+			return s.firstErr
 		}
 		var item srcItem
 		select {
 		case item = <-s.items:
 		case <-s.done:
-			return core.Rec{}, false, errCanceled
+			return errCanceled
 		}
 		switch {
 		case item.err != nil:
@@ -266,7 +286,7 @@ func (s *remoteSource) Next() (core.Rec, bool, error) {
 			err := s.firstErr
 			s.mu.Unlock()
 			s.eosLeft--
-			return core.Rec{}, false, err
+			return err
 		case item.eos:
 			s.eosLeft--
 		default:
@@ -298,7 +318,7 @@ func (s *remoteSource) Close() error {
 	return nil
 }
 
-// push hands an item to Next, giving up when the query is closed or
+// push hands an item to NextBatch, giving up when the query is closed or
 // canceled so controllers never block on an abandoned channel.
 func (s *remoteSource) push(item srcItem) bool {
 	select {
@@ -313,8 +333,8 @@ func (s *remoteSource) push(item srcItem) bool {
 
 // beginAttempt moves producer g's accepted attempt forward and returns
 // the exact number of records already delivered — the Skip value a
-// replacement dispatch must carry. Holding the same lock as Next's
-// delivered++ makes the count final: no attempt-(n-1) record is counted
+// replacement dispatch must carry. Holding the same lock as NextBatch's
+// delivered count makes the count final: no attempt-(n-1) record is counted
 // after this returns.
 func (s *remoteSource) beginAttempt(g, attempt int) int64 {
 	s.mu.Lock()

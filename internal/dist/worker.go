@@ -125,6 +125,11 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "dist: fragment spec missing endpoint or producer", http.StatusBadRequest)
 		return
 	}
+	if err := core.CheckBatchSize(spec.BatchSize); err != nil {
+		w.m.rejected.Inc()
+		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
+		return
+	}
 	if w.cfg.CatalogVersion != "" && spec.CatalogVersion != "" && spec.CatalogVersion != w.cfg.CatalogVersion {
 		w.m.rejected.Inc()
 		http.Error(rw, fmt.Sprintf("dist: catalog version mismatch: coordinator %q, worker %q",
@@ -255,47 +260,27 @@ func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec Fra
 		return s.Add(r.Data)
 	}
 	var runErr error
-	if spec.BatchSize > 0 {
-		src := core.AsBatch(it)
-		b := core.NewBatch(spec.BatchSize)
-		for {
-			if err := src.NextBatch(b); err != nil {
-				runErr = err
+	b := core.NewBatch(spec.BatchSize)
+	for {
+		if err := it.NextBatch(b); err != nil {
+			runErr = err
+			break
+		}
+		if b.Len() == 0 {
+			break
+		}
+		var sendErr error
+		for _, r := range b.Recs() {
+			if sendErr = send(r); sendErr != nil {
 				break
-			}
-			if b.Len() == 0 {
-				break
-			}
-			var sendErr error
-			for _, r := range b.Recs() {
-				if sendErr = send(r); sendErr != nil {
-					break
-				}
-			}
-			// One coalesced release per batch, sent records or not.
-			b.Release()
-			if sendErr != nil {
-				// Transport gone: stop pulling, skip the EOS.
-				_ = it.Close()
-				return sendErr
 			}
 		}
-	} else {
-		for {
-			r, ok, err := it.Next()
-			if err != nil {
-				runErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			err = send(r)
-			r.Unfix()
-			if err != nil {
-				_ = it.Close()
-				return err
-			}
+		// One coalesced release per batch, sent records or not.
+		b.Release()
+		if sendErr != nil {
+			// Transport gone: stop pulling, skip the EOS.
+			_ = it.Close()
+			return sendErr
 		}
 	}
 	if cerr := it.Close(); runErr == nil && cerr != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // Analysis is the EXPLAIN ANALYZE collector: runtime statistics per plan
-// node (rows out, Next calls, open/next/close wall time via core.OpStats),
+// node (rows out, NextBatch calls, open/next/close wall time via core.OpStats),
 // exchange port counters (packets, records, flow-control stall and
 // consumer wait) per exchange node, and the buffer pool's activity over
 // the run. Parallel instances of the same node — the per-producer subtrees
@@ -122,7 +122,7 @@ func buildObserved(env *core.Env, cat Catalog, n *Node, partition int, o BuildOp
 		}
 	}
 	walk(n)
-	it, err := build(&buildCtx{env: env, cat: cat, partition: partition, analysis: an, tracer: tr, done: o.Done, batch: o.BatchSize, queryID: o.QueryID, remote: o.Remote}, n)
+	it, err := build(&buildCtx{env: env, cat: cat, partition: partition, analysis: an, tracer: tr, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,7 +294,7 @@ func (a *Analysis) Resources() core.ResourceSnapshot {
 // build carried none).
 func (a *Analysis) Meter() *core.ResourceMeter { return a.meter }
 
-// String renders the annotated plan tree: per-operator rows, Next calls
+// String renders the annotated plan tree: per-operator rows, NextBatch calls
 // and open/next/close wall time; packet, stall and wait counters under
 // each exchange; and the buffer pool's totals as a footer. All counters
 // are atomic, so rendering a still-running query yields a consistent
@@ -342,7 +342,7 @@ func (a *Analysis) render(sb *strings.Builder, n *Node, depth int) {
 			fmt.Fprintf(sb, " est=%d", e)
 		}
 		// Latency quantiles once there is a distribution worth reading:
-		// a single Next call's p50=p95=p99 adds nothing over next=.
+		// a single NextBatch call's p50=p95=p99 adds nothing over next=.
 		if s := a.hists[n].Snapshot(); s.Count() > 1 {
 			fmt.Fprintf(sb, " p50=%v p95=%v p99=%v",
 				s.Quantile(0.50).Round(time.Microsecond),

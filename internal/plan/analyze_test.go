@@ -18,7 +18,7 @@ func TestBuildAnalyzedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := core.Drain(it)
+	count, err := core.Drain(it, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestBuildAnalyzedParallelAggregatesInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Drain(it); err != nil {
+	if _, err := core.Drain(it, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The pscan node aggregates across all three producer instances.

@@ -41,7 +41,7 @@ func findChoose(n *Node) []*Node {
 // TestCostMetamorphicCorpus is the planner's metamorphic property over
 // the differential corpus: stripping every knob the costing pass can
 // fill and letting it re-pick them must not change any result set —
-// in row mode or at any batch size. This is what makes the pass safe to
+// at any batch size. This is what makes the pass safe to
 // run on every server query: whatever parallelism, packet size, or
 // choose-plan strategy it selects, the answer is the text plan's answer.
 func TestCostMetamorphicCorpus(t *testing.T) {
@@ -53,7 +53,7 @@ func TestCostMetamorphicCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			refRows, err := Run(db.env, db.cat, ref)
+			refRows, err := Run(db.env, db.cat, ref, 0)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -67,15 +67,15 @@ func TestCostMetamorphicCorpus(t *testing.T) {
 			if len(findChoose(root)) > 0 {
 				chooseSeen = true
 			}
-			costedRows, err := Run(db.env, db.cat, root)
+			costedRows, err := Run(db.env, db.cat, root, 0)
 			if err != nil {
 				t.Fatalf("costed run: %v", err)
 			}
 			if err := sameRows(costedRows, refRows, diffTolerance[tc.name]); err != nil {
-				t.Fatalf("costed plan changed the row-mode result: %v\nplan:\n%s", err, Explain(root))
+				t.Fatalf("costed plan changed the result: %v\nplan:\n%s", err, Explain(root))
 			}
 			for _, size := range diffBatchSizes {
-				batchRows, err := RunBatch(db.env, db.cat, root, size)
+				batchRows, err := Run(db.env, db.cat, root, size)
 				if err != nil {
 					t.Fatalf("costed batch size %d: %v", size, err)
 				}
@@ -161,7 +161,7 @@ func TestCostLargeStreamPacketTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(db.env, db.cat, ref)
+	want, err := Run(db.env, db.cat, ref, 0)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestCostLargeStreamPacketTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := tpl.Cost(db.cat, nil).Template.Root()
-	got, err := Run(db.env, db.cat, root)
+	got, err := Run(db.env, db.cat, root, 0)
 	if err != nil {
 		t.Fatalf("costed run: %v\nplan:\n%s", err, Explain(root))
 	}
@@ -242,7 +242,7 @@ func TestChoosePlanDecisionByStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRows, err := Run(db.env, db.cat, ref)
+	refRows, err := Run(db.env, db.cat, ref, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestChoosePlanDecisionByStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := drainValues(it)
+		rows, err := core.Collect(it, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,34 +289,6 @@ func TestChoosePlanDecisionByStats(t *testing.T) {
 	t.Run("merge", func(t *testing.T) { run(t, 3, 1, "merge") })
 }
 
-// drainValues drains an iterator through Open/Next/Close, decoding
-// every record.
-func drainValues(it core.Iterator) ([][]record.Value, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	sch := it.Schema()
-	var rows [][]record.Value
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			_ = it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		vals, err := sch.Decode(r.Data)
-		r.Unfix()
-		if err != nil {
-			_ = it.Close()
-			return nil, err
-		}
-		rows = append(rows, vals)
-	}
-	return rows, it.Close()
-}
-
 // TestCostMisEstimateFeedback closes the loop the server runs per cache
 // entry: a selective predicate the model can't see mis-estimates by more
 // than the factor, one re-cost with the observed cardinalities fixes it,
@@ -336,7 +308,7 @@ func TestCostMisEstimateFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := drainValues(it); err != nil {
+		if _, err := core.Collect(it, 0); err != nil {
 			t.Fatal(err)
 		}
 		return an

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,20 +19,20 @@ import (
 )
 
 // The differential conformance harness: every plan in the corpus runs
-// once record-at-a-time and once per batch size under the batch
-// protocol, and the sorted, rendered result sets must be byte-identical.
-// The corpus spans every operator family the plan language can express —
-// scans, filters, projections, all join and match variants, aggregation,
-// duplicate elimination, set operations, division, sorting, and single,
-// partitioned, merging and nested exchanges — so a batch-protocol bug
-// anywhere in an operator's consume or produce path shows up as a
-// mode mismatch here rather than as a wrong answer in production. Every
-// plan also runs as the cost pass derives it, in row mode and at every
-// batch size, so a rewrite across an exchange that changes an answer
-// shows up the same way.
+// at each batch size, as written and as the cost pass derives it, and
+// its sorted, rendered result set must match the golden file under
+// testdata/differential — the answers the record-at-a-time protocol gave
+// before batches became the only protocol. The corpus spans every
+// operator family the plan language can express — scans, filters,
+// projections, all join and match variants, aggregation, duplicate
+// elimination, set operations, division, sorting, and single,
+// partitioned, merging and nested exchanges — so a bug anywhere in an
+// operator's consume or produce path at some batch size shows up as a
+// mismatch here rather than as a wrong answer in production, and so
+// does a rewrite across an exchange that changes an answer.
 
 // diffBatchSizes are the batch sizes every corpus plan is replayed
-// under: the degenerate size, a tiny prime that never divides the row
+// under: record-at-a-time, a tiny prime that never divides the row
 // counts (forcing partial final batches everywhere), and the default.
 var diffBatchSizes = []int{1, 7, core.DefaultBatchSize}
 
@@ -154,8 +157,9 @@ func newDiffDB(t testing.TB) *diffDB {
 }
 
 // renderSorted canonicalises a result set: each row rendered
-// field-by-field, rows sorted, so comparison is order-insensitive
-// (exchange arrival order is nondeterministic by design).
+// field-by-field, tab-separated, rows sorted, so comparison is
+// order-insensitive (exchange arrival order is nondeterministic by
+// design). Golden files hold one rendered row per line.
 func renderSorted(rows [][]record.Value) []string {
 	out := make([]string, len(rows))
 	for i, row := range rows {
@@ -163,10 +167,60 @@ func renderSorted(rows [][]record.Value) []string {
 		for j, v := range row {
 			cells[j] = v.String()
 		}
-		out[i] = strings.Join(cells, "\x1f")
+		out[i] = strings.Join(cells, "\t")
 	}
 	sort.Strings(out)
 	return out
+}
+
+// readGolden loads the rendered answer testdata/differential/<name>.golden.
+func readGolden(t testing.TB, name string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "differential", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// matchGolden compares a result set with its golden rendering. With
+// tol > 0, float cells may differ by that relative amount (see
+// sameRows); toleranced corpus plans lead with a unique group key, so
+// their rows sort the same either way.
+func matchGolden(got [][]record.Value, want []string, tol float64) error {
+	g := renderSorted(got)
+	if len(g) != len(want) {
+		return fmt.Errorf("%d rows, golden has %d", len(g), len(want))
+	}
+	for i := range want {
+		if g[i] != want[i] && !closeCells(g[i], want[i], tol) {
+			return fmt.Errorf("row %d differs:\n got %q\nwant %q", i, g[i], want[i])
+		}
+	}
+	return nil
+}
+
+// closeCells reports whether two rendered rows agree cell by cell, float
+// cells within the relative tolerance tol.
+func closeCells(a, b string, tol float64) bool {
+	ac, bc := strings.Split(a, "\t"), strings.Split(b, "\t")
+	if tol == 0 || len(ac) != len(bc) {
+		return false
+	}
+	for i := range ac {
+		if ac[i] == bc[i] {
+			continue
+		}
+		x, errx := strconv.ParseFloat(ac[i], 64)
+		y, erry := strconv.ParseFloat(bc[i], 64)
+		if errx != nil || erry != nil || math.Abs(x-y) > tol*math.Max(math.Abs(x), math.Abs(y)) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameRows compares two result sets as multisets. With tol = 0 the
@@ -283,19 +337,16 @@ func TestDifferentialCorpus(t *testing.T) {
 	db := newDiffDB(t)
 	for _, tc := range append(diffCorpus, rewriteCorpus...) {
 		t.Run(tc.name, func(t *testing.T) {
+			want := readGolden(t, tc.name)
+			if len(want) == 0 && tc.name != "union" {
+				// Every corpus plan except the degenerate branch of union
+				// produces rows; an empty golden would make the comparison
+				// vacuous.
+				t.Fatalf("golden has no rows — corpus case is vacuous")
+			}
 			n, err := Parse(tc.script)
 			if err != nil {
 				t.Fatalf("parse: %v", err)
-			}
-			rowRows, err := Run(db.env, db.cat, n)
-			if err != nil {
-				t.Fatalf("row mode: %v", err)
-			}
-			if len(rowRows) == 0 && tc.name != "union" {
-				// Every corpus plan except the degenerate branch of union
-				// produces rows; an empty row-mode result would make the
-				// differential comparison vacuous.
-				t.Fatalf("row mode produced no rows — corpus case is vacuous")
 			}
 			// The costed tree — knobs as written, rewrites across the
 			// exchange applied — must answer like the text's own tree.
@@ -304,33 +355,26 @@ func TestDifferentialCorpus(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			costed := tpl.Cost(db.cat, nil).Template.Root()
-			costedRows, err := Run(db.env, db.cat, costed)
-			if err != nil {
-				t.Fatalf("costed row mode: %v", err)
-			}
-			if err := sameRows(costedRows, rowRows, diffTolerance[tc.name]); err != nil {
-				t.Fatalf("costed row mode: %v\nplan:\n%s", err, Explain(costed))
-			}
 			for _, root := range []*Node{n, costed} {
 				for _, size := range diffBatchSizes {
-					got, err := RunBatch(db.env, db.cat, root, size)
+					got, err := Run(db.env, db.cat, root, size)
 					if err != nil {
 						t.Fatalf("batch size %d: %v\nplan:\n%s", size, err, Explain(root))
 					}
-					if err := sameRows(got, rowRows, diffTolerance[tc.name]); err != nil {
+					if err := matchGolden(got, want, diffTolerance[tc.name]); err != nil {
 						t.Fatalf("batch size %d: %v\nplan:\n%s", size, err, Explain(root))
 					}
+					if pinned := db.pool.PinnedFrames(); pinned != 0 {
+						t.Fatalf("batch size %d: %d frames still pinned\nplan:\n%s", size, pinned, Explain(root))
+					}
 				}
-			}
-			if pinned := db.pool.PinnedFrames(); pinned != 0 {
-				t.Fatalf("%d frames still pinned after both modes, costed and not", pinned)
 			}
 		})
 	}
 }
 
-// diffRejected are plans that parse but that both modes must refuse at
-// build time, naming the offending stage: `pscan T N` used to read
+// diffRejected are plans that parse but that every batch size must
+// refuse at build time, naming the offending stage: `pscan T N` used to read
 // T.0..N-1 whatever the catalog held, and an exchange whose producers=
 // disagreed with N read a subset or failed at Open.
 var diffRejected = []struct {
@@ -367,65 +411,42 @@ func TestDifferentialRejected(t *testing.T) {
 }
 
 // TestDifferentialIndexScan replays index-scan plans (which need a
-// durable volume with a saved B+-tree) through both modes.
+// durable volume with a saved B+-tree) at every batch size against their
+// goldens.
 func TestDifferentialIndexScan(t *testing.T) {
 	env, cat := durableDB(t)
-	for _, script := range []string{
-		"iscan t t_id 100 199",
-		"iscan t t_id | filter v > 500 | project id, v",
-		"iscan t t_id 990 | agg hash group v compute count",
+	for name, script := range map[string]string{
+		"iscan-range":          "iscan t t_id 100 199",
+		"iscan-filter-project": "iscan t t_id | filter v > 500 | project id, v",
+		"iscan-agg":            "iscan t t_id 990 | agg hash group v compute count",
 	} {
 		n, err := Parse(script)
 		if err != nil {
 			t.Fatalf("parse %q: %v", script, err)
 		}
-		rowRows, err := Run(env, cat, n)
-		if err != nil {
-			t.Fatalf("row mode %q: %v", script, err)
+		want := readGolden(t, name)
+		if len(want) == 0 {
+			t.Fatalf("%q: golden has no rows", script)
 		}
-		if len(rowRows) == 0 {
-			t.Fatalf("%q: row mode produced no rows", script)
-		}
-		want := renderSorted(rowRows)
 		for _, size := range diffBatchSizes {
-			batchRows, err := RunBatch(env, cat, n, size)
+			got, err := Run(env, cat, n, size)
 			if err != nil {
 				t.Fatalf("batch size %d %q: %v", size, script, err)
 			}
-			got := renderSorted(batchRows)
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Fatalf("batch size %d %q: result sets differ", size, script)
+			if err := matchGolden(got, want, 0); err != nil {
+				t.Fatalf("batch size %d %q: %v", size, script, err)
 			}
 		}
 	}
 }
 
-// drainRowMode pulls everything through Next until EOS or error,
-// unfixing as it goes.
-func drainRowMode(it core.Iterator, limit int) (int, error) {
-	n := 0
-	for n < limit {
-		r, ok, err := it.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			return n, nil
-		}
-		r.Unfix()
-		n++
-	}
-	return n, nil
-}
-
-// drainBatchMode pulls everything through NextBatch until EOS or error,
-// releasing each batch.
-func drainBatchMode(it core.Iterator, size, limit int) (int, error) {
-	src := core.AsBatch(it)
+// drainN pulls through NextBatch refills of the given size until EOS,
+// an error, or limit records, releasing each batch.
+func drainN(it core.Iterator, size, limit int) (int, error) {
 	b := core.NewBatch(size)
 	n := 0
 	for n < limit {
-		if err := src.NextBatch(b); err != nil {
+		if err := it.NextBatch(b); err != nil {
 			return n, err
 		}
 		if b.Len() == 0 {
@@ -438,8 +459,8 @@ func drainBatchMode(it core.Iterator, size, limit int) (int, error) {
 }
 
 // TestDifferentialCancellationPreClosed builds an exchange plan with an
-// already-closed Done channel: in both modes the stream must fail with
-// ErrCanceled and leak no pins.
+// already-closed Done channel: at every batch size the stream must fail
+// with ErrCanceled and leak no pins.
 func TestDifferentialCancellationPreClosed(t *testing.T) {
 	db := newDiffDB(t)
 	n, err := Parse("pscan nums 4 | exchange producers=4 packet=16 flow=on slack=3")
@@ -448,7 +469,7 @@ func TestDifferentialCancellationPreClosed(t *testing.T) {
 	}
 	done := make(chan struct{})
 	close(done)
-	for _, size := range []int{0, 7} {
+	for _, size := range []int{1, 7} {
 		it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Done: done, BatchSize: size})
 		if err != nil {
 			t.Fatal(err)
@@ -456,12 +477,7 @@ func TestDifferentialCancellationPreClosed(t *testing.T) {
 		if err := it.Open(); err != nil {
 			t.Fatalf("size %d: open: %v", size, err)
 		}
-		var drainErr error
-		if size > 0 {
-			_, drainErr = drainBatchMode(it, size, 1<<20)
-		} else {
-			_, drainErr = drainRowMode(it, 1<<20)
-		}
+		_, drainErr := drainN(it, size, 1<<20)
 		if !errors.Is(drainErr, core.ErrCanceled) {
 			t.Fatalf("size %d: drain error = %v, want ErrCanceled", size, drainErr)
 		}
@@ -475,7 +491,7 @@ func TestDifferentialCancellationPreClosed(t *testing.T) {
 }
 
 // TestDifferentialCancellationMidStream consumes part of the result,
-// closes Done mid-stream, and requires a clean teardown in both modes:
+// closes Done mid-stream, and requires a clean teardown at every size:
 // the remaining drain either finishes or reports ErrCanceled, Close
 // succeeds (or reports the cancellation), and no pin leaks.
 func TestDifferentialCancellationMidStream(t *testing.T) {
@@ -484,7 +500,7 @@ func TestDifferentialCancellationMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{0, 7} {
+	for _, size := range []int{1, 7} {
 		done := make(chan struct{})
 		it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Done: done, BatchSize: size})
 		if err != nil {
@@ -495,22 +511,12 @@ func TestDifferentialCancellationMidStream(t *testing.T) {
 		}
 		// Take a prefix, then cancel while producers are still working
 		// (packet=4 with slack 2 keeps most of the 500 rows undelivered).
-		var prefixErr error
-		if size > 0 {
-			_, prefixErr = drainBatchMode(it, size, 20)
-		} else {
-			_, prefixErr = drainRowMode(it, 20)
-		}
+		_, prefixErr := drainN(it, size, 20)
 		if prefixErr != nil {
 			t.Fatalf("size %d: prefix drain: %v", size, prefixErr)
 		}
 		close(done)
-		var restErr error
-		if size > 0 {
-			_, restErr = drainBatchMode(it, size, 1<<20)
-		} else {
-			_, restErr = drainRowMode(it, 1<<20)
-		}
+		_, restErr := drainN(it, size, 1<<20)
 		if restErr != nil && !errors.Is(restErr, core.ErrCanceled) {
 			t.Fatalf("size %d: post-cancel drain error = %v", size, restErr)
 		}

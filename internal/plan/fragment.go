@@ -156,9 +156,7 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, root *Node, path string, 
 	if n.Kind != KindExchange || len(n.Inputs) != 1 {
 		return nil, fmt.Errorf("plan: fragment path %q is not an exchange cut", path)
 	}
-	if env != nil && o.Meter != nil {
-		env = env.WithMeter(o.Meter)
-	}
+	env = queryEnv(env, o)
 	if o.Analyze || o.Metrics.Enabled() {
 		// Instrumented fragment: a worker scraping its own registry sees
 		// the subtree's volcano_op_next_seconds series like any local
@@ -172,7 +170,6 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, root *Node, path string, 
 		partition: producer,
 		tracer:    o.Tracer,
 		done:      o.Done,
-		batch:     o.BatchSize,
 		queryID:   o.QueryID,
 	}, n.Inputs[0])
 }

@@ -103,15 +103,14 @@ func (a *concatIter) Open() error {
 	return nil
 }
 
-func (a *concatIter) Next() (core.Rec, bool, error) {
+func (a *concatIter) NextBatch(b *core.Batch) error {
 	for a.cur < len(a.its) {
-		r, ok, err := a.its[a.cur].Next()
-		if err != nil || ok {
-			return r, ok, err
+		if err := a.its[a.cur].NextBatch(b); err != nil || b.Len() > 0 {
+			return err
 		}
 		a.cur++
 	}
-	return core.Rec{}, false, nil
+	return nil
 }
 
 func (a *concatIter) Close() error {
@@ -136,7 +135,7 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 	}
 
 	// First: what does the plan produce unbound?
-	wantRows, err := Run(db.env, db.cat, n)
+	wantRows, err := Run(db.env, db.cat, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := core.Collect(it)
+	rows, err := core.Collect(it, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

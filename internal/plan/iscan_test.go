@@ -67,7 +67,7 @@ func TestPlanIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Run(env, cat, n)
+	rows, err := Run(env, cat, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPlanIndexScanUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Run(env, cat, n)
+	rows, err := Run(env, cat, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPlanIndexScanUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err = Run(env, cat, n)
+	rows, err = Run(env, cat, n, 0)
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("lower-bounded rows = %d, %v", len(rows), err)
 	}
@@ -114,12 +114,12 @@ func TestPlanIndexScanErrors(t *testing.T) {
 		}
 	}
 	n, _ := Parse("iscan t nosuchindex")
-	if _, err := Run(env, cat, n); err == nil {
+	if _, err := Run(env, cat, n, 0); err == nil {
 		t.Fatal("unknown index accepted")
 	}
 	// MapCatalog has no index support.
 	n2, _ := Parse("iscan t t_id")
-	if _, err := Run(env, MapCatalog{}, n2); err == nil {
+	if _, err := Run(env, MapCatalog{}, n2, 0); err == nil {
 		t.Fatal("index scan on plain catalog accepted")
 	}
 }

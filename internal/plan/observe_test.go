@@ -28,7 +28,7 @@ func TestBuildObservedHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Drain(it); err != nil {
+	if _, err := core.Drain(it, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s := an.Latency(n); s.Count() == 0 {
@@ -85,7 +85,7 @@ func TestLiveScrapeDuringParallelQuery(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, derr := core.Drain(it)
+		_, derr := core.Drain(it, 0)
 		done <- derr
 	}()
 

@@ -94,7 +94,7 @@ func (db *testDB) run(t *testing.T, script string) [][]record.Value {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	rows, err := Run(db.env, db.cat, n)
+	rows, err := Run(db.env, db.cat, n, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -358,7 +358,7 @@ func TestPlanUnknownTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(db.env, db.cat, n); err == nil {
+	if _, err := Run(db.env, db.cat, n, 0); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }
@@ -370,7 +370,7 @@ func TestPlanUnknownFieldResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(db.env, db.cat, n); err == nil {
+	if _, err := Run(db.env, db.cat, n, 0); err == nil {
 		t.Fatal("unknown sort field accepted")
 	}
 }
@@ -386,7 +386,7 @@ func TestVolumeCatalog(t *testing.T) {
 		t.Fatal("unknown table accepted")
 	}
 	n, _ := Parse("scan emp")
-	rows, err := Run(db.env, cat, n)
+	rows, err := Run(db.env, cat, n, 0)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("rows=%d err=%v", len(rows), err)
 	}

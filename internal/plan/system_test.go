@@ -130,7 +130,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		rows, err := core.Collect(it)
+		rows, err := core.Collect(it, 0)
 		if err != nil {
 			t.Fatalf("run: %v\n%s", err, an.String())
 		}

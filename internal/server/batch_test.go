@@ -26,9 +26,9 @@ func splitRows(res queryResult) []string {
 	return rows
 }
 
-// TestBatchExecution runs the same queries record-at-a-time (header 0)
-// and under the batch protocol — the server default, a configured size,
-// and per-request header sizes — and requires identical result sets.
+// TestBatchExecution runs the same queries record-at-a-time (header 1)
+// and at larger batch sizes — the server default, a configured size, and
+// a per-request header size — and requires identical result sets.
 func TestBatchExecution(t *testing.T) {
 	srv, _, ts, _ := newTestServer(t, nil)
 	_, _, tsBatch, _ := newTestServer(t, func(c *Config) { c.BatchSize = 5 })
@@ -45,7 +45,7 @@ func TestBatchExecution(t *testing.T) {
 		"with d = scan dept\nscan emp | join hash d on dept = dno",
 	}
 	for _, script := range scripts {
-		row, err := postQueryBatch(ts, script, "0")
+		row, err := postQueryBatch(ts, script, "1")
 		if err != nil {
 			t.Fatalf("row %q: %v", script, err)
 		}
@@ -53,17 +53,16 @@ func TestBatchExecution(t *testing.T) {
 			t.Fatalf("row %q: trailer %+v", script, row.trailer)
 		}
 		for name, res := range map[string]queryResult{
-			"server default":  mustQuery(t, func() (queryResult, error) { return postQuery(ts, script) }),
-			"header size 7":   mustQuery(t, func() (queryResult, error) { return postQueryBatch(ts, script, "7") }),
-			"header size 1":   mustQuery(t, func() (queryResult, error) { return postQueryBatch(ts, script, "1") }),
-			"configured size": mustQuery(t, func() (queryResult, error) { return postQuery(tsBatch, script) }),
-			"header opt-out":  mustQuery(t, func() (queryResult, error) { return postQueryBatch(tsBatch, script, "0") }),
+			"server default":                       mustQuery(t, func() (queryResult, error) { return postQuery(ts, script) }),
+			"header size 7":                        mustQuery(t, func() (queryResult, error) { return postQueryBatch(ts, script, "7") }),
+			"configured size":                      mustQuery(t, func() (queryResult, error) { return postQuery(tsBatch, script) }),
+			"header size 1 over a configured size": mustQuery(t, func() (queryResult, error) { return postQueryBatch(tsBatch, script, "1") }),
 		} {
 			if res.trailer.Status != "ok" {
 				t.Fatalf("%s %q: trailer %+v", name, script, res.trailer)
 			}
 			if res.rows != row.rows {
-				t.Errorf("%s %q: %d rows, row mode gave %d", name, script, res.rows, row.rows)
+				t.Errorf("%s %q: %d rows, batch size 1 gave %d", name, script, res.rows, row.rows)
 			}
 			got, want := splitRows(res), splitRows(row)
 			for i := range want {
@@ -96,12 +95,12 @@ func (p *flushProbe) Flush() {
 	p.ResponseRecorder.Flush()
 }
 
-// TestFirstRowFlushedFirst pins the stream's flush cadence under both
-// protocols: the first flush carries exactly one row, then one flush
+// TestFirstRowFlushedFirst pins the stream's flush cadence at the served
+// batch size and record-at-a-time: the first flush carries exactly one row, then one flush
 // follows every FlushEvery rows, and the last carries the trailer.
 func TestFirstRowFlushedFirst(t *testing.T) {
 	srv, _, _, _ := newTestServer(t, nil)
-	for _, batch := range []string{"", "0"} {
+	for _, batch := range []string{"", "1"} {
 		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader("scan emp"))
 		if batch != "" {
 			req.Header.Set("X-Volcano-Batch", batch)
@@ -208,11 +207,11 @@ func TestPointDrainAllocatesNoFullBatch(t *testing.T) {
 	}
 }
 
-// TestBatchHeaderValidation rejects malformed X-Volcano-Batch values
-// before admission.
+// TestBatchHeaderValidation rejects malformed and out-of-range
+// X-Volcano-Batch values before admission.
 func TestBatchHeaderValidation(t *testing.T) {
 	_, _, ts, _ := newTestServer(t, nil)
-	for _, bad := range []string{"-1", "x", "1.5"} {
+	for _, bad := range []string{"-1", "x", "1.5", "0", "4097"} {
 		res, err := postQueryBatch(ts, "scan emp", bad)
 		if err != nil {
 			t.Fatal(err)
@@ -220,5 +219,32 @@ func TestBatchHeaderValidation(t *testing.T) {
 		if res.status != http.StatusBadRequest {
 			t.Errorf("X-Volcano-Batch=%q: status %d, want 400", bad, res.status)
 		}
+	}
+}
+
+// TestBatchHeaderBounded sends a batch size that would size a huge
+// allocation, with the filter below and above a parallel exchange: each
+// request is a 400 naming the record-at-a-time size, not a panic in a
+// producer goroutine or a handler, and the server answers the next query.
+func TestBatchHeaderBounded(t *testing.T) {
+	_, _, ts, _ := newTestServer(t, nil)
+	for _, script := range []string{
+		"pscan emp 4 | filter id > 0 | exchange producers=4",
+		"pscan emp 4 | exchange producers=4 | filter id > 0",
+	} {
+		res, err := postQueryBatch(ts, script, "4611686018427387904")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.status != http.StatusBadRequest || !strings.Contains(res.body, "1 is record-at-a-time") {
+			t.Errorf("%q: status %d, body %q; want 400 naming the record-at-a-time size", script, res.status, res.body)
+		}
+	}
+	res, err := postQuery(ts, "pscan emp 4 | exchange producers=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.trailer.Status != "ok" || res.rows != empRows {
+		t.Fatalf("query after the refusals: trailer %+v, %d rows", res.trailer, res.rows)
 	}
 }

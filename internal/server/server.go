@@ -80,8 +80,8 @@ type Config struct {
 	// built with plan.BuildOptions.BatchSize and the result stream drains
 	// the root through NextBatch (default core.DefaultBatchSize, the
 	// exchange packet size). A request may override it with the
-	// X-Volcano-Batch header: a positive integer selects that batch size,
-	// 0 forces record-at-a-time.
+	// X-Volcano-Batch header, 1..core.MaxBatchSize, where 1 is
+	// record-at-a-time.
 	BatchSize int
 
 	// SlowQuery is the slow-query threshold: a completed query whose
@@ -347,16 +347,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchSize resolves the effective batch size for one request: the
-// X-Volcano-Batch header when present (0 = force record-at-a-time),
-// otherwise the server default, which is always positive.
+// X-Volcano-Batch header when present, otherwise the server default.
 func (s *Server) batchSize(r *http.Request) (int, error) {
 	h := r.Header.Get("X-Volcano-Batch")
 	if h == "" {
 		return s.cfg.BatchSize, nil
 	}
 	n, err := strconv.Atoi(h)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("server: bad X-Volcano-Batch %q (want a non-negative integer)", h)
+	if err == nil {
+		err = core.CheckBatchSize(n)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("server: bad X-Volcano-Batch %q: want a batch size in 1..%d (1 is record-at-a-time)", h, core.MaxBatchSize)
 	}
 	return n, nil
 }
@@ -416,9 +418,8 @@ func (s *Server) compile(src string) (*cacheEntry, bool, error) {
 }
 
 // execute builds a fresh iterator tree from the template and streams its
-// rows. Past the 200 header, errors travel in the NDJSON trailer. A
-// positive batch runs the whole query under the batch-at-a-time protocol;
-// 0 (X-Volcano-Batch: 0) runs it record-at-a-time.
+// rows. Past the 200 header, errors travel in the NDJSON trailer. The
+// whole query runs at the given batch size.
 //
 // Every build is analyzed: the instrumentation wrappers' OpStats are
 // atomic, so rec exposes live per-operator progress to /debug/queries
@@ -524,26 +525,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		}
 		return nil
 	}
-	if batch > 0 {
-		streamErr = drainBatches(ctx, it, batch, emit)
-	} else {
-		for ctx.Err() == nil {
-			rec, ok, err := it.Next()
-			if err != nil {
-				streamErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			err = emit(rec)
-			rec.Unfix()
-			if err != nil {
-				streamErr = err
-				break
-			}
-		}
-	}
+	streamErr = drainBatches(ctx, it, batch, emit)
 	closeErr := it.Close()
 	s.m.rowsOut.Add(rows)
 	rec.streamNs.Store(int64(time.Since(streamStart)))
@@ -605,18 +587,17 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	s.finishQuery(rec, t.Status, t.Error)
 }
 
-// drainBatches streams it into emit through the batch protocol until the
+// drainBatches streams it into emit through NextBatch refills until the
 // stream ends, a pull or emit fails, or ctx is done. The first pulls go
 // through a one-slot batch, so the first row reaches emit after one record
 // and a one-row answer allocates no batch storage beyond that slot; once
 // the stream is past its first row, each pull fills a batch of size. The
 // pins of a batch are released in one coalesced pass.
 func drainBatches(ctx context.Context, it core.Iterator, size int, emit func(core.Rec) error) error {
-	src := core.AsBatch(it)
 	b := core.NewBatch(1)
 	rows := 0
 	for ctx.Err() == nil {
-		if err := src.NextBatch(b); err != nil {
+		if err := it.NextBatch(b); err != nil {
 			return err
 		}
 		if b.Len() == 0 {

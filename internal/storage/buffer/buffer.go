@@ -677,14 +677,6 @@ func (p *Pool) FlushAll(dev record.DeviceID) error {
 	return nil
 }
 
-// Resident reports whether the page is currently in the buffer (for tests).
-func (p *Pool) Resident(pid record.PageID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, ok := p.table[pid]
-	return ok && f.valid
-}
-
 // FixCount returns the current pin count of a resident page (for tests).
 func (p *Pool) FixCount(pid record.PageID) int {
 	p.mu.Lock()

@@ -1,6 +1,10 @@
 package buffer
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/record"
+)
 
 // checkChain checks the chain invariant at quiescence, when no unfix is
 // between its atomic add and its pool-lock round: every frame at fix
@@ -28,4 +32,12 @@ func (p *Pool) checkChain() error {
 		}
 	}
 	return nil
+}
+
+// Resident reports whether the page is currently in the buffer.
+func (p *Pool) Resident(pid record.PageID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.table[pid]
+	return ok && f.valid
 }
