@@ -54,11 +54,6 @@ func (r *T1Result) Print(w io.Writer) {
 	tw.Flush()
 }
 
-// Shape checks (who wins / ordering), used by tests and EXPERIMENTS.md.
-func (r *T1Result) InlineSlowerThanDirect() bool {
-	return r.Inline.Elapsed > r.NoExchange.Elapsed
-}
-
 // Fig2Point is one packet-size measurement.
 type Fig2Point struct {
 	PacketSize int

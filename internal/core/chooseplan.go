@@ -53,15 +53,6 @@ func (c *ChoosePlan) Schema() *record.Schema { return c.schema }
 // metrics record which plan actually ran).
 func (c *ChoosePlan) OnChoose(fn func(int)) { c.onChoose = fn }
 
-// Chosen reports the index of the currently running alternative, or -1
-// when the operator is not open.
-func (c *ChoosePlan) Chosen() int {
-	if c.chosen == nil {
-		return -1
-	}
-	return c.choice
-}
-
 // Open implements Iterator: evaluates the decision support function and
 // opens only the chosen alternative.
 func (c *ChoosePlan) Open() error {

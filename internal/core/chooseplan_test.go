@@ -13,7 +13,7 @@ func TestChoosePlanPicksAlternative(t *testing.T) {
 	f := env.makeEmp(t, "emp", 200, 4)
 
 	// Build an index on id so a plan choice is meaningful.
-	tree, err := btree.Create(env.Pool, env.base.Device())
+	tree, err := btree.Create(env.Pool, f.FirstPage().Dev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,8 +159,8 @@ func TestIteratorProtocolConformance(t *testing.T) {
 						break
 					}
 					for _, r := range b.Recs() {
-						if len(r.Data) < schema.FixedLen() {
-							t.Fatal("record shorter than schema's fixed area")
+						if _, err := schema.Decode(r.Data); err != nil {
+							t.Fatalf("record does not decode under the schema: %v", err)
 						}
 					}
 					rows += int64(b.Len())
@@ -196,7 +196,7 @@ func TestIteratorProtocolConformance(t *testing.T) {
 					if st.Closes != 3 {
 						t.Errorf("instrumented closes = %d, want 3", st.Closes)
 					}
-					if ins.Unwrap() == nil || ins.Name() != m.name {
+					if ins.inner == nil || ins.Name() != m.name {
 						t.Errorf("wrapper identity lost: name=%q", ins.Name())
 					}
 				}

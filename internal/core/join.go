@@ -47,11 +47,6 @@ func NewNestedLoops(env *Env, left, right Iterator, predSrc string, mode expr.Mo
 	}, nil
 }
 
-// NewCartesianProduct builds the Cartesian product of the inputs.
-func NewCartesianProduct(env *Env, left, right Iterator) (*NestedLoops, error) {
-	return NewNestedLoops(env, left, right, "", expr.Compiled)
-}
-
 // Schema implements Iterator.
 func (n *NestedLoops) Schema() *record.Schema { return n.schema }
 

@@ -44,13 +44,6 @@ type NetExchange struct {
 	closed  atomic.Int32
 	bytes   atomic.Int64
 	packets atomic.Int64
-	// Blocking-time counters, the network mirror of the in-process port's
-	// stall/wait pair: sendStall is time producers spent blocked on a full
-	// link (the bounded channel models the link's transmit window),
-	// recvWait is time consumers spent blocked waiting for a packet to
-	// arrive.
-	sendStall atomic.Int64
-	recvWait  atomic.Int64
 	// basePID is the first trace pid of this hub's sites (tracing only).
 	basePID int
 }
@@ -225,39 +218,6 @@ func (n *NetExchange) Stats() (packets, bytes int64) {
 	return n.packets.Load(), n.bytes.Load()
 }
 
-// NetExchangeStats mirrors ExchangeStats for the shared-nothing variant:
-// data volume over the wire plus the two blocking-time counters that
-// attribute pipeline imbalance across the network boundary.
-type NetExchangeStats struct {
-	Packets int64
-	Bytes   int64
-	// PoolHits/PoolMisses/PoolDiscards report the wire-packet free list
-	// (see ExchangeStats: same semantics, same steady-state expectation).
-	PoolHits     int64
-	PoolMisses   int64
-	PoolDiscards int64
-	// SendStall is cumulative time producers spent blocked on a full
-	// link (the transmit window), the network analogue of the in-process
-	// flow-control stall.
-	SendStall time.Duration
-	// RecvWait is cumulative time consumers spent blocked waiting for a
-	// packet to arrive.
-	RecvWait time.Duration
-}
-
-// NetStats returns a snapshot of all counters.
-func (n *NetExchange) NetStats() NetExchangeStats {
-	return NetExchangeStats{
-		Packets:      n.packets.Load(),
-		Bytes:        n.bytes.Load(),
-		PoolHits:     n.pool.hits.Load(),
-		PoolMisses:   n.pool.misses.Load(),
-		PoolDiscards: n.pool.discards.Load(),
-		SendStall:    time.Duration(n.sendStall.Load()),
-		RecvWait:     time.Duration(n.recvWait.Load()),
-	}
-}
-
 // netErrBox keeps every stored error the same concrete type:
 // atomic.Value.CompareAndSwap panics when racing stores carry different
 // dynamic types, and errors from different operators rarely share one.
@@ -362,9 +322,7 @@ func (n *NetExchange) producerLoop(g int) {
 		default:
 			start := time.Now()
 			n.queues[c].ch <- p
-			d := time.Since(start)
-			n.sendStall.Add(int64(d))
-			tk.SpanAt("flow", "send-stall", start, d)
+			tk.SpanAt("flow", "send-stall", start, time.Since(start))
 		}
 	}
 	add := func(c int, data []byte) {
@@ -551,9 +509,7 @@ func (c *netConsumer) NextBatch(b *Batch) error {
 		default:
 			start := time.Now()
 			p = <-q.ch
-			d := time.Since(start)
-			c.x.recvWait.Add(int64(d))
-			c.tk.SpanAt("flow", "recv-wait", start, d)
+			c.tk.SpanAt("flow", "recv-wait", start, time.Since(start))
 		}
 		c.tk.FlowIn("wire", "wire-recv", p.flow, "records", int64(len(p.recs)))
 		if p.eos {

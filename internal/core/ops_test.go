@@ -102,7 +102,7 @@ func TestProject(t *testing.T) {
 func TestIndexScan(t *testing.T) {
 	env := newTestEnv(t, 128)
 	f := env.makeEmp(t, "emp", 200, 4)
-	tree, err := btree.Create(env.Pool, env.base.Device())
+	tree, err := btree.Create(env.Pool, f.FirstPage().Dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestNestedLoopsJoinAndCartesian(t *testing.T) {
 	env.checkNoPinLeak(t)
 
 	// Cartesian product.
-	cp, err := NewCartesianProduct(env.Env, scanOf(t, l), scanOf(t, r))
+	cp, err := NewNestedLoops(env.Env, scanOf(t, l), scanOf(t, r), "", expr.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}

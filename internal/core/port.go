@@ -54,9 +54,6 @@ type packetFIFO struct {
 
 func (f *packetFIFO) empty() bool { return f.head == len(f.buf) }
 
-// size reports the number of queued packets.
-func (f *packetFIFO) size() int { return len(f.buf) - f.head }
-
 func (f *packetFIFO) push(p *packet) {
 	if f.head > 0 && len(f.buf) == cap(f.buf) {
 		n := copy(f.buf, f.buf[f.head:])

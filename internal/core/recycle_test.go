@@ -103,16 +103,16 @@ func TestNetExchangePacketRecycling(t *testing.T) {
 	if count != 2*n {
 		t.Fatalf("count = %d, want %d", count, 2*n)
 	}
-	st := x.NetStats()
-	if st.PoolHits == 0 {
+	hits, misses, packets := x.pool.hits.Load(), x.pool.misses.Load(), x.packets.Load()
+	if hits == 0 {
 		t.Fatal("net pool recorded no hits: wire packets are not being recycled")
 	}
-	if got := st.PoolHits + st.PoolMisses; got != st.Packets {
+	if got := hits + misses; got != packets {
 		t.Fatalf("net pool gets (%d hits + %d misses = %d) != packets sent (%d)",
-			st.PoolHits, st.PoolMisses, got, st.Packets)
+			hits, misses, got, packets)
 	}
-	if st.PoolMisses*4 > st.Packets {
-		t.Fatalf("net pool misses %d of %d packets", st.PoolMisses, st.Packets)
+	if misses*4 > packets {
+		t.Fatalf("net pool misses %d of %d packets", misses, packets)
 	}
 	src.checkNoPinLeak(t)
 	dst.checkNoPinLeak(t)

@@ -128,9 +128,6 @@ func (i *Instrumented) Name() string { return i.name }
 // Stats returns the live counters (shared with any sibling wrappers).
 func (i *Instrumented) Stats() *OpStats { return i.st }
 
-// Unwrap returns the iterator being observed.
-func (i *Instrumented) Unwrap() Iterator { return i.inner }
-
 // Schema implements Iterator.
 func (i *Instrumented) Schema() *record.Schema { return i.inner.Schema() }
 

@@ -59,8 +59,8 @@ func TestInstrumentedHistogramObserves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("histogram observed %d NextBatch calls, want 8", h.Count())
+	if h.Snapshot().Count() != 8 {
+		t.Fatalf("histogram observed %d NextBatch calls, want 8", h.Snapshot().Count())
 	}
 	s := h.Snapshot()
 	if s.Quantile(0.5) <= 0 {

@@ -36,7 +36,7 @@ func TestInstrumentCountsAndTimes(t *testing.T) {
 	if ins.Name() != "scan t" {
 		t.Fatalf("name = %q", ins.Name())
 	}
-	if ins.Unwrap() == nil {
+	if ins.inner == nil {
 		t.Fatal("unwrap lost the inner iterator")
 	}
 }

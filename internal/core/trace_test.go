@@ -194,8 +194,7 @@ func TestNetExchangeTraceProtocol(t *testing.T) {
 	if len(pids) != 3 {
 		t.Errorf("got %d site pids, want 3", len(pids))
 	}
-	st := x.NetStats()
-	if st.Packets == 0 || st.Bytes == 0 {
+	if packets, bytes := x.Stats(); packets == 0 || bytes == 0 {
 		t.Error("no wire traffic counted")
 	}
 }

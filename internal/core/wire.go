@@ -182,7 +182,6 @@ type WireSender struct {
 	recs       [][]byte // windows into arena, like netPacket
 	arena      []byte
 	scratch    []byte
-	meter      *ResourceMeter
 
 	frames atomic.Int64
 	bytes  atomic.Int64
@@ -194,12 +193,6 @@ func NewWireSender(w io.Writer, packetSize int) *WireSender {
 		packetSize = 83
 	}
 	return &WireSender{w: bufio.NewWriterSize(w, 64<<10), packetSize: packetSize}
-}
-
-// WithMeter attributes sent frames/bytes to a query's resource meter.
-func (s *WireSender) WithMeter(m *ResourceMeter) *WireSender {
-	s.meter = m
-	return s
 }
 
 // Stats reports frames and payload bytes sent so far.
@@ -276,6 +269,5 @@ func (s *WireSender) writeScratch() error {
 	payload := len(s.scratch) - wireHeaderLen
 	s.frames.Add(1)
 	s.bytes.Add(int64(payload))
-	s.meter.WireSend(payload)
 	return nil
 }

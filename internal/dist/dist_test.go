@@ -176,7 +176,11 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localRows, err := plan.Run(db.env, db.cat, n, 0)
+	local, _, err := plan.BuildWith(db.env, db.cat, n, plan.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	localRows, err := core.Collect(local, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package dist is the distributed-execution layer: a coordinator that
-// splits plans at exchange boundaries (see plan.Cuts) and ships producer
-// fragments to a fleet of volcano-worker processes, and the worker that
-// executes them. Control travels over HTTP (register, dispatch,
+// splits plans at the exchange boundaries plan.Distributable accepts and
+// ships producer fragments to a fleet of volcano-worker processes, and the
+// worker that executes them. Control travels over HTTP (register, dispatch,
 // heartbeat); data travels over raw TCP in the netexchange wire format
 // of internal/core — the same length-prefixed frames that cross a
 // NetExchange's transport, so a fragment's output stream is

@@ -8,6 +8,15 @@ import (
 	"repro/internal/record"
 )
 
+// MustParse is Parse that panics on error.
+func MustParse(src string) Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 var testSchema = record.MustSchema(
 	record.Field{Name: "id", Type: record.TInt},
 	record.Field{Name: "score", Type: record.TFloat},
@@ -39,7 +48,7 @@ func evalBoth(t *testing.T, src string, data []byte) record.Value {
 	if err != nil {
 		t.Fatalf("closure(%q): %v", src, err)
 	}
-	if !iv.Equal(cv) {
+	if record.CompareValues(iv, cv) != 0 {
 		t.Fatalf("%q: interpreted %v != compiled %v", src, iv, cv)
 	}
 	return iv
@@ -69,7 +78,7 @@ func TestArithmetic(t *testing.T) {
 		"id * id - score": record.Float(97.5),
 	}
 	for src, want := range cases {
-		if got := evalBoth(t, src, data); !got.Equal(want) {
+		if got := evalBoth(t, src, data); record.CompareValues(got, want) != 0 {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
 	}
@@ -207,7 +216,7 @@ func TestParseStringRoundTrip(t *testing.T) {
 	p2, _ := CompileProgram(e2, testSchema)
 	v1, _ := p1.Eval(testSchema, data)
 	v2, _ := p2.Eval(testSchema, data)
-	if !v1.Equal(v2) {
+	if record.CompareValues(v1, v2) != 0 {
 		t.Fatalf("round trip changed semantics: %v vs %v", v1, v2)
 	}
 }
@@ -366,7 +375,7 @@ func TestQuickModesAgree(t *testing.T) {
 			if ierr != nil {
 				return true
 			}
-			return iv.Equal(cv)
+			return record.CompareValues(iv, cv) == 0
 		}
 		if err := quick.Check(prop, nil); err != nil {
 			t.Errorf("%q: %v", src, err)

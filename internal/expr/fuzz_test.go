@@ -53,7 +53,7 @@ func FuzzParse(f *testing.F) {
 		if (ierr == nil) != (cerr2 == nil) {
 			t.Fatalf("%q: eval err mismatch: %v vs %v", src, ierr, cerr2)
 		}
-		if ierr == nil && !iv.Equal(cv) {
+		if ierr == nil && record.CompareValues(iv, cv) != 0 {
 			t.Fatalf("%q: interpreted %v != compiled %v", src, iv, cv)
 		}
 	})

@@ -37,15 +37,6 @@ func Parse(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse that panics on error, for tests and static plans.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type tokKind uint8
 
 const (

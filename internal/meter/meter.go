@@ -172,14 +172,6 @@ func (m *Meter) SetCPUNanos(ns int64) {
 	m.CPUNanos.Store(ns)
 }
 
-// IOBytes returns total device bytes moved (reads + writes).
-func (m *Meter) IOBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.DevReadBytes.Load() + m.DevWriteBytes.Load()
-}
-
 // Snapshot is a plain-value copy of a meter, safe to store, compare and
 // marshal. The JSON tags are the wire shape of the trailer `resources`
 // block, the /debug/queries drill-down and the slow-query log.

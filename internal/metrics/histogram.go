@@ -77,14 +77,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.over.Add(1)
 }
 
-// Count returns the number of observations so far (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total.Load()
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram, safe to
 // aggregate and query after the fact. Counts are per-bucket (not
 // cumulative); Counts has one more entry than Bounds, the overflow.
@@ -119,25 +111,6 @@ func (s HistogramSnapshot) Count() int64 {
 		n += c
 	}
 	return n
-}
-
-// Merge combines another snapshot into s. The bounds must match —
-// snapshots merge across instances of the same metric, not across
-// differently-shaped histograms.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(s.Bounds) != len(o.Bounds) {
-		return fmt.Errorf("metrics: merge of histograms with %d vs %d buckets", len(s.Bounds), len(o.Bounds))
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return fmt.Errorf("metrics: merge of histograms with different bounds at bucket %d", i)
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.SumNanos += o.SumNanos
-	return nil
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) in nanoseconds by

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -121,55 +120,6 @@ func TestHistogramConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if n := h.Snapshot().Count(); n != goroutines*per {
 		t.Fatalf("lost observations: %d, want %d", n, goroutines*per)
-	}
-}
-
-// TestHistogramMergeProperty: for any two sequences of observations,
-// merging their separate histograms equals one histogram fed the union.
-func TestHistogramMergeProperty(t *testing.T) {
-	bounds := []time.Duration{time.Microsecond, 100 * time.Microsecond, 10 * time.Millisecond}
-	f := func(a, b []uint32) bool {
-		ha, hb, hu := NewHistogram(bounds), NewHistogram(bounds), NewHistogram(bounds)
-		for _, v := range a {
-			ha.Observe(time.Duration(v))
-			hu.Observe(time.Duration(v))
-		}
-		for _, v := range b {
-			hb.Observe(time.Duration(v))
-			hu.Observe(time.Duration(v))
-		}
-		merged := ha.Snapshot()
-		if err := merged.Merge(hb.Snapshot()); err != nil {
-			return false
-		}
-		union := hu.Snapshot()
-		if merged.SumNanos != union.SumNanos || len(merged.Counts) != len(union.Counts) {
-			return false
-		}
-		for i := range merged.Counts {
-			if merged.Counts[i] != union.Counts[i] {
-				return false
-			}
-		}
-		// Equal state implies equal derived statistics.
-		return merged.Quantile(0.5) == union.Quantile(0.5) &&
-			merged.Quantile(0.99) == union.Quantile(0.99) &&
-			merged.Mean() == union.Mean()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
-	a := NewHistogram([]time.Duration{time.Microsecond}).Snapshot()
-	b := NewHistogram([]time.Duration{2 * time.Microsecond}).Snapshot()
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge of different bounds must error")
-	}
-	c := NewHistogram([]time.Duration{time.Microsecond, time.Second}).Snapshot()
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge of different bucket counts must error")
 	}
 }
 

@@ -28,7 +28,7 @@ func TestNilRegistryIsDisabledAndSafe(t *testing.T) {
 	g.Inc()
 	g.Dec()
 	h.Observe(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	r.SetCounterFunc("f_total", "f", func() float64 { return 1 })

@@ -132,11 +132,6 @@ func buildObserved(env *core.Env, cat Catalog, n *Node, partition int, o BuildOp
 // Stats returns the counters recorded for a node.
 func (a *Analysis) Stats(n *Node) *core.OpStats { return a.stats[n] }
 
-// Latency returns a snapshot of the node's Next-latency histogram.
-func (a *Analysis) Latency(n *Node) metrics.HistogramSnapshot {
-	return a.hists[n].Snapshot()
-}
-
 // setChoice records a choose-plan decision for EXPLAIN ANALYZE.
 func (a *Analysis) setChoice(n *Node, i int) {
 	a.mu.Lock()
@@ -237,10 +232,6 @@ func (a *Analysis) PoolStats() buffer.Stats {
 	return a.pool.Stats().Sub(a.base)
 }
 
-// QueryID returns the serving-layer query identity stamped at build time
-// (BuildOptions.QueryID), or "" when the run had none.
-func (a *Analysis) QueryID() string { return a.queryID }
-
 // CPUNanos derives the query's CPU time from the operator wall-time
 // counters: each node contributes its exclusive time — total open+next+
 // close minus the totals of its demand-driven children, which are nested
@@ -289,10 +280,6 @@ func (a *Analysis) Resources() core.ResourceSnapshot {
 	a.meter.SetCPUNanos(a.CPUNanos())
 	return a.meter.Snapshot()
 }
-
-// Meter returns the resource meter the build attributed to (nil when the
-// build carried none).
-func (a *Analysis) Meter() *core.ResourceMeter { return a.meter }
 
 // String renders the annotated plan tree: per-operator rows, NextBatch calls
 // and open/next/close wall time; packet, stall and wait counters under

@@ -24,18 +24,6 @@ import (
 // index in scope, exactly as the local exchange's NewProducer closure
 // would have.
 
-// FragmentCut describes one distributable exchange boundary of a plan.
-type FragmentCut struct {
-	// Path locates the exchange node from the root by child indexes,
-	// dotted ("" is the root itself, "0.1" is root.Inputs[0].Inputs[1]).
-	Path string
-	// Node is the exchange node at Path (within the tree Cuts walked).
-	Node *Node
-	// Producers is the number of producer fragments the cut forks — one
-	// shippable fragment per producer index.
-	Producers int
-}
-
 // Distributable reports whether an exchange node is a boundary a
 // coordinator may cut: a plain fan-in — non-inline (it really forks
 // producers), not stream-preserving (a merge exchange's streams must
@@ -47,42 +35,6 @@ func Distributable(n *Node) bool {
 	}
 	o := n.X
 	return !o.Inline && !o.KeepStreams && o.Consumers <= 1
-}
-
-// Cuts walks the plan from the root and returns every distributable
-// exchange boundary, pre-order. The walk never descends below an
-// exchange node of any kind: such a subtree is instantiated once per
-// producer at run time, so a cut inside it would not denote one fragment
-// — nested exchanges execute wherever their enclosing fragment runs.
-func Cuts(root *Node) []FragmentCut {
-	var cuts []FragmentCut
-	var walk func(n *Node, path string)
-	walk = func(n *Node, path string) {
-		if n == nil {
-			return
-		}
-		if n.Kind == KindExchange {
-			if Distributable(n) {
-				p := n.X.Producers
-				if p < 1 {
-					p = 1
-				}
-				cuts = append(cuts, FragmentCut{Path: path, Node: n, Producers: p})
-			}
-			return
-		}
-		if n.Kind == KindChoosePlan {
-			// A choose-plan's alternatives are picked at Open; an exchange
-			// inside an alternative that never runs must not be dispatched,
-			// so choose-plan subtrees always execute locally.
-			return
-		}
-		for i, in := range n.Inputs {
-			walk(in, childPath(path, i))
-		}
-	}
-	walk(root, "")
-	return cuts
 }
 
 func childPath(path string, i int) string {

@@ -11,6 +11,40 @@ import (
 	"repro/internal/record"
 )
 
+// fragmentCut is one distributable exchange boundary of a plan: its
+// dotted child-index path from the root, the exchange node there, and
+// the number of producer fragments it forks.
+type fragmentCut struct {
+	Path      string
+	Node      *Node
+	Producers int
+}
+
+// cuts walks the plan from the root and returns every distributable
+// exchange boundary, pre-order, as the coordinator's build offers them.
+// The walk never descends below an exchange node of any kind: such a
+// subtree is instantiated once per producer at run time, so a cut inside
+// it would not denote one fragment. Nor does it enter a choose-plan,
+// whose alternatives always execute locally.
+func cuts(root *Node) []fragmentCut {
+	var out []fragmentCut
+	var walk func(n *Node, path string)
+	walk = func(n *Node, path string) {
+		switch {
+		case n.Kind == KindExchange:
+			if Distributable(n) {
+				out = append(out, fragmentCut{Path: path, Node: n, Producers: max(n.X.Producers, 1)})
+			}
+		case n.Kind != KindChoosePlan:
+			for i, in := range n.Inputs {
+				walk(in, childPath(path, i))
+			}
+		}
+	}
+	walk(root, "")
+	return out
+}
+
 // TestFragmentGoldenCorpus pins the coordinator's fragment decomposition
 // of the whole differential corpus: for each of the 24 plans, which
 // exchange boundaries are distributable cuts, at what paths, with how
@@ -26,12 +60,12 @@ func TestFragmentGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %s: %v", tc.name, err)
 		}
-		cuts := Cuts(n)
-		if len(cuts) == 0 {
+		cs := cuts(n)
+		if len(cs) == 0 {
 			fmt.Fprintf(&sb, "%s: local\n", tc.name)
 			continue
 		}
-		for _, c := range cuts {
+		for _, c := range cs {
 			det := "resumable"
 			if !Deterministic(c.Node.Inputs[0]) {
 				det = "restart-only"

@@ -374,11 +374,6 @@ func queryEnv(env *core.Env, o BuildOptions) *core.Env {
 	return env.WithMeter(o.Meter)
 }
 
-// Build instantiates the plan into an iterator tree.
-func Build(env *core.Env, cat Catalog, n *Node) (core.Iterator, error) {
-	return build(&buildCtx{env: env, cat: cat}, n)
-}
-
 // build instantiates one node, adding instrumentation when requested.
 func build(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	var it core.Iterator
@@ -809,15 +804,4 @@ func allFieldsKey(s *record.Schema) record.Key {
 		key[i] = i
 	}
 	return key
-}
-
-// Run builds the plan at the given batch size (0 = core.DefaultBatchSize)
-// and executes it, draining the root at the same size, returning decoded
-// rows.
-func Run(env *core.Env, cat Catalog, n *Node, size int) ([][]record.Value, error) {
-	it, _, err := BuildWith(env, cat, n, BuildOptions{BatchSize: size})
-	if err != nil {
-		return nil, err
-	}
-	return core.Collect(it, size)
 }

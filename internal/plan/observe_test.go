@@ -31,7 +31,7 @@ func TestBuildObservedHistograms(t *testing.T) {
 	if _, err := core.Drain(it, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s := an.Latency(n); s.Count() == 0 {
+	if s := an.hists[n].Snapshot(); s.Count() == 0 {
 		t.Fatal("root node recorded no Next latency")
 	}
 	var sb strings.Builder

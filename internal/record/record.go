@@ -141,9 +141,6 @@ func (s *Schema) Index(name string) int {
 	return i
 }
 
-// FixedLen returns the length of the fixed area of records with this schema.
-func (s *Schema) FixedLen() int { return s.fixedLen }
-
 // Concat returns a new schema consisting of s's fields followed by t's
 // fields. Name collisions are resolved by prefixing the colliding right
 // field with "r_". Used by join operators to describe composite outputs.
@@ -165,15 +162,6 @@ func (s *Schema) Concat(t *Schema) *Schema {
 		out = MustSchema(fields...)
 	}
 	return out
-}
-
-// Project returns a schema containing only the given fields of s, in order.
-func (s *Schema) Project(fields []int) *Schema {
-	out := make([]Field, len(fields))
-	for i, f := range fields {
-		out[i] = s.fields[f]
-	}
-	return MustSchema(out...)
 }
 
 // Equal reports whether two schemas have identical field names and types.
@@ -374,9 +362,6 @@ func (s *Schema) GetBytes(data []byte, i int) []byte {
 	}
 	return data[start:end:end]
 }
-
-// GetString extracts a string field as a Go string (copies).
-func (s *Schema) GetString(data []byte, i int) string { return string(s.GetBytes(data, i)) }
 
 func (s *Schema) varBounds(data []byte, i int) (start, end int, err error) {
 	off := s.offsets[i]

@@ -30,8 +30,5 @@ type RID struct {
 	Slot uint16
 }
 
-// IsNil reports whether the RID is the zero sentinel.
-func (r RID) IsNil() bool { return r == RID{} }
-
 // String renders the RID as dev:page.slot.
 func (r RID) String() string { return fmt.Sprintf("%d:%d.%d", r.Dev, r.Page, r.Slot) }

@@ -50,9 +50,6 @@ func (v Value) Copy() Value {
 	return v
 }
 
-// Equal reports deep equality of two values of the same kind.
-func (v Value) Equal(w Value) bool { return CompareValues(v, w) == 0 }
-
 // String renders the value for debugging and plan explanation.
 func (v Value) String() string {
 	switch v.Kind {

@@ -171,10 +171,3 @@ func (g *governor) drain() {
 	}
 	g.mu.Unlock()
 }
-
-// queueLen reports how many requests are currently waiting (tests).
-func (g *governor) queueLen() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.waiters.Len()
-}

@@ -142,7 +142,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		}
 		return tp
 	}
-	k := func(i int) string { return cacheKey("v1", fmt.Sprintf("scan t%d", i)) }
+	k := func(i int) string { return plan.Normalize(fmt.Sprintf("scan t%d", i)) }
 
 	c.put(k(1), tpl("scan t1"))
 	c.put(k(2), tpl("scan t2"))
@@ -164,44 +164,5 @@ func TestPlanCacheLRU(t *testing.T) {
 	off.put("k", tpl("scan t"))
 	if _, ok := off.get("k"); ok {
 		t.Error("disabled cache returned a hit")
-	}
-}
-
-// TestPlanCachePurgeExcept pins the version-bump purge: every entry of
-// another catalog version is dropped at once, entries of the surviving
-// version keep their recency, and a second purge is a no-op.
-func TestPlanCachePurgeExcept(t *testing.T) {
-	c := newPlanCache(8, noMetrics())
-	tpl := func(src string) *plan.Template {
-		tp, err := plan.Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tp
-	}
-	for i := 0; i < 3; i++ {
-		c.put(cacheKey("v1", fmt.Sprintf("scan t%d", i)), tpl(fmt.Sprintf("scan t%d", i)))
-	}
-	c.put(cacheKey("v2", "scan t0"), tpl("scan t0"))
-
-	if purged := c.purgeExcept("v2"); purged != 3 {
-		t.Fatalf("purged %d entries, want 3", purged)
-	}
-	if c.len() != 1 {
-		t.Fatalf("cache len = %d after purge, want 1", c.len())
-	}
-	if _, ok := c.get(cacheKey("v2", "scan t0")); !ok {
-		t.Fatal("surviving-version entry was purged")
-	}
-	if _, ok := c.get(cacheKey("v1", "scan t0")); ok {
-		t.Fatal("stale-version entry survived the purge")
-	}
-	if purged := c.purgeExcept("v2"); purged != 0 {
-		t.Fatalf("second purge removed %d entries, want 0", purged)
-	}
-
-	// Disabled cache: purge is a no-op, not a panic.
-	if purged := newPlanCache(-1, noMetrics()).purgeExcept("v2"); purged != 0 {
-		t.Fatalf("disabled cache purged %d", purged)
 	}
 }

@@ -130,7 +130,7 @@ func TestPointDrainAllocatesNoFullBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := btree.Create(w.pool, vol.Device())
+	tree, err := btree.Create(w.pool, emp.FirstPage().Dev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,16 @@ package server
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"repro/internal/plan"
 )
 
-// planCache is an LRU of compiled plan templates. The key is the catalog
-// version plus the normalized plan text (see cacheKey), so textual
-// variants of one query — comments, stage line breaks, surrounding
-// whitespace — share an entry, while a catalog swap invalidates
-// everything at once. Values are *plan.Template, which are immutable, so
+// planCache is an LRU of compiled plan templates. The key is the
+// normalized plan text (plan.Normalize), so textual variants of one
+// query — comments, stage line breaks, surrounding whitespace — share an
+// entry. The catalog is fixed for the life of a process, so no entry
+// goes stale. Values are *plan.Template, which are immutable, so
 // a hit may be handed to a request while another request holds the same
 // template mid-execution.
 type planCache struct {
@@ -102,13 +101,6 @@ func (e *cacheEntry) replanCount() int64 {
 	return e.replans
 }
 
-// cacheKey builds the lookup key for a plan source under a catalog
-// version. The NUL separator cannot occur in a version string that is
-// sane and cannot survive Normalize, so keys are unambiguous.
-func cacheKey(catalogVersion, src string) string {
-	return catalogVersion + "\x00" + plan.Normalize(src)
-}
-
 // newPlanCache returns a cache holding up to capacity templates; a
 // capacity <= 0 disables caching (every lookup misses, nothing stored).
 func newPlanCache(capacity int, m *serverMetrics) *planCache {
@@ -164,41 +156,4 @@ func (c *planCache) put(key string, tpl *plan.Template) *cacheEntry {
 		c.m.cacheEvictions.Inc()
 	}
 	return e
-}
-
-// purgeExcept removes every entry that does not belong to the given
-// catalog version and reports how many were dropped. Stale entries can
-// never hit again — their keys embed the old version — so leaving them
-// to age out of the LRU would waste up to the whole capacity on dead
-// templates after a catalog swap; a version bump reclaims them at once.
-// O(len) over at most cap entries, and version bumps are rare.
-func (c *planCache) purgeExcept(version string) int {
-	if c.cap <= 0 {
-		return 0
-	}
-	prefix := version + "\x00"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	purged := 0
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*cacheEntry)
-		if !strings.HasPrefix(e.key, prefix) {
-			c.ll.Remove(el)
-			delete(c.byKey, e.key)
-			purged++
-		}
-	}
-	if purged > 0 {
-		c.m.cacheInvalid.Add(int64(purged))
-	}
-	return purged
-}
-
-// len reports the number of cached templates (tests).
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

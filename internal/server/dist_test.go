@@ -13,14 +13,11 @@ import (
 	"repro/internal/plan"
 )
 
-// TestDistAggregateKeepsCuts runs one aggregate over a distributable
-// exchange on a single-process server and on a server with a worker
-// fleet. Alone, the cost pass splits the aggregate across the exchange;
-// with a coordinator it must not — a worker recompiles the uncosted
-// source, so the fragments carry raw emp rows and the coordinator
-// aggregates them. Both answers must be the same rows.
-func TestDistAggregateKeepsCuts(t *testing.T) {
-	const query = "pscan emp 4 | exchange producers=4 | agg group dept compute count, sum(id), max(salary)"
+// newFleetCoordinator starts n in-process workers, each over its own
+// copy of the test database and at the given catalog version, and
+// returns a coordinator with all of them registered.
+func newFleetCoordinator(t *testing.T, n int, catalogVersion string) *dist.Coordinator {
+	t.Helper()
 	quiet := log.New(io.Discard, "", 0)
 	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
 		HeartbeatEvery: 100 * time.Millisecond,
@@ -31,9 +28,9 @@ func TestDistAggregateKeepsCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		ww := newWorld(t)
-		wk, err := dist.NewWorker(dist.WorkerConfig{Env: ww.env, Catalog: ww.cat, Log: quiet})
+		wk, err := dist.NewWorker(dist.WorkerConfig{Env: ww.env, Catalog: ww.cat, CatalogVersion: catalogVersion, Log: quiet})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,6 +41,18 @@ func TestDistAggregateKeepsCuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return coord
+}
+
+// TestDistAggregateKeepsCuts runs one aggregate over a distributable
+// exchange on a single-process server and on a server with a worker
+// fleet. Alone, the cost pass splits the aggregate across the exchange;
+// with a coordinator it must not — a worker recompiles the uncosted
+// source, so the fragments carry raw emp rows and the coordinator
+// aggregates them. Both answers must be the same rows.
+func TestDistAggregateKeepsCuts(t *testing.T) {
+	const query = "pscan emp 4 | exchange producers=4 | agg group dept compute count, sum(id), max(salary)"
+	coord := newFleetCoordinator(t, 2, "")
 	_, _, soloTS, _ := newTestServer(t, nil)
 	_, fleetWorld, fleetTS, _ := newTestServer(t, func(c *Config) { c.Dist = coord })
 
@@ -96,19 +105,38 @@ func TestDistAggregateKeepsCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	costed := tpl.CostKeepingCuts(fleetWorld.cat, nil).Template.Root()
-	cuts := plan.Cuts(costed)
-	if len(cuts) != 1 {
-		t.Fatalf("costed plan has %d cuts, want 1", len(cuts))
+	const cut = "0" // the exchange under the aggregate
+	if x, err := plan.NodeAtPath(costed, cut); err != nil || !plan.Distributable(x) {
+		t.Fatalf("costed plan has no distributable cut at %q: %v", cut, err)
 	}
-	got, err := plan.FragmentSchema(fleetWorld.env, fleetWorld.cat, costed, cuts[0].Path)
+	got, err := plan.FragmentSchema(fleetWorld.env, fleetWorld.cat, costed, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.FragmentSchema(fleetWorld.env, fleetWorld.cat, tpl.Root(), cuts[0].Path)
+	want, err := plan.FragmentSchema(fleetWorld.env, fleetWorld.cat, tpl.Root(), cut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Errorf("coordinator cut schema %s, worker %s", got, want)
+	}
+}
+
+// TestDistCatalogVersionSentToWorkers: the server sends its
+// Config.CatalogVersion with every dispatch, so a worker on another
+// catalog version refuses the fragment and the query fails with the
+// mismatch instead of running against the wrong data.
+func TestDistCatalogVersionSentToWorkers(t *testing.T) {
+	coord := newFleetCoordinator(t, 1, "v2")
+	_, _, ts, _ := newTestServer(t, func(c *Config) {
+		c.Dist = coord
+		c.CatalogVersion = "v1"
+	})
+	res, err := postQuery(ts, "pscan emp 4 | exchange producers=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.trailer.Status == "ok" || !strings.Contains(res.trailer.Error, `catalog version mismatch: coordinator "v1", worker "v2"`) {
+		t.Fatalf("trailer %+v, want the catalog version mismatch", res.trailer)
 	}
 }

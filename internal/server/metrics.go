@@ -32,7 +32,6 @@ type serverMetrics struct {
 	cacheHits      *metrics.Counter
 	cacheMisses    *metrics.Counter
 	cacheEvictions *metrics.Counter
-	cacheInvalid   *metrics.Counter // entries purged by a catalog-version bump
 
 	// Lifecycle observability families.
 	queriesActive *metrics.Gauge     // queries in the active registry (queued + executing + streaming)
@@ -149,8 +148,6 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		"Plan-cache lookups that had to compile.")
 	m.cacheEvictions = r.Counter("volcano_server_plan_cache_evictions_total",
 		"Templates evicted from the plan cache.")
-	m.cacheInvalid = r.Counter("volcano_server_plan_cache_invalidations_total",
-		"Templates purged from the plan cache by a catalog-version bump.")
 	m.queriesActive = r.Gauge("volcano_server_queries_active",
 		"Queries in the active registry: queued, executing, or streaming.")
 	m.slowQueries = r.Counter("volcano_server_slow_queries_total",

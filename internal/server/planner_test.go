@@ -138,7 +138,7 @@ const replanProbe = "scan emp | filter id < 1"
 func TestPlannerReplanExactlyOnce(t *testing.T) {
 	s, _, ts, _ := newTestServer(t, nil)
 	entryOf := func() *cacheEntry {
-		e, ok := s.cache.get(cacheKey("test-v1", replanProbe))
+		e, ok := s.cache.get(plan.Normalize(replanProbe))
 		if !ok {
 			t.Fatal("probe query has no cache entry")
 		}
@@ -200,7 +200,7 @@ func TestPlannerReplanConcurrent(t *testing.T) {
 	if res, err := postQuery(ts, replanProbe); err != nil || res.trailer.Status != "ok" {
 		t.Fatalf("settling run: %v %+v", err, res.trailer)
 	}
-	e, ok := s.cache.get(cacheKey("test-v1", replanProbe))
+	e, ok := s.cache.get(plan.Normalize(replanProbe))
 	if !ok {
 		t.Fatal("probe query has no cache entry")
 	}
@@ -248,7 +248,7 @@ func TestPlannerParallelRewriteConverges(t *testing.T) {
 			t.Fatalf("run %d: plan not rewritten or exchange not carrying %s:\n%s", i, want, res.trailer.Analyze)
 		}
 	}
-	e, ok := s.cache.get(cacheKey("test-v1", query))
+	e, ok := s.cache.get(plan.Normalize(query))
 	if !ok {
 		t.Fatal("query has no cache entry")
 	}

@@ -169,13 +169,6 @@ func (r *registry) snapshot() []*queryRecord {
 	return out
 }
 
-// len reports the number of active queries (tests).
-func (r *registry) len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.active)
-}
-
 // newQueryID generates a fresh query identity: 8 random bytes, hex.
 // Collisions across a process lifetime are vanishingly unlikely, and a
 // collision among *active* queries is refused by registry.add anyway.

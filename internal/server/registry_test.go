@@ -318,8 +318,8 @@ func TestPhaseMetricsAndRowOutcomes(t *testing.T) {
 	for _, phase := range []string{"plan", "queued", "execute", "stream"} {
 		h := mr.Histogram("volcano_server_query_phase_seconds", "", nil,
 			metrics.Label{Key: "phase", Value: phase})
-		if h.Count() < 1 {
-			t.Errorf("phase %s histogram count = %d, want >= 1", phase, h.Count())
+		if h.Snapshot().Count() < 1 {
+			t.Errorf("phase %s histogram count = %d, want >= 1", phase, h.Snapshot().Count())
 		}
 	}
 	if got := mr.Counter("volcano_server_query_rows_total", "",

@@ -33,8 +33,9 @@ type Config struct {
 	// Catalog resolves table (and index) names. It must be safe for
 	// concurrent use; VolumeCatalog over a file.Volume is.
 	Catalog plan.Catalog
-	// CatalogVersion participates in plan-cache keys: bump it when the
-	// catalog changes and every cached plan is invalidated at once.
+	// CatalogVersion names the catalog the server plans against. It is
+	// sent with every dispatch to the worker fleet, and a worker on a
+	// different version refuses the fragment.
 	CatalogVersion string
 
 	// MaxConcurrent bounds queries executing at once (default 4).
@@ -152,11 +153,6 @@ type Server struct {
 	reg   *registry
 	slow  *slowLog
 	mux   *http.ServeMux
-
-	// catalogVersion is the current plan-cache epoch, seeded from
-	// Config.CatalogVersion and bumped by SetCatalogVersion.
-	verMu          sync.RWMutex
-	catalogVersion string
 }
 
 // New builds a Server. The caller owns the listener; Handler returns the
@@ -169,15 +165,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	m := newServerMetrics(cfg.Metrics)
 	s := &Server{
-		cfg:            cfg,
-		m:              m,
-		gov:            newGovernor(cfg.MaxConcurrent, cfg.MaxProducers, cfg.MaxQueue, m),
-		cache:          newPlanCache(cfg.PlanCacheSize, m),
-		life:           newLifecycle(),
-		reg:            newRegistry(m),
-		slow:           newSlowLog(cfg.SlowLogCapacity, cfg.SlowLogSink),
-		mux:            http.NewServeMux(),
-		catalogVersion: cfg.CatalogVersion,
+		cfg:   cfg,
+		m:     m,
+		gov:   newGovernor(cfg.MaxConcurrent, cfg.MaxProducers, cfg.MaxQueue, m),
+		cache: newPlanCache(cfg.PlanCacheSize, m),
+		life:  newLifecycle(),
+		reg:   newRegistry(m),
+		slow:  newSlowLog(cfg.SlowLogCapacity, cfg.SlowLogSink),
+		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -378,35 +373,12 @@ func analyzeRequested(r *http.Request) (bool, error) {
 	}
 }
 
-// SetCatalogVersion bumps the plan-cache epoch: subsequent lookups key
-// on the new version, and every template cached under any other version
-// is purged immediately — stale entries can never hit again, so leaving
-// them to age out of the LRU would squat on capacity that live plans
-// need. In-flight queries already holding a template are unaffected
-// (templates are immutable). Setting the same version is a no-op.
-func (s *Server) SetCatalogVersion(v string) {
-	s.verMu.Lock()
-	changed := s.catalogVersion != v
-	s.catalogVersion = v
-	s.verMu.Unlock()
-	if changed {
-		s.cache.purgeExcept(v)
-	}
-}
-
-// currentCatalogVersion reads the plan-cache epoch.
-func (s *Server) currentCatalogVersion() string {
-	s.verMu.RLock()
-	defer s.verMu.RUnlock()
-	return s.catalogVersion
-}
-
 // compile resolves a plan source to a cache entry; the bool reports
 // whether the lookup hit (so the query's lifecycle record can tell a
 // reused template from a fresh compile). With the cache disabled the
 // entry is untracked but fully functional.
 func (s *Server) compile(src string) (*cacheEntry, bool, error) {
-	key := cacheKey(s.currentCatalogVersion(), src)
+	key := plan.Normalize(src)
 	if e, ok := s.cache.get(key); ok {
 		return e, true, nil
 	}
@@ -449,7 +421,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 			QueryID:        rec.id,
 			Source:         tpl.Source(),
 			Root:           tpl.Root(),
-			CatalogVersion: s.currentCatalogVersion(),
+			CatalogVersion: s.cfg.CatalogVersion,
 			BatchSize:      batch,
 			Env:            s.cfg.Env,
 			Cat:            s.cfg.Catalog,

@@ -359,53 +359,6 @@ func TestPlanCacheNormalization(t *testing.T) {
 	}
 }
 
-// TestSetCatalogVersionPurgesStalePlans covers the catalog-swap path:
-// bumping the version frees every stale template immediately (they
-// could never hit again — their keys embed the old version — but they
-// would otherwise squat on LRU capacity), records the purge in the
-// invalidation counter, and re-keys subsequent lookups so the same
-// script recompiles once under the new version.
-func TestSetCatalogVersionPurgesStalePlans(t *testing.T) {
-	s, _, ts, mr := newTestServer(t, nil)
-	misses := mr.Counter("volcano_server_plan_cache_misses_total", "")
-	invalid := mr.Counter("volcano_server_plan_cache_invalidations_total", "")
-
-	scripts := []string{"scan emp", "scan emp | filter dept = 2", "scan dept"}
-	for _, q := range scripts {
-		if res, err := postQuery(ts, q); err != nil || res.status != http.StatusOK {
-			t.Fatalf("%q: %v status %d", q, err, res.status)
-		}
-	}
-	if got := s.cache.len(); got != len(scripts) {
-		t.Fatalf("cache holds %d templates, want %d", got, len(scripts))
-	}
-
-	s.SetCatalogVersion("test-v2")
-	if got := s.cache.len(); got != 0 {
-		t.Fatalf("cache holds %d templates after version bump, want 0", got)
-	}
-	if got := invalid.Value(); got != int64(len(scripts)) {
-		t.Fatalf("invalidation counter = %d, want %d", got, len(scripts))
-	}
-
-	// Same text, new version: a miss (recompile), then a hit.
-	missesBefore := misses.Value()
-	for i := 0; i < 2; i++ {
-		if res, err := postQuery(ts, scripts[0]); err != nil || res.status != http.StatusOK {
-			t.Fatalf("rerun %d: %v status %d", i, err, res.status)
-		}
-	}
-	if got := misses.Value() - missesBefore; got != 1 {
-		t.Fatalf("misses after bump = %d, want exactly 1 (recompile once, then hit)", got)
-	}
-
-	// Bumping to the version already set purges nothing.
-	s.SetCatalogVersion("test-v2")
-	if got := s.cache.len(); got != 1 {
-		t.Fatalf("same-version bump purged the cache (len %d, want 1)", got)
-	}
-}
-
 // TestParseErrorsReturn400 pins the 400 path: the body must carry the
 // parser's line/stage positions so clients can fix their scripts.
 func TestParseErrorsReturn400(t *testing.T) {
@@ -525,7 +478,7 @@ func TestSaturation429AndQueueWait(t *testing.T) {
 	if got := mr.Counter("volcano_server_rejected_total", "", metrics.Label{Key: "reason", Value: "saturated"}).Value(); got != 1 {
 		t.Errorf("rejected{saturated} = %d, want 1", got)
 	}
-	if got := mr.Histogram("volcano_server_queue_wait_seconds", "", nil).Count(); got < 1 {
+	if got := mr.Histogram("volcano_server_queue_wait_seconds", "", nil).Snapshot().Count(); got < 1 {
 		t.Errorf("queue-wait histogram count = %d, want >= 1", got)
 	}
 	if got := mr.Counter("volcano_server_canceled_total", "").Value(); got < 1 {

@@ -295,50 +295,6 @@ func (t *Tree) splitInternal(fr *buffer.Frame, n node, sep []byte, child uint32,
 	return up, rpid.Page, nil
 }
 
-// Delete removes the entry (key, rid) and reports whether it was present.
-// Nodes are not rebalanced; empty leaves remain in the chain and are
-// skipped by scans.
-func (t *Tree) Delete(key []byte, rid record.RID) (bool, error) {
-	t.write.Lock()
-	defer t.write.Unlock()
-	page := t.root
-	for level := t.height; level > 1; level-- {
-		fr, err := t.fix(page)
-		if err != nil {
-			return false, err
-		}
-		n := node{fr.Data()}
-		page = t.descend(n, key)
-		t.pool.Unfix(fr, false)
-	}
-	// Walk the leaf chain while keys match (duplicates may span leaves).
-	for page != 0 {
-		fr, err := t.fix(page)
-		if err != nil {
-			return false, err
-		}
-		n := node{fr.Data()}
-		i, _ := n.search(key)
-		for ; i < n.nkeys(); i++ {
-			c := bytes.Compare(n.key(i), key)
-			if c > 0 {
-				t.pool.Unfix(fr, false)
-				return false, nil
-			}
-			if n.rid(i) == rid {
-				n.deleteAt(i)
-				t.pool.Unfix(fr, true)
-				t.count--
-				return true, nil
-			}
-		}
-		next := n.next()
-		t.pool.Unfix(fr, false)
-		page = next
-	}
-	return false, nil
-}
-
 // Lookup returns the RIDs of all entries with exactly the given key.
 func (t *Tree) Lookup(key []byte) ([]record.RID, error) {
 	c, err := t.Scan(key, key, true, true)

@@ -5,143 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/record"
 )
-
-// TestMixedInsertDeleteWorkload interleaves inserts and deletes and
-// verifies the tree against a reference map after every phase.
-func TestMixedInsertDeleteWorkload(t *testing.T) {
-	pool, dev := env(t, 512)
-	tree, _ := Create(pool, dev)
-	ref := map[int64]record.RID{}
-	rng := rand.New(rand.NewSource(7))
-
-	check := func() {
-		c, err := tree.Scan(nil, nil, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		seen := 0
-		for {
-			k, rid, ok, err := c.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			// Decode the int key back (big-endian, sign-flipped).
-			var v int64
-			for _, b := range k {
-				v = v<<8 | int64(b)
-			}
-			v ^= -1 << 63
-			want, exists := ref[v]
-			if !exists {
-				t.Fatalf("scan found deleted key %d", v)
-			}
-			if want != rid {
-				t.Fatalf("key %d: rid %v, want %v", v, rid, want)
-			}
-			seen++
-		}
-		if seen != len(ref) {
-			t.Fatalf("scan found %d entries, reference has %d", seen, len(ref))
-		}
-		if tree.Len() != len(ref) {
-			t.Fatalf("Len = %d, reference %d", tree.Len(), len(ref))
-		}
-	}
-
-	for phase := 0; phase < 6; phase++ {
-		// Insert a batch.
-		for i := 0; i < 400; i++ {
-			k := int64(rng.Intn(3000))
-			if _, dup := ref[k]; dup {
-				continue
-			}
-			rid := ridFor(int(k))
-			if err := tree.Insert(intKey(k), rid); err != nil {
-				t.Fatal(err)
-			}
-			ref[k] = rid
-		}
-		// Delete a batch.
-		for i := 0; i < 150; i++ {
-			k := int64(rng.Intn(3000))
-			rid, exists := ref[k]
-			ok, err := tree.Delete(intKey(k), rid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != exists {
-				t.Fatalf("Delete(%d) = %v, reference says %v", k, ok, exists)
-			}
-			delete(ref, k)
-		}
-		check()
-	}
-	if pool.Stats().CurrentlyFixedHint != 0 {
-		t.Fatal("pin leak")
-	}
-}
-
-// TestScanAfterHeavyDeletes ensures empty leaves are skipped correctly.
-func TestScanAfterHeavyDeletes(t *testing.T) {
-	pool, dev := env(t, 512)
-	tree, _ := Create(pool, dev)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		tree.Insert(intKey(int64(i)), ridFor(i))
-	}
-	// Delete everything except every 1000th key: most leaves end empty.
-	for i := 0; i < n; i++ {
-		if i%1000 == 0 {
-			continue
-		}
-		if ok, err := tree.Delete(intKey(int64(i)), ridFor(i)); err != nil || !ok {
-			t.Fatalf("delete %d: %v %v", i, ok, err)
-		}
-	}
-	c, _ := tree.Scan(nil, nil, true, true)
-	defer c.Close()
-	var got []int
-	for {
-		k, _, ok, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if len(k) != 8 {
-			t.Fatal("bad key")
-		}
-		got = append(got, int(int64(bytesToU64(k))^(-1<<63)))
-	}
-	want := []int{0, 1000, 2000, 3000, 4000}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if pool.Stats().CurrentlyFixedHint != 0 {
-		t.Fatal("pin leak")
-	}
-}
-
-func bytesToU64(b []byte) uint64 {
-	var v uint64
-	for _, c := range b[:8] {
-		v = v<<8 | uint64(c)
-	}
-	return v
-}
 
 // TestOpenReattachesTree verifies the Open constructor used by durable
 // catalogs.

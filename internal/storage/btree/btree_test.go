@@ -259,78 +259,6 @@ func TestDuplicateKeys(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	pool, dev := env(t, 128)
-	tree, _ := Create(pool, dev)
-	for i := 0; i < 1000; i++ {
-		tree.Insert(intKey(int64(i)), ridFor(i))
-	}
-	// Delete the even keys.
-	for i := 0; i < 1000; i += 2 {
-		ok, err := tree.Delete(intKey(int64(i)), ridFor(i))
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
-		}
-	}
-	if tree.Len() != 500 {
-		t.Fatalf("Len = %d, want 500", tree.Len())
-	}
-	// Absent deletions report false.
-	ok, err := tree.Delete(intKey(0), ridFor(0))
-	if err != nil || ok {
-		t.Fatalf("re-Delete = %v, %v", ok, err)
-	}
-	ok, err = tree.Delete(intKey(5000), ridFor(0))
-	if err != nil || ok {
-		t.Fatalf("Delete(absent) = %v, %v", ok, err)
-	}
-	// Scan sees only odd keys, in order.
-	c, _ := tree.Scan(nil, nil, true, true)
-	defer c.Close()
-	want := int64(1)
-	for {
-		k, _, ok, err := c.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if !bytes.Equal(k, intKey(want)) {
-			t.Fatalf("scan got key %x, want %d", k, want)
-		}
-		want += 2
-	}
-	if want != 1001 {
-		t.Fatalf("scan ended at %d", want)
-	}
-	if pool.Stats().CurrentlyFixedHint != 0 {
-		t.Fatal("pin leak")
-	}
-}
-
-func TestDeleteDuplicateSpecificRID(t *testing.T) {
-	pool, dev := env(t, 128)
-	tree, _ := Create(pool, dev)
-	for i := 0; i < 300; i++ {
-		tree.Insert(intKey(5), ridFor(i))
-	}
-	// Delete one specific rid from the middle of the duplicate run.
-	ok, err := tree.Delete(intKey(5), ridFor(150))
-	if err != nil || !ok {
-		t.Fatalf("Delete dup = %v, %v", ok, err)
-	}
-	rids, _ := tree.Lookup(intKey(5))
-	if len(rids) != 299 {
-		t.Fatalf("Lookup = %d, want 299", len(rids))
-	}
-	for _, r := range rids {
-		if r == ridFor(150) {
-			t.Fatal("deleted rid still present")
-		}
-	}
-}
-
 func TestStringKeys(t *testing.T) {
 	pool, dev := env(t, 128)
 	tree, _ := Create(pool, dev)
@@ -375,34 +303,6 @@ func TestKeyTooLarge(t *testing.T) {
 	}
 	if pool.Stats().CurrentlyFixedHint != 0 {
 		t.Fatal("pin leak")
-	}
-}
-
-func TestBulkload(t *testing.T) {
-	pool, dev := env(t, 128)
-	tree, err := Bulkload(pool, dev, func(yield func([]byte, record.RID) error) error {
-		for i := 0; i < 5000; i++ {
-			if err := yield(intKey(int64(i)), ridFor(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != 5000 {
-		t.Fatalf("Len = %d", tree.Len())
-	}
-	// Unsorted input is rejected.
-	_, err = Bulkload(pool, dev, func(yield func([]byte, record.RID) error) error {
-		if err := yield(intKey(5), ridFor(0)); err != nil {
-			return err
-		}
-		return yield(intKey(3), ridFor(1))
-	})
-	if err == nil {
-		t.Fatal("unsorted bulkload accepted")
 	}
 }
 

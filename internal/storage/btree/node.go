@@ -38,7 +38,6 @@ const (
 
 type node struct{ b []byte }
 
-func (n node) kind() byte         { return n.b[0] }
 func (n node) setKind(k byte)     { n.b[0] = k }
 func (n node) isLeaf() bool       { return n.b[0] == kindLeaf }
 func (n node) nkeys() int         { return int(binary.LittleEndian.Uint16(n.b[2:])) }
@@ -184,14 +183,6 @@ func (n node) insertAt(i int, payload []byte) error {
 	n.setSlot(i, off, len(payload))
 	n.setNkeys(nk + 1)
 	return nil
-}
-
-// deleteAt removes entry i from the slot directory (payload becomes a hole).
-func (n node) deleteAt(i int) {
-	nk := n.nkeys()
-	base := nodeHdrSize + i*slotSize
-	copy(n.b[base:], n.b[base+slotSize:nodeHdrSize+nk*slotSize])
-	n.setNkeys(nk - 1)
 }
 
 var errNodeFull = fmt.Errorf("btree: node full")

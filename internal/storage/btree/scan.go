@@ -107,25 +107,3 @@ func (c *Cursor) Close() {
 	}
 	c.done = true
 }
-
-// Bulkload builds a tree from entries that are already sorted by key,
-// inserting them one by one (simple but sufficient: appends always hit the
-// rightmost leaf, which stays buffer-resident).
-func Bulkload(pool *buffer.Pool, dev record.DeviceID, entries func(yield func(key []byte, rid record.RID) error) error) (*Tree, error) {
-	t, err := Create(pool, dev)
-	if err != nil {
-		return nil, err
-	}
-	var prev []byte
-	err = entries(func(key []byte, rid record.RID) error {
-		if prev != nil && bytes.Compare(key, prev) < 0 {
-			return fmt.Errorf("btree: bulkload input not sorted")
-		}
-		prev = append(prev[:0], key...)
-		return t.Insert(key, rid)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}

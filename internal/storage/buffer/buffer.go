@@ -110,10 +110,6 @@ type pinStripe struct {
 	_                 [112]byte
 }
 
-// PageID returns the identity of the page currently held by the frame.
-// Valid only while the caller holds a fix on the frame.
-func (f *Frame) PageID() record.PageID { return f.pid }
-
 // Data returns the page image. Valid only while the caller holds a fix;
 // the slice must not be retained past Unfix.
 func (f *Frame) Data() []byte { return f.data }
@@ -211,9 +207,6 @@ func NewPool(reg *device.Registry, nframes int, mode LockMode) *Pool {
 	}
 	return p
 }
-
-// NumFrames returns the configured pool size.
-func (p *Pool) NumFrames() int { return len(p.frames) }
 
 // Registry returns the device registry the pool reads and writes through.
 func (p *Pool) Registry() *device.Registry { return p.reg }

@@ -49,7 +49,7 @@ func TestFixNewAndRefix(t *testing.T) {
 		if string(f2.Data()[:7]) != "volcano" {
 			t.Fatalf("mode %v: data lost on refix", mode)
 		}
-		if f2.PageID() != pid {
+		if f2.pid != pid {
 			t.Fatalf("mode %v: wrong pid", mode)
 		}
 		p.Unfix(f2, false)

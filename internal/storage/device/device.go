@@ -37,9 +37,6 @@ type Device interface {
 	FreePage(page uint32) error
 	// Allocated reports the number of currently allocated pages.
 	Allocated() int
-	// Virtual reports whether the device is a buffer-resident virtual
-	// device (true) or a simulated disk (false).
-	Virtual() bool
 	// Close releases underlying resources.
 	Close() error
 }
@@ -202,9 +199,6 @@ func putLE64(b []byte, v uint64) {
 // ID implements Device.
 func (d *Disk) ID() record.DeviceID { return d.id }
 
-// Virtual implements Device.
-func (d *Disk) Virtual() bool { return false }
-
 // FirstDataPage returns the first page number past the superblock and
 // bitmap; durable volumes root their VTOC there.
 func (d *Disk) FirstDataPage() uint32 {
@@ -344,9 +338,6 @@ func NewMem(id record.DeviceID) *Mem {
 // ID implements Device.
 func (m *Mem) ID() record.DeviceID { return m.id }
 
-// Virtual implements Device.
-func (m *Mem) Virtual() bool { return true }
-
 // Allocated implements Device.
 func (m *Mem) Allocated() int {
 	m.mu.Lock()
@@ -463,17 +454,6 @@ func (r *Registry) Mount(d Device) error {
 	if d.ID() >= r.nextID {
 		r.nextID = d.ID() + 1
 	}
-	return nil
-}
-
-// Unmount removes a device from the registry (does not close it).
-func (r *Registry) Unmount(id record.DeviceID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.devices[id]; !ok {
-		return fmt.Errorf("device: id %d not mounted", id)
-	}
-	delete(r.devices, id)
 	return nil
 }
 

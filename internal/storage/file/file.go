@@ -53,12 +53,6 @@ func NewVolume(pool *buffer.Pool, dev record.DeviceID) *Volume {
 	}
 }
 
-// Pool returns the buffer pool the volume operates through.
-func (v *Volume) Pool() *buffer.Pool { return v.pool }
-
-// Device returns the volume's device ID.
-func (v *Volume) Device() record.DeviceID { return v.dev }
-
 // Create creates a file with one empty page. The schema is recorded in the
 // VTOC for catalog purposes and may be nil.
 func (v *Volume) Create(name string, schema *record.Schema) (*File, error) {
@@ -186,9 +180,6 @@ func (f *File) Name() string { return f.meta.name }
 // Schema returns the schema recorded at creation (may be nil).
 func (f *File) Schema() *record.Schema { return f.meta.schema }
 
-// Volume returns the volume holding the file.
-func (f *File) Volume() *Volume { return f.vol }
-
 // Pages returns the number of pages in the file.
 func (f *File) Pages() int {
 	f.vol.vtoc.Lock()
@@ -223,22 +214,6 @@ func (f *File) Insert(data []byte) (record.RID, error) {
 	return rid, nil
 }
 
-// InsertPinned appends a record and returns it pinned, transferring one
-// buffer pin to the caller.
-func (f *File) InsertPinned(data []byte) (Record, error) {
-	a := f.NewAppender()
-	defer a.Close()
-	return a.Append(data)
-}
-
-// InsertPinnedBatch appends len(datas) records, filling out[i] with the
-// pinned record of datas[i] — the batch counterpart of InsertPinned.
-func (f *File) InsertPinnedBatch(datas [][]byte, out []Record) error {
-	a := f.NewAppender()
-	defer a.Close()
-	return a.AppendBatch(datas, out)
-}
-
 // Fetch pins the record's page and returns the record. The caller owns the
 // pin and must call Unfix.
 func (f *File) Fetch(rid record.RID) (Record, error) {
@@ -255,22 +230,4 @@ func (f *File) Fetch(rid record.RID) (Record, error) {
 		return Record{}, fmt.Errorf("file: fetch %s: %w", rid, err)
 	}
 	return Record{RID: rid, Data: data, frame: fr, pool: f.vol.pool}, nil
-}
-
-// DeleteRecord removes the record at rid. Its slot is tombstoned; RIDs of
-// other records are unaffected.
-func (f *File) DeleteRecord(rid record.RID) error {
-	fr, err := f.vol.pool.FixFor(rid.PageID, f.meter)
-	if err != nil {
-		return err
-	}
-	err = page{fr.Data()}.delete(int(rid.Slot))
-	f.vol.pool.Unfix(fr, err == nil)
-	if err != nil {
-		return fmt.Errorf("file: delete %s: %w", rid, err)
-	}
-	f.vol.vtoc.Lock()
-	f.meta.records--
-	f.vol.vtoc.Unlock()
-	return nil
 }

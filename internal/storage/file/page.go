@@ -96,19 +96,6 @@ func (p page) record(slot int) ([]byte, error) {
 	return p.b[off : off+length : off+length], nil
 }
 
-// delete marks the slot deleted. Space is not reclaimed (RID stability).
-func (p page) delete(slot int) error {
-	if slot >= p.nslots() {
-		return fmt.Errorf("file: slot %d out of range (%d slots)", slot, p.nslots())
-	}
-	off, _ := p.slot(slot)
-	if off == slotDeleted {
-		return fmt.Errorf("file: slot %d already deleted", slot)
-	}
-	p.setSlot(slot, slotDeleted, 0)
-	return nil
-}
-
 // pid helper.
 func pid(dev record.DeviceID, pg uint32) record.PageID {
 	return record.PageID{Dev: dev, Page: pg}

@@ -19,9 +19,6 @@ type Record struct {
 	pool  *buffer.Pool
 }
 
-// Valid reports whether the record holds a pinned buffer resident.
-func (r Record) Valid() bool { return r.frame != nil }
-
 // Unfix releases the owner's pin on the record's page. The Data slice must
 // not be used afterwards. A record never marks its page dirty: the append
 // cursor that wrote it does, when it leaves the page.

@@ -112,11 +112,3 @@ func (s *Scan) Close() {
 	}
 	s.done = true
 }
-
-// Rewind resets the scan to the beginning of the file.
-func (s *Scan) Rewind() {
-	s.Close()
-	s.cur = s.f.FirstPage()
-	s.slot = 0
-	s.done = false
-}

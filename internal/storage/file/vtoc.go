@@ -371,18 +371,6 @@ func (v *Volume) OpenIndex(name string) (*btree.Tree, error) {
 	return btree.Open(v.pool, v.dev, im.root, im.height, im.count), nil
 }
 
-// DropIndex removes an index from the catalog (pages are not reclaimed;
-// Volcano does not garbage-collect index extents).
-func (v *Volume) DropIndex(name string) error {
-	v.vtoc.Lock()
-	defer v.vtoc.Unlock()
-	if _, ok := v.indexes[name]; !ok {
-		return fmt.Errorf("file: index %q not found on device %d", name, v.dev)
-	}
-	delete(v.indexes, name)
-	return nil
-}
-
 // Indexes lists catalogued index names.
 func (v *Volume) Indexes() []string {
 	v.vtoc.Lock()

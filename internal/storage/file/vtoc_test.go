@@ -132,7 +132,7 @@ func TestDurableVolumeAppendsAfterRemount(t *testing.T) {
 	if err := vol.Save(); err != nil {
 		t.Fatal(err)
 	}
-	vol.Pool().Registry().CloseAll()
+	vol.pool.Registry().CloseAll()
 
 	_, vol2, done := reopen(t, path)
 	f2, err := vol2.Open("t")
@@ -164,7 +164,7 @@ func TestDurableIndexRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vol")
 	pool, vol := durableEnv(t, path)
 	f, _ := vol.Create("t", persistSchema)
-	tree, err := btree.Create(pool, vol.Device())
+	tree, err := btree.Create(pool, vol.dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +209,6 @@ func TestDurableIndexRoundTrip(t *testing.T) {
 		t.Fatal("index points at wrong record after remount")
 	}
 	rec.Unfix()
-	// Drop and re-check.
-	if err := vol2.DropIndex("t_id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := vol2.DropIndex("t_id"); err == nil {
-		t.Fatal("double drop succeeded")
-	}
-	if _, err := vol2.OpenIndex("t_id"); err == nil {
-		t.Fatal("dropped index still opens")
-	}
 }
 
 func TestDurableVTOCSpillsAcrossPages(t *testing.T) {
@@ -238,7 +228,7 @@ func TestDurableVTOCSpillsAcrossPages(t *testing.T) {
 	if err := vol.Save(); err != nil {
 		t.Fatal(err)
 	}
-	vol.Pool().Registry().CloseAll()
+	vol.pool.Registry().CloseAll()
 
 	_, vol2, done := reopen(t, path)
 	defer done()

@@ -37,7 +37,7 @@ func TestWriteChromeGolden(t *testing.T) {
 	id := tr.NextFlowID()
 	prod.FlowOut("packet", "push", id, "records", 83)
 	cons.FlowIn("packet", "pop", id, "records", 83)
-	epoch := tr.Epoch()
+	epoch := tr.epoch
 	prod.SpanAt1("exchange", "produce", epoch.Add(500*time.Nanosecond), 2500*time.Nanosecond, "records", 100)
 	cons.SpanAt("flow", "consumer-wait", epoch.Add(1200*time.Nanosecond), 300*time.Nanosecond)
 	remote.Instant1("wire", "wire-send", "bytes", 4096)

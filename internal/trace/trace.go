@@ -97,14 +97,6 @@ func NewWithCapacity(trackCap int) *Tracer {
 // Enabled reports whether the tracer records events.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Epoch returns the tracer's time origin (zero for the nil tracer).
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // NextFlowID returns a fresh nonzero id binding a flow arrow's two ends.
 // The nil tracer returns 0, which all flow emitters treat as "no arrow".
 func (t *Tracer) NextFlowID() int64 {
@@ -165,9 +157,6 @@ func (k *Track) Name() string {
 	}
 	return k.name
 }
-
-// Enabled reports whether events emitted on this handle are recorded.
-func (k *Track) Enabled() bool { return k != nil }
 
 // emit appends one event. Single writer: a plain read of n is the
 // writer's own previous store; the atomic store publishes the slot to
@@ -252,14 +241,6 @@ func (k *Track) Len() int {
 		return 0
 	}
 	return int(k.n.Load())
-}
-
-// Dropped returns how many events the full ring discarded.
-func (k *Track) Dropped() int64 {
-	if k == nil {
-		return 0
-	}
-	return k.dropped.Load()
 }
 
 // TrackSnapshot is one track's published events plus identity.

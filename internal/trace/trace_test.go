@@ -91,7 +91,7 @@ func TestRingDrop(t *testing.T) {
 	if got := tk.Len(); got != 16 {
 		t.Errorf("Len = %d, want 16", got)
 	}
-	if got := tk.Dropped(); got != 4 {
+	if got := tk.dropped.Load(); got != 4 {
 		t.Errorf("Dropped = %d, want 4", got)
 	}
 	if got := tr.TotalDropped(); got != 4 {
@@ -143,9 +143,6 @@ func TestNilTracerSafe(t *testing.T) {
 	if got := tr.NextFlowID(); got != 0 {
 		t.Errorf("nil NextFlowID = %d", got)
 	}
-	if !tr.Epoch().IsZero() {
-		t.Error("nil Epoch not zero")
-	}
 	tr.NameProcess(1, "x")
 	if snaps := tr.Snapshot(); snaps != nil {
 		t.Errorf("nil Snapshot = %v", snaps)
@@ -155,8 +152,8 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 
 	tk := tr.NewTrack("ghost")
-	if tk.Enabled() {
-		t.Fatal("nil track reports enabled")
+	if tk != nil {
+		t.Fatal("nil tracer handed out a live track")
 	}
 	if tk.Name() != "" {
 		t.Error("nil track has a name")
@@ -168,7 +165,7 @@ func TestNilTracerSafe(t *testing.T) {
 	tk.SpanSince("c", "n", time.Now())
 	tk.FlowOut("c", "n", 1, "k", 1)
 	tk.FlowIn("c", "n", 1, "k", 1)
-	if tk.Len() != 0 || tk.Dropped() != 0 {
+	if tk.Len() != 0 {
 		t.Error("nil track recorded something")
 	}
 }
