@@ -10,8 +10,8 @@
 // Fragments arrive as POST /fragment (the full plan source plus the
 // exchange-cut path and producer index — the worker recompiles and
 // builds just that producer subtree), and their record streams leave
-// over raw TCP toward the coordinator's data plane in the netexchange
-// wire format. GET /healthz answers the coordinator's heartbeats and
+// over raw TCP toward the coordinator's data plane in the wire format
+// of internal/core (core.SendWire). GET /healthz answers the coordinator's heartbeats and
 // GET /metrics serves the volcano_dist_worker_* families alongside the
 // storage and operator families.
 //

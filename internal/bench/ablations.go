@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -620,10 +622,12 @@ func AblationBufferLocking(records, workers int) (*Ablation, error) {
 }
 
 // AblationSharedNothing (A11): the shared-memory exchange (records passed
-// as pinned buffer residents) vs the shared-nothing NetExchange (record
-// images copied across machines) — quantifying what the shared buffer
-// saves, and what a network boundary costs (§4.1's discussion of the
-// GAMMA-style paradigm; the multi-machine extension the paper announces).
+// as pinned buffer residents) vs the shared-nothing path the worker fleet
+// speaks (record images framed by SendWire, decoded by ReadWireFrame and
+// copied into a second machine's buffer) — quantifying what the shared
+// buffer saves, and what a network boundary costs (§4.1's discussion of
+// the GAMMA-style paradigm; the multi-machine extension the paper
+// announces).
 func AblationSharedNothing(records int, wireLatency time.Duration) (*Ablation, error) {
 	a := &Ablation{Title: fmt.Sprintf("A11 — shared-memory vs shared-nothing exchange (%d records)", records)}
 
@@ -653,50 +657,100 @@ func AblationSharedNothing(records int, wireLatency time.Duration) (*Ablation, e
 	}
 
 	// Shared nothing: two machines, copies over an ideal (zero-latency)
-	// link, and over a link with simulated latency.
+	// link, and over a link that pays a latency per frame.
 	for _, lat := range []time.Duration{0, wireLatency} {
-		src, err := NewWorld(4096, 0)
+		line, err := shipOverWire(records, lat)
 		if err != nil {
 			return nil, err
 		}
-		dst, err := NewWorld(4096, 0)
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		x, err := core.NewNetExchange(core.NetExchangeConfig{
-			Schema: GenSchema, Producers: 1, Consumers: 1,
-			Latency: lat,
-			NewProducer: func(int) (core.Iterator, error) {
-				return NewGen(src.Env, records, 0), nil
-			},
-			ConsumerEnv: func(int) *core.Env { return dst.Env },
-		})
-		if err != nil {
-			src.Close()
-			dst.Close()
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := core.Drain(x.Consumer(0), 0); err != nil {
-			src.Close()
-			dst.Close()
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		packets, bytes := x.Stats()
-		name := "shared nothing, ideal link (copies)"
-		if lat > 0 {
-			name = fmt.Sprintf("shared nothing, %v/packet link", lat)
-		}
-		a.Lines = append(a.Lines, Line{
-			Name: name, Elapsed: elapsed,
-			Extra: fmt.Sprintf("%d packets, %d KB shipped", packets, bytes/1024),
-		})
-		src.Close()
-		dst.Close()
+		a.Lines = append(a.Lines, line)
 	}
 	return a, nil
+}
+
+// shipOverWire is one shared-nothing row of A11: a producer on one World
+// streams generated records through SendWire into a net.Pipe, and the
+// other end materialises every record into a second World's buffer.
+func shipOverWire(records int, lat time.Duration) (Line, error) {
+	src, err := NewWorld(4096, 0)
+	if err != nil {
+		return Line{}, err
+	}
+	defer src.Close()
+	dst, err := NewWorld(4096, 0)
+	if err != nil {
+		return Line{}, err
+	}
+	defer dst.Close()
+	w, err := dst.Env.NewResultWriter("a11", GenSchema)
+	if err != nil {
+		return Line{}, err
+	}
+	defer w.Dispose()
+
+	rd, wr := net.Pipe()
+	var link io.Writer = wr
+	if lat > 0 {
+		link = slowLink{wr, lat}
+	}
+	s := core.NewWireSender(link, 0)
+	sent := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		sent <- core.SendWire(s, NewGen(src.Env, records, 0), 0, 0)
+		wr.Close()
+	}()
+	err = receiveWire(bufio.NewReader(rd), w)
+	rd.Close() // a failed receiver unblocks the producer's pending write
+	if serr := <-sent; err == nil {
+		err = serr
+	}
+	elapsed := time.Since(start)
+	if err != nil {
+		return Line{}, err
+	}
+	frames, bytes := s.Stats()
+	name := "shared nothing, ideal link (copies)"
+	if lat > 0 {
+		name = fmt.Sprintf("shared nothing, %v/packet link", lat)
+	}
+	return Line{
+		Name: name, Elapsed: elapsed,
+		Extra: fmt.Sprintf("%d frames, %d KB shipped", frames, bytes/1024),
+	}, nil
+}
+
+// receiveWire reads frames up to EOS, materialising every record image
+// into w and unfixing it at once.
+func receiveWire(r io.Reader, w *core.ResultWriter) error {
+	var f core.WireFrame
+	for {
+		if err := core.ReadWireFrame(r, &f, 0); err != nil {
+			return err
+		}
+		for _, data := range f.Recs {
+			rec, err := w.WriteBytes(data)
+			if err != nil {
+				return err
+			}
+			rec.Unfix()
+		}
+		if err := f.Err(); err != nil || f.EOS() {
+			return err
+		}
+	}
+}
+
+// slowLink is a link with latency: every Write sleeps first. WireSender
+// flushes once per frame, so the sleep is paid once per packet.
+type slowLink struct {
+	io.Writer
+	lat time.Duration
+}
+
+func (l slowLink) Write(p []byte) (int, error) {
+	time.Sleep(l.lat)
+	return l.Writer.Write(p)
 }
 
 // AblationParallelSort (A10): serial external sort vs the §4.4 merge

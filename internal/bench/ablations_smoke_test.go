@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -32,12 +33,41 @@ func TestSmokeAblations(t *testing.T) {
 	}
 }
 
+// TestSmokeSharedNothing holds A11 to its shape: the wire carries
+// ⌈records/83⌉ frames, the last of them EOS; the latency link pays its
+// latency at least once per frame; and shared memory beats the ideal
+// link, which beats the latency link. Wall-clock ranking on a shared
+// machine is noisy, so it gets three runs to show.
 func TestSmokeSharedNothing(t *testing.T) {
-	a, err := AblationSharedNothing(5000, 500*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
+	const records, lat = 5000, 500 * time.Microsecond
+	const frames = (records + 82) / 83
+	for run := 1; ; run++ {
+		a, err := AblationSharedNothing(records, lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Print(os.Stderr)
+		if len(a.Lines) != 3 {
+			t.Fatalf("%d rows, want 3", len(a.Lines))
+		}
+		mem, ideal, slow := a.Lines[0], a.Lines[1], a.Lines[2]
+		for _, l := range []Line{ideal, slow} {
+			var n int
+			if _, err := fmt.Sscanf(l.Extra, "%d frames", &n); err != nil || n != frames {
+				t.Fatalf("%s: %q, want %d frames", l.Name, l.Extra, frames)
+			}
+		}
+		if floor := frames * lat; slow.Elapsed < floor {
+			t.Fatalf("latency link took %v, under its %d frames × %v = %v", slow.Elapsed, frames, lat, floor)
+		}
+		if mem.Elapsed < ideal.Elapsed && ideal.Elapsed < slow.Elapsed {
+			return
+		}
+		if run == 3 {
+			t.Fatalf("ranking broken: shared memory %v, ideal link %v, latency link %v",
+				mem.Elapsed, ideal.Elapsed, slow.Elapsed)
+		}
 	}
-	a.Print(os.Stderr)
 }
 
 func TestSmokeRunGeneration(t *testing.T) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"testing"
 
 	"repro/internal/record"
@@ -73,37 +75,56 @@ func BenchmarkExchangeThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkNetExchangeThroughput is the shared-nothing variant: two
-// producers copy record images into wire packets that a consumer on a
-// different "machine" materialises into its own buffer pool. The wire
-// packets recycle through the netPacketPool, so allocs/op stays flat in
-// the record count here too.
-func BenchmarkNetExchangeThroughput(b *testing.B) {
+// BenchmarkWireThroughput is the shared-nothing path the worker fleet
+// speaks: two producers each stream benchRecordsPerProducer records
+// through SendWire into a net.Pipe, and one reader decodes the frames
+// with ReadWireFrame and materialises every image into a second env's
+// buffer. Sender arenas, the frame arena and the pages are reused, so
+// allocs/op stays flat in the record count here too.
+func BenchmarkWireThroughput(b *testing.B) {
 	dst := newTestEnv(b, 1024)
 	rec := staticIntRec()
 	const producers = 2
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x, err := NewNetExchange(NetExchangeConfig{
-			Schema:     intSchema,
-			Producers:  producers,
-			Consumers:  1,
-			PacketSize: 83,
-			NewProducer: func(g int) (Iterator, error) {
-				return &countedSource{rec: rec, n: benchRecordsPerProducer}, nil
-			},
-			ConsumerEnv: func(int) *Env { return dst.Env },
-		})
+		w, err := dst.NewResultWriter("wire", intSchema)
 		if err != nil {
 			b.Fatal(err)
 		}
-		n, err := Drain(x.Consumer(0), 0)
-		if err != nil {
+		links := make([]net.Conn, producers)
+		for g := range links {
+			rd, wr := net.Pipe()
+			links[g] = rd
+			go func() {
+				_ = SendWire(NewWireSender(wr, 83), &countedSource{rec: rec, n: benchRecordsPerProducer}, 0, 0)
+				wr.Close()
+			}()
+		}
+		n := 0
+		var f WireFrame
+		for _, rd := range links {
+			br := bufio.NewReader(rd)
+			for eos := false; !eos; eos = f.EOS() {
+				if err := ReadWireFrame(br, &f, 0); err != nil {
+					b.Fatal(err)
+				}
+				for _, data := range f.Recs {
+					r, err := w.WriteBytes(data)
+					if err != nil {
+						b.Fatal(err)
+					}
+					r.Unfix()
+				}
+				n += len(f.Recs)
+			}
+			rd.Close()
+		}
+		if err := w.Dispose(); err != nil {
 			b.Fatal(err)
 		}
 		if n != producers*benchRecordsPerProducer {
-			b.Fatalf("drained %d records", n)
+			b.Fatalf("received %d records", n)
 		}
 	}
 	b.StopTimer()

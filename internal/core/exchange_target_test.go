@@ -8,21 +8,20 @@ import (
 )
 
 // TestExchangeEndpointsHonorBatchTarget holds every exchange endpoint —
-// fork-mode consumer, inline member, per-producer stream, shared-nothing
-// consumer — to the protocol's bound: one NextBatch call delivers at most
-// the batch's Target records. Batch size 1 is therefore record-at-a-time
+// fork-mode consumer, inline member, per-producer stream — to the
+// protocol's bound: one NextBatch call delivers at most the batch's
+// Target records. Batch size 1 is therefore record-at-a-time
 // above an exchange as well, a packet larger than the caller's batch is
 // served across calls, and a packet that fits is still handed over whole.
 // Closing an endpoint in the middle of a packet releases what it holds.
 func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 	const n, packet = 500, 50
-	// open builds one endpoint over f (in env) and returns it with the
-	// environment its records are pinned in.
+	// open builds one endpoint over f.
 	endpoints := []struct {
 		name string
-		open func(t *testing.T, env *testEnv, f *file.File) (Iterator, *testEnv)
+		open func(t *testing.T, f *file.File) Iterator
 	}{
-		{"fork", func(t *testing.T, env *testEnv, f *file.File) (Iterator, *testEnv) {
+		{"fork", func(t *testing.T, f *file.File) Iterator {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet,
 				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil, false) },
@@ -30,9 +29,9 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return x.Consumer(0), env
+			return x.Consumer(0)
 		}},
-		{"inline", func(t *testing.T, env *testEnv, f *file.File) (Iterator, *testEnv) {
+		{"inline", func(t *testing.T, f *file.File) Iterator {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet, Inline: true,
 				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil, false) },
@@ -40,9 +39,9 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return x.Consumer(0), env
+			return x.Consumer(0)
 		}},
-		{"stream", func(t *testing.T, env *testEnv, f *file.File) (Iterator, *testEnv) {
+		{"stream", func(t *testing.T, f *file.File) Iterator {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet, KeepStreams: true,
 				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil, false) },
@@ -54,19 +53,7 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return streams[0], env
-		}},
-		{"net", func(t *testing.T, env *testEnv, f *file.File) (Iterator, *testEnv) {
-			dst := newTestEnv(t, 64)
-			x, err := NewNetExchange(NetExchangeConfig{
-				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet,
-				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil, false) },
-				ConsumerEnv: func(int) *Env { return dst.Env },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return x.Consumer(0), dst
+			return streams[0]
 		}},
 	}
 	for _, ep := range endpoints {
@@ -74,7 +61,7 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/target=%d", ep.name, target), func(t *testing.T) {
 				env := newTestEnv(t, 256)
 				f := env.makeInts(t, "t", shuffled(n, 44)...)
-				it, dst := ep.open(t, env, f)
+				it := ep.open(t, f)
 				if err := it.Open(); err != nil {
 					t.Fatal(err)
 				}
@@ -110,13 +97,12 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 					t.Fatalf("%d calls, want %d", calls, want)
 				}
 				env.checkNoPinLeak(t)
-				dst.checkNoPinLeak(t)
 			})
 		}
 		t.Run(ep.name+"/close-mid-packet", func(t *testing.T) {
 			env := newTestEnv(t, 256)
 			f := env.makeInts(t, "t", shuffled(n, 45)...)
-			it, dst := ep.open(t, env, f)
+			it := ep.open(t, f)
 			if err := it.Open(); err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +120,6 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.checkNoPinLeak(t)
-			dst.checkNoPinLeak(t)
 		})
 	}
 }

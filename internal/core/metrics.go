@@ -7,7 +7,7 @@ import (
 )
 
 // Process-wide exchange-protocol counters, aggregated across every
-// exchange and netexchange instance in the process. Per-query numbers
+// exchange instance in the process. Per-query numbers
 // stay with ExchangeStats / EXPLAIN ANALYZE; these are the always-on
 // totals a scraper polls while queries run. They are plain atomics so
 // the port hot path pays an atomic add per packet (never per record)
@@ -20,8 +20,6 @@ var (
 	xmConsumerWaitNs    atomic.Int64 // ns consumers spent blocked on empty queues
 	xmQueueDepth        atomic.Int64 // packets currently queued across all ports
 	xmProducersLive     atomic.Int64 // producer goroutines currently running
-	xmNetPackets        atomic.Int64 // packets serialised onto the wire (netexchange)
-	xmNetBytes          atomic.Int64 // wire bytes sent (netexchange)
 	xmPoolHits          atomic.Int64 // packet refills served from a free list
 	xmPoolMisses        atomic.Int64 // packet refills that had to allocate
 	xmPoolDiscards      atomic.Int64 // drained packets dropped because a free list was full
@@ -50,8 +48,6 @@ func RegisterMetrics(r *metrics.Registry) {
 	counter("volcano_exchange_token_waits_total", "Flow-control token acquisitions that blocked a producer.", &xmTokenWaits)
 	seconds("volcano_exchange_producer_stall_seconds_total", "Time producers spent blocked on the flow-control semaphore.", &xmProducerStallNs)
 	seconds("volcano_exchange_consumer_wait_seconds_total", "Time consumers spent blocked waiting for packets.", &xmConsumerWaitNs)
-	counter("volcano_netexchange_packets_total", "Packets serialised onto the wire by netexchange.", &xmNetPackets)
-	counter("volcano_netexchange_wire_bytes_total", "Bytes sent over netexchange connections.", &xmNetBytes)
 	counter("volcano_exchange_pool_hits_total", "Packet refills served from an exchange free list.", &xmPoolHits)
 	counter("volcano_exchange_pool_misses_total", "Packet refills that fell back to a fresh allocation.", &xmPoolMisses)
 	counter("volcano_exchange_pool_discards_total", "Drained packets dropped because the bounded free list was full.", &xmPoolDiscards)

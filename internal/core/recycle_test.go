@@ -78,46 +78,6 @@ func TestExchangePacketRecycling(t *testing.T) {
 	env.checkNoPinLeak(t)
 }
 
-// TestNetExchangePacketRecycling is the same invariant for the wire-packet
-// free list of the shared-nothing exchange.
-func TestNetExchangePacketRecycling(t *testing.T) {
-	src := newTestEnv(t, 512)
-	dst := newTestEnv(t, 512)
-	const n = 8000
-	f := src.makeInts(t, "t", shuffled(n, 22)...)
-	x, err := NewNetExchange(NetExchangeConfig{
-		Schema:      intSchema,
-		Producers:   2,
-		Consumers:   1,
-		PacketSize:  10,
-		NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil, false) },
-		ConsumerEnv: func(int) *Env { return dst.Env },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := Drain(x.Consumer(0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2*n {
-		t.Fatalf("count = %d, want %d", count, 2*n)
-	}
-	hits, misses, packets := x.pool.hits.Load(), x.pool.misses.Load(), x.packets.Load()
-	if hits == 0 {
-		t.Fatal("net pool recorded no hits: wire packets are not being recycled")
-	}
-	if got := hits + misses; got != packets {
-		t.Fatalf("net pool gets (%d hits + %d misses = %d) != packets sent (%d)",
-			hits, misses, got, packets)
-	}
-	if misses*4 > packets {
-		t.Fatalf("net pool misses %d of %d packets", misses, packets)
-	}
-	src.checkNoPinLeak(t)
-	dst.checkNoPinLeak(t)
-}
-
 // TestPacketRefillZeroAlloc measures the port-level packet cycle in
 // isolation: get a packet from the pool, refill it to the packet size,
 // push it through a flow-controlled queue, pop it, return it. After the

@@ -8,11 +8,9 @@ import (
 	"sync/atomic"
 )
 
-// The netexchange wire format. One frame carries one wire packet — the
-// unit the shared-nothing exchange already ships between "machines" —
-// as a length-prefixed binary message, so the same packet/record
-// encoding that crosses the in-process loopback crosses a real TCP
-// connection unchanged:
+// The wire format of the shared-nothing path (§4.1): the frames a
+// worker's fragment streams to the coordinator. One frame carries one
+// packet of record images as a length-prefixed binary message:
 //
 //	frame  := header payload
 //	header := magic(4) flags(1) reserved(3) payloadLen(4)   big endian
@@ -52,6 +50,9 @@ type WireFrame struct {
 	Recs  [][]byte
 	Msg   []byte // error message (WireFlagErr) or hello payload
 	buf   []byte
+	// hdr is the header scratch. A local array would escape through
+	// io.ReadFull and cost one allocation per frame.
+	hdr [wireHeaderLen]byte
 }
 
 // EOS reports whether this is the sender's final frame.
@@ -122,7 +123,7 @@ func ReadWireFrame(r io.Reader, f *WireFrame, maxFrame int) error {
 	if maxFrame <= 0 {
 		maxFrame = MaxWireFrame
 	}
-	var hdr [wireHeaderLen]byte
+	hdr := f.hdr[:]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return err // io.EOF here means a clean end of stream
 	}
@@ -179,7 +180,7 @@ func ReadWireFrame(r io.Reader, f *WireFrame, maxFrame int) error {
 type WireSender struct {
 	w          *bufio.Writer
 	packetSize int
-	recs       [][]byte // windows into arena, like netPacket
+	recs       [][]byte // windows into arena
 	arena      []byte
 	scratch    []byte
 
@@ -270,4 +271,56 @@ func (s *WireSender) writeScratch() error {
 	s.frames.Add(1)
 	s.bytes.Add(int64(payload))
 	return nil
+}
+
+// SendWire is the producer half of a wire link: it opens it, drains it
+// in batches of batchSize records, copies every image into s (dropping
+// the first skip of them: a skip-replay resume) and closes it. The
+// stream ends with an EOS frame, or an EOS|Err frame carrying the
+// subtree's error. A write error means the reader is gone: SendWire
+// closes it and returns that error without sending EOS. The returned
+// error is what went wrong on this side.
+func SendWire(s *WireSender, it Iterator, batchSize int, skip int64) error {
+	if err := it.Open(); err != nil {
+		err = fmt.Errorf("open: %w", err)
+		// Best effort: the reader would otherwise wait out its timeout.
+		_ = s.CloseEOS(err.Error())
+		return err
+	}
+	var runErr error
+	b := NewBatch(batchSize)
+	for {
+		if err := it.NextBatch(b); err != nil {
+			runErr = err
+			break
+		}
+		if b.Len() == 0 {
+			break
+		}
+		recs := b.Recs()
+		if skip > 0 {
+			k := min(skip, int64(len(recs)))
+			recs, skip = recs[k:], skip-k
+		}
+		var sendErr error
+		for _, r := range recs {
+			if sendErr = s.Add(r.Data); sendErr != nil {
+				break
+			}
+		}
+		// One coalesced release per batch, sent records or not.
+		b.Release()
+		if sendErr != nil {
+			_ = it.Close()
+			return sendErr
+		}
+	}
+	if cerr := it.Close(); runErr == nil && cerr != nil {
+		runErr = cerr
+	}
+	if runErr != nil {
+		_ = s.CloseEOS(runErr.Error())
+		return runErr
+	}
+	return s.CloseEOS("")
 }

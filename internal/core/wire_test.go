@@ -8,6 +8,9 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/record"
 )
 
 func TestWireFrameRoundTrip(t *testing.T) {
@@ -160,4 +163,178 @@ func TestWireSenderOverTCP(t *testing.T) {
 	if got != n || !sawErr {
 		t.Fatalf("got %d records, sawErr=%v", got, sawErr)
 	}
+}
+
+// TestWireRoundTripZeroAlloc holds the wire's steady state to zero heap
+// allocations per frame: 83 records staged and flushed by a WireSender,
+// then decoded by ReadWireFrame into a reused WireFrame. Every arena and
+// scratch buffer keeps its capacity across frames.
+func TestWireRoundTripZeroAlloc(t *testing.T) {
+	var link bytes.Buffer
+	s := NewWireSender(&link, 83)
+	rec := intSchema.MustEncode(record.Int(7))
+	var f WireFrame
+	cycle := func() {
+		for i := 0; i < 83; i++ {
+			if err := s.Add(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ReadWireFrame(&link, &f, 0); err != nil || len(f.Recs) != 83 {
+			t.Fatalf("frame of %d records: %v", len(f.Recs), err)
+		}
+	}
+	cycle() // the buffers grow to their steady size once
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("%.2f allocations per frame, want 0", avg)
+	}
+}
+
+// closeCounter counts the Close calls and record pulls of its subtree.
+type closeCounter struct {
+	Iterator
+	closes, pulled int
+}
+
+func (c *closeCounter) NextBatch(b *Batch) error {
+	err := c.Iterator.NextBatch(b)
+	c.pulled += b.Len()
+	return err
+}
+
+func (c *closeCounter) Close() error {
+	c.closes++
+	return c.Iterator.Close()
+}
+
+// wireStream is what the reading end of a link saw.
+type wireStream struct {
+	vals   []int64 // the int records, in arrival order
+	frames int
+	eos    int   // frames carrying WireFlagEOS
+	err    error // the EOS frame's error
+	sent   error // what SendWire returned
+}
+
+// sendOverPipe runs SendWire into one end of a net.Pipe and decodes the
+// other end up to EOS.
+func sendOverPipe(t *testing.T, it Iterator, packetSize, batchSize int, skip int64) wireStream {
+	t.Helper()
+	rd, wr := net.Pipe()
+	defer rd.Close()
+	sent := make(chan error, 1)
+	go func() {
+		sent <- SendWire(NewWireSender(wr, packetSize), it, batchSize, skip)
+		wr.Close()
+	}()
+	var st wireStream
+	var f WireFrame
+	for st.eos == 0 {
+		if err := ReadWireFrame(rd, &f, 0); err != nil {
+			t.Fatalf("frame %d: %v", st.frames, err)
+		}
+		st.frames++
+		for _, r := range f.Recs {
+			st.vals = append(st.vals, intSchema.GetInt(r, 0))
+		}
+		if f.EOS() {
+			st.eos++
+			st.err = f.Err()
+		}
+	}
+	st.sent = <-sent
+	return st
+}
+
+func TestSendWireInOrderThenEOS(t *testing.T) {
+	env := newTestEnv(t, 64)
+	const n, packet = 500, 7
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	f := env.makeInts(t, "t", vals...)
+	src := &closeCounter{Iterator: scanOf(t, f)}
+	st := sendOverPipe(t, src, packet, 0, 0)
+	if st.sent != nil || st.err != nil {
+		t.Fatalf("sent %v, EOS error %v", st.sent, st.err)
+	}
+	if !equalInts(st.vals, vals) {
+		t.Fatalf("records out of order or lost: got %d", len(st.vals))
+	}
+	// The last data frame carries the EOS flag: no bare EOS frame.
+	if want := (n + packet - 1) / packet; st.frames != want || st.eos != 1 {
+		t.Fatalf("%d frames (%d EOS), want %d with the last one EOS", st.frames, st.eos, want)
+	}
+	if src.closes != 1 {
+		t.Fatalf("subtree closed %d times", src.closes)
+	}
+	env.checkNoPinLeak(t)
+}
+
+func TestSendWireSubtreeError(t *testing.T) {
+	env := newTestEnv(t, 64)
+	f := env.makeInts(t, "t", 5, 0, 7)
+	fl, err := NewFilterExpr(env.Env, scanOf(t, f), "10 / v > 0", expr.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sendOverPipe(t, fl, 0, 0, 0)
+	if st.err == nil || !strings.Contains(st.err.Error(), "division by zero") {
+		t.Fatalf("EOS frame error = %v, want division by zero", st.err)
+	}
+	if st.sent == nil || !strings.Contains(st.sent.Error(), "division by zero") {
+		t.Fatalf("SendWire returned %v", st.sent)
+	}
+	env.checkNoPinLeak(t)
+}
+
+// TestSendWireSkip is skip-replay: a resumed fragment drops exactly the
+// records its predecessor already delivered, whatever the batch size.
+func TestSendWireSkip(t *testing.T) {
+	env := newTestEnv(t, 64)
+	const n = 500
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	f := env.makeInts(t, "t", vals...)
+	for _, batch := range []int{1, 7, 64} {
+		for _, skip := range []int64{0, 1, 6, 7, 83, 499, 500, 600} {
+			st := sendOverPipe(t, scanOf(t, f), 0, batch, skip)
+			if st.sent != nil {
+				t.Fatal(st.sent)
+			}
+			want := vals[min(skip, n):]
+			if !equalInts(st.vals, want) {
+				t.Fatalf("batch=%d skip=%d: got %d records starting %v, want %d", batch, skip, len(st.vals), st.vals[:min(1, len(st.vals))], len(want))
+			}
+		}
+	}
+	env.checkNoPinLeak(t)
+}
+
+// TestSendWireReaderGone closes the reading end mid-stream: SendWire
+// stops pulling, closes its subtree and returns the write error, not an
+// end of stream, and the source pool keeps no pin.
+func TestSendWireReaderGone(t *testing.T) {
+	env := newTestEnv(t, 64)
+	const n = 5000
+	f := env.makeInts(t, "t", shuffled(n, 9)...)
+	src := &closeCounter{Iterator: scanOf(t, f)}
+	rd, wr := net.Pipe()
+	sent := make(chan error, 1)
+	go func() { sent <- SendWire(NewWireSender(wr, 10), src, 0, 0) }()
+	var fr WireFrame
+	if err := ReadWireFrame(rd, &fr, 0); err != nil || fr.EOS() || len(fr.Recs) != 10 {
+		t.Fatalf("first frame: %d records, eos=%v, %v", len(fr.Recs), fr.EOS(), err)
+	}
+	rd.Close()
+	if err := <-sent; !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("SendWire returned %v, want the write error", err)
+	}
+	if src.closes != 1 || src.pulled >= n {
+		t.Fatalf("subtree closed %d times after %d of %d records", src.closes, src.pulled, n)
+	}
+	env.checkNoPinLeak(t)
 }

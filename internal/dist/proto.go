@@ -2,10 +2,10 @@
 // splits plans at the exchange boundaries plan.Distributable accepts and
 // ships producer fragments to a fleet of volcano-worker processes, and the
 // worker that executes them. Control travels over HTTP (register, dispatch,
-// heartbeat); data travels over raw TCP in the netexchange wire format
-// of internal/core — the same length-prefixed frames that cross a
-// NetExchange's transport, so a fragment's output stream is
-// indistinguishable from a local shared-nothing exchange's.
+// heartbeat); data travels over raw TCP in the wire format of
+// internal/core: a worker's core.SendWire drains the fragment into
+// length-prefixed frames, and the coordinator decodes them with
+// core.ReadWireFrame. This is the repo's one shared-nothing exchange.
 //
 // A fragment ships by position, not by value: the coordinator sends the
 // whole normalized plan source plus the dotted child-index path of the

@@ -231,64 +231,18 @@ func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 	w.m.accepted.Inc()
 }
 
-// streamFragment builds and drains the producer subtree into the
+// streamFragment builds the producer subtree and drains it into the
 // sender. The returned error is what went wrong locally; whatever could
 // be reported to the coordinator already has been (as an error-EOS).
 func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec FragmentSpec) error {
-	fail := func(err error) error {
+	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, tpl.Root(), spec.Path, spec.Producer,
+		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
+	if err != nil {
+		err = fmt.Errorf("build: %w", err)
 		// Best effort: the coordinator would otherwise wait out its
 		// frame timeout.
 		_ = s.CloseEOS(err.Error())
 		return err
 	}
-	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, tpl.Root(), spec.Path, spec.Producer,
-		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
-	if err != nil {
-		return fail(fmt.Errorf("build: %w", err))
-	}
-	if err := it.Open(); err != nil {
-		return fail(fmt.Errorf("open: %w", err))
-	}
-	// send copies a record onto the wire (or skips it on a replay); the
-	// caller still owns the record's pin.
-	skip := spec.Skip
-	send := func(r core.Rec) error {
-		if skip > 0 {
-			skip--
-			return nil
-		}
-		return s.Add(r.Data)
-	}
-	var runErr error
-	b := core.NewBatch(spec.BatchSize)
-	for {
-		if err := it.NextBatch(b); err != nil {
-			runErr = err
-			break
-		}
-		if b.Len() == 0 {
-			break
-		}
-		var sendErr error
-		for _, r := range b.Recs() {
-			if sendErr = send(r); sendErr != nil {
-				break
-			}
-		}
-		// One coalesced release per batch, sent records or not.
-		b.Release()
-		if sendErr != nil {
-			// Transport gone: stop pulling, skip the EOS.
-			_ = it.Close()
-			return sendErr
-		}
-	}
-	if cerr := it.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
-	}
-	if runErr != nil {
-		_ = s.CloseEOS(runErr.Error())
-		return runErr
-	}
-	return s.CloseEOS("")
+	return core.SendWire(s, it, spec.BatchSize, spec.Skip)
 }

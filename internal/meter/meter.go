@@ -41,7 +41,8 @@ type Meter struct {
 	XPackets atomic.Int64
 	XRecords atomic.Int64
 
-	// Netexchange wire traffic (record images copied into wire packets).
+	// Wire traffic: frames of record images a coordinator received from
+	// the worker fleet.
 	WirePackets atomic.Int64
 	WireBytes   atomic.Int64
 
@@ -104,22 +105,9 @@ func (m *Meter) ExchangePush(n int) {
 	m.XRecords.Add(int64(n))
 }
 
-// WireSend records one netexchange wire packet of the given size.
-func (m *Meter) WireSend(bytes int) {
-	if m == nil {
-		return
-	}
-	m.WirePackets.Add(1)
-	m.WireBytes.Add(int64(bytes))
-}
-
-// WireRecv records one netexchange wire packet received on behalf of
-// this query. It lands in the same WirePackets/WireBytes counters as
-// WireSend: the pair exists so each side of a real wire attributes the
-// traffic it actually saw — in a distributed plan the sending worker and
-// the receiving coordinator hold different meters, and each bills the
-// packets that crossed its own socket. An in-process hub counts each
-// packet on exactly one side, never both.
+// WireRecv records one wire frame of the given payload size that the
+// coordinator received on behalf of this query from a worker's
+// fragment stream.
 func (m *Meter) WireRecv(bytes int) {
 	if m == nil {
 		return

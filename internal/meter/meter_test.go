@@ -15,7 +15,7 @@ func TestMeterCounts(t *testing.T) {
 	m.DeviceWrite(4096)
 	m.ExchangePush(5)
 	m.ExchangePush(0) // EOS marker: a packet with no records
-	m.WireSend(120)
+	m.WireRecv(120)
 	m.BatchAlloc(1024)
 	m.BatchAlloc(1024)
 	m.BatchFree(1024)
@@ -72,7 +72,7 @@ func TestNilMeter(t *testing.T) {
 	m.DeviceRead(1)
 	m.DeviceWrite(1)
 	m.ExchangePush(1)
-	m.WireSend(1)
+	m.WireRecv(1)
 	m.BatchAlloc(1)
 	m.BatchFree(1)
 	m.StreamRow(1)
@@ -97,7 +97,7 @@ func TestMeterHotPathZeroAlloc(t *testing.T) {
 		{"DeviceRead", func() { m.DeviceRead(4096) }},
 		{"DeviceWrite", func() { m.DeviceWrite(4096) }},
 		{"ExchangePush", func() { m.ExchangePush(83) }},
-		{"WireSend", func() { m.WireSend(512) }},
+		{"WireRecv", func() { m.WireRecv(512) }},
 		{"StreamRow", func() { m.StreamRow(40) }},
 		{"BatchAlloc", func() { m.BatchAlloc(4096) }},
 		{"BatchFree", func() { m.BatchFree(4096) }},

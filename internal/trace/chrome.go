@@ -11,8 +11,8 @@ import (
 // WriteChrome exports the merged, time-ordered event log in the Chrome
 // trace-event JSON format (the "JSON Array Format" with an object
 // wrapper), loadable in chrome://tracing and Perfetto. Tracks become
-// threads (one per emitting goroutine), pids distinguish sites/machines,
-// and flow events draw arrows from packet pushes to pops across tracks.
+// threads (one per emitting goroutine) of pid 0, and flow events draw
+// arrows from packet pushes to pops across tracks.
 //
 // The encoder is hand-rolled so key order and number formatting are
 // deterministic: a trace of the same logical run (under a fixed test
@@ -23,12 +23,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		return err
 	}
 	snaps := t.Snapshot()
-	t.mu.Lock()
-	procs := make(map[int]string, len(t.procs))
-	for pid, name := range t.procs {
-		procs[pid] = name
-	}
-	t.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
@@ -42,23 +36,14 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		bw.WriteString(s)
 	}
 
-	// Metadata: process names (sorted pids), then thread names per track.
-	pids := make([]int, 0, len(procs))
-	for pid := range procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-			pid, quote(procs[pid])))
-	}
+	// Metadata: thread names per track.
 	for _, s := range snaps {
-		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-			s.PID, s.TID, quote(s.Name)))
+		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
+			s.TID, quote(s.Name)))
 	}
 
-	// Merge all tracks into one time-ordered log. Ties break by (pid,
-	// tid, emission order) so the output is deterministic.
+	// Merge all tracks into one time-ordered log. Ties break by (tid,
+	// emission order) so the output is deterministic.
 	type ref struct {
 		track int // index into snaps
 		ev    int // index into snaps[track].Events
@@ -75,9 +60,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		if ea.TS != eb.TS {
 			return ea.TS < eb.TS
 		}
-		if snaps[a.track].PID != snaps[b.track].PID {
-			return snaps[a.track].PID < snaps[b.track].PID
-		}
 		if snaps[a.track].TID != snaps[b.track].TID {
 			return snaps[a.track].TID < snaps[b.track].TID
 		}
@@ -86,20 +68,18 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 
 	for _, r := range refs {
 		s := &snaps[r.track]
-		emit(chromeEvent(s.PID, s.TID, s.Events[r.ev]))
+		emit(chromeEvent(s.TID, s.Events[r.ev]))
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }
 
 // chromeEvent renders one event as a Chrome trace-event object.
-func chromeEvent(pid, tid int, e Event) string {
+func chromeEvent(tid int, e Event) string {
 	b := make([]byte, 0, 160)
 	b = append(b, `{"ph":"`...)
 	b = append(b, byte(e.Ph))
-	b = append(b, `","pid":`...)
-	b = strconv.AppendInt(b, int64(pid), 10)
-	b = append(b, `,"tid":`...)
+	b = append(b, `","pid":0,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"ts":`...)
 	b = appendMicros(b, e.TS)

@@ -26,12 +26,10 @@ func fixedClockTracer() *Tracer {
 // metadata records, microsecond formatting, flow binding, merged ordering.
 func TestWriteChromeGolden(t *testing.T) {
 	tr := fixedClockTracer()
-	tr.NameProcess(0, "local")
-	tr.NameProcess(1, "site:remote")
 
 	prod := tr.NewTrack("x1.producer0")
 	cons := tr.NewTrack("x1.consumer0")
-	remote := tr.NewTrackOn(1, "netx1.producer0")
+	remote := tr.NewTrack("netx1.producer0")
 
 	prod.Instant("exchange", "producer-start")
 	id := tr.NextFlowID()

@@ -26,7 +26,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +72,6 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	tracks []*Track
-	procs  map[int]string
 }
 
 // New creates an enabled tracer whose tracks hold DefaultTrackCap events.
@@ -90,7 +88,6 @@ func NewWithCapacity(trackCap int) *Tracer {
 		epoch:    epoch,
 		now:      func() int64 { return int64(time.Since(epoch)) },
 		trackCap: trackCap,
-		procs:    map[int]string{},
 	}
 }
 
@@ -106,28 +103,14 @@ func (t *Tracer) NextFlowID() int64 {
 	return t.flowSeq.Add(1)
 }
 
-// NameProcess labels a pid ("process" in Chrome terms — this tracer uses
-// pids for machines/sites, pid 0 being the local process).
-func (t *Tracer) NameProcess(pid int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.procs[pid] = name
-	t.mu.Unlock()
-}
-
-// NewTrack registers a track on pid 0. The returned handle is owned by
-// exactly one goroutine at a time (single writer); the nil tracer returns
-// a nil handle whose methods all no-op.
-func (t *Tracer) NewTrack(name string) *Track { return t.NewTrackOn(0, name) }
-
-// NewTrackOn registers a track on an explicit pid (a site/machine).
-func (t *Tracer) NewTrackOn(pid int, name string) *Track {
+// NewTrack registers a track. The returned handle is owned by exactly
+// one goroutine at a time (single writer); the nil tracer returns a nil
+// handle whose methods all no-op.
+func (t *Tracer) NewTrack(name string) *Track {
 	if t == nil {
 		return nil
 	}
-	k := &Track{t: t, pid: pid, name: name, buf: make([]Event, t.trackCap)}
+	k := &Track{t: t, name: name, buf: make([]Event, t.trackCap)}
 	t.mu.Lock()
 	k.tid = len(t.tracks) + 1
 	t.tracks = append(t.tracks, k)
@@ -141,7 +124,6 @@ func (t *Tracer) NewTrackOn(pid int, name string) *Track {
 // writer is still active is safe, if possibly one event behind.
 type Track struct {
 	t    *Tracer
-	pid  int
 	tid  int
 	name string
 
@@ -245,16 +227,16 @@ func (k *Track) Len() int {
 
 // TrackSnapshot is one track's published events plus identity.
 type TrackSnapshot struct {
-	PID     int
 	TID     int
 	Name    string
 	Events  []Event // in emission order; instants have monotonic TS, spans carry their start time
 	Dropped int64
 }
 
-// Snapshot returns every track's published events, tracks ordered by
-// (pid, tid). Intended for after the traced region has quiesced; while
-// writers are active it returns a consistent prefix per track.
+// Snapshot returns every track's published events, tracks in
+// registration (tid) order. Intended for after the traced region has
+// quiesced; while writers are active it returns a consistent prefix per
+// track.
 func (t *Tracer) Snapshot() []TrackSnapshot {
 	if t == nil {
 		return nil
@@ -266,19 +248,12 @@ func (t *Tracer) Snapshot() []TrackSnapshot {
 	for _, k := range tracks {
 		n := int(k.n.Load())
 		out = append(out, TrackSnapshot{
-			PID:     k.pid,
 			TID:     k.tid,
 			Name:    k.name,
 			Events:  append([]Event(nil), k.buf[:n]...),
 			Dropped: k.dropped.Load(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PID != out[j].PID {
-			return out[i].PID < out[j].PID
-		}
-		return out[i].TID < out[j].TID
-	})
 	return out
 }
 

@@ -62,19 +62,19 @@ func TestConcurrentEmitters(t *testing.T) {
 	}
 }
 
-// TestSnapshotOrdering checks tracks come back sorted by (pid, tid).
+// TestSnapshotOrdering checks tracks come back sorted by tid.
 func TestSnapshotOrdering(t *testing.T) {
 	tr := New()
-	tr.NewTrackOn(2, "c")
-	tr.NewTrackOn(1, "b")
-	tr.NewTrackOn(1, "a")
+	tr.NewTrack("c")
+	tr.NewTrack("b")
+	tr.NewTrack("a")
 	snaps := tr.Snapshot()
 	if len(snaps) != 3 {
 		t.Fatalf("got %d tracks", len(snaps))
 	}
 	for i := 1; i < len(snaps); i++ {
 		a, b := snaps[i-1], snaps[i]
-		if a.PID > b.PID || (a.PID == b.PID && a.TID > b.TID) {
+		if a.TID > b.TID {
 			t.Fatalf("tracks out of order: %+v before %+v", a, b)
 		}
 	}
@@ -143,7 +143,6 @@ func TestNilTracerSafe(t *testing.T) {
 	if got := tr.NextFlowID(); got != 0 {
 		t.Errorf("nil NextFlowID = %d", got)
 	}
-	tr.NameProcess(1, "x")
 	if snaps := tr.Snapshot(); snaps != nil {
 		t.Errorf("nil Snapshot = %v", snaps)
 	}
