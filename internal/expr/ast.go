@@ -247,39 +247,16 @@ func likeMatch(s, pat []byte) bool {
 	return pi == len(pat)
 }
 
-// toFloat converts a numeric value to float64.
-func toFloat(v record.Value) float64 {
-	if v.Kind == record.TInt {
-		return float64(v.I)
-	}
-	return v.F
-}
-
-// compareNumeric compares two numeric values with promotion.
-func compareNumeric(a, b record.Value) int {
-	if a.Kind == record.TInt && b.Kind == record.TInt {
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
-	}
-	af, bf := toFloat(a), toFloat(b)
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	}
-	return 0
-}
-
-// compareValues compares after type checking guaranteed comparability.
+// compareValues orders two comparable values in the total order of
+// record.CompareValues (NaN first, as in sorts), promoting a mixed
+// int/float pair to float.
 func compareValues(a, b record.Value) int {
-	if numeric(a.Kind) && numeric(b.Kind) {
-		return compareNumeric(a, b)
+	if a.Kind != b.Kind && numeric(a.Kind) && numeric(b.Kind) {
+		if a.Kind == record.TInt {
+			a = record.Float(float64(a.I))
+		} else {
+			b = record.Float(float64(b.I))
+		}
 	}
 	return record.CompareValues(a, b)
 }

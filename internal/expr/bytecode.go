@@ -83,12 +83,6 @@ func max(a, b int) int {
 // Type returns the result type of the program.
 func (p *Program) Type() record.Type { return p.typ }
 
-// String returns the surface syntax of the source expression.
-func (p *Program) String() string { return p.str }
-
-// Len returns the number of bytecode instructions (for tests/inspection).
-func (p *Program) Len() int { return len(p.code) }
-
 // CompileProgram type-checks e against the schema and translates it to
 // bytecode.
 func CompileProgram(e Expr, s *record.Schema) (*Program, error) {
@@ -290,8 +284,14 @@ func (p *Program) Eval(s *record.Schema, data []byte) (record.Value, error) {
 			stack[sp-1] = record.Bool(!stack[sp-1].B)
 		case opCmp:
 			sp--
-			c := compareValues(stack[sp-1], stack[sp])
-			stack[sp-1] = record.Bool(cmpResult(Op(in.arg), c))
+			a, b, op := stack[sp-1], stack[sp], Op(in.arg)
+			var ok bool
+			if a.Kind == record.TFloat { // so is b, once promoted: IEEE, not the total order
+				ok = order(op, a.F, b.F)
+			} else {
+				ok = order(op, record.CompareValues(a, b), 0)
+			}
+			stack[sp-1] = record.Bool(ok)
 		case opLike:
 			sp--
 			stack[sp-1] = record.Bool(likeMatch(stack[sp-1].S, stack[sp].S))
@@ -321,20 +321,21 @@ func (p *Program) Eval(s *record.Schema, data []byte) (record.Value, error) {
 	return record.Value{}, fmt.Errorf("expr: program %q fell off the end", p.str)
 }
 
-func cmpResult(op Op, c int) bool {
+// order reports whether a op b holds for a comparison operator. On
+// floats it gives IEEE results: NaN is unordered, and unequal to
+// everything, itself included.
+func order[T int | int64 | float64](op Op, a, b T) bool {
 	switch op {
 	case OpEq:
-		return c == 0
+		return a == b
 	case OpNe:
-		return c != 0
+		return a != b
 	case OpLt:
-		return c < 0
+		return a < b
 	case OpLe:
-		return c <= 0
+		return a <= b
 	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
+		return a > b
 	}
-	return false
+	return a >= b
 }

@@ -1,207 +1,261 @@
 package expr
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/record"
 )
 
-// Evaluator is the common shape of both compiled and interpreted support
-// functions: evaluate an expression against one encoded record.
-type Evaluator func(data []byte) (record.Value, error)
+// The compiled form of a support function — the analog of the paper's
+// "predicate evaluation function available in machine code" — is a tree
+// of typed closures, one per AST node, of the Go type TypeCheck inferred
+// for the node: bool, int64, float64 or []byte. No value is boxed below
+// the top of the tree, and a numeric operator is chosen when the tree is
+// built, not per record; a numeric field is read at its fixed offset.
+// Only integer / and % can fail: they panic with a zeroDivide, which the
+// top of a tree holding one recovers into the VM's error. (An error slot
+// passed down the calls would escape to the heap: one allocation per
+// record.)
 
-// CompileClosure type-checks e against the schema and builds a tree of Go
-// closures evaluating it. This is the compiled form of a support function
-// — the Go analog of the paper's "predicate evaluation function available
-// in machine code".
-func CompileClosure(e Expr, s *record.Schema) (Evaluator, record.Type, error) {
+// number is the set of Go types a numeric node computes in.
+type number interface{ int64 | float64 }
+
+// zeroDivide names the integer operator, "division" or "modulo", whose
+// divisor was zero.
+type zeroDivide string
+
+// closures builds the typed closures of one type-checked expression.
+type closures struct {
+	s       *record.Schema
+	canFail bool  // the tree holds an integer / or %
+	err     error // the first node that cannot be compiled
+}
+
+// CompileClosure type-checks e against the schema and builds its compiled
+// form, boxed into a record.Value once, at the top.
+func CompileClosure(e Expr, s *record.Schema) (func([]byte) (record.Value, error), record.Type, error) {
 	typ, err := e.TypeCheck(s)
 	if err != nil {
 		return nil, 0, err
 	}
-	ev, err := buildClosure(e, s)
-	if err != nil {
-		return nil, 0, err
+	if i, ok := field(e); ok {
+		return func(d []byte) (record.Value, error) { return s.Get(d, i) }, typ, nil
 	}
-	return ev, typ, nil
+	c := &closures{s: s}
+	var box func([]byte) record.Value
+	switch typ {
+	case record.TBool:
+		f := c.bools(e)
+		box = func(d []byte) record.Value { return record.Bool(f(d)) }
+	case record.TInt:
+		f := num[int64](c, e)
+		box = func(d []byte) record.Value { return record.Int(f(d)) }
+	case record.TFloat:
+		f := num[float64](c, e)
+		box = func(d []byte) record.Value { return record.Float(f(d)) }
+	default:
+		f := c.strs(e)
+		box = func(d []byte) record.Value { return record.Value{Kind: typ, S: f(d)} }
+	}
+	ev, err := finish(c, e, box)
+	return ev, typ, err
 }
 
-func buildClosure(e Expr, s *record.Schema) (Evaluator, error) {
+// finish makes f a support function. When the tree can fail, a
+// zeroDivide panic becomes the VM's error naming e.
+func finish[T any](c *closures, e Expr, f func([]byte) T) (func([]byte) (T, error), error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	if !c.canFail {
+		return func(d []byte) (T, error) { return f(d), nil }, nil
+	}
+	src := e.String()
+	return func(d []byte) (v T, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				z, ok := r.(zeroDivide)
+				if !ok {
+					panic(r)
+				}
+				err = fmt.Errorf("expr: integer %s by zero in %s", z, src)
+			}
+		}()
+		return f(d), nil
+	}, nil
+}
+
+// field returns the schema index e references, if it is a field.
+func field(e Expr) (int, bool) {
+	switch n := e.(type) {
+	case *Field:
+		return n.Index, true
+	case *Ident:
+		return n.index, true
+	}
+	return 0, false
+}
+
+// index returns the schema index of e, a field: the builders reach it
+// for any node they do not know, which is an error.
+func (c *closures) index(e Expr) int {
+	i, ok := field(e)
+	if !ok && c.err == nil {
+		c.err = fmt.Errorf("expr: cannot compile %T", e)
+	}
+	return i
+}
+
+// typeOf returns the type TypeCheck inferred for e.
+func (c *closures) typeOf(e Expr) record.Type {
+	switch n := e.(type) {
+	case *Bin:
+		return n.typ
+	case *Un:
+		return n.typ
+	}
+	t, _ := e.TypeCheck(c.s) // a leaf: nothing below it to check again
+	return t
+}
+
+func (c *closures) bools(e Expr) func([]byte) bool {
 	switch n := e.(type) {
 	case *Lit:
-		v := n.Val
-		return func([]byte) (record.Value, error) { return v, nil }, nil
-	case *Field:
-		return buildLoad(n.Index, n.typ, s), nil
-	case *Ident:
-		return buildLoad(n.index, n.typ, s), nil
+		b := n.Val.B
+		return func([]byte) bool { return b }
 	case *Un:
-		x, err := buildClosure(n.X, s)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case n.Op == OpNot:
-			return func(d []byte) (record.Value, error) {
-				v, err := x(d)
-				if err != nil {
-					return v, err
-				}
-				return record.Bool(!v.B), nil
-			}, nil
-		case n.typ == record.TInt:
-			return func(d []byte) (record.Value, error) {
-				v, err := x(d)
-				if err != nil {
-					return v, err
-				}
-				return record.Int(-v.I), nil
-			}, nil
-		default:
-			return func(d []byte) (record.Value, error) {
-				v, err := x(d)
-				if err != nil {
-					return v, err
-				}
-				return record.Float(-v.F), nil
-			}, nil
-		}
+		x := c.bools(n.X)
+		return func(d []byte) bool { return !x(d) }
 	case *Bin:
-		return buildBinClosure(n, s)
-	default:
-		return nil, fmt.Errorf("expr: cannot compile %T", e)
-	}
-}
-
-func buildLoad(idx int, t record.Type, s *record.Schema) Evaluator {
-	switch t {
-	case record.TInt:
-		return func(d []byte) (record.Value, error) { return record.Int(s.GetInt(d, idx)), nil }
-	case record.TFloat:
-		return func(d []byte) (record.Value, error) { return record.Float(s.GetFloat(d, idx)), nil }
-	case record.TBool:
-		return func(d []byte) (record.Value, error) { return record.Bool(s.GetBool(d, idx)), nil }
-	default:
-		return func(d []byte) (record.Value, error) { return record.Bytes(s.GetBytes(d, idx)), nil }
-	}
-}
-
-func buildBinClosure(n *Bin, s *record.Schema) (Evaluator, error) {
-	l, err := buildClosure(n.L, s)
-	if err != nil {
-		return nil, err
-	}
-	r, err := buildClosure(n.R, s)
-	if err != nil {
-		return nil, err
-	}
-	switch n.Op {
-	case OpAnd:
-		return func(d []byte) (record.Value, error) {
-			lv, err := l(d)
-			if err != nil || !lv.B {
-				return lv, err
-			}
-			return r(d)
-		}, nil
-	case OpOr:
-		return func(d []byte) (record.Value, error) {
-			lv, err := l(d)
-			if err != nil || lv.B {
-				return lv, err
-			}
-			return r(d)
-		}, nil
-	case OpLike:
-		return func(d []byte) (record.Value, error) {
-			lv, err := l(d)
-			if err != nil {
-				return lv, err
-			}
-			rv, err := r(d)
-			if err != nil {
-				return rv, err
-			}
-			return record.Bool(likeMatch(lv.S, rv.S)), nil
-		}, nil
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		op := n.Op
-		return func(d []byte) (record.Value, error) {
-			lv, err := l(d)
-			if err != nil {
-				return lv, err
-			}
-			rv, err := r(d)
-			if err != nil {
-				return rv, err
-			}
-			return record.Bool(cmpResult(op, compareValues(lv, rv))), nil
-		}, nil
-	}
-
-	// Arithmetic with optional int->float promotion, specialised per type.
-	if n.typ == record.TInt {
-		var f func(a, b int64) (int64, error)
 		switch n.Op {
-		case OpAdd:
-			f = func(a, b int64) (int64, error) { return a + b, nil }
-		case OpSub:
-			f = func(a, b int64) (int64, error) { return a - b, nil }
-		case OpMul:
-			f = func(a, b int64) (int64, error) { return a * b, nil }
-		case OpDiv:
-			f = func(a, b int64) (int64, error) {
-				if b == 0 {
-					return 0, fmt.Errorf("expr: integer division by zero")
-				}
-				return a / b, nil
-			}
-		case OpMod:
-			f = func(a, b int64) (int64, error) {
-				if b == 0 {
-					return 0, fmt.Errorf("expr: integer modulo by zero")
-				}
-				return a % b, nil
-			}
-		default:
-			return nil, fmt.Errorf("expr: cannot compile binary %s", n.Op)
+		case OpAnd:
+			l, r := c.bools(n.L), c.bools(n.R)
+			return func(d []byte) bool { return l(d) && r(d) }
+		case OpOr:
+			l, r := c.bools(n.L), c.bools(n.R)
+			return func(d []byte) bool { return l(d) || r(d) }
+		case OpLike:
+			l, r := c.strs(n.L), c.strs(n.R)
+			return func(d []byte) bool { return likeMatch(l(d), r(d)) }
 		}
-		return func(d []byte) (record.Value, error) {
-			lv, err := l(d)
-			if err != nil {
-				return lv, err
-			}
-			rv, err := r(d)
-			if err != nil {
-				return rv, err
-			}
-			i, err := f(lv.I, rv.I)
-			return record.Int(i), err
-		}, nil
+		return c.compare(n)
 	}
+	s, i := c.s, c.index(e)
+	return func(d []byte) bool { return s.GetBool(d, i) }
+}
 
-	var f func(a, b float64) float64
-	switch n.Op {
-	case OpAdd:
-		f = func(a, b float64) float64 { return a + b }
-	case OpSub:
-		f = func(a, b float64) float64 { return a - b }
-	case OpMul:
-		f = func(a, b float64) float64 { return a * b }
-	case OpDiv:
-		f = func(a, b float64) float64 { return a / b }
-	default:
-		return nil, fmt.Errorf("expr: cannot compile binary %s", n.Op)
+func (c *closures) strs(e Expr) func([]byte) []byte {
+	if n, ok := e.(*Lit); ok {
+		b := n.Val.S
+		return func([]byte) []byte { return b }
 	}
-	return func(d []byte) (record.Value, error) {
-		lv, err := l(d)
-		if err != nil {
-			return lv, err
-		}
-		rv, err := r(d)
-		if err != nil {
-			return rv, err
-		}
-		return record.Float(f(toFloat(lv), toFloat(rv))), nil
-	}, nil
+	s, i := c.s, c.index(e)
+	return func(d []byte) []byte { return s.GetBytes(d, i) }
+}
+
+// compare builds a comparison. Numbers compare in float64 when either side
+// is a float, which gives IEEE results: NaN is unordered and unequal to
+// everything. Booleans and strings compare through their three-way order.
+func (c *closures) compare(n *Bin) func([]byte) bool {
+	op := n.Op
+	switch lt, rt := c.typeOf(n.L), c.typeOf(n.R); {
+	case lt == record.TFloat || rt == record.TFloat:
+		return holds(op, num[float64](c, n.L), num[float64](c, n.R))
+	case lt == record.TInt:
+		return holds(op, num[int64](c, n.L), num[int64](c, n.R))
+	case lt == record.TBool:
+		l, r := c.bools(n.L), c.bools(n.R)
+		return func(d []byte) bool { return order(op, record.CompareValues(record.Bool(l(d)), record.Bool(r(d))), 0) }
+	default:
+		l, r := c.strs(n.L), c.strs(n.R)
+		return func(d []byte) bool { return order(op, bytes.Compare(l(d), r(d)), 0) }
+	}
+}
+
+// holds builds the comparison l op r in T.
+func holds[T number](op Op, l, r func([]byte) T) func([]byte) bool {
+	switch op {
+	case OpEq:
+		return func(d []byte) bool { return l(d) == r(d) }
+	case OpNe:
+		return func(d []byte) bool { return l(d) != r(d) }
+	case OpLt:
+		return func(d []byte) bool { return l(d) < r(d) }
+	case OpLe:
+		return func(d []byte) bool { return l(d) <= r(d) }
+	case OpGt:
+		return func(d []byte) bool { return l(d) > r(d) }
+	}
+	return func(d []byte) bool { return l(d) >= r(d) }
+}
+
+// num builds numeric node e computing in T. An integer node where T is
+// float64 is built in int64 and converted at its boundary, where the VM
+// promotes it.
+func num[T number](c *closures, e Expr) func([]byte) T {
+	if isFloat[T]() && c.typeOf(e) == record.TInt {
+		x := num[int64](c, e)
+		return func(d []byte) T { return T(x(d)) }
+	}
+	switch n := e.(type) {
+	case *Lit:
+		k := constant[T](n.Val)
+		return func([]byte) T { return k }
+	case *Un:
+		x := num[T](c, n.X)
+		return func(d []byte) T { return -x(d) }
+	case *Bin:
+		return arith[T](c, n)
+	}
+	off := c.s.Offset(c.index(e))
+	return func(d []byte) T { return at[T](d, off) }
+}
+
+func arith[T number](c *closures, n *Bin) func([]byte) T {
+	l, r := num[T](c, n.L), num[T](c, n.R)
+	switch {
+	case n.Op == OpAdd:
+		return func(d []byte) T { return l(d) + r(d) }
+	case n.Op == OpSub:
+		return func(d []byte) T { return l(d) - r(d) }
+	case n.Op == OpMul:
+		return func(d []byte) T { return l(d) * r(d) }
+	case isFloat[T]():
+		return func(d []byte) T { return l(d) / r(d) }
+	}
+	c.canFail = true // integer / and % (TypeCheck admits % on integers only)
+	if n.Op == OpMod {
+		return func(d []byte) T { a, b := l(d), nonzero(r(d), "modulo"); return T(int64(a) % int64(b)) }
+	}
+	return func(d []byte) T { a, b := l(d), nonzero(r(d), "division"); return a / b }
+}
+
+// nonzero returns the divisor b of an integer op, or panics if it is zero.
+func nonzero[T number](b T, op zeroDivide) T {
+	if b == 0 {
+		panic(op)
+	}
+	return b
+}
+
+func isFloat[T number]() bool {
+	_, ok := any(T(0)).(float64)
+	return ok
+}
+
+// at reads the number at byte offset off of a record image.
+func at[T number](d []byte, off int) T {
+	if isFloat[T]() {
+		return T(record.FloatAt(d, off))
+	}
+	return T(record.IntAt(d, off))
+}
+
+// constant converts a numeric literal to T.
+func constant[T number](v record.Value) T {
+	if v.Kind == record.TInt {
+		return T(v.I)
+	}
+	return T(v.F)
 }

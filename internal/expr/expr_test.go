@@ -1,7 +1,10 @@
 package expr
 
 import (
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -136,28 +139,124 @@ func TestStringEscapes(t *testing.T) {
 	}
 }
 
+// Both forms report an integer / or % by zero with the same text, naming
+// the whole expression, whether it is evaluated or used as a predicate.
 func TestDivisionByZeroErrors(t *testing.T) {
 	data := rec(0, 0, "", false)
-	for _, src := range []string{"1 / id", "1 % id"} {
+	for src, want := range map[string]string{
+		"1 / id":                  "expr: integer division by zero in (1 / id)",
+		"1 % id":                  "expr: integer modulo by zero in (1 % id)",
+		"id / 0 = 1":              "expr: integer division by zero in ((id / 0) = 1)",
+		"score > 1.0 + id % 0":    "expr: integer modulo by zero in (score > (1 + (id % 0)))",
+		"NOT active AND 2/id > 0": "expr: integer division by zero in ((NOT active) AND ((2 / id) > 0))",
+	} {
 		prog, err := CompileProgram(MustParse(src), testSchema)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if _, err := prog.Eval(testSchema, data); err == nil {
-			t.Errorf("interpreted %q: no error", src)
 		}
 		ev, _, err := CompileClosure(MustParse(src), testSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ev(data); err == nil {
-			t.Errorf("compiled %q: no error", src)
+		_, ierr := prog.Eval(testSchema, data)
+		_, cerr := ev(data)
+		for _, err := range []error{ierr, cerr} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%q: got error %v, want %s", src, err, want)
+			}
+		}
+		if prog.Type() != record.TBool {
+			continue
+		}
+		for _, mode := range []Mode{Compiled, Interpreted} {
+			p, err := ParsePredicate(src, testSchema, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p(data); err == nil || err.Error() != want {
+				t.Errorf("%v predicate %q: got error %v, want %s", mode, src, err, want)
+			}
 		}
 	}
 	// Float division by zero is defined (IEEE inf).
 	v := evalBoth(t, "1.0 / 0.0", rec(0, 0, "", false))
 	if v.F <= 0 {
 		t.Fatalf("1.0/0.0 = %v", v)
+	}
+}
+
+// One compiled predicate and one projector, shared by goroutines that
+// each see some records divide by zero: a failure is reported to the call
+// that hit it and to no other, because the closures keep no state.
+func TestCompiledConcurrentUse(t *testing.T) {
+	pred, err := ParsePredicate("score > 1.5 AND 100 / id > 2", testSchema, Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, _, err := NewProjector([]Expr{MustParse("id % (id - 3)"), MustParse("name")}, nil, testSchema, Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			out := make([]record.Value, 2)
+			for i := 0; i < 2000; i++ {
+				id := int64((i + g) % 7)
+				data := rec(id, 2.5, "n", false)
+				ok, err := pred(data)
+				if (err != nil) != (id == 0) || err == nil && ok != (100/id > 2) {
+					t.Errorf("predicate on id %d: %v, %v", id, ok, err)
+					return
+				}
+				err = proj(data, out)
+				if (err != nil) != (id == 3) || err == nil && out[0].I != id%(id-3) {
+					t.Errorf("projector on id %d: %v, %v", id, out[0], err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// Comparisons with NaN follow IEEE 754 in both forms: every ordered
+// comparison and = is false, and <> is true.
+func TestNaNComparisons(t *testing.T) {
+	cases := []struct {
+		src  string
+		want bool
+	}{
+		{"0.0 / 0.0 = 5.0", false},
+		{"0.0 / 0.0 >= 5.0", false},
+		{"0.0 / 0.0 <> 5.0", true},
+		{"0.0 / 0.0 < 5.0", false},
+		{"0.0 / 0.0 <= 5.0", false},
+		{"0.0 / 0.0 > 5.0", false},
+		{"5 < 0.0 / 0.0", false},
+		{"id = 0.0 / 0.0", false},
+		{"0.0 / 0.0 = 0.0 / 0.0", false},
+		{"0.0 / 0.0 <> 0.0 / 0.0", true},
+		{"score = score", false},
+		{"score <> score", true},
+		{"score >= 1.0", false},
+		{"NOT (score < 1.0)", true},
+		{"1.0 / 0.0 > 1e300", true},
+		{"-1.0 / 0.0 < id", true},
+	}
+	data := rec(5, math.NaN(), "", false)
+	for _, c := range cases {
+		for _, mode := range []Mode{Compiled, Interpreted} {
+			p, err := ParsePredicate(c.src, testSchema, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := p(data); err != nil || got != c.want {
+				t.Errorf("%v %q = %v, %v; want %v", mode, c.src, got, err, c.want)
+			}
+		}
 	}
 }
 
@@ -318,6 +417,21 @@ func TestRangePartitioner(t *testing.T) {
 			t.Errorf("id=%d: partition %d, want %d", id, got, want)
 		}
 	}
+	// A float key against float cuts orders as sorts do, NaN first; an
+	// int key against float cuts is promoted.
+	fcuts := []record.Value{record.Float(1.5), record.Float(2.5)}
+	fp := RangePartition(testSchema, 1, fcuts)
+	for score, want := range map[float64]int{math.NaN(): 0, math.Inf(-1): 0, 1.5: 1, 2.4: 1, math.Inf(1): 2} {
+		if got := fp(rec(0, score, "", false)); got != want {
+			t.Errorf("score=%v: partition %d, want %d", score, got, want)
+		}
+	}
+	ip := RangePartition(testSchema, 0, fcuts)
+	for id, want := range map[int64]int{1: 0, 2: 1, 3: 2} {
+		if got := ip(rec(id, 0, "", false)); got != want {
+			t.Errorf("id=%d against float cuts: partition %d, want %d", id, got, want)
+		}
+	}
 }
 
 func TestKeyCompare(t *testing.T) {
@@ -431,5 +545,49 @@ func BenchmarkPredicateInterpreted(b *testing.B) {
 		if ok, _ := p(data); !ok {
 			b.Fatal("predicate false")
 		}
+	}
+}
+
+// The predicate layer alone: one PredicateBatch sweep over an 83-record
+// batch of emp rows, the batch size operators run at by default, with the
+// par_serial workload's filter and the ladder's expression rung. Compare
+// the two benchmarks' ns/rec to rank the forms without a server:
+//
+//	go test -run '^$' -bench PredicateBatch ./internal/expr
+func BenchmarkPredicateBatchCompiled(b *testing.B)    { benchPredicateBatch(b, Compiled) }
+func BenchmarkPredicateBatchInterpreted(b *testing.B) { benchPredicateBatch(b, Interpreted) }
+
+func benchPredicateBatch(b *testing.B, mode Mode) {
+	emp := record.MustSchema(
+		record.Field{Name: "id", Type: record.TInt},
+		record.Field{Name: "dept", Type: record.TInt},
+		record.Field{Name: "salary", Type: record.TFloat},
+		record.Field{Name: "name", Type: record.TString},
+	)
+	recs := make([][]byte, 83)
+	for i := range recs {
+		name := fmt.Sprintf("emp-%c%c-%d", 'a'+i%26, 'a'+i*7%26, i)
+		recs[i] = emp.MustEncode(record.Int(int64(i)), record.Int(int64(i%64)),
+			record.Float(1000+float64(i*97%8000)), record.Str(name))
+	}
+	keep := make([]bool, len(recs))
+	for _, c := range []struct{ name, src string }{
+		{"filter", "salary > 3000.0"},
+		{"ladder", "salary * 1.1 + 7.0 > 5000.0 AND name LIKE 'emp-a%'"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			pred, err := ParsePredicate(c.src, emp, mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := PredicateBatch(pred, recs, keep); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/rec")
+		})
 	}
 }

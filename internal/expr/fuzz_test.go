@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/record"
@@ -50,11 +52,158 @@ func FuzzParse(f *testing.F) {
 		}
 		iv, ierr := prog.Eval(schema, data)
 		cv, cerr2 := ev(data)
-		if (ierr == nil) != (cerr2 == nil) {
+		if fmt.Sprint(ierr) != fmt.Sprint(cerr2) {
 			t.Fatalf("%q: eval err mismatch: %v vs %v", src, ierr, cerr2)
 		}
 		if ierr == nil && record.CompareValues(iv, cv) != 0 {
 			t.Fatalf("%q: interpreted %v != compiled %v", src, iv, cv)
 		}
 	})
+}
+
+// FuzzCompiledMatchesInterpreted is a differential test of the two forms
+// of a support function. The fuzzer's bytes drive a generator of random
+// well-typed expressions — int/float promotion, NaN and ±Inf, LIKE,
+// nested AND/OR/NOT, integer / and % by zero — over a record of a schema
+// with fields of all four types, whose values the fuzzer also chooses.
+// The compiled closures and the bytecode VM must agree on every value and
+// on every error's text.
+func FuzzCompiledMatchesInterpreted(f *testing.F) {
+	f.Add([]byte{1, 4, 1, 2, 0, 3, 1, 1, 0, 2, 4}, int64(7), int64(3), 2500.5, math.NaN(), "emp-ab-7", "emp-a%", true)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(0), int64(0), math.Inf(1), math.Inf(-1), "", "%", false)
+	f.Add([]byte{3, 7, 7, 1, 9, 2, 4, 4, 0, 8, 5, 6}, int64(math.MinInt64), int64(-1), math.Copysign(0, -1), 1e300, "a_b", "_", true)
+	f.Add([]byte{2, 4, 3, 1, 0, 1, 5, 2, 0, 7}, int64(5), int64(0), 0.5, math.NaN(), "x'y", "x%", false)
+	// Fields equal to a literal and to each other, under (i <= 3),
+	// (x <= 1.5) and (i <= j): comparisons on their boundary.
+	f.Add([]byte{1, 3, 3, 0, 0, 0, 0, 0, 0, 4}, int64(3), int64(3), 1.5, 1.5, "p", "p", true)
+	f.Add([]byte{1, 3, 3, 0, 1, 0, 0, 1, 0, 3}, int64(3), int64(3), 1.5, 1.5, "p", "p", true)
+	f.Add([]byte{1, 3, 3, 0, 0, 0, 0, 0, 0, 1}, int64(3), int64(3), 1.5, 1.5, "p", "p", true)
+	schema := record.MustSchema(
+		record.Field{Name: "i", Type: record.TInt},
+		record.Field{Name: "j", Type: record.TInt},
+		record.Field{Name: "x", Type: record.TFloat},
+		record.Field{Name: "y", Type: record.TFloat},
+		record.Field{Name: "s", Type: record.TString},
+		record.Field{Name: "p", Type: record.TString},
+		record.Field{Name: "b", Type: record.TBool},
+	)
+	f.Fuzz(func(t *testing.T, prog []byte, i, j int64, x, y float64, s, p string, b bool) {
+		data := schema.MustEncode(record.Int(i), record.Int(j), record.Float(x), record.Float(y),
+			record.Str(s), record.Str(p), record.Bool(b))
+		g := &exprGen{src: prog}
+		for _, typ := range []record.Type{record.TBool, record.TInt, record.TFloat, record.TString} {
+			src := g.gen(typ, 4)
+			if typ == record.TBool {
+				checkPredicateForms(t, src, schema, data)
+			}
+			e, err := Parse(src)
+			if err != nil {
+				t.Fatalf("generated %q does not parse: %v", src, err)
+			}
+			vm, err := CompileProgram(e, schema)
+			if err != nil {
+				t.Fatalf("generated %q is ill-typed: %v", src, err)
+			}
+			ev, _, err := CompileClosure(MustParse(src), schema)
+			if err != nil {
+				t.Fatalf("compile %q: %v", src, err)
+			}
+			iv, ierr := vm.Eval(schema, data)
+			cv, cerr := ev(data)
+			if fmt.Sprint(ierr) != fmt.Sprint(cerr) {
+				t.Fatalf("%q: interpreted error %v, compiled error %v", src, ierr, cerr)
+			}
+			sameKind := iv.Kind == cv.Kind || !iv.Kind.Fixed() && !cv.Kind.Fixed() // string and bytes are one payload
+			if ierr == nil && (!sameKind || record.CompareValues(iv, cv) != 0) {
+				t.Fatalf("%q: interpreted %v, compiled %v", src, iv, cv)
+			}
+		}
+	})
+}
+
+// checkPredicateForms runs boolean src as a predicate in both modes.
+func checkPredicateForms(t *testing.T, src string, s *record.Schema, data []byte) {
+	t.Helper()
+	var oks [2]bool
+	var errs [2]string
+	for m, mode := range []Mode{Compiled, Interpreted} {
+		pred, err := ParsePredicate(src, s, mode)
+		if err != nil {
+			t.Fatalf("%v predicate %q: %v", mode, src, err)
+		}
+		ok, err := pred(data)
+		oks[m], errs[m] = ok, fmt.Sprint(err)
+	}
+	if oks[0] != oks[1] || errs[0] != errs[1] {
+		t.Fatalf("predicate %q: compiled %v, %s; interpreted %v, %s", src, oks[0], errs[0], oks[1], errs[1])
+	}
+}
+
+// exprGen turns bytes into the source of a random well-typed expression
+// over the fuzz schema; once the bytes run out every choice is 0.
+type exprGen struct{ src []byte }
+
+func (g *exprGen) pick(n int) int {
+	if len(g.src) == 0 {
+		return 0
+	}
+	c := g.src[0]
+	g.src = g.src[1:]
+	return int(c) % n
+}
+
+func (g *exprGen) oneOf(opts ...string) string { return opts[g.pick(len(opts))] }
+
+// gen returns an expression of type typ nested at most depth deep.
+func (g *exprGen) gen(typ record.Type, depth int) string {
+	leaf := depth == 0 || g.pick(3) == 0
+	switch typ {
+	case record.TInt:
+		if leaf {
+			return g.oneOf("i", "j", "0", "1", "3", "10", "9223372036854775807", "(-1)")
+		}
+		if g.pick(6) == 0 {
+			return "(-" + g.gen(record.TInt, depth-1) + ")"
+		}
+		return "(" + g.gen(record.TInt, depth-1) + g.oneOf(" + ", " - ", " * ", " / ", " % ") + g.gen(record.TInt, depth-1) + ")"
+	case record.TFloat:
+		if leaf {
+			return g.oneOf("x", "y", "0.0", "1.5", "3000.0", "1e300", "(0.0 / 0.0)", "(1.0 / 0.0)", "(-1.0 / 0.0)")
+		}
+		switch g.pick(4) {
+		case 0:
+			return "(-" + g.gen(record.TFloat, depth-1) + ")"
+		case 1: // an integer operand, promoted
+			return "(" + g.gen(record.TInt, depth-1) + g.oneOf(" + ", " - ", " * ", " / ") + g.gen(record.TFloat, depth-1) + ")"
+		}
+		return "(" + g.gen(record.TFloat, depth-1) + g.oneOf(" + ", " - ", " * ", " / ") + g.gen(g.number(), depth-1) + ")"
+	case record.TString:
+		return g.oneOf("s", "p", "''", "'emp-a%'", "'%'", "'_'", "'a_b'", "'x''y'", "'emp-ab-7'")
+	}
+	if leaf {
+		return g.oneOf("b", "TRUE", "FALSE")
+	}
+	switch g.pick(5) {
+	case 0:
+		return "(NOT " + g.gen(record.TBool, depth-1) + ")"
+	case 1:
+		return "(" + g.gen(record.TBool, depth-1) + g.oneOf(" AND ", " OR ") + g.gen(record.TBool, depth-1) + ")"
+	case 2:
+		return "(" + g.gen(record.TString, depth-1) + " LIKE " + g.gen(record.TString, depth-1) + ")"
+	}
+	cmp := g.oneOf(" = ", " <> ", " < ", " <= ", " > ", " >= ")
+	switch g.pick(3) {
+	case 0:
+		return "(" + g.gen(g.number(), depth-1) + cmp + g.gen(g.number(), depth-1) + ")"
+	case 1:
+		return "(" + g.gen(record.TString, depth-1) + cmp + g.gen(record.TString, depth-1) + ")"
+	}
+	return "(" + g.gen(record.TBool, depth-1) + cmp + g.gen(record.TBool, depth-1) + ")"
+}
+
+func (g *exprGen) number() record.Type {
+	if g.pick(2) == 0 {
+		return record.TInt
+	}
+	return record.TFloat
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // Mode selects how a support function is realised (paper, §3): Compiled
-// builds a tree of Go closures; Interpreted compiles to bytecode and runs
-// the VM per record. Both are interchangeable behind the same function
+// builds a tree of typed Go closures; Interpreted compiles to bytecode and
+// runs the VM per record. Both are interchangeable behind the same function
 // types, exactly as Volcano passes either machine code or interpreter +
 // code through the same (function, argument) pair.
 type Mode uint8
 
 const (
-	// Compiled realises support functions as Go closures.
+	// Compiled realises support functions as typed Go closures.
 	Compiled Mode = iota
 	// Interpreted realises support functions as bytecode run by the VM.
 	Interpreted
@@ -34,32 +34,25 @@ type Predicate func(data []byte) (bool, error)
 // NewPredicate builds a predicate from an expression. The expression must
 // type-check to bool against the schema.
 func NewPredicate(e Expr, s *record.Schema, mode Mode) (Predicate, error) {
-	switch mode {
-	case Interpreted:
-		prog, err := CompileProgram(e, s)
-		if err != nil {
-			return nil, err
-		}
-		if prog.Type() != record.TBool {
-			return nil, fmt.Errorf("expr: predicate %q has type %s, want bool", prog, prog.Type())
-		}
-		return func(d []byte) (bool, error) {
-			v, err := prog.Eval(s, d)
-			return v.B, err
-		}, nil
-	default:
-		ev, typ, err := CompileClosure(e, s)
-		if err != nil {
-			return nil, err
-		}
-		if typ != record.TBool {
-			return nil, fmt.Errorf("expr: predicate %q has type %s, want bool", e, typ)
-		}
-		return func(d []byte) (bool, error) {
-			v, err := ev(d)
-			return v.B, err
-		}, nil
+	typ, err := e.TypeCheck(s)
+	if err != nil {
+		return nil, err
 	}
+	if typ != record.TBool {
+		return nil, fmt.Errorf("expr: predicate %q has type %s, want bool", e, typ)
+	}
+	if mode != Interpreted {
+		c := &closures{s: s}
+		return finish(c, e, c.bools(e))
+	}
+	prog, err := CompileProgram(e, s)
+	if err != nil {
+		return nil, err
+	}
+	return func(d []byte) (bool, error) {
+		v, err := prog.Eval(s, d)
+		return v.B, err
+	}, nil
 }
 
 // ParsePredicate parses src and builds a predicate against the schema.
@@ -83,7 +76,7 @@ func NewProjector(exprs []Expr, names []string, s *record.Schema, mode Mode) (Pr
 	if names != nil && len(names) != len(exprs) {
 		return nil, nil, fmt.Errorf("expr: %d names for %d expressions", len(names), len(exprs))
 	}
-	evs := make([]Evaluator, len(exprs))
+	evs := make([]func([]byte) (record.Value, error), len(exprs))
 	fields := make([]record.Field, len(exprs))
 	for i, e := range exprs {
 		var typ record.Type

@@ -326,12 +326,11 @@ func (s *Schema) Get(data []byte, i int) (Value, error) {
 }
 
 // GetInt extracts an integer field; it panics if the field is not TInt.
-// It is the hot path used by compiled support functions.
 func (s *Schema) GetInt(data []byte, i int) int64 {
 	if s.fields[i].Type != TInt {
 		panic(fmt.Sprintf("record: GetInt on %s field %q", s.fields[i].Type, s.fields[i].Name))
 	}
-	return int64(binary.LittleEndian.Uint64(data[s.offsets[i]:]))
+	return IntAt(data, s.offsets[i])
 }
 
 // GetFloat extracts a float field; it panics if the field is not TFloat.
@@ -339,7 +338,20 @@ func (s *Schema) GetFloat(data []byte, i int) float64 {
 	if s.fields[i].Type != TFloat {
 		panic(fmt.Sprintf("record: GetFloat on %s field %q", s.fields[i].Type, s.fields[i].Name))
 	}
-	return mathFloat64frombits(binary.LittleEndian.Uint64(data[s.offsets[i]:]))
+	return FloatAt(data, s.offsets[i])
+}
+
+// Offset returns the byte offset of field i in a record image's fixed area.
+func (s *Schema) Offset(i int) int { return s.offsets[i] }
+
+// IntAt reads the integer at byte offset off of a record image, where
+// Offset places an integer field. Compiled support functions check the
+// field's type once, when they are built, and read with IntAt per record.
+func IntAt(data []byte, off int) int64 { return int64(binary.LittleEndian.Uint64(data[off:])) }
+
+// FloatAt is IntAt for a float field.
+func FloatAt(data []byte, off int) float64 {
+	return mathFloat64frombits(binary.LittleEndian.Uint64(data[off:]))
 }
 
 // GetBool extracts a boolean field; it panics if the field is not TBool.
