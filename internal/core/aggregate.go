@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 
@@ -35,128 +36,158 @@ type AggSpec struct {
 	Name  string
 }
 
-// aggState accumulates one aggregate for one group.
+// aggState accumulates one aggregate for one group, in the fields its fold uses.
 type aggState struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	minV  record.Value
-	maxV  record.Value
-	has   bool
+	// min and max keep their extreme in the field's type: ints and booleans
+	// in i, floats in f, strings and bytes in s (owned, its storage reused).
+	i   int64
+	f   float64
+	s   []byte
+	has bool
 }
 
-func (a *aggState) add(v record.Value) {
-	a.count++
-	switch v.Kind {
+// aggFold is an AggSpec compiled for its input schema: add folds a record
+// image into a state, reading the field in its own type at its offset (a
+// string through the variable area). Both aggregation algorithms use it.
+type aggFold struct {
+	fn  AggFunc
+	t   record.Type // the field's type; TInt for count
+	add func(st *aggState, data []byte)
+}
+
+// compileAggs checks aggs against the input schema and compiles each into
+// its fold, and builds the output schema: group fields, then aggregates.
+func compileAggs(in *record.Schema, groupBy record.Key, aggs []AggSpec) ([]aggFold, *record.Schema, error) {
+	var fields []record.Field
+	for _, g := range groupBy {
+		if g < 0 || g >= in.NumFields() {
+			return nil, nil, fmt.Errorf("core: aggregate: group field %d out of range", g)
+		}
+		fields = append(fields, in.Field(g))
+	}
+	folds := make([]aggFold, len(aggs))
+	for k, a := range aggs {
+		f, err := compileFold(in, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		name, t := a.Name, f.t
+		if name == "" && a.Func == AggCount {
+			name = "count"
+		} else if name == "" {
+			name = fmt.Sprintf("%s_%s", a.Func, in.Field(a.Field).Name)
+		}
+		if a.Func == AggAvg {
+			t = record.TFloat
+		}
+		folds[k], fields = f, append(fields, record.Field{Name: name, Type: t})
+	}
+	schema, err := record.NewSchema(fields...)
+	return folds, schema, err
+}
+
+// compileFold checks one AggSpec and compiles it.
+func compileFold(in *record.Schema, a AggSpec) (aggFold, error) {
+	if a.Func == AggCount {
+		return aggFold{fn: AggCount, t: record.TInt, add: func(st *aggState, _ []byte) { st.count++ }}, nil
+	}
+	if a.Field < 0 || a.Field >= in.NumFields() {
+		return aggFold{}, fmt.Errorf("core: aggregate: field %d out of range", a.Field)
+	}
+	t, off := in.Field(a.Field).Type, in.Offset(a.Field)
+	if (a.Func == AggSum || a.Func == AggAvg) && t != record.TInt && t != record.TFloat {
+		return aggFold{}, fmt.Errorf("core: aggregate: %s over non-numeric field %q", a.Func, in.Field(a.Field).Name)
+	}
+	f := aggFold{fn: a.Func, t: t}
+	switch {
+	case a.Func == AggSum && t == record.TInt:
+		f.add = func(st *aggState, d []byte) { st.sumI += record.IntAt(d, off) }
+	case a.Func == AggSum:
+		f.add = func(st *aggState, d []byte) { st.sumF += record.FloatAt(d, off) }
+	case a.Func == AggAvg && t == record.TInt:
+		f.add = func(st *aggState, d []byte) { st.count++; st.sumF += float64(record.IntAt(d, off)) }
+	case a.Func == AggAvg:
+		f.add = func(st *aggState, d []byte) { st.count++; st.sumF += record.FloatAt(d, off) }
+	case a.Func == AggMin:
+		f.add = extremeFold(in, a.Field, -1)
+	default:
+		f.add = extremeFold(in, a.Field, 1)
+	}
+	return f, nil
+}
+
+// extremeFold is min (want -1) or max (want 1) over one field: a value
+// replaces the state's only when it orders strictly before (after) it, so
+// of equal values — -0.0 and 0.0 — the first seen stays. Floats order as
+// record.CompareFloats, NaN first.
+func extremeFold(in *record.Schema, field, want int) func(*aggState, []byte) {
+	off := in.Offset(field)
+	switch in.Field(field).Type {
 	case record.TInt:
-		a.sumI += v.I
-		a.sumF += float64(v.I)
+		return func(st *aggState, d []byte) {
+			if v := record.IntAt(d, off); !st.has || cmp.Compare(v, st.i) == want {
+				st.i, st.has = v, true
+			}
+		}
 	case record.TFloat:
-		a.sumF += v.F
-	}
-	if !a.has {
-		a.minV, a.maxV, a.has = v.Copy(), v.Copy(), true
-		return
-	}
-	if record.CompareValues(v, a.minV) < 0 {
-		a.minV = v.Copy()
-	}
-	if record.CompareValues(v, a.maxV) > 0 {
-		a.maxV = v.Copy()
+		return func(st *aggState, d []byte) {
+			if v := record.FloatAt(d, off); !st.has || record.CompareFloats(v, st.f) == want {
+				st.f, st.has = v, true
+			}
+		}
+	case record.TBool: // encoded as 0 or 1
+		return func(st *aggState, d []byte) {
+			if v := int64(d[off]); !st.has || cmp.Compare(v, st.i) == want {
+				st.i, st.has = v, true
+			}
+		}
+	default:
+		return func(st *aggState, d []byte) {
+			if v := in.GetBytes(d, field); !st.has || bytes.Compare(v, st.s) == want {
+				st.s, st.has = append(st.s[:0], v...), true
+			}
+		}
 	}
 }
 
 // result renders the aggregate output value.
-func (a *aggState) result(f AggFunc, fieldType record.Type) record.Value {
-	switch f {
+func (f *aggFold) result(st *aggState) record.Value {
+	switch f.fn {
 	case AggCount:
-		return record.Int(a.count)
+		return record.Int(st.count)
 	case AggSum:
-		if fieldType == record.TFloat {
-			return record.Float(a.sumF)
+		if f.t == record.TFloat {
+			return record.Float(st.sumF)
 		}
-		return record.Int(a.sumI)
-	case AggMin:
-		if !a.has {
-			return record.Value{Kind: fieldType}
-		}
-		return a.minV
-	case AggMax:
-		if !a.has {
-			return record.Value{Kind: fieldType}
-		}
-		return a.maxV
+		return record.Int(st.sumI)
 	case AggAvg:
-		if a.count == 0 {
+		if st.count == 0 {
 			return record.Float(math.NaN())
 		}
-		return record.Float(a.sumF / float64(a.count))
+		return record.Float(st.sumF / float64(st.count))
 	}
-	return record.Value{}
-}
-
-// aggOutputSchema builds the output schema: group fields then aggregates.
-func aggOutputSchema(in *record.Schema, groupBy record.Key, aggs []AggSpec) (*record.Schema, error) {
-	var fields []record.Field
-	for _, g := range groupBy {
-		if g < 0 || g >= in.NumFields() {
-			return nil, fmt.Errorf("core: aggregate: group field %d out of range", g)
-		}
-		fields = append(fields, in.Field(g))
+	switch f.t {
+	case record.TInt:
+		return record.Int(st.i)
+	case record.TFloat:
+		return record.Float(st.f)
+	case record.TBool:
+		return record.Bool(st.i != 0)
 	}
-	for i, a := range aggs {
-		name := a.Name
-		if name == "" {
-			if a.Func == AggCount {
-				name = "count"
-			} else {
-				name = fmt.Sprintf("%s_%s", a.Func, in.Field(a.Field).Name)
-			}
-		}
-		var t record.Type
-		switch a.Func {
-		case AggCount:
-			t = record.TInt
-		case AggAvg:
-			t = record.TFloat
-		default:
-			if a.Field < 0 || a.Field >= in.NumFields() {
-				return nil, fmt.Errorf("core: aggregate: agg %d field out of range", i)
-			}
-			t = in.Field(a.Field).Type
-			if a.Func == AggSum && t != record.TInt && t != record.TFloat {
-				return nil, fmt.Errorf("core: aggregate: sum over non-numeric field %q", in.Field(a.Field).Name)
-			}
-		}
-		fields = append(fields, record.Field{Name: name, Type: t})
-	}
-	return record.NewSchema(fields...)
-}
-
-// validateAggInput checks the agg field kinds.
-func validateAggInput(in *record.Schema, aggs []AggSpec) error {
-	for _, a := range aggs {
-		if a.Func == AggCount {
-			continue
-		}
-		if a.Field < 0 || a.Field >= in.NumFields() {
-			return fmt.Errorf("core: aggregate: field %d out of range", a.Field)
-		}
-		t := in.Field(a.Field).Type
-		if (a.Func == AggSum || a.Func == AggAvg) && t != record.TInt && t != record.TFloat {
-			return fmt.Errorf("core: aggregate: %s over non-numeric field %q", a.Func, in.Field(a.Field).Name)
-		}
-	}
-	return nil
+	return record.Value{Kind: f.t, S: st.s}
 }
 
 // HashAggregate is hash-based grouping and aggregation; with no aggregate
-// specs it performs duplicate elimination on the group key.
+// specs it performs duplicate elimination on the group key. It releases
+// every input record once folded, so it opts its input into an arena.
 type HashAggregate struct {
 	env     *Env
 	input   Iterator
 	groupBy record.Key
-	aggs    []AggSpec
+	folds   []aggFold
 	schema  *record.Schema
 
 	w          *ResultWriter
@@ -176,50 +207,35 @@ type group struct {
 
 // newGroup starts the group of the record's key: the one allocation an
 // aggregation makes per group rather than per record.
-func newGroup(in *record.Schema, data []byte, groupBy record.Key, aggs []AggSpec) *group {
-	return &group{keyVals: in.KeyValues(data, groupBy), states: make([]aggState, len(aggs))}
+func newGroup(in *record.Schema, data []byte, groupBy record.Key, folds []aggFold) *group {
+	return &group{keyVals: in.KeyValues(data, groupBy), states: make([]aggState, len(folds))}
 }
 
 // accumulate folds one input record into the group's aggregate states.
-func (g *group) accumulate(in *record.Schema, data []byte, aggs []AggSpec) error {
-	for i, a := range aggs {
-		if a.Func == AggCount {
-			g.states[i].count++
-			continue
-		}
-		v, err := in.Get(data, a.Field)
-		if err != nil {
-			return err
-		}
-		g.states[i].add(v)
+func (g *group) accumulate(data []byte, folds []aggFold) {
+	for i := range folds {
+		folds[i].add(&g.states[i], data)
 	}
-	return nil
 }
 
 // appendRow appends the group's output row — key values, then aggregate
 // results — to vals.
-func (g *group) appendRow(vals []record.Value, in *record.Schema, aggs []AggSpec) []record.Value {
+func (g *group) appendRow(vals []record.Value, folds []aggFold) []record.Value {
 	vals = append(vals, g.keyVals...)
-	for i, a := range aggs {
-		var t record.Type
-		if a.Func != AggCount {
-			t = in.Field(a.Field).Type
-		}
-		vals = append(vals, g.states[i].result(a.Func, t))
+	for i := range folds {
+		vals = append(vals, folds[i].result(&g.states[i]))
 	}
 	return vals
 }
 
 // NewHashAggregate constructs the operator.
 func NewHashAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSpec) (*HashAggregate, error) {
-	if err := validateAggInput(input.Schema(), aggs); err != nil {
-		return nil, err
-	}
-	schema, err := aggOutputSchema(input.Schema(), groupBy, aggs)
+	folds, schema, err := compileAggs(input.Schema(), groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return &HashAggregate{env: env, input: input, groupBy: groupBy, aggs: aggs, schema: schema}, nil
+	UseArena(input)
+	return &HashAggregate{env: env, input: input, groupBy: groupBy, folds: folds, schema: schema}, nil
 }
 
 // Schema implements Iterator.
@@ -260,15 +276,8 @@ func (h *HashAggregate) openImpl() error {
 		if !ok {
 			break
 		}
-		err = h.absorb(in, r.Data)
+		h.absorb(in, r.Data)
 		r.Unfix()
-		if err != nil {
-			src.Release()
-			_ = h.input.Close()
-			_ = h.w.Dispose()
-			h.w = nil
-			return err
-		}
 	}
 	if err := h.input.Close(); err != nil {
 		_ = h.w.Dispose()
@@ -283,22 +292,22 @@ func (h *HashAggregate) openImpl() error {
 // absorb folds one input record into its group. The group is found by
 // the key bytes in a reused scratch buffer — a lookup by string(h.key)
 // does not allocate — so only a record that starts a group allocates.
-func (h *HashAggregate) absorb(in *record.Schema, data []byte) error {
+func (h *HashAggregate) absorb(in *record.Schema, data []byte) {
 	h.key = in.AppendKey(h.key[:0], data, h.groupBy)
 	g, exists := h.groups[string(h.key)]
 	if !exists {
-		g = newGroup(in, data, h.groupBy, h.aggs)
+		g = newGroup(in, data, h.groupBy, h.folds)
 		h.groups[string(h.key)] = g
 		h.order = append(h.order, g)
 	}
-	return g.accumulate(in, data, h.aggs)
+	g.accumulate(data, h.folds)
 }
 
 // emitGroup materialises the next group's output record.
 func (h *HashAggregate) emitGroup() (Rec, error) {
 	g := h.order[h.emit]
 	h.emit++
-	h.vals = g.appendRow(h.vals[:0], h.input.Schema(), h.aggs)
+	h.vals = g.appendRow(h.vals[:0], h.folds)
 	return h.w.Write(h.vals)
 }
 
@@ -347,7 +356,7 @@ type SortAggregate struct {
 	env     *Env
 	input   Iterator
 	groupBy record.Key
-	aggs    []AggSpec
+	folds   []aggFold
 	schema  *record.Schema
 
 	w          *ResultWriter
@@ -363,14 +372,11 @@ type SortAggregate struct {
 
 // NewSortAggregate constructs the operator over a sorted input.
 func NewSortAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSpec) (*SortAggregate, error) {
-	if err := validateAggInput(input.Schema(), aggs); err != nil {
-		return nil, err
-	}
-	schema, err := aggOutputSchema(input.Schema(), groupBy, aggs)
+	folds, schema, err := compileAggs(input.Schema(), groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return &SortAggregate{env: env, input: input, groupBy: groupBy, aggs: aggs, schema: schema}, nil
+	return &SortAggregate{env: env, input: input, groupBy: groupBy, folds: folds, schema: schema}, nil
 }
 
 // Schema implements Iterator.
@@ -438,16 +444,13 @@ func (s *SortAggregate) nextGroup() (Rec, bool, error) {
 		if finished == nil || !bytes.Equal(s.key, s.curKey) {
 			// Key change: start a new group; its key becomes the one to
 			// compare against and the old buffer the next scratch.
-			s.cur = newGroup(in, r.Data, s.groupBy, s.aggs)
+			s.cur = newGroup(in, r.Data, s.groupBy, s.folds)
 			s.key, s.curKey = s.curKey, s.key
 		} else {
 			finished = nil
 		}
-		err = s.cur.accumulate(in, r.Data, s.aggs)
+		s.cur.accumulate(r.Data, s.folds)
 		r.Unfix()
-		if err != nil {
-			return Rec{}, false, err
-		}
 		if finished != nil {
 			out, err := s.emit(finished)
 			return out, true, err
@@ -456,7 +459,7 @@ func (s *SortAggregate) nextGroup() (Rec, bool, error) {
 }
 
 func (s *SortAggregate) emit(g *group) (Rec, error) {
-	s.vals = g.appendRow(s.vals[:0], s.input.Schema(), s.aggs)
+	s.vals = g.appendRow(s.vals[:0], s.folds)
 	return s.w.Write(s.vals)
 }
 

@@ -272,3 +272,78 @@ func TestDivisionValidation(t *testing.T) {
 		t.Fatal("out-of-range quotient field accepted")
 	}
 }
+
+// TestAggregateFloatSpecials pins min, max, sum and avg over NaN, ±Inf
+// and -0.0 to the bytes of the boxed fold, restated here: a value
+// replaces an extreme only when record.CompareValues orders it strictly
+// before (after) it, so NaN is the smallest and among -0.0 and 0.0 the
+// first seen stays; sums add in input order. Both algorithms run over the
+// same rows, already in group order.
+func TestAggregateFloatSpecials(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	groups := [][]float64{
+		{nan, 1, -inf},
+		{0, negZero},
+		{negZero, 0},
+		{negZero, negZero},
+		{inf, -inf},
+		{1.5, nan, 2.5},
+		{inf, 1},
+		{nan, nan},
+		{-inf, negZero, 3},
+	}
+	s := record.MustSchema(record.Field{Name: "g", Type: record.TInt}, record.Field{Name: "x", Type: record.TFloat})
+	aggs := []AggSpec{{Func: AggMin, Field: 1}, {Func: AggMax, Field: 1}, {Func: AggSum, Field: 1}, {Func: AggAvg, Field: 1}}
+	for _, algo := range []string{"hash", "sort"} {
+		t.Run(algo, func(t *testing.T) {
+			env := newTestEnv(t, 64)
+			f, err := env.base.Create("specials", s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, xs := range groups {
+				for _, x := range xs {
+					if _, err := f.Insert(s.MustEncode(record.Int(int64(g)), record.Float(x))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var it Iterator
+			if algo == "hash" {
+				it, err = NewHashAggregate(env.Env, scanOf(t, f), record.Key{0}, aggs)
+			} else {
+				it, err = NewSortAggregate(env.Env, scanOf(t, f), record.Key{0}, aggs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := Collect(it, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != len(groups) {
+				t.Fatalf("%d groups, want %d", len(rows), len(groups))
+			}
+			for _, row := range rows {
+				xs := groups[row[0].I]
+				lo, hi, sum := record.Float(xs[0]), record.Float(xs[0]), 0.0
+				for _, x := range xs {
+					if record.CompareValues(record.Float(x), lo) < 0 {
+						lo = record.Float(x)
+					}
+					if record.CompareValues(record.Float(x), hi) > 0 {
+						hi = record.Float(x)
+					}
+					sum += x
+				}
+				want := []float64{lo.F, hi.F, sum, sum / float64(len(xs))}
+				for i, w := range want {
+					if got := row[1+i].F; math.Float64bits(got) != math.Float64bits(w) {
+						t.Errorf("group %v: %s = %v (%#x), want %v (%#x)", xs, aggs[i].Func, got, math.Float64bits(got), w, math.Float64bits(w))
+					}
+				}
+			}
+		})
+	}
+}

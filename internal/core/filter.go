@@ -131,15 +131,17 @@ func (f *Filter) Close() error {
 
 // Project computes new records from input records using projection support
 // functions, materialising the output in the buffer via a virtual file
-// (new records must be fixed before being passed on) and unfixing inputs.
+// (new records must be fixed before being passed on), or in an arena
+// when the consumer opted in, and unfixing inputs.
 type Project struct {
-	env    *Env
-	input  Iterator
-	proj   expr.Projector
-	schema *record.Schema
-	w      *ResultWriter
-	vals   []record.Value // the row being computed, reused across records
-	src    *Cursor        // the input, read at the Env's batch size
+	env     *Env
+	input   Iterator
+	proj    expr.Projector
+	schema  *record.Schema
+	w       *ResultWriter
+	inArena bool
+	vals    []record.Value // the row being computed, reused across records
+	src     *Cursor        // the input, read at the Env's batch size
 }
 
 // NewProject builds a projection from expressions with optional output
@@ -172,12 +174,18 @@ func NewProjectExprs(env *Env, input Iterator, srcs []string, names []string, mo
 // Schema implements Iterator.
 func (p *Project) Schema() *record.Schema { return p.schema }
 
+// UseArena implements ArenaOutput.
+func (p *Project) UseArena() bool {
+	p.inArena = true
+	return true
+}
+
 // Open implements Iterator.
 func (p *Project) Open() error {
 	if p.w != nil {
 		return errState("project", "already open")
 	}
-	w, err := p.env.NewResultWriter("project", p.schema)
+	w, err := p.env.newOutput("project", p.schema, p.inArena)
 	if err != nil {
 		return err
 	}
@@ -191,10 +199,14 @@ func (p *Project) Open() error {
 }
 
 // NextBatch implements Iterator: the projection materialises one output
-// record per input record.
+// record per input record. An arena is freed whole: the caller has
+// released every record delivered before.
 func (p *Project) NextBatch(b *Batch) error {
 	if p.w == nil {
 		return errState("project", "next before open")
+	}
+	if p.inArena {
+		p.w.arena.recycle(0)
 	}
 	return fill(b, p.next)
 }

@@ -17,10 +17,20 @@ var deptSchema = record.MustSchema(
 	record.Field{Name: "dname", Type: record.TString},
 )
 
+// TestCombineZeroAlloc covers both stores: a pool page, and an arena
+// whose blocks the previous batch's recycle freed.
 func TestCombineZeroAlloc(t *testing.T) {
+	for _, inArena := range []bool{false, true} {
+		t.Run(map[bool]string{false: "pool", true: "arena"}[inArena], func(t *testing.T) {
+			testCombineZeroAlloc(t, inArena)
+		})
+	}
+}
+
+func testCombineZeroAlloc(t *testing.T, inArena bool) {
 	env := newTestEnv(t, 64)
 	c := newCombiner(empSchema, deptSchema)
-	w, err := env.NewResultWriter("combine", empSchema.Concat(deptSchema))
+	w, err := env.newOutput("combine", empSchema.Concat(deptSchema), inArena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +39,9 @@ func TestCombineZeroAlloc(t *testing.T) {
 	r := deptSchema.MustEncode(record.Int(3), record.Str("dept-3"))
 	for _, pair := range [][2][]byte{{l, r}, {l, c.zeroR}, {c.zeroL, r}} {
 		n := testing.AllocsPerRun(1000, func() {
+			if inArena {
+				w.arena.recycle(0)
+			}
 			out, err := c.combine(pair[0], pair[1])
 			if err != nil {
 				t.Fatal(err)
@@ -57,6 +70,14 @@ func TestCombineZeroAlloc(t *testing.T) {
 }
 
 func TestProjectZeroAlloc(t *testing.T) {
+	for _, arena := range []bool{false, true} {
+		t.Run(map[bool]string{false: "pool", true: "arena"}[arena], func(t *testing.T) {
+			testProjectZeroAlloc(t, arena)
+		})
+	}
+}
+
+func testProjectZeroAlloc(t *testing.T, arena bool) {
 	env := newTestEnv(t, 256)
 	const rows = 3000
 	scan, err := NewFileScan(env.makeEmp(t, "emp", rows, 8), nil, false)
@@ -66,6 +87,9 @@ func TestProjectZeroAlloc(t *testing.T) {
 	p, err := NewProjectExprs(env.Env, scan, []string{"id", "dept", "salary * 1.1", "name"}, nil, expr.Compiled)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if arena && !UseArena(p) {
+		t.Fatal("project refused the arena")
 	}
 	if err := p.Open(); err != nil {
 		t.Fatal(err)
@@ -101,18 +125,50 @@ func TestAggregateExistingGroupZeroAlloc(t *testing.T) {
 	}
 	h.groups = map[string]*group{}
 	data := empSchema.MustEncode(record.Int(1), record.Int(1), record.Float(1001), record.Str("emp-1"))
-	if err := h.absorb(empSchema, data); err != nil { // the group's first record allocates it
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(1000, func() {
-		if err := h.absorb(empSchema, data); err != nil {
-			t.Fatal(err)
-		}
-	})
+	h.absorb(empSchema, data) // the group's first record allocates it
+	n := testing.AllocsPerRun(1000, func() { h.absorb(empSchema, data) })
 	if n != 0 {
 		t.Fatalf("accumulating into an existing group allocates %.0f times per record, want 0", n)
 	}
 	if g := h.order[0]; len(h.order) != 1 || g.states[0].count != 1002 || g.states[1].sumI != 1002 {
 		t.Fatalf("groups after 1002 records of one key: %d, state %+v", len(h.order), g.states)
+	}
+}
+
+// TestAggregateFoldsZeroAlloc holds every typed fold to no allocation
+// per record: numbers are read at their offsets, and a string extreme is
+// copied into storage the state already owns.
+func TestAggregateFoldsZeroAlloc(t *testing.T) {
+	recs := [][]byte{
+		empSchema.MustEncode(record.Int(5), record.Int(1), record.Float(1005), record.Str("emp-5")),
+		empSchema.MustEncode(record.Int(9), record.Int(1), record.Float(998.5), record.Str("emp-9")),
+		empSchema.MustEncode(record.Int(2), record.Int(1), record.Float(1200), record.Str("emp-2")),
+	}
+	for _, spec := range []AggSpec{
+		{Func: AggCount},
+		{Func: AggSum, Field: 0}, {Func: AggSum, Field: 2},
+		{Func: AggAvg, Field: 0}, {Func: AggAvg, Field: 2},
+		{Func: AggMin, Field: 0}, {Func: AggMax, Field: 0},
+		{Func: AggMin, Field: 2}, {Func: AggMax, Field: 2},
+		{Func: AggMin, Field: 3}, {Func: AggMax, Field: 3},
+	} {
+		f, err := compileFold(empSchema, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st aggState
+		i := 0
+		n := testing.AllocsPerRun(1000, func() {
+			// The three records take turns, so every extreme is replaced
+			// again and again.
+			f.add(&st, recs[i%3])
+			i++
+			if i%3 == 0 {
+				st.has = false
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s(field %d) allocates %.0f times per record, want 0", spec.Func, spec.Field, n)
+		}
 	}
 }

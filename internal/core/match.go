@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/record"
+	"repro/internal/storage/file"
 )
 
 // MatchOp selects which operation the one-to-one match operator performs.
@@ -90,9 +91,9 @@ func matchOutputSchema(op MatchOp, left, right *record.Schema) (*record.Schema, 
 // combiner creates the output records of the operators that concatenate
 // a left with a right record — the joins of both match algorithms and
 // nested loops — without decoding either: the two images are joined
-// straight into a slot of the operator's temp file. zeroL and zeroR are
-// the all-zero images outer joins pass for the missing side (Volcano has
-// no SQL NULL).
+// straight into a slot of the operator's temp file (or arena). zeroL and
+// zeroR are the all-zero images outer joins pass for the missing side
+// (Volcano has no SQL NULL).
 type combiner struct {
 	ls, rs       *record.Schema
 	zeroL, zeroR []byte
@@ -104,7 +105,8 @@ func newCombiner(ls, rs *record.Schema) combiner {
 	return combiner{ls: ls, rs: rs, zeroL: ls.Zero(), zeroR: rs.Zero()}
 }
 
-// combine materialises the concatenation of l and r, pinned.
+// combine materialises the concatenation of l and r, pinned unless it is
+// in an arena.
 func (c *combiner) combine(l, r []byte) (Rec, error) {
 	n, err := record.ConcatSize(c.ls, l, c.rs, r)
 	if err != nil {
@@ -149,7 +151,7 @@ func (c *combiner) dispose() error {
 }
 
 // recQueue is the FIFO of output records a match step produced ahead of
-// its consumer. Popping keeps the backing array, so a join that queues a
+// its consumer. Emptying it keeps the backing array, so a join that queues a
 // record or two per probe allocates nothing in the steady state.
 type recQueue struct {
 	recs []Rec
@@ -158,28 +160,24 @@ type recQueue struct {
 
 func (q *recQueue) push(r Rec) { q.recs = append(q.recs, r) }
 
-func (q *recQueue) pop() (Rec, bool) {
+// moveTo moves queued records into b until it is full; the rest stay
+// queued for the next call, so a step that queued more than the batch
+// target does not overshoot it.
+func (q *recQueue) moveTo(b *Batch) {
+	for ; q.head < len(q.recs) && !b.Full(); q.head++ {
+		b.Append(q.recs[q.head])
+	}
 	if q.head == len(q.recs) {
 		q.recs, q.head = q.recs[:0], 0
-		return Rec{}, false
 	}
-	r := q.recs[q.head]
-	q.head++
-	return r, true
 }
 
-// drainTo moves every queued record into b.
-func (q *recQueue) drainTo(b *Batch) {
-	for r, ok := q.pop(); ok; r, ok = q.pop() {
-		b.Append(r)
-	}
-}
+func (q *recQueue) len() int { return len(q.recs) - q.head }
 
 // release unfixes every queued record.
 func (q *recQueue) release() {
-	for r, ok := q.pop(); ok; r, ok = q.pop() {
-		r.Unfix()
-	}
+	file.UnfixBatch(q.recs[q.head:])
+	q.recs, q.head = q.recs[:0], 0
 }
 
 // keysEqual verifies key equality between a left and right record (hash

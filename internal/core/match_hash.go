@@ -10,8 +10,8 @@ import (
 // builds an in-memory hash table over the right ("build") input, holding
 // its records pinned in the buffer; next probes with left ("probe")
 // records. Records created for combined outputs are materialised through a
-// virtual file, and consumed input records are unfixed, per the ownership
-// protocol of §3.
+// virtual file (or the arena, when the consumer opted in), and consumed
+// input records are unfixed, per the ownership protocol of §3.
 type HashMatch struct {
 	env      *Env
 	op       MatchOp
@@ -29,6 +29,7 @@ type HashMatch struct {
 	pending    recQueue
 	trail      int // cursor over order for right-only emission
 	probing    bool
+	inArena    bool // the consumer opted the output into an arena
 	rightOpen  bool
 	open       bool
 	openFailed bool    // Open ran and failed: next Close is a no-op
@@ -90,7 +91,7 @@ func (h *HashMatch) Open() error {
 
 func (h *HashMatch) openImpl() error {
 	if h.op.combinesSchemas() {
-		w, err := h.env.NewResultWriter("hashmatch", h.schema)
+		w, err := h.env.newOutput("hashmatch", h.schema, h.inArena)
 		if err != nil {
 			return err
 		}
@@ -147,16 +148,27 @@ func (h *HashMatch) bucketHasKey(hk uint64, rs *record.Schema, data []byte) bool
 	return false
 }
 
+// UseArena implements ArenaOutput for the operations that create records.
+func (h *HashMatch) UseArena() bool {
+	h.inArena = h.op.combinesSchemas()
+	return h.inArena
+}
+
 // NextBatch implements Iterator: the probe phase, then right-only
-// emission. Queued outputs move into the batch wholesale, and the probe
-// loop keeps going until the batch fills or both phases are exhausted.
+// emission. Queued outputs move into the batch up to its target, and the
+// probe loop keeps going until the batch fills or both phases are
+// exhausted. The arena keeps the blocks of the outputs still queued: the
+// caller has released everything delivered before.
 func (h *HashMatch) NextBatch(b *Batch) error {
 	if !h.open {
 		return errState("hashmatch", "next before open")
 	}
+	if h.inArena {
+		h.comb.w.arena.recycle(h.pending.len())
+	}
 	b.Reset()
 	for {
-		h.pending.drainTo(b)
+		h.pending.moveTo(b)
 		if b.Full() {
 			return nil
 		}

@@ -143,8 +143,8 @@ func (m *MergeMatch) step() (done bool, err error) {
 	}
 }
 
-// NextBatch implements Iterator: queued outputs move into the batch
-// wholesale, and group consumption keeps going until the batch
+// NextBatch implements Iterator: queued outputs move into the batch up
+// to its target, and group consumption keeps going until the batch
 // fills or both inputs are exhausted.
 func (m *MergeMatch) NextBatch(b *Batch) error {
 	if !m.open {
@@ -152,7 +152,7 @@ func (m *MergeMatch) NextBatch(b *Batch) error {
 	}
 	b.Reset()
 	for {
-		m.pending.drainTo(b)
+		m.pending.moveTo(b)
 		if b.Full() {
 			return nil
 		}

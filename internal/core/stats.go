@@ -23,6 +23,7 @@ type OpStats struct {
 	OpenNanos  atomic.Int64 // wall time inside Open
 	NextNanos  atomic.Int64 // cumulative wall time inside NextBatch
 	CloseNanos atomic.Int64 // wall time inside Close
+	Arena      atomic.Bool  // output records go to an arena, not the pool
 }
 
 // OpStatsSnapshot is a plain-value copy of an OpStats, safe to compare,
@@ -130,6 +131,16 @@ func (i *Instrumented) Stats() *OpStats { return i.st }
 
 // Schema implements Iterator.
 func (i *Instrumented) Schema() *record.Schema { return i.inner.Schema() }
+
+// UseArena implements ArenaOutput: it forwards the consumer's opt-in to
+// the wrapped operator and, if that took it, marks the counters.
+func (i *Instrumented) UseArena() bool {
+	ok := UseArena(i.inner)
+	if ok {
+		i.st.Arena.Store(true)
+	}
+	return ok
+}
 
 // Open implements Iterator.
 func (i *Instrumented) Open() error {

@@ -16,6 +16,7 @@ type ResultWriter struct {
 	schema *record.Schema
 	f      *file.File
 	cur    *file.Appender
+	arena  *arena // replaces f and cur for an operator opted into one
 }
 
 // NewResultWriter creates a writer with a fresh temp file.
@@ -27,17 +28,30 @@ func (e *Env) NewResultWriter(prefix string, schema *record.Schema) (*ResultWrit
 	return &ResultWriter{env: e, schema: schema, f: f, cur: f.NewAppender()}, nil
 }
 
-// Reserve appends an n-byte record for the caller to fill in place and
-// returns it pinned.
-func (w *ResultWriter) Reserve(n int) (Rec, error) { return w.cur.Reserve(n) }
+// newOutput creates an operator's output writer: an arena or a temp file.
+func (e *Env) newOutput(prefix string, schema *record.Schema, inArena bool) (*ResultWriter, error) {
+	if inArena {
+		return &ResultWriter{schema: schema, arena: new(arena)}, nil
+	}
+	return e.NewResultWriter(prefix, schema)
+}
 
-// Write encodes the values into a new record, returning it pinned.
+// Reserve appends an n-byte record for the caller to fill in place and
+// returns it, pinned unless it is in the arena.
+func (w *ResultWriter) Reserve(n int) (Rec, error) {
+	if w.arena != nil {
+		return Rec{Data: w.arena.alloc(n)}, nil
+	}
+	return w.cur.Reserve(n)
+}
+
+// Write encodes the values into a new record, returning it as Reserve does.
 func (w *ResultWriter) Write(vals []record.Value) (Rec, error) {
 	n, err := w.schema.EncodedLen(vals)
 	if err != nil {
 		return Rec{}, err
 	}
-	r, err := w.cur.Reserve(n)
+	r, err := w.Reserve(n)
 	if err != nil {
 		return Rec{}, err
 	}

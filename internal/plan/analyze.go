@@ -324,6 +324,9 @@ func (a *Analysis) render(sb *strings.Builder, n *Node, depth int) {
 	sb.WriteString(indent)
 	sb.WriteString(describe(n))
 	if st := a.stats[n]; st != nil {
+		if st.Arena.Load() {
+			sb.WriteString(" [arena]")
+		}
 		fmt.Fprintf(sb, "  [%s", st.Snapshot())
 		if e, ok := a.est[n]; ok {
 			fmt.Fprintf(sb, " est=%d", e)

@@ -90,3 +90,41 @@ func TestBuildAnalyzedParallelAggregatesInstances(t *testing.T) {
 		t.Fatalf("pin leak reported:\n%s", out)
 	}
 }
+
+// TestAnalyzeMarksArenaNodes pins EXPLAIN ANALYZE's [arena] mark on the
+// shape of the served scan-filter-join-aggregate-sort query: the
+// aggregate opts the join's output into an arena, so the join line is
+// marked; the scan and filter pass pool records on, the aggregate's
+// output goes to a sort that holds it, and neither is marked.
+func TestAnalyzeMarksArenaNodes(t *testing.T) {
+	db := newTestDB(t)
+	db.loadEmp(t, 400, 8)
+	n, err := Parse("with d = scan dept\nscan emp | filter salary > 1100.0 | join hash d on dept = dno | agg group dname compute count, sum(id), max(salary) | sort dname")
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.UseArena(it)
+	if _, err := core.Drain(it, 0); err != nil {
+		t.Fatal(err)
+	}
+	out := an.String()
+	for _, line := range strings.Split(out, "\n") {
+		op := strings.TrimSpace(line)
+		marked := strings.Contains(line, "[arena]")
+		switch {
+		case strings.HasPrefix(op, "join "):
+			if !marked {
+				t.Errorf("join not marked: %q", line)
+			}
+		case marked:
+			t.Errorf("%q marked, want only the join", line)
+		}
+	}
+	if !strings.Contains(out, "[arena]") {
+		t.Fatalf("no arena mark in:\n%s", out)
+	}
+}

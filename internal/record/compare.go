@@ -42,7 +42,7 @@ func (s *Schema) CompareField(a, b []byte, field int) int {
 		}
 		return 0
 	case TFloat:
-		return compareFloats(s.GetFloat(a, field), s.GetFloat(b, field))
+		return CompareFloats(s.GetFloat(a, field), s.GetFloat(b, field))
 	case TBool:
 		x, y := s.GetBool(a, field), s.GetBool(b, field)
 		switch {

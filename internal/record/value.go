@@ -82,7 +82,7 @@ func CompareValues(a, b Value) int {
 		}
 		return 0
 	case TFloat:
-		return compareFloats(a.F, b.F)
+		return CompareFloats(a.F, b.F)
 	case TBool:
 		switch {
 		case !a.B && b.B:
@@ -96,7 +96,9 @@ func CompareValues(a, b Value) int {
 	}
 }
 
-func compareFloats(a, b float64) int {
+// CompareFloats is the order CompareValues gives floats: NaN first, then
+// the numbers, with -0.0 equal to 0.0.
+func CompareFloats(a, b float64) int {
 	an, bn := math.IsNaN(a), math.IsNaN(b)
 	switch {
 	case an && bn:

@@ -441,6 +441,8 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		an.AddFragment(fn)
 	}
 	rec.analysis.Store(an)
+	// drainBatches releases each batch before its next pull (ArenaOutput).
+	core.UseArena(it)
 	if err := it.Open(); err != nil {
 		s.m.rejPlan.Inc()
 		msg := fmt.Sprintf("server: open: %v", err)
