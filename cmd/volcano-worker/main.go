@@ -7,9 +7,9 @@
 //	volcano-worker -db db.vol -coordinator 127.0.0.1:8080 &
 //	volcano-worker -db db.vol -coordinator 127.0.0.1:8080 &
 //
-// Fragments arrive as POST /fragment (the full plan source plus the
-// exchange-cut path and producer index — the worker recompiles and
-// builds just that producer subtree), and their record streams leave
+// Fragments arrive as POST /fragment (the coordinator's costed exchange
+// node as JSON plus a producer index — the worker decodes it and builds
+// just that producer subtree), and their record streams leave
 // over raw TCP toward the coordinator's data plane in the wire format
 // of internal/core (core.SendWire). GET /healthz answers the coordinator's heartbeats and
 // GET /metrics serves the volcano_dist_worker_* families alongside the

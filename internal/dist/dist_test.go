@@ -10,10 +10,12 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/record"
 	"repro/internal/storage/buffer"
@@ -78,6 +80,33 @@ func newDistDB(t testing.TB, rows, pad int) *distDB {
 type fleet struct {
 	c       *Coordinator
 	workers map[string]*Worker // dispatch addr -> worker
+
+	mu         sync.Mutex
+	dispatches []dispatched // every fragment spec a worker was posted
+}
+
+// dispatched is one fragment spec as a worker received it.
+type dispatched struct {
+	addr string
+	spec FragmentSpec
+}
+
+// recording wraps a worker's handler to log each fragment spec it is
+// posted before the worker sees it.
+func (f *fleet) recording(addr *string, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fragment" {
+			body, _ := io.ReadAll(r.Body)
+			var spec FragmentSpec
+			if json.Unmarshal(body, &spec) == nil {
+				f.mu.Lock()
+				f.dispatches = append(f.dispatches, dispatched{addr: *addr, spec: spec})
+				f.mu.Unlock()
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(rw, r)
+	})
 }
 
 func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *WorkerConfig)) *fleet {
@@ -103,10 +132,11 @@ func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *Work
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(w.Handler())
+		var addr string
+		srv := httptest.NewServer(f.recording(&addr, w.Handler()))
 		t.Cleanup(srv.Close)
 		t.Cleanup(w.Stop)
-		addr := strings.TrimPrefix(srv.URL, "http://")
+		addr = strings.TrimPrefix(srv.URL, "http://")
 		if err := c.Register(addr); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +148,8 @@ func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *Work
 const distScript = "pscan nums 4 | exchange producers=4 packet=16"
 
 // bind compiles the script and returns the iterator built with the
-// coordinator's binder installed, plus the summary it fills.
+// coordinator's binder installed, plus the summary it fills. The tree is
+// built as written: no cost pass runs.
 func bind(t testing.TB, c *Coordinator, db *distDB, queryID, script string) (core.Iterator, *Summary) {
 	t.Helper()
 	return bindBatch(t, c, db, queryID, script, 0)
@@ -137,8 +168,6 @@ func bindBatch(t testing.TB, c *Coordinator, db *distDB, queryID, script string,
 		BatchSize: batch,
 		Remote: c.Binder(BindRequest{
 			QueryID:   queryID,
-			Source:    tpl.Source(),
-			Root:      tpl.Root(),
 			Env:       db.env,
 			Cat:       db.cat,
 			Summary:   sum,
@@ -290,6 +319,7 @@ func TestDistWorkerLossRetry(t *testing.T) {
 	for _, batch := range []int{1, core.DefaultBatchSize} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) { testWorkerLossRetry(t, batch) })
 	}
+	t.Run("agg/batch=1", testWorkerLossAggRetry)
 }
 
 func testWorkerLossRetry(t *testing.T, batch int) {
@@ -391,6 +421,138 @@ func testWorkerLossRetry(t *testing.T, batch int) {
 	}
 }
 
+// groupWatch stands between the remote source of a cut and its
+// consumer: it counts every record the consumer receives by its first
+// field, and runs onFirst once the first one has arrived.
+type groupWatch struct {
+	core.Iterator
+	seen    map[int64]int
+	onFirst func()
+}
+
+func (g *groupWatch) NextBatch(b *core.Batch) error {
+	if err := g.Iterator.NextBatch(b); err != nil {
+		return err
+	}
+	for _, r := range b.Recs() {
+		vals, err := g.Schema().Decode(r.Data)
+		if err != nil {
+			return err
+		}
+		g.seen[vals[0].I]++
+	}
+	if b.Len() > 0 && g.onFirst != nil {
+		g.onFirst()
+		g.onFirst = nil
+	}
+	return nil
+}
+
+// testWorkerLossAggRetry is worker loss on a partial-aggregate fragment.
+// The costed plan splits the aggregate across the cut, so each fragment
+// ends in a hash aggregate and ships groups. Once the coordinator has
+// received a first group, the worker streaming it is killed: the
+// survivor must resume that fragment with Skip > 0 — a hash aggregate
+// re-emits its groups in first-seen order — every group must reach the
+// combiner exactly once, and the combined answer must be the local
+// run's.
+func testWorkerLossAggRetry(t *testing.T) {
+	const batch = 1
+	// One group per row, each carrying the 400-byte pad: a fragment's
+	// groups far outrun socket buffering, so the victim is still
+	// streaming when it dies.
+	const rows = 40000
+	const script = "pscan nums 4 | exchange producers=4 packet=16 flow=on | agg group v, pad compute count, sum(v), max(v)"
+	f := newFleet(t, rows, 400, 2, nil)
+	db := newDistDB(t, rows, 400)
+
+	tpl, err := plan.Compile(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costed := tpl.Cost(db.cat, nil).Template.Root()
+	if x := costed.Inputs[0]; !costed.Combine || x.Inputs[0].Kind != plan.KindAggregate {
+		t.Fatalf("costed plan does not ship a partial aggregate:\n%s", plan.Explain(costed))
+	}
+	sum := &Summary{}
+	watch := &groupWatch{seen: map[int64]int{}}
+	victim := ""
+	watch.onFirst = func() {
+		for _, fr := range sum.Fragments() {
+			if fr.State == "running" && fr.Records > 0 && fr.Worker != "" {
+				victim = fr.Worker
+				f.workers[victim].Stop()
+				return
+			}
+		}
+	}
+	binder := f.c.Binder(BindRequest{QueryID: "q-agg-loss", Env: db.env, Cat: db.cat, Summary: sum, BatchSize: batch})
+	it, _, err := plan.BuildWith(db.env, db.cat, costed, plan.BuildOptions{
+		BatchSize: batch,
+		Remote: func(path string, n *plan.Node) (core.Iterator, bool, error) {
+			src, ok, err := binder(path, n)
+			if !ok || err != nil {
+				return src, ok, err
+			}
+			watch.Iterator = src
+			return watch, true, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.Collect(it, batch)
+	if err != nil {
+		t.Fatalf("distributed run: %v", err)
+	}
+	if victim == "" {
+		t.Fatal("no fragment was streaming when the first group arrived")
+	}
+
+	if len(watch.seen) != rows {
+		t.Fatalf("the combiner saw %d distinct groups, want %d", len(watch.seen), rows)
+	}
+	for v, n := range watch.seen {
+		if n != 1 {
+			t.Fatalf("group %d delivered %d times", v, n)
+		}
+	}
+	resumed := false
+	f.mu.Lock()
+	for _, d := range f.dispatches {
+		if d.spec.QueryID == "q-agg-loss" && d.spec.Attempt > 1 && d.spec.Skip > 0 {
+			resumed = true
+			if d.addr == victim {
+				t.Errorf("fragment %s/%d resumed on the dead worker", d.spec.Path, d.spec.Producer)
+			}
+		}
+	}
+	f.mu.Unlock()
+	if !resumed {
+		t.Error("no fragment was resumed with Skip > 0")
+	}
+
+	localIt, _, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{BatchSize: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := core.Collect(localIt, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderSorted(got), renderSorted(local); strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Fatalf("combined answer (%d rows) differs from the local run (%d rows)", len(g), len(w))
+	}
+	if pinned := db.pool.PinnedFrames(); pinned != 0 {
+		t.Fatalf("%d frames still pinned", pinned)
+	}
+	for addr, w := range f.workers {
+		if st := w.cfg.Env.Pool.Stats(); addr != victim && st.CurrentlyFixedHint != 0 {
+			t.Fatalf("surviving worker %s holds %d pins after the query", addr, st.CurrentlyFixedHint)
+		}
+	}
+}
+
 // TestDistNoWorkersLocalFallback: with an empty fleet the binder
 // declines and the plan builds its exchanges locally.
 func TestDistNoWorkersLocalFallback(t *testing.T) {
@@ -429,8 +591,6 @@ func TestDistCatalogVersionMismatch(t *testing.T) {
 	it, _, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
 		Remote: f.c.Binder(BindRequest{
 			QueryID:        "q-epoch",
-			Source:         tpl.Source(),
-			Root:           tpl.Root(),
 			CatalogVersion: "epoch-1",
 			Env:            db.env,
 			Cat:            db.cat,
@@ -475,7 +635,7 @@ func TestDistRemoteBuildError(t *testing.T) {
 
 // TestWorkerRefusesBatchSizeOutOfRange posts fragment specs whose batch
 // size is outside 1..core.MaxBatchSize: the worker answers 400 before it
-// compiles or dials anything, naming 1 as the record-at-a-time size.
+// builds or dials anything, naming 1 as the record-at-a-time size.
 func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 	db := newDistDB(t, 10, 8)
 	w, err := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Log: log.New(io.Discard, "", 0)})
@@ -485,7 +645,7 @@ func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 	defer w.Stop()
 	for _, size := range []int{0, -1, core.MaxBatchSize + 1, 1 << 62} {
 		body, err := json.Marshal(FragmentSpec{
-			QueryID: "q-bad-batch", Plan: distScript, Path: "", Producer: 0, Attempt: 1,
+			QueryID: "q-bad-batch", Fragment: fragmentOf(t, distScript), Path: "", Producer: 0, Attempt: 1,
 			BatchSize: size, Endpoint: "127.0.0.1:1",
 		})
 		if err != nil {
@@ -495,6 +655,90 @@ func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "1 is record-at-a-time") {
 			t.Errorf("batch size %d: status %d, body %q; want 400 naming the record-at-a-time size", size, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// fragmentOf is the JSON a coordinator ships for a script whose root is
+// the exchange cut.
+func fragmentOf(t testing.TB, script string) json.RawMessage {
+	t.Helper()
+	n, err := plan.Parse(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWorkerRefusesBadFragment posts fragment specs no parser would have
+// let through. A shipped node skips the parser, so the worker checks it
+// before accepting: each spec gets a 400 and counts as rejected, and
+// none is built or dialed.
+func TestWorkerRefusesBadFragment(t *testing.T) {
+	db := newDistDB(t, 10, 8)
+	reg := metrics.NewRegistry()
+	w, err := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Metrics: reg, Log: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Stop()
+	// edit parses the exchange-over-pscan script and changes its tree.
+	edit := func(change func(x *plan.Node)) json.RawMessage {
+		x, err := plan.Parse(distScript)
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(x)
+		data, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	spec := func(fragment json.RawMessage) []byte {
+		body, err := json.Marshal(FragmentSpec{
+			QueryID: "q-bad-fragment", Fragment: fragment, Producer: 0, Attempt: 1,
+			BatchSize: 1, Endpoint: "127.0.0.1:1",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"producers=0", spec(edit(func(x *plan.Node) { x.X.Producers = 0 })), "producers out of range 1..1024"},
+		{"producers>MaxDOP", spec(edit(func(x *plan.Node) { x.X.Producers = plan.MaxDOP + 1 })), "producers out of range 1..1024"},
+		{"nested producers>MaxDOP", spec(edit(func(x *plan.Node) {
+			x.Inputs = []*plan.Node{{Kind: plan.KindExchange, X: &plan.XOpts{Producers: plan.MaxDOP + 1}, Inputs: x.Inputs}}
+		})), "producers out of range 1..1024"},
+		{"pscan partitions>MaxDOP", spec(edit(func(x *plan.Node) { x.Inputs[0].Partitions = plan.MaxDOP + 1 })), "pscan partition count 1025 out of range"},
+		{"top is not an exchange", spec(edit(func(x *plan.Node) { *x = *x.Inputs[0] })), "not an exchange"},
+		{"exchange with two inputs", spec(edit(func(x *plan.Node) { x.Inputs = append(x.Inputs, x.Inputs[0]) })), "exchange with 2 inputs"},
+		{"exchange with no input", spec(edit(func(x *plan.Node) { x.Inputs = nil })), "exchange with 0 inputs"},
+		{"filter with no input", spec(edit(func(x *plan.Node) {
+			x.Inputs = []*plan.Node{{Kind: plan.KindFilter, Pred: "v > 1"}}
+		})), "filter with 0 inputs"},
+		{"missing node", spec(edit(func(x *plan.Node) { x.Inputs = []*plan.Node{nil} })), "missing node"},
+		{"no fragment", spec(nil), "not an exchange"},
+		{"unknown node field", spec(json.RawMessage(strings.Replace(string(fragmentOf(t, distScript)), "{", `{"Bogus":1,`, 1))), `unknown field "Bogus"`},
+		{"unknown spec field", []byte(`{"query_id":"q","plan":"pscan nums 4 | exchange producers=4","producer":0,"attempt":1,"batch_size":1,"endpoint":"127.0.0.1:1"}`), `unknown field "plan"`},
+	} {
+		before := w.m.rejected.Value()
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: status %d, body %q; want 400 naming %q", tc.name, rec.Code, rec.Body.String(), tc.want)
+		}
+		if got := w.m.rejected.Value() - before; got != 1 {
+			t.Errorf("%s: rejected rose by %d, want 1", tc.name, got)
 		}
 	}
 }

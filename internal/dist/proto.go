@@ -7,12 +7,12 @@
 // length-prefixed frames, and the coordinator decodes them with
 // core.ReadWireFrame. This is the repo's one shared-nothing exchange.
 //
-// A fragment ships by position, not by value: the coordinator sends the
-// whole normalized plan source plus the dotted child-index path of the
-// exchange cut and one producer index. Compilation is deterministic, so
-// the worker recompiles, navigates to the cut and builds exactly the
+// A fragment ships by value: the coordinator sends the exchange node its
+// own build was offered — costed, with any partial aggregate or pushed
+// join below the cut — as JSON, plus one producer index. The worker
+// decodes and checks it (plan.DecodeFragment) and builds exactly the
 // producer subtree the local exchange's NewProducer closure would have
-// built — no plan serialization format to maintain.
+// built; it neither parses nor costs.
 //
 // Worker loss is survived by skip-replay: the coordinator counts the
 // records each fragment delivered into the consuming operator and
@@ -32,14 +32,16 @@ type FragmentSpec struct {
 	// worker's logs and the data-plane hello with the coordinator's
 	// registry, traces and slow-query log.
 	QueryID string `json:"query_id"`
-	// Plan is the full normalized plan source the query compiled from.
-	Plan string `json:"plan"`
+	// Fragment is the exchange node of the cut, subtree included, as
+	// JSON (see plan.DecodeFragment).
+	Fragment json.RawMessage `json:"fragment"`
 	// CatalogVersion guards against executing against a different
 	// catalog epoch than the coordinator planned under; a worker whose
 	// version differs rejects the dispatch.
 	CatalogVersion string `json:"catalog_version,omitempty"`
-	// Path locates the exchange cut in the compiled tree (plan.NodeAtPath)
-	// and Producer selects which of its producer subtrees to run.
+	// Path is the cut's dotted child-index path in the coordinator's
+	// plan: the stream's identity in the data-plane hello and the route
+	// key. Producer selects which of the cut's producer subtrees to run.
 	Path     string `json:"path"`
 	Producer int    `json:"producer"`
 	// Attempt numbers the dispatch (1 = first); it travels in the

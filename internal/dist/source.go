@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -20,11 +21,6 @@ type BindRequest struct {
 	// QueryID must be unique among in-flight queries: it keys the
 	// data-plane routing of fragment streams back to this query.
 	QueryID string
-	// Source is the normalized plan text (Template.Source); workers
-	// recompile it to reach the fragment by position.
-	Source string
-	// Root is the compiled tree the build walks (Template.Root).
-	Root *plan.Node
 	// CatalogVersion travels in every dispatch; workers on a different
 	// catalog epoch reject it.
 	CatalogVersion string
@@ -47,8 +43,9 @@ type BindRequest struct {
 
 // Binder returns the plan.RemoteBinder for one query: offered a
 // distributable exchange cut, it replaces the whole exchange subtree
-// with a remoteSource whose producers run on the worker fleet. With no
-// live workers the binder declines and the plan builds locally.
+// with a remoteSource whose producers run on the worker fleet, each
+// dispatch shipping the offered node as planned. With no live workers
+// the binder declines and the plan builds locally.
 func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
 	if req.BatchSize < 1 {
 		req.BatchSize = core.DefaultBatchSize
@@ -61,20 +58,21 @@ func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
 		if env != nil && req.Meter != nil {
 			env = env.WithMeter(req.Meter)
 		}
-		schema, err := plan.FragmentSchema(env, req.Cat, req.Root, path)
+		schema, err := plan.FragmentSchema(env, req.Cat, n)
 		if err != nil {
 			return nil, false, fmt.Errorf("dist: fragment %q schema probe: %w", path, err)
 		}
-		producers := 1
-		if n.X != nil && n.X.Producers > 1 {
-			producers = n.X.Producers
+		fragment, err := json.Marshal(n)
+		if err != nil {
+			return nil, false, fmt.Errorf("dist: fragment %q: %w", path, err)
 		}
 		src := &remoteSource{
 			c:         c,
 			req:       req,
 			env:       env,
 			path:      path,
-			producers: producers,
+			fragment:  fragment,
+			producers: max(n.X.Producers, 1),
 			resumable: plan.Deterministic(n.Inputs[0]),
 			schema:    schema,
 			done:      req.Done,
@@ -164,6 +162,7 @@ type remoteSource struct {
 	req       BindRequest
 	env       *core.Env
 	path      string
+	fragment  json.RawMessage // the cut's exchange node, shipped in every dispatch
 	producers int
 	resumable bool
 	schema    *record.Schema
@@ -450,7 +449,7 @@ func (s *remoteSource) runAttempt(g, attempt int, skip int64, lastWorker *string
 	}
 	spec := FragmentSpec{
 		QueryID:        s.req.QueryID,
-		Plan:           s.req.Source,
+		Fragment:       s.fragment,
 		CatalogVersion: s.req.CatalogVersion,
 		Path:           s.path,
 		Producer:       g,

@@ -115,7 +115,9 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec FragmentSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		w.m.rejected.Inc()
 		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
 		return
@@ -136,13 +138,13 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 			spec.CatalogVersion, w.cfg.CatalogVersion), http.StatusConflict)
 		return
 	}
-	// Compile before accepting: a plan that cannot parse is the
-	// coordinator's bug and deserves a synchronous 400, not a dangling
-	// data-plane wait.
-	tpl, err := plan.Compile(spec.Plan)
+	// Decode and check the fragment before accepting: a node no parser
+	// would have produced is the coordinator's bug and deserves a
+	// synchronous 400, not a dangling data-plane wait.
+	x, err := plan.DecodeFragment(spec.Fragment)
 	if err != nil {
 		w.m.rejected.Inc()
-		http.Error(rw, fmt.Sprintf("dist: compile: %v", err), http.StatusBadRequest)
+		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
 		return
 	}
 	w.mu.Lock()
@@ -156,7 +158,7 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 	go func() {
 		defer w.wg.Done()
-		w.runFragment(tpl, spec)
+		w.runFragment(x, spec)
 	}()
 	rw.WriteHeader(http.StatusAccepted)
 }
@@ -185,7 +187,7 @@ func (w *Worker) untrack(c net.Conn) {
 // skip-replay resume. Build and execution errors travel back as an
 // error-EOS frame; transport errors just sever the stream (the
 // coordinator treats a missing EOS as worker loss).
-func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
+func (w *Worker) runFragment(x *plan.Node, spec FragmentSpec) {
 	w.m.active.Inc()
 	defer w.m.active.Dec()
 	conn, err := net.DialTimeout("tcp", spec.Endpoint, w.cfg.DialTimeout)
@@ -218,9 +220,8 @@ func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 		w.m.failed.Inc()
 		return
 	}
-	streamErr := w.streamFragment(s, tpl, spec)
-	frames, bytes := s.Stats()
-	_ = frames
+	streamErr := w.streamFragment(s, x, spec)
+	_, bytes := s.Stats()
 	w.m.wireSent.Add(bytes)
 	if streamErr != nil {
 		w.m.failed.Inc()
@@ -234,8 +235,8 @@ func (w *Worker) runFragment(tpl *plan.Template, spec FragmentSpec) {
 // streamFragment builds the producer subtree and drains it into the
 // sender. The returned error is what went wrong locally; whatever could
 // be reported to the coordinator already has been (as an error-EOS).
-func (w *Worker) streamFragment(s *core.WireSender, tpl *plan.Template, spec FragmentSpec) error {
-	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, tpl.Root(), spec.Path, spec.Producer,
+func (w *Worker) streamFragment(s *core.WireSender, x *plan.Node, spec FragmentSpec) error {
+	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, x, spec.Producer,
 		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
 	if err != nil {
 		err = fmt.Errorf("build: %w", err)

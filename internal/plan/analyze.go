@@ -68,7 +68,7 @@ type Analysis struct {
 // ANALYZE: which producer of which cut ran where, how much crossed the
 // wire, and how many dispatch attempts it took.
 type FragmentStat struct {
-	Path      string `json:"path"`     // exchange cut (see NodeAtPath)
+	Path      string `json:"path"`     // exchange cut (see RemoteBinder)
 	Producer  int    `json:"producer"` // producer index within the cut
 	Worker    string `json:"worker"`   // worker address the fragment ran on
 	Attempts  int    `json:"attempts"` // dispatch attempts (1 = no retry)

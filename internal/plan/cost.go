@@ -72,23 +72,9 @@ type CostedPlan struct {
 // is how a mis-estimated plan converges. The template itself is never
 // written; the costed tree is a deep copy.
 func (t *Template) Cost(cat Catalog, observed map[*Node]int64) *CostedPlan {
-	return t.cost(cat, observed, false)
-}
-
-// CostKeepingCuts is Cost for a process that ships distributable
-// exchanges to a worker fleet: no work moves across such an exchange.
-// A worker recompiles the uncosted source and builds the producer
-// subtree at the cut's path, so a subtree rewritten here only would
-// ship records of the wrong schema.
-func (t *Template) CostKeepingCuts(cat Catalog, observed map[*Node]int64) *CostedPlan {
-	return t.cost(cat, observed, true)
-}
-
-func (t *Template) cost(cat Catalog, observed map[*Node]int64, keepCuts bool) *CostedPlan {
 	c := &coster{
 		cat:      cat,
 		observed: observed,
-		keepCuts: keepCuts,
 		est:      map[*Node]int64{},
 		origin:   map[*Node]*Node{},
 	}
@@ -152,7 +138,6 @@ type coster struct {
 	observed map[*Node]int64 // keyed by original template nodes
 	est      map[*Node]int64 // keyed by costed nodes
 	origin   map[*Node]*Node // costed -> original
-	keepCuts bool            // no rewrite crosses a Distributable exchange
 }
 
 // clone deep-copies a plan subtree, recording node correspondence. XOpts
@@ -238,23 +223,18 @@ func (c *coster) walk(n *Node) (*Node, int64) {
 // not a search, move it: a join with a small build side (pushJoin) and
 // an aggregate that decomposes (splitAggregate). Both keep the
 // exchange's own knobs as written; a knob the text left open is
-// re-filled from the new, smaller stream.
+// re-filled from the new, smaller stream. A worker fleet runs the same
+// rewritten tree: the coordinator ships each cut's costed subtree
+// (fragment.go), so a partial aggregate or a pushed join runs on the
+// workers and only its output crosses the wire.
 
 // gathers reports whether the rewrites may move work below exchange n:
-// forked producers feeding one consumer, with no stream order (merge),
-// no replication (broadcast) and no partitioning function, so what
+// a distributable cut (forked producers, one consumer, no merge order)
+// with no replication (broadcast) and no partitioning function, so what
 // arrives is the plain union of the producers' outputs — and any
 // operator that distributes over union may run once per producer.
-func (c *coster) gathers(n *Node) bool {
-	if n.Kind != KindExchange || n.X == nil {
-		return false
-	}
-	o := n.X
-	if o.Inline || o.KeepStreams || o.Broadcast || o.Consumers > 1 ||
-		len(o.HashKeys) > 0 || n.HashTerms != nil || o.UseRange {
-		return false
-	}
-	return !c.keepCuts || !Distributable(n)
+func gathers(n *Node) bool {
+	return Distributable(n) && !n.X.Broadcast && len(n.X.HashKeys) == 0 && n.HashTerms == nil && !n.X.UseRange
 }
 
 // pushJoin is the first rule: an inner join whose probe input is a
@@ -268,7 +248,7 @@ func (c *coster) pushJoin(n *Node) *Node {
 		return nil
 	}
 	x, build := n.Inputs[0], n.Inputs[1]
-	if !c.gathers(x) || !sameForEveryProducer(build) {
+	if !gathers(x) || !sameForEveryProducer(build) {
 		return nil
 	}
 	if c.est[build]*int64(max1(x.X.Producers))*smallBuildFactor > c.est[x.Inputs[0]] {
@@ -290,7 +270,7 @@ func (c *coster) pushJoin(n *Node) *Node {
 // not combine from one column and blocks the split. Returns the
 // combiner, which replaces n in the parent.
 func (c *coster) splitAggregate(n *Node, est int64) *Node {
-	if len(n.Inputs) != 1 || !c.gathers(n.Inputs[0]) {
+	if len(n.Inputs) != 1 || !gathers(n.Inputs[0]) {
 		return nil
 	}
 	funcs := make([]core.AggSpec, len(n.Aggs))

@@ -394,8 +394,7 @@ func rewritten(root *Node) string {
 // and an aggregate of count/sum/min/max over a gathering exchange move;
 // avg, outer joins, a build side that differs per producer (pscan) and
 // a merge exchange block the move. TestDifferentialCorpus proves each
-// rewritten tree answers like the text's. With the fleet's cuts kept,
-// nothing moves.
+// rewritten tree answers like the text's.
 func TestCostRewritesAcrossExchange(t *testing.T) {
 	db := newDiffDB(t)
 	want := map[string]string{
@@ -419,9 +418,6 @@ func TestCostRewritesAcrossExchange(t *testing.T) {
 		root := tpl.Cost(db.cat, nil).Template.Root()
 		if got := rewritten(root); got != want[tc.name] {
 			t.Errorf("%s: rewrites %q, want %q\nplan:\n%s", tc.name, got, want[tc.name], Explain(root))
-		}
-		if got := rewritten(tpl.CostKeepingCuts(db.cat, nil).Template.Root()); got != "" {
-			t.Errorf("%s: rewrites %q across a cut a fleet could run", tc.name, got)
 		}
 	}
 }

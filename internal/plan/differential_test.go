@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -314,23 +315,32 @@ var diffCorpus = []corpusCase{
 // exchange and the ones its guards must leave alone
 // (TestCostRewritesAcrossExchange says which is which). It runs with
 // diffCorpus everywhere but the fragment golden, which pins the cuts of
-// the operator families only.
-var rewriteCorpus = []corpusCase{
-	{"exchange-join-agg", "with d = scan dept\npscan staff 4 | filter salary > 1020.0 | exchange producers=4 packet=16 | join hash d on dept = dno | agg group dname compute count, sum(id), min(salary), max(salary) | sort dname"},
-	{"exchange-join-agg-positional", "with d = scan dept\npscan staff 4 | filter salary > 1020.0 | exchange producers=4 packet=16 | join hash d on dept = dno | agg sort group $5 compute count, sum($0), min($2), max($2)"},
-	{"exchange-group-only", "pscan staff 4 | exchange producers=4 packet=16 | agg group dept, $2"},
-	{"exchange-agg-avg", "pscan staff 4 | exchange producers=4 packet=16 | agg group dept compute count, avg(salary)"},
-	{"exchange-leftouter", "with d = scan dept\npscan staff 4 | exchange producers=4 packet=16 | leftouter d on dept = dno"},
-	{"exchange-build-pscan", "with d = pscan dparts 4\npscan staff 4 | exchange producers=4 packet=16 | join hash d on dept = dno"},
-	{"exchange-merge-agg", "pscan staff 4 | sort id | exchange producers=4 merge=id packet=16 | agg group dept compute count, max(id)"},
-	{"exchange-float-sum", "pscan staff 4 | exchange producers=4 packet=16 | agg group dept compute sum(salary), count"},
-}
+// the operator families only. It lives in testdata/rewrite_corpus.json
+// because the server package replays it through a worker fleet, with a
+// tolerance for the plans whose float results add up in exchange
+// arrival order (see sameRows); diffTolerance maps those by name.
+var rewriteCorpus, diffTolerance = loadRewriteCorpus()
 
-// diffTolerance is the relative tolerance (see sameRows) of the corpus
-// plans whose float results add up in exchange arrival order.
-var diffTolerance = map[string]float64{
-	"exchange-agg-avg":   1e-9,
-	"exchange-float-sum": 1e-9,
+func loadRewriteCorpus() ([]corpusCase, map[string]float64) {
+	data, err := os.ReadFile(filepath.Join("testdata", "rewrite_corpus.json"))
+	if err != nil {
+		panic(err)
+	}
+	var cases []struct {
+		Name, Script string
+		Tolerance    float64
+	}
+	if err := json.Unmarshal(data, &cases); err != nil {
+		panic(err)
+	}
+	corpus, tol := make([]corpusCase, len(cases)), map[string]float64{}
+	for i, c := range cases {
+		corpus[i] = corpusCase{c.Name, c.Script}
+		if c.Tolerance > 0 {
+			tol[c.Name] = c.Tolerance
+		}
+	}
+	return corpus, tol
 }
 
 func TestDifferentialCorpus(t *testing.T) {

@@ -1,28 +1,30 @@
 package plan
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/record"
 )
 
-// Fragment decomposition: the coordinator pass that splits a compiled
-// plan at exchange boundaries into shippable fragments.
+// Fragment decomposition: the coordinator pass that splits a plan at
+// exchange boundaries into shippable fragments.
 //
 // The exchange operator is the only place a Volcano plan crosses a
 // process boundary, so it is the only place a plan can be cut: the
 // producer subtree below a distributable exchange becomes a fragment a
 // remote worker can execute, and the exchange node itself becomes the
-// receiving end of a real wire on the coordinator. Because a Template is
-// immutable and a fragment is identified purely by position, a fragment
-// ships as (plan source, node path, producer index): the worker
-// recompiles the same source — compilation is deterministic — navigates
-// to the cut, and builds just the producer subtree with the producer
-// index in scope, exactly as the local exchange's NewProducer closure
-// would have.
+// receiving end of a real wire on the coordinator. A fragment ships by
+// value: the coordinator sends the exchange node of the plan it built —
+// costed, rewrites and all — as JSON (a Node is plain exported data),
+// and the worker decodes it (DecodeFragment) and builds just the
+// producer subtree with the producer index in scope, exactly as the
+// local exchange's NewProducer closure would have. What runs below the
+// cut is the plan the consumer planned; the worker neither parses nor
+// costs.
 
 // Distributable reports whether an exchange node is a boundary a
 // coordinator may cut: a plain fan-in — non-inline (it really forks
@@ -44,28 +46,6 @@ func childPath(path string, i int) string {
 	return path + "." + strconv.Itoa(i)
 }
 
-// NodeAtPath navigates a dotted child-index path from the root.
-func NodeAtPath(root *Node, path string) (*Node, error) {
-	n := root
-	if path == "" {
-		return n, nil
-	}
-	for _, part := range strings.Split(path, ".") {
-		i, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("plan: bad node path %q", path)
-		}
-		if n == nil || i < 0 || i >= len(n.Inputs) {
-			return nil, fmt.Errorf("plan: node path %q leaves the tree", path)
-		}
-		n = n.Inputs[i]
-	}
-	if n == nil {
-		return nil, fmt.Errorf("plan: node path %q leaves the tree", path)
-	}
-	return n, nil
-}
-
 // Deterministic reports whether a fragment's output order is a pure
 // function of (plan, producer index) — the property the coordinator's
 // skip-replay retry depends on: a retried fragment must reproduce the
@@ -73,6 +53,11 @@ func NodeAtPath(root *Node, path string) (*Node, error) {
 // resume the stream exactly. A subtree that contains a non-inline
 // exchange interleaves its own producers' packets nondeterministically,
 // so only fragments free of such exchanges may be resumed mid-stream.
+// Blocking operators need no case: a hash aggregate (hash distinct too)
+// emits its groups in first-seen order, not map order, so over a
+// deterministic input a retried fragment that ends in one — the partial
+// aggregate of a split — re-emits the groups it already delivered, in
+// the same order.
 func Deterministic(n *Node) bool {
 	if n == nil {
 		return true
@@ -94,26 +79,59 @@ func Deterministic(n *Node) bool {
 	return true
 }
 
-// BuildFragmentProducer instantiates one producer fragment of the cut at
-// path: the producer subtree of that exchange, with the producer index
-// in scope so partitioned scans resolve to their partition files. This
-// is what a volcano-worker executes — the same instantiation the local
-// exchange's NewProducer closure performs, minus the exchange itself
-// (the wire takes its place).
-func BuildFragmentProducer(env *core.Env, cat Catalog, root *Node, path string, producer int, o BuildOptions) (core.Iterator, error) {
-	n, err := NodeAtPath(root, path)
-	if err != nil {
-		return nil, err
+// DecodeFragment decodes a shipped exchange node and, since no parser
+// saw it, checks what the parser would have: only Node's fields, an
+// exchange on top, every node with its kind's inputs, and every
+// exchange's producer count and pscan's partition count in 1..MaxDOP.
+func DecodeFragment(data []byte) (*Node, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var x *Node
+	if err := dec.Decode(&x); err != nil {
+		return nil, fmt.Errorf("plan: fragment: %w", err)
 	}
-	if n.Kind != KindExchange || len(n.Inputs) != 1 {
-		return nil, fmt.Errorf("plan: fragment path %q is not an exchange cut", path)
+	if x == nil || x.Kind != KindExchange {
+		return nil, fmt.Errorf("plan: fragment: the top node is not an exchange")
 	}
+	return x, checkFragment(x)
+}
+
+// arity is each node kind's input count (scans: none; choose-plan: build checks).
+var arity = map[Kind]int{KindFilter: 1, KindProject: 1, KindSort: 1, KindDistinct: 1, KindAggregate: 1,
+	KindExchange: 1, KindMatch: 2, KindNestedLoops: 2, KindDivision: 2}
+
+func checkFragment(n *Node) error {
+	switch {
+	case n == nil:
+		return fmt.Errorf("plan: fragment: missing node")
+	case n.Kind != KindChoosePlan && len(n.Inputs) != arity[n.Kind]:
+		return fmt.Errorf("plan: fragment: %s with %d inputs", n.Kind, len(n.Inputs))
+	case n.Kind == KindExchange && (n.X == nil || n.X.Producers < 1 || n.X.Producers > MaxDOP):
+		return fmt.Errorf("plan: fragment: exchange producers out of range 1..%d", MaxDOP)
+	case n.Kind == KindPartitionedScan && (n.Partitions < 1 || n.Partitions > MaxDOP):
+		return fmt.Errorf("plan: fragment: pscan partition count %d out of range 1..%d", n.Partitions, MaxDOP)
+	}
+	for _, in := range n.Inputs {
+		if err := checkFragment(in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BuildFragmentProducer instantiates one producer fragment of the
+// exchange cut x (one input, as Parse and DecodeFragment guarantee): its
+// producer subtree, with the producer index in scope so partitioned
+// scans resolve to their partition files. This is what a volcano-worker
+// executes — the same instantiation the local exchange's NewProducer
+// closure performs, minus the exchange itself (the wire takes its place).
+func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o BuildOptions) (core.Iterator, error) {
 	env = queryEnv(env, o)
 	if o.Analyze || o.Metrics.Enabled() {
 		// Instrumented fragment: a worker scraping its own registry sees
 		// the subtree's volcano_op_next_seconds series like any local
 		// query. The Analysis itself stays worker-local.
-		it, _, err := buildObserved(env, cat, n.Inputs[0], producer, o)
+		it, _, err := buildObserved(env, cat, x.Inputs[0], producer, o)
 		return it, err
 	}
 	return build(&buildCtx{
@@ -123,15 +141,15 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, root *Node, path string, 
 		tracer:    o.Tracer,
 		done:      o.Done,
 		queryID:   o.QueryID,
-	}, n.Inputs[0])
+	}, x.Inputs[0])
 }
 
-// FragmentSchema determines the record schema crossing the cut at path
-// by building a probe instance of producer 0's subtree — the same probe
+// FragmentSchema determines the record schema crossing the cut x by
+// building a probe instance of producer 0's subtree — the same probe
 // buildExchange performs locally. The coordinator needs the schema
 // before any worker has dialed in.
-func FragmentSchema(env *core.Env, cat Catalog, root *Node, path string) (*record.Schema, error) {
-	probe, err := BuildFragmentProducer(env, cat, root, path, 0, BuildOptions{})
+func FragmentSchema(env *core.Env, cat Catalog, x *Node) (*record.Schema, error) {
+	probe, err := BuildFragmentProducer(env, cat, x, 0, BuildOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 package plan
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -45,22 +47,37 @@ func cuts(root *Node) []fragmentCut {
 	return out
 }
 
+// fragmentsGoldenHeader opens testdata/fragments.golden: what its
+// lines say and why some shipped subtrees are restart-only.
+const fragmentsGoldenHeader = `# Fragment decomposition of the costed differential corpus, as a
+# coordinator ships it (TestFragmentGoldenCorpus). ships= names the top
+# operator of the subtree a worker runs: aggregate is the partial half of
+# a split aggregate. restart-only: the subtree holds a nested exchange or
+# a choose-plan (a join pushed below the cut keeps its hash|merge choice,
+# taken at Open), which may run differently on a retry, so a lost
+# fragment is retried from zero rather than resumed.
+`
+
 // TestFragmentGoldenCorpus pins the coordinator's fragment decomposition
-// of the whole differential corpus: for each of the 24 plans, which
-// exchange boundaries are distributable cuts, at what paths, with how
-// many producer fragments, and whether skip-replay retry applies
-// (deterministic subtree). Any change to the cut predicate shows up here
-// as a diff against a reviewed file, not as a silent shift in what runs
-// where. Regenerate with:
+// of the operator-family corpus, cut from the costed tree a server
+// builds and ships: for each plan, which exchange boundaries are
+// distributable cuts, at what paths, with how many producer fragments,
+// whether skip-replay retry applies (deterministic subtree), and which
+// operator tops the shipped subtree. Any change to the cut predicate or
+// to a rewrite that crosses a cut shows up here as a diff against a
+// reviewed file, not as a silent shift in what runs where. Regenerate
+// with:
 // go test ./internal/plan -run TestFragmentGoldenCorpus -update
 func TestFragmentGoldenCorpus(t *testing.T) {
+	db := newDiffDB(t)
 	var sb strings.Builder
+	sb.WriteString(fragmentsGoldenHeader)
 	for _, tc := range diffCorpus {
-		n, err := Parse(tc.script)
+		tpl, err := Compile(tc.script)
 		if err != nil {
-			t.Fatalf("parse %s: %v", tc.name, err)
+			t.Fatalf("compile %s: %v", tc.name, err)
 		}
-		cs := cuts(n)
+		cs := cuts(tpl.Cost(db.cat, nil).Template.Root())
 		if len(cs) == 0 {
 			fmt.Fprintf(&sb, "%s: local\n", tc.name)
 			continue
@@ -70,7 +87,8 @@ func TestFragmentGoldenCorpus(t *testing.T) {
 			if !Deterministic(c.Node.Inputs[0]) {
 				det = "restart-only"
 			}
-			fmt.Fprintf(&sb, "%s: cut path=%q producers=%d %s\n", tc.name, c.Path, c.Producers, det)
+			fmt.Fprintf(&sb, "%s: cut path=%q producers=%d %s ships=%s\n",
+				tc.name, c.Path, c.Producers, det, c.Node.Inputs[0].Kind)
 		}
 	}
 	got := sb.String()
@@ -182,7 +200,7 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 		offered = append(offered, path)
 		its := make([]core.Iterator, 0, x.X.Producers)
 		for g := 0; g < x.X.Producers; g++ {
-			it, err := BuildFragmentProducer(db.env, db.cat, n, path, g, BuildOptions{})
+			it, err := BuildFragmentProducer(db.env, db.cat, x, g, BuildOptions{})
 			if err != nil {
 				return nil, false, err
 			}
@@ -204,5 +222,51 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 	got, want := renderSorted(rows), renderSorted(wantRows)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("bound build diverged from local build")
+	}
+}
+
+// TestFragmentJSONRoundTrip: every cut a coordinator ships from a costed
+// corpus plan survives the trip as JSON — the node a worker decodes is
+// reflect.DeepEqual to the one the build was offered, passes the
+// worker's checks, and builds the same producer schema.
+func TestFragmentJSONRoundTrip(t *testing.T) {
+	db := newDiffDB(t)
+	shipped := 0
+	for _, tc := range append(diffCorpus, rewriteCorpus...) {
+		tpl, err := Compile(tc.script)
+		if err != nil {
+			t.Fatalf("compile %s: %v", tc.name, err)
+		}
+		for _, c := range cuts(tpl.Cost(db.cat, nil).Template.Root()) {
+			data, err := json.Marshal(c.Node)
+			if err != nil {
+				t.Fatalf("%s cut %q: marshal: %v", tc.name, c.Path, err)
+			}
+			x, err := DecodeFragment(data)
+			if err != nil {
+				t.Fatalf("%s cut %q: decode: %v", tc.name, c.Path, err)
+			}
+			if !reflect.DeepEqual(x, c.Node) {
+				t.Fatalf("%s cut %q: decoded node differs\nshipped:\n%s\ndecoded:\n%s", tc.name, c.Path, Explain(c.Node), Explain(x))
+			}
+			want, err := FragmentSchema(db.env, db.cat, c.Node)
+			if err != nil {
+				t.Fatalf("%s cut %q: %v", tc.name, c.Path, err)
+			}
+			got, err := FragmentSchema(db.env, db.cat, x)
+			if err != nil {
+				t.Fatalf("%s cut %q: decoded: %v", tc.name, c.Path, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s cut %q: decoded schema %s, shipped %s", tc.name, c.Path, got, want)
+			}
+			shipped++
+		}
+	}
+	if shipped == 0 {
+		t.Fatal("no corpus plan has a cut to ship")
+	}
+	if pinned := db.pool.PinnedFrames(); pinned != 0 {
+		t.Fatalf("%d frames still pinned after the schema probes", pinned)
 	}
 }

@@ -338,7 +338,8 @@ type BuildOptions struct {
 }
 
 // RemoteBinder intercepts distributable exchange nodes during a build.
-// path locates the node in the tree (see NodeAtPath).
+// path, the node's dotted child-index path from the root ("0.1": the
+// root's first input's second input), names the cut within one query.
 type RemoteBinder func(path string, n *Node) (core.Iterator, bool, error)
 
 // BuildWith instantiates the plan with the given options. The *Analysis

@@ -43,18 +43,14 @@ type cacheEntry struct {
 // first use (and after feedback discards a mis-estimated one). Costing
 // inside the entry lock means concurrent repeats share one derivation —
 // important for the feedback loop, which only accepts observations
-// against the costed plan that is still current. keepCuts is set when
-// the server has a coordinator: no rewrite may cross an exchange a
-// worker fleet could run (plan.CostKeepingCuts).
-func (e *cacheEntry) costedFor(cat plan.Catalog, keepCuts bool, m *serverMetrics) *plan.CostedPlan {
+// against the costed plan that is still current. A server with a
+// coordinator costs the same way: workers build the costed fragments it
+// ships.
+func (e *cacheEntry) costedFor(cat plan.Catalog, m *serverMetrics) *plan.CostedPlan {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.costed == nil {
-		if keepCuts {
-			e.costed = e.tpl.CostKeepingCuts(cat, e.observed)
-		} else {
-			e.costed = e.tpl.Cost(cat, e.observed)
-		}
+		e.costed = e.tpl.Cost(cat, e.observed)
 		m.plannerCosted.Inc()
 	}
 	return e.costed

@@ -19,11 +19,20 @@ import (
 // postQueryAnalyze is postQuery with X-Volcano-Analyze: the trailer
 // carries the run's EXPLAIN ANALYZE report.
 func postQueryAnalyze(ts *httptest.Server, script string) (queryResult, error) {
+	return postQueryAnalyzeBatch(ts, script, "")
+}
+
+// postQueryAnalyzeBatch is postQueryAnalyze with an X-Volcano-Batch
+// header ("" = none).
+func postQueryAnalyzeBatch(ts *httptest.Server, script, batch string) (queryResult, error) {
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(script))
 	if err != nil {
 		return queryResult{}, err
 	}
 	req.Header.Set("X-Volcano-Analyze", "1")
+	if batch != "" {
+		req.Header.Set("X-Volcano-Batch", batch)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return queryResult{}, err

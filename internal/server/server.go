@@ -274,7 +274,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tpl := entry.tpl
 	var costed *plan.CostedPlan
 	if !s.cfg.DisableCosting {
-		costed = entry.costedFor(s.cfg.Catalog, s.cfg.Dist != nil, s.m)
+		costed = entry.costedFor(s.cfg.Catalog, s.m)
 		tpl = costed.Template
 	}
 	planDur := time.Since(start)
@@ -419,8 +419,6 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		distSum = &dist.Summary{}
 		opts.Remote = s.cfg.Dist.Binder(dist.BindRequest{
 			QueryID:        rec.id,
-			Source:         tpl.Source(),
-			Root:           tpl.Root(),
 			CatalogVersion: s.cfg.CatalogVersion,
 			BatchSize:      batch,
 			Env:            s.cfg.Env,

@@ -51,18 +51,7 @@ const (
 //	  "heavy" query the saturation and disconnect tests lean on.
 func newWorld(t testing.TB) *world {
 	t.Helper()
-	reg := device.NewRegistry()
-	baseID := reg.NextID()
-	if err := reg.Mount(device.NewMem(baseID)); err != nil {
-		t.Fatal(err)
-	}
-	tempID := reg.NextID()
-	if err := reg.Mount(device.NewMem(tempID)); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { reg.CloseAll() })
-	pool := buffer.NewPool(reg, 1024, buffer.TwoLevel)
-	vol := file.NewVolume(pool, baseID)
+	w, vol := newEmptyWorld(t)
 
 	empSchema := record.MustSchema(
 		record.Field{Name: "id", Type: record.TInt},
@@ -110,11 +99,30 @@ func newWorld(t testing.TB) *world {
 		mustInsert(t, pairs2, pair2Schema.MustEncode(record.Int(int64(i%pairKeys)), record.Int(int64(i))))
 	}
 
+	return w
+}
+
+// newEmptyWorld builds a world with no tables and returns the catalog
+// volume to create them on.
+func newEmptyWorld(t testing.TB) (*world, *file.Volume) {
+	t.Helper()
+	reg := device.NewRegistry()
+	baseID := reg.NextID()
+	if err := reg.Mount(device.NewMem(baseID)); err != nil {
+		t.Fatal(err)
+	}
+	tempID := reg.NextID()
+	if err := reg.Mount(device.NewMem(tempID)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.CloseAll() })
+	pool := buffer.NewPool(reg, 1024, buffer.TwoLevel)
+	vol := file.NewVolume(pool, baseID)
 	return &world{
 		pool: pool,
 		env:  core.NewEnv(pool, file.NewVolume(pool, tempID)),
 		cat:  plan.VolumeCatalog{vol},
-	}
+	}, vol
 }
 
 func mustCreate(t testing.TB, vol *file.Volume, name string, s *record.Schema) *file.File {
