@@ -49,8 +49,8 @@ Observability flags (compose freely):
                  calls, open/next/close times and p50/p95/    without wrappers)
                  p99 Next latency per operator
   -trace FILE    Chrome trace-event JSON of the run: the      none (nil tracer
-                 exchange protocol, operator calls, buffer    is a no-op)
-                 daemons; open in Perfetto
+                 exchange protocol and operator calls;        is a no-op)
+                 open in Perfetto
   -metrics ADDR  live HTTP endpoint for the run: GET          none (nil registry
                  /metrics serves Prometheus text exposition   is a no-op)
                  (buffer, device, btree, exchange and
@@ -192,7 +192,6 @@ func run(o options) error {
 	var tracer *trace.Tracer
 	if o.tracePath != "" {
 		tracer = trace.New()
-		pool.SetTracer(tracer)
 	}
 	var mr *metrics.Registry
 	var msrv *metrics.Server
@@ -458,7 +457,7 @@ func partitionTable(vol *file.Volume, src *file.File, name string, k int) error 
 		}
 		parts[p] = pf
 	}
-	sc := src.NewScan(false)
+	sc := src.NewScan()
 	defer sc.Close()
 	i := 0
 	for {

@@ -65,7 +65,7 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 
 		build := func(size int) Iterator {
-			sc, err := NewFileScan(tbl, nil, false)
+			sc, err := NewFileScan(tbl, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@ func TestChoosePlanPicksAlternative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := f.NewScan(false)
+	sc := f.NewScan()
 	for {
 		r, ok, err := sc.Next()
 		if err != nil {

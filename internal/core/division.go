@@ -48,8 +48,8 @@ type quotient struct {
 // NewHashDivision constructs the operator. divisorKey are the fields of
 // the divisor input matching the dividend's divKey fields (pairwise).
 func NewHashDivision(env *Env, dividend, divisor Iterator, quotKey, divKey, divisorKey record.Key) (*HashDivision, error) {
-	if len(divKey) != len(divisorKey) || len(divKey) == 0 {
-		return nil, fmt.Errorf("core: division: bad divisor key arity %d/%d", len(divKey), len(divisorKey))
+	if err := checkKeys("division", dividend.Schema(), divisor.Schema(), divKey, divisorKey); err != nil {
+		return nil, err
 	}
 	if len(quotKey) == 0 {
 		return nil, fmt.Errorf("core: division: empty quotient key")
@@ -272,8 +272,8 @@ type SortDivision struct {
 // NewSortDivision constructs the operator; the dividend is sorted on its
 // quotient fields internally.
 func NewSortDivision(env *Env, dividend, divisor Iterator, quotKey, divKey, divisorKey record.Key) (*SortDivision, error) {
-	if len(divKey) != len(divisorKey) || len(divKey) == 0 {
-		return nil, fmt.Errorf("core: division: bad divisor key arity %d/%d", len(divKey), len(divisorKey))
+	if err := checkKeys("division", dividend.Schema(), divisor.Schema(), divKey, divisorKey); err != nil {
+		return nil, err
 	}
 	if len(quotKey) == 0 {
 		return nil, fmt.Errorf("core: division: empty quotient key")

@@ -71,7 +71,7 @@ func TestExchangeVerticalPipeline(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestExchangeIntraOperatorParallelism(t *testing.T) {
 		Producers: 4,
 		Consumers: 1,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false)
+			return NewFileScan(files[g], nil)
 		},
 	})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestExchangeHashPartitioning(t *testing.T) {
 		Producers: 3,
 		Consumers: 3,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false)
+			return NewFileScan(files[g], nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -167,7 +167,7 @@ func TestExchangeRangePartitioning(t *testing.T) {
 		Producers: 1,
 		Consumers: 3,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.RangePartition(intSchema, 0, []record.Value{record.Int(300), record.Int(600)})
@@ -201,7 +201,7 @@ func TestExchangeBroadcast(t *testing.T) {
 		Consumers: 3,
 		Broadcast: true,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestExchangeFlowControlOnOff(t *testing.T) {
 			Slack:       2,
 			PacketSize:  16,
 			NewProducer: func(g int) (Iterator, error) {
-				fs, err := NewFileScan(f, nil, false)
+				fs, err := NewFileScan(f, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -267,7 +267,7 @@ func TestExchangeMergeNetwork(t *testing.T) {
 		KeepStreams: true,
 		PacketSize:  7,
 		NewProducer: func(g int) (Iterator, error) {
-			fs, err := NewFileScan(files[g], nil, false)
+			fs, err := NewFileScan(files[g], nil)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +313,7 @@ func TestExchangeInlineMode(t *testing.T) {
 		Consumers: 3,
 		Inline:    true,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false)
+			return NewFileScan(files[g], nil)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -354,7 +354,7 @@ func TestExchangePaperExampleTopology(t *testing.T) {
 		Producers: 4,
 		Consumers: 3,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil, false) // operator D
+			return NewFileScan(files[g], nil) // operator D
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -396,7 +396,7 @@ func TestExchangeForkSchemes(t *testing.T) {
 			Producers: 8,
 			Consumers: 1,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil, false)
+				return NewFileScan(files[g], nil)
 			},
 		}
 		cfgMod(&cfg)
@@ -431,7 +431,7 @@ func TestExchangeForkCostModel(t *testing.T) {
 			Fork:      scheme,
 			ForkCost:  2 * time.Millisecond,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil, false)
+				return NewFileScan(files[g], nil)
 			},
 		}
 	}
@@ -463,7 +463,7 @@ func TestExchangePacketSizes(t *testing.T) {
 			Consumers:  1,
 			PacketSize: ps,
 			NewProducer: func(int) (Iterator, error) {
-				return NewFileScan(f, nil, false)
+				return NewFileScan(f, nil)
 			},
 		})
 		if err != nil {
@@ -532,7 +532,7 @@ func TestExchangeErrorPropagation(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			fs, err := NewFileScan(f, nil, false)
+			fs, err := NewFileScan(f, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -560,7 +560,7 @@ func TestExchangeProducerBuildError(t *testing.T) {
 				return nil, errState("test", "boom")
 			}
 			f := env.makeInts(t, "ok", 1, 2, 3)
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -586,7 +586,7 @@ func TestExchangeEarlyConsumerClose(t *testing.T) {
 		Slack:       2,
 		PacketSize:  8,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -619,7 +619,7 @@ func TestExchangeSchemaMismatchDetected(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil, false)
+			return NewFileScan(f, nil)
 		},
 	})
 	if err != nil {
@@ -636,7 +636,7 @@ func TestExchangeProtocolErrors(t *testing.T) {
 	f := env.makeInts(t, "t", 1)
 	x, _ := NewExchange(ExchangeConfig{
 		Schema: intSchema, Producers: 1, Consumers: 1,
-		NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil, false) },
+		NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
 	})
 	c := x.Consumer(0)
 	if err := c.NextBatch(NewBatch(1)); err == nil {

@@ -80,7 +80,7 @@ func TestProjectZeroAlloc(t *testing.T) {
 func testProjectZeroAlloc(t *testing.T, arena bool) {
 	env := newTestEnv(t, 256)
 	const rows = 3000
-	scan, err := NewFileScan(env.makeEmp(t, "emp", rows, 8), nil, false)
+	scan, err := NewFileScan(env.makeEmp(t, "emp", rows, 8), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func testProjectZeroAlloc(t *testing.T, arena bool) {
 
 func TestAggregateExistingGroupZeroAlloc(t *testing.T) {
 	env := newTestEnv(t, 64)
-	scan, err := NewFileScan(env.makeEmp(t, "emp", 4, 2), nil, false)
+	scan, err := NewFileScan(env.makeEmp(t, "emp", 4, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func (n *NestedLoops) next() (Rec, bool, error) {
 			if err != nil || !n.lok {
 				return Rec{}, false, err
 			}
-			n.scan = n.inner.NewScan(false)
+			n.scan = n.inner.NewScan()
 		}
 		r, ok, err := n.scan.Next()
 		if err != nil {

@@ -88,6 +88,26 @@ func matchOutputSchema(op MatchOp, left, right *record.Schema) (*record.Schema, 
 	}
 }
 
+// checkKeys rejects a pair of keys that the match and division operators
+// cannot pair up: unequal or zero arity, a field out of range, or two
+// paired fields of different types. Keys are hashed and grouped on their
+// encoded bytes, so an int never meets an equal float, and comparing a
+// string with an int panics (record.CompareKeys).
+func checkKeys(op string, ls, rs *record.Schema, lk, rk record.Key) error {
+	if len(lk) != len(rk) || len(lk) == 0 {
+		return fmt.Errorf("core: %s: bad key arity %d/%d", op, len(lk), len(rk))
+	}
+	for i := range lk {
+		if lk[i] < 0 || lk[i] >= ls.NumFields() || rk[i] < 0 || rk[i] >= rs.NumFields() {
+			return fmt.Errorf("core: %s: key field %d/%d out of range", op, lk[i], rk[i])
+		}
+		if l, r := ls.Field(lk[i]), rs.Field(rk[i]); l.Type != r.Type {
+			return fmt.Errorf("core: %s: key fields %s (%s) and %s (%s) differ in type", op, l.Name, l.Type, r.Name, r.Type)
+		}
+	}
+	return nil
+}
+
 // combiner creates the output records of the operators that concatenate
 // a left with a right record — the joins of both match algorithms and
 // nested loops — without decoding either: the two images are joined

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/record"
-)
+import "repro/internal/record"
 
 // HashMatch is the hash-based one-to-one match algorithm. On open it
 // builds an in-memory hash table over the right ("build") input, holding
@@ -42,10 +38,10 @@ type buildEntry struct {
 }
 
 // NewHashMatch builds the operator. leftKey and rightKey must have equal
-// length and pairwise-comparable field types.
+// length and pairwise the same field types (checkKeys).
 func NewHashMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey record.Key) (*HashMatch, error) {
-	if len(leftKey) != len(rightKey) || len(leftKey) == 0 {
-		return nil, fmt.Errorf("core: hashmatch: bad key arity %d/%d", len(leftKey), len(rightKey))
+	if err := checkKeys("hashmatch", left.Schema(), right.Schema(), leftKey, rightKey); err != nil {
+		return nil, err
 	}
 	schema, err := matchOutputSchema(op, left.Schema(), right.Schema())
 	if err != nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/record"
-)
+import "repro/internal/record"
 
 // MergeMatch is the sort-based one-to-one match algorithm: both inputs
 // must arrive sorted ascending on their key fields (wrap them in Sort
@@ -33,8 +29,8 @@ type MergeMatch struct {
 
 // NewMergeMatch builds the operator over already-sorted inputs.
 func NewMergeMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey record.Key) (*MergeMatch, error) {
-	if len(leftKey) != len(rightKey) || len(leftKey) == 0 {
-		return nil, fmt.Errorf("core: mergematch: bad key arity %d/%d", len(leftKey), len(rightKey))
+	if err := checkKeys("mergematch", left.Schema(), right.Schema(), leftKey, rightKey); err != nil {
+		return nil, err
 	}
 	schema, err := matchOutputSchema(op, left.Schema(), right.Schema())
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/record"
@@ -230,6 +231,51 @@ func TestMatchValidation(t *testing.T) {
 	if _, err := NewMergeMatch(env.Env, MatchJoin, scanOf(t, l), scanOf(t, r), nil, nil); err == nil {
 		t.Fatal("empty keys accepted")
 	}
+}
+
+// TestKeyTypesMustAgree holds both match algorithms and both division
+// algorithms to keys of one type pairwise: an int paired with a float, or
+// a string with an int, is a construction error naming both fields and
+// their types, and nothing is left pinned.
+func TestKeyTypesMustAgree(t *testing.T) {
+	env := newTestEnv(t, 64)
+	emp := env.makeEmp(t, "emp", 20, 4)
+	build := map[string]func(lk, rk record.Key) error{
+		"hashmatch": func(lk, rk record.Key) error {
+			_, err := NewHashMatch(env.Env, MatchJoin, scanOf(t, emp), scanOf(t, emp), lk, rk)
+			return err
+		},
+		"mergematch": func(lk, rk record.Key) error {
+			_, err := NewMergeMatchSorted(env.Env, MatchJoin, scanOf(t, emp), scanOf(t, emp), lk, rk)
+			return err
+		},
+		"hashdivision": func(lk, rk record.Key) error {
+			_, err := NewHashDivision(env.Env, scanOf(t, emp), scanOf(t, emp), record.Key{1}, lk, rk)
+			return err
+		},
+		"sortdivision": func(lk, rk record.Key) error {
+			_, err := NewSortDivision(env.Env, scanOf(t, emp), scanOf(t, emp), record.Key{1}, lk, rk)
+			return err
+		},
+	}
+	for name, b := range build {
+		if err := b(record.Key{0}, record.Key{1}); err != nil {
+			t.Errorf("%s: int = int rejected: %v", name, err)
+		}
+		for _, c := range []struct {
+			lk, rk record.Key
+			want   string
+		}{
+			{record.Key{0}, record.Key{2}, "id (int) and salary (float)"},
+			{record.Key{1, 3}, record.Key{1, 0}, "name (string) and id (int)"},
+		} {
+			err := b(c.lk, c.rk)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s on %v = %v: err = %v, want one naming %s", name, c.lk, c.rk, err, c.want)
+			}
+		}
+	}
+	env.checkNoPinLeak(t)
 }
 
 // Large randomized cross-check: hash and merge must agree with each other

@@ -107,7 +107,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Index on id, inserted in storage order.
-	sc := f.NewScan(false)
+	sc := f.NewScan()
 	for {
 		r, ok, err := sc.Next()
 		if err != nil {

@@ -441,7 +441,7 @@ func (h *mergeHeap) advance(next func(src int) (Rec, bool, error)) (Rec, bool, e
 func newRunMerge(env *Env, runs []*file.File, schema *record.Schema, cmp expr.KeyCompare) (*runMerge, error) {
 	m := &runMerge{h: mergeHeap{cmp: cmp}}
 	for i, run := range runs {
-		sc := run.NewScan(false)
+		sc := run.NewScan()
 		m.scans = append(m.scans, sc)
 		r, ok, err := sc.Next()
 		if err != nil {

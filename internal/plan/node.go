@@ -82,7 +82,6 @@ type Node struct {
 	// Scan / PartitionedScan / IndexScan.
 	Table      string
 	Partitions int // PartitionedScan: files "<Table>.<g>"
-	ReadAhead  bool
 	// IndexScan: the catalogued index name and optional int-key bounds.
 	IndexName string
 	LoKey     *int64
@@ -421,7 +420,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewFileScan(meteredFile(ctx, f), nil, n.ReadAhead)
+		return core.NewFileScan(meteredFile(ctx, f), nil)
 
 	case KindPartitionedScan:
 		// Instance 0 — the exchange's schema probe, built before any
@@ -435,7 +434,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewFileScan(meteredFile(ctx, f), nil, n.ReadAhead)
+		return core.NewFileScan(meteredFile(ctx, f), nil)
 
 	case KindIndexScan:
 		ic, ok := ctx.cat.(IndexCatalog)
@@ -563,9 +562,9 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 			}
 		}
 		if n.Algo == AlgoSort {
-			return core.NewMergeMatchSorted(ctx.env, n.MatchOp, l, r, lk, rk)
+			return n.positioned(core.NewMergeMatchSorted(ctx.env, n.MatchOp, l, r, lk, rk))
 		}
-		return core.NewHashMatch(ctx.env, n.MatchOp, l, r, lk, rk)
+		return n.positioned(core.NewHashMatch(ctx.env, n.MatchOp, l, r, lk, rk))
 
 	case KindNestedLoops:
 		l, err := build(ctx.in(0), n.Inputs[0])
@@ -604,9 +603,9 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 			}
 		}
 		if n.Algo == AlgoSort {
-			return core.NewSortDivision(ctx.env, l, r, quot, div, divis)
+			return n.positioned(core.NewSortDivision(ctx.env, l, r, quot, div, divis))
 		}
-		return core.NewHashDivision(ctx.env, l, r, quot, div, divis)
+		return n.positioned(core.NewHashDivision(ctx.env, l, r, quot, div, divis))
 
 	case KindExchange:
 		return buildExchange(ctx, n)
@@ -675,6 +674,15 @@ func checkPartitions(cat Catalog, n *Node) error {
 // errorf builds a build-time error carrying the node's script position.
 func (n *Node) errorf(format string, args ...any) error {
 	return &ParseError{Line: n.Line, Stage: n.Stage, Op: n.Kind.String(), Err: fmt.Errorf("plan: "+format, args...)}
+}
+
+// positioned passes an operator constructor's result through, giving its
+// error (a key pair of mixed types, say) the node's script position.
+func (n *Node) positioned(it core.Iterator, err error) (core.Iterator, error) {
+	if err != nil {
+		return nil, n.errorf("%w", err)
+	}
+	return it, nil
 }
 
 // buildExchange instantiates an exchange node: the child subtree template

@@ -134,7 +134,7 @@ func TestPointDrainAllocatesNoFullBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := emp.NewScan(false)
+	s := emp.NewScan()
 	for {
 		r, ok, err := s.Next()
 		if err != nil {

@@ -252,7 +252,7 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 // parallel pscan/exchange plans, hash joins, aggregation — over ONE
 // shared buffer pool and volume, under the race detector. Afterwards the
 // pool must hold zero pinned frames and the process must be back to its
-// goroutine baseline: no producer, daemon, or handler leaked.
+// goroutine baseline: no producer or handler leaked.
 func TestConcurrentQueriesSharedPool(t *testing.T) {
 	s, w, ts, mr := newTestServer(t, func(c *Config) {
 		c.MaxConcurrent = 10
@@ -399,6 +399,37 @@ func TestParseErrorsReturn400(t *testing.T) {
 	}
 	if res.status != http.StatusBadRequest {
 		t.Errorf("too-parallel plan: status = %d, want 400: %s", res.status, res.body)
+	}
+}
+
+// TestMixedKeyTypesReturn400 sends joins and a division whose key pairs
+// mix types: each is a 400 naming the stage and both fields with their
+// types, and the next query on the same server runs with nothing left
+// pinned.
+func TestMixedKeyTypesReturn400(t *testing.T) {
+	_, w, ts, _ := newTestServer(t, nil)
+	for _, c := range []struct{ script, want string }{
+		{"with d = scan dept\nscan emp\n| join merge d on name = dno", "name (string) and dno (int)"},
+		{"with d = scan dept\nscan emp\n| join hash d on id = budget", "id (int) and budget (float)"},
+		{"with d = scan dept\nscan emp\n| divide sort d quot dept div name on dno", "name (string) and dno (int)"},
+	} {
+		res, err := postQuery(ts, c.script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.status != http.StatusBadRequest || !strings.Contains(res.body, "line 3, stage 2") || !strings.Contains(res.body, c.want) {
+			t.Errorf("%q: status %d, body %q; want a 400 at line 3, stage 2 naming %s", c.script, res.status, res.body, c.want)
+		}
+	}
+	res, err := postQuery(ts, "with d = scan dept\nscan emp | join hash d on dept = dno")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.status != http.StatusOK || res.rows != empRows {
+		t.Fatalf("query after the rejects: status %d, %d rows, want 200 and %d: %s", res.status, res.rows, empRows, res.body)
+	}
+	if n := w.pool.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames pinned after the rejects", n)
 	}
 }
 

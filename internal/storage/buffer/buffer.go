@@ -62,7 +62,6 @@ import (
 	"repro/internal/meter"
 	"repro/internal/record"
 	"repro/internal/storage/device"
-	"repro/internal/trace"
 )
 
 // LockMode selects the pool's locking discipline.
@@ -121,8 +120,6 @@ type Stats struct {
 	Reads, Writes      int64
 	Evictions          int64
 	Restarts           int64
-	DaemonReads        int64
-	DaemonWrites       int64
 	ExtraPins          int64
 	CurrentlyFixedHint int64 // Fixes+ExtraPins-Unfixes; 0 when all pins balanced
 }
@@ -132,17 +129,15 @@ type Stats struct {
 // recomputed from the deltas: 0 means the interval's pins balanced.
 func (s Stats) Sub(prev Stats) Stats {
 	d := Stats{
-		Fixes:        s.Fixes - prev.Fixes,
-		Unfixes:      s.Unfixes - prev.Unfixes,
-		Hits:         s.Hits - prev.Hits,
-		Misses:       s.Misses - prev.Misses,
-		Reads:        s.Reads - prev.Reads,
-		Writes:       s.Writes - prev.Writes,
-		Evictions:    s.Evictions - prev.Evictions,
-		Restarts:     s.Restarts - prev.Restarts,
-		DaemonReads:  s.DaemonReads - prev.DaemonReads,
-		DaemonWrites: s.DaemonWrites - prev.DaemonWrites,
-		ExtraPins:    s.ExtraPins - prev.ExtraPins,
+		Fixes:     s.Fixes - prev.Fixes,
+		Unfixes:   s.Unfixes - prev.Unfixes,
+		Hits:      s.Hits - prev.Hits,
+		Misses:    s.Misses - prev.Misses,
+		Reads:     s.Reads - prev.Reads,
+		Writes:    s.Writes - prev.Writes,
+		Evictions: s.Evictions - prev.Evictions,
+		Restarts:  s.Restarts - prev.Restarts,
+		ExtraPins: s.ExtraPins - prev.ExtraPins,
 	}
 	d.CurrentlyFixedHint = d.Fixes + d.ExtraPins - d.Unfixes
 	return d
@@ -161,26 +156,13 @@ type Pool struct {
 	lru Frame
 
 	// Activity counters. Atomic so a live scraper (internal/metrics) can
-	// read them while queries and the flush/read-ahead daemons run,
-	// without taking the pool lock. A fix is a hit or a miss, so fixes
-	// are not counted apart; unfixes and extra pins are counted on the
-	// frames' stripes, off the shared line.
-	hits, misses              atomic.Int64
-	reads, writes             atomic.Int64
-	evictions, restarts       atomic.Int64
-	daemonReads, daemonWrites atomic.Int64
-	stripes                   [pinStripes]pinStripe
-
-	daemon *daemon
-	tracer *trace.Tracer
-}
-
-// SetTracer attaches a tracer for buffer-daemon activity. Call before
-// StartDaemons; daemons started earlier keep running untraced.
-func (p *Pool) SetTracer(t *trace.Tracer) {
-	p.mu.Lock()
-	p.tracer = t
-	p.mu.Unlock()
+	// read them while queries run, without taking the pool lock. A fix
+	// is a hit or a miss, so fixes are not counted apart; unfixes and
+	// extra pins are counted on the frames' stripes, off the shared line.
+	hits, misses        atomic.Int64
+	reads, writes       atomic.Int64
+	evictions, restarts atomic.Int64
+	stripes             [pinStripes]pinStripe
 }
 
 // NewPool creates a pool of nframes frames over the given device registry.
@@ -681,21 +663,19 @@ func (p *Pool) FixCount(pid record.PageID) int {
 }
 
 // Stats returns a snapshot of the pool's counters. Safe to call at any
-// time, including concurrently with daemon activity — the counters are
-// atomics, so no lock is taken.
+// time, including while queries run — the counters are atomics, so no
+// lock is taken.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Fixes:        p.fixes(),
-		Unfixes:      p.unfixes(),
-		Hits:         p.hits.Load(),
-		Misses:       p.misses.Load(),
-		Reads:        p.reads.Load(),
-		Writes:       p.writes.Load(),
-		Evictions:    p.evictions.Load(),
-		Restarts:     p.restarts.Load(),
-		DaemonReads:  p.daemonReads.Load(),
-		DaemonWrites: p.daemonWrites.Load(),
-		ExtraPins:    p.xtraPins(),
+		Fixes:     p.fixes(),
+		Unfixes:   p.unfixes(),
+		Hits:      p.hits.Load(),
+		Misses:    p.misses.Load(),
+		Reads:     p.reads.Load(),
+		Writes:    p.writes.Load(),
+		Evictions: p.evictions.Load(),
+		Restarts:  p.restarts.Load(),
+		ExtraPins: p.xtraPins(),
 	}
 	s.CurrentlyFixedHint = s.Fixes + s.ExtraPins - s.Unfixes
 	return s

@@ -40,8 +40,6 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry) {
 	counter("volcano_buffer_writes_total", "Dirty pages written back to devices.", p.writes.Load)
 	counter("volcano_buffer_evictions_total", "Valid pages evicted to make room.", p.evictions.Load)
 	counter("volcano_buffer_restarts_total", "Operations restarted after a failed descriptor try-lock.", p.restarts.Load)
-	counter("volcano_buffer_daemon_reads_total", "Pages read by the read-ahead daemon.", p.daemonReads.Load)
-	counter("volcano_buffer_daemon_writes_total", "Pages flushed by the write-behind daemon.", p.daemonWrites.Load)
 	counter("volcano_buffer_extra_pins_total", "Extra pins taken for broadcast record sharing.", p.xtraPins)
 	r.SetGaugeFunc("volcano_buffer_frames", "Total frames in the buffer pool.",
 		func() float64 { return float64(len(p.frames)) })

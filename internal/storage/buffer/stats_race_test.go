@@ -10,22 +10,17 @@ import (
 	"repro/internal/storage/device"
 )
 
-// TestStatsConcurrentWithDaemons is the live-scraper scenario: queries
-// fix and unfix pages, the write-behind and read-ahead daemons do
-// asynchronous I/O, and a scraper reads Stats and the metrics endpoint
-// the whole time. Run under -race this proves the counters are safe to
-// read without the pool lock.
-func TestStatsConcurrentWithDaemons(t *testing.T) {
+// TestStatsConcurrentWithFlushes is the live-scraper scenario: queries
+// fix and unfix pages and flush them, and a scraper reads Stats and the
+// metrics endpoint the whole time. Run under -race this proves the
+// counters are safe to read without the pool lock.
+func TestStatsConcurrentWithFlushes(t *testing.T) {
 	reg := device.NewRegistry()
 	dev := reg.NextID()
 	if err := reg.Mount(device.NewMem(dev)); err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool(reg, 8, TwoLevel)
-	if err := p.StartDaemons(2); err != nil {
-		t.Fatal(err)
-	}
-	defer p.StopDaemons()
 
 	mr := metrics.NewRegistry()
 	p.RegisterMetrics(mr)
@@ -43,7 +38,7 @@ func TestStatsConcurrentWithDaemons(t *testing.T) {
 
 	var writers sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers: fix/unfix churn plus daemon flush and read-ahead requests.
+	// Writers: fix/unfix churn plus page flushes.
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
 		go func(w int) {
@@ -55,8 +50,10 @@ func TestStatsConcurrentWithDaemons(t *testing.T) {
 					continue
 				}
 				p.Unfix(f, i%3 == 0)
-				p.RequestFlush(pid)
-				p.RequestReadAhead(pids[(i+1)%len(pids)])
+				if err := p.FlushPage(pid); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -72,7 +69,7 @@ func TestStatsConcurrentWithDaemons(t *testing.T) {
 			default:
 			}
 			s := p.Stats()
-			if s.Fixes < 0 || s.Hits+s.Misses > s.Fixes+s.DaemonReads+1000 {
+			if s.Fixes < 0 || s.Hits+s.Misses > s.Fixes+1000 {
 				t.Errorf("implausible stats snapshot: %+v", s)
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -149,7 +150,7 @@ func TestScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := f.NewScan(false)
+	s := f.NewScan()
 	count := 0
 	for {
 		r, ok, err := s.Next()
@@ -178,44 +179,55 @@ func TestScan(t *testing.T) {
 	}
 }
 
-// tombstone marks rid's slot deleted, as the page format allows: the RID
-// stays taken, and fetches and scans pass over it.
-func tombstone(t *testing.T, f *File, rid record.RID) {
+// corrupt overwrites rid's slot with an offset past the end of the page.
+func corrupt(t *testing.T, f *File, rid record.RID) {
 	t.Helper()
 	fr, err := f.vol.pool.Fix(rid.PageID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	page{fr.Data()}.setSlot(int(rid.Slot), slotDeleted, 0)
+	page{fr.Data()}.setSlot(int(rid.Slot), 5000, 3)
 	f.vol.pool.Unfix(fr, true)
 }
 
-func TestScanSkipsDeleted(t *testing.T) {
-	_, vol, _ := env(t, 16)
+// TestScanCorruptSlot holds a scan over a slot whose record lies outside
+// its page to an error naming the slot: no panic, no record past it, and
+// no pin left once the scan is closed. A fetch of the slot fails the same
+// way.
+func TestScanCorruptSlot(t *testing.T) {
+	pool, vol, _ := env(t, 16)
 	f, _ := vol.Create("t", nil)
 	var rids []record.RID
 	for i := 0; i < 10; i++ {
 		rid, _ := f.Insert([]byte{byte(i)})
 		rids = append(rids, rid)
 	}
-	for i := 0; i < 10; i += 2 {
-		tombstone(t, f, rids[i])
-	}
-	s := f.NewScan(false)
+	corrupt(t, f, rids[3])
+	s := f.NewScan()
 	var got []byte
+	var err error
 	for {
-		r, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		var run []Record
+		if run, err = s.NextRun(nil, 2); err != nil || len(run) == 0 {
 			break
 		}
-		got = append(got, r.Data[0])
-		r.Unfix()
+		for _, r := range run {
+			got = append(got, r.Data[0])
+		}
+		UnfixBatch(run)
 	}
-	if string(got) != string([]byte{1, 3, 5, 7, 9}) {
-		t.Fatalf("scan after deletes = %v", got)
+	if err == nil || !strings.Contains(err.Error(), "corrupt slot 3") {
+		t.Fatalf("scan over a corrupt slot: err = %v", err)
+	}
+	if string(got) != string([]byte{0, 1}) {
+		t.Fatalf("scan returned %v before the corrupt slot, want [0 1]", got)
+	}
+	s.Close()
+	if _, err := f.Fetch(rids[3]); err == nil || !strings.Contains(err.Error(), "corrupt slot 3") {
+		t.Fatalf("fetch of a corrupt slot: err = %v", err)
+	}
+	if h := pool.Stats().CurrentlyFixedHint; h != 0 {
+		t.Fatalf("%d pins left after the failed scan", h)
 	}
 }
 
@@ -225,7 +237,7 @@ func TestScanAbortMidwayReleasesPins(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.Insert(make([]byte, 100))
 	}
-	s := f.NewScan(false)
+	s := f.NewScan()
 	r, ok, err := s.Next()
 	if err != nil || !ok {
 		t.Fatal(err)
@@ -238,10 +250,10 @@ func TestScanAbortMidwayReleasesPins(t *testing.T) {
 }
 
 // TestScanNextRun holds page runs to the record-at-a-time scan: at run
-// limits below, at and above a page's live records, over deleted slots
-// and on to the end of the file, every run stays on one page, is short
-// only where its page ends, carries exactly one pin per record, and the
-// runs concatenate to what Next returns. A slice filled run by run, as a
+// limits below, at and above a page's records and on to the end of the
+// file, every run stays on one page, is short only where its page ends,
+// carries exactly one pin per record, and the runs concatenate to what
+// Next returns. A slice filled run by run, as a
 // batch is, crosses a page boundary and releases in one UnfixBatch.
 func TestScanNextRun(t *testing.T) {
 	pool, vol, _ := env(t, 16)
@@ -254,13 +266,9 @@ func TestScanNextRun(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	// Deleted slots at the head of the file, in its middle and at its end.
-	for _, i := range []int{0, 1, 40, 299} {
-		tombstone(t, f, rids[i])
-	}
 	var want []string
 	live := map[record.PageID]int{}
-	s := f.NewScan(false)
+	s := f.NewScan()
 	for {
 		r, ok, err := s.Next()
 		if err != nil {
@@ -280,7 +288,7 @@ func TestScanNextRun(t *testing.T) {
 	first := live[rids[0].PageID]
 
 	for _, max := range []int{1, 7, first, first + 1, 1000} {
-		s := f.NewScan(false)
+		s := f.NewScan()
 		taken := map[record.PageID]int{}
 		var got []string
 		var run []Record
@@ -321,7 +329,7 @@ func TestScanNextRun(t *testing.T) {
 		}
 	}
 
-	s = f.NewScan(false)
+	s = f.NewScan()
 	batch := make([]Record, 0, first+5)
 	for len(batch) < cap(batch) {
 		n := len(batch)
@@ -348,17 +356,15 @@ func TestScanNextRun(t *testing.T) {
 	}
 }
 
-func TestScanWithReadAheadDaemon(t *testing.T) {
-	pool, vol, _ := env(t, 64)
-	if err := pool.StartDaemons(1); err != nil {
-		t.Fatal(err)
-	}
-	defer pool.StopDaemons()
+// TestScanAcrossPages scans a file of many pages, more than fit in the
+// pool at once, and leaves no pin behind.
+func TestScanAcrossPages(t *testing.T) {
+	pool, vol, _ := env(t, 8)
 	f, _ := vol.Create("t", nil)
 	for i := 0; i < 200; i++ {
 		f.Insert(make([]byte, 500))
 	}
-	s := f.NewScan(true)
+	s := f.NewScan()
 	count := 0
 	for {
 		r, ok, err := s.Next()
@@ -373,6 +379,9 @@ func TestScanWithReadAheadDaemon(t *testing.T) {
 	}
 	if count != 200 {
 		t.Fatalf("scanned %d, want 200", count)
+	}
+	if h := pool.Stats().CurrentlyFixedHint; h != 0 {
+		t.Fatalf("%d pins left after the scan", h)
 	}
 }
 
@@ -390,7 +399,7 @@ func TestVirtualFileOnMemDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := f.NewScan(false)
+	s := f.NewScan()
 	count := 0
 	for {
 		r, ok, err := s.Next()
@@ -480,7 +489,7 @@ func TestQuickInsertScanRoundTrip(t *testing.T) {
 			}
 			want = append(want, data)
 		}
-		s := f.NewScan(false)
+		s := f.NewScan()
 		defer s.Close()
 		for _, w := range want {
 			r, ok, err := s.Next()
@@ -504,7 +513,7 @@ func TestQuickInsertScanRoundTrip(t *testing.T) {
 // scanCount scans the whole file, releasing every record.
 func scanCount(t *testing.T, f *File) int {
 	t.Helper()
-	sc := f.NewScan(false)
+	sc := f.NewScan()
 	defer sc.Close()
 	n := 0
 	for {

@@ -20,13 +20,12 @@ import (
 //	          ... free space ...
 //	[ recN ... rec1 rec0 ]  (records grow down from the page end)
 //
-// Each slot holds (offset uint16, length uint16). A slot with offset
-// slotDeleted marks a deleted record; slots are never reused so RIDs stay
-// stable.
+// Each slot holds (offset uint16, length uint16). Records are never
+// deleted in place, so every slot below nslots holds a live record and
+// RIDs stay stable.
 const (
 	pageHdrSize = 8
 	slotSize    = 4
-	slotDeleted = 0xFFFF
 
 	// MaxRecordLen is the largest record storable on one page.
 	MaxRecordLen = device.PageSize - pageHdrSize - slotSize
@@ -84,14 +83,20 @@ func (p page) insert(data []byte) int {
 }
 
 // record returns the bytes of the record in the given slot, or an error if
-// the slot is out of range or deleted.
+// the slot is out of range or the page is corrupt: its slot array, or the
+// slot's record, does not lie inside the page past the slot array.
 func (p page) record(slot int) ([]byte, error) {
-	if slot >= p.nslots() {
-		return nil, fmt.Errorf("file: slot %d out of range (%d slots)", slot, p.nslots())
+	n := p.nslots()
+	if slot >= n {
+		return nil, fmt.Errorf("file: slot %d out of range (%d slots)", slot, n)
+	}
+	slots := pageHdrSize + n*slotSize
+	if slots > len(p.b) {
+		return nil, fmt.Errorf("file: corrupt page: %d slots overrun the page", n)
 	}
 	off, length := p.slot(slot)
-	if off == slotDeleted {
-		return nil, fmt.Errorf("file: slot %d is deleted", slot)
+	if off < slots || off+length > len(p.b) {
+		return nil, fmt.Errorf("file: corrupt slot %d: record at [%d, %d) lies outside [%d, %d)", slot, off, off+length, slots, len(p.b))
 	}
 	return p.b[off : off+length : off+length], nil
 }

@@ -10,12 +10,11 @@ import (
 // one page at a time; each record returned carries its own pin, which the
 // caller must release (the ownership protocol of §3).
 type Scan struct {
-	f         *File
-	cur       record.PageID
-	slot      int
-	frame     *pinnedPage
-	done      bool
-	readAhead bool
+	f     *File
+	cur   record.PageID
+	slot  int
+	frame *pinnedPage
+	done  bool
 }
 
 // pinnedPage wraps the scan's own pin on the current page.
@@ -24,10 +23,9 @@ type pinnedPage struct {
 	rec Record // the scan's own pin, reused to unfix
 }
 
-// NewScan opens a scan over the file. If readAhead is true the scan asks
-// the buffer daemon to prefetch each next page.
-func (f *File) NewScan(readAhead bool) *Scan {
-	return &Scan{f: f, cur: f.FirstPage(), readAhead: readAhead}
+// NewScan opens a scan over the file.
+func (f *File) NewScan() *Scan {
+	return &Scan{f: f, cur: f.FirstPage()}
 }
 
 // Next returns the next record, pinned for the caller. It returns ok=false
@@ -61,15 +59,11 @@ func (s *Scan) NextRun(dst []Record, max int) ([]Record, error) {
 				s.done = true
 				return dst, fmt.Errorf("file: scan %q: %w", s.f.Name(), err)
 			}
-			pg := page{fr.Data()}
 			s.frame = &pinnedPage{
-				pg:  pg,
+				pg:  page{fr.Data()},
 				rec: Record{RID: record.RID{PageID: s.cur}, frame: fr, pool: s.f.vol.pool},
 			}
 			s.slot = 0
-			if s.readAhead && pg.next() != 0 {
-				s.f.vol.pool.RequestReadAhead(pid(s.cur.Dev, pg.next()))
-			}
 		}
 		pg, fr := s.frame.pg, s.frame.rec.frame
 		n := len(dst)
@@ -78,7 +72,9 @@ func (s *Scan) NextRun(dst []Record, max int) ([]Record, error) {
 			s.slot++
 			data, err := pg.record(slot)
 			if err != nil {
-				continue // deleted slot
+				// This call's records carry no pin yet: drop them.
+				s.Close()
+				return dst[:n], fmt.Errorf("file: scan %q page %s: %w", s.f.Name(), s.cur, err)
 			}
 			dst = append(dst, Record{
 				RID:   record.RID{PageID: s.cur, Slot: uint16(slot)},

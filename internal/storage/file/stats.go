@@ -53,7 +53,7 @@ func (v *Volume) Analyze(name string) (TableStats, error) {
 	for i := range seen {
 		seen[i] = make(map[string]struct{})
 	}
-	sc := f.NewScan(false)
+	sc := f.NewScan()
 	defer sc.Close()
 	for {
 		rec, ok, err := sc.Next()

@@ -112,10 +112,10 @@ func OpenVolume(pool *buffer.Pool, dev record.DeviceID) (*Volume, error) {
 		p := page{fr.Data()}
 		for slot := 0; slot < p.nslots(); slot++ {
 			data, err := p.record(slot)
-			if err != nil {
-				continue
+			if err == nil {
+				err = v.loadEntry(data)
 			}
-			if err := v.loadEntry(data); err != nil {
+			if err != nil {
 				pool.Unfix(fr, false)
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package file
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/record"
@@ -100,7 +101,7 @@ func TestDurableVolumeRoundTrip(t *testing.T) {
 	if !f2.Schema().Equal(persistSchema) {
 		t.Fatalf("schema lost: %v", f2.Schema())
 	}
-	sc := f2.NewScan(false)
+	sc := f2.NewScan()
 	defer sc.Close()
 	count := 0
 	for {
@@ -119,6 +120,45 @@ func TestDurableVolumeRoundTrip(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("scanned %d after remount, want %d", count, n)
+	}
+}
+
+// TestOpenVolumeCorruptSlot remounts a volume whose catalog page holds a
+// slot pointing past the page: the remount fails naming the slot.
+func TestOpenVolumeCorruptSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vol")
+	pool, vol := durableEnv(t, path)
+	if _, err := vol.Create("people", persistSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.Save(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := pool.Fix(pid(vol.dev, vol.vtocRoot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page{fr.Data()}.setSlot(0, 5000, 3)
+	pool.Unfix(fr, true)
+	if err := pool.FlushAll(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Registry().CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := device.NewRegistry()
+	id := reg.NextID()
+	d, err := device.OpenDisk(id, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Mount(d); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.CloseAll()
+	if _, err := OpenVolume(buffer.NewPool(reg, 16, buffer.TwoLevel), id); err == nil || !strings.Contains(err.Error(), "corrupt slot 0") {
+		t.Fatalf("OpenVolume over a corrupt catalog slot: err = %v", err)
 	}
 }
 

@@ -6,11 +6,11 @@
 // Design:
 //
 //   - Recording is sharded: every emitting goroutine (an exchange
-//     producer, a consumer endpoint, a buffer daemon) owns a Track, a
-//     fixed-capacity single-writer ring that it appends to without taking
-//     any lock. Publication is a single atomic store of the track length,
-//     so concurrent tracks never contend and the merged view (taken after
-//     the traced region quiesces) is race-free.
+//     producer, a consumer endpoint, an instrumented operator) owns a
+//     Track, a fixed-capacity single-writer ring that it appends to
+//     without taking any lock. Publication is a single atomic store of
+//     the track length, so concurrent tracks never contend and the merged
+//     view (taken after the traced region quiesces) is race-free.
 //   - A nil *Tracer (and the nil *Track handles it hands out) is the
 //     disabled tracer: every method is a nil-check and return, so
 //     instrumentation can stay wired in production code paths at the cost
