@@ -92,9 +92,6 @@ type options struct {
 	// distEnable turns the coordinator on with an empty fleet, so
 	// workers can join dynamically via POST /dist/register.
 	distEnable bool
-	// distDataAddr is the coordinator's data-plane listen address
-	// (empty = 127.0.0.1:0). Workers dial it to deliver fragment streams.
-	distDataAddr string
 
 	// Connection hygiene: zero values get production defaults in run()
 	// so the test seam is hardened the same way the flags are.
@@ -132,7 +129,6 @@ func main() {
 	flag.StringVar(&o.queryLog, "query-log", "", "append slow-query entries to this file as JSON lines (empty = in-memory ring only)")
 	flag.StringVar(&o.workers, "workers", "", "comma-separated volcano-worker addresses to register for distributed execution (enables the coordinator)")
 	flag.BoolVar(&o.distEnable, "dist", false, "enable the distributed-execution coordinator even with no static workers (they join via POST /dist/register)")
-	flag.StringVar(&o.distDataAddr, "dist-data-addr", "", "coordinator data-plane listen address workers stream fragments to (empty = 127.0.0.1:0)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "longest to wait for in-flight queries on shutdown")
 	flag.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 5*time.Second, "longest a client may take to send request headers")
 	flag.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "longest a client may take to send a whole request")
@@ -214,17 +210,12 @@ func run(o options) error {
 	}
 
 	// Distributed execution: one coordinator owns the worker registry and
-	// the data plane; producer fragments ship to the fleet while root
-	// fragments run in this process.
+	// the dispatch client; producer fragments ship to the fleet, and
+	// stream back in their dispatch responses, while root fragments run
+	// in this process.
 	var coord *dist.Coordinator
 	if o.distEnable || o.workers != "" {
-		coord, err = dist.NewCoordinator(dist.CoordinatorConfig{
-			DataAddr: o.distDataAddr,
-			Metrics:  mr,
-		})
-		if err != nil {
-			return err
-		}
+		coord = dist.NewCoordinator(dist.CoordinatorConfig{Metrics: mr})
 		defer coord.Close()
 		for _, a := range strings.Split(o.workers, ",") {
 			if a = strings.TrimSpace(a); a == "" {
@@ -234,8 +225,8 @@ func run(o options) error {
 				return err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "volcano-serve: distributed execution on: data plane %s, %d workers registered\n",
-			coord.DataAddr(), coord.LiveWorkers())
+		fmt.Fprintf(os.Stderr, "volcano-serve: distributed execution on: %d workers registered\n",
+			coord.LiveWorkers())
 	}
 
 	srv, err := server.New(server.Config{

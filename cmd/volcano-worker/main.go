@@ -9,9 +9,9 @@
 //
 // Fragments arrive as POST /fragment (the coordinator's costed exchange
 // node as JSON plus a producer index — the worker decodes it and builds
-// just that producer subtree), and their record streams leave
-// over raw TCP toward the coordinator's data plane in the wire format
-// of internal/core (core.SendWire). GET /healthz answers the coordinator's heartbeats and
+// just that producer subtree), and each one's record stream goes back as
+// the body of its response, in the wire format of internal/core
+// (core.SendWire). GET /healthz answers the coordinator's heartbeats and
 // GET /metrics serves the volcano_dist_worker_* families alongside the
 // storage and operator families.
 //
@@ -129,7 +129,13 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: w.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	// No WriteTimeout: a fragment's response streams for as long as the
+	// query pulls it.
+	httpSrv := &http.Server{
+		Handler:           w.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ConnContext:       dist.CapSendBuffer,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

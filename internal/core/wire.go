@@ -9,20 +9,18 @@ import (
 )
 
 // The wire format of the shared-nothing path (§4.1): the frames a
-// worker's fragment streams to the coordinator. One frame carries one
-// packet of record images as a length-prefixed binary message:
+// worker's fragment streams to the coordinator, as the body of the
+// response to the coordinator's dispatch. One frame carries one packet
+// of record images as a length-prefixed binary message:
 //
 //	frame  := header payload
 //	header := magic(4) flags(1) reserved(3) payloadLen(4)   big endian
 //	payload (data frames)  := { recLen(4) recBytes(recLen) }*
 //	payload (error frames) := utf-8 error message
-//	payload (hello frames) := opaque handshake bytes (dist uses JSON)
 //
-// A frame with WireFlagEOS terminates one producer's stream on the
-// connection; WireFlagErr marks the payload as an error message instead
-// of records (EOS|Err is how a producer reports failure); WireFlagHello
-// marks the connection-opening handshake frame the distributed layer
-// uses to say which query/fragment/producer the connection carries.
+// A frame with WireFlagEOS terminates one producer's stream;
+// WireFlagErr marks the payload as an error message instead of records
+// (EOS|Err is how a producer reports failure).
 const (
 	wireMagic = 0x56574631 // "VWF1"
 
@@ -30,8 +28,6 @@ const (
 	WireFlagEOS = 1 << 0
 	// WireFlagErr marks the payload as an error message, not records.
 	WireFlagErr = 1 << 1
-	// WireFlagHello marks the handshake frame that opens a connection.
-	WireFlagHello = 1 << 2
 
 	wireHeaderLen = 12
 
@@ -48,7 +44,7 @@ const (
 type WireFrame struct {
 	Flags byte
 	Recs  [][]byte
-	Msg   []byte // error message (WireFlagErr) or hello payload
+	Msg   []byte // error message (WireFlagErr)
 	buf   []byte
 	// hdr is the header scratch. A local array would escape through
 	// io.ReadFull and cost one allocation per frame.
@@ -78,8 +74,8 @@ func (f *WireFrame) reset() {
 }
 
 // AppendWireFrame encodes one data frame carrying the record images and
-// appends it to dst. flags must not include WireFlagErr or WireFlagHello
-// (use AppendWireControl for those).
+// appends it to dst. flags must not include WireFlagErr (use
+// AppendWireControl for that).
 func AppendWireFrame(dst []byte, recs [][]byte, flags byte) []byte {
 	payload := 0
 	for _, r := range recs {
@@ -93,8 +89,8 @@ func AppendWireFrame(dst []byte, recs [][]byte, flags byte) []byte {
 	return dst
 }
 
-// AppendWireControl encodes a control frame (error or hello) whose
-// payload is an opaque message.
+// AppendWireControl encodes a control frame (an error) whose payload is
+// an opaque message.
 func AppendWireControl(dst []byte, flags byte, msg []byte) []byte {
 	dst = appendWireHeader(dst, flags, len(msg))
 	return append(dst, msg...)
@@ -152,7 +148,7 @@ func ReadWireFrame(r io.Reader, f *WireFrame, maxFrame int) error {
 		return err
 	}
 	f.Flags = flags
-	if flags&(WireFlagErr|WireFlagHello) != 0 {
+	if flags&WireFlagErr != 0 {
 		f.Msg = f.buf
 		return nil
 	}
@@ -199,15 +195,6 @@ func NewWireSender(w io.Writer, packetSize int) *WireSender {
 // Stats reports frames and payload bytes sent so far.
 func (s *WireSender) Stats() (frames, bytes int64) {
 	return s.frames.Load(), s.bytes.Load()
-}
-
-// Hello sends the connection-opening handshake frame immediately.
-func (s *WireSender) Hello(payload []byte) error {
-	s.scratch = AppendWireControl(s.scratch[:0], WireFlagHello, payload)
-	if err := s.writeScratch(); err != nil {
-		return err
-	}
-	return s.w.Flush()
 }
 
 // Add stages one record image; a full packet is framed and written.

@@ -15,9 +15,11 @@ func FuzzWireFrameDecode(f *testing.F) {
 	f.Add(AppendWireFrame(nil, [][]byte{[]byte("seed"), {}}, 0))
 	f.Add(AppendWireFrame(nil, nil, WireFlagEOS))
 	f.Add(AppendWireControl(nil, WireFlagEOS|WireFlagErr, []byte("boom")))
-	f.Add(AppendWireControl(nil, WireFlagHello, []byte(`{"q":"x"}`)))
 	f.Add(appendWireHeader(nil, 0, 1<<30))
 	f.Add([]byte{0x56, 0x57, 0x46, 0x31, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	// A whole stream, as one response body carries it: two data frames,
+	// then the EOS.
+	f.Add(AppendWireFrame(AppendWireFrame(AppendWireFrame(nil, [][]byte{[]byte("a")}, 0), [][]byte{[]byte("bc"), {}}, 0), nil, WireFlagEOS))
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {

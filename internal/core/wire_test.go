@@ -42,18 +42,11 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireFrameErrorAndHello(t *testing.T) {
-	enc := AppendWireControl(nil, WireFlagHello, []byte(`{"producer":3}`))
-	enc = AppendWireControl(enc, WireFlagEOS|WireFlagErr, []byte("scan failed: page torn"))
+func TestWireFrameError(t *testing.T) {
+	enc := AppendWireControl(nil, WireFlagEOS|WireFlagErr, []byte("scan failed: page torn"))
 
 	r := bytes.NewReader(enc)
 	var f WireFrame
-	if err := ReadWireFrame(r, &f, 0); err != nil {
-		t.Fatal(err)
-	}
-	if f.Flags&WireFlagHello == 0 || string(f.Msg) != `{"producer":3}` {
-		t.Fatalf("hello frame: flags=%x msg=%q", f.Flags, f.Msg)
-	}
 	if err := ReadWireFrame(r, &f, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +113,6 @@ func TestWireSenderOverTCP(t *testing.T) {
 		}
 		defer conn.Close()
 		s := NewWireSender(conn, 7)
-		if err := s.Hello([]byte("hi")); err != nil {
-			return
-		}
 		for i := 0; i < n; i++ {
 			if err := s.Add([]byte{byte(i), byte(i >> 8)}); err != nil {
 				return
@@ -138,9 +128,6 @@ func TestWireSenderOverTCP(t *testing.T) {
 	defer conn.Close()
 
 	var f WireFrame
-	if err := ReadWireFrame(conn, &f, 0); err != nil || f.Flags&WireFlagHello == 0 {
-		t.Fatalf("hello: %v flags=%x", err, f.Flags)
-	}
 	got, sawErr := 0, false
 	for {
 		if err := ReadWireFrame(conn, &f, 0); err != nil {

@@ -1,8 +1,8 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,47 +13,52 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
 // CoordinatorConfig configures the fragment-shipping coordinator.
 type CoordinatorConfig struct {
-	// DataAddr is the TCP address the data plane listens on (default
-	// "127.0.0.1:0"). Workers dial it to deliver fragment streams.
-	DataAddr string
-	// AdvertiseAddr is the data-plane address put into dispatched
-	// fragment specs; defaults to the listener's own address. Set it when
-	// workers reach the coordinator through a different route.
-	AdvertiseAddr string
-	// MaxAttempts bounds dispatch attempts per fragment, first try
-	// included (default 3).
-	MaxAttempts int
 	// HeartbeatEvery is the worker health-probe interval (default 2s).
 	HeartbeatEvery time.Duration
-	// ConnWait bounds how long a dispatched fragment may take to dial in
-	// before the attempt counts as lost (default 10s).
-	ConnWait time.Duration
 	// Metrics, when non-nil, receives the volcano_dist_* families.
 	Metrics *metrics.Registry
 	// Log receives dispatch and worker-loss lines (nil = log.Default).
 	Log *log.Logger
 }
 
-// Coordinator owns the worker registry and the data plane. It does not
-// build plans itself: the serving layer hands each query's build a
+const (
+	// maxAttempts bounds dispatch attempts per fragment, first try
+	// included.
+	maxAttempts = 3
+	// connWait bounds a dispatch's dial and the wait for its response
+	// header; a worker slower than that counts as lost.
+	connWait = 10 * time.Second
+	// idlePerWorker is how many finished fragment connections the
+	// coordinator keeps open per worker for the next dispatch.
+	idlePerWorker = 16
+	// dataRcvBuf caps the kernel receive buffer of each dispatch
+	// connection. TCP autotuning would otherwise grow it toward the
+	// system maximum (megabytes per connection), which both unbounds the
+	// coordinator's memory per in-flight fragment and lets a worker park
+	// an entire fragment stream in kernel buffers — flow control exists
+	// so producers run at most this far ahead of the consuming query,
+	// exactly like the in-process exchange's bounded queue depth.
+	dataRcvBuf = 256 << 10
+)
+
+// Coordinator owns the worker registry and the dispatch client. It does
+// not build plans itself: the serving layer hands each query's build a
 // RemoteBinder (see Coordinator.Binder) and the coordinator takes over
 // every distributable exchange cut the build reaches.
 type Coordinator struct {
-	cfg CoordinatorConfig
-	m   *distMetrics
-	ln  net.Listener
+	cfg    CoordinatorConfig
+	m      *distMetrics
+	client *http.Client // dispatches; each response body is a fragment stream
 
 	mu      sync.Mutex
 	workers map[string]*workerState
 	order   []string // registration order, for round-robin
 	next    int      // round-robin cursor
-	routes  map[string]chan *routedConn
 	closed  bool
 
 	stop chan struct{}
@@ -67,57 +72,41 @@ type workerState struct {
 	failures  int64
 }
 
-// routedConn is an accepted data-plane connection plus its buffered
-// reader — the hello was read through the reader, and the frames behind
-// it may already be buffered there, so both halves travel together.
-type routedConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-}
-
-// NewCoordinator opens the data plane and starts the heartbeat loop.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.DataAddr == "" {
-		cfg.DataAddr = "127.0.0.1:0"
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
+// NewCoordinator builds the dispatch client and starts the heartbeat
+// loop.
+func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 2 * time.Second
-	}
-	if cfg.ConnWait <= 0 {
-		cfg.ConnWait = 10 * time.Second
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
-	ln, err := net.Listen("tcp", cfg.DataAddr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: data plane: %w", err)
-	}
-	if cfg.AdvertiseAddr == "" {
-		cfg.AdvertiseAddr = ln.Addr().String()
-	}
+	dialer := &net.Dialer{Timeout: connWait}
 	c := &Coordinator{
-		cfg:     cfg,
-		m:       newDistMetrics(cfg.Metrics),
-		ln:      ln,
+		cfg: cfg,
+		m:   newDistMetrics(cfg.Metrics),
+		client: &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				conn, err := dialer.DialContext(ctx, network, addr)
+				if tc, ok := conn.(*net.TCPConn); ok {
+					_ = tc.SetReadBuffer(dataRcvBuf)
+				}
+				return conn, err
+			},
+			ResponseHeaderTimeout: connWait,
+			MaxIdleConnsPerHost:   idlePerWorker,
+			ReadBufferSize:        64 << 10,
+		}},
 		workers: map[string]*workerState{},
-		routes:  map[string]chan *routedConn{},
 		stop:    make(chan struct{}),
 	}
-	c.wg.Add(2)
-	go c.acceptLoop()
+	c.wg.Add(1)
 	go c.heartbeatLoop()
-	return c, nil
+	return c
 }
 
-// DataAddr returns the data plane's listen address.
-func (c *Coordinator) DataAddr() string { return c.ln.Addr().String() }
-
-// Close stops the heartbeat loop and the data plane. In-flight queries
-// see their pending routes fail.
+// Close stops the heartbeat loop and closes idle dispatch connections.
+// In-flight queries keep their streams until their sources close.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -127,8 +116,8 @@ func (c *Coordinator) Close() {
 	c.closed = true
 	c.mu.Unlock()
 	close(c.stop)
-	_ = c.ln.Close()
 	c.wg.Wait()
+	c.client.CloseIdleConnections()
 }
 
 // Register adds (or revives) a worker by dispatch address. Workers
@@ -273,123 +262,39 @@ func (c *Coordinator) heartbeatLoop() {
 	}
 }
 
-// routeKey identifies one expected fragment stream.
-func routeKey(queryID, path string, producer, attempt int) string {
-	return fmt.Sprintf("%s|%s|%d|%d", queryID, path, producer, attempt)
-}
-
-// expectConn registers interest in one fragment stream before its
-// dispatch, so the arrival cannot race the registration.
-func (c *Coordinator) expectConn(key string) chan *routedConn {
-	ch := make(chan *routedConn, 1)
-	c.mu.Lock()
-	c.routes[key] = ch
-	c.mu.Unlock()
-	return ch
-}
-
-// forgetConn withdraws interest; a conn already delivered is closed.
-func (c *Coordinator) forgetConn(key string) {
-	c.mu.Lock()
-	ch := c.routes[key]
-	delete(c.routes, key)
-	c.mu.Unlock()
-	if ch != nil {
-		select {
-		case rc := <-ch:
-			_ = rc.conn.Close()
-		default:
-		}
-	}
-}
-
-// acceptLoop routes inbound data-plane connections by their hello frame.
-func (c *Coordinator) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		c.wg.Add(1)
-		go func(conn net.Conn) {
-			defer c.wg.Done()
-			c.routeConn(conn)
-		}(conn)
-	}
-}
-
-// dataRcvBuf caps the kernel receive buffer of each data-plane
-// connection. TCP autotuning would otherwise grow it toward the system
-// maximum (megabytes per connection), which both unbounds the
-// coordinator's memory per in-flight fragment and lets a worker park an
-// entire fragment stream in kernel buffers — flow control exists so
-// producers run at most this far ahead of the consuming query, exactly
-// like the in-process exchange's bounded queue depth.
-const dataRcvBuf = 256 << 10
-
-func (c *Coordinator) routeConn(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(dataRcvBuf)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ConnWait))
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var f core.WireFrame
-	if err := core.ReadWireFrame(br, &f, 0); err != nil || f.Flags&core.WireFlagHello == 0 {
-		c.m.helloRej.Inc()
-		_ = conn.Close()
-		return
-	}
-	var h Hello
-	if err := json.Unmarshal(f.Msg, &h); err != nil {
-		c.m.helloRej.Inc()
-		_ = conn.Close()
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	key := routeKey(h.QueryID, h.Path, h.Producer, h.Attempt)
-	c.mu.Lock()
-	ch := c.routes[key]
-	delete(c.routes, key)
-	c.mu.Unlock()
-	if ch == nil {
-		// Nobody is waiting: a stale attempt (already retried) or a
-		// worker bug. Either way the stream has no consumer.
-		c.m.helloRej.Inc()
-		_ = conn.Close()
-		return
-	}
-	ch <- &routedConn{conn: conn, br: br}
-}
-
-// dispatch POSTs one fragment spec to a worker. A transport failure or
-// non-2xx acknowledgment is returned; retryability is the caller's call.
-func (c *Coordinator) dispatch(worker string, spec FragmentSpec) error {
+// dispatch POSTs one fragment spec to a worker and returns the
+// response body: the fragment's frame stream. A transport failure or a
+// refusal is returned; retryability is the caller's call. Canceling ctx
+// cuts the stream.
+func (c *Coordinator) dispatch(ctx context.Context, worker string, spec FragmentSpec) (io.ReadCloser, error) {
 	body, _ := json.Marshal(spec)
-	client := &http.Client{Timeout: c.cfg.ConnWait}
-	resp, err := client.Post("http://"+worker+"/fragment", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+worker+"/fragment", bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("dist: dispatch to %s: %w", worker, err)
+		return nil, fmt.Errorf("dist: dispatch to %s: %w", worker, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("dist: dispatch to %s: %w", worker, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		if resp.StatusCode >= 500 {
 			// The worker is unwell (stopping, overloaded), not refusing
 			// this fragment in particular: worker-loss shaped, retryable
 			// elsewhere.
-			return fmt.Errorf("dist: worker %s unavailable (%d): %s", worker, resp.StatusCode, string(bytes.TrimSpace(msg)))
+			return nil, fmt.Errorf("dist: worker %s unavailable (%d): %s", worker, resp.StatusCode, string(bytes.TrimSpace(msg)))
 		}
-		return &dispatchRejected{worker: worker, status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
+		return nil, &dispatchRejected{worker: worker, status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
 	}
-	io.Copy(io.Discard, resp.Body)
 	c.m.dispatched.Inc()
 	c.mu.Lock()
 	if w := c.workers[worker]; w != nil {
 		w.fragments++
 	}
 	c.mu.Unlock()
-	return nil
+	return resp.Body, nil
 }
 
 // dispatchRejected is a worker's synchronous refusal (4xx): the

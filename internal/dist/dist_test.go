@@ -8,9 +8,11 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,14 +83,20 @@ type fleet struct {
 	c       *Coordinator
 	workers map[string]*Worker // dispatch addr -> worker
 
+	// delay, when set, holds every /fragment request that many
+	// nanoseconds before the worker sees it.
+	delay atomic.Int64
+
 	mu         sync.Mutex
 	dispatches []dispatched // every fragment spec a worker was posted
 }
 
-// dispatched is one fragment spec as a worker received it.
+// dispatched is one fragment spec as a worker received it, with the
+// client address of the connection it arrived on.
 type dispatched struct {
-	addr string
-	spec FragmentSpec
+	addr   string
+	remote string
+	spec   FragmentSpec
 }
 
 // recording wraps a worker's handler to log each fragment spec it is
@@ -96,11 +104,12 @@ type dispatched struct {
 func (f *fleet) recording(addr *string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/fragment" {
+			time.Sleep(time.Duration(f.delay.Load()))
 			body, _ := io.ReadAll(r.Body)
 			var spec FragmentSpec
 			if json.Unmarshal(body, &spec) == nil {
 				f.mu.Lock()
-				f.dispatches = append(f.dispatches, dispatched{addr: *addr, spec: spec})
+				f.dispatches = append(f.dispatches, dispatched{addr: *addr, remote: r.RemoteAddr, spec: spec})
 				f.mu.Unlock()
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
@@ -112,14 +121,10 @@ func (f *fleet) recording(addr *string, h http.Handler) http.Handler {
 func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *WorkerConfig)) *fleet {
 	t.Helper()
 	quiet := log.New(io.Discard, "", 0)
-	c, err := NewCoordinator(CoordinatorConfig{
+	c := NewCoordinator(CoordinatorConfig{
 		HeartbeatEvery: 100 * time.Millisecond,
-		ConnWait:       5 * time.Second,
 		Log:            quiet,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(c.Close)
 	f := &fleet{c: c, workers: map[string]*Worker{}}
 	for i := 0; i < workers; i++ {
@@ -133,7 +138,9 @@ func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *Work
 			t.Fatal(err)
 		}
 		var addr string
-		srv := httptest.NewServer(f.recording(&addr, w.Handler()))
+		srv := httptest.NewUnstartedServer(f.recording(&addr, w.Handler()))
+		srv.Config.ConnContext = CapSendBuffer
+		srv.Start()
 		t.Cleanup(srv.Close)
 		t.Cleanup(w.Stop)
 		addr = strings.TrimPrefix(srv.URL, "http://")
@@ -553,6 +560,138 @@ func testWorkerLossAggRetry(t *testing.T) {
 	}
 }
 
+// TestDistEarlyCloseReleasesFleet closes a distributed query after its
+// first batch, with every fragment still streaming. Close must cut the
+// streams promptly, and nothing may outlive the query: no active
+// fragment on a worker, no pin in any pool, no goroutine.
+func TestDistEarlyCloseReleasesFleet(t *testing.T) {
+	// Fat rows: a megabyte per fragment, far beyond socket buffering,
+	// so no fragment can finish before the close.
+	const rows = 10000
+	regs := make([]*metrics.Registry, 2)
+	f := newFleet(t, rows, 400, 2, func(i int, cfg *WorkerConfig) {
+		regs[i] = metrics.NewRegistry()
+		cfg.Metrics = regs[i]
+	})
+	db := newDistDB(t, rows, 400)
+
+	// Warm up: a query that ships no rows leaves each worker's dispatch
+	// connections and heartbeat connection open, so the baseline holds
+	// them and the query under test opens none.
+	warm, _ := bind(t, f.c, db, "q-warm", "pscan nums 4 | filter v < 0 | exchange producers=4 packet=16")
+	if got, err := core.Collect(warm, 0); err != nil || len(got) != 0 {
+		t.Fatalf("warm-up: %d rows, %v", len(got), err)
+	}
+	time.Sleep(300 * time.Millisecond) // past the first heartbeats
+	baseline := runtime.NumGoroutine()
+
+	it, sum := bind(t, f.c, db, "q-early-close", distScript)
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := core.NewBatch(0)
+	if err := it.NextBatch(b); err != nil || b.Len() == 0 {
+		t.Fatalf("first batch: %d records, %v", b.Len(), err)
+	}
+	b.Release()
+	for _, fr := range sum.Fragments() {
+		if fr.State != "running" {
+			t.Fatalf("fragment %s/%d is %q before the close; the fixture must outlast one batch", fr.Path, fr.Producer, fr.State)
+		}
+	}
+	start := time.Now()
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v", d)
+	}
+	if pinned := db.pool.PinnedFrames(); pinned != 0 {
+		t.Fatalf("%d frames still pinned on the coordinator", pinned)
+	}
+
+	// The workers unwind on their own goroutines: poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var busy []string
+		for addr, w := range f.workers {
+			if n := w.m.active.Value(); n != 0 {
+				busy = append(busy, fmt.Sprintf("worker %s has %d active fragments", addr, n))
+			}
+			if n := w.cfg.Env.Pool.Stats().CurrentlyFixedHint; n != 0 {
+				busy = append(busy, fmt.Sprintf("worker %s holds %d pins", addr, n))
+			}
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			busy = append(busy, fmt.Sprintf("%d goroutines, baseline %d", n, baseline))
+		}
+		if len(busy) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %s", strings.Join(busy, "; "))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDistDispatchReusesConnections runs the same query five times in a
+// row. Each fragment's stream is its dispatch response, and reading it
+// to the end returns the connection to the coordinator's pool, so the
+// five queries use no more connections than one query runs fragments
+// at once.
+func TestDistDispatchReusesConnections(t *testing.T) {
+	const rows = 2000
+	f := newFleet(t, rows, 8, 2, nil)
+	db := newDistDB(t, rows, 8)
+	for q := 0; q < 5; q++ {
+		it, _ := bind(t, f.c, db, fmt.Sprintf("q-reuse-%d", q), distScript)
+		got, err := core.Collect(it, 0)
+		if err != nil || len(got) != rows {
+			t.Fatalf("query %d: %d rows, %v", q, len(got), err)
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	conns := map[string]bool{}
+	for _, d := range f.dispatches {
+		conns[d.addr+" "+d.remote] = true
+	}
+	if len(f.dispatches) != 20 || len(conns) > 4 {
+		t.Fatalf("%d dispatches arrived on %d connections, want 20 on at most 4", len(f.dispatches), len(conns))
+	}
+}
+
+// TestDistWireWaitIsNotCPU delays every dispatch on the workers. The
+// coordinator spends that time blocked on the wire, and its analyzed
+// CPU must not count it.
+func TestDistWireWaitIsNotCPU(t *testing.T) {
+	const rows = 400
+	f := newFleet(t, rows, 8, 1, nil)
+	f.delay.Store(int64(50 * time.Millisecond))
+	db := newDistDB(t, rows, 8)
+	tpl, err := plan.Compile(distScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, an, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
+		Analyze: true,
+		Remote:  f.c.Binder(BindRequest{QueryID: "q-wait", Env: db.env, Cat: db.cat}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := core.Collect(it, 0)
+	if err != nil || len(got) != rows {
+		t.Fatalf("%d rows, %v", len(got), err)
+	}
+	elapsed := time.Since(start)
+	if cpu := time.Duration(an.CPUNanos()); cpu >= 10*time.Millisecond {
+		t.Fatalf("coordinator CPU %v over a %v run that mostly waited on the wire:\n%s", cpu, elapsed, an)
+	}
+}
+
 // TestDistNoWorkersLocalFallback: with an empty fleet the binder
 // declines and the plan builds its exchanges locally.
 func TestDistNoWorkersLocalFallback(t *testing.T) {
@@ -635,7 +774,7 @@ func TestDistRemoteBuildError(t *testing.T) {
 
 // TestWorkerRefusesBatchSizeOutOfRange posts fragment specs whose batch
 // size is outside 1..core.MaxBatchSize: the worker answers 400 before it
-// builds or dials anything, naming 1 as the record-at-a-time size.
+// builds or streams anything, naming 1 as the record-at-a-time size.
 func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 	db := newDistDB(t, 10, 8)
 	w, err := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Log: log.New(io.Discard, "", 0)})
@@ -646,7 +785,7 @@ func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 	for _, size := range []int{0, -1, core.MaxBatchSize + 1, 1 << 62} {
 		body, err := json.Marshal(FragmentSpec{
 			QueryID: "q-bad-batch", Fragment: fragmentOf(t, distScript), Path: "", Producer: 0, Attempt: 1,
-			BatchSize: size, Endpoint: "127.0.0.1:1",
+			BatchSize: size,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -677,7 +816,7 @@ func fragmentOf(t testing.TB, script string) json.RawMessage {
 // TestWorkerRefusesBadFragment posts fragment specs no parser would have
 // let through. A shipped node skips the parser, so the worker checks it
 // before accepting: each spec gets a 400 and counts as rejected, and
-// none is built or dialed.
+// none is built or streamed.
 func TestWorkerRefusesBadFragment(t *testing.T) {
 	db := newDistDB(t, 10, 8)
 	reg := metrics.NewRegistry()
@@ -702,7 +841,7 @@ func TestWorkerRefusesBadFragment(t *testing.T) {
 	spec := func(fragment json.RawMessage) []byte {
 		body, err := json.Marshal(FragmentSpec{
 			QueryID: "q-bad-fragment", Fragment: fragment, Producer: 0, Attempt: 1,
-			BatchSize: 1, Endpoint: "127.0.0.1:1",
+			BatchSize: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -729,7 +868,7 @@ func TestWorkerRefusesBadFragment(t *testing.T) {
 		{"missing node", spec(edit(func(x *plan.Node) { x.Inputs = []*plan.Node{nil} })), "missing node"},
 		{"no fragment", spec(nil), "not an exchange"},
 		{"unknown node field", spec(json.RawMessage(strings.Replace(string(fragmentOf(t, distScript)), "{", `{"Bogus":1,`, 1))), `unknown field "Bogus"`},
-		{"unknown spec field", []byte(`{"query_id":"q","plan":"pscan nums 4 | exchange producers=4","producer":0,"attempt":1,"batch_size":1,"endpoint":"127.0.0.1:1"}`), `unknown field "plan"`},
+		{"unknown spec field", []byte(`{"query_id":"q","plan":"pscan nums 4 | exchange producers=4","producer":0,"attempt":1,"batch_size":1}`), `unknown field "plan"`},
 	} {
 		before := w.m.rejected.Value()
 		rec := httptest.NewRecorder()

@@ -12,7 +12,6 @@ type distMetrics struct {
 	failures    *metrics.Counter // volcano_dist_fragment_failures_total
 	heartbeatKO *metrics.Counter // volcano_dist_heartbeat_failures_total
 	wireRecv    *metrics.Counter // volcano_dist_wire_bytes_total{direction="recv"}
-	helloRej    *metrics.Counter // volcano_dist_hello_rejects_total
 }
 
 func newDistMetrics(r *metrics.Registry) *distMetrics {
@@ -30,10 +29,8 @@ func newDistMetrics(r *metrics.Registry) *distMetrics {
 		heartbeatKO: r.Counter("volcano_dist_heartbeat_failures_total",
 			"Worker heartbeat probes that failed."),
 		wireRecv: r.Counter("volcano_dist_wire_bytes_total",
-			"Fragment payload bytes crossing the coordinator's data plane.",
+			"Fragment payload bytes received from workers.",
 			metrics.Label{Key: "direction", Value: "recv"}),
-		helloRej: r.Counter("volcano_dist_hello_rejects_total",
-			"Data-plane connections rejected (bad or unexpected hello)."),
 	}
 }
 
@@ -55,7 +52,7 @@ func newWorkerMetrics(r *metrics.Registry) *workerMetrics {
 		failed:   r.Counter(fam, help, metrics.Label{Key: "outcome", Value: "error"}),
 		rejected: r.Counter(fam, help, metrics.Label{Key: "outcome", Value: "rejected"}),
 		wireSent: r.Counter("volcano_dist_wire_bytes_total",
-			"Fragment payload bytes crossing this worker's data plane.",
+			"Fragment payload bytes this worker sent to the coordinator.",
 			metrics.Label{Key: "direction", Value: "sent"}),
 		active: r.Gauge("volcano_dist_worker_active_fragments",
 			"Fragments currently executing on this worker."),

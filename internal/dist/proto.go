@@ -1,11 +1,14 @@
 // Package dist is the distributed-execution layer: a coordinator that
 // splits plans at the exchange boundaries plan.Distributable accepts and
 // ships producer fragments to a fleet of volcano-worker processes, and the
-// worker that executes them. Control travels over HTTP (register, dispatch,
-// heartbeat); data travels over raw TCP in the wire format of
-// internal/core: a worker's core.SendWire drains the fragment into
-// length-prefixed frames, and the coordinator decodes them with
-// core.ReadWireFrame. This is the repo's one shared-nothing exchange.
+// worker that executes them. Everything travels over HTTP (register,
+// dispatch, heartbeat). A fragment takes one connection: the coordinator
+// POSTs its spec to /fragment, and the response body is the fragment's
+// record stream in the wire format of internal/core — the worker's
+// core.SendWire drains the fragment into length-prefixed frames, and the
+// coordinator decodes them with core.ReadWireFrame. Keep-alive returns
+// the connection to the coordinator's pool once the stream has ended.
+// This is the repo's one shared-nothing exchange.
 //
 // A fragment ships by value: the coordinator sends the exchange node its
 // own build was offered — costed, with any partial aggregate or pushed
@@ -29,8 +32,8 @@ import "encoding/json"
 // worker's /fragment endpoint.
 type FragmentSpec struct {
 	// QueryID is the coordinator-side query identity; it joins the
-	// worker's logs and the data-plane hello with the coordinator's
-	// registry, traces and slow-query log.
+	// worker's logs with the coordinator's registry, traces and
+	// slow-query log.
 	QueryID string `json:"query_id"`
 	// Fragment is the exchange node of the cut, subtree included, as
 	// JSON (see plan.DecodeFragment).
@@ -40,13 +43,11 @@ type FragmentSpec struct {
 	// version differs rejects the dispatch.
 	CatalogVersion string `json:"catalog_version,omitempty"`
 	// Path is the cut's dotted child-index path in the coordinator's
-	// plan: the stream's identity in the data-plane hello and the route
-	// key. Producer selects which of the cut's producer subtrees to run.
+	// plan, which names the stream in the worker's logs. Producer
+	// selects which of the cut's producer subtrees to run.
 	Path     string `json:"path"`
 	Producer int    `json:"producer"`
-	// Attempt numbers the dispatch (1 = first); it travels in the
-	// data-plane hello so the coordinator can tell a replacement stream
-	// from a stale one.
+	// Attempt numbers the dispatch (1 = first).
 	Attempt int `json:"attempt"`
 	// Skip is the number of leading records the worker must produce and
 	// discard before streaming — the skip-replay resume point.
@@ -55,24 +56,6 @@ type FragmentSpec struct {
 	// 1..core.MaxBatchSize (1 is record-at-a-time), mirroring the
 	// coordinator's own build.
 	BatchSize int `json:"batch_size"`
-	// Endpoint is the coordinator's data-plane TCP address the worker
-	// must dial and stream frames to.
-	Endpoint string `json:"endpoint"`
-}
-
-// Hello is the JSON payload of the WireFlagHello frame that opens every
-// data-plane connection: it tells the coordinator which fragment stream
-// the connection carries.
-type Hello struct {
-	QueryID  string `json:"query_id"`
-	Path     string `json:"path"`
-	Producer int    `json:"producer"`
-	Attempt  int    `json:"attempt"`
-}
-
-func (h Hello) encode() []byte {
-	b, _ := json.Marshal(h)
-	return b
 }
 
 // RegisterRequest is what a worker POSTs to the coordinator's

@@ -1,10 +1,11 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +19,8 @@ import (
 // a plan's exchange cuts. The serving layer fills one per query and
 // installs Coordinator.Binder(req) as BuildOptions.Remote.
 type BindRequest struct {
-	// QueryID must be unique among in-flight queries: it keys the
-	// data-plane routing of fragment streams back to this query.
+	// QueryID names the query in every dispatch, for the workers' logs
+	// and metrics.
 	QueryID string
 	// CatalogVersion travels in every dispatch; workers on a different
 	// catalog epoch reject it.
@@ -84,7 +85,7 @@ func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
 // Summary accumulates one query's distributed-execution facts for its
 // trailer and EXPLAIN ANALYZE output. All methods are nil-safe.
 type Summary struct {
-	// WireRecv is fragment payload bytes received on the data plane.
+	// WireRecv is fragment payload bytes received from workers.
 	WireRecv atomic.Int64
 	// Retries counts fragment re-dispatches after worker loss.
 	Retries atomic.Int64
@@ -148,12 +149,13 @@ type fragState struct {
 var errCanceled = errors.New("dist: query canceled")
 
 // remoteSource is the receiving end of one exchange cut: a core.Iterator
-// standing where the exchange node stood, pulling record streams that
-// producer fragments on remote workers push over the data plane.
+// standing where the exchange node stood, pulling the record streams
+// that producer fragments on remote workers send back as the bodies of
+// their dispatch responses.
 //
 // One controller goroutine per producer owns that fragment's lifecycle —
-// dispatch, await the dialed-in connection, decode frames, and on worker
-// loss re-dispatch with Skip set to the records already delivered. The
+// dispatch, decode frames from the response, and on worker loss
+// re-dispatch with Skip set to the records already delivered. The
 // delivered count and the accepted-attempt number share one mutex, so a
 // retry's skip value is exact: once the controller bumps the attempt,
 // NextBatch drops any stale buffered records instead of counting them.
@@ -168,15 +170,19 @@ type remoteSource struct {
 	schema    *record.Schema
 	done      <-chan struct{}
 
-	w      *core.ResultWriter
-	items  chan srcItem
-	cancel chan struct{}
+	w     *core.ResultWriter
+	items chan srcItem
+	// ctx carries every dispatch of this source; Close cancels it, which
+	// cuts each live response stream.
+	ctx    context.Context
+	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	closed sync.Once
+	// wait is the time NextBatch spent blocked on the controllers: the
+	// consumer wait of this cut, as EXPLAIN ANALYZE reads it (Stats).
+	wait atomic.Int64
 
 	mu       sync.Mutex
 	frags    []*fragState
-	conns    map[net.Conn]struct{}
 	firstErr error
 
 	eosLeft  int
@@ -194,8 +200,7 @@ func (s *remoteSource) Open() error {
 	}
 	s.w = w
 	s.items = make(chan srcItem, 8)
-	s.cancel = make(chan struct{})
-	s.conns = map[net.Conn]struct{}{}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.eosLeft = s.producers
 	s.frags = make([]*fragState, s.producers)
 	for g := 0; g < s.producers; g++ {
@@ -271,11 +276,13 @@ func (s *remoteSource) NextBatch(b *core.Batch) error {
 			return s.firstErr
 		}
 		var item srcItem
+		t0 := time.Now()
 		select {
 		case item = <-s.items:
 		case <-s.done:
 			return errCanceled
 		}
+		s.wait.Add(int64(time.Since(t0)))
 		switch {
 		case item.err != nil:
 			s.mu.Lock()
@@ -296,18 +303,19 @@ func (s *remoteSource) NextBatch(b *core.Batch) error {
 	}
 }
 
+// Stats reports the cut's consumer wait; plan sums it into the exchange
+// node's counters.
+func (s *remoteSource) Stats() core.ExchangeStats {
+	return core.ExchangeStats{ConsumerWait: time.Duration(s.wait.Load())}
+}
+
 func (s *remoteSource) Close() error {
-	s.closed.Do(func() {
-		close(s.cancel)
-		// Sever live data-plane reads: a controller blocked in
-		// ReadWireFrame on a healthy-but-slow worker would otherwise
-		// hold up Close indefinitely.
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-	})
+	if s.cancel != nil {
+		// Cut live response streams: a controller blocked reading a
+		// healthy-but-slow worker would otherwise hold up Close
+		// indefinitely.
+		s.cancel()
+	}
 	s.wg.Wait()
 	if s.w != nil {
 		err := s.w.Dispose()
@@ -323,7 +331,7 @@ func (s *remoteSource) push(item srcItem) bool {
 	select {
 	case s.items <- item:
 		return true
-	case <-s.cancel:
+	case <-s.ctx.Done():
 		return false
 	case <-s.done:
 		return false
@@ -355,35 +363,12 @@ func (s *remoteSource) setState(g int, state string) {
 	s.mu.Unlock()
 }
 
-// trackConn registers a routed conn for Close to sever; if the source
-// is already closing, the conn is closed immediately.
-func (s *remoteSource) trackConn(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.isCanceled() {
-		_ = conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-}
-
-func (s *remoteSource) untrackConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
 func (s *remoteSource) isCanceled() bool {
-	select {
-	case <-s.cancel:
-		return true
-	default:
-	}
 	select {
 	case <-s.done:
 		return true
 	default:
-		return false
+		return s.ctx.Err() != nil
 	}
 }
 
@@ -400,8 +385,7 @@ func (s *remoteSource) runProducer(g int) {
 	defer s.wg.Done()
 	var lastWorker string
 	var lastErr error
-	max := s.c.cfg.MaxAttempts
-	for attempt := 1; attempt <= max; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if s.isCanceled() {
 			s.setState(g, "failed")
 			return
@@ -433,18 +417,15 @@ func (s *remoteSource) runProducer(g int) {
 		}
 		lastErr = err
 	}
-	s.fail(g, fmt.Errorf("dist: fragment %s producer %d: lost after %d attempts: %v", s.path, g, max, lastErr))
+	s.fail(g, fmt.Errorf("dist: fragment %s producer %d: lost after %d attempts: %v", s.path, g, maxAttempts, lastErr))
 }
 
 // runAttempt runs one dispatch attempt end to end. A nil error means the
 // fragment streamed to EOS. retryable marks transport-shaped failures
 // (worker loss) as eligible for another attempt.
 func (s *remoteSource) runAttempt(g, attempt int, skip int64, lastWorker *string) (err error, retryable bool) {
-	key := routeKey(s.req.QueryID, s.path, g, attempt)
-	ch := s.c.expectConn(key)
 	w := s.c.pickWorker(*lastWorker)
 	if w == nil {
-		s.c.forgetConn(key)
 		return fmt.Errorf("dist: fragment %s producer %d: no live workers", s.path, g), false
 	}
 	spec := FragmentSpec{
@@ -456,10 +437,12 @@ func (s *remoteSource) runAttempt(g, attempt int, skip int64, lastWorker *string
 		Attempt:        attempt,
 		Skip:           skip,
 		BatchSize:      s.req.BatchSize,
-		Endpoint:       s.c.cfg.AdvertiseAddr,
 	}
-	if derr := s.c.dispatch(w.addr, spec); derr != nil {
-		s.c.forgetConn(key)
+	body, derr := s.c.dispatch(s.ctx, w.addr, spec)
+	if derr != nil {
+		if s.isCanceled() {
+			return errCanceled, false
+		}
 		var rej *dispatchRejected
 		if errors.As(derr, &rej) {
 			return derr, false
@@ -467,32 +450,13 @@ func (s *remoteSource) runAttempt(g, attempt int, skip int64, lastWorker *string
 		s.c.markLost(w.addr)
 		return derr, true
 	}
+	defer body.Close()
 	*lastWorker = w.addr
 	s.setWorker(g, w.addr)
 
-	timer := time.NewTimer(s.c.cfg.ConnWait)
-	defer timer.Stop()
-	var rc *routedConn
-	select {
-	case rc = <-ch:
-	case <-timer.C:
-		s.c.forgetConn(key)
-		s.c.markLost(w.addr)
-		return fmt.Errorf("dist: fragment %s producer %d: worker %s accepted but never dialed in", s.path, g, w.addr), true
-	case <-s.cancel:
-		s.c.forgetConn(key)
-		return errCanceled, false
-	case <-s.done:
-		s.c.forgetConn(key)
-		return errCanceled, false
-	}
-	defer rc.conn.Close()
-	s.trackConn(rc.conn)
-	defer s.untrackConn(rc.conn)
-
 	var f core.WireFrame
 	for {
-		if rerr := core.ReadWireFrame(rc.br, &f, 0); rerr != nil {
+		if rerr := core.ReadWireFrame(body, &f, 0); rerr != nil {
 			if s.isCanceled() {
 				return errCanceled, false
 			}
@@ -527,6 +491,9 @@ func (s *remoteSource) runAttempt(g, attempt int, skip int64, lastWorker *string
 			}
 		}
 		if f.EOS() {
+			// Read the body to its end, so the connection goes back to
+			// the pool for the next dispatch.
+			_, _ = io.Copy(io.Discard, body)
 			if !s.push(srcItem{g: g, attempt: attempt, eos: true}) {
 				return errCanceled, false
 			}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,17 +30,14 @@ type WorkerConfig struct {
 	// Metrics, when non-nil, receives the worker's volcano_dist_*
 	// families.
 	Metrics *metrics.Registry
-	// DialTimeout bounds the data-plane dial back to the coordinator
-	// (default 5s).
-	DialTimeout time.Duration
 	// Log receives one line per fragment outcome (nil = log.Default).
 	Log *log.Logger
 }
 
 // Worker executes plan fragments on behalf of a coordinator. Mount
 // Handler on an HTTP listener and register the address with the
-// coordinator; dispatches arrive as POST /fragment and their record
-// streams leave over raw TCP toward the coordinator's data plane.
+// coordinator; dispatches arrive as POST /fragment and each one's record
+// stream leaves as the body of its response.
 type Worker struct {
 	cfg WorkerConfig
 	m   *workerMetrics
@@ -47,7 +45,7 @@ type Worker struct {
 
 	mu      sync.Mutex
 	stopped bool
-	conns   map[net.Conn]struct{}
+	streams map[*http.ResponseController]struct{}
 	wg      sync.WaitGroup
 }
 
@@ -56,17 +54,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Env == nil || cfg.Catalog == nil {
 		return nil, fmt.Errorf("dist: WorkerConfig.Env and Catalog are required")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
 	w := &Worker{
-		cfg:   cfg,
-		m:     newWorkerMetrics(cfg.Metrics),
-		mux:   http.NewServeMux(),
-		conns: map[net.Conn]struct{}{},
+		cfg:     cfg,
+		m:       newWorkerMetrics(cfg.Metrics),
+		mux:     http.NewServeMux(),
+		streams: map[*http.ResponseController]struct{}{},
 	}
 	w.mux.HandleFunc("/fragment", w.handleFragment)
 	w.mux.HandleFunc("/healthz", w.handleHealthz)
@@ -78,15 +73,31 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // GET /healthz, GET /metrics).
 func (w *Worker) Handler() http.Handler { return w.mux }
 
-// Stop makes the worker refuse new fragments, severs every active
-// data-plane connection mid-stream — exactly what a process kill does to
-// the coordinator, which is the point: tests exercise worker loss
-// through it — and waits for fragment goroutines to unwind.
+// CapSendBuffer is an http.Server.ConnContext that caps the kernel send
+// buffer of every connection the worker accepts at 64 KiB. Together
+// with the coordinator's capped receive buffer (dataRcvBuf) it bounds
+// how far a fragment stream can run ahead of the consuming query — the
+// wire path's transmit window, mirroring the in-process exchange's
+// bounded queue.
+func CapSendBuffer(ctx context.Context, c net.Conn) context.Context {
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(64 << 10)
+	}
+	return ctx
+}
+
+// Stop makes the worker refuse new fragments, cuts every live fragment
+// stream before its EOS — exactly what a process kill does to the
+// coordinator, which is the point: tests exercise worker loss through
+// it — and waits for the fragments to unwind.
 func (w *Worker) Stop() {
 	w.mu.Lock()
 	w.stopped = true
-	for c := range w.conns {
-		_ = c.Close()
+	for rc := range w.streams {
+		// A write deadline already reached fails the pending write and
+		// every later one, so the response never completes and net/http
+		// drops the connection.
+		_ = rc.SetWriteDeadline(time.Now())
 	}
 	w.mu.Unlock()
 	w.wg.Wait()
@@ -104,10 +115,10 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(rw, "ok")
 }
 
-// handleFragment validates a dispatch and runs it. The HTTP response
-// only acknowledges acceptance — the fragment's actual outcome travels
-// on the data plane (an EOS or error frame), where the coordinator is
-// already listening.
+// handleFragment validates a dispatch and runs it. A refusal is a 4xx
+// (503 while stopping); an accepted fragment answers 200 at once and
+// streams its frames as the response body, ending in an EOS or error
+// frame.
 func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rw.Header().Set("Allow", http.MethodPost)
@@ -122,9 +133,9 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
 		return
 	}
-	if spec.Endpoint == "" || spec.Producer < 0 {
+	if spec.Producer < 0 {
 		w.m.rejected.Inc()
-		http.Error(rw, "dist: fragment spec missing endpoint or producer", http.StatusBadRequest)
+		http.Error(rw, "dist: fragment spec has a negative producer", http.StatusBadRequest)
 		return
 	}
 	if err := core.CheckBatchSize(spec.BatchSize); err != nil {
@@ -139,14 +150,15 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Decode and check the fragment before accepting: a node no parser
-	// would have produced is the coordinator's bug and deserves a
-	// synchronous 400, not a dangling data-plane wait.
+	// would have produced is the coordinator's bug and deserves a 400,
+	// not a stream that fails.
 	x, err := plan.DecodeFragment(spec.Fragment)
 	if err != nil {
 		w.m.rejected.Inc()
 		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
 		return
 	}
+	rc := http.NewResponseController(rw)
 	w.mu.Lock()
 	if w.stopped {
 		w.mu.Unlock()
@@ -154,73 +166,50 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "dist: worker stopping", http.StatusServiceUnavailable)
 		return
 	}
+	w.streams[rc] = struct{}{}
 	w.wg.Add(1)
 	w.mu.Unlock()
-	go func() {
-		defer w.wg.Done()
-		w.runFragment(x, spec)
+	defer func() {
+		w.mu.Lock()
+		delete(w.streams, rc)
+		w.mu.Unlock()
+		w.wg.Done()
 	}()
-	rw.WriteHeader(http.StatusAccepted)
+	w.runFragment(r.Context(), rw, rc, x, spec)
 }
 
-// track registers a live data-plane connection for Stop to sever;
-// returns false when the worker is already stopping.
-func (w *Worker) track(c net.Conn) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.stopped {
-		return false
+// frameWriter hands each write of the sender's buffer — one or more
+// whole frames — to the connection at once.
+type frameWriter struct {
+	w  io.Writer
+	rc *http.ResponseController
+}
+
+func (f frameWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if err == nil {
+		err = f.rc.Flush()
 	}
-	w.conns[c] = struct{}{}
-	return true
+	return n, err
 }
 
-func (w *Worker) untrack(c net.Conn) {
-	w.mu.Lock()
-	delete(w.conns, c)
-	w.mu.Unlock()
-}
-
-// runFragment executes one dispatched fragment: dial the coordinator's
-// data plane, identify the stream with a hello frame, build the producer
-// subtree, and stream its records — skipping the first Skip on a
-// skip-replay resume. Build and execution errors travel back as an
-// error-EOS frame; transport errors just sever the stream (the
-// coordinator treats a missing EOS as worker loss).
-func (w *Worker) runFragment(x *plan.Node, spec FragmentSpec) {
+// runFragment answers 200, builds the producer subtree and streams its
+// records into the response — skipping the first Skip on a skip-replay
+// resume. Build and execution errors travel back as an error-EOS frame;
+// transport errors just cut the stream (the coordinator treats a
+// missing EOS as worker loss).
+func (w *Worker) runFragment(ctx context.Context, rw http.ResponseWriter, rc *http.ResponseController, x *plan.Node, spec FragmentSpec) {
 	w.m.active.Inc()
 	defer w.m.active.Dec()
-	conn, err := net.DialTimeout("tcp", spec.Endpoint, w.cfg.DialTimeout)
-	if err != nil {
-		w.m.failed.Inc()
-		w.cfg.Log.Printf("dist: worker: query %s fragment %s/%d attempt %d: dial %s: %v",
-			spec.QueryID, spec.Path, spec.Producer, spec.Attempt, spec.Endpoint, err)
-		return
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.WriteHeader(http.StatusOK)
+	s := core.NewWireSender(frameWriter{w: rw, rc: rc}, 0)
+	// The header goes out at once: the coordinator's wait for it is
+	// bounded, and a fragment may compute long before its first frame.
+	streamErr := rc.Flush()
+	if streamErr == nil {
+		streamErr = w.streamFragment(ctx, s, x, spec)
 	}
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// Cap the kernel send buffer: together with the coordinator's
-		// capped receive buffer this bounds how far a fragment stream can
-		// run ahead of the consuming query — the wire path's transmit
-		// window, mirroring the in-process exchange's bounded queue.
-		_ = tc.SetWriteBuffer(64 << 10)
-	}
-	if !w.track(conn) {
-		return
-	}
-	defer w.untrack(conn)
-
-	s := core.NewWireSender(conn, 0)
-	if err := s.Hello(Hello{
-		QueryID:  spec.QueryID,
-		Path:     spec.Path,
-		Producer: spec.Producer,
-		Attempt:  spec.Attempt,
-	}.encode()); err != nil {
-		w.m.failed.Inc()
-		return
-	}
-	streamErr := w.streamFragment(s, x, spec)
 	_, bytes := s.Stats()
 	w.m.wireSent.Add(bytes)
 	if streamErr != nil {
@@ -235,13 +224,15 @@ func (w *Worker) runFragment(x *plan.Node, spec FragmentSpec) {
 // streamFragment builds the producer subtree and drains it into the
 // sender. The returned error is what went wrong locally; whatever could
 // be reported to the coordinator already has been (as an error-EOS).
-func (w *Worker) streamFragment(s *core.WireSender, x *plan.Node, spec FragmentSpec) error {
+// ctx ends when the coordinator hangs up, which abandons any exchange
+// inside the fragment.
+func (w *Worker) streamFragment(ctx context.Context, s *core.WireSender, x *plan.Node, spec FragmentSpec) error {
 	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, x, spec.Producer,
-		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics})
+		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics, Done: ctx.Done()})
 	if err != nil {
 		err = fmt.Errorf("build: %w", err)
-		// Best effort: the coordinator would otherwise wait out its
-		// frame timeout.
+		// Best effort: the coordinator would otherwise read a cut
+		// stream and retry a fragment that cannot build anywhere.
 		_ = s.CloseEOS(err.Error())
 		return err
 	}

@@ -40,11 +40,13 @@ type Analysis struct {
 	// Resources() derives CPU time into it.
 	meter *core.ResourceMeter
 
-	// hubs collects the exchange hubs instantiated for each exchange node.
-	// Guarded by mu: exchange nodes nested under another exchange are built
-	// from producer goroutines at run time.
+	// hubs collects the receiving ends instantiated for each exchange
+	// node: local hubs, and the iterator a RemoteBinder bound in the
+	// node's place when it reports port counters. Guarded by mu: exchange
+	// nodes nested under another exchange are built from producer
+	// goroutines at run time.
 	mu   sync.Mutex
-	hubs map[*Node][]*core.Exchange
+	hubs map[*Node][]exchangeStatser
 
 	// fragments are live readers of remote-fragment state, registered by
 	// the distributed layer when a build binds exchange cuts to workers.
@@ -91,7 +93,7 @@ func buildObserved(env *core.Env, cat Catalog, n *Node, partition int, o BuildOp
 		root:    n,
 		stats:   map[*Node]*core.OpStats{},
 		hists:   map[*Node]*metrics.Histogram{},
-		hubs:    map[*Node][]*core.Exchange{},
+		hubs:    map[*Node][]exchangeStatser{},
 		pool:    env.Pool,
 		queryID: o.QueryID,
 		meter:   env.Meter(),
@@ -173,8 +175,13 @@ func (a *Analysis) Estimate(n *Node) (int64, bool) {
 	return e, ok
 }
 
-// addExchange registers a hub instantiated for an exchange node.
-func (a *Analysis) addExchange(n *Node, x *core.Exchange) {
+// exchangeStatser is a receiving end of an exchange node whose port
+// counters ExchangeStats sums: a *core.Exchange, or a bound remote cut.
+type exchangeStatser interface{ Stats() core.ExchangeStats }
+
+// addExchange registers a receiving end instantiated for an exchange
+// node.
+func (a *Analysis) addExchange(n *Node, x exchangeStatser) {
 	a.mu.Lock()
 	a.hubs[n] = append(a.hubs[n], x)
 	a.mu.Unlock()
@@ -201,8 +208,9 @@ func (a *Analysis) Fragments() []FragmentStat {
 	return out
 }
 
-// ExchangeStats sums the port counters of every hub instantiated for the
-// given exchange node (normally one; zero if the node never ran).
+// ExchangeStats sums the port counters of every receiving end
+// instantiated for the given exchange node (normally one; zero if the
+// node never ran). A remote cut reports only its consumer wait.
 func (a *Analysis) ExchangeStats(n *Node) core.ExchangeStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -239,9 +247,10 @@ func (a *Analysis) PoolStats() buffer.Stats {
 // demand-driven nesting stops: its producer subtrees run on their own
 // goroutines (their totals count independently as producer-side work),
 // and its own time minus the consumer-wait counter is what the consumer
-// endpoint actually computed. Negative exclusive times (timer skew on
-// sub-microsecond operators) clamp to zero. Safe mid-flight; all inputs
-// are atomics.
+// endpoint actually computed. A cut bound to remote workers has no local
+// producers; its wait is the time spent blocked on the wire. Negative
+// exclusive times (timer skew on sub-microsecond operators) clamp to
+// zero. Safe mid-flight; all inputs are atomics.
 func (a *Analysis) CPUNanos() int64 {
 	var total int64
 	var walk func(n *Node)

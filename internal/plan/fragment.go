@@ -147,7 +147,7 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o 
 // FragmentSchema determines the record schema crossing the cut x by
 // building a probe instance of producer 0's subtree — the same probe
 // buildExchange performs locally. The coordinator needs the schema
-// before any worker has dialed in.
+// before any fragment's stream arrives.
 func FragmentSchema(env *core.Env, cat Catalog, x *Node) (*record.Schema, error) {
 	probe, err := BuildFragmentProducer(env, cat, x, 0, BuildOptions{})
 	if err != nil {

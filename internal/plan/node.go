@@ -387,6 +387,11 @@ func build(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
+		if xs, ok := it.(exchangeStatser); bound && ok && ctx.analysis != nil {
+			// The consumer's wait on the wire is the cut's, as a local
+			// hub's is: CPUNanos subtracts it from the node's time.
+			ctx.analysis.addExchange(n, xs)
+		}
 	}
 	if !bound {
 		it, err = buildNode(ctx, n)

@@ -51,6 +51,5 @@ func (s *Server) handleDebugWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Workers []dist.WorkerInfo `json:"workers"`
 		Live    int               `json:"live"`
-		Data    string            `json:"data_addr"`
-	}{Workers: workers, Live: live, Data: s.cfg.Dist.DataAddr()})
+	}{Workers: workers, Live: live})
 }

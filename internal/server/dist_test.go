@@ -28,14 +28,10 @@ import (
 func newFleetCoordinator(t *testing.T, n int, catalogVersion string, mkWorld func(testing.TB) *world) *dist.Coordinator {
 	t.Helper()
 	quiet := log.New(io.Discard, "", 0)
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
+	coord := dist.NewCoordinator(dist.CoordinatorConfig{
 		HeartbeatEvery: 100 * time.Millisecond,
-		ConnWait:       5 * time.Second,
 		Log:            quiet,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(coord.Close)
 	for i := 0; i < n; i++ {
 		ww := mkWorld(t)
