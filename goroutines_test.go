@@ -25,7 +25,6 @@ var goAllowed = map[string]struct {
 	"cmd/volcano-worker/main.go run":                    {2, "serves the dispatch listener and runs the registration loop"},
 	"internal/core/exchange.go Exchange.ensureStarted":  {2, "the exchange forks its producers: the root of the spawn tree, or each producer of an inline group"},
 	"internal/core/exchange.go Exchange.spawnTree":      {1, "the exchange's spawn tree forks its second half"},
-	"internal/dist/source.go remoteSource.Open":         {1, "one controller per remote producer: the consumer half of an exchange whose producers run on workers"},
 	"internal/dist/coordinator.go NewCoordinator":       {1, "the worker heartbeat loop"},
 	"internal/metrics/http.go Serve":                    {1, "serves /metrics on its own listener"},
 	"internal/bench/ablations.go AblationPartitioning":  {1, "harness: one drain goroutine per exchange consumer"},

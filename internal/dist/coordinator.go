@@ -106,7 +106,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 }
 
 // Close stops the heartbeat loop and closes idle dispatch connections.
-// In-flight queries keep their streams until their sources close.
+// In-flight queries keep their streams until their fragments close.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {

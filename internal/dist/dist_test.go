@@ -2,10 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -84,8 +87,10 @@ type fleet struct {
 	workers map[string]*Worker // dispatch addr -> worker
 
 	// delay, when set, holds every /fragment request that many
-	// nanoseconds before the worker sees it.
+	// nanoseconds, or until its context ends, before the worker sees it.
 	delay atomic.Int64
+	// conns counts the connections the workers have accepted.
+	conns atomic.Int64
 
 	mu         sync.Mutex
 	dispatches []dispatched // every fragment spec a worker was posted
@@ -104,7 +109,8 @@ type dispatched struct {
 func (f *fleet) recording(addr *string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/fragment" {
-			time.Sleep(time.Duration(f.delay.Load()))
+			// Read the body first: only then does net/http watch the
+			// connection, and end the request's context when it drops.
 			body, _ := io.ReadAll(r.Body)
 			var spec FragmentSpec
 			if json.Unmarshal(body, &spec) == nil {
@@ -113,6 +119,13 @@ func (f *fleet) recording(addr *string, h http.Handler) http.Handler {
 				f.mu.Unlock()
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
+			stall := time.NewTimer(time.Duration(f.delay.Load()))
+			defer stall.Stop()
+			select {
+			case <-stall.C:
+			case <-r.Context().Done():
+				return
+			}
 		}
 		h.ServeHTTP(rw, r)
 	})
@@ -140,6 +153,11 @@ func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *Work
 		var addr string
 		srv := httptest.NewUnstartedServer(f.recording(&addr, w.Handler()))
 		srv.Config.ConnContext = CapSendBuffer
+		srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				f.conns.Add(1)
+			}
+		}
 		srv.Start()
 		t.Cleanup(srv.Close)
 		t.Cleanup(w.Stop)
@@ -176,7 +194,6 @@ func bindBatch(t testing.TB, c *Coordinator, db *distDB, queryID, script string,
 		Remote: c.Binder(BindRequest{
 			QueryID:   queryID,
 			Env:       db.env,
-			Cat:       db.cat,
 			Summary:   sum,
 			BatchSize: batch,
 		}),
@@ -428,21 +445,33 @@ func testWorkerLossRetry(t *testing.T, batch int) {
 	}
 }
 
-// groupWatch stands between the remote source of a cut and its
-// consumer: it counts every record the consumer receives by its first
-// field, and runs onFirst once the first one has arrived.
+// groupWatch counts every record the producers of a cut hand its hub,
+// by first field, and runs onFirst once the first one has arrived. Each
+// producer's iterator is wrapped on its own goroutine, so the shared
+// state is under a mutex.
 type groupWatch struct {
-	core.Iterator
+	mu      sync.Mutex
 	seen    map[int64]int
 	onFirst func()
 }
 
-func (g *groupWatch) NextBatch(b *core.Batch) error {
-	if err := g.Iterator.NextBatch(b); err != nil {
+// wrap returns producer it, watched.
+func (g *groupWatch) wrap(it core.Iterator) core.Iterator { return &watched{Iterator: it, g: g} }
+
+type watched struct {
+	core.Iterator
+	g *groupWatch
+}
+
+func (w *watched) NextBatch(b *core.Batch) error {
+	if err := w.Iterator.NextBatch(b); err != nil {
 		return err
 	}
+	g := w.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, r := range b.Recs() {
-		vals, err := g.Schema().Decode(r.Data)
+		vals, err := w.Schema().Decode(r.Data)
 		if err != nil {
 			return err
 		}
@@ -493,16 +522,21 @@ func testWorkerLossAggRetry(t *testing.T) {
 			}
 		}
 	}
-	binder := f.c.Binder(BindRequest{QueryID: "q-agg-loss", Env: db.env, Cat: db.cat, Summary: sum, BatchSize: batch})
+	binder := f.c.Binder(BindRequest{QueryID: "q-agg-loss", Env: db.env, Summary: sum, BatchSize: batch})
 	it, _, err := plan.BuildWith(db.env, db.cat, costed, plan.BuildOptions{
 		BatchSize: batch,
-		Remote: func(path string, n *plan.Node) (core.Iterator, bool, error) {
-			src, ok, err := binder(path, n)
-			if !ok || err != nil {
-				return src, ok, err
+		Remote: func(path string, n *plan.Node, schema *record.Schema) (func(int) (core.Iterator, error), func(), error) {
+			producer, stop, err := binder(path, n, schema)
+			if producer == nil || err != nil {
+				return producer, stop, err
 			}
-			watch.Iterator = src
-			return watch, true, nil
+			return func(g int) (core.Iterator, error) {
+				it, err := producer(g)
+				if err != nil {
+					return nil, err
+				}
+				return watch.wrap(it), nil
+			}, stop, nil
 		},
 	})
 	if err != nil {
@@ -637,29 +671,110 @@ func TestDistEarlyCloseReleasesFleet(t *testing.T) {
 
 // TestDistDispatchReusesConnections runs the same query five times in a
 // row. Each fragment's stream is its dispatch response, and reading it
-// to the end returns the connection to the coordinator's pool, so the
-// five queries use no more connections than one query runs fragments
-// at once.
+// to the end returns the connection to the coordinator's pool, so once a
+// first query has filled the pool the next four open no connection at
+// all. The first query's dispatches are held until all of them are in
+// flight, so it opens as many connections to each worker as a query can
+// use at once; net/http pools a dial that lost its request to an
+// earlier connection only when the dial completes, so the count is
+// taken once the pool has settled.
 func TestDistDispatchReusesConnections(t *testing.T) {
 	const rows = 2000
 	f := newFleet(t, rows, 8, 2, nil)
 	db := newDistDB(t, rows, 8)
-	for q := 0; q < 5; q++ {
+	run := func(q int) {
 		it, _ := bind(t, f.c, db, fmt.Sprintf("q-reuse-%d", q), distScript)
 		got, err := core.Collect(it, 0)
 		if err != nil || len(got) != rows {
 			t.Fatalf("query %d: %d rows, %v", q, len(got), err)
 		}
 	}
+	f.delay.Store(int64(100 * time.Millisecond))
+	run(0)
+	f.delay.Store(0)
+	time.Sleep(300 * time.Millisecond) // past the first heartbeats and any late dial
+	before := f.conns.Load()
+	for q := 1; q < 5; q++ {
+		run(q)
+	}
+	if n := f.conns.Load() - before; n != 0 {
+		t.Fatalf("four queries after a warm-up opened %d new connections, want 0", n)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	conns := map[string]bool{}
-	for _, d := range f.dispatches {
-		conns[d.addr+" "+d.remote] = true
+	if len(f.dispatches) != 20 {
+		t.Fatalf("%d dispatches arrived, want 20", len(f.dispatches))
 	}
-	if len(f.dispatches) != 20 || len(conns) > 4 {
-		t.Fatalf("%d dispatches arrived on %d connections, want 20 on at most 4", len(f.dispatches), len(conns))
+}
+
+// TestDistCloseCutsStalledFragment stalls every dispatch on the worker
+// for 5 s, under the coordinator's wait for a response header. Neither
+// way a query can end early may wait that out: closing it stops its
+// cuts, and canceling its context fails it with core.ErrCanceled, each
+// within a second, and nothing outlives it — no goroutine, no pinned
+// frame.
+func TestDistCloseCutsStalledFragment(t *testing.T) {
+	const rows = 400
+	f := newFleet(t, rows, 8, 1, nil)
+	f.delay.Store(int64(5 * time.Second))
+	db := newDistDB(t, rows, 8)
+	tpl, err := plan.Compile(distScript)
+	if err != nil {
+		t.Fatal(err)
 	}
+	time.Sleep(300 * time.Millisecond) // past the first heartbeats
+	baseline := runtime.NumGoroutine()
+	build := func(ctx context.Context, queryID string) core.Iterator {
+		it, _, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
+			Remote: f.c.Binder(BindRequest{QueryID: queryID, Env: db.env, Ctx: ctx}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		return it
+	}
+	settled := func(what string) {
+		t.Helper()
+		if pinned := db.pool.PinnedFrames(); pinned != 0 {
+			t.Fatalf("%s: %d frames still pinned", what, pinned)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	it := build(context.Background(), "q-stall-close")
+	time.Sleep(50 * time.Millisecond) // the dispatches are out
+	start := time.Now()
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close waited %v on stalled fragments", d)
+	}
+	settled("close")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	it = build(ctx, "q-stall-cancel")
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start = time.Now()
+	b := core.NewBatch(0)
+	err = it.NextBatch(b)
+	if d := time.Since(start); !errors.Is(err, core.ErrCanceled) || d > time.Second {
+		t.Fatalf("NextBatch of a canceled query returned %d records, %v, after %v; want core.ErrCanceled within 1s", b.Len(), err, d)
+	}
+	if err := it.Close(); err != nil && !errors.Is(err, core.ErrCanceled) {
+		t.Fatal(err)
+	}
+	settled("cancel")
 }
 
 // TestDistWireWaitIsNotCPU delays every dispatch on the workers. The
@@ -676,7 +791,7 @@ func TestDistWireWaitIsNotCPU(t *testing.T) {
 	}
 	it, an, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
 		Analyze: true,
-		Remote:  f.c.Binder(BindRequest{QueryID: "q-wait", Env: db.env, Cat: db.cat}),
+		Remote:  f.c.Binder(BindRequest{QueryID: "q-wait", Env: db.env}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -732,7 +847,6 @@ func TestDistCatalogVersionMismatch(t *testing.T) {
 			QueryID:        "q-epoch",
 			CatalogVersion: "epoch-1",
 			Env:            db.env,
-			Cat:            db.cat,
 			Summary:        sum,
 		}),
 	})
@@ -838,16 +952,17 @@ func TestWorkerRefusesBadFragment(t *testing.T) {
 		}
 		return data
 	}
-	spec := func(fragment json.RawMessage) []byte {
+	specAt := func(fragment json.RawMessage, producer int, skip int64) []byte {
 		body, err := json.Marshal(FragmentSpec{
-			QueryID: "q-bad-fragment", Fragment: fragment, Producer: 0, Attempt: 1,
-			BatchSize: 1,
+			QueryID: "q-bad-fragment", Fragment: fragment, Producer: producer, Attempt: 1,
+			Skip: skip, BatchSize: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return body
 	}
+	spec := func(fragment json.RawMessage) []byte { return specAt(fragment, 0, 0) }
 	for _, tc := range []struct {
 		name string
 		body []byte
@@ -867,6 +982,9 @@ func TestWorkerRefusesBadFragment(t *testing.T) {
 		})), "filter with 0 inputs"},
 		{"missing node", spec(edit(func(x *plan.Node) { x.Inputs = []*plan.Node{nil} })), "missing node"},
 		{"no fragment", spec(nil), "not an exchange"},
+		{"producer beyond the cut's producers", specAt(fragmentOf(t, distScript), 4, 0), "producer 4 of 4"},
+		{"negative producer", specAt(fragmentOf(t, distScript), -1, 0), "producer -1 of 4"},
+		{"negative skip", specAt(fragmentOf(t, distScript), 0, -1), "negative skip"},
 		{"unknown node field", spec(json.RawMessage(strings.Replace(string(fragmentOf(t, distScript)), "{", `{"Bogus":1,`, 1))), `unknown field "Bogus"`},
 		{"unknown spec field", []byte(`{"query_id":"q","plan":"pscan nums 4 | exchange producers=4","producer":0,"attempt":1,"batch_size":1}`), `unknown field "plan"`},
 	} {

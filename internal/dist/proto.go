@@ -18,7 +18,7 @@
 // built; it neither parses nor costs.
 //
 // Worker loss is survived by skip-replay: the coordinator counts the
-// records each fragment delivered into the consuming operator and
+// records each fragment has handed the cut's exchange hub and
 // re-dispatches a dead fragment with that count as Skip; the replacement
 // worker re-executes the (deterministic) fragment and discards the
 // first Skip records before streaming. Fragments whose subtree contains

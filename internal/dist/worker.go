@@ -133,9 +133,9 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
 		return
 	}
-	if spec.Producer < 0 {
+	if spec.Skip < 0 {
 		w.m.rejected.Inc()
-		http.Error(rw, "dist: fragment spec has a negative producer", http.StatusBadRequest)
+		http.Error(rw, "dist: fragment spec has a negative skip", http.StatusBadRequest)
 		return
 	}
 	if err := core.CheckBatchSize(spec.BatchSize); err != nil {
@@ -156,6 +156,11 @@ func (w *Worker) handleFragment(rw http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		w.m.rejected.Inc()
 		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: %v", err), http.StatusBadRequest)
+		return
+	}
+	if spec.Producer < 0 || spec.Producer >= x.X.Producers {
+		w.m.rejected.Inc()
+		http.Error(rw, fmt.Sprintf("dist: bad fragment spec: producer %d of %d", spec.Producer, x.X.Producers), http.StatusBadRequest)
 		return
 	}
 	rc := http.NewResponseController(rw)

@@ -40,19 +40,16 @@ type Analysis struct {
 	// Resources() derives CPU time into it.
 	meter *core.ResourceMeter
 
-	// hubs collects the receiving ends instantiated for each exchange
-	// node: local hubs, and the iterator a RemoteBinder bound in the
-	// node's place when it reports port counters. Guarded by mu: exchange
-	// nodes nested under another exchange are built from producer
-	// goroutines at run time.
+	// hubs collects the hubs instantiated for each exchange node, bound
+	// cuts included. Guarded by mu: exchange nodes nested under another
+	// exchange are built from producer goroutines at run time.
 	mu   sync.Mutex
-	hubs map[*Node][]exchangeStatser
+	hubs map[*Node][]*core.Exchange
 
-	// fragments are live readers of remote-fragment state, registered by
-	// the distributed layer when a build binds exchange cuts to workers.
-	// Each closure snapshots one fragment's current counters, so String()
-	// renders a consistent mid-flight view like every other number here.
-	fragments []func() FragmentStat
+	// fragments, when set, snapshots the remote fragments of the run's
+	// bound cuts (SetFragments). It is read at render time, so String()
+	// lists fragments that started after the build.
+	fragments func() []FragmentStat
 
 	// est holds the cost pass's per-node cardinality estimates
 	// (BuildOptions.Estimates); nil when the plan was not costed. The
@@ -93,7 +90,7 @@ func buildObserved(env *core.Env, cat Catalog, n *Node, partition int, o BuildOp
 		root:    n,
 		stats:   map[*Node]*core.OpStats{},
 		hists:   map[*Node]*metrics.Histogram{},
-		hubs:    map[*Node][]exchangeStatser{},
+		hubs:    map[*Node][]*core.Exchange{},
 		pool:    env.Pool,
 		queryID: o.QueryID,
 		meter:   env.Meter(),
@@ -175,42 +172,19 @@ func (a *Analysis) Estimate(n *Node) (int64, bool) {
 	return e, ok
 }
 
-// exchangeStatser is a receiving end of an exchange node whose port
-// counters ExchangeStats sums: a *core.Exchange, or a bound remote cut.
-type exchangeStatser interface{ Stats() core.ExchangeStats }
-
-// addExchange registers a receiving end instantiated for an exchange
-// node.
-func (a *Analysis) addExchange(n *Node, x exchangeStatser) {
+// addExchange registers a hub instantiated for an exchange node.
+func (a *Analysis) addExchange(n *Node, x *core.Exchange) {
 	a.mu.Lock()
 	a.hubs[n] = append(a.hubs[n], x)
 	a.mu.Unlock()
 }
 
-// AddFragment registers a live reader for one remote fragment's state.
-// The distributed layer calls this once per dispatched producer
-// fragment; safe concurrently with rendering.
-func (a *Analysis) AddFragment(fn func() FragmentStat) {
-	a.mu.Lock()
-	a.fragments = append(a.fragments, fn)
-	a.mu.Unlock()
-}
+// SetFragments installs the provider String() lists remote fragments
+// from. Call it before the run starts.
+func (a *Analysis) SetFragments(fn func() []FragmentStat) { a.fragments = fn }
 
-// Fragments snapshots every registered remote fragment.
-func (a *Analysis) Fragments() []FragmentStat {
-	a.mu.Lock()
-	fns := append([]func() FragmentStat(nil), a.fragments...)
-	a.mu.Unlock()
-	out := make([]FragmentStat, len(fns))
-	for i, fn := range fns {
-		out[i] = fn()
-	}
-	return out
-}
-
-// ExchangeStats sums the port counters of every receiving end
-// instantiated for the given exchange node (normally one; zero if the
-// node never ran). A remote cut reports only its consumer wait.
+// ExchangeStats sums the port counters of every hub instantiated for the
+// given exchange node (normally one; zero if the node never ran).
 func (a *Analysis) ExchangeStats(n *Node) core.ExchangeStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -247,8 +221,8 @@ func (a *Analysis) PoolStats() buffer.Stats {
 // demand-driven nesting stops: its producer subtrees run on their own
 // goroutines (their totals count independently as producer-side work),
 // and its own time minus the consumer-wait counter is what the consumer
-// endpoint actually computed. A cut bound to remote workers has no local
-// producers; its wait is the time spent blocked on the wire. Negative
+// endpoint actually computed. A cut bound to remote workers has no
+// instrumented producers: its producers only receive the wire. Negative
 // exclusive times (timer skew on sub-microsecond operators) clamp to
 // zero. Safe mid-flight; all inputs are atomics.
 func (a *Analysis) CPUNanos() int64 {
@@ -301,9 +275,11 @@ func (a *Analysis) String() string {
 		fmt.Fprintf(&sb, "query %s\n", a.queryID)
 	}
 	a.render(&sb, a.root, 0)
-	for _, f := range a.Fragments() {
-		fmt.Fprintf(&sb, "fragment path=%q producer=%d worker=%s attempts=%d records=%d wire=%dB state=%s\n",
-			f.Path, f.Producer, f.Worker, f.Attempts, f.Records, f.WireBytes, f.State)
+	if a.fragments != nil {
+		for _, f := range a.fragments() {
+			fmt.Fprintf(&sb, "fragment path=%q producer=%d worker=%s attempts=%d records=%d wire=%dB state=%s\n",
+				f.Path, f.Producer, f.Worker, f.Attempts, f.Records, f.WireBytes, f.State)
+		}
 	}
 	if a.pool != nil {
 		st := a.PoolStats()

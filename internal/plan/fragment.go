@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/record"
 )
 
 // Fragment decomposition: the coordinator pass that splits a plan at
@@ -16,8 +15,9 @@ import (
 // The exchange operator is the only place a Volcano plan crosses a
 // process boundary, so it is the only place a plan can be cut: the
 // producer subtree below a distributable exchange becomes a fragment a
-// remote worker can execute, and the exchange node itself becomes the
-// receiving end of a real wire on the coordinator. A fragment ships by
+// remote worker can execute, and the exchange hub stays on the
+// coordinator with each producer receiving one fragment's stream over a
+// real wire. A fragment ships by
 // value: the coordinator sends the exchange node of the plan it built —
 // costed, rewrites and all — as JSON (a Node is plain exported data),
 // and the worker decodes it (DecodeFragment) and builds just the
@@ -142,16 +142,4 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o 
 		done:      o.Done,
 		queryID:   o.QueryID,
 	}, x.Inputs[0])
-}
-
-// FragmentSchema determines the record schema crossing the cut x by
-// building a probe instance of producer 0's subtree — the same probe
-// buildExchange performs locally. The coordinator needs the schema
-// before any fragment's stream arrives.
-func FragmentSchema(env *core.Env, cat Catalog, x *Node) (*record.Schema, error) {
-	probe, err := BuildFragmentProducer(env, cat, x, 0, BuildOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return probe.Schema(), nil
 }

@@ -137,47 +137,10 @@ func TestNodeAtPath(t *testing.T) {
 	}
 }
 
-// concatIter drains its inputs in order — the minimal stand-in for a
-// remote fragment feed.
-type concatIter struct {
-	its []core.Iterator
-	cur int
-}
-
-func (a *concatIter) Schema() *record.Schema { return a.its[0].Schema() }
-
-func (a *concatIter) Open() error {
-	for _, it := range a.its {
-		if err := it.Open(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *concatIter) NextBatch(b *core.Batch) error {
-	for a.cur < len(a.its) {
-		if err := a.its[a.cur].NextBatch(b); err != nil || b.Len() > 0 {
-			return err
-		}
-		a.cur++
-	}
-	return nil
-}
-
-func (a *concatIter) Close() error {
-	var first error
-	for _, it := range a.its {
-		if err := it.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // TestRemoteBinderSubstitutes proves the build offers exactly the
-// distributable cuts to the binder and splices the returned iterator in
-// place of the exchange subtree.
+// distributable cuts to the binder, with the probe's schema, runs the
+// cut's hub over the producers the binder returns, and stops the cut
+// when its consumer closes.
 func TestRemoteBinderSubstitutes(t *testing.T) {
 	db := newTestDB(t)
 	db.loadPartitioned(t, "nums", 200, 4)
@@ -192,21 +155,20 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bind the cut to a "remote" that is secretly a local fragment build
-	// of every producer chained through a union-style feed — the binder
-	// contract, minus the network.
+	// Bind the cut to a "remote" whose producers are secretly local
+	// fragment builds — the binder contract, minus the network.
 	var offered []string
-	binder := func(path string, x *Node) (core.Iterator, bool, error) {
+	stops := 0
+	binder := func(path string, x *Node, schema *record.Schema) (func(int) (core.Iterator, error), func(), error) {
 		offered = append(offered, path)
-		its := make([]core.Iterator, 0, x.X.Producers)
-		for g := 0; g < x.X.Producers; g++ {
+		producer := func(g int) (core.Iterator, error) {
 			it, err := BuildFragmentProducer(db.env, db.cat, x, g, BuildOptions{})
-			if err != nil {
-				return nil, false, err
+			if err == nil && !it.Schema().Equal(schema) {
+				err = fmt.Errorf("producer %d schema %s, offered %s", g, it.Schema(), schema)
 			}
-			its = append(its, it)
+			return it, err
 		}
-		return &concatIter{its: its}, true, nil
+		return producer, func() { stops++ }, nil
 	}
 	it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Remote: binder})
 	if err != nil {
@@ -218,6 +180,9 @@ func TestRemoteBinderSubstitutes(t *testing.T) {
 	}
 	if len(offered) != 1 || offered[0] != "0.0" {
 		t.Fatalf("binder offered paths %v, want [0.0]", offered)
+	}
+	if stops != 1 {
+		t.Fatalf("closing the cut's consumer called stop %d times, want 1", stops)
 	}
 	got, want := renderSorted(rows), renderSorted(wantRows)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -249,16 +214,16 @@ func TestFragmentJSONRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(x, c.Node) {
 				t.Fatalf("%s cut %q: decoded node differs\nshipped:\n%s\ndecoded:\n%s", tc.name, c.Path, Explain(c.Node), Explain(x))
 			}
-			want, err := FragmentSchema(db.env, db.cat, c.Node)
+			want, err := BuildFragmentProducer(db.env, db.cat, c.Node, 0, BuildOptions{})
 			if err != nil {
 				t.Fatalf("%s cut %q: %v", tc.name, c.Path, err)
 			}
-			got, err := FragmentSchema(db.env, db.cat, x)
+			got, err := BuildFragmentProducer(db.env, db.cat, x, 0, BuildOptions{})
 			if err != nil {
 				t.Fatalf("%s cut %q: decoded: %v", tc.name, c.Path, err)
 			}
-			if !got.Equal(want) {
-				t.Errorf("%s cut %q: decoded schema %s, shipped %s", tc.name, c.Path, got, want)
+			if !got.Schema().Equal(want.Schema()) {
+				t.Errorf("%s cut %q: decoded schema %s, shipped %s", tc.name, c.Path, got.Schema(), want.Schema())
 			}
 			shipped++
 		}

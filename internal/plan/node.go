@@ -326,20 +326,20 @@ type BuildOptions struct {
 	Estimates map[*Node]int64
 	// Remote, when non-nil, is offered every distributable exchange node
 	// (see Distributable) the build reaches on the coordinator-visible
-	// spine of the plan — never inside a producer subtree. Returning
-	// ok=true substitutes the returned iterator for the whole exchange
-	// subtree: its producers execute elsewhere (a volcano-worker fleet)
-	// and the iterator is the receiving end of the wire. Returning
-	// ok=false builds the node locally as usual. Instrumentation and
-	// tracing wrap the substituted iterator the same way they wrap a
-	// local exchange.
+	// spine of the plan — never inside a producer subtree.
 	Remote RemoteBinder
 }
 
-// RemoteBinder intercepts distributable exchange nodes during a build.
-// path, the node's dotted child-index path from the root ("0.1": the
-// root's first input's second input), names the cut within one query.
-type RemoteBinder func(path string, n *Node) (core.Iterator, bool, error)
+// RemoteBinder is offered a distributable exchange node during a build,
+// with the schema the exchange's probe found. path, the node's dotted
+// child-index path from the root ("0.1": the root's first input's second
+// input), names the cut within one query. A non-nil producer binds the
+// cut: the exchange hub stays in the plan, but producer g is
+// producer(g), the receiving end of a subtree that runs elsewhere (a
+// volcano-worker fleet), and closing the exchange's consumer calls stop
+// first, so no producer keeps the close handshake waiting on the wire.
+// A nil producer declines, and the node builds locally as usual.
+type RemoteBinder func(path string, n *Node, schema *record.Schema) (producer func(g int) (core.Iterator, error), stop func(), err error)
 
 // BuildWith instantiates the plan with the given options. The *Analysis
 // is non-nil iff o.Analyze or o.Metrics is set.
@@ -376,28 +376,9 @@ func queryEnv(env *core.Env, o BuildOptions) *core.Env {
 
 // build instantiates one node, adding instrumentation when requested.
 func build(ctx *buildCtx, n *Node) (core.Iterator, error) {
-	var it core.Iterator
-	var err error
-	bound := false
-	if ctx.remote != nil && n.Kind == KindExchange && Distributable(n) {
-		// Offer the cut to the coordinator: a bound exchange's producers
-		// run on remote workers and it is replaced, whole subtree and
-		// all, by the receiving end of the wire.
-		it, bound, err = ctx.remote(ctx.path, n)
-		if err != nil {
-			return nil, err
-		}
-		if xs, ok := it.(exchangeStatser); bound && ok && ctx.analysis != nil {
-			// The consumer's wait on the wire is the cut's, as a local
-			// hub's is: CPUNanos subtracts it from the node's time.
-			ctx.analysis.addExchange(n, xs)
-		}
-	}
-	if !bound {
-		it, err = buildNode(ctx, n)
-		if err != nil {
-			return it, err
-		}
+	it, err := buildNode(ctx, n)
+	if err != nil {
+		return it, err
 	}
 	if ctx.analysis != nil {
 		st := ctx.analysis.stats[n]
@@ -747,6 +728,19 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 			return build(&buildCtx{env: ctx.env, cat: ctx.cat, partition: g, analysis: ctx.analysis, tracer: ctx.tracer, done: ctx.done, queryID: ctx.queryID}, n.Inputs[0])
 		},
 	}
+	var stop func()
+	if ctx.remote != nil && Distributable(n) {
+		remote, s, err := ctx.remote(ctx.path, n, schema)
+		if err != nil {
+			return nil, err
+		}
+		if remote != nil {
+			// A bound cut keeps its hub: each producer receives one remote
+			// fragment's stream, and the semaphore, always on, bounds how
+			// far the fleet reads ahead of the consumer.
+			cfg.NewProducer, cfg.FlowControl, stop = remote, true, s
+		}
+	}
 	if cfg.Consumers == 0 {
 		cfg.Consumers = 1
 	}
@@ -766,6 +760,9 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	}
 	x, err := core.NewExchange(cfg)
 	if err != nil {
+		if stop != nil {
+			stop()
+		}
 		return nil, err
 	}
 	if ctx.analysis != nil {
@@ -784,7 +781,23 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	if cfg.Consumers != 1 {
 		return nil, fmt.Errorf("plan: non-root exchange with %d consumers must be embedded by a parent exchange", cfg.Consumers)
 	}
+	if stop != nil {
+		return stopFirst{x.Consumer(0), stop}, nil
+	}
 	return x.Consumer(0), nil
+}
+
+// stopFirst is a bound cut's consumer: its Close stops the remote
+// fragments before the exchange's close handshake waits for them, so a
+// producer blocked on a slow or silent worker cannot hold it up.
+type stopFirst struct {
+	core.Iterator
+	stop func()
+}
+
+func (s stopFirst) Close() error {
+	s.stop()
+	return s.Iterator.Close()
 }
 
 // meteredFile returns a handle on f attributing its buffer-pool activity

@@ -106,6 +106,9 @@ func TestDistAggregateSplitsAtCut(t *testing.T) {
 		if shipped > empParts*empDepts {
 			t.Errorf("batch %s: fragments shipped %d records, want at most %d partial groups", batch, shipped, empParts*empDepts)
 		}
+		if n := strings.Count(fleet.trailer.Analyze, "fragment path="); n != empParts {
+			t.Errorf("batch %s: EXPLAIN ANALYZE lists %d fragments, want %d:\n%s", batch, n, empParts, fleet.trailer.Analyze)
+		}
 	}
 
 	// The node the coordinator ships is the one a worker builds: decoded
@@ -119,7 +122,7 @@ func TestDistAggregateSplitsAtCut(t *testing.T) {
 	if !plan.Distributable(x) || x.Inputs[0].Kind != plan.KindAggregate {
 		t.Fatalf("costed plan has no distributable cut over a partial aggregate:\n%s", plan.Explain(x))
 	}
-	want, err := plan.FragmentSchema(fleetWorld.env, fleetWorld.cat, x)
+	want, err := plan.BuildFragmentProducer(fleetWorld.env, fleetWorld.cat, x, 0, plan.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +135,12 @@ func TestDistAggregateSplitsAtCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	ww := newWorld(t)
-	got, err := plan.FragmentSchema(ww.env, ww.cat, shipped)
+	got, err := plan.BuildFragmentProducer(ww.env, ww.cat, shipped, 0, plan.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
-		t.Errorf("worker builds schema %s from the shipped node, coordinator probed %s", got, want)
+	if !got.Schema().Equal(want.Schema()) {
+		t.Errorf("worker builds schema %s from the shipped node, coordinator probed %s", got.Schema(), want.Schema())
 	}
 }
 

@@ -422,10 +422,9 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 			CatalogVersion: s.cfg.CatalogVersion,
 			BatchSize:      batch,
 			Env:            s.cfg.Env,
-			Cat:            s.cfg.Catalog,
 			Meter:          &rec.meter,
 			Summary:        distSum,
-			Done:           ctx.Done(),
+			Ctx:            ctx,
 		})
 	}
 	it, an, err := tpl.Build(s.cfg.Env, s.cfg.Catalog, opts)
@@ -435,9 +434,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		s.finishQuery(rec, "error", err.Error())
 		return
 	}
-	for _, fn := range distSum.StatFuncs() {
-		an.AddFragment(fn)
-	}
+	an.SetFragments(distSum.Fragments)
 	rec.analysis.Store(an)
 	// drainBatches releases each batch before its next pull (ArenaOutput).
 	core.UseArena(it)
