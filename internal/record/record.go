@@ -316,7 +316,7 @@ func (s *Schema) Get(data []byte, i int) (Value, error) {
 		}
 		return Bool(data[off] != 0), nil
 	default:
-		start, end, err := s.varBounds(data, i)
+		start, end, err := s.VarBounds(data, i)
 		if err != nil {
 			return Value{}, err
 		}
@@ -368,14 +368,16 @@ func (s *Schema) GetBytes(data []byte, i int) []byte {
 	if s.fields[i].Type.Fixed() {
 		panic(fmt.Sprintf("record: GetBytes on %s field %q", s.fields[i].Type, s.fields[i].Name))
 	}
-	start, end, err := s.varBounds(data, i)
+	start, end, err := s.VarBounds(data, i)
 	if err != nil {
 		panic(err)
 	}
 	return data[start:end:end]
 }
 
-func (s *Schema) varBounds(data []byte, i int) (start, end int, err error) {
+// VarBounds returns the bounds [start, end) of variable-length field i in
+// a record image, or the truncated-record or corrupt-bounds error of Get.
+func (s *Schema) VarBounds(data []byte, i int) (start, end int, err error) {
 	off := s.offsets[i]
 	if off+4 > len(data) {
 		return 0, 0, errTruncated(s, i, data)

@@ -9,10 +9,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/record"
 	"repro/internal/storage/btree"
 )
 
@@ -96,25 +98,106 @@ func (p *flushProbe) Flush() {
 }
 
 // TestFirstRowFlushedFirst pins the stream's flush cadence at the served
-// batch size and record-at-a-time: the first flush carries exactly one row, then one flush
-// follows every FlushEvery rows, and the last carries the trailer.
+// batch size and record-at-a-time over scan pairs, about 35 KiB of rows:
+// the first flush carries exactly one row, then one follows each time the
+// buffered rows reach streamFlushBytes, the served batch size's short last
+// pull flushes its rows, and the last flush carries the trailer. A run
+// slower than streamHold may add flushes by time, so the cadence is read
+// from the first run that finished within it.
 func TestFirstRowFlushedFirst(t *testing.T) {
 	srv, _, _, _ := newTestServer(t, nil)
 	for _, batch := range []string{"", "1"} {
-		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader("scan emp"))
-		if batch != "" {
-			req.Header.Set("X-Volcano-Batch", batch)
+		var p *flushProbe
+		for attempt := 0; ; attempt++ {
+			req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader("scan pairs"))
+			if batch != "" {
+				req.Header.Set("X-Volcano-Batch", batch)
+			}
+			p = &flushProbe{ResponseRecorder: httptest.NewRecorder()}
+			start := time.Now()
+			srv.Handler().ServeHTTP(p, req)
+			if time.Since(start) < streamHold {
+				break
+			}
+			if attempt == 20 {
+				t.Fatalf("X-Volcano-Batch %q: no run of 21 finished within %v", batch, streamHold)
+			}
 		}
-		p := &flushProbe{ResponseRecorder: httptest.NewRecorder()}
-		srv.Handler().ServeHTTP(p, req)
-		want := []int{1}
-		for n := srv.cfg.FlushEvery; n <= empRows; n += srv.cfg.FlushEvery {
-			want = append(want, n)
+		lines := strings.SplitAfter(p.Body.String(), "\n")
+		if len(lines) != pairRows+2 { // the rows, the trailer, and "" after its newline
+			t.Fatalf("X-Volcano-Batch %q: %d lines, want %d rows and a trailer", batch, len(lines)-1, pairRows)
 		}
-		want = append(want, empRows+1)
+		want, held := []int{1}, 0
+		for i := 2; i <= pairRows; i++ {
+			if held += len(lines[i-1]); held >= streamFlushBytes {
+				want, held = append(want, i), 0
+			}
+		}
+		if len(want) == 1 {
+			t.Fatalf("X-Volcano-Batch %q: %d bytes of rows, no flush by bytes", batch, p.Body.Len())
+		}
+		if batch == "" && held > 0 {
+			want = append(want, pairRows)
+		}
+		want = append(want, pairRows+1)
 		if fmt.Sprint(p.rowsAtFlush) != fmt.Sprint(want) {
 			t.Errorf("X-Volcano-Batch %q: rows at each flush %v, want %v", batch, p.rowsAtFlush, want)
 		}
+	}
+}
+
+// slowSource returns full batches of one record, sleeping past streamHold
+// before each pull returns, and notes for every pull how many rows had been
+// delivered and how many the probe had flushed by then.
+type slowSource struct {
+	rec                core.Rec
+	pulls              int
+	probe              *flushProbe
+	delivered, flushed []int
+}
+
+func (s *slowSource) Schema() *record.Schema { return rowSchema }
+func (s *slowSource) Open() error            { return nil }
+func (s *slowSource) Close() error           { return nil }
+func (s *slowSource) NextBatch(b *core.Batch) error {
+	b.Reset()
+	if len(s.flushed) == s.pulls {
+		return nil
+	}
+	time.Sleep(2 * streamHold)
+	n, f := 0, 0
+	if k := len(s.delivered); k > 0 {
+		n = s.delivered[k-1]
+	}
+	if k := len(s.probe.rowsAtFlush); k > 0 {
+		f = s.probe.rowsAtFlush[k-1]
+	}
+	s.flushed = append(s.flushed, f)
+	for !b.Full() {
+		b.Append(s.rec)
+	}
+	s.delivered = append(s.delivered, n+b.Len())
+	return nil
+}
+
+// TestSlowProducerRowsNotHeld drains a producer that delivers full batches
+// slower than streamHold: far below streamFlushBytes, every pull's rows
+// must still be flushed before the next pull returns.
+func TestSlowProducerRowsNotHeld(t *testing.T) {
+	p := &flushProbe{ResponseRecorder: httptest.NewRecorder()}
+	src := &slowSource{rec: core.Rec{Data: rowSchema.MustEncode(rowSeeds[0]...)}, pulls: 6, probe: p}
+	st := newRowStream(p, &queryRecord{}, rowSchema, 0)
+	if err := drainBatches(context.Background(), src, 20, st.row, st.pulled); err != nil {
+		t.Fatal(err)
+	}
+	st.end(trailer{Status: "ok", Rows: st.rows})
+	for i := 1; i < src.pulls; i++ {
+		if src.flushed[i] != src.delivered[i-1] {
+			t.Errorf("pull %d returned with %d rows flushed of the %d delivered before it", i, src.flushed[i], src.delivered[i-1])
+		}
+	}
+	if last := p.rowsAtFlush[len(p.rowsAtFlush)-1]; last != int(st.rows)+1 {
+		t.Errorf("last flush held %d lines, want %d rows and the trailer", last, st.rows)
 	}
 }
 
@@ -170,7 +253,7 @@ func TestPointDrainAllocatesNoFullBatch(t *testing.T) {
 			if err := it.Open(); err != nil {
 				t.Fatal(err)
 			}
-			if err := drainBatches(context.Background(), it, size, count); err != nil {
+			if err := drainBatches(context.Background(), it, size, count, func(bool) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if err := it.Close(); err != nil {

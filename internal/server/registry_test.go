@@ -64,9 +64,7 @@ func opRows(s *queryStatus, prefix string) int64 {
 // appears under its client-chosen ID with row progress both client-side
 // (rows) and operator-side (nonzero pscan rows under the exchange).
 func TestDebugQueriesLiveScrape(t *testing.T) {
-	_, _, ts, _ := newTestServer(t, func(c *Config) {
-		c.FlushEvery = 8
-	})
+	_, _, ts, _ := newTestServer(t, nil)
 
 	// emp rows with dept < pairKeys fan out 500× through the hash join:
 	// ~75k result rows, produced by 4 exchange producers that keep

@@ -74,9 +74,6 @@ type Config struct {
 	// Costing is on by default; plans that spell out their knobs are
 	// left alone either way.
 	DisableCosting bool
-	// FlushEvery flushes the response stream every N rows (default 64).
-	// The first row is always flushed on its own.
-	FlushEvery int
 	// BatchSize is the batch size every query executes under: plans are
 	// built with plan.BuildOptions.BatchSize and the result stream drains
 	// the root through NextBatch (default core.DefaultBatchSize, the
@@ -132,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 128
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 64
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = core.DefaultBatchSize
@@ -451,52 +445,13 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	rec.state.Store(stateStreaming)
 	streamStart := time.Now()
 
-	rw := newRowWriter(it.Schema())
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
-	// Arm the per-write stall deadline and push it forward before every
-	// flush: a client that stops reading stalls the next write until the
-	// deadline severs the connection, which cancels the request context
-	// and tears the iterator tree down through the exchange handshake.
-	// Best-effort — ResponseRecorder and other wrappers that cannot set
-	// deadlines just leave the stream unbounded, as before.
-	rc := http.NewResponseController(w)
-	bumpDeadline := func() {
-		if s.cfg.WriteStallTimeout > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteStallTimeout))
-		}
-	}
-	bumpDeadline()
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	var rows int64
-	var streamErr error
-	emit := func(r core.Rec) error {
-		line, err := rw.row(r.Data)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		rows++
-		// The per-record bookkeeping budget: one atomic add for the live
-		// registry and two for the resource meter, zero allocations
-		// (TestRegistryHotPathZeroAlloc, TestMeterHotPathZeroAlloc).
-		rec.addRows(1)
-		rec.meter.StreamRow(len(line))
-		// The first row leaves at once, whatever the protocol; after it,
-		// one flush every FlushEvery rows.
-		if flusher != nil && (rows == 1 || rows%int64(s.cfg.FlushEvery) == 0) {
-			bumpDeadline()
-			flusher.Flush()
-		}
-		return nil
-	}
-	streamErr = drainBatches(ctx, it, batch, emit)
+	st := newRowStream(w, rec, it.Schema(), s.cfg.WriteStallTimeout)
+	streamErr := drainBatches(ctx, it, batch, st.row, st.pulled)
 	closeErr := it.Close()
-	s.m.rowsOut.Add(rows)
+	s.m.rowsOut.Add(st.rows)
 	rec.streamNs.Store(int64(time.Since(streamStart)))
 	s.m.phaseStream.Observe(time.Since(streamStart))
 
@@ -504,7 +459,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	// query_id anyway, but cancellation and failure messages travel on to
 	// logs and client-side error reports, where the ID is the join key
 	// back to traces and the slow-query log.
-	t := trailer{Status: "ok", Rows: rows, QueryID: rec.id}
+	t := trailer{Status: "ok", Rows: st.rows, QueryID: rec.id}
 	switch {
 	case ctx.Err() != nil:
 		// Client disconnect or deadline: the exchange teardown already ran
@@ -547,22 +502,19 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 			entry.feedback(costed, an, s.m)
 		}
 	}
-	bumpDeadline()
-	_, _ = w.Write(t.render())
-	if flusher != nil {
-		flusher.Flush()
-	}
+	st.end(t)
 
 	s.finishQuery(rec, t.Status, t.Error)
 }
 
 // drainBatches streams it into emit through NextBatch refills until the
-// stream ends, a pull or emit fails, or ctx is done. The first pulls go
-// through a one-slot batch, so the first row reaches emit after one record
-// and a one-row answer allocates no batch storage beyond that slot; once
-// the stream is past its first row, each pull fills a batch of size. The
-// pins of a batch are released in one coalesced pass.
-func drainBatches(ctx context.Context, it core.Iterator, size int, emit func(core.Rec) error) error {
+// stream ends, a pull or emit fails, or ctx is done, and after each pull
+// tells pulled whether it came back short of its target. The first pulls
+// go through a one-slot batch, so the first row reaches emit after one
+// record and a one-row answer allocates no batch storage beyond that slot;
+// once the stream is past its first row, each pull fills a batch of size.
+// The pins of a batch are released in one coalesced pass.
+func drainBatches(ctx context.Context, it core.Iterator, size int, emit func(core.Rec) error, pulled func(short bool) error) error {
 	b := core.NewBatch(1)
 	rows := 0
 	for ctx.Err() == nil {
@@ -579,7 +531,11 @@ func drainBatches(ctx context.Context, it core.Iterator, size int, emit func(cor
 			}
 		}
 		rows += b.Len()
+		short := b.Len() < b.Target()
 		b.Release()
+		if err := pulled(short); err != nil {
+			return err
+		}
 		if rows > 1 && b.Target() < size {
 			b = core.NewBatch(size)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -14,68 +15,168 @@ import (
 	"repro/internal/record"
 )
 
-// rowWriter renders result rows as NDJSON objects keyed by the schema's
-// field names, straight from the encoded record: no value slice, and
-// strings escaped by appendJSONString without leaving the row buffer. The
-// keys are JSON-marshaled once per query, and each row is appended into
-// one reused buffer, so the per-row cost is the value rendering alone.
+// rowWriter renders result rows as NDJSON objects straight from the
+// encoded record. newRowWriter compiles the schema into one appender per
+// field, which writes the field's `"name":` key, marshaled once, and its
+// value read at the schema's offset, with no record.Value in between.
 type rowWriter struct {
 	schema *record.Schema
-	keys   [][]byte // `"name":` fragments, one per field
-	buf    []byte
+	fields []func(b, data []byte) ([]byte, error)
+	fixed  int // bytes of the fixed area the int, float and bool appenders read
 }
 
 func newRowWriter(s *record.Schema) *rowWriter {
-	w := &rowWriter{schema: s, keys: make([][]byte, s.NumFields())}
-	for i := range w.keys {
-		name, _ := json.Marshal(s.Field(i).Name)
-		w.keys[i] = append(name, ':')
+	w := &rowWriter{schema: s, fields: make([]func(b, data []byte) ([]byte, error), s.NumFields())}
+	for i := range w.fields {
+		key, _ := json.Marshal(s.Field(i).Name)
+		if i > 0 {
+			key = append([]byte{','}, key...)
+		}
+		w.fields[i] = w.compileField(i, append(key, ':'))
 	}
 	return w
 }
 
-// row renders one encoded record as a single JSON line (newline
-// included). The returned slice is valid until the next call.
-func (w *rowWriter) row(data []byte) ([]byte, error) {
-	b := append(w.buf[:0], '{')
-	for i, key := range w.keys {
-		v, err := w.schema.Get(data, i)
-		if err != nil {
-			return nil, err
+// compileField returns the appender of field i. Floats JSON cannot carry
+// (NaN, ±Inf) render as null; bytes are base64, as encoding/json does.
+func (w *rowWriter) compileField(i int, key []byte) func(b, data []byte) ([]byte, error) {
+	s, off, typ := w.schema, w.schema.Offset(i), w.schema.Field(i).Type
+	switch typ {
+	case record.TInt:
+		w.fixed = max(w.fixed, off+8)
+		return func(b, data []byte) ([]byte, error) {
+			return strconv.AppendInt(append(b, key...), record.IntAt(data, off), 10), nil
 		}
-		if i > 0 {
-			b = append(b, ',')
+	case record.TFloat:
+		w.fixed = max(w.fixed, off+8)
+		return func(b, data []byte) ([]byte, error) {
+			b = append(b, key...)
+			if f := record.FloatAt(data, off); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return strconv.AppendFloat(b, f, 'g', -1, 64), nil
+			}
+			return append(b, "null"...), nil
 		}
-		b = append(b, key...)
-		b = appendValue(b, v)
+	case record.TBool:
+		w.fixed = max(w.fixed, off+1)
+		return func(b, data []byte) ([]byte, error) {
+			return strconv.AppendBool(append(b, key...), data[off] != 0), nil
+		}
 	}
-	b = append(b, '}', '\n')
-	w.buf = b
-	return b, nil
+	return func(b, data []byte) ([]byte, error) {
+		start, end, err := s.VarBounds(data, i)
+		if err != nil {
+			return b, err
+		}
+		if b = append(b, key...); typ == record.TString {
+			return appendJSONString(b, data[start:end]), nil
+		}
+		return append(base64.StdEncoding.AppendEncode(append(b, '"'), data[start:end]), '"'), nil
+	}
 }
 
-// appendValue renders a record value as JSON. Floats that JSON cannot
-// represent (NaN, ±Inf) become null rather than poisoning the stream;
-// bytes are base64, matching encoding/json's []byte convention.
-func appendValue(b []byte, v record.Value) []byte {
-	switch v.Kind {
-	case record.TInt:
-		return strconv.AppendInt(b, v.I, 10)
-	case record.TFloat:
-		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
-			return append(b, "null"...)
+// row appends one encoded record to dst as a JSON line. On error dst comes
+// back as it was, and the error is the one Schema.Get gives for the first
+// field it cannot read.
+func (w *rowWriter) row(dst, data []byte) ([]byte, error) {
+	if len(data) < w.fixed {
+		for i := range w.fields {
+			if _, err := w.schema.Get(data, i); err != nil {
+				return dst, err
+			}
 		}
-		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
-	case record.TBool:
-		return strconv.AppendBool(b, v.B)
-	case record.TString:
-		return appendJSONString(b, v.S)
-	case record.TBytes:
-		b = append(b, '"')
-		b = base64.StdEncoding.AppendEncode(b, v.S)
-		return append(b, '"')
-	default:
-		return append(b, "null"...)
+	}
+	b := append(dst, '{')
+	for _, f := range w.fields {
+		var err error
+		if b, err = f(b, data); err != nil {
+			return dst, err
+		}
+	}
+	return append(b, '}', '\n'), nil
+}
+
+// The result stream writes in buffers, not rows: one Write and Flush on
+// the first row, once the buffer holds streamFlushBytes, after a pull that
+// came back short of its target, after a pull when the last write is more
+// than streamHold old (a slow producer), and at the end with the trailer.
+const (
+	streamFlushBytes = 32 << 10
+	streamHold       = 10 * time.Millisecond
+)
+
+var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// rowStream is one query's result stream: its rows rendered into a pooled
+// buffer, and its per-row bookkeeping.
+type rowStream struct {
+	w     http.ResponseWriter
+	rc    *http.ResponseController
+	stall time.Duration // the write-stall deadline set before each write
+	rec   *queryRecord
+	rw    *rowWriter
+	pbuf  *[]byte
+	buf   []byte
+	rows  int64
+	wrote time.Time // when the last write went out
+}
+
+func newRowStream(w http.ResponseWriter, rec *queryRecord, s *record.Schema, stall time.Duration) *rowStream {
+	pbuf := streamBufs.Get().(*[]byte)
+	return &rowStream{w: w, rc: http.NewResponseController(w), stall: stall, rec: rec, rw: newRowWriter(s), pbuf: pbuf, buf: (*pbuf)[:0]}
+}
+
+// row renders one record into the buffer, writing the buffer on the first
+// row and once it holds streamFlushBytes.
+func (st *rowStream) row(r core.Rec) error {
+	n := len(st.buf)
+	b, err := st.rw.row(st.buf, r.Data)
+	if err != nil {
+		return err
+	}
+	st.buf, st.rows = b, st.rows+1
+	// The per-record bookkeeping budget: one atomic add for the live
+	// registry and two for the resource meter, zero allocations
+	// (TestRegistryHotPathZeroAlloc, TestMeterHotPathZeroAlloc).
+	st.rec.addRows(1)
+	st.rec.meter.StreamRow(len(b) - n)
+	if st.rows == 1 || len(b) >= streamFlushBytes {
+		return st.write()
+	}
+	return nil
+}
+
+// pulled ends one pull of the drain, writing the buffer if the pull came
+// back short of its target or the last write is more than streamHold old.
+func (st *rowStream) pulled(short bool) error {
+	if len(st.buf) > 0 && (short || time.Since(st.wrote) > streamHold) {
+		return st.write()
+	}
+	return nil
+}
+
+// write hands the buffer to the client after pushing the write-stall
+// deadline forward: a client that stops reading stalls the write until the
+// deadline severs the connection, which cancels the query's context.
+func (st *rowStream) write() error {
+	if st.stall > 0 {
+		_ = st.rc.SetWriteDeadline(time.Now().Add(st.stall))
+	}
+	_, err := st.w.Write(st.buf)
+	if f, ok := st.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	st.buf, st.wrote = st.buf[:0], time.Now()
+	return err
+}
+
+// end writes the rows still buffered and the trailer, and pools the buffer
+// unless one huge row grew it far past streamFlushBytes.
+func (st *rowStream) end(t trailer) {
+	st.buf = append(st.buf, t.render()...)
+	_ = st.write()
+	if cap(st.buf) <= 4*streamFlushBytes {
+		*st.pbuf = st.buf
+		streamBufs.Put(st.pbuf)
 	}
 }
 
