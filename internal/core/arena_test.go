@@ -46,6 +46,9 @@ func TestArenaLifetimes(t *testing.T) {
 		{"join|agg", true, func(t *testing.T, env *testEnv, tb arenaTables, wrap func(Iterator) Iterator) Iterator {
 			return hashAgg(t, env, wrap(hashJoin(t, env, tb)), record.Key{5}, sumBy)
 		}},
+		{"join|project", true, func(t *testing.T, env *testEnv, tb arenaTables, wrap func(Iterator) Iterator) Iterator {
+			return project(t, env, wrap(hashJoin(t, env, tb)), "id", "b * 2", "name", "salary * 1.1")
+		}},
 		{"fullouter|agg", true, func(t *testing.T, env *testEnv, tb arenaTables, wrap func(Iterator) Iterator) Iterator {
 			// Keys 5 and 6 of wide have no emp: the right-only records
 			// are padded and delivered after the probe phase.

@@ -136,29 +136,18 @@ func (f *Filter) Close() error {
 type Project struct {
 	env     *Env
 	input   Iterator
-	proj    expr.Projector
+	proj    *expr.Projector
 	schema  *record.Schema
 	w       *ResultWriter
 	inArena bool
-	vals    []record.Value // the row being computed, reused across records
-	src     *Cursor        // the input, read at the Env's batch size
-}
-
-// NewProject builds a projection from expressions with optional output
-// names.
-func NewProject(env *Env, input Iterator, exprs []expr.Expr, names []string, mode expr.Mode) (*Project, error) {
-	proj, out, err := expr.NewProjector(exprs, names, input.Schema(), mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Project{
-		env: env, input: input, proj: proj, schema: out,
-		vals: make([]record.Value, out.NumFields()),
-	}, nil
+	inb     *Batch   // the input batch, pulled at the output batch's target
+	vars    [][]byte // the var-length payloads of the record being projected
 }
 
 // NewProjectExprs parses the given expression sources and builds a
-// projection.
+// projection with optional output names. It opts its input into an
+// arena: every input batch is released inside the NextBatch call that
+// pulled it.
 func NewProjectExprs(env *Env, input Iterator, srcs []string, names []string, mode expr.Mode) (*Project, error) {
 	exprs := make([]expr.Expr, len(srcs))
 	for i, s := range srcs {
@@ -168,7 +157,12 @@ func NewProjectExprs(env *Env, input Iterator, srcs []string, names []string, mo
 		}
 		exprs[i] = e
 	}
-	return NewProject(env, input, exprs, names, mode)
+	proj, out, err := expr.NewProjector(exprs, names, input.Schema(), mode)
+	if err != nil {
+		return nil, err
+	}
+	UseArena(input)
+	return &Project{env: env, input: input, proj: proj, schema: out, inb: NewBatch(env.BatchSize())}, nil
 }
 
 // Schema implements Iterator.
@@ -194,12 +188,12 @@ func (p *Project) Open() error {
 		return err
 	}
 	p.w = w
-	p.src = NewCursor(p.input, p.env.BatchSize())
 	return nil
 }
 
-// NextBatch implements Iterator: the projection materialises one output
-// record per input record. An arena is freed whole: the caller has
+// NextBatch implements Iterator: it pulls one input batch at b's target,
+// sizes, reserves and writes each output record in place, and releases
+// the inputs with one UnfixBatch. An arena is freed whole: the caller has
 // released every record delivered before.
 func (p *Project) NextBatch(b *Batch) error {
 	if p.w == nil {
@@ -208,23 +202,34 @@ func (p *Project) NextBatch(b *Batch) error {
 	if p.inArena {
 		p.w.arena.recycle(0)
 	}
-	return fill(b, p.next)
-}
-
-// next computes the output record of the next input record in place in
-// the virtual file and releases the input, whose bytes the computed
-// values may alias until then.
-func (p *Project) next() (Rec, bool, error) {
-	r, ok, err := p.src.Pull()
-	if err != nil || !ok {
-		return Rec{}, false, err
+	b.Reset()
+	if p.inb.Target() != b.Target() {
+		p.inb = NewBatch(b.Target())
 	}
-	defer r.Unfix()
-	if err := p.proj(r.Data, p.vals); err != nil {
-		return Rec{}, false, err
+	if err := p.input.NextBatch(p.inb); err != nil {
+		return err
 	}
-	out, err := p.w.Write(p.vals)
-	return out, err == nil, err
+	in := p.inb.Recs()
+	for _, r := range in {
+		n, vars, err := p.proj.Size(r.Data, p.vars[:0])
+		p.vars = vars
+		var out Rec
+		if err == nil {
+			out, err = p.w.Reserve(n)
+		}
+		if err == nil {
+			b.Append(out) // released with b if the write fails
+			err = p.proj.Write(r.Data, out.Data, vars)
+		}
+		if err != nil {
+			p.inb.Release()
+			b.Release()
+			return err
+		}
+	}
+	file.UnfixBatch(in)
+	p.inb.Reset()
+	return nil
 }
 
 // Close implements Iterator.
@@ -232,7 +237,6 @@ func (p *Project) Close() error {
 	if p.w == nil {
 		return errState("project", "close before open")
 	}
-	p.src.Release()
 	err := p.input.Close()
 	if derr := p.w.Dispose(); err == nil {
 		err = derr

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/expr"
@@ -77,37 +78,105 @@ func TestProjectZeroAlloc(t *testing.T) {
 	}
 }
 
+// testProjectZeroAlloc reads project's allocations per 83-record batch:
+// with its input from memory, only the pool's new pages allocate, fewer
+// than one per batch.
 func testProjectZeroAlloc(t *testing.T, arena bool) {
 	env := newTestEnv(t, 256)
-	const rows = 3000
-	scan, err := NewFileScan(env.makeEmp(t, "emp", rows, 8), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewProjectExprs(env.Env, scan, []string{"id", "dept", "salary * 1.1", "name"}, nil, expr.Compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arena && !UseArena(p) {
-		t.Fatal("project refused the arena")
-	}
+	const batches = 40
+	p := empProject(t, env, batches, arena)
 	if err := p.Open(); err != nil {
 		t.Fatal(err)
 	}
-	cur := NewCursor(p, 1)
-	n := testing.AllocsPerRun(rows-100, func() {
-		out, ok, err := cur.Pull()
-		if err != nil || !ok {
-			t.Fatalf("next: ok=%v err=%v", ok, err)
+	b := NewBatch(DefaultBatchSize)
+	n := testing.AllocsPerRun(batches-1, func() {
+		if err := p.NextBatch(b); err != nil || !b.Full() {
+			t.Fatalf("next batch: %d records, err=%v", b.Len(), err)
 		}
-		out.Unfix()
+		b.Release()
 	})
-	cur.Release()
 	if n != 0 {
-		t.Fatalf("project allocates %.0f times per record, want 0", n)
+		t.Fatalf("project allocates %.0f times per %d-record batch, want 0", n, DefaultBatchSize)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// empSource hands out batches of the same frameless emp records, n
+// batches per Open, with zero allocations, so project's guard and
+// benchmark measure the projection and its store, not a scan.
+type empSource struct {
+	recs    []Rec
+	n, left int
+}
+
+func (s *empSource) Schema() *record.Schema { return empSchema }
+func (s *empSource) Open() error            { s.left = s.n; return nil }
+func (s *empSource) Close() error           { return nil }
+func (s *empSource) NextBatch(b *Batch) error {
+	b.Reset()
+	if s.left > 0 {
+		s.left--
+		for _, r := range s.recs[:b.Target()] {
+			b.Append(r)
+		}
+	}
+	return nil
+}
+
+// empProject builds scan_stream's projection (id, dept, salary * 1.1,
+// name) over batches batches of 83 emp records, writing into the pool
+// through a temp file or into an arena.
+func empProject(tb testing.TB, env *testEnv, batches int, arena bool) *Project {
+	tb.Helper()
+	recs := make([]Rec, DefaultBatchSize)
+	for i := range recs {
+		recs[i] = Rec{Data: empSchema.MustEncode(record.Int(int64(i)), record.Int(int64(i%8)),
+			record.Float(1000+float64(i*97%8000)), record.Str(fmt.Sprintf("emp-%d", i)))}
+	}
+	p, err := NewProjectExprs(env.Env, &empSource{recs: recs, n: batches},
+		[]string{"id", "dept", "salary * 1.1", "name"}, nil, expr.Compiled)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if arena && !UseArena(p) {
+		tb.Fatal("project refused the arena")
+	}
+	return p
+}
+
+// BenchmarkProject is the projection layer alone, on both stores, over
+// queries of 100 batches of 83 records:
+//
+//	go test -run '^$' -bench Project ./internal/core
+func BenchmarkProject(b *testing.B) {
+	const batches = 100
+	for _, arena := range []bool{false, true} {
+		b.Run(map[bool]string{false: "pool", true: "arena"}[arena], func(b *testing.B) {
+			p := empProject(b, newTestEnv(b, 256), batches, arena)
+			out := NewBatch(DefaultBatchSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Open(); err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if err := p.NextBatch(out); err != nil {
+						b.Fatal(err)
+					}
+					if out.Len() == 0 {
+						break
+					}
+					out.Release()
+				}
+				if err := p.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches*DefaultBatchSize), "ns/rec")
+		})
 	}
 }
 

@@ -99,6 +99,65 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// Project pulls its input at the target of the batch it fills, not at
+// the Env's batch size, so no call delivers more than its caller asked
+// for, whatever the caller's batch size and however it changes.
+func TestProjectHonorsBatchTarget(t *testing.T) {
+	env := newTestEnv(t, 64)
+	p, err := NewProjectExprs(env.Env, scanOf(t, env.makeEmp(t, "emp", 100, 4)), []string{"id"}, nil, expr.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Open(); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for i := 0; ; i++ {
+		b := NewBatch([]int{7, 1, 30}[i%3])
+		if err := p.NextBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if b.Len() == 0 {
+			break
+		}
+		if b.Len() > b.Target() {
+			t.Fatalf("call %d: %d records for a target of %d", i, b.Len(), b.Target())
+		}
+		got += b.Len()
+		b.Release()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 100 {
+		t.Fatalf("%d records, want 100", got)
+	}
+}
+
+// A column that fails mid-batch fails the query, and the outputs already
+// written, the slot reserved for the failing one and the inputs are all
+// released, in either store.
+func TestProjectErrorReleases(t *testing.T) {
+	for _, arena := range []bool{false, true} {
+		env := newTestEnv(t, 64)
+		p, err := NewProjectExprs(env.Env, scanOf(t, env.makeEmp(t, "emp", 10, 2)),
+			[]string{"name", "100 / (id - 5)"}, nil, expr.Compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arena {
+			UseArena(p)
+		}
+		if rows, err := Collect(p, 0); err == nil || err.Error() != "expr: integer division by zero in (100 / (id - 5))" {
+			t.Fatalf("arena %v: %d rows, error %v", arena, len(rows), err)
+		}
+		env.checkNoPinLeak(t)
+		if n := len(env.Temp.List()); n != 0 {
+			t.Fatalf("arena %v: %d temp files left", arena, n)
+		}
+	}
+}
+
 func TestIndexScan(t *testing.T) {
 	env := newTestEnv(t, 128)
 	f := env.makeEmp(t, "emp", 200, 4)

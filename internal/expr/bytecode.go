@@ -50,7 +50,6 @@ type instr struct {
 type Program struct {
 	code     []instr
 	consts   []record.Value
-	typ      record.Type
 	str      string
 	maxDepth int
 }
@@ -80,17 +79,13 @@ func max(a, b int) int {
 	return b
 }
 
-// Type returns the result type of the program.
-func (p *Program) Type() record.Type { return p.typ }
-
 // CompileProgram type-checks e against the schema and translates it to
 // bytecode.
 func CompileProgram(e Expr, s *record.Schema) (*Program, error) {
-	typ, err := e.TypeCheck(s)
-	if err != nil {
+	if _, err := e.TypeCheck(s); err != nil {
 		return nil, err
 	}
-	p := &Program{typ: typ, str: e.String(), maxDepth: astDepth(e)}
+	p := &Program{str: e.String(), maxDepth: astDepth(e)}
 	if err := p.emit(e, s); err != nil {
 		return nil, err
 	}

@@ -10,9 +10,9 @@ import (
 // The compiled form of a support function — the analog of the paper's
 // "predicate evaluation function available in machine code" — is a tree
 // of typed closures, one per AST node, of the Go type TypeCheck inferred
-// for the node: bool, int64, float64 or []byte. No value is boxed below
-// the top of the tree, and a numeric operator is chosen when the tree is
-// built, not per record; a numeric field is read at its fixed offset.
+// for the node: bool, int64, float64 or []byte. No value is boxed, and
+// a numeric operator is chosen when the tree is built, not per record; a
+// numeric field is read at its fixed offset.
 // Only integer / and % can fail: they panic with a zeroDivide, which the
 // top of a tree holding one recovers into the VM's error. (An error slot
 // passed down the calls would escape to the heap: one allocation per
@@ -30,36 +30,6 @@ type closures struct {
 	s       *record.Schema
 	canFail bool  // the tree holds an integer / or %
 	err     error // the first node that cannot be compiled
-}
-
-// CompileClosure type-checks e against the schema and builds its compiled
-// form, boxed into a record.Value once, at the top.
-func CompileClosure(e Expr, s *record.Schema) (func([]byte) (record.Value, error), record.Type, error) {
-	typ, err := e.TypeCheck(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	if i, ok := field(e); ok {
-		return func(d []byte) (record.Value, error) { return s.Get(d, i) }, typ, nil
-	}
-	c := &closures{s: s}
-	var box func([]byte) record.Value
-	switch typ {
-	case record.TBool:
-		f := c.bools(e)
-		box = func(d []byte) record.Value { return record.Bool(f(d)) }
-	case record.TInt:
-		f := num[int64](c, e)
-		box = func(d []byte) record.Value { return record.Int(f(d)) }
-	case record.TFloat:
-		f := num[float64](c, e)
-		box = func(d []byte) record.Value { return record.Float(f(d)) }
-	default:
-		f := c.strs(e)
-		box = func(d []byte) record.Value { return record.Value{Kind: typ, S: f(d)} }
-	}
-	ev, err := finish(c, e, box)
-	return ev, typ, err
 }
 
 // finish makes f a support function. When the tree can fail, a

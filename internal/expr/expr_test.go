@@ -43,18 +43,45 @@ func evalBoth(t *testing.T, src string, data []byte) record.Value {
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", src, err)
 	}
-	ev, _, err := CompileClosure(MustParse(src), testSchema)
+	cv, err := compiledEval(t, src, testSchema)(data)
 	if err != nil {
-		t.Fatalf("CompileClosure(%q): %v", src, err)
-	}
-	cv, err := ev(data)
-	if err != nil {
-		t.Fatalf("closure(%q): %v", src, err)
+		t.Fatalf("compiled %q: %v", src, err)
 	}
 	if record.CompareValues(iv, cv) != 0 {
 		t.Fatalf("%q: interpreted %v != compiled %v", src, iv, cv)
 	}
 	return iv
+}
+
+// project runs p over the input record in, as a project operator does,
+// and decodes the output record.
+func project(p *Projector, in []byte) ([]record.Value, error) {
+	n, vars, err := p.Size(in, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	if err := p.Write(in, out, vars); err != nil {
+		return nil, err
+	}
+	return p.out.Decode(out)
+}
+
+// compiledEval returns the compiled form of src as the one column of a
+// compiled projector.
+func compiledEval(t testing.TB, src string, s *record.Schema) func([]byte) (record.Value, error) {
+	t.Helper()
+	p, _, err := NewProjector([]Expr{MustParse(src)}, nil, s, Compiled)
+	if err != nil {
+		t.Fatalf("compile %q: %v", src, err)
+	}
+	return func(in []byte) (record.Value, error) {
+		vals, err := project(p, in)
+		if err != nil {
+			return record.Value{}, err
+		}
+		return vals[0], nil
+	}
 }
 
 func TestArithmetic(t *testing.T) {
@@ -154,18 +181,14 @@ func TestDivisionByZeroErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, _, err := CompileClosure(MustParse(src), testSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
 		_, ierr := prog.Eval(testSchema, data)
-		_, cerr := ev(data)
+		_, cerr := compiledEval(t, src, testSchema)(data)
 		for _, err := range []error{ierr, cerr} {
 			if err == nil || err.Error() != want {
 				t.Errorf("%q: got error %v, want %s", src, err, want)
 			}
 		}
-		if prog.Type() != record.TBool {
+		if typ, _ := MustParse(src).TypeCheck(testSchema); typ != record.TBool {
 			continue
 		}
 		for _, mode := range []Mode{Compiled, Interpreted} {
@@ -202,7 +225,6 @@ func TestCompiledConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out := make([]record.Value, 2)
 			for i := 0; i < 2000; i++ {
 				id := int64((i + g) % 7)
 				data := rec(id, 2.5, "n", false)
@@ -211,9 +233,9 @@ func TestCompiledConcurrentUse(t *testing.T) {
 					t.Errorf("predicate on id %d: %v, %v", id, ok, err)
 					return
 				}
-				err = proj(data, out)
+				out, err := project(proj, data)
 				if (err != nil) != (id == 3) || err == nil && out[0].I != id%(id-3) {
-					t.Errorf("projector on id %d: %v, %v", id, out[0], err)
+					t.Errorf("projector on id %d: %v, %v", id, out, err)
 					return
 				}
 			}
@@ -354,8 +376,8 @@ func TestProjector(t *testing.T) {
 			out.Field(1).Type != record.TString || out.Field(2).Type != record.TBool {
 			t.Fatalf("%v: output schema %v", mode, out)
 		}
-		vals := make([]record.Value, out.NumFields())
-		if err := proj(rec(21, 3.5, "n", true), vals); err != nil {
+		vals, err := project(proj, rec(21, 3.5, "n", true))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if vals[0].I != 42 || string(vals[1].S) != "n" || !vals[2].B {
@@ -370,12 +392,37 @@ func TestProjector(t *testing.T) {
 	if out.Field(0).Name != "c0" || out.Field(1).Name != "name" {
 		t.Fatalf("default names: %v", out)
 	}
-	if err := proj(rec(1, 0, "x", false), make([]record.Value, 2)); err != nil {
+	if _, err := project(proj, rec(1, 0, "x", false)); err != nil {
 		t.Fatal(err)
 	}
 	// Arity mismatch.
 	if _, _, err := NewProjector([]Expr{MustParse("1")}, []string{"a", "b"}, testSchema, Compiled); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// A record too short for its fixed area is an error in both modes, with
+// Schema.Get's text for its last field, whatever the columns read: a
+// computed column does not index out of range.
+func TestProjectorTruncatedRecord(t *testing.T) {
+	full := rec(7, 2.5, "n", true)
+	for _, n := range []int{0, 10, 20} {
+		_, want := testSchema.Get(full[:n], testSchema.Index("active"))
+		for _, cols := range [][]string{{"score * 1.1"}, {"id", "score * 1.1", "name", "active"}, {"'lit'"}} {
+			for _, mode := range []Mode{Compiled, Interpreted} {
+				exprs := make([]Expr, len(cols))
+				for i, src := range cols {
+					exprs[i] = MustParse(src)
+				}
+				proj, _, err := NewProjector(exprs, nil, testSchema, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := project(proj, full[:n]); err == nil || err.Error() != want.Error() {
+					t.Errorf("%v %v over %d bytes: got error %v, want %v", mode, cols, n, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -475,10 +522,7 @@ func TestQuickModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, _, err := CompileClosure(MustParse(src), testSchema)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := compiledEval(t, src, testSchema)
 		prop := func(id int64, score float64, name string, active bool) bool {
 			data := rec(id, score, name, active)
 			iv, ierr := prog.Eval(testSchema, data)

@@ -43,20 +43,20 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of %q failed: %v", src, err)
 		}
-		ev, _, cerr := CompileClosure(e2, schema)
+		proj, _, cerr := NewProjector([]Expr{e2}, nil, schema, Compiled)
 		if (perr == nil) != (cerr == nil) {
-			t.Fatalf("%q: program err %v, closure err %v", src, perr, cerr)
+			t.Fatalf("%q: program err %v, projector err %v", src, perr, cerr)
 		}
 		if perr != nil {
 			return
 		}
 		iv, ierr := prog.Eval(schema, data)
-		cv, cerr2 := ev(data)
-		if fmt.Sprint(ierr) != fmt.Sprint(cerr2) {
-			t.Fatalf("%q: eval err mismatch: %v vs %v", src, ierr, cerr2)
+		cv, cerr := project(proj, data)
+		if fmt.Sprint(ierr) != fmt.Sprint(cerr) {
+			t.Fatalf("%q: eval err mismatch: %v vs %v", src, ierr, cerr)
 		}
-		if ierr == nil && record.CompareValues(iv, cv) != 0 {
-			t.Fatalf("%q: interpreted %v != compiled %v", src, iv, cv)
+		if ierr == nil && record.CompareValues(iv, cv[0]) != 0 {
+			t.Fatalf("%q: interpreted %v != compiled %v", src, iv, cv[0])
 		}
 	})
 }
@@ -66,8 +66,10 @@ func FuzzParse(f *testing.F) {
 // well-typed expressions — int/float promotion, NaN and ±Inf, LIKE,
 // nested AND/OR/NOT, integer / and % by zero — over a record of a schema
 // with fields of all four types, whose values the fuzzer also chooses.
-// The compiled closures and the bytecode VM must agree on every value and
-// on every error's text.
+// Each expression is a column of a compiled and of an interpreted
+// projector, and so are all four together: the decoded output values
+// must be equal, string and bytes counting as one payload, and so must
+// every error's text.
 func FuzzCompiledMatchesInterpreted(f *testing.F) {
 	f.Add([]byte{1, 4, 1, 2, 0, 3, 1, 1, 0, 2, 4}, int64(7), int64(3), 2500.5, math.NaN(), "emp-ab-7", "emp-a%", true)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(0), int64(0), math.Inf(1), math.Inf(-1), "", "%", false)
@@ -78,6 +80,8 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 	f.Add([]byte{1, 3, 3, 0, 0, 0, 0, 0, 0, 4}, int64(3), int64(3), 1.5, 1.5, "p", "p", true)
 	f.Add([]byte{1, 3, 3, 0, 1, 0, 0, 1, 0, 3}, int64(3), int64(3), 1.5, 1.5, "p", "p", true)
 	f.Add([]byte{1, 3, 3, 0, 0, 0, 0, 0, 0, 1}, int64(3), int64(3), 1.5, 1.5, "p", "p", true)
+	// An interpreted bool column that divides by zero.
+	f.Add([]byte("10000101011002"), int64(-24), int64(35), 1.5, 15.0, "0", "0", true)
 	schema := record.MustSchema(
 		record.Field{Name: "i", Type: record.TInt},
 		record.Field{Name: "j", Type: record.TInt},
@@ -91,34 +95,53 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 		data := schema.MustEncode(record.Int(i), record.Int(j), record.Float(x), record.Float(y),
 			record.Str(s), record.Str(p), record.Bool(b))
 		g := &exprGen{src: prog}
+		var srcs []string
 		for _, typ := range []record.Type{record.TBool, record.TInt, record.TFloat, record.TString} {
 			src := g.gen(typ, 4)
 			if typ == record.TBool {
 				checkPredicateForms(t, src, schema, data)
 			}
+			checkProjectorForms(t, schema, data, src)
+			srcs = append(srcs, src)
+		}
+		checkProjectorForms(t, schema, data, srcs...)
+	})
+}
+
+// checkProjectorForms projects data through the columns srcs in both
+// modes and compares the decoded outputs and the error texts.
+func checkProjectorForms(t *testing.T, s *record.Schema, data []byte, srcs ...string) {
+	t.Helper()
+	var vals [2][]record.Value
+	var errs [2]string
+	names := make([]string, len(srcs))
+	for i := range names {
+		names[i] = fmt.Sprint("c", i)
+	}
+	for m, mode := range []Mode{Compiled, Interpreted} {
+		exprs := make([]Expr, len(srcs))
+		for i, src := range srcs {
 			e, err := Parse(src)
 			if err != nil {
 				t.Fatalf("generated %q does not parse: %v", src, err)
 			}
-			vm, err := CompileProgram(e, schema)
-			if err != nil {
-				t.Fatalf("generated %q is ill-typed: %v", src, err)
-			}
-			ev, _, err := CompileClosure(MustParse(src), schema)
-			if err != nil {
-				t.Fatalf("compile %q: %v", src, err)
-			}
-			iv, ierr := vm.Eval(schema, data)
-			cv, cerr := ev(data)
-			if fmt.Sprint(ierr) != fmt.Sprint(cerr) {
-				t.Fatalf("%q: interpreted error %v, compiled error %v", src, ierr, cerr)
-			}
-			sameKind := iv.Kind == cv.Kind || !iv.Kind.Fixed() && !cv.Kind.Fixed() // string and bytes are one payload
-			if ierr == nil && (!sameKind || record.CompareValues(iv, cv) != 0) {
-				t.Fatalf("%q: interpreted %v, compiled %v", src, iv, cv)
-			}
+			exprs[i] = e
 		}
-	})
+		proj, _, err := NewProjector(exprs, names, s, mode)
+		if err != nil {
+			t.Fatalf("%v projector %q: %v", mode, srcs, err)
+		}
+		v, err := project(proj, data)
+		vals[m], errs[m] = v, fmt.Sprint(err)
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("%q: compiled error %s, interpreted error %s", srcs, errs[0], errs[1])
+	}
+	for i := range vals[0] {
+		if record.CompareValues(vals[0][i], vals[1][i]) != 0 {
+			t.Fatalf("%q: compiled %v, interpreted %v", srcs, vals[0], vals[1])
+		}
+	}
 }
 
 // checkPredicateForms runs boolean src as a predicate in both modes.

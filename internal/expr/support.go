@@ -64,35 +64,29 @@ func ParsePredicate(src string, s *record.Schema, mode Mode) (Predicate, error) 
 	return NewPredicate(e, s, mode)
 }
 
-// Projector is a support function computing the output values of a
-// record into out, one per output field; project/compute operators use
-// one evaluator per output field. Values may alias data.
-type Projector func(data []byte, out []record.Value) error
+// Projector is the support function of project operators: one typed
+// column writer per output field writes the output record of an input
+// record in place, into the image the operator reserved for the size Size
+// returned. It keeps no per-call state: the caller owns the var-length
+// payloads that pass from Size to Write.
+type Projector struct {
+	in, out *record.Schema
+	fixed   []func(in, out []byte) error      // int, float and bool columns, each at its offset
+	vars    []func(in []byte) ([]byte, error) // string and bytes payloads, in field order
+}
 
 // NewProjector builds a projector evaluating the given expressions, and
 // returns the output schema with the given field names (names may be nil,
 // in which case columns are named c0, c1, ...).
-func NewProjector(exprs []Expr, names []string, s *record.Schema, mode Mode) (Projector, *record.Schema, error) {
+func NewProjector(exprs []Expr, names []string, s *record.Schema, mode Mode) (*Projector, *record.Schema, error) {
 	if names != nil && len(names) != len(exprs) {
 		return nil, nil, fmt.Errorf("expr: %d names for %d expressions", len(names), len(exprs))
 	}
-	evs := make([]func([]byte) (record.Value, error), len(exprs))
 	fields := make([]record.Field, len(exprs))
 	for i, e := range exprs {
-		var typ record.Type
-		var err error
-		if mode == Interpreted {
-			prog, perr := CompileProgram(e, s)
-			if perr != nil {
-				return nil, nil, perr
-			}
-			typ = prog.Type()
-			evs[i] = func(d []byte) (record.Value, error) { return prog.Eval(s, d) }
-		} else {
-			evs[i], typ, err = CompileClosure(e, s)
-			if err != nil {
-				return nil, nil, err
-			}
+		typ, err := e.TypeCheck(s)
+		if err != nil {
+			return nil, nil, err
 		}
 		name := fmt.Sprintf("c%d", i)
 		if names != nil {
@@ -106,17 +100,94 @@ func NewProjector(exprs []Expr, names []string, s *record.Schema, mode Mode) (Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	proj := func(d []byte, out []record.Value) error {
-		for i, ev := range evs {
-			v, err := ev(d)
-			if err != nil {
-				return err
-			}
-			out[i] = v
+	p := &Projector{in: s, out: out}
+	for i, e := range exprs {
+		if err := p.column(e, fields[i].Type, out.Offset(i), mode); err != nil {
+			return nil, nil, err
 		}
-		return nil
 	}
-	return proj, out, nil
+	return p, out, nil
+}
+
+// column adds the writer of column e, of type typ, at byte offset off of
+// the output record; interpreted, it writes the VM's boxed value.
+func (p *Projector) column(e Expr, typ record.Type, off int, mode Mode) error {
+	s, c := p.in, &closures{s: p.in}
+	i, bare := field(e)
+	switch {
+	case mode == Interpreted:
+		prog, err := CompileProgram(e, s)
+		if err != nil {
+			return err
+		}
+		eval := func(in []byte) (record.Value, error) { return prog.Eval(s, in) }
+		if typ.Fixed() {
+			p.fixed = append(p.fixed, writer(eval, off, record.PutValue))
+		} else {
+			p.vars = append(p.vars, func(in []byte) ([]byte, error) { v, err := eval(in); return v.S, err })
+		}
+	case !typ.Fixed() && bare:
+		p.vars = append(p.vars, func(in []byte) ([]byte, error) { a, b, err := s.VarBounds(in, i); return in[a:b:b], err })
+	case !typ.Fixed():
+		f := c.strs(e) // a literal
+		p.vars = append(p.vars, func(in []byte) ([]byte, error) { return f(in), nil })
+	case bare && typ != record.TBool:
+		from := s.Offset(i)
+		p.fixed = append(p.fixed, func(in, out []byte) error { copy(out[off:off+8], in[from:]); return nil })
+	case typ == record.TBool: // finish's error is c.err, returned below
+		f, _ := finish(c, e, c.bools(e))
+		p.fixed = append(p.fixed, writer(f, off, record.PutBool))
+	case typ == record.TInt:
+		f, _ := finish(c, e, num[int64](c, e))
+		p.fixed = append(p.fixed, writer(f, off, record.PutInt))
+	default:
+		f, _ := finish(c, e, num[float64](c, e))
+		p.fixed = append(p.fixed, writer(f, off, record.PutFloat))
+	}
+	return c.err
+}
+
+// writer makes a column writer that puts the value f computes from the
+// input record at byte offset off of the output record.
+func writer[T any](f func([]byte) (T, error), off int, put func([]byte, int, T)) func(in, out []byte) error {
+	return func(in, out []byte) error {
+		v, err := f(in)
+		if err == nil {
+			put(out, off, v)
+		}
+		return err
+	}
+}
+
+// Size checks that in holds its fixed area, appends the payloads of the
+// var-length columns to vars, and returns the output record's length.
+func (p *Projector) Size(in []byte, vars [][]byte) (int, [][]byte, error) {
+	if len(in) < p.in.FixedLen() { // Get's truncated-record error
+		_, err := p.in.Get(in, p.in.NumFields()-1)
+		return 0, vars, err
+	}
+	n := p.out.FixedLen()
+	for _, col := range p.vars {
+		v, err := col(in)
+		if err != nil {
+			return 0, vars, err
+		}
+		vars = append(vars, v)
+		n += len(v)
+	}
+	return n, vars, nil
+}
+
+// Write writes the output record of in into out, which is as long as
+// Size returned; vars holds the payloads Size appended.
+func (p *Projector) Write(in, out []byte, vars [][]byte) error {
+	for _, col := range p.fixed {
+		if err := col(in, out); err != nil {
+			return err
+		}
+	}
+	p.out.PutVars(out, vars)
+	return nil
 }
 
 // Partitioner is the support function the exchange operator uses to decide

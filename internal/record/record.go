@@ -248,21 +248,13 @@ func (s *Schema) EncodeInto(dst []byte, vals []Value) {
 	for i := range vals {
 		v := &vals[i]
 		off := s.offsets[i]
-		switch s.fields[i].Type {
-		case TInt:
-			binary.LittleEndian.PutUint64(dst[off:], uint64(v.I))
-		case TFloat:
-			binary.LittleEndian.PutUint64(dst[off:], mathFloat64bits(v.F))
-		case TBool:
-			dst[off] = 0
-			if v.B {
-				dst[off] = 1
-			}
-		default:
-			copy(dst[s.fixedLen+varEnd:], v.S)
-			varEnd += len(v.S)
-			binary.LittleEndian.PutUint32(dst[off:], uint32(varEnd))
+		if s.fields[i].Type.Fixed() {
+			PutValue(dst, off, *v)
+			continue
 		}
+		copy(dst[s.fixedLen+varEnd:], v.S)
+		varEnd += len(v.S)
+		binary.LittleEndian.PutUint32(dst[off:], uint32(varEnd))
 	}
 }
 
@@ -352,6 +344,48 @@ func IntAt(data []byte, off int) int64 { return int64(binary.LittleEndian.Uint64
 // FloatAt is IntAt for a float field.
 func FloatAt(data []byte, off int) float64 {
 	return mathFloat64frombits(binary.LittleEndian.Uint64(data[off:]))
+}
+
+// PutInt writes integer v at byte offset off of a record image, IntAt's
+// inverse: compiled support functions build a record in place with it.
+func PutInt(data []byte, off int, v int64) { binary.LittleEndian.PutUint64(data[off:], uint64(v)) }
+
+// PutFloat is PutInt for a float field.
+func PutFloat(data []byte, off int, v float64) { PutInt(data, off, int64(mathFloat64bits(v))) }
+
+// PutBool is PutInt for a boolean field, which holds 1 or 0.
+func PutBool(data []byte, off int, v bool) {
+	data[off] = 0
+	if v {
+		data[off] = 1
+	}
+}
+
+// PutValue is PutInt for a boxed int, float or bool.
+func PutValue(data []byte, off int, v Value) {
+	switch v.Kind {
+	case TInt:
+		PutInt(data, off, v.I)
+	case TFloat:
+		PutFloat(data, off, v.F)
+	default:
+		PutBool(data, off, v.B)
+	}
+}
+
+// FixedLen returns the length of a record image's fixed area, which is
+// the whole record when every variable-length field is empty.
+func (s *Schema) FixedLen() int { return s.fixedLen }
+
+// PutVars writes the payloads of the variable-length fields, in field
+// order, into the tail of dst, a record image of FixedLen plus their
+// length, and their end offsets into its fixed area.
+func (s *Schema) PutVars(dst []byte, vars [][]byte) {
+	end := 0
+	for k, off := range s.varOffs {
+		end += copy(dst[s.fixedLen+end:], vars[k])
+		binary.LittleEndian.PutUint32(dst[off:], uint32(end))
+	}
 }
 
 // GetBool extracts a boolean field; it panics if the field is not TBool.
