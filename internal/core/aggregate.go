@@ -264,20 +264,21 @@ func (h *HashAggregate) openImpl() error {
 		return err
 	}
 	in := h.input.Schema()
-	src := NewCursor(h.input, h.env.BatchSize())
+	b := NewBatch(h.env.BatchSize())
 	for {
-		r, ok, err := src.Pull()
-		if err != nil {
+		if err := h.input.NextBatch(b); err != nil {
 			_ = h.input.Close()
 			_ = h.w.Dispose()
 			h.w = nil
 			return err
 		}
-		if !ok {
+		if b.Len() == 0 {
 			break
 		}
-		h.absorb(in, r.Data)
-		r.Unfix()
+		for _, r := range b.Recs() {
+			h.absorb(in, r.Data)
+		}
+		b.Release()
 	}
 	if err := h.input.Close(); err != nil {
 		_ = h.w.Dispose()

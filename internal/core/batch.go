@@ -156,11 +156,11 @@ func fill(b *Batch, next func() (Rec, bool, error)) error {
 }
 
 // Cursor is the record-at-a-time view of an iterator: it pulls NextBatch
-// refills of a fixed size and hands their records out one by one. The
-// drain loops of stop-and-go operators (sort runs, hash builds,
-// aggregation, division) and the inputs of merge-shaped operators consume
-// through it; at size 1 every refill is one record, the paper's
-// record-at-a-time discipline.
+// refills of a fixed size and hands their records out one by one. Merge
+// match, nested loops, the sort aggregate, the sort merge, sort run
+// generation and both divisions consume through it; the hash aggregate,
+// hash match, filter and project take whole batches. At size 1 every
+// refill is one record, the paper's record-at-a-time discipline.
 type Cursor struct {
 	src Iterator
 	b   *Batch

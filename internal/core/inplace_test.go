@@ -125,17 +125,23 @@ func (s *empSource) NextBatch(b *Batch) error {
 	return nil
 }
 
-// empProject builds scan_stream's projection (id, dept, salary * 1.1,
-// name) over batches batches of 83 emp records, writing into the pool
-// through a temp file or into an arena.
-func empProject(tb testing.TB, env *testEnv, batches int, arena bool) *Project {
-	tb.Helper()
+// newEmpSource hands out batches batches of the same 83 emp records: id
+// i, dept i%8.
+func newEmpSource(batches int) *empSource {
 	recs := make([]Rec, DefaultBatchSize)
 	for i := range recs {
 		recs[i] = Rec{Data: empSchema.MustEncode(record.Int(int64(i)), record.Int(int64(i%8)),
 			record.Float(1000+float64(i*97%8000)), record.Str(fmt.Sprintf("emp-%d", i)))}
 	}
-	p, err := NewProjectExprs(env.Env, &empSource{recs: recs, n: batches},
+	return &empSource{recs: recs, n: batches}
+}
+
+// empProject builds scan_stream's projection (id, dept, salary * 1.1,
+// name) over batches batches of 83 emp records, writing into the pool
+// through a temp file or into an arena.
+func empProject(tb testing.TB, env *testEnv, batches int, arena bool) *Project {
+	tb.Helper()
+	p, err := NewProjectExprs(env.Env, newEmpSource(batches),
 		[]string{"id", "dept", "salary * 1.1", "name"}, nil, expr.Compiled)
 	if err != nil {
 		tb.Fatal(err)
@@ -178,6 +184,113 @@ func BenchmarkProject(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches*DefaultBatchSize), "ns/rec")
 		})
 	}
+}
+
+// deptSource hands out 64 frameless dept records, dno 0..63, once per
+// Open.
+type deptSource struct {
+	recs []Rec
+	pos  int
+}
+
+func newDeptSource() *deptSource {
+	recs := make([]Rec, 64)
+	for i := range recs {
+		recs[i] = Rec{Data: deptSchema.MustEncode(record.Int(int64(i)), record.Str(fmt.Sprintf("dept-%d", i)))}
+	}
+	return &deptSource{recs: recs}
+}
+
+func (s *deptSource) Schema() *record.Schema { return deptSchema }
+func (s *deptSource) Open() error            { s.pos = 0; return nil }
+func (s *deptSource) Close() error           { return nil }
+func (s *deptSource) NextBatch(b *Batch) error {
+	b.Reset()
+	for ; s.pos < len(s.recs) && !b.Full(); s.pos++ {
+		b.Append(s.recs[s.pos])
+	}
+	return nil
+}
+
+// empJoin builds par_serial's join, emp's dept = dno, over batches
+// batches of 83 emp records, writing into the pool through a temp file
+// or into an arena.
+func empJoin(tb testing.TB, env *testEnv, batches int, arena bool) *HashMatch {
+	tb.Helper()
+	j, err := NewHashMatch(env.Env, MatchJoin, newEmpSource(batches), newDeptSource(), record.Key{1}, record.Key{0})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if arena && !UseArena(j) {
+		tb.Fatal("join refused the arena")
+	}
+	return j
+}
+
+// TestHashMatchProbeZeroAlloc reads the join's allocations per 83-record
+// batch in the steady state: the probe batch, the dropped probe records
+// and the output queue reuse their storage.
+func TestHashMatchProbeZeroAlloc(t *testing.T) {
+	for _, arena := range []bool{false, true} {
+		t.Run(map[bool]string{false: "pool", true: "arena"}[arena], func(t *testing.T) {
+			env := newTestEnv(t, 256)
+			const batches = 40
+			j := empJoin(t, env, batches, arena)
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			b := NewBatch(DefaultBatchSize)
+			n := testing.AllocsPerRun(batches-1, func() {
+				if err := j.NextBatch(b); err != nil || !b.Full() {
+					t.Fatalf("next batch: %d records, err=%v", b.Len(), err)
+				}
+				b.Release()
+			})
+			if n != 0 {
+				t.Fatalf("join allocates %.0f times per %d-record batch, want 0", n, DefaultBatchSize)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkJoinAggregate is par_serial's join and aggregate, join hash d
+// on dept = dno | agg group dname compute count, sum(id), max(salary),
+// over queries of 100 batches of 83 records:
+//
+//	go test -run '^$' -bench JoinAggregate ./internal/core
+func BenchmarkJoinAggregate(b *testing.B) {
+	const batches = 100
+	env := newTestEnv(b, 256)
+	agg, err := NewHashAggregate(env.Env, empJoin(b, env, batches, false), record.Key{5}, []AggSpec{
+		{Func: AggCount}, {Func: AggSum, Field: 0}, {Func: AggMax, Field: 2},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := NewBatch(DefaultBatchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := agg.Open(); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if err := agg.NextBatch(out); err != nil {
+				b.Fatal(err)
+			}
+			if out.Len() == 0 {
+				break
+			}
+			out.Release()
+		}
+		if err := agg.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches*DefaultBatchSize), "ns/rec")
 }
 
 func TestAggregateExistingGroupZeroAlloc(t *testing.T) {

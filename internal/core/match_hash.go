@@ -1,13 +1,17 @@
 package core
 
-import "repro/internal/record"
+import (
+	"repro/internal/record"
+	"repro/internal/storage/file"
+)
 
 // HashMatch is the hash-based one-to-one match algorithm. On open it
 // builds an in-memory hash table over the right ("build") input, holding
 // its records pinned in the buffer; next probes with left ("probe")
-// records. Records created for combined outputs are materialised through a
-// virtual file (or the arena, when the consumer opted in), and consumed
-// input records are unfixed, per the ownership protocol of §3.
+// records. It reads both inputs a whole batch at a time. Records created
+// for combined outputs are materialised through a virtual file (or the
+// arena, when the consumer opted in), and consumed input records are
+// unfixed by page run (file.UnfixBatch), per the ownership protocol of §3.
 type HashMatch struct {
 	env      *Env
 	op       MatchOp
@@ -28,8 +32,13 @@ type HashMatch struct {
 	inArena    bool // the consumer opted the output into an arena
 	rightOpen  bool
 	open       bool
-	openFailed bool    // Open ran and failed: next Close is a no-op
-	probeSrc   *Cursor // the left input during the probe phase
+	openFailed bool // Open ran and failed: next Close is a no-op
+	// lb is the input batch being read: the right one while building, the
+	// left one from lpos while probing. drops collects the input records
+	// not kept or passed on until the next refill or return releases them.
+	lb    *Batch
+	lpos  int
+	drops []Rec
 }
 
 type buildEntry struct {
@@ -101,24 +110,26 @@ func (h *HashMatch) openImpl() error {
 	}
 	h.rightOpen = true
 	rs := h.right.Schema()
-	build := NewCursor(h.right, h.env.BatchSize())
+	h.lb, h.lpos = NewBatch(h.env.BatchSize()), 0
 	for {
-		r, ok, err := build.Pull()
-		if err != nil {
+		if err := h.right.NextBatch(h.lb); err != nil {
 			h.abort()
 			return err
 		}
-		if !ok {
+		if h.lb.Len() == 0 {
 			break
 		}
-		hk := rs.Hash(r.Data, h.rightKey)
-		if h.distinctBuild() && h.bucketHasKey(hk, rs, r.Data) {
-			r.Unfix()
-			continue
+		for _, r := range h.lb.Recs() {
+			hk := rs.Hash(r.Data, h.rightKey)
+			if h.distinctBuild() && h.bucketHasKey(hk, rs, r.Data) {
+				h.drops = append(h.drops, r)
+				continue
+			}
+			e := &buildEntry{rec: r}
+			h.table[hk] = append(h.table[hk], e)
+			h.order = append(h.order, e)
 		}
-		e := &buildEntry{rec: r}
-		h.table[hk] = append(h.table[hk], e)
-		h.order = append(h.order, e)
+		h.releaseDrops()
 	}
 	// NOTE: the build input stays open until our own close — its records
 	// remain pinned in the hash table, and a materialising input (e.g. a
@@ -129,7 +140,6 @@ func (h *HashMatch) openImpl() error {
 		h.abort()
 		return err
 	}
-	h.probeSrc = NewCursor(h.left, h.env.BatchSize())
 	h.probing = true
 	h.open = true
 	return nil
@@ -153,8 +163,10 @@ func (h *HashMatch) UseArena() bool {
 // NextBatch implements Iterator: the probe phase, then right-only
 // emission. Queued outputs move into the batch up to its target, and the
 // probe loop keeps going until the batch fills or both phases are
-// exhausted. The arena keeps the blocks of the outputs still queued: the
-// caller has released everything delivered before.
+// exhausted. A probed left record is queued where the operation passes it
+// on as it is, and dropped otherwise. The arena keeps the blocks of the
+// outputs still queued: the caller has released everything delivered
+// before.
 func (h *HashMatch) NextBatch(b *Batch) error {
 	if !h.open {
 		return errState("hashmatch", "next before open")
@@ -163,22 +175,34 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 		h.comb.w.arena.recycle(h.pending.len())
 	}
 	b.Reset()
+	defer h.releaseDrops()
 	for {
 		h.pending.moveTo(b)
 		if b.Full() {
 			return nil
 		}
 		if h.probing {
-			l, ok, err := h.probeSrc.Pull()
-			if err != nil {
-				b.Release()
-				return err
-			}
-			if !ok {
-				h.probing = false
+			if h.lpos == h.lb.Len() {
+				h.releaseDrops()
+				h.lpos = 0
+				if err := h.left.NextBatch(h.lb); err != nil {
+					b.Release()
+					return err
+				}
+				if h.lb.Len() == 0 {
+					h.probing = false
+				}
 				continue
 			}
-			if err := h.probe(l); err != nil {
+			l := h.lb.Recs()[h.lpos]
+			h.lpos++
+			pass, err := h.match(l.Data)
+			if pass {
+				h.pending.push(l)
+			} else {
+				h.drops = append(h.drops, l)
+			}
+			if err != nil {
 				b.Release()
 				return err
 			}
@@ -196,17 +220,10 @@ func (h *HashMatch) NextBatch(b *Batch) error {
 	}
 }
 
-// probe handles one left record, queueing outputs on h.pending and
-// disposing of the left pin: the record is passed on where the operation
-// outputs it as it is, and unfixed otherwise.
-func (h *HashMatch) probe(l Rec) error {
-	pass, err := h.match(l.Data)
-	if pass {
-		h.pending.push(l)
-	} else {
-		l.Unfix()
-	}
-	return err
+// releaseDrops unfixes the collected records, one UnfixN per page run.
+func (h *HashMatch) releaseDrops() {
+	file.UnfixBatch(h.drops)
+	h.drops = h.drops[:0]
 }
 
 // match looks the left record image up in the hash table, queues the
@@ -306,7 +323,8 @@ func (h *HashMatch) Close() error {
 		return errState("hashmatch", "close before open")
 	}
 	h.open = false
-	h.probeSrc.Release()
+	file.UnfixBatch(h.lb.Recs()[h.lpos:])
+	h.lb.Reset()
 	err := h.left.Close()
 	h.release()
 	if h.rightOpen {
@@ -331,6 +349,7 @@ func (h *HashMatch) abort() {
 }
 
 func (h *HashMatch) release() {
+	h.releaseDrops()
 	h.pending.release()
 	for _, e := range h.order {
 		e.rec.Unfix()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,5 +136,130 @@ func TestCloseAfterFailedOpen(t *testing.T) {
 				t.Fatalf("%d temp files left after failed open", n)
 			}
 		})
+	}
+}
+
+// failAfter passes the first two batches of its input through and fails
+// the third NextBatch with errRootCause, leaving the batch empty.
+type failAfter struct {
+	Iterator
+	calls int
+}
+
+func (f *failAfter) Open() error { f.calls = 0; return f.Iterator.Open() }
+func (f *failAfter) NextBatch(b *Batch) error {
+	if f.calls++; f.calls > 2 {
+		b.Reset()
+		return errRootCause
+	}
+	return f.Iterator.NextBatch(b)
+}
+
+// TestBatchConsumerErrorReleases drives the batch consumers into an
+// input that fails after two batches of pinned file-scan records, and a
+// join into a probe record it cannot combine, at several batch sizes and
+// with the output in the pool and, where the operator takes one, in an
+// arena. The root cause must come back. Right after it, the pins beyond
+// those held after Open may only be the open input scan's current page
+// and the operator's temp file's tail page; after Close no pin and no
+// temp file is left.
+func TestBatchConsumerErrorReleases(t *testing.T) {
+	// emp's dept is i%8; keys holds the even depts only, so a semijoin
+	// passes half its probe records on and drops the other half.
+	failingEmp := func(env *testEnv) Iterator {
+		return &failAfter{Iterator: scanOf(t, env.makeEmp(t, "emp", 300, 8))}
+	}
+	// corruptEmp ends emp with a dept-0 record whose name runs past its
+	// end: the join drops the probe records of its batch before it, then
+	// fails to combine it with its match.
+	corruptEmp := func(env *testEnv) Iterator {
+		f := env.makeEmp(t, "emp", 300, 8)
+		data := empSchema.MustEncode(record.Int(300), record.Int(0), record.Float(1300), record.Str("emp-300"))
+		if _, err := f.Insert(data[:len(data)-3]); err != nil {
+			t.Fatal(err)
+		}
+		return scanOf(t, f)
+	}
+	keys := func(env *testEnv) Iterator { return scanOf(t, env.makeInts(t, "k", 0, 2, 4, 6)) }
+	cases := []struct {
+		name   string
+		writes bool   // the operator writes its output to a temp file
+		arena  bool   // ... or, opted in, to an arena
+		cause  string // the error's text; "" for errRootCause
+		build  func(e *Env, env *testEnv) (Iterator, error)
+	}{
+		{"hashaggregate", true, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashAggregate(e, failingEmp(env), record.Key{1}, []AggSpec{{Func: AggCount}, {Func: AggSum, Field: 0}})
+		}},
+		{"sortaggregate", true, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+			pairs := make([][2]int64, 300)
+			for i := range pairs {
+				pairs[i] = [2]int64{int64(i / 5), int64(i)}
+			}
+			in := &failAfter{Iterator: scanOf(t, env.makePairs(t, "p", pairs))}
+			return NewSortAggregate(e, in, record.Key{0}, []AggSpec{{Func: AggCount}, {Func: AggMax, Field: 1}})
+		}},
+		{"hashmatch-build/join", true, true, "", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchJoin, keys(env), failingEmp(env), record.Key{0}, record.Key{1})
+		}},
+		{"hashmatch-build/semi", false, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchSemi, keys(env), failingEmp(env), record.Key{0}, record.Key{1})
+		}},
+		{"hashmatch-probe/join", true, true, "", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchJoin, failingEmp(env), keys(env), record.Key{1}, record.Key{0})
+		}},
+		{"hashmatch-probe/semi", false, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchSemi, failingEmp(env), keys(env), record.Key{1}, record.Key{0})
+		}},
+		{"hashmatch-probe/combine", true, true, "corrupt var-length bounds", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchJoin, corruptEmp(env), keys(env), record.Key{1}, record.Key{0})
+		}},
+	}
+	for _, c := range cases {
+		stores := []bool{false}
+		if c.arena {
+			stores = append(stores, true)
+		}
+		for _, size := range []int{1, 7, 83} {
+			for _, arena := range stores {
+				store := map[bool]string{false: "pool", true: "arena"}[arena]
+				t.Run(fmt.Sprintf("%s/batch=%d/%s", c.name, size, store), func(t *testing.T) {
+					env := newTestEnv(t, 256)
+					it, err := c.build(env.WithBatchSize(size), env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if arena && !UseArena(it) {
+						t.Fatal("the operator refused the arena")
+					}
+					err = it.Open()
+					held, slack := env.pool.Stats().CurrentlyFixedHint, int64(0)
+					if err == nil {
+						slack++ // the input scan stays open until Close
+					}
+					if c.writes && !arena {
+						slack++
+					}
+					for b := NewBatch(size); err == nil; b.Release() {
+						if err = it.NextBatch(b); err == nil && b.Len() == 0 {
+							t.Fatal("the stream ended without the input's error")
+						}
+					}
+					if c.cause == "" && !errors.Is(err, errRootCause) || !strings.Contains(err.Error(), c.cause) {
+						t.Fatalf("error does not carry the root cause: %v", err)
+					}
+					if n := env.pool.Stats().CurrentlyFixedHint - held; n < 0 || n > slack {
+						t.Fatalf("%d pins more after the error than after Open, want at most %d", n, slack)
+					}
+					if err := it.Close(); err != nil {
+						t.Fatalf("close after the error: %v", err)
+					}
+					env.checkNoPinLeak(t)
+					if n := len(env.Temp.List()); n != 0 {
+						t.Fatalf("%d temp files left after close", n)
+					}
+				})
+			}
+		}
 	}
 }
