@@ -16,9 +16,10 @@ import (
 // a fuzzer-chosen position. Record decode and support-function evaluation
 // at every batch boundary must agree with size 1 exactly: same rows in
 // the same order, or an error at both sizes. Corruption keeps the
-// image's length (storage guarantees records at least fixed-section
-// sized; the hot-path accessors trust that), so a flipped var-length
-// bound must surface as a clean Decode error, never a panic or a
+// image's length, and storage guarantees nothing of an image's shape: the
+// scan checks each record against its schema (record.Schema.Check) and
+// the accessors behind it trust that, so a flipped var-length bound must
+// surface as the scan's error at both sizes, never a panic or a
 // divergence.
 func FuzzBatchDecode(f *testing.F) {
 	f.Add(uint16(0), uint8(0), []byte(nil))
@@ -128,6 +129,102 @@ func FuzzBatchDecode(f *testing.F) {
 			}
 		}
 		env.checkNoPinLeak(t)
+	})
+}
+
+// FuzzPageRecords flips fuzzer-chosen bytes of a stored page image —
+// slot directory and record bytes, not the next-page link — and runs a
+// FileScan | filter | project over it in a fuzzer-chosen expression
+// mode and batch size. The answer must be an error, where the storage
+// scan or Decode of a record fails, or else exactly the reference rows
+// computed from the decoded records; never a panic.
+func FuzzPageRecords(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 4, 0xff}, uint8(1))       // nslots
+	f.Add([]byte{0, 8, 0x40}, uint8(7))       // slot 0's offset
+	f.Add([]byte{0x0f, 0xf0, 0x20}, uint8(2)) // a record near the page end
+	f.Add([]byte{0x0f, 0xf8, 0x01, 0x0f, 0xfc, 0x80}, uint8(83))
+	schema := record.MustSchema(
+		record.Field{Name: "v", Type: record.TInt},
+		record.Field{Name: "s", Type: record.TString},
+		record.Field{Name: "y", Type: record.TBytes},
+	)
+	f.Fuzz(func(t *testing.T, flips []byte, knob uint8) {
+		env := newTestEnv(t, 16)
+		tbl, err := env.base.Create("t", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ { // one page
+			data := schema.MustEncode(record.Int(int64(i-5)), record.Str(strings.Repeat("s", i%4)), record.Bytes([]byte{byte(i)}))
+			if _, err := tbl.Insert(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fr, err := env.pool.Fix(tbl.FirstPage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := fr.Data()
+		for ; len(flips) >= 3; flips = flips[3:] {
+			img[4+(int(flips[0])<<8|int(flips[1]))%(len(img)-4)] ^= flips[2]
+		}
+		env.pool.Unfix(fr, true)
+
+		var want []string
+		wantErr := false
+		sc := tbl.NewScan()
+		for {
+			r, ok, err := sc.Next()
+			if err != nil || !ok {
+				wantErr = err != nil
+				break
+			}
+			vals, err := schema.Decode(r.Data)
+			r.Unfix()
+			if err != nil {
+				wantErr = true
+				break
+			}
+			if vals[0].I%3 != 1 {
+				want = append(want, render([]record.Value{record.Int(vals[0].I * 2), vals[1], vals[2]}))
+			}
+		}
+		sc.Close()
+
+		mode, size := expr.Compiled, int(knob%97)+1
+		if knob&0x80 != 0 {
+			mode = expr.Interpreted
+		}
+		scan, err := NewFileScan(tbl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := env.Env.WithBatchSize(size)
+		flt, err := NewFilterExpr(e, scan, "v % 3 <> 1", mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := NewProjectExprs(e, flt, []string{"v * 2", "s", "y"}, []string{"w", "s", "y"}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := Collect(proj, size)
+		env.checkNoPinLeak(t)
+		if wantErr || err != nil {
+			if !wantErr || err == nil {
+				t.Fatalf("error %v, reference error %v", err, wantErr)
+			}
+			return
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("%d rows, reference %d", len(rows), len(want))
+		}
+		for i, row := range rows {
+			if render(row) != want[i] {
+				t.Fatalf("row %d: %q, reference %q", i, render(row), want[i])
+			}
+		}
 	})
 }
 

@@ -211,15 +211,12 @@ func (p *Project) NextBatch(b *Batch) error {
 	}
 	in := p.inb.Recs()
 	for _, r := range in {
-		n, vars, err := p.proj.Size(r.Data, p.vars[:0])
-		p.vars = vars
-		var out Rec
-		if err == nil {
-			out, err = p.w.Reserve(n)
-		}
+		var n int
+		n, p.vars = p.proj.Size(r.Data, p.vars[:0])
+		out, err := p.w.Reserve(n)
 		if err == nil {
 			b.Append(out) // released with b if the write fails
-			err = p.proj.Write(r.Data, out.Data, vars)
+			err = p.proj.Write(r.Data, out.Data, p.vars)
 		}
 		if err != nil {
 			p.inb.Release()

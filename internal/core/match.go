@@ -128,11 +128,7 @@ func newCombiner(ls, rs *record.Schema) combiner {
 // combine materialises the concatenation of l and r, pinned unless it is
 // in an arena.
 func (c *combiner) combine(l, r []byte) (Rec, error) {
-	n, err := record.ConcatSize(c.ls, l, c.rs, r)
-	if err != nil {
-		return Rec{}, err
-	}
-	out, err := c.w.Reserve(n)
+	out, err := c.w.Reserve(record.ConcatSize(c.ls, l, c.rs, r))
 	if err != nil {
 		return Rec{}, err
 	}
@@ -144,10 +140,7 @@ func (c *combiner) combine(l, r []byte) (Rec, error) {
 // combined image: the candidate is built in a reused scratch buffer, so a
 // rejected pair leaves nothing behind in the temp file.
 func (c *combiner) combineIf(l, r []byte, pred expr.Predicate) (Rec, bool, error) {
-	n, err := record.ConcatSize(c.ls, l, c.rs, r)
-	if err != nil {
-		return Rec{}, false, err
-	}
+	n := record.ConcatSize(c.ls, l, c.rs, r)
 	if cap(c.scratch) < n {
 		c.scratch = make([]byte, n)
 	}

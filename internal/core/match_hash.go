@@ -104,6 +104,7 @@ func (h *HashMatch) openImpl() error {
 	}
 	h.table = make(map[uint64][]*buildEntry)
 	h.seen = make(map[string]struct{})
+	h.trail = 0
 	if err := h.right.Open(); err != nil {
 		h.abort()
 		return err

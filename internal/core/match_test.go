@@ -322,3 +322,26 @@ func TestMatchOpString(t *testing.T) {
 		t.Fatal("MatchOp names broken")
 	}
 }
+
+// TestHashMatchReopen drains each operation with a trailing right-only
+// class twice through one HashMatch: the second run, after Close and a
+// new Open, emits the unmatched build records again.
+func TestHashMatchReopen(t *testing.T) {
+	left := [][2]int64{{1, 10}, {2, 20}, {2, 21}}
+	right := [][2]int64{{2, 200}, {3, 300}, {4, 400}, {4, 401}}
+	for _, op := range []MatchOp{MatchRightOuter, MatchUnion, MatchAntiDifference} {
+		env := newTestEnv(t, 64)
+		m, err := NewHashMatch(env.Env, op, scanOf(t, env.makePairs(t, "l", left)), scanOf(t, env.makePairs(t, "r", right)), record.Key{0}, record.Key{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := Drain(m, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := Drain(m, 7); err != nil || again != first {
+			t.Fatalf("%v: %d records, then %d (%v) after a re-open", op, first, again, err)
+		}
+		env.checkNoPinLeak(t)
+	}
+}

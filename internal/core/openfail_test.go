@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -157,28 +158,17 @@ func (f *failAfter) NextBatch(b *Batch) error {
 
 // TestBatchConsumerErrorReleases drives the batch consumers into an
 // input that fails after two batches of pinned file-scan records, and a
-// join into a probe record it cannot combine, at several batch sizes and
-// with the output in the pool and, where the operator takes one, in an
-// arena. The root cause must come back. Right after it, the pins beyond
-// those held after Open may only be the open input scan's current page
-// and the operator's temp file's tail page; after Close no pin and no
-// temp file is left.
+// join into an output record the pool has no frame for, at several batch
+// sizes and with the output in the pool and, where the operator takes
+// one, in an arena. The root cause must come back. Right after it, the
+// pins beyond those held after Open may only be the open input scan's
+// current page and the operator's temp file's tail page; after Close no
+// pin and no temp file is left.
 func TestBatchConsumerErrorReleases(t *testing.T) {
 	// emp's dept is i%8; keys holds the even depts only, so a semijoin
 	// passes half its probe records on and drops the other half.
 	failingEmp := func(env *testEnv) Iterator {
 		return &failAfter{Iterator: scanOf(t, env.makeEmp(t, "emp", 300, 8))}
-	}
-	// corruptEmp ends emp with a dept-0 record whose name runs past its
-	// end: the join drops the probe records of its batch before it, then
-	// fails to combine it with its match.
-	corruptEmp := func(env *testEnv) Iterator {
-		f := env.makeEmp(t, "emp", 300, 8)
-		data := empSchema.MustEncode(record.Int(300), record.Int(0), record.Float(1300), record.Str("emp-300"))
-		if _, err := f.Insert(data[:len(data)-3]); err != nil {
-			t.Fatal(err)
-		}
-		return scanOf(t, f)
 	}
 	keys := func(env *testEnv) Iterator { return scanOf(t, env.makeInts(t, "k", 0, 2, 4, 6)) }
 	cases := []struct {
@@ -186,12 +176,13 @@ func TestBatchConsumerErrorReleases(t *testing.T) {
 		writes bool   // the operator writes its output to a temp file
 		arena  bool   // ... or, opted in, to an arena
 		cause  string // the error's text; "" for errRootCause
+		frames int    // the pool's size; 0 for 256
 		build  func(e *Env, env *testEnv) (Iterator, error)
 	}{
-		{"hashaggregate", true, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+		{"hashaggregate", true, false, "", 0, func(e *Env, env *testEnv) (Iterator, error) {
 			return NewHashAggregate(e, failingEmp(env), record.Key{1}, []AggSpec{{Func: AggCount}, {Func: AggSum, Field: 0}})
 		}},
-		{"sortaggregate", true, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+		{"sortaggregate", true, false, "", 0, func(e *Env, env *testEnv) (Iterator, error) {
 			pairs := make([][2]int64, 300)
 			for i := range pairs {
 				pairs[i] = [2]int64{int64(i / 5), int64(i)}
@@ -199,20 +190,24 @@ func TestBatchConsumerErrorReleases(t *testing.T) {
 			in := &failAfter{Iterator: scanOf(t, env.makePairs(t, "p", pairs))}
 			return NewSortAggregate(e, in, record.Key{0}, []AggSpec{{Func: AggCount}, {Func: AggMax, Field: 1}})
 		}},
-		{"hashmatch-build/join", true, true, "", func(e *Env, env *testEnv) (Iterator, error) {
+		{"hashmatch-build/join", true, true, "", 0, func(e *Env, env *testEnv) (Iterator, error) {
 			return NewHashMatch(e, MatchJoin, keys(env), failingEmp(env), record.Key{0}, record.Key{1})
 		}},
-		{"hashmatch-build/semi", false, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+		{"hashmatch-build/semi", false, false, "", 0, func(e *Env, env *testEnv) (Iterator, error) {
 			return NewHashMatch(e, MatchSemi, keys(env), failingEmp(env), record.Key{0}, record.Key{1})
 		}},
-		{"hashmatch-probe/join", true, true, "", func(e *Env, env *testEnv) (Iterator, error) {
+		{"hashmatch-probe/join", true, true, "", 0, func(e *Env, env *testEnv) (Iterator, error) {
 			return NewHashMatch(e, MatchJoin, failingEmp(env), keys(env), record.Key{1}, record.Key{0})
 		}},
-		{"hashmatch-probe/semi", false, false, "", func(e *Env, env *testEnv) (Iterator, error) {
+		{"hashmatch-probe/semi", false, false, "", 0, func(e *Env, env *testEnv) (Iterator, error) {
 			return NewHashMatch(e, MatchSemi, failingEmp(env), keys(env), record.Key{1}, record.Key{0})
 		}},
-		{"hashmatch-probe/combine", true, true, "corrupt var-length bounds", func(e *Env, env *testEnv) (Iterator, error) {
-			return NewHashMatch(e, MatchJoin, corruptEmp(env), keys(env), record.Key{1}, record.Key{0})
+		// Three frames hold the build page, the probe page and the
+		// output's tail page: the output's second page finds no frame,
+		// mid-probe, with the probe records before it (the failing one
+		// too) collected for release.
+		{"hashmatch-probe/combine", true, false, "all frames pinned", 3, func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchJoin, scanOf(t, env.makeEmp(t, "emp", 300, 8)), keys(env), record.Key{1}, record.Key{0})
 		}},
 	}
 	for _, c := range cases {
@@ -224,7 +219,7 @@ func TestBatchConsumerErrorReleases(t *testing.T) {
 			for _, arena := range stores {
 				store := map[bool]string{false: "pool", true: "arena"}[arena]
 				t.Run(fmt.Sprintf("%s/batch=%d/%s", c.name, size, store), func(t *testing.T) {
-					env := newTestEnv(t, 256)
+					env := newTestEnv(t, cmp.Or(c.frames, 256))
 					it, err := c.build(env.WithBatchSize(size), env)
 					if err != nil {
 						t.Fatal(err)

@@ -40,7 +40,8 @@ func (s *FileScan) Open() error {
 }
 
 // NextBatch implements Iterator: the batch fills by page runs of the
-// storage scan, each pinned with one Pool.Pin.
+// storage scan, each pinned with one Pool.Pin, and each record of a run
+// is checked against the scan's schema.
 func (s *FileScan) NextBatch(b *Batch) error {
 	if s.scan == nil {
 		return errState("filescan", "next before open")
@@ -50,6 +51,9 @@ func (s *FileScan) NextBatch(b *Batch) error {
 		n := b.Len()
 		run, err := s.scan.NextRun(b.own, b.target-n)
 		b.own, b.recs = run, run
+		for i := n; err == nil && i < len(run); i++ {
+			err = checkRec("filescan", s.f, s.schema, &run[i])
+		}
 		if err != nil {
 			b.Release()
 			return err
@@ -131,7 +135,21 @@ func (s *IndexScan) next() (Rec, bool, error) {
 	if err != nil {
 		return Rec{}, false, fmt.Errorf("core: indexscan: %w", err)
 	}
+	if err := checkRec("indexscan", s.f, s.schema, &r); err != nil {
+		r.Unfix()
+		return Rec{}, false, err
+	}
 	return r, true, nil
+}
+
+// checkRec vouches for a stored record as an image of schema s. Records
+// are checked where they enter, by the scans and the wire; operators and
+// support functions downstream assume checked images.
+func checkRec(op string, f *file.File, s *record.Schema, r *Rec) error {
+	if err := s.Check(r.Data); err != nil {
+		return fmt.Errorf("core: %s %q page %s slot %d: %w", op, f.Name(), r.RID.PageID, r.RID.Slot, err)
+	}
+	return nil
 }
 
 // Close implements Iterator.

@@ -4,14 +4,21 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"repro/internal/record"
 )
 
 // FuzzWireFrameDecode hammers the frame decoder with arbitrary bytes:
 // truncated frames, oversized length prefixes and corrupt payloads must
 // all surface as errors — never a panic, and never an allocation beyond
 // the decoder's frame-size bound (enforced here with a small maxFrame so
-// the fuzzer cannot "legitimately" allocate its way to an OOM).
+// the fuzzer cannot "legitimately" allocate its way to an OOM). Each
+// decoded record is checked against a schema, as the coordinator checks
+// a cut's records: Check accepts exactly what Decode accepts.
 func FuzzWireFrameDecode(f *testing.F) {
+	schema := record.MustSchema(record.Field{Name: "v", Type: record.TInt}, record.Field{Name: "s", Type: record.TString})
+	good := schema.MustEncode(record.Int(7), record.Str("seven"))
+	f.Add(AppendWireFrame(nil, [][]byte{good, good[:len(good)-1], good[:5]}, WireFlagEOS))
 	f.Add(AppendWireFrame(nil, [][]byte{[]byte("seed"), {}}, 0))
 	f.Add(AppendWireFrame(nil, nil, WireFlagEOS))
 	f.Add(AppendWireControl(nil, WireFlagEOS|WireFlagErr, []byte("boom")))
@@ -43,6 +50,12 @@ func FuzzWireFrameDecode(f *testing.F) {
 			}
 			if total > len(fr.buf) {
 				t.Fatalf("records (%dB) overrun arena (%dB)", total, len(fr.buf))
+			}
+			for _, rec := range fr.Recs {
+				_, derr := schema.Decode(rec)
+				if err := schema.Check(rec); (err == nil) != (derr == nil) {
+					t.Fatalf("Check error %v, Decode error %v", err, derr)
+				}
 			}
 		}
 	})

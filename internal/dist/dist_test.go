@@ -999,3 +999,52 @@ func TestWorkerRefusesBadFragment(t *testing.T) {
 		}
 	}
 }
+
+// TestDistCorruptFrameFailsOnce has a stand-in worker answer every
+// dispatch with a data frame whose second record the cut's schema rejects
+// (Schema.Check). That is a data error, not worker loss: the query fails
+// naming the fragment, producer and worker, no fragment is dispatched a
+// second time, and no pin is left.
+func TestDistCorruptFrameFailsOnce(t *testing.T) {
+	db := newDistDB(t, 8, 8)
+	schema := record.MustSchema(record.Field{Name: "v", Type: record.TInt}, record.Field{Name: "pad", Type: record.TString})
+	good := schema.MustEncode(record.Int(1), record.Str("xx"))
+	var dispatches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		dispatches.Add(1)
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = rw.Write(core.AppendWireFrame(nil, [][]byte{good, good[:len(good)-1]}, 0))
+		_, _ = rw.Write(core.AppendWireFrame(nil, nil, core.WireFlagEOS))
+	}))
+	t.Cleanup(srv.Close)
+	// An hour between heartbeats: the stand-in answers no health probe.
+	c := NewCoordinator(CoordinatorConfig{HeartbeatEvery: time.Hour, Log: log.New(io.Discard, "", 0)})
+	t.Cleanup(c.Close)
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	if err := c.Register(addr); err != nil {
+		t.Fatal(err)
+	}
+
+	it, sum := bind(t, c, db, "q-corrupt", distScript)
+	_, err := core.Collect(it, 0)
+	if err == nil || !strings.Contains(err.Error(), "corrupt var-length bounds") || !strings.Contains(err.Error(), " on "+addr) ||
+		!strings.Contains(err.Error(), "dist: fragment ") || !strings.Contains(err.Error(), " producer ") {
+		t.Fatalf("error %v, want the record's corrupt bounds, naming the fragment, producer and worker %s", err, addr)
+	}
+	failed := 0
+	for _, fr := range sum.Fragments() {
+		if fr.Attempts > 1 {
+			t.Errorf("fragment %s/%d dispatched %d times", fr.Path, fr.Producer, fr.Attempts)
+		}
+		if fr.State == "failed" && fr.Attempts == 1 {
+			failed++
+		}
+	}
+	if failed == 0 || sum.Retries.Load() != 0 || dispatches.Load() > int64(len(sum.Fragments())) {
+		t.Fatalf("%d fragments failed on their first attempt, %d retries, %d dispatches; want at least one, none, at most one per fragment",
+			failed, sum.Retries.Load(), dispatches.Load())
+	}
+	if pinned := db.pool.PinnedFrames(); pinned != 0 {
+		t.Fatalf("%d frames still pinned", pinned)
+	}
+}

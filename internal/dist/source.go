@@ -237,7 +237,8 @@ func (r *remoteFragment) closeBody() {
 
 // readFrame reads the fragment's next frame into r.f, dispatching first
 // when no attempt is streaming, and re-dispatching after a lost
-// connection. r.done is set at EOS and when the cut's context has ended.
+// connection. Each record of a data frame is checked against the cut's
+// schema. r.done is set at EOS and when the cut's context has ended.
 func (r *remoteFragment) readFrame() error {
 	for {
 		if r.body == nil {
@@ -258,7 +259,12 @@ func (r *remoteFragment) readFrame() error {
 			continue
 		}
 		r.accountWire()
-		if err := r.f.Err(); err != nil {
+		err := r.f.Err()
+		for i := 0; err == nil && i < len(r.f.Recs); i++ {
+			err = r.cut.schema.Check(r.f.Recs[i]) // a data error, not worker loss: no re-dispatch
+		}
+		if err != nil {
+			r.f.Recs = r.f.Recs[:0]
 			return r.fail(fmt.Errorf("dist: fragment %s producer %d on %s: %w", r.cut.path, r.stat.Producer, r.stat.Worker, err))
 		}
 		if r.f.EOS() {

@@ -68,11 +68,13 @@ func ParsePredicate(src string, s *record.Schema, mode Mode) (Predicate, error) 
 // column writer per output field writes the output record of an input
 // record in place, into the image the operator reserved for the size Size
 // returned. It keeps no per-call state: the caller owns the var-length
-// payloads that pass from Size to Write.
+// payloads that pass from Size to Write. Input images are checked
+// (record.Schema.Check), and a string or bytes column is a field or a
+// literal, which cannot fail on one: only the fixed columns can fail.
 type Projector struct {
 	in, out *record.Schema
-	fixed   []func(in, out []byte) error      // int, float and bool columns, each at its offset
-	vars    []func(in []byte) ([]byte, error) // string and bytes payloads, in field order
+	fixed   []func(in, out []byte) error // int, float and bool columns, each at its offset
+	vars    []func(in []byte) []byte     // string and bytes payloads, in field order
 }
 
 // NewProjector builds a projector evaluating the given expressions, and
@@ -124,13 +126,11 @@ func (p *Projector) column(e Expr, typ record.Type, off int, mode Mode) error {
 		if typ.Fixed() {
 			p.fixed = append(p.fixed, writer(eval, off, record.PutValue))
 		} else {
-			p.vars = append(p.vars, func(in []byte) ([]byte, error) { v, err := eval(in); return v.S, err })
+			// A field or a literal: its program cannot fail on a checked image.
+			p.vars = append(p.vars, func(in []byte) []byte { v, _ := eval(in); return v.S })
 		}
-	case !typ.Fixed() && bare:
-		p.vars = append(p.vars, func(in []byte) ([]byte, error) { a, b, err := s.VarBounds(in, i); return in[a:b:b], err })
 	case !typ.Fixed():
-		f := c.strs(e) // a literal
-		p.vars = append(p.vars, func(in []byte) ([]byte, error) { return f(in), nil })
+		p.vars = append(p.vars, c.strs(e))
 	case bare && typ != record.TBool:
 		from := s.Offset(i)
 		p.fixed = append(p.fixed, func(in, out []byte) error { copy(out[off:off+8], in[from:]); return nil })
@@ -159,23 +159,16 @@ func writer[T any](f func([]byte) (T, error), off int, put func([]byte, int, T))
 	}
 }
 
-// Size checks that in holds its fixed area, appends the payloads of the
-// var-length columns to vars, and returns the output record's length.
-func (p *Projector) Size(in []byte, vars [][]byte) (int, [][]byte, error) {
-	if len(in) < p.in.FixedLen() { // Get's truncated-record error
-		_, err := p.in.Get(in, p.in.NumFields()-1)
-		return 0, vars, err
-	}
+// Size appends the payloads of the var-length columns to vars and returns
+// the output record's length.
+func (p *Projector) Size(in []byte, vars [][]byte) (int, [][]byte) {
 	n := p.out.FixedLen()
 	for _, col := range p.vars {
-		v, err := col(in)
-		if err != nil {
-			return 0, vars, err
-		}
+		v := col(in)
 		vars = append(vars, v)
 		n += len(v)
 	}
-	return n, vars, nil
+	return n, vars
 }
 
 // Write writes the output record of in into out, which is as long as

@@ -62,14 +62,7 @@ func (s *Schema) CompareField(a, b []byte, field int) int {
 // by binary matching operators where the two inputs have different schemas.
 func CompareKeys(sa *Schema, a []byte, ka Key, sb *Schema, b []byte, kb Key) int {
 	for i := range ka {
-		va, err := sa.Get(a, ka[i])
-		if err != nil {
-			panic(err)
-		}
-		vb, err := sb.Get(b, kb[i])
-		if err != nil {
-			panic(err)
-		}
+		va, vb := sa.mustGet(a, ka[i]), sb.mustGet(b, kb[i])
 		if va.Kind.Fixed() != vb.Kind.Fixed() && va.Kind != vb.Kind {
 			panic(fmt.Sprintf("record: comparing %s key field with %s", va.Kind, vb.Kind))
 		}
@@ -140,13 +133,20 @@ func canonicalFloatBits(f float64) uint64 {
 func (s *Schema) KeyValues(data []byte, key Key) []Value {
 	out := make([]Value, len(key))
 	for i, f := range key {
-		v, err := s.Get(data, f)
-		if err != nil {
-			panic(err)
-		}
-		out[i] = v.Copy()
+		out[i] = s.mustGet(data, f).Copy()
 	}
 	return out
+}
+
+// mustGet is Get of a key field of a checked image (Check), where it
+// cannot fail: key fields are in range, as the operators verify when they
+// are built, and a checked image reads.
+func (s *Schema) mustGet(data []byte, i int) Value {
+	v, err := s.Get(data, i)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // AppendKey appends to dst a canonical rendering of the key fields of an

@@ -19,10 +19,10 @@ func fuzzSchema(spec []byte) *Schema {
 }
 
 // FuzzConcat holds the byte-level kernels to the decode-append-encode
-// path they replace: over fuzzed schemas and record images, ConcatSize
-// rejects exactly the images Decode rejects (an error, never a panic),
-// ConcatInto builds byte for byte what Encode builds from the two value
-// lists, and so does encoding those values in place.
+// path they replace: over fuzzed schemas and record images, Check rejects
+// exactly the images Decode rejects (an error, never a panic), and over
+// the images it accepts ConcatInto builds byte for byte what Encode builds
+// from the two value lists, and so does encoding those values in place.
 func FuzzConcat(f *testing.F) {
 	ls := []byte{byte(TInt), byte(TString), byte(TBool), byte(TBytes)}
 	rs := []byte{byte(TString), byte(TFloat), byte(TString)}
@@ -40,16 +40,13 @@ func FuzzConcat(f *testing.F) {
 		ls, rs := fuzzSchema(lspec), fuzzSchema(rspec)
 		lv, lerr := ls.Decode(l)
 		rv, rerr := rs.Decode(r)
-		n, err := ConcatSize(ls, l, rs, r)
+		if lc, rc := ls.Check(l), rs.Check(r); (lc == nil) != (lerr == nil) || (rc == nil) != (rerr == nil) {
+			t.Fatalf("Check says (%v, %v), Decode says (%v, %v)", lc, rc, lerr, rerr)
+		}
 		if lerr != nil || rerr != nil {
-			if err == nil {
-				t.Fatalf("ConcatSize accepted images Decode rejects (%v, %v)", lerr, rerr)
-			}
 			return
 		}
-		if err != nil {
-			t.Fatalf("ConcatSize rejected images Decode accepts: %v", err)
-		}
+		n := ConcatSize(ls, l, rs, r)
 		out := ls.Concat(rs)
 		vals := append(lv, rv...)
 		want, err := out.Encode(vals)
@@ -74,7 +71,9 @@ func FuzzConcat(f *testing.F) {
 }
 
 // FuzzDecode feeds arbitrary bytes to the record decoder: corrupt
-// records must produce errors, never panics or out-of-bounds reads.
+// records must produce errors, never panics or out-of-bounds reads, and
+// Check accepts an image exactly when Decode does, with the error Get
+// gives for the first field that does not read.
 func FuzzDecode(f *testing.F) {
 	s := MustSchema(
 		Field{"i", TInt}, Field{"s", TString}, Field{"b", TBool}, Field{"y", TBytes},
@@ -90,7 +89,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vals, err := s.Decode(data)
-		if err != nil {
+		if cerr := s.Check(data); (cerr == nil) != (err == nil) {
+			t.Fatalf("Check error %v, Decode error %v", cerr, err)
+		} else if cerr != nil {
+			if gerr := firstGetError(s, data); cerr.Error() != gerr.Error() {
+				t.Fatalf("Check error %q, Get says %q", cerr, gerr)
+			}
 			return
 		}
 		// A successful decode must re-encode without error.
@@ -98,6 +102,17 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoded values do not re-encode: %v", err)
 		}
 	})
+}
+
+// firstGetError returns Get's error for the first field of data that does
+// not read, or nil.
+func firstGetError(s *Schema, data []byte) error {
+	for i := 0; i < s.NumFields(); i++ {
+		if _, err := s.Get(data, i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FuzzParseSpec checks the schema-spec parser never panics and that

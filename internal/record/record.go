@@ -267,11 +267,9 @@ func (s *Schema) MustEncode(vals ...Value) []byte {
 	return b
 }
 
-// Decode deserialises a record into a fresh value slice.
+// Decode deserialises a record into a fresh value slice. Its error is
+// Get's for the first field that does not read.
 func (s *Schema) Decode(data []byte) ([]Value, error) {
-	if len(data) < s.fixedLen {
-		return nil, fmt.Errorf("record: decode: %d bytes, need at least %d", len(data), s.fixedLen)
-	}
 	vals := make([]Value, len(s.fields))
 	for i := range s.fields {
 		v, err := s.Get(data, i)
@@ -281,6 +279,37 @@ func (s *Schema) Decode(data []byte) ([]Value, error) {
 		vals[i] = v
 	}
 	return vals, nil
+}
+
+// Check reports whether data is a well-formed record image of the schema:
+// its fixed area present, and its variable-length end offsets
+// non-decreasing and inside the image. It accepts exactly what Decode
+// accepts, and its error is Get's for the first field that does not read.
+// A record is checked once, where it enters a process — a file scan, an
+// index fetch, a wire frame; the support functions and the operators
+// assume checked images.
+func (s *Schema) Check(data []byte) error {
+	if s.wellFormed(data) {
+		return nil
+	}
+	_, err := s.Decode(data)
+	return err
+}
+
+// wellFormed is Check's verdict without its error: the per-record path.
+func (s *Schema) wellFormed(data []byte) bool {
+	if len(data) < s.fixedLen {
+		return false
+	}
+	prev := 0
+	for _, off := range s.varOffs {
+		end := int(binary.LittleEndian.Uint32(data[off:]))
+		if end < prev || s.fixedLen+end > len(data) {
+			return false
+		}
+		prev = end
+	}
+	return true
 }
 
 // Get extracts field i from an encoded record without decoding the rest.
@@ -308,12 +337,11 @@ func (s *Schema) Get(data []byte, i int) (Value, error) {
 		}
 		return Bool(data[off] != 0), nil
 	default:
-		start, end, err := s.VarBounds(data, i)
+		start, end, err := s.varBounds(data, i)
 		if err != nil {
 			return Value{}, err
 		}
-		v := Value{Kind: s.fields[i].Type, S: data[start:end:end]}
-		return v, nil
+		return Value{Kind: s.fields[i].Type, S: data[start:end:end]}, nil
 	}
 }
 
@@ -402,16 +430,16 @@ func (s *Schema) GetBytes(data []byte, i int) []byte {
 	if s.fields[i].Type.Fixed() {
 		panic(fmt.Sprintf("record: GetBytes on %s field %q", s.fields[i].Type, s.fields[i].Name))
 	}
-	start, end, err := s.VarBounds(data, i)
+	start, end, err := s.varBounds(data, i)
 	if err != nil {
-		panic(err)
+		panic(err) // cannot fire on a checked image (Check)
 	}
 	return data[start:end:end]
 }
 
-// VarBounds returns the bounds [start, end) of variable-length field i in
+// varBounds returns the bounds [start, end) of variable-length field i in
 // a record image, or the truncated-record or corrupt-bounds error of Get.
-func (s *Schema) VarBounds(data []byte, i int) (start, end int, err error) {
+func (s *Schema) varBounds(data []byte, i int) (start, end int, err error) {
 	off := s.offsets[i]
 	if off+4 > len(data) {
 		return 0, 0, errTruncated(s, i, data)

@@ -405,3 +405,30 @@ func TestQuickHashConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheck holds Check to Decode over a good image, every truncation of
+// it and corrupt end offsets: it accepts exactly what Decode accepts and
+// names the field Get cannot read.
+func TestCheck(t *testing.T) {
+	s := testSchema(t)
+	good := s.MustEncode(Int(7), Float(2.5), Str("name"), Bool(true), Bytes([]byte{1, 2}))
+	images := [][]byte{good}
+	for n := range good {
+		images = append(images, good[:n])
+	}
+	for _, end := range []byte{3, 200} { // the bytes field ends before it starts; past the image
+		bad := append([]byte(nil), good...)
+		bad[s.Offset(4)] = end
+		images = append(images, bad)
+	}
+	for _, data := range images {
+		_, derr := s.Decode(data)
+		err := s.Check(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("%d bytes: Check error %v, Decode error %v", len(data), err, derr)
+		}
+		if gerr := firstGetError(s, data); err != nil && err.Error() != gerr.Error() {
+			t.Fatalf("%d bytes: Check error %q, Get says %q", len(data), err, gerr)
+		}
+	}
+}

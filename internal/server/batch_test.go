@@ -101,28 +101,22 @@ func (p *flushProbe) Flush() {
 // batch size and record-at-a-time over scan pairs, about 35 KiB of rows:
 // the first flush carries exactly one row, then one follows each time the
 // buffered rows reach streamFlushBytes, the served batch size's short last
-// pull flushes its rows, and the last flush carries the trailer. A run
-// slower than streamHold may add flushes by time, so the cadence is read
-// from the first run that finished within it.
+// pull flushes its rows, and the last flush carries the trailer. The
+// stream's clock stands still, so no flush by time (streamHold, which
+// TestSlowProducerRowsNotHeld pins) comes between them, however slow the
+// run.
 func TestFirstRowFlushedFirst(t *testing.T) {
 	srv, _, _, _ := newTestServer(t, nil)
+	still := time.Now()
+	streamClock = func() time.Time { return still }
+	t.Cleanup(func() { streamClock = time.Now })
 	for _, batch := range []string{"", "1"} {
-		var p *flushProbe
-		for attempt := 0; ; attempt++ {
-			req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader("scan pairs"))
-			if batch != "" {
-				req.Header.Set("X-Volcano-Batch", batch)
-			}
-			p = &flushProbe{ResponseRecorder: httptest.NewRecorder()}
-			start := time.Now()
-			srv.Handler().ServeHTTP(p, req)
-			if time.Since(start) < streamHold {
-				break
-			}
-			if attempt == 20 {
-				t.Fatalf("X-Volcano-Batch %q: no run of 21 finished within %v", batch, streamHold)
-			}
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader("scan pairs"))
+		if batch != "" {
+			req.Header.Set("X-Volcano-Batch", batch)
 		}
+		p := &flushProbe{ResponseRecorder: httptest.NewRecorder()}
+		srv.Handler().ServeHTTP(p, req)
 		lines := strings.SplitAfter(p.Body.String(), "\n")
 		if len(lines) != pairRows+2 { // the rows, the trailer, and "" after its newline
 			t.Fatalf("X-Volcano-Batch %q: %d lines, want %d rows and a trailer", batch, len(lines)-1, pairRows)

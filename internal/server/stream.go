@@ -19,14 +19,15 @@ import (
 // encoded record. newRowWriter compiles the schema into one appender per
 // field, which writes the field's `"name":` key, marshaled once, and its
 // value read at the schema's offset, with no record.Value in between.
+// Records are checked where they enter (record.Schema.Check), so a row
+// always renders.
 type rowWriter struct {
 	schema *record.Schema
-	fields []func(b, data []byte) ([]byte, error)
-	fixed  int // bytes of the fixed area the int, float and bool appenders read
+	fields []func(b, data []byte) []byte
 }
 
 func newRowWriter(s *record.Schema) *rowWriter {
-	w := &rowWriter{schema: s, fields: make([]func(b, data []byte) ([]byte, error), s.NumFields())}
+	w := &rowWriter{schema: s, fields: make([]func(b, data []byte) []byte, s.NumFields())}
 	for i := range w.fields {
 		key, _ := json.Marshal(s.Field(i).Name)
 		if i > 0 {
@@ -39,60 +40,40 @@ func newRowWriter(s *record.Schema) *rowWriter {
 
 // compileField returns the appender of field i. Floats JSON cannot carry
 // (NaN, ±Inf) render as null; bytes are base64, as encoding/json does.
-func (w *rowWriter) compileField(i int, key []byte) func(b, data []byte) ([]byte, error) {
+func (w *rowWriter) compileField(i int, key []byte) func(b, data []byte) []byte {
 	s, off, typ := w.schema, w.schema.Offset(i), w.schema.Field(i).Type
 	switch typ {
 	case record.TInt:
-		w.fixed = max(w.fixed, off+8)
-		return func(b, data []byte) ([]byte, error) {
-			return strconv.AppendInt(append(b, key...), record.IntAt(data, off), 10), nil
+		return func(b, data []byte) []byte {
+			return strconv.AppendInt(append(b, key...), record.IntAt(data, off), 10)
 		}
 	case record.TFloat:
-		w.fixed = max(w.fixed, off+8)
-		return func(b, data []byte) ([]byte, error) {
+		return func(b, data []byte) []byte {
 			b = append(b, key...)
 			if f := record.FloatAt(data, off); !math.IsNaN(f) && !math.IsInf(f, 0) {
-				return strconv.AppendFloat(b, f, 'g', -1, 64), nil
+				return strconv.AppendFloat(b, f, 'g', -1, 64)
 			}
-			return append(b, "null"...), nil
+			return append(b, "null"...)
 		}
 	case record.TBool:
-		w.fixed = max(w.fixed, off+1)
-		return func(b, data []byte) ([]byte, error) {
-			return strconv.AppendBool(append(b, key...), data[off] != 0), nil
+		return func(b, data []byte) []byte {
+			return strconv.AppendBool(append(b, key...), data[off] != 0)
 		}
+	case record.TString:
+		return func(b, data []byte) []byte { return appendJSONString(append(b, key...), s.GetBytes(data, i)) }
 	}
-	return func(b, data []byte) ([]byte, error) {
-		start, end, err := s.VarBounds(data, i)
-		if err != nil {
-			return b, err
-		}
-		if b = append(b, key...); typ == record.TString {
-			return appendJSONString(b, data[start:end]), nil
-		}
-		return append(base64.StdEncoding.AppendEncode(append(b, '"'), data[start:end]), '"'), nil
+	return func(b, data []byte) []byte {
+		return append(base64.StdEncoding.AppendEncode(append(append(b, key...), '"'), s.GetBytes(data, i)), '"')
 	}
 }
 
-// row appends one encoded record to dst as a JSON line. On error dst comes
-// back as it was, and the error is the one Schema.Get gives for the first
-// field it cannot read.
-func (w *rowWriter) row(dst, data []byte) ([]byte, error) {
-	if len(data) < w.fixed {
-		for i := range w.fields {
-			if _, err := w.schema.Get(data, i); err != nil {
-				return dst, err
-			}
-		}
-	}
+// row appends one encoded record to dst as a JSON line.
+func (w *rowWriter) row(dst, data []byte) []byte {
 	b := append(dst, '{')
 	for _, f := range w.fields {
-		var err error
-		if b, err = f(b, data); err != nil {
-			return dst, err
-		}
+		b = f(b, data)
 	}
-	return append(b, '}', '\n'), nil
+	return append(b, '}', '\n')
 }
 
 // The result stream writes in buffers, not rows: one Write and Flush on
@@ -105,6 +86,10 @@ const (
 )
 
 var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// streamClock is the clock streamHold is measured on; a test holds it
+// still to read the cadence by rows and bytes alone.
+var streamClock = time.Now
 
 // rowStream is one query's result stream: its rows rendered into a pooled
 // buffer, and its per-row bookkeeping.
@@ -129,10 +114,7 @@ func newRowStream(w http.ResponseWriter, rec *queryRecord, s *record.Schema, sta
 // row and once it holds streamFlushBytes.
 func (st *rowStream) row(r core.Rec) error {
 	n := len(st.buf)
-	b, err := st.rw.row(st.buf, r.Data)
-	if err != nil {
-		return err
-	}
+	b := st.rw.row(st.buf, r.Data)
 	st.buf, st.rows = b, st.rows+1
 	// The per-record bookkeeping budget: one atomic add for the live
 	// registry and two for the resource meter, zero allocations
@@ -148,7 +130,7 @@ func (st *rowStream) row(r core.Rec) error {
 // pulled ends one pull of the drain, writing the buffer if the pull came
 // back short of its target or the last write is more than streamHold old.
 func (st *rowStream) pulled(short bool) error {
-	if len(st.buf) > 0 && (short || time.Since(st.wrote) > streamHold) {
+	if len(st.buf) > 0 && (short || streamClock().Sub(st.wrote) > streamHold) {
 		return st.write()
 	}
 	return nil
@@ -165,7 +147,7 @@ func (st *rowStream) write() error {
 	if f, ok := st.w.(http.Flusher); ok {
 		f.Flush()
 	}
-	st.buf, st.wrote = st.buf[:0], time.Now()
+	st.buf, st.wrote = st.buf[:0], streamClock()
 	return err
 }
 

@@ -3,15 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/record"
 )
 
@@ -85,27 +88,24 @@ func wantRow(row []record.Value) []byte {
 
 // TestRowWriterMatchesEncodingJSON renders rows from their encoded images
 // and requires each line to be the reference wantRow makes of the decoded
-// values, appended after what the buffer already held.
+// values, appended after what the buffer already held. A truncated record
+// never reaches the writer: Check, where records enter, rejects it.
 func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 	rw := newRowWriter(rowSchema)
 	for _, row := range rowSeeds {
-		line, err := rw.row([]byte("held\n"), rowSchema.MustEncode(row...))
-		if err != nil {
-			t.Fatal(err)
-		}
+		line := rw.row([]byte("held\n"), rowSchema.MustEncode(row...))
 		if want := append([]byte("held\n"), wantRow(row)...); !bytes.Equal(line, want) {
 			t.Fatalf("row = %s, want %s", line, want)
 		}
 	}
-	if _, err := rw.row(nil, []byte{1, 2, 3}); err == nil {
-		t.Fatal("a truncated record rendered without error")
+	if err := rowSchema.Check([]byte{1, 2, 3}); err == nil {
+		t.Fatal("Check accepted a truncated record")
 	}
 }
 
 // FuzzRowWriter feeds arbitrary bytes to the row writer as a rowSchema
-// record: it fails exactly when Schema.Decode does, with the error of the
-// first field Schema.Get cannot read, never panics, and otherwise renders
-// the reference line of the decoded values.
+// record, as the writer gets them: only images Check accepts, where
+// records enter. Each renders the reference line of the decoded values.
 func FuzzRowWriter(f *testing.F) {
 	for _, row := range rowSeeds {
 		data := rowSchema.MustEncode(row...)
@@ -115,23 +115,14 @@ func FuzzRowWriter(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	rw := newRowWriter(rowSchema)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		line, err := rw.row(nil, data)
-		vals, derr := rowSchema.Decode(data)
-		if (err != nil) != (derr != nil) {
-			t.Fatalf("row error %v, Decode error %v", err, derr)
+		if rowSchema.Check(data) != nil {
+			return
 		}
+		vals, err := rowSchema.Decode(data)
 		if err != nil {
-			for i := 0; i < rowSchema.NumFields(); i++ {
-				if _, gerr := rowSchema.Get(data, i); gerr != nil {
-					if err.Error() != gerr.Error() {
-						t.Fatalf("row error %q, Get of field %d says %q", err, i, gerr)
-					}
-					return
-				}
-			}
-			t.Fatalf("row error %v where every field reads", err)
+			t.Fatalf("Decode rejects an image Check accepts: %v", err)
 		}
-		if want := wantRow(vals); !bytes.Equal(line, want) {
+		if line, want := rw.row(nil, data), wantRow(vals); !bytes.Equal(line, want) {
 			t.Fatalf("row = %s, want %s", line, want)
 		}
 	})
@@ -140,11 +131,8 @@ func FuzzRowWriter(f *testing.F) {
 func TestRowWriterZeroAlloc(t *testing.T) {
 	rw := newRowWriter(rowSchema)
 	data := rowSchema.MustEncode(record.Int(42), record.Float(3.25), record.Str("emp-42 <&>  "), record.Bool(true), record.Bytes([]byte("payload")))
-	buf, err := rw.row(nil, data) // grow the buffer once
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(1000, func() { buf, _ = rw.row(buf[:0], data) }); n != 0 {
+	buf := rw.row(nil, data) // grow the buffer once
+	if n := testing.AllocsPerRun(1000, func() { buf = rw.row(buf[:0], data) }); n != 0 {
 		t.Fatalf("rowWriter.row allocates %.0f times per row, want 0", n)
 	}
 }
@@ -258,6 +246,43 @@ func BenchmarkRowStream(b *testing.B) {
 				b.ReportMetric(float64(cw.bytes)/float64(b.N), "bytes/row")
 				b.ReportMetric(float64(cw.writes)/float64(b.N), "writes/row")
 			})
+		}
+	}
+}
+
+// TestServedCorruptRecord serves queries over a table holding one record
+// cut short, one of them behind an exchange: each response's trailer
+// carries the scan's error naming the file, and the next query on the
+// same server answers correctly.
+func TestServedCorruptRecord(t *testing.T) {
+	_, w, ts, _ := newTestServer(t, nil)
+	vol := w.cat.(plan.VolumeCatalog)[0]
+	schema := record.MustSchema(record.Field{Name: "id", Type: record.TInt}, record.Field{Name: "name", Type: record.TString})
+	for _, name := range []string{"bad", "bad.0", "bad.1"} {
+		f := mustCreate(t, vol, name, schema)
+		for i := 0; i < 50; i++ {
+			data := schema.MustEncode(record.Int(int64(i)), record.Str(fmt.Sprint("row-", i)))
+			if i == 30 && name != "bad.1" {
+				data = data[:len(data)-2]
+			}
+			mustInsert(t, f, data)
+		}
+	}
+	for _, q := range []struct{ script, batch string }{
+		{"scan bad | filter name like 'r%'", ""},
+		{"scan bad | project id, name", "1"},
+		{"pscan bad 2 | exchange producers=2 | filter interpreted id > 1", ""},
+	} {
+		res, err := postQueryBatch(ts, q.script, q.batch)
+		if err != nil {
+			t.Fatalf("%q: %v", q.script, err)
+		}
+		if res.trailer.Status != "error" || !strings.Contains(res.trailer.Error, `filescan "bad`) {
+			t.Fatalf("%q: trailer %+v, want the scan's error", q.script, res.trailer)
+		}
+		res, err = postQuery(ts, "scan emp | filter id < 3")
+		if err != nil || res.trailer.Status != "ok" || res.rows != 3 {
+			t.Fatalf("the query after %q: %+v, %d rows, %v", q.script, res.trailer, res.rows, err)
 		}
 	}
 }
