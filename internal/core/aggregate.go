@@ -190,14 +190,13 @@ type HashAggregate struct {
 	folds   []aggFold
 	schema  *record.Schema
 
-	w          *ResultWriter
-	groups     map[string]*group
-	order      []*group // first-seen order
-	emit       int
-	key        []byte         // scratch: the current record's group key
-	vals       []record.Value // scratch: the output row being written
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
+	w      *ResultWriter
+	groups map[string]*group
+	order  []*group // first-seen order
+	emit   int
+	key    []byte         // scratch: the current record's group key
+	vals   []record.Value // scratch: the output row being written
+	opState
 }
 
 type group struct {
@@ -242,51 +241,26 @@ func NewHashAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSp
 func (h *HashAggregate) Schema() *record.Schema { return h.schema }
 
 // Open implements Iterator: consumes the whole input, building groups.
-func (h *HashAggregate) Open() error {
-	if h.open {
-		return errState("hashaggregate", "already open")
-	}
-	err := h.openImpl()
-	h.openFailed = err != nil
-	return err
-}
+func (h *HashAggregate) Open() error { return h.opening("hashaggregate", h.openImpl) }
 
 func (h *HashAggregate) openImpl() error {
 	w, err := h.env.NewResultWriter("hashagg", h.schema)
 	if err != nil {
 		return err
 	}
-	h.w = w
-	h.groups = make(map[string]*group)
-	if err := h.input.Open(); err != nil {
-		_ = h.w.Dispose()
-		h.w = nil
-		return err
-	}
+	h.groups, h.order = make(map[string]*group), nil
 	in := h.input.Schema()
-	b := NewBatch(h.env.BatchSize())
-	for {
-		if err := h.input.NextBatch(b); err != nil {
-			_ = h.input.Close()
-			_ = h.w.Dispose()
-			h.w = nil
-			return err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		for _, r := range b.Recs() {
+	err = drainInput(h.input, h.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
 			h.absorb(in, r.Data)
 		}
-		b.Release()
-	}
-	if err := h.input.Close(); err != nil {
-		_ = h.w.Dispose()
-		h.w = nil
+		return nil
+	})
+	if err != nil {
+		_ = w.Dispose()
 		return err
 	}
-	h.emit = 0
-	h.open = true
+	h.w, h.emit = w, 0
 	return nil
 }
 
@@ -332,17 +306,9 @@ func (h *HashAggregate) NextBatch(b *Batch) error {
 
 // Close implements Iterator.
 func (h *HashAggregate) Close() error {
-	if h.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		h.openFailed = false
-		return nil
+	if ok, err := h.closing("hashaggregate"); !ok {
+		return err
 	}
-	if !h.open {
-		return errState("hashaggregate", "close before open")
-	}
-	h.open = false
 	h.groups = nil
 	h.order = nil
 	err := h.w.Dispose()
@@ -360,15 +326,14 @@ type SortAggregate struct {
 	folds   []aggFold
 	schema  *record.Schema
 
-	w          *ResultWriter
-	cur        *group
-	curKey     []byte         // the current group's key
-	key        []byte         // scratch: the incoming record's key
-	vals       []record.Value // scratch: the output row being written
-	done       bool
-	open       bool
-	openFailed bool    // Open ran and failed: next Close is a no-op
-	src        *Cursor // the sorted input
+	w      *ResultWriter
+	cur    *group
+	curKey []byte         // the current group's key
+	key    []byte         // scratch: the incoming record's key
+	vals   []record.Value // scratch: the output row being written
+	done   bool
+	src    *Cursor // the sorted input
+	opState
 }
 
 // NewSortAggregate constructs the operator over a sorted input.
@@ -384,14 +349,7 @@ func NewSortAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSp
 func (s *SortAggregate) Schema() *record.Schema { return s.schema }
 
 // Open implements Iterator.
-func (s *SortAggregate) Open() error {
-	if s.open {
-		return errState("sortaggregate", "already open")
-	}
-	err := s.openImpl()
-	s.openFailed = err != nil
-	return err
-}
+func (s *SortAggregate) Open() error { return s.opening("sortaggregate", s.openImpl) }
 
 func (s *SortAggregate) openImpl() error {
 	w, err := s.env.NewResultWriter("sortagg", s.schema)
@@ -406,7 +364,6 @@ func (s *SortAggregate) openImpl() error {
 	s.cur = nil
 	s.done = false
 	s.src = NewCursor(s.input, s.env.BatchSize())
-	s.open = true
 	return nil
 }
 
@@ -466,17 +423,9 @@ func (s *SortAggregate) emit(g *group) (Rec, error) {
 
 // Close implements Iterator.
 func (s *SortAggregate) Close() error {
-	if s.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		s.openFailed = false
-		return nil
+	if ok, err := s.closing("sortaggregate"); !ok {
+		return err
 	}
-	if !s.open {
-		return errState("sortaggregate", "close before open")
-	}
-	s.open = false
 	s.src.Release()
 	err := s.input.Close()
 	if derr := s.w.Dispose(); err == nil {

@@ -156,11 +156,15 @@ func fill(b *Batch, next func() (Rec, bool, error)) error {
 }
 
 // Cursor is the record-at-a-time view of an iterator: it pulls NextBatch
-// refills of a fixed size and hands their records out one by one. Merge
-// match, nested loops, the sort aggregate, the sort merge, sort run
-// generation and both divisions consume through it; the hash aggregate,
-// hash match, filter and project take whole batches. At size 1 every
-// refill is one record, the paper's record-at-a-time discipline.
+// refills of a fixed size and hands their records out one by one. It is
+// for consumers that emit while they read: merge match, the sort merge,
+// nested loops' outer side, the sort aggregate and the sort division's
+// dividend. A consumer that reads a whole input before it emits (sort
+// run generation, the hash aggregate, the divisions' divisors, the hash
+// division's dividend, the nested-loops inner) drains it through
+// drainInput; hash match, filter and project take whole batches. At
+// size 1 every refill is one record, the paper's record-at-a-time
+// discipline.
 type Cursor struct {
 	src Iterator
 	b   *Batch

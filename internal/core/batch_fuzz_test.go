@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -133,17 +134,20 @@ func FuzzBatchDecode(f *testing.F) {
 }
 
 // FuzzPageRecords flips fuzzer-chosen bytes of a stored page image —
-// slot directory and record bytes, not the next-page link — and runs a
-// FileScan | filter | project over it in a fuzzer-chosen expression
+// the next-page link, the slot directory and the record bytes — and runs
+// a FileScan | filter | project over it in a fuzzer-chosen expression
 // mode and batch size. The answer must be an error, where the storage
 // scan or Decode of a record fails, or else exactly the reference rows
-// computed from the decoded records; never a panic.
+// computed from the decoded records; never a panic. The table is one
+// page, so a link that is not 0 leads past the file: the scan must fail
+// there rather than follow it.
 func FuzzPageRecords(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 4, 0xff}, uint8(1))       // nslots
 	f.Add([]byte{0, 8, 0x40}, uint8(7))       // slot 0's offset
 	f.Add([]byte{0x0f, 0xf0, 0x20}, uint8(2)) // a record near the page end
 	f.Add([]byte{0x0f, 0xf8, 0x01, 0x0f, 0xfc, 0x80}, uint8(83))
+	f.Add([]byte{0, 0, 0x01}, uint8(5)) // the next-page link
 	schema := record.MustSchema(
 		record.Field{Name: "v", Type: record.TInt},
 		record.Field{Name: "s", Type: record.TString},
@@ -167,7 +171,7 @@ func FuzzPageRecords(f *testing.F) {
 		}
 		img := fr.Data()
 		for ; len(flips) >= 3; flips = flips[3:] {
-			img[4+(int(flips[0])<<8|int(flips[1]))%(len(img)-4)] ^= flips[2]
+			img[(int(flips[0])<<8|int(flips[1]))%len(img)] ^= flips[2]
 		}
 		env.pool.Unfix(fr, true)
 
@@ -234,4 +238,45 @@ func render(row []record.Value) string {
 		cells[i] = v.String()
 	}
 	return strings.Join(cells, "\x1f")
+}
+
+// TestFileScanCorruptLink bends the next-page link of a 3-page table's
+// first page back to itself: NextBatch must return the storage scan's
+// error with no pin left, at each batch size, rather than go round the
+// cycle.
+func TestFileScanCorruptLink(t *testing.T) {
+	for _, size := range []int{1, 7, 83} {
+		env := newTestEnv(t, 64)
+		emp := env.makeEmp(t, "emp", 300, 8)
+		if p := emp.Pages(); p != 3 {
+			t.Fatalf("emp has %d pages, want 3", p)
+		}
+		first := emp.FirstPage()
+		fr, err := env.pool.Fix(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(fr.Data(), first.Page)
+		env.pool.Unfix(fr, true)
+
+		sc := scanOf(t, emp)
+		if err := sc.Open(); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBatch(size)
+		for n := 0; err == nil && n <= 3*300; b.Release() {
+			if err = sc.NextBatch(b); err == nil && b.Len() == 0 {
+				t.Fatalf("batch=%d: the scan ended without an error", size)
+			}
+			n += b.Len()
+		}
+		if err == nil || !strings.Contains(err.Error(), "next-page link") {
+			t.Fatalf("batch=%d: err = %v, want the scan's next-page link error", size, err)
+		}
+		env.checkNoPinLeak(t)
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		env.checkNoPinLeak(t)
+	}
 }

@@ -21,9 +21,8 @@ type ChoosePlan struct {
 	decide       func() (int, error)
 	schema       *record.Schema
 	chosen       Iterator
-	choice       int       // index of chosen, valid while chosen != nil
-	openFailed   bool      // Open ran and failed: next Close is a no-op
 	onChoose     func(int) // observability hook, may be nil
+	opState
 }
 
 // NewChoosePlan builds the operator. All alternatives must produce the
@@ -55,29 +54,21 @@ func (c *ChoosePlan) OnChoose(fn func(int)) { c.onChoose = fn }
 
 // Open implements Iterator: evaluates the decision support function and
 // opens only the chosen alternative.
-func (c *ChoosePlan) Open() error {
-	if c.chosen != nil {
-		return errState("chooseplan", "already open")
-	}
-	c.openFailed = false
+func (c *ChoosePlan) Open() error { return c.opening("chooseplan", c.openImpl) }
+
+func (c *ChoosePlan) openImpl() error {
 	i, err := c.decide()
 	if err != nil {
-		c.openFailed = true
 		return fmt.Errorf("core: chooseplan: decision: %w", err)
 	}
 	if i < 0 || i >= len(c.alternatives) {
-		c.openFailed = true
 		return errState("chooseplan", fmt.Sprintf("decision %d out of range 0..%d", i, len(c.alternatives)-1))
 	}
+	// A failed alternative owns its own cleanup.
 	if err := c.alternatives[i].Open(); err != nil {
-		// The failed alternative owns its own cleanup; remember the
-		// failure so the caller's unconditional-Close drain does not
-		// mask this error with "close before open".
-		c.openFailed = true
 		return err
 	}
 	c.chosen = c.alternatives[i]
-	c.choice = i
 	if c.onChoose != nil {
 		c.onChoose(i)
 	}
@@ -87,23 +78,16 @@ func (c *ChoosePlan) Open() error {
 // NextBatch implements Iterator by passing batches straight through from
 // the chosen alternative.
 func (c *ChoosePlan) NextBatch(b *Batch) error {
-	if c.chosen == nil {
+	if !c.open {
 		return errState("chooseplan", "next before open")
 	}
 	return c.chosen.NextBatch(b)
 }
 
-// Close implements Iterator. A Close directly after a failed Open is a
-// no-op success: the failure already unwound the alternative, and the
-// standard drain path closes unconditionally — returning a state error
-// here would mask the root cause.
+// Close implements Iterator.
 func (c *ChoosePlan) Close() error {
-	if c.openFailed {
-		c.openFailed = false
-		return nil
-	}
-	if c.chosen == nil {
-		return errState("chooseplan", "close before open")
+	if ok, err := c.closing("chooseplan"); !ok {
+		return err
 	}
 	err := c.chosen.Close()
 	c.chosen = nil

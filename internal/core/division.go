@@ -31,13 +31,12 @@ type HashDivision struct {
 	// counts and compares with the full divisor cardinality.
 	partial bool
 
-	w          *ResultWriter
-	order      []string
-	table      map[string]*quotient
-	ndiv       int
-	emit       int
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
+	w     *ResultWriter
+	order []string
+	table map[string]*quotient
+	ndiv  int
+	emit  int
+	opState
 }
 
 type quotient struct {
@@ -101,14 +100,7 @@ func (d *HashDivision) SetPartial(p bool) error {
 
 // Open implements Iterator: builds the divisor table, then consumes the
 // dividend accumulating per-quotient divisor bit sets.
-func (d *HashDivision) Open() error {
-	if d.open {
-		return errState("hashdivision", "already open")
-	}
-	err := d.openImpl()
-	d.openFailed = err != nil
-	return err
-}
+func (d *HashDivision) Open() error { return d.opening("hashdivision", d.openImpl) }
 
 func (d *HashDivision) openImpl() error {
 	w, err := d.env.NewResultWriter("hashdiv", d.schema)
@@ -119,29 +111,17 @@ func (d *HashDivision) openImpl() error {
 
 	// Phase 1: number the divisor tuples.
 	divisorIdx := make(map[string]int)
-	if err := d.divisor.Open(); err != nil {
-		d.abort()
-		return err
-	}
 	ds := d.divisor.Schema()
-	src := NewCursor(d.divisor, d.env.BatchSize())
-	for {
-		r, ok, err := src.Pull()
-		if err != nil {
-			_ = d.divisor.Close()
-			d.abort()
-			return err
+	err = drainInput(d.divisor, d.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			key := string(ds.AppendKey(nil, r.Data, d.divisorKey))
+			if _, dup := divisorIdx[key]; !dup {
+				divisorIdx[key] = len(divisorIdx)
+			}
 		}
-		if !ok {
-			break
-		}
-		key := string(ds.AppendKey(nil, r.Data, d.divisorKey))
-		if _, dup := divisorIdx[key]; !dup {
-			divisorIdx[key] = len(divisorIdx)
-		}
-		r.Unfix()
-	}
-	if err := d.divisor.Close(); err != nil {
+		return nil
+	})
+	if err != nil {
 		d.abort()
 		return err
 	}
@@ -149,45 +129,30 @@ func (d *HashDivision) openImpl() error {
 
 	// Phase 2: scan the dividend, marking (quotient, divisor) pairs.
 	d.table = make(map[string]*quotient)
-	if err := d.dividend.Open(); err != nil {
-		d.abort()
-		return err
-	}
 	in := d.dividend.Schema()
-	src = NewCursor(d.dividend, d.env.BatchSize())
-	for {
-		r, ok, err := src.Pull()
-		if err != nil {
-			_ = d.dividend.Close()
-			d.abort()
-			return err
+	err = drainInput(d.dividend, d.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			idx, inDivisor := divisorIdx[string(in.AppendKey(nil, r.Data, d.divKey))]
+			if !inDivisor {
+				// Dividend rows with divisor values outside S are irrelevant.
+				continue
+			}
+			qk := string(in.AppendKey(nil, r.Data, d.quotKey))
+			q, exists := d.table[qk]
+			if !exists {
+				q = &quotient{kv: in.KeyValues(r.Data, d.quotKey), seen: make(map[int]struct{})}
+				d.table[qk] = q
+				d.order = append(d.order, qk)
+			}
+			q.seen[idx] = struct{}{}
 		}
-		if !ok {
-			break
-		}
-		divK := string(in.AppendKey(nil, r.Data, d.divKey))
-		idx, inDivisor := divisorIdx[divK]
-		if !inDivisor {
-			// Dividend rows with divisor values outside S are irrelevant.
-			r.Unfix()
-			continue
-		}
-		qk := string(in.AppendKey(nil, r.Data, d.quotKey))
-		q, exists := d.table[qk]
-		if !exists {
-			q = &quotient{kv: in.KeyValues(r.Data, d.quotKey), seen: make(map[int]struct{})}
-			d.table[qk] = q
-			d.order = append(d.order, qk)
-		}
-		q.seen[idx] = struct{}{}
-		r.Unfix()
-	}
-	if err := d.dividend.Close(); err != nil {
+		return nil
+	})
+	if err != nil {
 		d.abort()
 		return err
 	}
 	d.emit = 0
-	d.open = true
 	return nil
 }
 
@@ -219,17 +184,9 @@ func (d *HashDivision) next() (Rec, bool, error) {
 
 // Close implements Iterator.
 func (d *HashDivision) Close() error {
-	if d.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		d.openFailed = false
-		return nil
+	if ok, err := d.closing("hashdivision"); !ok {
+		return err
 	}
-	if !d.open {
-		return errState("hashdivision", "close before open")
-	}
-	d.open = false
 	d.table = nil
 	d.order = nil
 	err := d.w.Dispose()
@@ -258,15 +215,14 @@ type SortDivision struct {
 	divisorKey record.Key
 	schema     *record.Schema
 
-	w          *ResultWriter
-	src        *Cursor // the sorted dividend
-	divisor2   map[string]struct{}
-	cur        []record.Value
-	curKey     string // AppendKey rendering of cur
-	curSeen    map[string]struct{}
-	done       bool
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
+	w        *ResultWriter
+	src      *Cursor // the sorted dividend
+	divisor2 map[string]struct{}
+	cur      []record.Value
+	curKey   string // AppendKey rendering of cur
+	curSeen  map[string]struct{}
+	done     bool
+	opState
 }
 
 // NewSortDivision constructs the operator; the dividend is sorted on its
@@ -304,58 +260,33 @@ func NewSortDivision(env *Env, dividend, divisor Iterator, quotKey, divKey, divi
 func (d *SortDivision) Schema() *record.Schema { return d.schema }
 
 // Open implements Iterator.
-func (d *SortDivision) Open() error {
-	if d.open {
-		return errState("sortdivision", "already open")
-	}
-	err := d.openImpl()
-	d.openFailed = err != nil
-	return err
-}
+func (d *SortDivision) Open() error { return d.opening("sortdivision", d.openImpl) }
 
 func (d *SortDivision) openImpl() error {
 	w, err := d.env.NewResultWriter("sortdiv", d.schema)
 	if err != nil {
 		return err
 	}
-	d.w = w
 	d.divisor2 = make(map[string]struct{})
-	if err := d.divisor.Open(); err != nil {
-		_ = d.w.Dispose()
-		d.w = nil
-		return err
-	}
 	ds := d.divisor.Schema()
-	src := NewCursor(d.divisor, d.env.BatchSize())
-	for {
-		r, ok, err := src.Pull()
-		if err != nil {
-			_ = d.divisor.Close()
-			_ = d.w.Dispose()
-			d.w = nil
-			return err
+	err = drainInput(d.divisor, d.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			d.divisor2[string(ds.AppendKey(nil, r.Data, d.divisorKey))] = struct{}{}
 		}
-		if !ok {
-			break
-		}
-		d.divisor2[string(ds.AppendKey(nil, r.Data, d.divisorKey))] = struct{}{}
-		r.Unfix()
+		return nil
+	})
+	if err == nil {
+		err = d.dividend.Open()
 	}
-	if err := d.divisor.Close(); err != nil {
-		_ = d.w.Dispose()
-		d.w = nil
+	if err != nil {
+		_ = w.Dispose()
 		return err
 	}
-	if err := d.dividend.Open(); err != nil {
-		_ = d.w.Dispose()
-		d.w = nil
-		return err
-	}
+	d.w = w
 	d.src = NewCursor(d.dividend, d.env.BatchSize())
 	d.cur = nil
 	d.curSeen = nil
 	d.done = false
-	d.open = true
 	return nil
 }
 
@@ -410,17 +341,9 @@ func (d *SortDivision) nextGroup() (Rec, bool, error) {
 
 // Close implements Iterator.
 func (d *SortDivision) Close() error {
-	if d.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		d.openFailed = false
-		return nil
+	if ok, err := d.closing("sortdivision"); !ok {
+		return err
 	}
-	if !d.open {
-		return errState("sortdivision", "close before open")
-	}
-	d.open = false
 	d.src.Release()
 	err := d.dividend.Close()
 	if derr := d.w.Dispose(); err == nil {

@@ -136,21 +136,35 @@ func (e *Env) DropTemp(f *file.File) error {
 // records (DefaultBatchSize when size < 1), unfixing each batch in one
 // coalesced pass, closes it and returns the count. Useful as a sink.
 func Drain(it Iterator, size int) (int, error) {
-	if err := it.Open(); err != nil {
-		return 0, err
+	n := 0
+	err := drainInput(it, size, func(recs []Rec) error { n += len(recs); return nil })
+	return n, err
+}
+
+// drainInput is the input loop of a stop-and-go operator: it opens in,
+// hands fn each batch of up to size records (DefaultBatchSize when
+// size < 1) and releases the batch once fn returns, so fn must copy what
+// it keeps, and closes in at the end of the stream. On an error from in
+// or from fn it releases the batch, closes in and returns the error. A
+// consumer that emits while it reads pulls through a Cursor instead.
+func drainInput(in Iterator, size int, fn func(recs []Rec) error) error {
+	if err := in.Open(); err != nil {
+		return err
 	}
 	b := NewBatch(size)
-	n := 0
 	for {
-		if err := it.NextBatch(b); err != nil {
-			_ = it.Close()
-			return n, err
+		err := in.NextBatch(b)
+		if err == nil && b.Len() == 0 {
+			return in.Close()
 		}
-		if b.Len() == 0 {
-			return n, it.Close()
+		if err == nil {
+			err = fn(b.Recs())
 		}
-		n += b.Len()
 		b.Release()
+		if err != nil {
+			_ = in.Close()
+			return err
+		}
 	}
 }
 
@@ -158,37 +172,60 @@ func Drain(it Iterator, size int) (int, error) {
 // size records (DefaultBatchSize when size < 1) and returns decoded rows;
 // a convenience for tests, examples, and small result sets.
 func Collect(it Iterator, size int) ([][]record.Value, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
 	s := it.Schema()
-	b := NewBatch(size)
 	var rows [][]record.Value
-	for {
-		if err := it.NextBatch(b); err != nil {
-			_ = it.Close()
-			return rows, err
-		}
-		if b.Len() == 0 {
-			return rows, it.Close()
-		}
-		for _, r := range b.Recs() {
+	err := drainInput(it, size, func(recs []Rec) error {
+		for _, r := range recs {
 			vals, err := s.Decode(r.Data)
 			if err != nil {
-				b.Release()
-				_ = it.Close()
-				return rows, err
+				return err
 			}
 			for i := range vals {
 				vals[i] = vals[i].Copy()
 			}
 			rows = append(rows, vals)
 		}
-		b.Release()
-	}
+		return nil
+	})
+	return rows, err
 }
 
 // errState standardises the open/close protocol violations.
 func errState(op, what string) error {
 	return fmt.Errorf("core: %s: %s", op, what)
+}
+
+// opState is the open/close protocol state of an operator that does its
+// work in Open. Open on an open operator is a state error, and so is
+// Close before Open, with one exception: a failed Open makes the next
+// Close a no-op. The failure already unwound the operator's state, the
+// standard drain path closes unconditionally, and a state error there
+// would mask the root cause.
+type opState struct {
+	open   bool
+	failed bool // Open ran and failed: the next Close is a no-op
+}
+
+// opening runs impl as op's Open and records its outcome.
+func (st *opState) opening(op string, impl func() error) error {
+	if st.open {
+		return errState(op, "already open")
+	}
+	err := impl()
+	st.open, st.failed = err == nil, err != nil
+	return err
+}
+
+// closing starts op's Close: ok reports whether the operator is open and
+// must now unwind; otherwise err is the Close's result.
+func (st *opState) closing(op string) (ok bool, err error) {
+	if st.failed {
+		st.failed = false
+		return false, nil
+	}
+	if !st.open {
+		return false, errState(op, "close before open")
+	}
+	st.open = false
+	return true, nil
 }

@@ -19,14 +19,13 @@ type NestedLoops struct {
 	pred   expr.Predicate // over the combined schema; nil = always true
 	schema *record.Schema
 
-	comb       combiner
-	inner      *file.File
-	lsrc       *Cursor
-	lrec       Rec
-	lok        bool
-	scan       *file.Scan
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
+	comb  combiner
+	inner *file.File
+	lsrc  *Cursor
+	lrec  Rec
+	lok   bool
+	scan  *file.Scan
+	opState
 }
 
 // NewNestedLoops builds the operator. predSrc is an expression over the
@@ -51,14 +50,7 @@ func NewNestedLoops(env *Env, left, right Iterator, predSrc string, mode expr.Mo
 func (n *NestedLoops) Schema() *record.Schema { return n.schema }
 
 // Open implements Iterator: materialises the inner (right) input.
-func (n *NestedLoops) Open() error {
-	if n.open {
-		return errState("nestedloops", "already open")
-	}
-	err := n.openImpl()
-	n.openFailed = err != nil
-	return err
-}
+func (n *NestedLoops) Open() error { return n.opening("nestedloops", n.openImpl) }
 
 func (n *NestedLoops) openImpl() error {
 	w, err := n.env.NewResultWriter("nljoin", n.schema)
@@ -70,40 +62,25 @@ func (n *NestedLoops) openImpl() error {
 		_ = w.Dispose()
 		return err
 	}
-	fail := func(err error) error {
+	err = drainInput(n.right, n.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			if _, err := inner.Insert(r.Data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = n.left.Open()
+	}
+	if err != nil {
 		_ = w.Dispose()
 		_ = n.env.DropTemp(inner)
 		return err
 	}
-	if err := n.right.Open(); err != nil {
-		return fail(err)
-	}
-	src := NewCursor(n.right, n.env.BatchSize())
-	for {
-		r, ok, err := src.Pull()
-		if err == nil && ok {
-			_, err = inner.Insert(r.Data)
-			r.Unfix()
-		}
-		if err != nil {
-			src.Release()
-			_ = n.right.Close()
-			return fail(err)
-		}
-		if !ok {
-			break
-		}
-	}
-	if err := n.right.Close(); err != nil {
-		return fail(err)
-	}
-	if err := n.left.Open(); err != nil {
-		return fail(err)
-	}
 	n.comb.w, n.inner = w, inner
 	n.lsrc = NewCursor(n.left, n.env.BatchSize())
 	n.lok = false
-	n.open = true
 	return nil
 }
 
@@ -160,17 +137,9 @@ func (n *NestedLoops) combine(l, r []byte) (Rec, bool, error) {
 
 // Close implements Iterator.
 func (n *NestedLoops) Close() error {
-	if n.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		n.openFailed = false
-		return nil
+	if ok, err := n.closing("nestedloops"); !ok {
+		return err
 	}
-	if !n.open {
-		return errState("nestedloops", "close before open")
-	}
-	n.open = false
 	if n.scan != nil {
 		n.scan.Close()
 		n.scan = nil

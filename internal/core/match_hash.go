@@ -21,18 +21,17 @@ type HashMatch struct {
 	rightKey record.Key
 	schema   *record.Schema
 
-	table      map[uint64][]*buildEntry
-	order      []*buildEntry // build order, for deterministic trailing output
-	comb       combiner      // for combined outputs
-	seen       map[string]struct{}
-	seenKey    []byte // scratch for the seen lookup
-	pending    recQueue
-	trail      int // cursor over order for right-only emission
-	probing    bool
-	inArena    bool // the consumer opted the output into an arena
-	rightOpen  bool
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
+	table     map[uint64][]*buildEntry
+	order     []*buildEntry // build order, for deterministic trailing output
+	comb      combiner      // for combined outputs
+	seen      map[string]struct{}
+	seenKey   []byte // scratch for the seen lookup
+	pending   recQueue
+	trail     int // cursor over order for right-only emission
+	probing   bool
+	inArena   bool // the consumer opted the output into an arena
+	rightOpen bool
+	opState
 	// lb is the input batch being read: the right one while building, the
 	// left one from lpos while probing. drops collects the input records
 	// not kept or passed on until the next refill or return releases them.
@@ -85,14 +84,7 @@ func (h *HashMatch) distinctProbe() bool {
 }
 
 // Open implements Iterator: the build phase.
-func (h *HashMatch) Open() error {
-	if h.open {
-		return errState("hashmatch", "already open")
-	}
-	err := h.openImpl()
-	h.openFailed = err != nil
-	return err
-}
+func (h *HashMatch) Open() error { return h.opening("hashmatch", h.openImpl) }
 
 func (h *HashMatch) openImpl() error {
 	if h.op.combinesSchemas() {
@@ -142,7 +134,6 @@ func (h *HashMatch) openImpl() error {
 		return err
 	}
 	h.probing = true
-	h.open = true
 	return nil
 }
 
@@ -313,17 +304,9 @@ func (h *HashMatch) trailNext() (Rec, bool, error) {
 // inputs (the build side stayed open to keep its records pinnable), and
 // drops the temp file.
 func (h *HashMatch) Close() error {
-	if h.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		h.openFailed = false
-		return nil
+	if ok, err := h.closing("hashmatch"); !ok {
+		return err
 	}
-	if !h.open {
-		return errState("hashmatch", "close before open")
-	}
-	h.open = false
 	file.UnfixBatch(h.lb.Recs()[h.lpos:])
 	h.lb.Reset()
 	err := h.left.Close()

@@ -15,16 +15,15 @@ type MergeMatch struct {
 	rightKey record.Key
 	schema   *record.Schema
 
-	comb       combiner
-	lrec       Rec
-	lok        bool
-	rrec       Rec
-	rok        bool
-	pending    recQueue
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
-	lsrc       *Cursor
-	rsrc       *Cursor
+	comb    combiner
+	lrec    Rec
+	lok     bool
+	rrec    Rec
+	rok     bool
+	pending recQueue
+	lsrc    *Cursor
+	rsrc    *Cursor
+	opState
 }
 
 // NewMergeMatch builds the operator over already-sorted inputs.
@@ -61,14 +60,7 @@ func NewMergeMatchSorted(env *Env, op MatchOp, left, right Iterator, leftKey, ri
 func (m *MergeMatch) Schema() *record.Schema { return m.schema }
 
 // Open implements Iterator.
-func (m *MergeMatch) Open() error {
-	if m.open {
-		return errState("mergematch", "already open")
-	}
-	err := m.openImpl()
-	m.openFailed = err != nil
-	return err
-}
+func (m *MergeMatch) Open() error { return m.opening("mergematch", m.openImpl) }
 
 func (m *MergeMatch) openImpl() error {
 	if m.op.combinesSchemas() {
@@ -98,7 +90,6 @@ func (m *MergeMatch) openImpl() error {
 		m.abort()
 		return err
 	}
-	m.open = true
 	return nil
 }
 
@@ -302,17 +293,9 @@ func (m *MergeMatch) matchedGroup() error {
 
 // Close implements Iterator.
 func (m *MergeMatch) Close() error {
-	if m.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		m.openFailed = false
-		return nil
+	if ok, err := m.closing("mergematch"); !ok {
+		return err
 	}
-	if !m.open {
-		return errState("mergematch", "close before open")
-	}
-	m.open = false
 	m.releasePending()
 	err := m.left.Close()
 	if rerr := m.right.Close(); err == nil {

@@ -163,7 +163,9 @@ func (f *failAfter) NextBatch(b *Batch) error {
 // one, in an arena. The root cause must come back. Right after it, the
 // pins beyond those held after Open may only be the open input scan's
 // current page and the operator's temp file's tail page; after Close no
-// pin and no temp file is left.
+// pin and no temp file is left. The inputs the stop-and-go operators
+// drain in Open fail there: Open must return the root cause with no pin
+// beyond those held before it.
 func TestBatchConsumerErrorReleases(t *testing.T) {
 	// emp's dept is i%8; keys holds the even depts only, so a semijoin
 	// passes half its probe records on and drops the other half.
@@ -209,6 +211,62 @@ func TestBatchConsumerErrorReleases(t *testing.T) {
 		{"hashmatch-probe/combine", true, false, "all frames pinned", 3, func(e *Env, env *testEnv) (Iterator, error) {
 			return NewHashMatch(e, MatchJoin, scanOf(t, env.makeEmp(t, "emp", 300, 8)), keys(env), record.Key{1}, record.Key{0})
 		}},
+	}
+	drained := []struct {
+		name  string
+		build func(e *Env, env *testEnv) (Iterator, error)
+	}{
+		// A run size of 1 writes a run before the failure at every batch
+		// size, under both run generators.
+		{"sort/quicksort", func(e *Env, env *testEnv) (Iterator, error) {
+			s := NewSort(e, failingEmp(env), []record.SortSpec{{Field: 1}})
+			s.RunSize = 1
+			return s, nil
+		}},
+		{"sort/replacement", func(e *Env, env *testEnv) (Iterator, error) {
+			s := NewSort(e, failingEmp(env), []record.SortSpec{{Field: 1}})
+			s.RunSize, s.RunGen = 1, RunGenReplacementSelection
+			return s, nil
+		}},
+		{"hashdivision/divisor", func(e *Env, env *testEnv) (Iterator, error) {
+			dv := scanOf(t, env.makePairs(t, "dv", [][2]int64{{1, 0}, {1, 1}}))
+			return NewHashDivision(e, dv, failingEmp(env), record.Key{0}, record.Key{1}, record.Key{1})
+		}},
+		{"hashdivision/dividend", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashDivision(e, failingEmp(env), keys(env), record.Key{0}, record.Key{1}, record.Key{0})
+		}},
+		{"sortdivision/divisor", func(e *Env, env *testEnv) (Iterator, error) {
+			dv := scanOf(t, env.makePairs(t, "dv", [][2]int64{{1, 0}, {1, 1}}))
+			return NewSortDivision(e, dv, failingEmp(env), record.Key{0}, record.Key{1}, record.Key{1})
+		}},
+		{"nestedloops/inner", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewNestedLoops(e, keys(env), failingEmp(env), "", expr.Interpreted)
+		}},
+	}
+	for _, c := range drained {
+		for _, size := range []int{1, 7, 83} {
+			t.Run(fmt.Sprintf("%s/batch=%d/pool", c.name, size), func(t *testing.T) {
+				env := newTestEnv(t, 256)
+				it, err := c.build(env.WithBatchSize(size), env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := env.pool.Stats().CurrentlyFixedHint
+				if err := it.Open(); !errors.Is(err, errRootCause) {
+					t.Fatalf("open: %v, want the input's root cause", err)
+				}
+				if n := env.pool.Stats().CurrentlyFixedHint - base; n != 0 {
+					t.Fatalf("%d pins more after the failed open than before it", n)
+				}
+				if err := it.Close(); err != nil {
+					t.Fatalf("close after the failed open: %v", err)
+				}
+				env.checkNoPinLeak(t)
+				if n := len(env.Temp.List()); n != 0 {
+					t.Fatalf("%d temp files left after close", n)
+				}
+			})
+		}
 	}
 	for _, c := range cases {
 		stores := []bool{false}
@@ -257,4 +315,116 @@ func TestBatchConsumerErrorReleases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReopenAfterClose takes each operator that keeps the shared
+// open/close state through Open, NextBatch to the end and Close twice at
+// batch size 7: both passes must count the same records, and no pin may
+// be left after either Close.
+func TestReopenAfterClose(t *testing.T) {
+	divPairs := func(env *testEnv) Iterator {
+		// Quotients 0..9 over divisor values 0..3; those divisible by 3
+		// lack value 3, so six quotients qualify.
+		var pairs [][2]int64
+		for i := int64(0); i < 40; i++ {
+			if q, d := i/4, i%4; q%3 != 0 || d != 3 {
+				pairs = append(pairs, [2]int64{q, d})
+			}
+		}
+		return scanOf(t, env.makePairs(t, "dv", pairs))
+	}
+	emp := func(env *testEnv) Iterator { return scanOf(t, env.makeEmp(t, "emp", 300, 8)) }
+	keys := func(env *testEnv) Iterator { return scanOf(t, env.makeInts(t, "k", 0, 1, 2, 3)) }
+	byDept := []record.SortSpec{{Field: 1}}
+	cases := []struct {
+		name  string
+		build func(e *Env, env *testEnv) (Iterator, error)
+	}{
+		{"sort", func(e *Env, env *testEnv) (Iterator, error) {
+			s := NewSort(e, emp(env), byDept)
+			s.RunSize, s.FanIn = 40, 2
+			return s, nil
+		}},
+		{"merge", func(e *Env, env *testEnv) (Iterator, error) {
+			a, b := scanOf(t, env.makeInts(t, "a", 1, 3, 5)), scanOf(t, env.makeInts(t, "b", 2, 4, 6))
+			return NewMergeSpec([]Iterator{a, b}, []record.SortSpec{{Field: 0}})
+		}},
+		{"mergematch", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewMergeMatchSorted(e, MatchJoin, emp(env), keys(env), record.Key{1}, record.Key{0})
+		}},
+		{"hashmatch", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashMatch(e, MatchJoin, emp(env), keys(env), record.Key{1}, record.Key{0})
+		}},
+		{"hashaggregate", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashAggregate(e, emp(env), record.Key{1}, []AggSpec{{Func: AggCount}})
+		}},
+		{"sortaggregate", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewSortAggregate(e, NewSort(e, emp(env), byDept), record.Key{1}, []AggSpec{{Func: AggCount}})
+		}},
+		{"hashdivision", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewHashDivision(e, divPairs(env), keys(env), record.Key{0}, record.Key{1}, record.Key{0})
+		}},
+		{"sortdivision", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewSortDivision(e, divPairs(env), keys(env), record.Key{0}, record.Key{1}, record.Key{0})
+		}},
+		{"nestedloops", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewNestedLoops(e, keys(env), emp(env), "$0 = $2", expr.Interpreted)
+		}},
+		{"chooseplan", func(e *Env, env *testEnv) (Iterator, error) {
+			return NewChoosePlan([]Iterator{emp(env)}, func() (int, error) { return 0, nil })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := newTestEnv(t, 256)
+			it, err := c.build(env.WithBatchSize(7), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var counts [2]int
+			for i := range counts {
+				if counts[i], err = Drain(it, 7); err != nil {
+					t.Fatalf("pass %d: %v", i+1, err)
+				}
+				env.checkNoPinLeak(t)
+				if n := len(env.Temp.List()); n != 0 {
+					t.Fatalf("pass %d: %d temp files left after close", i+1, n)
+				}
+			}
+			if counts[0] == 0 || counts[0] != counts[1] {
+				t.Fatalf("counts %v, want two equal non-zero counts", counts)
+			}
+		})
+	}
+}
+
+// TestHashAggregateReopenAfterFailedOpen re-opens a hash aggregate whose
+// first Open failed midway through its input, over an input that now
+// succeeds: the groups the failed pass started must not reach the output.
+func TestHashAggregateReopenAfterFailedOpen(t *testing.T) {
+	env := newTestEnv(t, 256)
+	in := &failAfter{Iterator: scanOf(t, env.makeEmp(t, "emp", 300, 8))}
+	h, err := NewHashAggregate(env.WithBatchSize(7), in, record.Key{1}, []AggSpec{{Func: AggCount}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Open(); !errors.Is(err, errRootCause) {
+		t.Fatalf("open: %v, want the input's root cause", err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.input = in.Iterator
+	rows, err := Collect(h, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for _, r := range rows {
+		total += r[1].I
+	}
+	if len(rows) != 8 || total != 300 {
+		t.Fatalf("%d groups counting %d records, want 8 counting 300", len(rows), total)
+	}
+	env.checkNoPinLeak(t)
 }

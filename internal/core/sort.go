@@ -51,9 +51,7 @@ type Sort struct {
 	runsGenerated int
 	runs          []*file.File
 	merge         *runMerge
-	open          bool
-	openFailed    bool    // Open ran and failed: next Close is a no-op
-	src           *Cursor // the input during run generation
+	opState
 }
 
 // RunsGenerated reports how many initial runs the last Open produced.
@@ -74,14 +72,7 @@ func (s *Sort) Schema() *record.Schema { return s.input.Schema() }
 
 // Open implements Iterator. This is where all the work happens: sort is a
 // stop-and-go operator.
-func (s *Sort) Open() error {
-	if s.open {
-		return errState("sort", "already open")
-	}
-	err := s.openImpl()
-	s.openFailed = err != nil
-	return err
-}
+func (s *Sort) Open() error { return s.opening("sort", s.openImpl) }
 
 func (s *Sort) openImpl() error {
 	if s.RunSize <= 0 {
@@ -90,29 +81,16 @@ func (s *Sort) openImpl() error {
 	if s.FanIn < 2 {
 		s.FanIn = 8
 	}
-	if err := s.input.Open(); err != nil {
-		return err
-	}
-	s.src = NewCursor(s.input, s.env.BatchSize())
 	s.runsGenerated = 0
-	var runErr error
+	build := s.buildRuns
 	if s.RunGen == RunGenReplacementSelection {
-		runErr = s.buildRunsReplacement()
-	} else {
-		runErr = s.buildRuns()
+		build = s.buildRunsReplacement
 	}
-	s.src.Release()
-	s.src = nil
-	if runErr != nil {
+	if err := build(); err != nil {
 		s.cleanup()
-		_ = s.input.Close()
-		return runErr
+		return err
 	}
 	s.runsGenerated = len(s.runs)
-	if err := s.input.Close(); err != nil {
-		s.cleanup()
-		return err
-	}
 	// Cascaded merge until at most FanIn runs remain.
 	for len(s.runs) > s.FanIn {
 		if err := s.mergeStep(); err != nil {
@@ -126,7 +104,6 @@ func (s *Sort) openImpl() error {
 		return err
 	}
 	s.merge = m
-	s.open = true
 	return nil
 }
 
@@ -151,24 +128,23 @@ func (s *Sort) buildRuns() error {
 		buf = buf[:0]
 		return nil
 	}
-	for {
-		r, ok, err := s.src.Pull()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return flush()
-		}
-		// Copy the record bytes and release the input pin immediately: the
-		// run file is the sort's working storage.
-		buf = append(buf, append([]byte(nil), r.Data...))
-		r.Unfix()
-		if len(buf) == s.RunSize {
-			if err := flush(); err != nil {
-				return err
+	// The record bytes are copied: the run file is the sort's working
+	// storage, and the input batch is released as soon as it is copied.
+	err := drainInput(s.input, s.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			buf = append(buf, append([]byte(nil), r.Data...))
+			if len(buf) == s.RunSize {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	return flush()
 }
 
 // buildRunsReplacement drains the input through a selection heap: the
@@ -218,78 +194,53 @@ func (s *Sort) buildRunsReplacement() error {
 		}
 	}
 
-	var seq int64
-	readNext := func() ([]byte, bool, error) {
-		r, ok, err := s.src.Pull()
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		data := append([]byte(nil), r.Data...)
-		r.Unfix()
-		return data, true, nil
-	}
-
-	// Prime the heap.
-	for len(h) < s.RunSize {
-		data, ok, err := readNext()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h = append(h, entry{data: data, run: 0, seq: seq})
-		seq++
-		up(len(h) - 1)
-	}
-	if len(h) == 0 {
-		return nil
-	}
-
 	curRun := 0
 	var out *file.File
-	var lastKey []byte
-	inputDone := false
-	for len(h) > 0 {
-		top := h[0]
-		if top.run != curRun {
-			// Current run exhausted: start the next one.
-			curRun = top.run
-			out = nil
-			lastKey = nil
-		}
-		if out == nil {
+	// writeTop writes the heap's smallest entry to its run, starting the
+	// run's file when the entry is the first of its run.
+	writeTop := func() error {
+		if top := h[0]; out == nil || top.run != curRun {
 			f, err := s.env.CreateTemp("sortrun", s.Schema())
 			if err != nil {
 				return err
 			}
 			s.runs = append(s.runs, f)
-			out = f
+			curRun, out = top.run, f
 		}
-		if _, err := out.Insert(top.data); err != nil {
-			return err
-		}
-		lastKey = top.data
-		// Refill the vacated slot.
-		if !inputDone {
-			data, ok, err := readNext()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				inputDone = true
-			} else {
-				run := curRun
-				if s.cmp(data, lastKey) < 0 {
-					run = curRun + 1
-				}
-				h[0] = entry{data: data, run: run, seq: seq}
-				seq++
-				down(0)
+		_, err := out.Insert(h[0].data)
+		return err
+	}
+	var seq int64
+	// Until the heap is full an arrival joins run 0. After that each
+	// arrival writes the top and takes its slot, on the top's run when it
+	// sorts no lower than the top, on the next run otherwise.
+	err := drainInput(s.input, s.env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			e := entry{data: append([]byte(nil), r.Data...), seq: seq}
+			seq++
+			if len(h) < s.RunSize {
+				h = append(h, e)
+				up(len(h) - 1)
 				continue
 			}
+			if err := writeTop(); err != nil {
+				return err
+			}
+			if e.run = curRun; s.cmp(e.data, h[0].data) < 0 {
+				e.run++
+			}
+			h[0] = e
+			down(0)
 		}
-		// No replacement: shrink the heap.
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for len(h) > 0 {
+		if err := writeTop(); err != nil {
+			return err
+		}
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
 		down(0)
@@ -348,17 +299,9 @@ func (s *Sort) NextBatch(b *Batch) error {
 
 // Close implements Iterator.
 func (s *Sort) Close() error {
-	if s.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		s.openFailed = false
-		return nil
+	if ok, err := s.closing("sort"); !ok {
+		return err
 	}
-	if !s.open {
-		return errState("sort", "close before open")
-	}
-	s.open = false
 	s.merge.close()
 	s.merge = nil
 	return s.cleanup()
@@ -474,12 +417,11 @@ func (m *runMerge) close() {
 // streams separate; the inputs are read through default-size cursors, so
 // a stream lends each packet that fits whole.
 type Merge struct {
-	inputs     []Iterator
-	srcs       []*Cursor
-	cmp        expr.KeyCompare
-	h          mergeHeap
-	open       bool
-	openFailed bool // Open ran and failed: next Close is a no-op
+	inputs []Iterator
+	srcs   []*Cursor
+	cmp    expr.KeyCompare
+	h      mergeHeap
+	opState
 }
 
 // NewMerge merges the sorted inputs by the comparison function. All inputs
@@ -509,14 +451,7 @@ func NewMergeSpec(inputs []Iterator, spec []record.SortSpec) (*Merge, error) {
 func (m *Merge) Schema() *record.Schema { return m.inputs[0].Schema() }
 
 // Open implements Iterator.
-func (m *Merge) Open() error {
-	if m.open {
-		return errState("merge", "already open")
-	}
-	err := m.openImpl()
-	m.openFailed = err != nil
-	return err
-}
+func (m *Merge) Open() error { return m.opening("merge", m.openImpl) }
 
 func (m *Merge) openImpl() error {
 	m.h = mergeHeap{cmp: m.cmp}
@@ -538,7 +473,6 @@ func (m *Merge) openImpl() error {
 		}
 	}
 	heap.Init(&m.h)
-	m.open = true
 	return nil
 }
 
@@ -572,16 +506,8 @@ func (m *Merge) unwind() error {
 
 // Close implements Iterator.
 func (m *Merge) Close() error {
-	if m.openFailed {
-		// A failed Open already unwound this operator's state; the
-		// standard drain path closes unconditionally, and a state error
-		// here would mask the root cause.
-		m.openFailed = false
-		return nil
+	if ok, err := m.closing("merge"); !ok {
+		return err
 	}
-	if !m.open {
-		return errState("merge", "close before open")
-	}
-	m.open = false
 	return m.unwind()
 }

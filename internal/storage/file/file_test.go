@@ -231,6 +231,63 @@ func TestScanCorruptSlot(t *testing.T) {
 	}
 }
 
+// TestScanCorruptLink holds a scan over a page chain with a cycle to an
+// error naming the file and the page holding the link, after at most the
+// file's pages, with no pin left once the scan is closed: the first page
+// linked to itself, and the last linked back to the first.
+func TestScanCorruptLink(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		from int // the index in the chain of the page whose link is bent
+	}{{"self", 0}, {"back-to-first", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			pool, vol, _ := env(t, 16)
+			f, _ := vol.Create("t", nil)
+			for f.Pages() < 3 {
+				f.Insert(make([]byte, 500))
+			}
+			var chain []record.PageID
+			for id := f.FirstPage(); id.Page != 0; {
+				chain = append(chain, id)
+				fr, err := pool.Fix(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = pid(id.Dev, page{fr.Data()}.next())
+				pool.Unfix(fr, false)
+			}
+			if len(chain) != 3 {
+				t.Fatalf("chain of %d pages, want 3", len(chain))
+			}
+			fr, err := pool.Fix(chain[c.from])
+			if err != nil {
+				t.Fatal(err)
+			}
+			page{fr.Data()}.setNext(chain[0].Page)
+			pool.Unfix(fr, true)
+
+			// The cap stops a scan that would go round the cycle for ever.
+			s := f.NewScan()
+			for n := 0; n <= 3*f.Records(); {
+				var run []Record
+				if run, err = s.NextRun(nil, 7); err != nil || len(run) == 0 {
+					break
+				}
+				n += len(run)
+				UnfixBatch(run)
+			}
+			want := fmt.Sprintf("file: scan %q page %s: next-page link", "t", chain[c.from])
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("scan over a page cycle: err = %v, want it to contain %q", err, want)
+			}
+			s.Close()
+			if h := pool.Stats().CurrentlyFixedHint; h != 0 {
+				t.Fatalf("%d pins left after the failed scan", h)
+			}
+		})
+	}
+}
+
 func TestScanAbortMidwayReleasesPins(t *testing.T) {
 	pool, vol, _ := env(t, 16)
 	f, _ := vol.Create("t", nil)

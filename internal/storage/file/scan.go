@@ -15,6 +15,10 @@ type Scan struct {
 	slot  int
 	frame *pinnedPage
 	done  bool
+	// entered counts the pages the scan has fixed. A page chain is at most
+	// the file's pages long, so a next-page link that would take entered
+	// past pages (the count as last read) is corrupt.
+	entered, pages int
 }
 
 // pinnedPage wraps the scan's own pin on the current page.
@@ -64,6 +68,7 @@ func (s *Scan) NextRun(dst []Record, max int) ([]Record, error) {
 				rec: Record{RID: record.RID{PageID: s.cur}, frame: fr, pool: s.f.vol.pool},
 			}
 			s.slot = 0
+			s.entered++
 		}
 		pg, fr := s.frame.pg, s.frame.rec.frame
 		n := len(dst)
@@ -94,6 +99,14 @@ func (s *Scan) NextRun(dst []Record, max int) ([]Record, error) {
 		if next == 0 {
 			s.done = true
 			return dst, nil
+		}
+		if s.entered >= s.pages {
+			// Pages takes the VTOC lock: reread it only when the count
+			// reaches it, so a file that grows during the scan scans in full.
+			if s.pages = s.f.Pages(); s.entered >= s.pages {
+				s.done = true
+				return dst, fmt.Errorf("file: scan %q page %s: next-page link to page %d passes the file's %d pages", s.f.Name(), s.cur, next, s.pages)
+			}
 		}
 		s.cur = pid(s.cur.Dev, next)
 	}
