@@ -21,16 +21,13 @@ var goAllowed = map[string]struct {
 	n      int
 	reason string
 }{
-	"cmd/volcano-serve/main.go run":                     {2, "serves the query listener and the separate -metrics listener"},
-	"cmd/volcano-worker/main.go run":                    {2, "serves the dispatch listener and runs the registration loop"},
-	"internal/core/exchange.go Exchange.ensureStarted":  {2, "the exchange forks its producers: the root of the spawn tree, or each producer of an inline group"},
-	"internal/core/exchange.go Exchange.spawnTree":      {1, "the exchange's spawn tree forks its second half"},
-	"internal/dist/coordinator.go NewCoordinator":       {1, "the worker heartbeat loop"},
-	"internal/metrics/http.go Serve":                    {1, "serves /metrics on its own listener"},
-	"internal/bench/ablations.go AblationPartitioning":  {1, "harness: one drain goroutine per exchange consumer"},
-	"internal/bench/ablations.go AblationBroadcast":     {1, "harness: one drain goroutine per exchange consumer"},
-	"internal/bench/ablations.go AblationBufferLocking": {1, "harness: the contending workers of the buffer-locking ablation"},
-	"internal/bench/ablations.go shipOverWire":          {1, "harness: the sending end of the wire ablation"},
+	"cmd/volcano-serve/main.go run":                    {2, "serves the query listener and the separate -metrics listener"},
+	"cmd/volcano-worker/main.go run":                   {2, "serves the dispatch listener and runs the registration loop"},
+	"internal/core/exchange.go Exchange.ensureStarted": {2, "the exchange forks its producers: the root of the spawn tree, or each producer of an inline group"},
+	"internal/core/exchange.go Exchange.spawnTree":     {1, "the exchange's spawn tree forks its second half"},
+	"internal/dist/coordinator.go NewCoordinator":      {1, "the worker heartbeat loop"},
+	"internal/metrics/http.go Serve":                   {1, "serves /metrics on its own listener"},
+	"internal/bench/ablations.go shipOverWire":         {1, "harness: the sending end of the wire ablation"},
 }
 
 // TestGoStatementsAllowListed fails on every go statement outside

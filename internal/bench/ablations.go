@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -50,6 +49,42 @@ func (a *Ablation) Print(w io.Writer) {
 			fmt.Fprintf(w, "    %s\n", line)
 		}
 	}
+}
+
+// discardAll drains the inputs input(0..producers-1) concurrently as the
+// producers of a one-consumer exchange, and returns how many records
+// they held. Each input sits under a filter that rejects every record,
+// so a record is released in the goroutine that pulled it.
+func discardAll(env *core.Env, schema *record.Schema, producers int, input func(g int) (core.Iterator, error)) (int64, error) {
+	// Producer g counts into counts[g][0]: a stride of one cache line
+	// keeps the producers from writing to a shared line.
+	counts := make([][8]int64, producers)
+	x, err := core.NewExchange(core.ExchangeConfig{
+		Schema:    schema,
+		Producers: producers,
+		Consumers: 1,
+		NewProducer: func(g int) (core.Iterator, error) {
+			in, err := input(g)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewFilter(env, in, func([]byte) (bool, error) {
+				counts[g][0]++
+				return false, nil
+			}), nil
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	if _, err := core.Drain(x.Consumer(0), 0); err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, c := range counts {
+		n += c[0]
+	}
+	return n, nil
 }
 
 // AblationFlowControl (A1): flow control off vs on at several slacks.
@@ -102,7 +137,7 @@ func AblationForkScheme(producers int, forkCost time.Duration) (*Ablation, error
 			Fork:      scheme,
 			ForkCost:  forkCost,
 			NewProducer: func(g int) (core.Iterator, error) {
-				return core.NewFileScan(files[g], nil)
+				return core.NewFileScan(files[g])
 			},
 		})
 		if err != nil {
@@ -193,25 +228,18 @@ func AblationPartitioning(records int) (*Ablation, error) {
 			w.Close()
 			return nil, err
 		}
+		consumer := func(c int) (core.Iterator, error) { return x.Consumer(c), nil }
 		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, 3)
-		for c := 0; c < 3; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				_, errs[c] = core.Drain(x.Consumer(c), 0)
-			}(c)
-		}
-		wg.Wait()
+		_, err = discardAll(w.Env, GenSchema, 3, consumer)
 		elapsed := time.Since(start)
 		w.Close()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
-		a.Lines = append(a.Lines, Line{Name: m.name, Elapsed: elapsed})
+		a.Lines = append(a.Lines, Line{
+			Name: m.name, Elapsed: elapsed,
+			Extra: fmt.Sprintf("%d records delivered", x.Stats().Records),
+		})
 	}
 	return a, nil
 }
@@ -238,33 +266,21 @@ func AblationBroadcast(records int) (*Ablation, error) {
 			w.Close()
 			return nil, err
 		}
+		consumer := func(c int) (core.Iterator, error) { return x.Consumer(c), nil }
 		start := time.Now()
-		var wg sync.WaitGroup
-		total := make([]int, 3)
-		errs := make([]error, 3)
-		for c := 0; c < 3; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				total[c], errs[c] = core.Drain(x.Consumer(c), 0)
-			}(c)
-		}
-		wg.Wait()
+		_, err = discardAll(w.Env, GenSchema, 3, consumer)
 		elapsed := time.Since(start)
 		w.Close()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 		name := "partitioned (round robin)"
-		delivered := total[0] + total[1] + total[2]
 		if broadcast {
 			name = "broadcast"
 		}
 		a.Lines = append(a.Lines, Line{
 			Name: name, Elapsed: elapsed,
-			Extra: fmt.Sprintf("%d records delivered", delivered),
+			Extra: fmt.Sprintf("%d records delivered", x.Stats().Records),
 		})
 	}
 	return a, nil
@@ -304,27 +320,27 @@ func AblationMatch(rows int) (*Ablation, error) {
 		return nil
 	}
 	if err := run("hash join", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil)
-		rs, _ := core.NewFileScan(r, nil)
+		ls, _ := core.NewFileScan(l)
+		rs, _ := core.NewFileScan(r)
 		return core.NewHashMatch(w.Env, core.MatchJoin, ls, rs, record.Key{1}, record.Key{1})
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("sort-merge join", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil)
-		rs, _ := core.NewFileScan(r, nil)
+		ls, _ := core.NewFileScan(l)
+		rs, _ := core.NewFileScan(r)
 		return core.NewMergeMatchSorted(w.Env, core.MatchJoin, ls, rs, record.Key{1}, record.Key{1})
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("hash dup-elim", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil)
+		ls, _ := core.NewFileScan(l)
 		return core.NewHashDistinct(w.Env, ls)
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("sort dup-elim", func() (core.Iterator, error) {
-		ls, _ := core.NewFileScan(l, nil)
+		ls, _ := core.NewFileScan(l)
 		return core.NewSortDistinct(w.Env, ls)
 	}); err != nil {
 		return nil, err
@@ -373,11 +389,11 @@ func AblationDivision(students, courses, workers int) (*Ablation, error) {
 				return nil, nil, err
 			}
 		}
-		dvs, err := core.NewFileScan(dv, nil)
+		dvs, err := core.NewFileScan(dv)
 		if err != nil {
 			return nil, nil, err
 		}
-		dss, err := core.NewFileScan(ds, nil)
+		dss, err := core.NewFileScan(ds)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -580,34 +596,19 @@ func AblationBufferLocking(records, workers int) (*Ablation, error) {
 			w.Close()
 			return nil, err
 		}
+		scan := func(g int) (core.Iterator, error) { return core.NewFileScan(files[g]) }
 		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for rep := 0; rep < 4; rep++ {
-					sc, err := core.NewFileScan(files[g], nil)
-					if err != nil {
-						errs[g] = err
-						return
-					}
-					if _, err := core.Drain(sc, 0); err != nil {
-						errs[g] = err
-						return
-					}
-				}
-			}(g)
+		var scanned int64
+		for rep := 0; rep < 4 && err == nil; rep++ {
+			var n int64
+			n, err = discardAll(w.Env, files[0].Schema(), workers, scan)
+			scanned += n
 		}
-		wg.Wait()
 		elapsed := time.Since(start)
 		restarts := w.Pool.Stats().Restarts
 		w.Close()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 		name := "two-level (pool + descriptor try-lock)"
 		if mode == buffer.Global {
@@ -615,7 +616,7 @@ func AblationBufferLocking(records, workers int) (*Ablation, error) {
 		}
 		a.Lines = append(a.Lines, Line{
 			Name: name, Elapsed: elapsed,
-			Extra: fmt.Sprintf("%d restarts", restarts),
+			Extra: fmt.Sprintf("%d records scanned, %d restarts", scanned, restarts),
 		})
 	}
 	return a, nil
@@ -773,7 +774,7 @@ func AblationParallelSort(records, producers int) (*Ablation, error) {
 		Producers: producers,
 		Consumers: 1,
 		NewProducer: func(g int) (core.Iterator, error) {
-			return core.NewFileScan(files[g], nil)
+			return core.NewFileScan(files[g])
 		},
 	})
 	if err != nil {
@@ -809,7 +810,7 @@ func AblationParallelSort(records, producers int) (*Ablation, error) {
 		Consumers:   1,
 		KeepStreams: true,
 		NewProducer: func(g int) (core.Iterator, error) {
-			sc, err := core.NewFileScan(files2[g], nil)
+			sc, err := core.NewFileScan(files2[g])
 			if err != nil {
 				return nil, err
 			}

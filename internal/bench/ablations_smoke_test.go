@@ -30,7 +30,36 @@ func TestSmokeAblations(t *testing.T) {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		a.Print(os.Stderr)
+		switch r.name {
+		case "A4":
+			for _, l := range a.Lines {
+				if n := countIn(t, l, "%d records delivered"); n != 5000 {
+					t.Errorf("A4 %s delivered %d records, want 5000", l.Name, n)
+				}
+			}
+		case "A5":
+			part, bcast := countIn(t, a.Lines[0], "%d records delivered"), countIn(t, a.Lines[1], "%d records delivered")
+			if part != 3000 || bcast != 3*part {
+				t.Errorf("A5 delivered %d partitioned and %d broadcast, want 3000 and 3×", part, bcast)
+			}
+		case "A9":
+			for _, l := range a.Lines {
+				if n := countIn(t, l, "%d records scanned"); n != 4*5000 {
+					t.Errorf("A9 %s scanned %d records, want %d", l.Name, n, 4*5000)
+				}
+			}
+		}
 	}
+}
+
+// countIn reads the count a line's Extra starts with.
+func countIn(t *testing.T, l Line, format string) int {
+	t.Helper()
+	var n int
+	if _, err := fmt.Sscanf(l.Extra, format, &n); err != nil {
+		t.Fatalf("%s: %q does not read as %q: %v", l.Name, l.Extra, format, err)
+	}
+	return n
 }
 
 // TestSmokeSharedNothing holds A11 to its shape: the wire carries

@@ -67,7 +67,7 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 
 		build := func(size int) Iterator {
-			sc, err := NewFileScan(tbl, nil)
+			sc, err := NewFileScan(tbl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func FuzzPageRecords(f *testing.F) {
 		if knob&0x80 != 0 {
 			mode = expr.Interpreted
 		}
-		scan, err := NewFileScan(tbl, nil)
+		scan, err := NewFileScan(tbl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 		mk   func(e *Env, size int) (Iterator, error)
 	}{
 		{"filescan", func(*Env, int) (Iterator, error) {
-			return NewFileScan(ints, nil)
+			return NewFileScan(ints)
 		}},
 		{"filter", func(e *Env, _ int) (Iterator, error) {
 			return NewFilterExpr(e, scanOf(t, ints), "v % 3 = 1", expr.Compiled)
@@ -117,7 +117,7 @@ func TestBatchSizeMetamorphic(t *testing.T) {
 				FlowControl: true,
 				Slack:       2,
 				BatchSize:   size,
-				NewProducer: func(g int) (Iterator, error) { return NewFileScan(ints, nil) },
+				NewProducer: func(g int) (Iterator, error) { return NewFileScan(ints) },
 			})
 			if err != nil {
 				return nil, err
@@ -377,7 +377,7 @@ func TestBatchExchangeRecycleShutdownStress(t *testing.T) {
 			FlowControl: true,
 			Slack:       1,
 			BatchSize:   5,
-			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
+			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f) },
 		})
 		if err != nil {
 			t.Fatal(err)

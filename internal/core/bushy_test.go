@@ -25,7 +25,7 @@ func TestBushyParallelismSortMergeJoin(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			sc, err := NewFileScan(left, nil)
+			sc, err := NewFileScan(left)
 			if err != nil {
 				return nil, err
 			}
@@ -40,7 +40,7 @@ func TestBushyParallelismSortMergeJoin(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			sc, err := NewFileScan(right, nil)
+			sc, err := NewFileScan(right)
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +107,7 @@ func TestBushyBothJoinInputsIntermediate(t *testing.T) {
 			Producers: 2,
 			Consumers: 1,
 			NewProducer: func(g int) (Iterator, error) {
-				sc, err := NewFileScan(base, nil)
+				sc, err := NewFileScan(base)
 				if err != nil {
 					return nil, err
 				}

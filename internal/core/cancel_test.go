@@ -61,7 +61,7 @@ func TestExchangeDoneCancelsEndlessProducers(t *testing.T) {
 		Slack:       1,
 		Done:        done,
 		NewProducer: func(g int) (Iterator, error) {
-			mk := func() (Iterator, error) { return NewFileScan(f, nil) }
+			mk := func() (Iterator, error) { return NewFileScan(f) }
 			sc, err := mk()
 			if err != nil {
 				return nil, err
@@ -124,7 +124,7 @@ func TestExchangeDoneNilIsInert(t *testing.T) {
 		Producers: 2,
 		Consumers: 1,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {

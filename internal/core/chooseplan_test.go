@@ -38,7 +38,7 @@ func TestChoosePlanPicksAlternative(t *testing.T) {
 	// plans — an index range scan and a full scan with a filter — and a
 	// choose-plan decides per execution based on the run-time parameter.
 	runWithParam := func(lo int64, selectivityThreshold int64) (rows int, choseIndex bool) {
-		idx, err := NewIndexScan(tree, f, nil,
+		idx, err := NewIndexScan(tree, f,
 			btree.EncodeKey(record.Int(lo)), btree.EncodeKey(record.Int(lo+9)), true, true)
 		if err != nil {
 			t.Fatal(err)

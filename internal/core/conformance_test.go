@@ -32,7 +32,7 @@ func TestIteratorProtocolConformance(t *testing.T) {
 	}
 	makers := []mk{
 		{"filescan", func(env *testEnv) (Iterator, error) {
-			return NewFileScan(env.makeEmp(t, "t", 50, 4), nil)
+			return NewFileScan(env.makeEmp(t, "t", 50, 4))
 		}},
 		{"filter", func(env *testEnv) (Iterator, error) {
 			return NewFilterExpr(env.Env, scanOf(t, env.makeEmp(t, "t", 50, 4)), "dept = 1", expr.Compiled)
@@ -97,7 +97,7 @@ func TestIteratorProtocolConformance(t *testing.T) {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 2, Consumers: 1,
 				FlowControl: true, Slack: 2, PacketSize: 4,
-				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
+				NewProducer: func(int) (Iterator, error) { return NewFileScan(f) },
 			})
 			if err != nil {
 				return nil, err

@@ -43,7 +43,7 @@ func Example() {
 		f.Insert(s.MustEncode(record.Int(row.id), record.Str(row.name)))
 	}
 
-	scan, _ := core.NewFileScan(f, nil)
+	scan, _ := core.NewFileScan(f)
 	flt, _ := core.NewFilterExpr(env, scan, "id <= 2", expr.Compiled)
 	sorted := core.NewSort(env, flt, []record.SortSpec{{Field: 0}})
 	rows, _ := core.Collect(sorted, 0)
@@ -71,7 +71,7 @@ func ExampleExchange() {
 		Producers: 2,
 		Consumers: 1,
 		NewProducer: func(g int) (core.Iterator, error) {
-			scan, err := core.NewFileScan(f, nil)
+			scan, err := core.NewFileScan(f)
 			if err != nil {
 				return nil, err
 			}
@@ -98,8 +98,8 @@ func ExampleHashMatch() {
 	l.Insert(s.MustEncode(record.Int(2), record.Int(20)))
 	r.Insert(s.MustEncode(record.Int(2), record.Int(200)))
 
-	ls, _ := core.NewFileScan(l, nil)
-	rs, _ := core.NewFileScan(r, nil)
+	ls, _ := core.NewFileScan(l)
+	rs, _ := core.NewFileScan(r)
 	join, _ := core.NewHashMatch(env, core.MatchJoin, ls, rs, record.Key{0}, record.Key{0})
 	rows, _ := core.Collect(join, 0)
 	for _, row := range rows {
@@ -125,8 +125,8 @@ func ExampleHashDivision() {
 	q.Insert(required.MustEncode(record.Int(7)))
 	q.Insert(required.MustEncode(record.Int(8)))
 
-	es, _ := core.NewFileScan(e, nil)
-	qs, _ := core.NewFileScan(q, nil)
+	es, _ := core.NewFileScan(e)
+	qs, _ := core.NewFileScan(q)
 	div, _ := core.NewHashDivision(env, es, qs, record.Key{0}, record.Key{1}, record.Key{0})
 	rows, _ := core.Collect(div, 0)
 	for _, row := range rows {

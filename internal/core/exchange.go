@@ -296,13 +296,13 @@ func (x *Exchange) firstErr() error {
 // Consumer returns consumer endpoint i (an ordinary iterator). Endpoints
 // are single-goroutine; each consumer in the group must use its own.
 func (x *Exchange) Consumer(i int) Iterator {
-	return &xConsumer{x: x, idx: i}
+	return &xConsumer{x: x, idx: i, producer: -1, share: &consumerShare{left: 1}}
 }
 
-// ConsumerStreams returns per-producer stream iterators for consumer i
-// (KeepStreams mode), suitable as inputs of a Merge. Open/Close of the
-// returned streams must all happen in consumer i's goroutine; the last
-// stream closed completes the endpoint's shutdown handshake.
+// ConsumerStreams returns consumer i's endpoints bound to one producer
+// each (KeepStreams mode), suitable as inputs of a Merge. Open/Close of
+// the returned endpoints must all happen in consumer i's goroutine; the
+// last one closed completes the consumer's shutdown handshake.
 func (x *Exchange) ConsumerStreams(i int) ([]Iterator, error) {
 	if !x.cfg.KeepStreams {
 		return nil, errState("exchange", "ConsumerStreams requires KeepStreams")
@@ -310,11 +310,10 @@ func (x *Exchange) ConsumerStreams(i int) ([]Iterator, error) {
 	if x.cfg.Inline {
 		return nil, errState("exchange", "ConsumerStreams unsupported in inline mode")
 	}
-	shared := &streamGroup{}
-	shared.remaining = x.cfg.Producers
+	share := &consumerShare{left: x.cfg.Producers}
 	out := make([]Iterator, x.cfg.Producers)
-	for p := 0; p < x.cfg.Producers; p++ {
-		out[p] = &xStream{x: x, consumer: i, producer: p, group: shared}
+	for p := range out {
+		out[p] = &xConsumer{x: x, idx: i, producer: p, share: share}
 	}
 	return out, nil
 }
@@ -478,7 +477,7 @@ func (x *Exchange) produce(g int, input Iterator, out *outbox, tk *trace.Track) 
 // handshake, and closes the subtree.
 func (x *Exchange) finishProducer(g int, out *outbox, input Iterator, tk *trace.Track) {
 	if out != nil {
-		out.flush(true)
+		out.flush()
 	} else {
 		// Error before the outbox existed: still deliver tagged packets.
 		// These travel the same accounting path as outbox.push — bump the
@@ -547,29 +546,6 @@ func (x *Exchange) newOutbox(g int) *outbox {
 	return o
 }
 
-// route places one record (whose pin the outbox now owns) into the proper
-// packet(s), pushing packets as they fill.
-func (o *outbox) route(r Rec) {
-	if o.x.cfg.Broadcast {
-		// Pin once per additional consumer; never copy (§4.4).
-		r.Share(len(o.packets) - 1)
-		for c := range o.packets {
-			o.add(c, r)
-		}
-		return
-	}
-	c := 0
-	if o.part != nil {
-		c = o.part(r.Data)
-		if c < 0 || c >= len(o.packets) {
-			o.x.setErr(fmt.Errorf("core: exchange: partition function returned %d of %d", c, len(o.packets)))
-			r.Unfix()
-			return
-		}
-	}
-	o.add(c, r)
-}
-
 func (o *outbox) add(c int, r Rec) {
 	p := o.packets[c]
 	if p == nil {
@@ -582,13 +558,10 @@ func (o *outbox) add(c int, r Rec) {
 	}
 }
 
-// push sends consumer c's current packet (if eos, even when empty).
+// push sends consumer c's current packet; a final (eos) one may be empty.
 func (o *outbox) push(c int, eos bool) {
 	p := o.packets[c]
 	if p == nil {
-		if !eos {
-			return
-		}
 		p = o.x.pool.get(o.g)
 	}
 	o.packets[c] = nil
@@ -609,17 +582,21 @@ func (o *outbox) push(c int, eos bool) {
 	o.x.port.queues[c].push(p, o.tk)
 }
 
-// routeBatch places a whole pulled batch, amortising the per-record
-// dispatch of route: a single-consumer outbox appends the run into
-// packets wholesale, and a partitioned outbox evaluates the partitioning
-// support function over the whole batch in one PartitionBatch sweep
-// before distributing. Broadcast keeps the per-record path (each record
-// is shared across every consumer anyway).
+// routeBatch places a whole pulled batch, whose pins the outbox now
+// owns, pushing packets as they fill: a single-consumer outbox appends
+// the run into packets wholesale, and a partitioned outbox evaluates the
+// partitioning support function over the whole batch in one
+// PartitionBatch sweep before distributing. Broadcast adds each record
+// to every consumer's packet, pinning it once per additional consumer
+// and never copying it (§4.4).
 func (o *outbox) routeBatch(recs []Rec) {
 	switch {
 	case o.x.cfg.Broadcast:
 		for _, r := range recs {
-			o.route(r)
+			r.Share(len(o.packets) - 1)
+			for c := range o.packets {
+				o.add(c, r)
+			}
 		}
 	case o.part == nil: // single consumer: bulk append
 		o.bulkAppend(0, recs)
@@ -682,14 +659,10 @@ func (o *outbox) bulkAppend(c int, recs []Rec) {
 	}
 }
 
-// flush pushes all partial packets; with eos, every consumer receives a
-// tagged final packet.
-func (o *outbox) flush(eos bool) {
+// flush ends the producer's output: every consumer receives its partial
+// packet as a tagged final packet.
+func (o *outbox) flush() {
 	for c := range o.packets {
-		if eos {
-			o.push(c, true)
-		} else if o.packets[c] != nil {
-			o.push(c, false)
-		}
+		o.push(c, true)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -98,11 +97,17 @@ func (pc *packetCursor) release() {
 // xConsumer is one consumer endpoint of an exchange. In fork mode it is
 // "a normal iterator, the only difference ... is that it receives its
 // input via inter-process communication" (§4.1). In inline mode (§4.4) it
-// additionally drives its own producer subtree between queue polls.
+// additionally drives its own producer subtree between queue polls. An
+// endpoint from ConsumerStreams is bound to one producer and serves only
+// that producer's stream of the consumer's queue, because "the merge
+// iterator requires to distinguish the input records by their producer"
+// (§4.4).
 type xConsumer struct {
-	x   *Exchange
-	idx int
-	tk  *trace.Track
+	x        *Exchange
+	idx      int
+	producer int // the bound producer, or -1 for the whole consumer
+	share    *consumerShare
+	tk       *trace.Track
 
 	pc   packetCursor
 	open bool
@@ -116,6 +121,16 @@ type xConsumer struct {
 	inputDone bool
 }
 
+// consumerShare is what the endpoints of one consumer share: its trace
+// track and how many of them have yet to close. A whole-consumer
+// endpoint has one to itself. The bound endpoints of ConsumerStreams
+// share one, and all of them open and close in the consumer's goroutine,
+// so it needs no lock.
+type consumerShare struct {
+	tk   *trace.Track
+	left int
+}
+
 // Schema implements Iterator.
 func (c *xConsumer) Schema() *record.Schema { return c.x.cfg.Schema }
 
@@ -127,9 +142,10 @@ func (c *xConsumer) Open() error {
 	if c.idx < 0 || c.idx >= c.x.cfg.Consumers {
 		return errState("exchange", "consumer index out of range")
 	}
-	if c.tk == nil {
-		c.tk = c.x.consumerTrack(c.idx)
+	if c.share.tk == nil {
+		c.share.tk = c.x.consumerTrack(c.idx)
 	}
+	c.tk = c.share.tk
 	if c.x.cfg.Inline {
 		input, err := c.x.cfg.NewProducer(c.idx)
 		if err != nil {
@@ -161,6 +177,7 @@ func (c *xConsumer) NextBatch(b *Batch) error {
 		return errState("exchange", "consumer next before open")
 	}
 	b.Reset()
+	q := c.x.port.queues[c.idx]
 	for {
 		if got, err := c.pc.serve(b); got || err != nil {
 			return err
@@ -169,7 +186,8 @@ func (c *xConsumer) NextBatch(b *Batch) error {
 			return nil
 		}
 		var p *packet
-		if c.x.cfg.Inline {
+		switch {
+		case c.x.cfg.Inline:
 			var err error
 			if p, err = c.inlineStep(); err != nil {
 				return err
@@ -177,7 +195,12 @@ func (c *xConsumer) NextBatch(b *Batch) error {
 			if p == nil {
 				continue
 			}
-		} else if p = c.x.port.queues[c.idx].pop(c.x.cfg.Producers, c.tk); p == nil {
+		case c.producer >= 0:
+			p = q.popFrom(c.producer, c.tk)
+		default:
+			p = q.pop(c.x.cfg.Producers, c.tk)
+		}
+		if p == nil {
 			c.done = true
 			return c.x.firstErr()
 		}
@@ -202,7 +225,7 @@ func (c *xConsumer) inlineStep() (*packet, error) {
 		err := c.input.NextBatch(c.inb)
 		if err != nil || c.inb.Len() == 0 {
 			c.x.setErr(err)
-			c.out.flush(true)
+			c.out.flush()
 			c.inputDone = true
 			return nil, err
 		}
@@ -219,7 +242,8 @@ func (c *xConsumer) inlineStep() (*packet, error) {
 	return p, nil
 }
 
-// Close implements Iterator.
+// Close implements Iterator. Of the endpoints of one consumer, the last
+// to close abandons the queue and completes the consumer's shutdown.
 func (c *xConsumer) Close() error {
 	if !c.open {
 		return errState("exchange", "consumer close before open")
@@ -229,7 +253,7 @@ func (c *xConsumer) Close() error {
 	if c.x.cfg.Inline {
 		if !c.inputDone {
 			// Cancelled early: our peers still need our end-of-stream tags.
-			c.out.flush(true)
+			c.out.flush()
 			c.inputDone = true
 		}
 		c.x.port.queues[c.idx].drain()
@@ -250,100 +274,13 @@ func (c *xConsumer) Close() error {
 		c.input = nil
 		return err
 	}
+	if c.share.left--; c.share.left > 0 {
+		return nil
+	}
 	// Fork mode: make sure producers are running (an endpoint could be
 	// closed before any NextBatch), then abandon the queue and hand over
 	// to the shutdown handshake.
 	c.x.ensureStarted()
 	c.x.port.queues[c.idx].drain()
 	return c.x.consumerClosed(c.tk)
-}
-
-// streamGroup coordinates the per-producer stream endpoints of one
-// consumer (KeepStreams mode): the last stream to close completes the
-// endpoint's shutdown.
-type streamGroup struct {
-	mu        sync.Mutex
-	remaining int
-	started   bool
-	// tk is the endpoint's shared trace track: every stream of one
-	// consumer runs in that consumer's goroutine, so sharing keeps the
-	// single-writer rule.
-	tk *trace.Track
-}
-
-// xStream is a single-producer stream of one consumer endpoint, used
-// beneath merge iterators (§4.4: "the merge iterator requires to
-// distinguish the input records by their producer").
-type xStream struct {
-	x        *Exchange
-	consumer int
-	producer int
-	group    *streamGroup
-
-	pc   packetCursor
-	open bool
-	done bool
-}
-
-// Schema implements Iterator.
-func (s *xStream) Schema() *record.Schema { return s.x.cfg.Schema }
-
-// Open implements Iterator.
-func (s *xStream) Open() error {
-	if s.open {
-		return errState("exchange", "stream already open")
-	}
-	s.group.mu.Lock()
-	if !s.group.started {
-		s.group.started = true
-		s.group.tk = s.x.consumerTrack(s.consumer)
-	}
-	s.group.mu.Unlock()
-	s.x.ensureStarted()
-	s.pc = packetCursor{pool: s.x.pool}
-	s.done = false
-	s.open = true
-	return nil
-}
-
-// NextBatch implements Iterator: the producer's packets go out as in
-// xConsumer.
-func (s *xStream) NextBatch(b *Batch) error {
-	if !s.open {
-		return errState("exchange", "stream next before open")
-	}
-	b.Reset()
-	for {
-		if got, err := s.pc.serve(b); got || err != nil {
-			return err
-		}
-		if s.done {
-			return nil
-		}
-		p := s.x.port.queues[s.consumer].popFrom(s.producer, s.group.tk)
-		if p == nil {
-			s.done = true
-			return s.x.firstErr()
-		}
-		s.group.tk.FlowIn("packet", "pop", p.flow, "records", int64(len(p.recs)))
-		s.pc.hold(p)
-	}
-}
-
-// Close implements Iterator.
-func (s *xStream) Close() error {
-	if !s.open {
-		return errState("exchange", "stream close before open")
-	}
-	s.open = false
-	s.pc.release()
-	s.group.mu.Lock()
-	s.group.remaining--
-	last := s.group.remaining == 0
-	s.group.mu.Unlock()
-	if !last {
-		return nil
-	}
-	s.x.port.queues[s.consumer].drain()
-	return s.x.consumerClosed(s.group.tk)
 }

@@ -24,7 +24,7 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 		{"fork", func(t *testing.T, f *file.File) Iterator {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet,
-				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
+				NewProducer: func(int) (Iterator, error) { return NewFileScan(f) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -34,7 +34,7 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 		{"inline", func(t *testing.T, f *file.File) Iterator {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet, Inline: true,
-				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
+				NewProducer: func(int) (Iterator, error) { return NewFileScan(f) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +44,7 @@ func TestExchangeEndpointsHonorBatchTarget(t *testing.T) {
 		{"stream", func(t *testing.T, f *file.File) Iterator {
 			x, err := NewExchange(ExchangeConfig{
 				Schema: intSchema, Producers: 1, Consumers: 1, PacketSize: packet, KeepStreams: true,
-				NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
+				NewProducer: func(int) (Iterator, error) { return NewFileScan(f) },
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -71,7 +71,7 @@ func TestExchangeVerticalPipeline(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {
@@ -101,7 +101,7 @@ func TestExchangeIntraOperatorParallelism(t *testing.T) {
 		Producers: 4,
 		Consumers: 1,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil)
+			return NewFileScan(files[g])
 		},
 	})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestExchangeHashPartitioning(t *testing.T) {
 		Producers: 3,
 		Consumers: 3,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil)
+			return NewFileScan(files[g])
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -167,7 +167,7 @@ func TestExchangeRangePartitioning(t *testing.T) {
 		Producers: 1,
 		Consumers: 3,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.RangePartition(intSchema, 0, []record.Value{record.Int(300), record.Int(600)})
@@ -201,7 +201,7 @@ func TestExchangeBroadcast(t *testing.T) {
 		Consumers: 3,
 		Broadcast: true,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestExchangeFlowControlOnOff(t *testing.T) {
 			Slack:       2,
 			PacketSize:  16,
 			NewProducer: func(g int) (Iterator, error) {
-				fs, err := NewFileScan(f, nil)
+				fs, err := NewFileScan(f)
 				if err != nil {
 					return nil, err
 				}
@@ -267,7 +267,7 @@ func TestExchangeMergeNetwork(t *testing.T) {
 		KeepStreams: true,
 		PacketSize:  7,
 		NewProducer: func(g int) (Iterator, error) {
-			fs, err := NewFileScan(files[g], nil)
+			fs, err := NewFileScan(files[g])
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +313,7 @@ func TestExchangeInlineMode(t *testing.T) {
 		Consumers: 3,
 		Inline:    true,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil)
+			return NewFileScan(files[g])
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -354,7 +354,7 @@ func TestExchangePaperExampleTopology(t *testing.T) {
 		Producers: 4,
 		Consumers: 3,
 		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(files[g], nil) // operator D
+			return NewFileScan(files[g]) // operator D
 		},
 		NewPartition: func(int) expr.Partitioner {
 			return expr.HashPartition(intSchema, record.Key{0}, 3)
@@ -396,7 +396,7 @@ func TestExchangeForkSchemes(t *testing.T) {
 			Producers: 8,
 			Consumers: 1,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil)
+				return NewFileScan(files[g])
 			},
 		}
 		cfgMod(&cfg)
@@ -431,7 +431,7 @@ func TestExchangeForkCostModel(t *testing.T) {
 			Fork:      scheme,
 			ForkCost:  2 * time.Millisecond,
 			NewProducer: func(g int) (Iterator, error) {
-				return NewFileScan(files[g], nil)
+				return NewFileScan(files[g])
 			},
 		}
 	}
@@ -463,7 +463,7 @@ func TestExchangePacketSizes(t *testing.T) {
 			Consumers:  1,
 			PacketSize: ps,
 			NewProducer: func(int) (Iterator, error) {
-				return NewFileScan(f, nil)
+				return NewFileScan(f)
 			},
 		})
 		if err != nil {
@@ -532,7 +532,7 @@ func TestExchangeErrorPropagation(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			fs, err := NewFileScan(f, nil)
+			fs, err := NewFileScan(f)
 			if err != nil {
 				return nil, err
 			}
@@ -560,7 +560,7 @@ func TestExchangeProducerBuildError(t *testing.T) {
 				return nil, errState("test", "boom")
 			}
 			f := env.makeInts(t, "ok", 1, 2, 3)
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {
@@ -575,40 +575,69 @@ func TestExchangeProducerBuildError(t *testing.T) {
 func TestExchangeEarlyConsumerClose(t *testing.T) {
 	// The consumer stops after a few records (LIMIT-like): producers must
 	// still shut down orderly and no pins may leak, even with flow
-	// control active.
-	env := newTestEnv(t, 512)
-	f := env.makeInts(t, "t", shuffled(5000, 7)...)
-	x, err := NewExchange(ExchangeConfig{
-		Schema:      intSchema,
-		Producers:   2,
-		Consumers:   1,
-		FlowControl: true,
-		Slack:       2,
-		PacketSize:  8,
-		NewProducer: func(g int) (Iterator, error) {
-			return NewFileScan(f, nil)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// control active. A merge over the producer-bound endpoints of
+	// sorting producers closes them all early: only the last one closed
+	// may complete the handshake, or the sorts drop pages that its
+	// siblings still pin.
+	sorted := make([]int64, 5000)
+	for i := range sorted {
+		sorted[i] = int64(i)
 	}
-	c := x.Consumer(0)
-	if err := c.Open(); err != nil {
-		t.Fatal(err)
-	}
-	cur := NewCursor(c, 1)
-	for i := 0; i < 10; i++ {
-		r, ok, err := cur.Pull()
-		if err != nil || !ok {
-			t.Fatalf("next %d: %v %v", i, ok, err)
+	for _, merge := range []bool{false, true} {
+		name := "consumer"
+		if merge {
+			name = "merge"
 		}
-		r.Unfix()
+		t.Run(name, func(t *testing.T) {
+			env := newTestEnv(t, 512)
+			f := env.makeInts(t, "t", sorted...)
+			x, err := NewExchange(ExchangeConfig{
+				Schema:      intSchema,
+				Producers:   2,
+				Consumers:   1,
+				FlowControl: true,
+				Slack:       2,
+				PacketSize:  8,
+				KeepStreams: merge,
+				NewProducer: func(g int) (Iterator, error) {
+					fs, err := NewFileScan(f)
+					if err != nil || !merge {
+						return fs, err
+					}
+					return NewSort(env.Env, fs, []record.SortSpec{{Field: 0}}), nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := x.Consumer(0)
+			if merge {
+				streams, err := x.ConsumerStreams(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, err = NewMergeSpec(streams, []record.SortSpec{{Field: 0}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Open(); err != nil {
+				t.Fatal(err)
+			}
+			cur := NewCursor(c, 1)
+			for i := 0; i < 10; i++ {
+				r, ok, err := cur.Pull()
+				if err != nil || !ok {
+					t.Fatalf("next %d: %v %v", i, ok, err)
+				}
+				r.Unfix()
+			}
+			cur.Release()
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			env.checkNoPinLeak(t)
+		})
 	}
-	cur.Release()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	env.checkNoPinLeak(t)
 }
 
 func TestExchangeSchemaMismatchDetected(t *testing.T) {
@@ -619,7 +648,7 @@ func TestExchangeSchemaMismatchDetected(t *testing.T) {
 		Producers: 1,
 		Consumers: 1,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {
@@ -636,7 +665,7 @@ func TestExchangeProtocolErrors(t *testing.T) {
 	f := env.makeInts(t, "t", 1)
 	x, _ := NewExchange(ExchangeConfig{
 		Schema: intSchema, Producers: 1, Consumers: 1,
-		NewProducer: func(int) (Iterator, error) { return NewFileScan(f, nil) },
+		NewProducer: func(int) (Iterator, error) { return NewFileScan(f) },
 	})
 	c := x.Consumer(0)
 	if err := c.NextBatch(NewBatch(1)); err == nil {

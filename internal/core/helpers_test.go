@@ -121,7 +121,7 @@ func (e *testEnv) makePairs(t testing.TB, name string, pairs [][2]int64) *file.F
 
 func scanOf(t testing.TB, f *file.File) *FileScan {
 	t.Helper()
-	s, err := NewFileScan(f, nil)
+	s, err := NewFileScan(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,7 +295,7 @@ func BenchmarkJoinAggregate(b *testing.B) {
 
 func TestAggregateExistingGroupZeroAlloc(t *testing.T) {
 	env := newTestEnv(t, 64)
-	scan, err := NewFileScan(env.makeEmp(t, "emp", 4, 2), nil)
+	scan, err := NewFileScan(env.makeEmp(t, "emp", 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestIndexScan(t *testing.T) {
 
 	lo := btree.EncodeKey(record.Int(50))
 	hi := btree.EncodeKey(record.Int(59))
-	is, err := NewIndexScan(tree, f, nil, lo, hi, true, true)
+	is, err := NewIndexScan(tree, f, lo, hi, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

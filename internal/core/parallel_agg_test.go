@@ -30,7 +30,7 @@ func TestParallelAggregationLocalGlobal(t *testing.T) {
 		Producers: producers,
 		Consumers: 1,
 		NewProducer: func(g int) (Iterator, error) {
-			sc, err := NewFileScan(parts[g], nil)
+			sc, err := NewFileScan(parts[g])
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +114,7 @@ func TestParallelAggregationRepartitioned(t *testing.T) {
 			return expr.HashPartition(partialSchema, record.Key{0}, combiners)
 		},
 		NewProducer: func(g int) (Iterator, error) {
-			sc, err := NewFileScan(parts[g], nil)
+			sc, err := NewFileScan(parts[g])
 			if err != nil {
 				return nil, err
 			}

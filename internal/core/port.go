@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/storage/file"
 	"repro/internal/trace"
 )
 
@@ -147,9 +148,7 @@ func (q *queue) push(p *packet, tk *trace.Track) {
 			q.cond.Broadcast()
 		}
 		q.mu.Unlock()
-		for _, r := range p.recs {
-			r.Unfix()
-		}
+		file.UnfixBatch(p.recs)
 		q.pool.put(p)
 		xmPackets.Add(1)
 		xmRecords.Add(nrecs)
@@ -226,15 +225,7 @@ func (q *queue) noteEOS(p *packet) {
 func (q *queue) pop(producers int, tk *trace.Track) *packet {
 	q.mu.Lock()
 	q.waitLocked(tk, func() bool { return !q.shared.empty() || q.eosSeen >= producers })
-	p := q.shared.pop()
-	q.mu.Unlock()
-	if p != nil {
-		xmQueueDepth.Add(-1)
-		if q.fc != nil && !p.eos {
-			q.fc <- struct{}{}
-		}
-	}
-	return p
+	return q.popped(q.shared.pop())
 }
 
 // popFrom removes the next packet of one producer's stream (merge mode).
@@ -242,15 +233,7 @@ func (q *queue) pop(producers int, tk *trace.Track) *packet {
 func (q *queue) popFrom(producer int, tk *trace.Track) *packet {
 	q.mu.Lock()
 	q.waitLocked(tk, func() bool { return !q.byProd[producer].empty() || q.eosByProd[producer] })
-	p := q.byProd[producer].pop()
-	q.mu.Unlock()
-	if p != nil {
-		xmQueueDepth.Add(-1)
-		if q.fc != nil && !p.eos {
-			q.fc <- struct{}{}
-		}
-	}
-	return p
+	return q.popped(q.byProd[producer].pop())
 }
 
 // tryPop removes the next available packet without blocking (inline mode).
@@ -267,6 +250,13 @@ func (q *queue) tryPop() *packet {
 	} else {
 		p = q.shared.pop()
 	}
+	return q.popped(p)
+}
+
+// popped ends a pop: it drops q.mu, which the caller holds, and when p is
+// a packet it lowers the depth gauge and returns a flow-control token for
+// a data packet.
+func (q *queue) popped(p *packet) *packet {
 	q.mu.Unlock()
 	if p != nil {
 		xmQueueDepth.Add(-1)
@@ -294,9 +284,7 @@ func (q *queue) drain() {
 	q.mu.Unlock()
 	xmQueueDepth.Add(-int64(len(all)))
 	for _, p := range all {
-		for _, r := range p.recs {
-			r.Unfix()
-		}
+		file.UnfixBatch(p.recs)
 		eos := p.eos
 		q.pool.put(p)
 		if q.fc != nil && !eos {

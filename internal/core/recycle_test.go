@@ -50,7 +50,7 @@ func TestExchangePacketRecycling(t *testing.T) {
 		PacketSize:  10,
 		FlowControl: true,
 		Slack:       4,
-		NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
+		NewProducer: func(g int) (Iterator, error) { return NewFileScan(f) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestExchangeRecycleShutdownStress(t *testing.T) {
 			PacketSize:  3,
 			FlowControl: true,
 			Slack:       1,
-			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
+			NewProducer: func(g int) (Iterator, error) { return NewFileScan(f) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +294,7 @@ func TestExchangeStatsMatchMetricsOnShutdownPaths(t *testing.T) {
 				Slack:       1,
 				Done:        done,
 				NewProducer: func(g int) (Iterator, error) {
-					mk := func() (Iterator, error) { return NewFileScan(f, nil) }
+					mk := func() (Iterator, error) { return NewFileScan(f) }
 					sc, err := mk()
 					if err != nil {
 						return nil, err
@@ -337,7 +337,7 @@ func TestExchangeStatsMatchMetricsOnShutdownPaths(t *testing.T) {
 				PacketSize:  3,
 				FlowControl: true,
 				Slack:       1,
-				NewProducer: func(g int) (Iterator, error) { return NewFileScan(f, nil) },
+				NewProducer: func(g int) (Iterator, error) { return NewFileScan(f) },
 			})
 			if err != nil {
 				t.Fatal(err)

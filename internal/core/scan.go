@@ -15,12 +15,9 @@ type FileScan struct {
 	scan   *file.Scan
 }
 
-// NewFileScan builds a scan over f. If schema is nil the schema recorded
-// in the VTOC is used.
-func NewFileScan(f *file.File, schema *record.Schema) (*FileScan, error) {
-	if schema == nil {
-		schema = f.Schema()
-	}
+// NewFileScan builds a scan over f with the schema recorded in its VTOC.
+func NewFileScan(f *file.File) (*FileScan, error) {
+	schema := f.Schema()
 	if schema == nil {
 		return nil, errState("filescan", fmt.Sprintf("file %q has no schema", f.Name()))
 	}
@@ -89,11 +86,9 @@ type IndexScan struct {
 }
 
 // NewIndexScan builds an index scan. lo/hi are encoded keys (btree.EncodeKey);
-// nil means unbounded.
-func NewIndexScan(tree *btree.Tree, f *file.File, schema *record.Schema, lo, hi []byte, incLo, incHi bool) (*IndexScan, error) {
-	if schema == nil {
-		schema = f.Schema()
-	}
+// nil means unbounded. The records are read with f's VTOC schema.
+func NewIndexScan(tree *btree.Tree, f *file.File, lo, hi []byte, incLo, incHi bool) (*IndexScan, error) {
+	schema := f.Schema()
 	if schema == nil {
 		return nil, errState("indexscan", fmt.Sprintf("file %q has no schema", f.Name()))
 	}

@@ -55,7 +55,7 @@ func TestInstrumentWithSharedStats(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc, err := NewFileScan(files[w], nil)
+			sc, err := NewFileScan(files[w])
 			if err != nil {
 				errs[w] = err
 				return

@@ -37,7 +37,7 @@ func TestExchangeTraceProtocol(t *testing.T) {
 		Slack:       1, // one token: producers must block, so token-wait spans appear
 		Tracer:      tr,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestExchangeTraceTreeFork(t *testing.T) {
 		Fork:      ForkTree,
 		Tracer:    tr,
 		NewProducer: func(int) (Iterator, error) {
-			return NewFileScan(f, nil)
+			return NewFileScan(f)
 		},
 	})
 	if err != nil {

@@ -260,54 +260,33 @@ func (s *WireSender) writeScratch() error {
 	return nil
 }
 
-// SendWire is the producer half of a wire link: it opens it, drains it
-// in batches of batchSize records, copies every image into s (dropping
-// the first skip of them: a skip-replay resume) and closes it. The
-// stream ends with an EOS frame, or an EOS|Err frame carrying the
-// subtree's error. A write error means the reader is gone: SendWire
-// closes it and returns that error without sending EOS. The returned
-// error is what went wrong on this side.
+// SendWire is the producer half of a wire link: it drains it in batches
+// of batchSize records, copying every image into s (dropping the first
+// skip of them: a skip-replay resume). The stream ends with an EOS
+// frame, or an EOS|Err frame carrying the subtree's error. A write error
+// means the reader is gone: SendWire returns it without sending EOS. The
+// returned error is what went wrong on this side.
 func SendWire(s *WireSender, it Iterator, batchSize int, skip int64) error {
-	if err := it.Open(); err != nil {
-		err = fmt.Errorf("open: %w", err)
-		// Best effort: the reader would otherwise wait out its timeout.
-		_ = s.CloseEOS(err.Error())
-		return err
-	}
-	var runErr error
-	b := NewBatch(batchSize)
-	for {
-		if err := it.NextBatch(b); err != nil {
-			runErr = err
-			break
-		}
-		if b.Len() == 0 {
-			break
-		}
-		recs := b.Recs()
+	var sendErr error
+	err := drainInput(it, batchSize, func(recs []Rec) error {
 		if skip > 0 {
 			k := min(skip, int64(len(recs)))
 			recs, skip = recs[k:], skip-k
 		}
-		var sendErr error
 		for _, r := range recs {
 			if sendErr = s.Add(r.Data); sendErr != nil {
-				break
+				return sendErr
 			}
 		}
-		// One coalesced release per batch, sent records or not.
-		b.Release()
-		if sendErr != nil {
-			_ = it.Close()
-			return sendErr
-		}
-	}
-	if cerr := it.Close(); runErr == nil && cerr != nil {
-		runErr = cerr
-	}
-	if runErr != nil {
-		_ = s.CloseEOS(runErr.Error())
-		return runErr
+		return nil
+	})
+	switch {
+	case sendErr != nil:
+		return sendErr
+	case err != nil:
+		// Best effort: the reader would otherwise wait out its timeout.
+		_ = s.CloseEOS(err.Error())
+		return err
 	}
 	return s.CloseEOS("")
 }

@@ -406,7 +406,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewFileScan(meteredFile(ctx, f), nil)
+		return core.NewFileScan(meteredFile(ctx, f))
 
 	case KindPartitionedScan:
 		// Instance 0 — the exchange's schema probe, built before any
@@ -420,7 +420,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewFileScan(meteredFile(ctx, f), nil)
+		return core.NewFileScan(meteredFile(ctx, f))
 
 	case KindIndexScan:
 		ic, ok := ctx.cat.(IndexCatalog)
@@ -446,7 +446,7 @@ func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		// handle; the B-tree's own page fixes go through the tree's pool
 		// reference and stay process-global (the tree is a shared,
 		// mutex-guarded structure, not a per-query handle).
-		return core.NewIndexScan(tree, meteredFile(ctx, f), nil, lo, hi, true, true)
+		return core.NewIndexScan(tree, meteredFile(ctx, f), lo, hi, true, true)
 
 	case KindFilter:
 		in, err := build(ctx.in(0), n.Inputs[0])
