@@ -21,12 +21,12 @@ const (
 	AggAvg
 )
 
-var aggNames = map[AggFunc]string{
+var aggNames = [...]string{
 	AggCount: "count", AggSum: "sum", AggMin: "min", AggMax: "max", AggAvg: "avg",
 }
 
-// String names the aggregate function.
-func (a AggFunc) String() string { return aggNames[a] }
+// String names the aggregate function, or is empty for no such function.
+func (a AggFunc) String() string { return enumName(aggNames[:], int(a)) }
 
 // AggSpec is one aggregate column: a function over an input field.
 // AggCount ignores Field.
@@ -184,17 +184,16 @@ func (f *aggFold) result(st *aggState) record.Value {
 // specs it performs duplicate elimination on the group key. It releases
 // every input record once folded, so it opts its input into an arena.
 type HashAggregate struct {
-	env     *Env
-	input   Iterator
-	groupBy record.Key
-	folds   []aggFold
-	schema  *record.Schema
+	env    *Env
+	input  Iterator
+	keyer  keyer // the group key's
+	folds  []aggFold
+	schema *record.Schema
 
 	w      *ResultWriter
-	groups map[string]*group
-	order  []*group // first-seen order
+	table  keyTable
+	groups []group // by table entry: first-seen order
 	emit   int
-	key    []byte         // scratch: the current record's group key
 	vals   []record.Value // scratch: the output row being written
 	opState
 }
@@ -234,7 +233,7 @@ func NewHashAggregate(env *Env, input Iterator, groupBy record.Key, aggs []AggSp
 		return nil, err
 	}
 	UseArena(input)
-	return &HashAggregate{env: env, input: input, groupBy: groupBy, folds: folds, schema: schema}, nil
+	return &HashAggregate{env: env, input: input, keyer: newKeyer(input.Schema(), groupBy), folds: folds, schema: schema}, nil
 }
 
 // Schema implements Iterator.
@@ -248,11 +247,10 @@ func (h *HashAggregate) openImpl() error {
 	if err != nil {
 		return err
 	}
-	h.groups, h.order = make(map[string]*group), nil
-	in := h.input.Schema()
+	h.table, h.groups = keyTable{}, nil
 	err = drainInput(h.input, h.env.BatchSize(), func(recs []Rec) error {
 		for _, r := range recs {
-			h.absorb(in, r.Data)
+			h.absorb(r.Data)
 		}
 		return nil
 	})
@@ -264,23 +262,19 @@ func (h *HashAggregate) openImpl() error {
 	return nil
 }
 
-// absorb folds one input record into its group. The group is found by
-// the key bytes in a reused scratch buffer — a lookup by string(h.key)
-// does not allocate — so only a record that starts a group allocates.
-func (h *HashAggregate) absorb(in *record.Schema, data []byte) {
-	h.key = in.AppendKey(h.key[:0], data, h.groupBy)
-	g, exists := h.groups[string(h.key)]
+// absorb folds one input record into its group. Only a record that
+// starts a group allocates.
+func (h *HashAggregate) absorb(data []byte) {
+	e, exists := h.table.insert(h.keyer.of(data))
 	if !exists {
-		g = newGroup(in, data, h.groupBy, h.folds)
-		h.groups[string(h.key)] = g
-		h.order = append(h.order, g)
+		h.groups = append(h.groups, *newGroup(h.keyer.schema, data, h.keyer.key, h.folds))
 	}
-	g.accumulate(data, h.folds)
+	h.groups[e].accumulate(data, h.folds)
 }
 
 // emitGroup materialises the next group's output record.
 func (h *HashAggregate) emitGroup() (Rec, error) {
-	g := h.order[h.emit]
+	g := &h.groups[h.emit]
 	h.emit++
 	h.vals = g.appendRow(h.vals[:0], h.folds)
 	return h.w.Write(h.vals)
@@ -293,7 +287,7 @@ func (h *HashAggregate) NextBatch(b *Batch) error {
 		return errState("hashaggregate", "next before open")
 	}
 	b.Reset()
-	for !b.Full() && h.emit < len(h.order) {
+	for !b.Full() && h.emit < len(h.groups) {
 		r, err := h.emitGroup()
 		if err != nil {
 			b.Release()
@@ -309,8 +303,7 @@ func (h *HashAggregate) Close() error {
 	if ok, err := h.closing("hashaggregate"); !ok {
 		return err
 	}
-	h.groups = nil
-	h.order = nil
+	h.table, h.groups = keyTable{}, nil
 	err := h.w.Dispose()
 	h.w = nil
 	return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/record"
@@ -10,19 +11,21 @@ import (
 // Q and divisor fields D, and a divisor S, output the distinct Q values q
 // such that (q, s) ∈ R for every s ∈ S. Volcano's hash-division algorithm
 // [Graefe 1989] builds a table of divisor tuples and a table of quotient
-// candidates with per-divisor bit sets; the paper's §4.4 reports
-// parallelising it via the exchange operator with both divisor and
-// quotient partitioning.
+// candidates, each with a bit set of |S| bits however few of S it matches
+// (memory grows with candidates × |S|, not with the matching pairs); the
+// paper's §4.4 reports parallelising it via the exchange operator with
+// both divisor and quotient partitioning.
 
 // HashDivision is the hash-division iterator.
 type HashDivision struct {
-	env        *Env
-	dividend   Iterator
-	divisor    Iterator
-	quotKey    record.Key // quotient fields in the dividend
-	divKey     record.Key // divisor fields in the dividend
-	divisorKey record.Key // fields in the divisor matching divKey pairwise
-	schema     *record.Schema
+	env      *Env
+	dividend Iterator
+	divisor  Iterator
+	quotKey  record.Key // quotient fields in the dividend
+	quotK    keyer      // quotKey's, in the dividend
+	divK     keyer      // the divisor fields', in the dividend
+	divisorK keyer      // the divisor's fields matching divK's pairwise
+	schema   *record.Schema
 
 	// partial, when true, emits (quotient, matchedCount) pairs instead of
 	// filtering on a full match. This is the building block for the
@@ -31,17 +34,18 @@ type HashDivision struct {
 	// counts and compares with the full divisor cardinality.
 	partial bool
 
-	w     *ResultWriter
-	order []string
-	table map[string]*quotient
-	ndiv  int
-	emit  int
+	w        *ResultWriter
+	divisors keyTable   // the divisor's distinct tuples
+	quots    keyTable   // the quotient candidates
+	cands    []quotient // by quots entry: first-seen order
+	emit     int
+	vals     []record.Value // scratch: a partial-mode output row
 	opState
 }
 
 type quotient struct {
 	kv   []record.Value
-	seen map[int]struct{}
+	seen bitset // the divisors entries matched
 }
 
 // NewHashDivision constructs the operator. divisorKey are the fields of
@@ -53,15 +57,13 @@ func NewHashDivision(env *Env, dividend, divisor Iterator, quotKey, divKey, divi
 	if len(quotKey) == 0 {
 		return nil, fmt.Errorf("core: division: empty quotient key")
 	}
-	d := &HashDivision{
-		env: env, dividend: dividend, divisor: divisor,
-		quotKey: quotKey, divKey: divKey, divisorKey: divisorKey,
-	}
+	d := &HashDivision{env: env, dividend: dividend, divisor: divisor, quotKey: quotKey}
 	var err error
-	d.schema, err = d.outputSchema()
-	if err != nil {
+	if d.schema, err = d.outputSchema(); err != nil {
 		return nil, err
 	}
+	in := dividend.Schema()
+	d.quotK, d.divK, d.divisorK = newKeyer(in, quotKey), newKeyer(in, divKey), newKeyer(divisor.Schema(), divisorKey)
 	return d, nil
 }
 
@@ -110,41 +112,25 @@ func (d *HashDivision) openImpl() error {
 	d.w = w
 
 	// Phase 1: number the divisor tuples.
-	divisorIdx := make(map[string]int)
-	ds := d.divisor.Schema()
-	err = drainInput(d.divisor, d.env.BatchSize(), func(recs []Rec) error {
-		for _, r := range recs {
-			key := string(ds.AppendKey(nil, r.Data, d.divisorKey))
-			if _, dup := divisorIdx[key]; !dup {
-				divisorIdx[key] = len(divisorIdx)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if d.divisors, err = numberDivisors(d.env, d.divisor, &d.divisorK); err != nil {
 		d.abort()
 		return err
 	}
-	d.ndiv = len(divisorIdx)
 
 	// Phase 2: scan the dividend, marking (quotient, divisor) pairs.
-	d.table = make(map[string]*quotient)
 	in := d.dividend.Schema()
 	err = drainInput(d.dividend, d.env.BatchSize(), func(recs []Rec) error {
 		for _, r := range recs {
-			idx, inDivisor := divisorIdx[string(in.AppendKey(nil, r.Data, d.divKey))]
-			if !inDivisor {
+			idx := d.divisors.find(d.divK.of(r.Data))
+			if idx < 0 {
 				// Dividend rows with divisor values outside S are irrelevant.
 				continue
 			}
-			qk := string(in.AppendKey(nil, r.Data, d.quotKey))
-			q, exists := d.table[qk]
+			e, exists := d.quots.insert(d.quotK.of(r.Data))
 			if !exists {
-				q = &quotient{kv: in.KeyValues(r.Data, d.quotKey), seen: make(map[int]struct{})}
-				d.table[qk] = q
-				d.order = append(d.order, qk)
+				d.cands = append(d.cands, quotient{kv: in.KeyValues(r.Data, d.quotKey), seen: make(bitset, (d.divisors.len()+63)/64)})
 			}
-			q.seen[idx] = struct{}{}
+			d.cands[e].seen.add(idx)
 		}
 		return nil
 	})
@@ -166,15 +152,15 @@ func (d *HashDivision) NextBatch(b *Batch) error {
 }
 
 func (d *HashDivision) next() (Rec, bool, error) {
-	for d.emit < len(d.order) {
-		q := d.table[d.order[d.emit]]
+	for d.emit < len(d.cands) {
+		q := &d.cands[d.emit]
 		d.emit++
 		if d.partial {
-			vals := append(append([]record.Value(nil), q.kv...), record.Int(int64(len(q.seen))))
-			r, err := d.w.Write(vals)
+			d.vals = append(append(d.vals[:0], q.kv...), record.Int(int64(q.seen.count())))
+			r, err := d.w.Write(d.vals)
 			return r, err == nil, err
 		}
-		if len(q.seen) == d.ndiv && d.ndiv > 0 {
+		if n := d.divisors.len(); n > 0 && q.seen.count() == n {
 			r, err := d.w.Write(q.kv)
 			return r, err == nil, err
 		}
@@ -187,40 +173,49 @@ func (d *HashDivision) Close() error {
 	if ok, err := d.closing("hashdivision"); !ok {
 		return err
 	}
-	d.table = nil
-	d.order = nil
+	d.divisors, d.quots, d.cands = keyTable{}, keyTable{}, nil
 	err := d.w.Dispose()
 	d.w = nil
 	return err
 }
 
 func (d *HashDivision) abort() {
-	d.table = nil
-	d.order = nil
+	d.divisors, d.quots, d.cands = keyTable{}, keyTable{}, nil
 	if d.w != nil {
 		_ = d.w.Dispose()
 		d.w = nil
 	}
 }
 
+// numberDivisors numbers the divisor's distinct tuples, keyed by k.
+func numberDivisors(env *Env, divisor Iterator, k *keyer) (t keyTable, err error) {
+	err = drainInput(divisor, env.BatchSize(), func(recs []Rec) error {
+		for _, r := range recs {
+			t.insert(k.of(r.Data))
+		}
+		return nil
+	})
+	return t, err
+}
+
 // SortDivision is the sort-based division baseline: the dividend is sorted
 // on the quotient fields, so candidate quotients are processed one group
 // at a time with memory proportional to the divisor only.
 type SortDivision struct {
-	env        *Env
-	dividend   Iterator // wrapped in a Sort on quotKey at construction
-	divisor    Iterator
-	quotKey    record.Key
-	divKey     record.Key
-	divisorKey record.Key
-	schema     *record.Schema
+	env      *Env
+	dividend Iterator // wrapped in a Sort on quotKey at construction
+	divisor  Iterator
+	quotK    keyer // as HashDivision's
+	divK     keyer
+	divisorK keyer
+	schema   *record.Schema
 
 	w        *ResultWriter
-	src      *Cursor // the sorted dividend
-	divisor2 map[string]struct{}
+	src      *Cursor  // the sorted dividend
+	divisors keyTable // the divisor's distinct tuples
 	cur      []record.Value
-	curKey   string // AppendKey rendering of cur
-	curSeen  map[string]struct{}
+	curKey   []byte // cur's key bytes
+	curSeen  bitset // the divisors entries cur matched
 	done     bool
 	opState
 }
@@ -252,7 +247,8 @@ func NewSortDivision(env *Env, dividend, divisor Iterator, quotKey, divKey, divi
 	}
 	return &SortDivision{
 		env: env, dividend: NewSort(env, dividend, spec), divisor: divisor,
-		quotKey: quotKey, divKey: divKey, divisorKey: divisorKey, schema: schema,
+		quotK: newKeyer(in, quotKey), divK: newKeyer(in, divKey),
+		divisorK: newKeyer(divisor.Schema(), divisorKey), schema: schema,
 	}, nil
 }
 
@@ -267,15 +263,7 @@ func (d *SortDivision) openImpl() error {
 	if err != nil {
 		return err
 	}
-	d.divisor2 = make(map[string]struct{})
-	ds := d.divisor.Schema()
-	err = drainInput(d.divisor, d.env.BatchSize(), func(recs []Rec) error {
-		for _, r := range recs {
-			d.divisor2[string(ds.AppendKey(nil, r.Data, d.divisorKey))] = struct{}{}
-		}
-		return nil
-	})
-	if err == nil {
+	if d.divisors, err = numberDivisors(d.env, d.divisor, &d.divisorK); err == nil {
 		err = d.dividend.Open()
 	}
 	if err != nil {
@@ -285,7 +273,7 @@ func (d *SortDivision) openImpl() error {
 	d.w = w
 	d.src = NewCursor(d.dividend, d.env.BatchSize())
 	d.cur = nil
-	d.curSeen = nil
+	d.curSeen = make(bitset, (d.divisors.len()+63)/64)
 	d.done = false
 	return nil
 }
@@ -312,24 +300,23 @@ func (d *SortDivision) nextGroup() (Rec, bool, error) {
 		}
 		if !ok {
 			d.done = true
-			if d.cur != nil && len(d.curSeen) == len(d.divisor2) && len(d.divisor2) > 0 {
+			if d.cur != nil && d.divisors.len() > 0 && d.curSeen.count() == d.divisors.len() {
 				out, err := d.w.Write(d.cur)
 				return out, err == nil, err
 			}
 			return Rec{}, false, nil
 		}
-		qk := string(in.AppendKey(nil, r.Data, d.quotKey))
+		qk, _ := d.quotK.of(r.Data)
 		var finished []record.Value
-		if d.cur == nil || qk != d.curKey {
-			if d.cur != nil && len(d.curSeen) == len(d.divisor2) && len(d.divisor2) > 0 {
+		if d.cur == nil || !bytes.Equal(qk, d.curKey) {
+			if d.cur != nil && d.divisors.len() > 0 && d.curSeen.count() == d.divisors.len() {
 				finished = d.cur
 			}
-			d.cur, d.curKey = in.KeyValues(r.Data, d.quotKey), qk
-			d.curSeen = make(map[string]struct{})
+			d.cur, d.curKey = in.KeyValues(r.Data, d.quotK.key), append(d.curKey[:0], qk...)
+			clear(d.curSeen)
 		}
-		divK := string(in.AppendKey(nil, r.Data, d.divKey))
-		if _, inS := d.divisor2[divK]; inS {
-			d.curSeen[divK] = struct{}{}
+		if e := d.divisors.find(d.divK.of(r.Data)); e >= 0 {
+			d.curSeen.add(e)
 		}
 		r.Unfix()
 		if finished != nil {

@@ -305,15 +305,14 @@ func TestAggregateExistingGroupZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.groups = map[string]*group{}
 	data := empSchema.MustEncode(record.Int(1), record.Int(1), record.Float(1001), record.Str("emp-1"))
-	h.absorb(empSchema, data) // the group's first record allocates it
-	n := testing.AllocsPerRun(1000, func() { h.absorb(empSchema, data) })
+	h.absorb(data) // the group's first record allocates it
+	n := testing.AllocsPerRun(1000, func() { h.absorb(data) })
 	if n != 0 {
 		t.Fatalf("accumulating into an existing group allocates %.0f times per record, want 0", n)
 	}
-	if g := h.order[0]; len(h.order) != 1 || g.states[0].count != 1002 || g.states[1].sumI != 1002 {
-		t.Fatalf("groups after 1002 records of one key: %d, state %+v", len(h.order), g.states)
+	if g := h.groups[0]; len(h.groups) != 1 || h.table.len() != 1 || g.states[0].count != 1002 || g.states[1].sumI != 1002 {
+		t.Fatalf("groups after 1002 records of one key: %d, state %+v", len(h.groups), g.states)
 	}
 }
 

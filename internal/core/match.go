@@ -44,15 +44,23 @@ const (
 	MatchAntiDifference
 )
 
-var matchOpNames = map[MatchOp]string{
+var matchOpNames = [...]string{
 	MatchJoin: "join", MatchSemi: "semijoin", MatchAnti: "antijoin",
 	MatchLeftOuter: "leftouter", MatchRightOuter: "rightouter", MatchFullOuter: "fullouter",
 	MatchUnion: "union", MatchIntersect: "intersect",
 	MatchDifference: "difference", MatchAntiDifference: "antidifference",
 }
 
-// String names the operation.
-func (op MatchOp) String() string { return matchOpNames[op] }
+// String names the operation, or is empty for no such operation.
+func (op MatchOp) String() string { return enumName(matchOpNames[:], int(op)) }
+
+// enumName is names[i], or empty for an i out of range.
+func enumName(names []string, i int) string {
+	if i < 0 || i >= len(names) {
+		return ""
+	}
+	return names[i]
+}
 
 // combinesSchemas reports whether the output is the concatenation of both
 // input schemas.
@@ -191,10 +199,4 @@ func (q *recQueue) len() int { return len(q.recs) - q.head }
 func (q *recQueue) release() {
 	file.UnfixBatch(q.recs[q.head:])
 	q.recs, q.head = q.recs[:0], 0
-}
-
-// keysEqual verifies key equality between a left and right record (hash
-// matches must be confirmed, hashes can collide).
-func keysEqual(ls *record.Schema, l []byte, lk record.Key, rs *record.Schema, r []byte, rk record.Key) bool {
-	return record.CompareKeys(ls, l, lk, rs, r, rk) == 0
 }

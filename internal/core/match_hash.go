@@ -13,21 +13,21 @@ import (
 // arena, when the consumer opted in), and consumed input records are
 // unfixed by page run (file.UnfixBatch), per the ownership protocol of §3.
 type HashMatch struct {
-	env      *Env
-	op       MatchOp
-	left     Iterator
-	right    Iterator
-	leftKey  record.Key
-	rightKey record.Key
-	schema   *record.Schema
+	env    *Env
+	op     MatchOp
+	left   Iterator
+	right  Iterator
+	schema *record.Schema
+	lkey   keyer // the probe side's key function
+	rkey   keyer // the build side's key function
 
-	table     map[uint64][]*buildEntry
-	order     []*buildEntry // build order, for deterministic trailing output
-	comb      combiner      // for combined outputs
-	seen      map[string]struct{}
-	seenKey   []byte // scratch for the seen lookup
+	build     keyTable     // the build side's distinct keys
+	heads     []int32      // by build key: its first entry
+	entries   []buildEntry // build order, each key's chained by next
+	comb      combiner     // for combined outputs
+	seen      keyTable     // the probe keys passed on, for distinctProbe
 	pending   recQueue
-	trail     int // cursor over order for right-only emission
+	trail     int // cursor over entries for right-only emission
 	probing   bool
 	inArena   bool // the consumer opted the output into an arena
 	rightOpen bool
@@ -42,6 +42,7 @@ type HashMatch struct {
 
 type buildEntry struct {
 	rec     Rec
+	next    int32 // the key's next entry, or -1
 	matched bool
 }
 
@@ -57,8 +58,8 @@ func NewHashMatch(env *Env, op MatchOp, left, right Iterator, leftKey, rightKey 
 	}
 	return &HashMatch{
 		env: env, op: op, left: left, right: right,
-		leftKey: leftKey, rightKey: rightKey, schema: schema,
-		comb: newCombiner(left.Schema(), right.Schema()),
+		lkey: newKeyer(left.Schema(), leftKey), rkey: newKeyer(right.Schema(), rightKey),
+		schema: schema, comb: newCombiner(left.Schema(), right.Schema()),
 	}, nil
 }
 
@@ -94,15 +95,13 @@ func (h *HashMatch) openImpl() error {
 		}
 		h.comb.w = w
 	}
-	h.table = make(map[uint64][]*buildEntry)
-	h.seen = make(map[string]struct{})
 	h.trail = 0
 	if err := h.right.Open(); err != nil {
 		h.abort()
 		return err
 	}
 	h.rightOpen = true
-	rs := h.right.Schema()
+	var tails []int32 // by build key: its last entry
 	h.lb, h.lpos = NewBatch(h.env.BatchSize()), 0
 	for {
 		if err := h.right.NextBatch(h.lb); err != nil {
@@ -113,14 +112,18 @@ func (h *HashMatch) openImpl() error {
 			break
 		}
 		for _, r := range h.lb.Recs() {
-			hk := rs.Hash(r.Data, h.rightKey)
-			if h.distinctBuild() && h.bucketHasKey(hk, rs, r.Data) {
+			k, existed := h.build.insert(h.rkey.of(r.Data))
+			if existed && h.distinctBuild() {
 				h.drops = append(h.drops, r)
 				continue
 			}
-			e := &buildEntry{rec: r}
-			h.table[hk] = append(h.table[hk], e)
-			h.order = append(h.order, e)
+			e := int32(len(h.entries))
+			h.entries = append(h.entries, buildEntry{rec: r, next: -1})
+			if existed {
+				h.entries[tails[k]].next, tails[k] = e, e
+			} else {
+				h.heads, tails = append(h.heads, e), append(tails, e)
+			}
 		}
 		h.releaseDrops()
 	}
@@ -135,15 +138,6 @@ func (h *HashMatch) openImpl() error {
 	}
 	h.probing = true
 	return nil
-}
-
-func (h *HashMatch) bucketHasKey(hk uint64, rs *record.Schema, data []byte) bool {
-	for _, e := range h.table[hk] {
-		if keysEqual(rs, e.rec.Data, h.rightKey, rs, data, h.rightKey) {
-			return true
-		}
-	}
-	return false
 }
 
 // UseArena implements ArenaOutput for the operations that create records.
@@ -222,30 +216,29 @@ func (h *HashMatch) releaseDrops() {
 // combined outputs it gives rise to, and reports whether the operation
 // passes the left record itself through.
 func (h *HashMatch) match(l []byte) (pass bool, err error) {
-	ls, rs := h.left.Schema(), h.right.Schema()
 	combines := h.op.combinesSchemas()
-	matched := false
-	for _, e := range h.table[ls.Hash(l, h.leftKey)] {
-		if !keysEqual(ls, l, h.leftKey, rs, e.rec.Data, h.rightKey) {
-			continue
-		}
-		// Only the operations with a trailing right-only class read the
-		// mark; setting it for all of them is harmless.
-		matched, e.matched = true, true
-		if combines {
-			out, err := h.comb.combine(l, e.rec.Data)
-			if err != nil {
-				return false, err
+	key, hk := h.lkey.of(l)
+	k := h.build.find(key, hk)
+	matched := k >= 0
+	if matched {
+		for i := h.heads[k]; i >= 0; i = h.entries[i].next {
+			e := &h.entries[i]
+			// Only the operations with a trailing right-only class read
+			// the mark; setting it for all of them is harmless.
+			e.matched = true
+			if combines {
+				out, err := h.comb.combine(l, e.rec.Data)
+				if err != nil {
+					return false, err
+				}
+				h.pending.push(out)
 			}
-			h.pending.push(out)
 		}
 	}
 	if h.distinctProbe() {
-		h.seenKey = ls.AppendKey(h.seenKey[:0], l, h.leftKey)
-		if _, dup := h.seen[string(h.seenKey)]; dup {
+		if _, dup := h.seen.insert(key, hk); dup {
 			return false, nil
 		}
-		h.seen[string(h.seenKey)] = struct{}{}
 	}
 	switch h.op {
 	case MatchLeftOuter, MatchFullOuter:
@@ -280,8 +273,8 @@ func (h *HashMatch) trailNext() (Rec, bool, error) {
 	if !emitUnmatched {
 		return Rec{}, false, nil
 	}
-	for h.trail < len(h.order) {
-		e := h.order[h.trail]
+	for h.trail < len(h.entries) {
+		e := &h.entries[h.trail]
 		h.trail++
 		if e.matched {
 			continue
@@ -335,9 +328,8 @@ func (h *HashMatch) abort() {
 func (h *HashMatch) release() {
 	h.releaseDrops()
 	h.pending.release()
-	for _, e := range h.order {
+	for _, e := range h.entries {
 		e.rec.Unfix()
 	}
-	h.order = nil
-	h.table = nil
+	h.build, h.heads, h.entries, h.seen = keyTable{}, nil, nil, keyTable{}
 }

@@ -150,17 +150,20 @@ func (s *Schema) mustGet(data []byte, i int) Value {
 }
 
 // AppendKey appends to dst a canonical rendering of the key fields of an
-// encoded record, usable as a Go map key: two records render the same
-// bytes exactly when their key fields are equal, and numeric values of
-// equal magnitude render identically. Callers look groups up with
-// m[string(buf)] over a reused buf, which does not allocate.
+// encoded record: two records render the same bytes exactly when their
+// key fields are equal, -0.0 as 0.0 and a NaN only as its own bits. (Not
+// canonicalFloatBits: it renders 3.0 as the subnormal whose bits are 3.)
 func (s *Schema) AppendKey(dst, data []byte, key Key) []byte {
 	for _, f := range key {
 		switch s.fields[f].Type {
 		case TInt:
 			dst = appendUint64(dst, 'i', uint64(s.GetInt(data, f)))
 		case TFloat:
-			dst = appendUint64(dst, 'f', canonicalFloatBits(s.GetFloat(data, f)))
+			v := s.GetFloat(data, f)
+			if v == 0 {
+				v = 0 // -0.0 renders as 0.0
+			}
+			dst = appendUint64(dst, 'f', mathFloat64bits(v))
 		case TBool:
 			if s.GetBool(data, f) {
 				dst = append(dst, 'b', 1)
