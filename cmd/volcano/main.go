@@ -301,9 +301,10 @@ func run(o options) error {
 		return nil
 	}
 
-	// BuildWith composes all the facilities: -metrics implies the observed
-	// build even without -analyze (the operator-latency histograms live in
-	// the registry's children), and -batch sets the batch size every
+	// BuildWith composes all the facilities: -metrics and -trace imply the
+	// observed build even without -analyze (the operator-latency
+	// histograms live in the registry's children, the operator spans in
+	// the instrumentation wrappers), and -batch sets the batch size every
 	// operator and exchange boundary pulls with.
 	it, analysis, err := plan.BuildWith(env, cat, node, plan.BuildOptions{
 		Analyze:   o.analyze,

@@ -2,14 +2,14 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/storage/file"
 )
 
 // batchRecBytes is the accounting size of one batch record slot, used to
-// express batch-pool occupancy in bytes for per-query memory attribution.
+// express the exchange producers' pull batches in bytes
+// (ExchangeStats.BatchBytes).
 const batchRecBytes = int64(unsafe.Sizeof(Rec{}))
 
 // DefaultBatchSize is the default number of records per batch. It matches
@@ -202,80 +202,4 @@ func (c *Cursor) Release() {
 	file.UnfixBatch(c.b.Recs()[c.pos:])
 	c.b.Reset()
 	c.pos = 0
-}
-
-// BatchPool is a bounded free list of batches, the batch counterpart of
-// the packet free list: exchange producers draw their pull batches here
-// so the steady state allocates nothing per batch. Like packetPool it is
-// used non-blockingly from both sides — Get falls back to a fresh batch
-// when the list is empty (a miss), Put drops the batch when the list is
-// full (a discard) — so every path that is unsure whether a batch may be
-// reused can simply not return it.
-type BatchPool struct {
-	free   chan *Batch
-	target int
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	discards atomic.Int64
-
-	// meter, when set, attributes the pool's memory footprint to one
-	// query: allocations (misses) add to its live/high-water bytes,
-	// discards subtract. Steady-state hits and puts touch nothing.
-	meter *ResourceMeter
-}
-
-// MeterTo attributes the pool's batch memory to m (nil disables). Set
-// before the pool is shared between goroutines.
-func (p *BatchPool) MeterTo(m *ResourceMeter) { p.meter = m }
-
-// NewBatchPool builds a free list bounded to size batches of the given
-// target fill.
-func NewBatchPool(size, target int) *BatchPool {
-	if size < 1 {
-		size = 1
-	}
-	if target < 1 {
-		target = DefaultBatchSize
-	}
-	return &BatchPool{free: make(chan *Batch, size), target: target}
-}
-
-// Get returns a recycled batch, or a freshly allocated one when the free
-// list is empty. The batch arrives reset.
-func (p *BatchPool) Get() *Batch {
-	select {
-	case b := <-p.free:
-		p.hits.Add(1)
-		xmBatchPoolHits.Add(1)
-		return b
-	default:
-		p.misses.Add(1)
-		xmBatchPoolMisses.Add(1)
-		p.meter.BatchAlloc(int64(p.target) * batchRecBytes)
-		return NewBatch(p.target)
-	}
-}
-
-// Put resets b (returning any lent packet, dropping stale record
-// references without unfixing) and returns it to the free list, or drops
-// it for the GC when the list is full. The caller must own the batch
-// exclusively and must not touch it afterwards.
-func (p *BatchPool) Put(b *Batch) {
-	if b == nil {
-		return
-	}
-	b.Reset()
-	select {
-	case p.free <- b:
-	default:
-		p.discards.Add(1)
-		xmBatchPoolDiscards.Add(1)
-		p.meter.BatchFree(int64(cap(b.own)) * batchRecBytes)
-	}
-}
-
-// Stats snapshots the pool counters.
-func (p *BatchPool) Stats() (hits, misses, discards int64) {
-	return p.hits.Load(), p.misses.Load(), p.discards.Load()
 }

@@ -27,15 +27,14 @@ import (
 // goroutine uses its own endpoint from Consumer(i); each producer g
 // runs the subtree built by NewProducer(g).
 type Exchange struct {
-	cfg     ExchangeConfig
-	port    *port
-	pool    *packetPool // bounded free list recycling drained packets
-	batches *BatchPool  // producer pull batches
-	xid     int64       // distinguishes this hub's trace tracks
-	start   sync.Once
-	err     atomic.Value // first async error (type error)
-	closed  int32        // consumers that have closed
-	lastWG  sync.WaitGroup
+	cfg    ExchangeConfig
+	port   *port
+	pool   *packetPool // bounded free list recycling drained packets
+	xid    int64       // distinguishes this hub's trace tracks
+	start  sync.Once
+	err    atomic.Value // first async error (type error)
+	closed int32        // consumers that have closed
+	lastWG sync.WaitGroup
 
 	// stats
 	packetsSent atomic.Int64
@@ -86,11 +85,11 @@ type ExchangeConfig struct {
 	PacketSize int
 
 	// BatchSize is the number of records each producer pulls from its
-	// subtree per NextBatch call (0 = DefaultBatchSize). Pull batches come
-	// from a bounded batch free list and are routed whole; a consumer
-	// endpoint lends a drained packet that fits its caller's batch to
-	// that batch — the packet's record slice is the batch — and serves a
-	// larger one across calls.
+	// subtree per NextBatch call (0 = DefaultBatchSize). Each producer
+	// allocates one pull batch for its life and routes every refill
+	// whole; a consumer endpoint lends a drained packet that fits its
+	// caller's batch to that batch — the packet's record slice is the
+	// batch — and serves a larger one across calls.
 	BatchSize int
 
 	// FlowControl enables the back-pressure semaphore; Slack is its
@@ -132,11 +131,6 @@ type ExchangeConfig struct {
 	// handshake, one track per goroutine. nil disables tracing at the
 	// cost of one branch per event site.
 	Tracer *trace.Tracer
-
-	// Meter, when set, attributes the hub's port traffic (packets and
-	// records pushed) to one query's resource meter. nil disables the
-	// accounting at the cost of one branch per packet.
-	Meter *ResourceMeter
 
 	// QueryID, when set, tags every producer goroutine with pprof labels
 	// (query_id, op) so CPU profiles segment by query. Labels are applied
@@ -183,11 +177,6 @@ func NewExchange(cfg ExchangeConfig) (*Exchange, error) {
 	fc := cfg.FlowControl && !cfg.Inline
 	x.pool = newPacketPool(cfg.Producers, cfg.Consumers, cfg.Slack, cfg.PacketSize)
 	x.port = newPort(cfg.Producers, cfg.Consumers, cfg.KeepStreams, fc, cfg.Slack, x.pool)
-	// Each producer holds one pull batch at a time; size the free list
-	// with headroom so the shutdown race (a batch returned while another
-	// producer refills) never forces a steady-state miss.
-	x.batches = NewBatchPool(2*cfg.Producers, cfg.BatchSize)
-	x.batches.MeterTo(cfg.Meter)
 	return x, nil
 }
 
@@ -244,12 +233,9 @@ type ExchangeStats struct {
 	PoolHits     int64
 	PoolMisses   int64
 	PoolDiscards int64
-	// BatchPoolHits/BatchPoolMisses/BatchPoolDiscards report the batch
-	// free list producers pull through. The same warmed-up shape applies:
-	// hits grow, misses and discards stay flat.
-	BatchPoolHits     int64
-	BatchPoolMisses   int64
-	BatchPoolDiscards int64
+	// BatchBytes is the pull-batch storage of the forked producers: one
+	// batch of BatchSize record slots each, held for the producer's life.
+	BatchBytes int64
 	// ProducerStall is cumulative time producers spent blocked on the
 	// flow-control semaphore ("after a producer has inserted a new packet
 	// into the port, it must request the flow control semaphore", §4.1).
@@ -263,20 +249,18 @@ type ExchangeStats struct {
 // Stats returns a snapshot of the hub's counters.
 func (x *Exchange) Stats() ExchangeStats {
 	hits, misses, discards := x.pool.stats()
-	bh, bm, bd := x.batches.Stats()
+	forks := x.forks.Load()
 	return ExchangeStats{
-		BatchPoolHits:     bh,
-		BatchPoolMisses:   bm,
-		BatchPoolDiscards: bd,
-		Packets:           x.packetsSent.Load(),
-		Records:           x.recordsSent.Load(),
-		Forks:             x.forks.Load(),
-		SpawnTime:         time.Duration(x.spawnTime.Load()),
-		PoolHits:          hits,
-		PoolMisses:        misses,
-		PoolDiscards:      discards,
-		ProducerStall:     time.Duration(x.port.stats.producerStall.Load()),
-		ConsumerWait:      time.Duration(x.port.stats.consumerWait.Load()),
+		Packets:       x.packetsSent.Load(),
+		Records:       x.recordsSent.Load(),
+		Forks:         forks,
+		SpawnTime:     time.Duration(x.spawnTime.Load()),
+		PoolHits:      hits,
+		PoolMisses:    misses,
+		PoolDiscards:  discards,
+		BatchBytes:    forks * int64(x.cfg.BatchSize) * batchRecBytes,
+		ProducerStall: time.Duration(x.port.stats.producerStall.Load()),
+		ConsumerWait:  time.Duration(x.port.stats.consumerWait.Load()),
 	}
 }
 
@@ -440,12 +424,14 @@ func (x *Exchange) runProducer(g int, tk *trace.Track) {
 }
 
 // produce is the driver loop: the subtree is exhausted through NextBatch
-// refills drawn from the hub's batch free list, and each refill is routed
+// refills of the producer's one pull batch, and each refill is routed
 // wholesale. Cancellation is polled once per batch, which bounds
 // post-cancel work to one batch.
 func (x *Exchange) produce(g int, input Iterator, out *outbox, tk *trace.Track) (produced int64) {
-	b := x.batches.Get()
-	defer x.batches.Put(b)
+	b := NewBatch(x.cfg.BatchSize)
+	// A refill from an exchange consumer may still hold a lent packet;
+	// Reset hands it back to that consumer's free list.
+	defer b.Reset()
 	// Every producer of the process shares the pull counters, so a run
 	// adds to them once: at batch size 1 a per-pull add is a contended
 	// atomic per record.
@@ -489,7 +475,6 @@ func (x *Exchange) finishProducer(g int, out *outbox, input Iterator, tk *trace.
 			p.eos = true
 			p.err = x.firstErr()
 			x.packetsSent.Add(1)
-			x.cfg.Meter.ExchangePush(0)
 			q.push(p, tk)
 		}
 	}
@@ -571,7 +556,6 @@ func (o *outbox) push(c int, eos bool) {
 	}
 	o.x.recordsSent.Add(int64(len(p.recs)))
 	o.x.packetsSent.Add(1)
-	o.x.cfg.Meter.ExchangePush(len(p.recs))
 	if o.tk != nil {
 		p.flow = o.x.cfg.Tracer.NextFlowID()
 		o.tk.FlowOut("packet", "push", p.flow, "records", int64(len(p.recs)))

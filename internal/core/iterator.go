@@ -16,9 +16,9 @@ import (
 	"repro/internal/storage/file"
 )
 
-// ResourceMeter accumulates one query's resource usage across every
-// layer: buffer-pool fixes, device I/O, exchange and wire traffic,
-// batch-pool memory, rows streamed, CPU time. It is an alias for the
+// ResourceMeter accumulates one query's resource usage: buffer-pool
+// fixes, device I/O, wire traffic, rows streamed, CPU time (the plan
+// analysis adds exchange traffic to its snapshot). It is an alias for the
 // low-level meter type so the storage layer can account against it
 // without importing core. A nil meter disables accounting everywhere.
 type ResourceMeter = meter.Meter

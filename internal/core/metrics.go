@@ -13,21 +13,18 @@ import (
 // the port hot path pays an atomic add per packet (never per record)
 // and nothing when idle.
 var (
-	xmPackets           atomic.Int64 // packets pushed into consumer queues
-	xmRecords           atomic.Int64 // records carried by those packets
-	xmTokenWaits        atomic.Int64 // flow-control token acquisitions that blocked
-	xmProducerStallNs   atomic.Int64 // ns producers spent blocked on flow control
-	xmConsumerWaitNs    atomic.Int64 // ns consumers spent blocked on empty queues
-	xmQueueDepth        atomic.Int64 // packets currently queued across all ports
-	xmProducersLive     atomic.Int64 // producer goroutines currently running
-	xmPoolHits          atomic.Int64 // packet refills served from a free list
-	xmPoolMisses        atomic.Int64 // packet refills that had to allocate
-	xmPoolDiscards      atomic.Int64 // drained packets dropped because a free list was full
-	xmBatchPulls        atomic.Int64 // batches pulled by exchange producers, added per producer run
-	xmBatchRecords      atomic.Int64 // records carried by those producer batch pulls
-	xmBatchPoolHits     atomic.Int64 // batch refills served from a BatchPool free list
-	xmBatchPoolMisses   atomic.Int64 // batch refills that had to allocate
-	xmBatchPoolDiscards atomic.Int64 // returned batches dropped because a BatchPool was full
+	xmPackets         atomic.Int64 // packets pushed into consumer queues
+	xmRecords         atomic.Int64 // records carried by those packets
+	xmTokenWaits      atomic.Int64 // flow-control token acquisitions that blocked
+	xmProducerStallNs atomic.Int64 // ns producers spent blocked on flow control
+	xmConsumerWaitNs  atomic.Int64 // ns consumers spent blocked on empty queues
+	xmQueueDepth      atomic.Int64 // packets currently queued across all ports
+	xmProducersLive   atomic.Int64 // producer goroutines currently running
+	xmPoolHits        atomic.Int64 // packet refills served from a free list
+	xmPoolMisses      atomic.Int64 // packet refills that had to allocate
+	xmPoolDiscards    atomic.Int64 // drained packets dropped because a free list was full
+	xmBatchPulls      atomic.Int64 // batches pulled by exchange producers, added per producer run
+	xmBatchRecords    atomic.Int64 // records carried by those producer batch pulls
 )
 
 // RegisterMetrics exposes the exchange-protocol counters through a
@@ -53,9 +50,6 @@ func RegisterMetrics(r *metrics.Registry) {
 	counter("volcano_exchange_pool_discards_total", "Drained packets dropped because the bounded free list was full.", &xmPoolDiscards)
 	counter("volcano_batch_pulls_total", "Batches pulled by exchange producers running the batch protocol.", &xmBatchPulls)
 	counter("volcano_batch_records_total", "Records carried by producer batch pulls.", &xmBatchRecords)
-	counter("volcano_batch_pool_hits_total", "Batch refills served from a batch free list.", &xmBatchPoolHits)
-	counter("volcano_batch_pool_misses_total", "Batch refills that fell back to a fresh allocation.", &xmBatchPoolMisses)
-	counter("volcano_batch_pool_discards_total", "Returned batches dropped because the bounded batch free list was full.", &xmBatchPoolDiscards)
 	r.SetGaugeFunc("volcano_exchange_queue_depth", "Packets currently queued across all exchange ports.",
 		func() float64 { return float64(xmQueueDepth.Load()) })
 	r.SetGaugeFunc("volcano_exchange_producers_live", "Producer goroutines currently running.",

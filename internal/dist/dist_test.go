@@ -239,7 +239,22 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 	}
 	want := renderSorted(localRows)
 
-	it, sum := bind(t, f.c, db, "q-e2e", distScript)
+	// Built as the query service builds: analyzed, with one meter billed
+	// for the wire on the coordinator.
+	tpl, err := plan.Compile(distScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &core.ResourceMeter{}
+	sum := &Summary{}
+	it, an, err := plan.BuildWith(db.env, db.cat, tpl.Root(), plan.BuildOptions{
+		Analyze: true,
+		Meter:   m,
+		Remote:  f.c.Binder(BindRequest{QueryID: "q-e2e", Env: db.env, Meter: m, Summary: sum}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	gotRows, err := core.Collect(it, 0)
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
@@ -259,7 +274,9 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 		t.Fatalf("expected 4 fragments, summary has %d", len(frags))
 	}
 	seen := map[string]bool{}
+	var fragWire int64
 	for _, fr := range frags {
+		fragWire += fr.WireBytes
 		if fr.State != "done" {
 			t.Errorf("fragment %s/%d state %q, want done", fr.Path, fr.Producer, fr.State)
 		}
@@ -277,8 +294,10 @@ func TestDistTwoWorkersEndToEnd(t *testing.T) {
 	if len(seen) != 2 {
 		t.Errorf("fragments ran on %d distinct workers, want 2 (%v)", len(seen), seen)
 	}
-	if sum.WireRecv.Load() <= 0 {
-		t.Error("summary counted no wire bytes")
+	// One count per frame: the query's bill (the trailer's
+	// resources.wire_bytes and dist.wire_recv_bytes) is the fragments' sum.
+	if res := an.Resources(); res.WireBytes <= 0 || res.WireBytes != fragWire {
+		t.Errorf("resources.wire_bytes = %d, fragments' wire_bytes sum to %d", res.WireBytes, fragWire)
 	}
 	if sum.Retries.Load() != 0 {
 		t.Errorf("summary counted %d retries on a healthy run", sum.Retries.Load())

@@ -33,8 +33,8 @@ type BindRequest struct {
 	// Meter, when non-nil, is billed for the wire traffic and temp-file
 	// activity the remote cuts cause on the coordinator.
 	Meter *core.ResourceMeter
-	// Summary, when non-nil, accumulates fragment stats and wire bytes
-	// for the query's trailer and EXPLAIN ANALYZE.
+	// Summary, when non-nil, accumulates fragment stats and retries for
+	// the query's trailer and EXPLAIN ANALYZE.
 	Summary *Summary
 	// Ctx is the query's context (nil = context.Background()). Every
 	// dispatch derives from it, so canceling it cuts the query's streams
@@ -88,8 +88,6 @@ func (c *Coordinator) Binder(req BindRequest) plan.RemoteBinder {
 // Summary accumulates one query's distributed-execution facts for its
 // trailer and EXPLAIN ANALYZE output.
 type Summary struct {
-	// WireRecv is fragment payload bytes received from workers.
-	WireRecv atomic.Int64
 	// Retries counts fragment re-dispatches after worker loss.
 	Retries atomic.Int64
 
@@ -360,8 +358,9 @@ func (r *remoteFragment) fail(err error) error {
 }
 
 // accountWire attributes the frame just read, payload bytes, everywhere
-// they are owed: the fragment's stats, the query's resource meter and
-// trailer summary, and the process-wide metric family.
+// they are owed: the fragment's stats, the query's resource meter (the
+// trailer's wire_recv_bytes reads its snapshot), and the process-wide
+// metric family.
 func (r *remoteFragment) accountWire() {
 	payload := len(r.f.Msg)
 	for _, rec := range r.f.Recs {
@@ -371,6 +370,5 @@ func (r *remoteFragment) accountWire() {
 	r.stat.WireBytes += int64(payload)
 	r.mu.Unlock()
 	r.cut.req.Meter.WireRecv(payload)
-	r.cut.req.Summary.WireRecv.Add(int64(payload))
 	r.cut.c.m.wireRecv.Add(int64(payload))
 }

@@ -1,8 +1,10 @@
 // Package meter provides per-query resource accounting. A Meter is a
-// bundle of atomic counters attributed to exactly one query: every layer
-// the query touches — buffer pool, device I/O, exchange ports, wire
-// packets, batch pools, the row stream — adds into the query's meter at
-// the same points it already bumps its process-global counters.
+// bundle of atomic counters attributed to exactly one query: the buffer
+// pool, the device layer and the coordinator's wire receiver add into the
+// query's meter at the same points they bump their process-global
+// counters, and the row stream publishes its own row and byte counts.
+// Exchange traffic is not metered: the exchange counts its own port, and
+// the query's plan analysis adds it into the snapshot.
 //
 // The package sits below storage in the dependency order (it imports only
 // sync/atomic), so the buffer pool and the file layer can account against
@@ -11,8 +13,8 @@
 //
 // Every method is nil-safe: a nil *Meter is "accounting disabled" and
 // costs one branch, the same convention as the nil tracer and the nil
-// histogram. Each event is one or two atomic adds — no locks, no
-// allocations — so meters sit directly on the per-record hot path.
+// histogram. Each call is one or two atomic adds or stores — no locks,
+// no allocations.
 package meter
 
 import "sync/atomic"
@@ -36,22 +38,13 @@ type Meter struct {
 	DevReadBytes  atomic.Int64
 	DevWriteBytes atomic.Int64
 
-	// Exchange port traffic (shared-memory packets between producer and
-	// consumer goroutines).
-	XPackets atomic.Int64
-	XRecords atomic.Int64
-
 	// Wire traffic: frames of record images a coordinator received from
 	// the worker fleet.
 	WirePackets atomic.Int64
 	WireBytes   atomic.Int64
 
-	// Batch-pool memory: live bytes currently allocated to this query's
-	// batches, and the high-water mark over the query's lifetime.
-	BatchLiveBytes      atomic.Int64
-	BatchHighWaterBytes atomic.Int64
-
-	// Rows and bytes streamed to the client.
+	// Rows and bytes streamed to the client, as last published by the
+	// row stream (SetStreamed).
 	RowsStreamed  atomic.Int64
 	BytesStreamed atomic.Int64
 
@@ -96,15 +89,6 @@ func (m *Meter) DeviceWrite(bytes int64) {
 	m.DevWriteBytes.Add(bytes)
 }
 
-// ExchangePush records one packet of n records crossing an exchange port.
-func (m *Meter) ExchangePush(n int) {
-	if m == nil {
-		return
-	}
-	m.XPackets.Add(1)
-	m.XRecords.Add(int64(n))
-}
-
 // WireRecv records one wire frame of the given payload size that the
 // coordinator received on behalf of this query from a worker's
 // fragment stream.
@@ -116,38 +100,15 @@ func (m *Meter) WireRecv(bytes int) {
 	m.WireBytes.Add(int64(bytes))
 }
 
-// BatchAlloc records bytes newly allocated to this query's batches and
-// advances the high-water mark.
-func (m *Meter) BatchAlloc(bytes int64) {
+// SetStreamed publishes the rows and bytes streamed to the client so
+// far. The row stream counts them in its own fields and publishes at
+// each write, so the per-row path touches no atomic.
+func (m *Meter) SetStreamed(rows, bytes int64) {
 	if m == nil {
 		return
 	}
-	live := m.BatchLiveBytes.Add(bytes)
-	for {
-		hw := m.BatchHighWaterBytes.Load()
-		if live <= hw || m.BatchHighWaterBytes.CompareAndSwap(hw, live) {
-			return
-		}
-	}
-}
-
-// BatchFree records bytes released back (batch discarded or pool torn
-// down).
-func (m *Meter) BatchFree(bytes int64) {
-	if m == nil {
-		return
-	}
-	m.BatchLiveBytes.Add(-bytes)
-}
-
-// StreamRow records one result row of the given encoded size streamed to
-// the client.
-func (m *Meter) StreamRow(bytes int) {
-	if m == nil {
-		return
-	}
-	m.RowsStreamed.Add(1)
-	m.BytesStreamed.Add(int64(bytes))
+	m.RowsStreamed.Store(rows)
+	m.BytesStreamed.Store(bytes)
 }
 
 // SetCPUNanos publishes the query's accumulated CPU time. CPU is derived
@@ -162,7 +123,9 @@ func (m *Meter) SetCPUNanos(ns int64) {
 
 // Snapshot is a plain-value copy of a meter, safe to store, compare and
 // marshal. The JSON tags are the wire shape of the trailer `resources`
-// block, the /debug/queries drill-down and the slow-query log.
+// block, the /debug/queries drill-down and the slow-query log. A meter's
+// own Snapshot leaves the exchange fields and BatchHighWater zero; the
+// plan analysis fills them from the query's exchange hubs.
 type Snapshot struct {
 	CPUSeconds       float64 `json:"cpu_seconds"`
 	BufferFixes      int64   `json:"buffer_fixes"`
@@ -196,11 +159,8 @@ func (m *Meter) Snapshot() Snapshot {
 		DeviceWrites:     m.DevWrites.Load(),
 		DeviceReadBytes:  m.DevReadBytes.Load(),
 		DeviceWriteBytes: m.DevWriteBytes.Load(),
-		ExchangePackets:  m.XPackets.Load(),
-		ExchangeRecords:  m.XRecords.Load(),
 		WirePackets:      m.WirePackets.Load(),
 		WireBytes:        m.WireBytes.Load(),
-		BatchHighWater:   m.BatchHighWaterBytes.Load(),
 		RowsStreamed:     m.RowsStreamed.Load(),
 		BytesStreamed:    m.BytesStreamed.Load(),
 	}

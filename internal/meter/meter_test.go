@@ -13,13 +13,8 @@ func TestMeterCounts(t *testing.T) {
 	m.DeviceRead(4096)
 	m.DeviceWrite(4096)
 	m.DeviceWrite(4096)
-	m.ExchangePush(5)
-	m.ExchangePush(0) // EOS marker: a packet with no records
 	m.WireRecv(120)
-	m.BatchAlloc(1024)
-	m.BatchAlloc(1024)
-	m.BatchFree(1024)
-	m.StreamRow(33)
+	m.SetStreamed(1, 33)
 	m.SetCPUNanos(2_500_000_000)
 
 	s := m.Snapshot()
@@ -32,33 +27,14 @@ func TestMeterCounts(t *testing.T) {
 	if got := s.IOBytes(); got != 3*4096 {
 		t.Errorf("IOBytes = %d, want %d", got, 3*4096)
 	}
-	if s.ExchangePackets != 2 || s.ExchangeRecords != 5 {
-		t.Errorf("exchange = %d packets %d records, want 2/5", s.ExchangePackets, s.ExchangeRecords)
-	}
 	if s.WirePackets != 1 || s.WireBytes != 120 {
 		t.Errorf("wire = %d packets %d bytes, want 1/120", s.WirePackets, s.WireBytes)
-	}
-	if s.BatchHighWater != 2048 {
-		t.Errorf("batch high water = %d, want 2048", s.BatchHighWater)
 	}
 	if s.RowsStreamed != 1 || s.BytesStreamed != 33 {
 		t.Errorf("streamed = %d rows %d bytes, want 1/33", s.RowsStreamed, s.BytesStreamed)
 	}
 	if s.CPUSeconds != 2.5 {
 		t.Errorf("CPUSeconds = %v, want 2.5", s.CPUSeconds)
-	}
-}
-
-// TestHighWaterIsMax pins that the high-water mark keeps the maximum of
-// live bytes, not the last value: alloc/free churn must not erode it.
-func TestHighWaterIsMax(t *testing.T) {
-	m := &Meter{}
-	m.BatchAlloc(100)
-	m.BatchAlloc(100) // live 200, peak 200
-	m.BatchFree(100)  // live 100
-	m.BatchAlloc(50)  // live 150 < peak
-	if s := m.Snapshot(); s.BatchHighWater != 200 {
-		t.Errorf("high water = %d, want 200", s.BatchHighWater)
 	}
 }
 
@@ -71,11 +47,8 @@ func TestNilMeter(t *testing.T) {
 	m.FixMiss()
 	m.DeviceRead(1)
 	m.DeviceWrite(1)
-	m.ExchangePush(1)
 	m.WireRecv(1)
-	m.BatchAlloc(1)
-	m.BatchFree(1)
-	m.StreamRow(1)
+	m.SetStreamed(1, 1)
 	m.SetCPUNanos(1)
 	if s := m.Snapshot(); s != (Snapshot{}) {
 		t.Errorf("nil meter snapshot = %+v, want zero", s)
@@ -84,7 +57,7 @@ func TestNilMeter(t *testing.T) {
 
 // TestMeterHotPathZeroAlloc is the per-event budget guard: one or two
 // atomic adds and nothing on the heap, for the enabled and the disabled
-// meter alike. These calls sit on per-record and per-page hot paths.
+// meter alike. These calls sit on per-page and per-frame hot paths.
 func TestMeterHotPathZeroAlloc(t *testing.T) {
 	m := &Meter{}
 	var nilM *Meter
@@ -96,13 +69,10 @@ func TestMeterHotPathZeroAlloc(t *testing.T) {
 		{"FixMiss", func() { m.FixMiss() }},
 		{"DeviceRead", func() { m.DeviceRead(4096) }},
 		{"DeviceWrite", func() { m.DeviceWrite(4096) }},
-		{"ExchangePush", func() { m.ExchangePush(83) }},
 		{"WireRecv", func() { m.WireRecv(512) }},
-		{"StreamRow", func() { m.StreamRow(40) }},
-		{"BatchAlloc", func() { m.BatchAlloc(4096) }},
-		{"BatchFree", func() { m.BatchFree(4096) }},
+		{"SetStreamed", func() { m.SetStreamed(83, 4096) }},
 		{"nil.FixHit", func() { nilM.FixHit() }},
-		{"nil.StreamRow", func() { nilM.StreamRow(40) }},
+		{"nil.SetStreamed", func() { nilM.SetStreamed(83, 4096) }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(1000, c.fn); allocs != 0 {

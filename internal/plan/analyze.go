@@ -197,6 +197,7 @@ func (a *Analysis) ExchangeStats(n *Node) core.ExchangeStats {
 		sum.PoolHits += st.PoolHits
 		sum.PoolMisses += st.PoolMisses
 		sum.PoolDiscards += st.PoolDiscards
+		sum.BatchBytes += st.BatchBytes
 		sum.SpawnTime += st.SpawnTime
 		sum.ProducerStall += st.ProducerStall
 		sum.ConsumerWait += st.ConsumerWait
@@ -253,15 +254,28 @@ func (a *Analysis) CPUNanos() int64 {
 }
 
 // Resources publishes the derived CPU time into the query's meter and
-// returns its snapshot — the one consistent view the trailer, the live
-// registry, the slow-query log and the metric families all read. A build
-// without a meter returns the zero snapshot.
+// returns its snapshot, with the exchange traffic and the producers'
+// pull-batch bytes summed over the query's hubs: each fact is counted
+// once, where it happens, and derived here. This is the one view the
+// trailer, the live registry, the slow-query log and the metric families
+// read. A build without a meter returns the zero snapshot.
 func (a *Analysis) Resources() core.ResourceSnapshot {
 	if a.meter == nil {
 		return core.ResourceSnapshot{}
 	}
 	a.meter.SetCPUNanos(a.CPUNanos())
-	return a.meter.Snapshot()
+	r := a.meter.Snapshot()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, hubs := range a.hubs {
+		for _, x := range hubs {
+			st := x.Stats()
+			r.ExchangePackets += st.Packets
+			r.ExchangeRecords += st.Records
+			r.BatchHighWater += st.BatchBytes
+		}
+	}
+	return r
 }
 
 // String renders the annotated plan tree: per-operator rows, NextBatch calls

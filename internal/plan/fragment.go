@@ -127,7 +127,7 @@ func checkFragment(n *Node) error {
 // closure performs, minus the exchange itself (the wire takes its place).
 func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o BuildOptions) (core.Iterator, error) {
 	env = queryEnv(env, o)
-	if o.Analyze || o.Metrics.Enabled() {
+	if observed(o) {
 		// Instrumented fragment: a worker scraping its own registry sees
 		// the subtree's volcano_op_next_seconds series like any local
 		// query. The Analysis itself stays worker-local.
@@ -138,7 +138,6 @@ func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o 
 		env:       env,
 		cat:       cat,
 		partition: producer,
-		tracer:    o.Tracer,
 		done:      o.Done,
 		queryID:   o.QueryID,
 	}, x.Inputs[0])

@@ -314,10 +314,11 @@ type BuildOptions struct {
 	// on one key.
 	QueryID string
 	// Meter, when non-nil, attributes the query's resource usage — every
-	// buffer fix the plan's scans and spills perform, device I/O, port
-	// and wire traffic, batch-pool memory — to one core.ResourceMeter.
-	// The build derives a metered Env and metered file handles once, so
-	// the per-event cost at run time is a single atomic add.
+	// buffer fix the plan's scans and spills perform, and device I/O — to
+	// one core.ResourceMeter. The build derives a metered Env and metered
+	// file handles once, so the per-event cost at run time is a single
+	// atomic add. Exchange traffic is not metered: Analysis.Resources
+	// sums it from the hubs.
 	Meter *core.ResourceMeter
 	// Estimates carries the cost pass's per-node cardinality estimates
 	// (CostedPlan.Estimates) into the Analysis, so EXPLAIN ANALYZE can
@@ -342,7 +343,7 @@ type BuildOptions struct {
 type RemoteBinder func(path string, n *Node, schema *record.Schema) (producer func(g int) (core.Iterator, error), stop func(), err error)
 
 // BuildWith instantiates the plan with the given options. The *Analysis
-// is non-nil iff o.Analyze or o.Metrics is set.
+// is non-nil iff the build is observed (see observed).
 func BuildWith(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterator, *Analysis, error) {
 	if o.Tracer.Enabled() && o.QueryID != "" {
 		// One instant on a query-named track: every event the run emits
@@ -352,11 +353,18 @@ func BuildWith(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterat
 		o.Tracer.NewTrack("query "+o.QueryID).Instant("query", "begin")
 	}
 	env = queryEnv(env, o)
-	if o.Analyze || o.Metrics.Enabled() {
+	if observed(o) {
 		return buildObserved(env, cat, n, 0, o)
 	}
-	it, err := build(&buildCtx{env: env, cat: cat, tracer: o.Tracer, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
+	it, err := build(&buildCtx{env: env, cat: cat, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
 	return it, nil, err
+}
+
+// observed reports whether a build is instrumented: an Analysis collects
+// per-node counters whenever anything will read them — EXPLAIN ANALYZE,
+// a metrics registry's latency histograms, or a tracer's operator spans.
+func observed(o BuildOptions) bool {
+	return o.Analyze || o.Metrics.Enabled() || o.Tracer.Enabled()
 }
 
 // queryEnv derives, once up front, the Env the operators of one build
@@ -374,29 +382,24 @@ func queryEnv(env *core.Env, o BuildOptions) *core.Env {
 	return env.WithMeter(o.Meter)
 }
 
-// build instantiates one node, adding instrumentation when requested.
+// build instantiates one node, instrumenting it when the build is
+// observed.
 func build(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	it, err := buildNode(ctx, n)
-	if err != nil {
+	if err != nil || ctx.analysis == nil {
 		return it, err
 	}
-	if ctx.analysis != nil {
-		st := ctx.analysis.stats[n]
-		if st == nil {
-			return it, nil
-		}
-		inst := core.InstrumentWith(it, n.Kind.String(), st)
-		if ctx.tracer.Enabled() {
-			inst.WithTracer(ctx.tracer)
-		}
-		// Parallel instances share the node's histogram, like OpStats.
-		inst.WithHistogram(ctx.analysis.hists[n])
-		return inst, nil
+	st := ctx.analysis.stats[n]
+	if st == nil {
+		return it, nil
 	}
+	inst := core.InstrumentWith(it, n.Kind.String(), st)
 	if ctx.tracer.Enabled() {
-		return core.Instrument(it, n.Kind.String()).WithTracer(ctx.tracer), nil
+		inst.WithTracer(ctx.tracer)
 	}
-	return it, nil
+	// Parallel instances share the node's histogram, like OpStats.
+	inst.WithHistogram(ctx.analysis.hists[n])
+	return inst, nil
 }
 
 func buildNode(ctx *buildCtx, n *Node) (core.Iterator, error) {
@@ -722,7 +725,6 @@ func buildExchange(ctx *buildCtx, n *Node) (core.Iterator, error) {
 		Tracer:      ctx.tracer,
 		Done:        ctx.done,
 		BatchSize:   ctx.env.BatchSize(),
-		Meter:       ctx.env.Meter(),
 		QueryID:     ctx.queryID,
 		NewProducer: func(g int) (core.Iterator, error) {
 			return build(&buildCtx{env: ctx.env, cat: ctx.cat, partition: g, analysis: ctx.analysis, tracer: ctx.tracer, done: ctx.done, queryID: ctx.queryID}, n.Inputs[0])

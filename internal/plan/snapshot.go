@@ -22,15 +22,13 @@ type OpSnapshot struct {
 
 // ExchangeSnapshot is the JSON shape of an exchange node's port counters.
 type ExchangeSnapshot struct {
-	Packets         int64 `json:"packets"`
-	Records         int64 `json:"records"`
-	Forks           int64 `json:"forks"`
-	ProducerStall   int64 `json:"producer_stall_ns"`
-	ConsumerWait    int64 `json:"consumer_wait_ns"`
-	PoolHits        int64 `json:"pool_hits"`
-	PoolMisses      int64 `json:"pool_misses"`
-	BatchPoolHits   int64 `json:"batch_pool_hits,omitempty"`
-	BatchPoolMisses int64 `json:"batch_pool_misses,omitempty"`
+	Packets       int64 `json:"packets"`
+	Records       int64 `json:"records"`
+	Forks         int64 `json:"forks"`
+	ProducerStall int64 `json:"producer_stall_ns"`
+	ConsumerWait  int64 `json:"consumer_wait_ns"`
+	PoolHits      int64 `json:"pool_hits"`
+	PoolMisses    int64 `json:"pool_misses"`
 }
 
 // Snapshot walks the plan tree and snapshots every node's counters. The
@@ -54,15 +52,13 @@ func (a *Analysis) snapshotNode(n *Node) OpSnapshot {
 	if n.Kind == KindExchange {
 		x := a.ExchangeStats(n)
 		s.Exchange = &ExchangeSnapshot{
-			Packets:         x.Packets,
-			Records:         x.Records,
-			Forks:           x.Forks,
-			ProducerStall:   int64(x.ProducerStall),
-			ConsumerWait:    int64(x.ConsumerWait),
-			PoolHits:        x.PoolHits,
-			PoolMisses:      x.PoolMisses,
-			BatchPoolHits:   x.BatchPoolHits,
-			BatchPoolMisses: x.BatchPoolMisses,
+			Packets:       x.Packets,
+			Records:       x.Records,
+			Forks:         x.Forks,
+			ProducerStall: int64(x.ProducerStall),
+			ConsumerWait:  int64(x.ConsumerWait),
+			PoolHits:      x.PoolHits,
+			PoolMisses:    x.PoolMisses,
 		}
 	}
 	if len(n.Inputs) > 0 {

@@ -180,7 +180,7 @@ func (s *slowSource) NextBatch(b *core.Batch) error {
 func TestSlowProducerRowsNotHeld(t *testing.T) {
 	p := &flushProbe{ResponseRecorder: httptest.NewRecorder()}
 	src := &slowSource{rec: core.Rec{Data: rowSchema.MustEncode(rowSeeds[0]...)}, pulls: 6, probe: p}
-	st := newRowStream(p, &queryRecord{}, rowSchema, 0)
+	st := newRowStream(p, nil, rowSchema, 0)
 	if err := drainBatches(context.Background(), src, 20, st.row, st.pulled); err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (q *queryRecord) status(drilldown bool) queryStatus {
 		CacheHit:  q.cacheHit,
 		StartedAt: q.started,
 		ElapsedMs: float64(time.Since(q.started)) / 1e6,
-		Rows:      q.rows.Load(),
+		Rows:      q.meter.RowsStreamed.Load(),
 		Phases:    q.phases(),
 	}
 	if q.entry != nil {

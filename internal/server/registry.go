@@ -44,13 +44,12 @@ func stateName(s int32) string {
 
 // queryRecord is one live query: its identity, lifecycle timings and —
 // once the iterator tree exists — a handle on the live per-operator
-// counters. Registration is per query; the only per-record touch on the
-// streaming hot path is one atomic add (addRows), which allocates
-// nothing (guarded by TestRegistryHotPathZeroAlloc).
+// counters. Registration is per query; nothing here is touched per row
+// (the row stream publishes its counts into meter at each write).
 type queryRecord struct {
 	id       string
 	source   string // normalized plan text
-	batch    int    // effective batch size (0 = record-at-a-time)
+	batch    int    // effective batch size (1 = record-at-a-time)
 	cacheHit bool
 	started  time.Time
 
@@ -59,7 +58,6 @@ type queryRecord struct {
 	entry *cacheEntry
 
 	state atomic.Int32
-	rows  atomic.Int64 // rows streamed to the client so far
 
 	// Phase durations in nanoseconds, each stored once when its phase
 	// ends; zero means "not reached / still in it".
@@ -73,10 +71,10 @@ type queryRecord struct {
 	// racing the builder see nil or the complete value.
 	analysis atomic.Pointer[plan.Analysis]
 
-	// meter is the query's resource accounting: every engine layer the
-	// build touches (buffer, device, exchange, batch pool, result stream)
-	// attributes into it. Embedded by value so registering a query costs
-	// one allocation, not two.
+	// meter is the query's resource accounting: the buffer pool, the
+	// device layer and the wire receiver attribute into it, and the row
+	// stream publishes the rows and bytes it streamed. Embedded by value
+	// so registering a query costs one allocation, not two.
 	meter core.ResourceMeter
 }
 
@@ -90,8 +88,6 @@ func (q *queryRecord) resources() core.ResourceSnapshot {
 	}
 	return q.meter.Snapshot()
 }
-
-func (q *queryRecord) addRows(n int64) { q.rows.Add(n) }
 
 // phases returns the phase breakdown in milliseconds, as served to
 // clients. The phase currently in progress reads zero — /debug consumers

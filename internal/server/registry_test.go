@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 )
@@ -159,11 +160,11 @@ func TestDebugQueriesLiveScrape(t *testing.T) {
 	}
 }
 
-// TestRegistryHotPathZeroAlloc is the bench guard: the registry's entire
-// per-record footprint on the streaming hot path is rec.addRows — one
-// atomic add that must never allocate. Registration, state transitions
-// and snapshots are per-query and may allocate freely; this pins the
-// only thing that scales with row count.
+// TestRegistryHotPathZeroAlloc is the bench guard on the one per-row
+// path of a served query, rowStream.row: it renders into the stream's
+// buffer and counts in plain fields, so it must never allocate and must
+// not touch the query's meter between writes. The registry reads the
+// rows the stream published at its last write.
 func TestRegistryHotPathZeroAlloc(t *testing.T) {
 	rec := &queryRecord{id: "alloc-guard", started: time.Now()}
 	reg := newRegistry(newServerMetrics(nil))
@@ -172,10 +173,27 @@ func TestRegistryHotPathZeroAlloc(t *testing.T) {
 	}
 	defer reg.remove(rec.id)
 
+	cw := &countingWriter{header: http.Header{}}
+	st := newRowStream(cw, &rec.meter, rowSchema, 0)
+	st.buf = make([]byte, 0, 2*streamFlushBytes)
+	r := core.Rec{Data: rowSchema.MustEncode(rowSeeds[0]...)}
+	for i := 0; i < 10; i++ {
+		if err := st.row(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first row wrote; the nine after it stay in the buffer.
+	if got := rec.status(false).Rows; cw.writes != 1 || got != 1 {
+		t.Fatalf("after 10 rows and %d writes the registry shows %d rows, want 1 write and 1 row", cw.writes, got)
+	}
+	st.publish()
+	if got := rec.status(false).Rows; got != 10 {
+		t.Fatalf("published %d rows, registry shows %d", st.rows, got)
+	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		rec.addRows(1)
+		_ = st.row(r)
 	}); allocs != 0 {
-		t.Fatalf("registry hot path allocates %.1f per record, want 0", allocs)
+		t.Fatalf("row stream allocates %.1f per row, want 0", allocs)
 	}
 }
 

@@ -2,45 +2,84 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 // TestTrailerResources pins the tentpole surface: every successful
 // trailer carries a resources block whose numbers are the query's own —
 // rows and bytes streamed match what the client received, the scan paid
-// buffer fixes, and a parallel plan shows exchange traffic.
+// buffer fixes, and a parallel plan shows exchange traffic. Every query
+// is slow-logged, and the surfaces agree by construction: the log entry
+// reads the trailer's rows, the bill's exchange packets are the exchange
+// nodes' own, and two identical runs bill the same pull-batch bytes.
 func TestTrailerResources(t *testing.T) {
-	_, _, ts, _ := newTestServer(t, nil)
+	s, _, ts, _ := newTestServer(t, func(c *Config) { c.SlowQuery = time.Nanosecond })
+	slowEntry := func(t *testing.T, res queryResult) slowLogEntry {
+		t.Helper()
+		for _, e := range s.slow.entries() {
+			if e.QueryID == res.trailer.QueryID {
+				if e.Rows != res.trailer.Rows || e.Rows != res.trailer.Resources.RowsStreamed {
+					t.Errorf("slow log rows = %d, trailer rows = %d, rows_streamed = %d",
+						e.Rows, res.trailer.Rows, res.trailer.Resources.RowsStreamed)
+				}
+				return e
+			}
+		}
+		t.Fatalf("no slow-log entry for query %s", res.trailer.QueryID)
+		return slowLogEntry{}
+	}
+	var exchangePackets func(n plan.OpSnapshot) int64
+	exchangePackets = func(n plan.OpSnapshot) int64 {
+		var sum int64
+		if n.Exchange != nil {
+			sum += n.Exchange.Packets
+		}
+		for _, in := range n.Inputs {
+			sum += exchangePackets(in)
+		}
+		return sum
+	}
 
 	t.Run("serial", func(t *testing.T) {
-		res, err := postQuery(ts, "scan emp | filter dept = 2 | sort salary desc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := res.trailer.Resources
-		if r == nil {
-			t.Fatal("trailer has no resources block")
-		}
-		if r.RowsStreamed != int64(res.rows) {
-			t.Errorf("rows_streamed = %d, client saw %d rows", r.RowsStreamed, res.rows)
-		}
-		if r.BytesStreamed <= 0 {
-			t.Errorf("bytes_streamed = %d, want > 0", r.BytesStreamed)
-		}
-		if r.BufferFixes <= 0 {
-			t.Errorf("buffer_fixes = %d, want > 0", r.BufferFixes)
-		}
-		if r.BufferFixes != r.BufferHits+r.BufferMisses {
-			t.Errorf("fixes %d != hits %d + misses %d", r.BufferFixes, r.BufferHits, r.BufferMisses)
-		}
-		if r.CPUSeconds < 0 {
-			t.Errorf("cpu_seconds = %v, want >= 0", r.CPUSeconds)
-		}
-		if r.ExchangePackets != 0 {
-			t.Errorf("serial plan shows %d exchange packets, want 0", r.ExchangePackets)
+		// The second plan streams 2 + 83 rows: the drain's last pull is a
+		// full batch, which no write publishes before the final snapshot.
+		for _, script := range []string{"scan emp | filter dept = 2 | sort salary desc", "scan emp | filter id < 85"} {
+			res, err := postQuery(ts, script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := res.trailer.Resources
+			if r == nil {
+				t.Fatal("trailer has no resources block")
+			}
+			if r.RowsStreamed != int64(res.rows) {
+				t.Errorf("rows_streamed = %d, client saw %d rows", r.RowsStreamed, res.rows)
+			}
+			if r.BytesStreamed <= 0 {
+				t.Errorf("bytes_streamed = %d, want > 0", r.BytesStreamed)
+			}
+			if rowBytes := strings.LastIndex(strings.TrimSuffix(res.body, "\n"), "\n") + 1; r.BytesStreamed != int64(rowBytes) {
+				t.Errorf("bytes_streamed = %d, the client read %d bytes of rows", r.BytesStreamed, rowBytes)
+			}
+			if r.BufferFixes <= 0 {
+				t.Errorf("buffer_fixes = %d, want > 0", r.BufferFixes)
+			}
+			if r.BufferFixes != r.BufferHits+r.BufferMisses {
+				t.Errorf("fixes %d != hits %d + misses %d", r.BufferFixes, r.BufferHits, r.BufferMisses)
+			}
+			if r.CPUSeconds < 0 {
+				t.Errorf("cpu_seconds = %v, want >= 0", r.CPUSeconds)
+			}
+			if r.ExchangePackets != 0 {
+				t.Errorf("serial plan shows %d exchange packets, want 0", r.ExchangePackets)
+			}
+			slowEntry(t, res)
 		}
 	})
 
@@ -75,6 +114,18 @@ func TestTrailerResources(t *testing.T) {
 			}
 			if res.rows != empDepts {
 				t.Errorf("rows = %d, want %d", res.rows, empDepts)
+			}
+			if e := slowEntry(t, res); e.Operators == nil {
+				t.Error("slow-log entry has no operator tree")
+			} else if got := exchangePackets(*e.Operators); got != r.ExchangePackets {
+				t.Errorf("exchange_packets = %d, the exchange nodes' packets sum to %d", r.ExchangePackets, got)
+			}
+			again, err := postQuery(ts, tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hw := again.trailer.Resources.BatchHighWater; r.BatchHighWater <= 0 || hw != r.BatchHighWater {
+				t.Errorf("batch_pool_high_water_bytes = %d, then %d on an identical run", r.BatchHighWater, hw)
 			}
 		})
 	}

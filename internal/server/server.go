@@ -307,13 +307,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.m.rejectionCounter(ae.Reason).Inc()
 			ph := rec.phases()
 			writeReject(w, ae.Status, id, ae.Error(), time.Since(start), &ph)
-			s.finishQuery(rec, "error", fmt.Sprintf("query %s: %v", id, ae))
+			s.finishQuery(rec, rec.resources(), "error", fmt.Sprintf("query %s: %v", id, ae))
 			return
 		}
 		// Otherwise the client disconnected while queued; nobody is
 		// listening for a response, but the abandonment still makes the
 		// slow-query log — it held a queue position.
-		s.finishQuery(rec, "canceled", fmt.Sprintf("query %s: canceled while queued", id))
+		s.finishQuery(rec, rec.resources(), "canceled", fmt.Sprintf("query %s: canceled while queued", id))
 		return
 	}
 	defer s.gov.release(weight)
@@ -425,7 +425,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	if err != nil {
 		s.m.rejPlan.Inc()
 		writeReject(w, http.StatusBadRequest, rec.id, err.Error(), time.Since(rec.started), nil)
-		s.finishQuery(rec, "error", err.Error())
+		s.finishQuery(rec, rec.resources(), "error", err.Error())
 		return
 	}
 	an.SetFragments(distSum.Fragments)
@@ -436,7 +436,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		s.m.rejPlan.Inc()
 		msg := fmt.Sprintf("server: open: %v", err)
 		writeReject(w, http.StatusInternalServerError, rec.id, msg, time.Since(rec.started), nil)
-		s.finishQuery(rec, "error", msg)
+		s.finishQuery(rec, rec.resources(), "error", msg)
 		return
 	}
 	execDur := time.Since(execStart)
@@ -448,9 +448,10 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	w.WriteHeader(http.StatusOK)
-	st := newRowStream(w, rec, it.Schema(), s.cfg.WriteStallTimeout)
+	st := newRowStream(w, &rec.meter, it.Schema(), s.cfg.WriteStallTimeout)
 	streamErr := drainBatches(ctx, it, batch, st.row, st.pulled)
 	closeErr := it.Close()
+	st.publish()
 	s.m.rowsOut.Add(st.rows)
 	rec.streamNs.Store(int64(time.Since(streamStart)))
 	s.m.phaseStream.Observe(time.Since(streamStart))
@@ -479,15 +480,15 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	t.Phases = &ph
 	t.ElapsedMs = float64(time.Since(rec.started)) / 1e6
 	// The attributed resource bill rides every trailer — success, error
-	// or cancellation — from the same snapshot the slow-query log and the
-	// volcano_server_query_* totals read.
+	// or cancellation — and is the one snapshot the slow-query log and the
+	// volcano_server_query_* totals read too.
 	res := an.Resources()
 	t.Resources = &res
 	if frags := distSum.Fragments(); len(frags) > 0 {
 		t.Dist = &distStatus{
 			Fragments:     frags,
 			Retries:       distSum.Retries.Load(),
-			WireRecvBytes: distSum.WireRecv.Load(),
+			WireRecvBytes: res.WireBytes,
 		}
 	}
 	if analyze {
@@ -504,7 +505,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	}
 	st.end(t)
 
-	s.finishQuery(rec, t.Status, t.Error)
+	s.finishQuery(rec, res, t.Status, t.Error)
 }
 
 // drainBatches streams it into emit through NextBatch refills until the
@@ -564,15 +565,15 @@ func (s *Server) recordChoices(cp *plan.CostedPlan, an *plan.Analysis) {
 	walk(cp.Template.Root())
 }
 
-// finishQuery settles a query's lifecycle accounting: rows by outcome,
-// and — when the query was slow, errored, or canceled — one structured
-// slow-query log entry carrying the final per-operator snapshot.
-func (s *Server) finishQuery(rec *queryRecord, outcome, errText string) {
-	s.m.rowsCounter(outcome).Add(rec.rows.Load())
-	// Settle the query's resource bill into the process-wide totals; the
-	// snapshot is final here (the iterator tree is closed), so per-query
-	// meters sum exactly to these counters.
-	res := rec.resources()
+// finishQuery settles a query's lifecycle accounting from its final
+// resource snapshot res: rows by outcome, the process-wide resource
+// totals, and — when the query was slow, errored, or canceled — one
+// structured slow-query log entry carrying the final per-operator
+// snapshot.
+func (s *Server) finishQuery(rec *queryRecord, res core.ResourceSnapshot, outcome, errText string) {
+	s.m.rowsCounter(outcome).Add(res.RowsStreamed)
+	// The snapshot is final (the iterator tree is closed), so per-query
+	// bills sum exactly to these counters.
 	s.m.queryCPUNanos.Add(int64(res.CPUSeconds * 1e9))
 	s.m.queryIOBytes.Add(res.IOBytes())
 	s.m.queryBufFixes.Add(res.BufferFixes)
@@ -598,7 +599,7 @@ func (s *Server) finishQuery(rec *queryRecord, outcome, errText string) {
 		CacheHit:  rec.cacheHit,
 		Outcome:   outcome,
 		Error:     errText,
-		Rows:      rec.rows.Load(),
+		Rows:      res.RowsStreamed,
 		ElapsedMs: float64(elapsed) / 1e6,
 		Phases:    rec.phases(),
 		Operators: ops,

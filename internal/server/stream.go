@@ -92,40 +92,43 @@ var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
 var streamClock = time.Now
 
 // rowStream is one query's result stream: its rows rendered into a pooled
-// buffer, and its per-row bookkeeping.
+// buffer, and the rows and bytes it rendered. It counts them in plain
+// fields and publishes them to the query's meter at each write and once
+// after the drain (publish), so the per-row path touches no atomic.
 type rowStream struct {
 	w     http.ResponseWriter
 	rc    *http.ResponseController
 	stall time.Duration // the write-stall deadline set before each write
-	rec   *queryRecord
+	meter *core.ResourceMeter
 	rw    *rowWriter
 	pbuf  *[]byte
 	buf   []byte
 	rows  int64
+	bytes int64
 	wrote time.Time // when the last write went out
 }
 
-func newRowStream(w http.ResponseWriter, rec *queryRecord, s *record.Schema, stall time.Duration) *rowStream {
+func newRowStream(w http.ResponseWriter, m *core.ResourceMeter, s *record.Schema, stall time.Duration) *rowStream {
 	pbuf := streamBufs.Get().(*[]byte)
-	return &rowStream{w: w, rc: http.NewResponseController(w), stall: stall, rec: rec, rw: newRowWriter(s), pbuf: pbuf, buf: (*pbuf)[:0]}
+	return &rowStream{w: w, rc: http.NewResponseController(w), stall: stall, meter: m, rw: newRowWriter(s), pbuf: pbuf, buf: (*pbuf)[:0]}
 }
 
 // row renders one record into the buffer, writing the buffer on the first
-// row and once it holds streamFlushBytes.
+// row and once it holds streamFlushBytes. It allocates nothing and touches
+// no atomic (TestRegistryHotPathZeroAlloc).
 func (st *rowStream) row(r core.Rec) error {
 	n := len(st.buf)
 	b := st.rw.row(st.buf, r.Data)
-	st.buf, st.rows = b, st.rows+1
-	// The per-record bookkeeping budget: one atomic add for the live
-	// registry and two for the resource meter, zero allocations
-	// (TestRegistryHotPathZeroAlloc, TestMeterHotPathZeroAlloc).
-	st.rec.addRows(1)
-	st.rec.meter.StreamRow(len(b) - n)
+	st.buf, st.rows, st.bytes = b, st.rows+1, st.bytes+int64(len(b)-n)
 	if st.rows == 1 || len(b) >= streamFlushBytes {
 		return st.write()
 	}
 	return nil
 }
+
+// publish stores the stream's row and byte counts in the query's meter,
+// where /debug/queries, the slow-query log and the trailer read them.
+func (st *rowStream) publish() { st.meter.SetStreamed(st.rows, st.bytes) }
 
 // pulled ends one pull of the drain, writing the buffer if the pull came
 // back short of its target or the last write is more than streamHold old.
@@ -136,10 +139,13 @@ func (st *rowStream) pulled(short bool) error {
 	return nil
 }
 
-// write hands the buffer to the client after pushing the write-stall
-// deadline forward: a client that stops reading stalls the write until the
-// deadline severs the connection, which cancels the query's context.
+// write publishes the counts and hands the buffer to the client after
+// pushing the write-stall deadline forward: a client that stops reading
+// stalls the write until the deadline severs the connection, which
+// cancels the query's context. Publishing first lets /debug/queries show
+// the rows of a write the client is not reading.
 func (st *rowStream) write() error {
+	st.publish()
 	if st.stall > 0 {
 		_ = st.rc.SetWriteDeadline(time.Now().Add(st.stall))
 	}

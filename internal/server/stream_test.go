@@ -229,7 +229,7 @@ func BenchmarkRowStream(b *testing.B) {
 		}{{"full_pulls", core.DefaultBatchSize, false}, {"short_pulls", 8, true}} {
 			b.Run(sc.name+"/"+pull.name, func(b *testing.B) {
 				cw := &countingWriter{header: http.Header{}}
-				st := newRowStream(cw, &queryRecord{}, sc.schema, 0)
+				st := newRowStream(cw, nil, sc.schema, 0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 1; i <= b.N; i++ {
