@@ -64,8 +64,8 @@ type options struct {
 	// breakdown; the latency summary also lands in the -json report.
 	analyze bool
 	// metricsAddr serves /metrics and /debug/pprof for the duration of
-	// the run. The analyzed pass (if any) registers its buffer pool and
-	// sink histogram there, so a scrape covers every metric family.
+	// the run. The analyzed pass (if any) registers its buffer pool
+	// there, so a scrape covers every metric family.
 	metricsAddr string
 	// linger keeps the metrics endpoint serving this long after the
 	// experiments finish. Small record counts complete in well under a
@@ -132,7 +132,7 @@ func run(o options) error {
 	}
 
 	// The analyzed pass runs first so a scraper attached from the start
-	// sees the buffer and operator-latency families straight away.
+	// sees its buffer pool families straight away.
 	if o.analyze {
 		res, err := bench.RunAnalyzedPass(o.records, mr)
 		if err != nil {

@@ -71,12 +71,11 @@ func TestRunAllObservabilityFlagsTogether(t *testing.T) {
 	}
 
 	// The scrape covers the buffer (registered by the analyzed pass),
-	// device, exchange and operator-latency families.
+	// device and exchange families.
 	for _, fam := range []string{
 		"volcano_buffer_fixes_total",
 		"volcano_device_page_reads_total",
 		"volcano_exchange_packets_total",
-		"volcano_op_next_seconds",
 	} {
 		if fams[fam] == 0 {
 			t.Errorf("scrape missing family %s (got %v)", fam, fams)

@@ -53,9 +53,9 @@ Observability flags (compose freely):
                  open in Perfetto
   -metrics ADDR  live HTTP endpoint for the run: GET          none (nil registry
                  /metrics serves Prometheus text exposition   is a no-op)
-                 (buffer, device, btree, exchange and
-                 operator-latency families), /debug/pprof
-                 serves the standard Go profiles
+                 (buffer, device, btree and exchange
+                 families), /debug/pprof serves the
+                 standard Go profiles
 
 All three may be given together: one run then produces the analyze
 report, the trace file, and a scrapeable endpoint at once.
@@ -83,9 +83,8 @@ type options struct {
 	dbPages   int
 	tracePath string
 	// metricsAddr, when non-empty, serves /metrics and /debug/pprof on
-	// that address for the duration of the run. The query is built with
-	// the observed plan builder so operator latency histograms appear in
-	// the exposition.
+	// that address for the duration of the run: the buffer, device,
+	// btree and exchange families.
 	metricsAddr string
 	schemas     []string
 	loads       []string
@@ -193,10 +192,9 @@ func run(o options) error {
 	if o.tracePath != "" {
 		tracer = trace.New()
 	}
-	var mr *metrics.Registry
 	var msrv *metrics.Server
 	if o.metricsAddr != "" {
-		mr = metrics.NewRegistry()
+		mr := metrics.NewRegistry()
 		pool.RegisterMetrics(mr)
 		device.RegisterMetrics(mr)
 		btree.RegisterMetrics(mr)
@@ -301,15 +299,15 @@ func run(o options) error {
 		return nil
 	}
 
-	// BuildWith composes all the facilities: -metrics and -trace imply the
-	// observed build even without -analyze (the operator-latency
-	// histograms live in the registry's children, the operator spans in
-	// the instrumentation wrappers), and -batch sets the batch size every
-	// operator and exchange boundary pulls with.
+	// BuildWith composes all the facilities: -trace implies the observed
+	// build even without -analyze (the operator spans live in the
+	// instrumentation wrappers), and -batch sets the batch size every
+	// operator and exchange boundary pulls with. The process runs one
+	// query, so the pool's delta over the run is that query's.
+	poolBase := pool.Stats()
 	it, analysis, err := plan.BuildWith(env, cat, node, plan.BuildOptions{
 		Analyze:   o.analyze,
 		Tracer:    tracer,
-		Metrics:   mr,
 		BatchSize: o.batch,
 		Estimates: estimates,
 	})
@@ -319,8 +317,15 @@ func run(o options) error {
 	if err := printResult(it, o.maxRows, o.batch); err != nil {
 		return err
 	}
-	if analysis != nil && o.analyze {
+	if o.analyze {
 		fmt.Fprint(os.Stderr, analysis.String())
+		st := pool.Stats().Sub(poolBase)
+		balance := "pins balanced"
+		if st.CurrentlyFixedHint != 0 {
+			balance = fmt.Sprintf("PIN LEAK: %d outstanding", st.CurrentlyFixedHint)
+		}
+		fmt.Fprintf(os.Stderr, "buffer: fixes=%d hits=%d misses=%d reads=%d writes=%d extra-pins=%d (%s)\n",
+			st.Fixes, st.Hits, st.Misses, st.Reads, st.Writes, st.ExtraPins, balance)
 	}
 	if tracer.Enabled() {
 		if err := writeTrace(tracer, o.tracePath); err != nil {

@@ -308,7 +308,7 @@ func scrapeMetrics(t *testing.T, addr string) map[string]int {
 
 // TestRunMetricsEndpoint runs a parallel query with -metrics and scrapes
 // the endpoint through the test seam: the exposition must parse and
-// cover the buffer, device, exchange and operator-latency families.
+// cover the buffer, device and exchange families.
 func TestRunMetricsEndpoint(t *testing.T) {
 	csv := writeCSV(t, "emp.csv", empCSV)
 	var fams map[string]int
@@ -331,7 +331,6 @@ func TestRunMetricsEndpoint(t *testing.T) {
 		"volcano_buffer_pinned_frames",
 		"volcano_device_page_reads_total",
 		"volcano_exchange_packets_total",
-		"volcano_op_next_seconds",
 	} {
 		if fams[fam] == 0 {
 			t.Errorf("scrape missing family %s", fam)
@@ -368,8 +367,8 @@ func TestRunAllObservabilityFlagsTogether(t *testing.T) {
 	if _, err := os.Stat(tracePath); err != nil {
 		t.Fatal(err)
 	}
-	if fams == nil || fams["volcano_op_next_seconds"] == 0 {
-		t.Fatalf("metrics scrape missing operator latency family: %v", fams)
+	if fams == nil || fams["volcano_exchange_packets_total"] == 0 {
+		t.Fatalf("metrics scrape missing exchange family: %v", fams)
 	}
 }
 

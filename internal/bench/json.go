@@ -166,9 +166,9 @@ func RunTracedPass(records int, tr *trace.Tracer) (PassResult, error) {
 }
 
 // RunAnalyzedPass runs one instrumented pipeline pass on the same
-// Figure-2a topology: the sink is wrapped, its latency recorded (into
-// mr's volcano_op_next_seconds child when mr is non-nil, so a live
-// scraper sees it), and the per-stage breakdown rendered.
+// Figure-2a topology: the sink is wrapped, its latency recorded in its
+// OpStats, and the per-stage breakdown rendered. A non-nil mr gets the
+// pass's buffer pool counters, so a live scraper sees the run.
 func RunAnalyzedPass(records int, mr *metrics.Registry) (PassResult, error) {
 	return RunPass(PassConfig{
 		Records:     records,

@@ -45,8 +45,7 @@ type PassConfig struct {
 	Tracer *trace.Tracer
 	// Metrics, when set, exposes the run to a live scraper: the world's
 	// buffer pool registers its counters (replacing any previous pass's
-	// registration — func collectors have replace semantics) and the
-	// sink's Next latency lands in a registry-owned histogram. nil (the
+	// registration — func collectors have replace semantics). nil (the
 	// default) keeps the measured path untouched.
 	Metrics *metrics.Registry
 }
@@ -63,7 +62,7 @@ type PassResult struct {
 	// Breakdown is the per-operator/per-port report (Analyze only).
 	Breakdown string
 	// SinkLatency is the sink's Next-latency distribution (Analyze or
-	// Metrics only; zero-valued otherwise).
+	// Tracer only; zero-valued otherwise).
 	SinkLatency metrics.HistogramSnapshot
 }
 
@@ -98,17 +97,8 @@ func RunPass(cfg PassConfig) (PassResult, error) {
 		return PassResult{}, err
 	}
 	var sink *core.Instrumented
-	if cfg.Analyze || cfg.Tracer.Enabled() || cfg.Metrics.Enabled() {
-		var hist *metrics.Histogram
-		if cfg.Metrics.Enabled() {
-			hist = cfg.Metrics.Histogram("volcano_op_next_seconds",
-				"Operator Next call latency.", nil,
-				metrics.Label{Key: "op", Value: "sink"},
-				metrics.Label{Key: "node", Value: "0"})
-		} else if cfg.Analyze {
-			hist = metrics.NewHistogram(nil)
-		}
-		sink = core.Instrument(root, "sink").WithTracer(cfg.Tracer).WithHistogram(hist)
+	if cfg.Analyze || cfg.Tracer.Enabled() {
+		sink = core.Instrument(root, "sink").WithTracer(cfg.Tracer)
 		root = sink
 	}
 	poolBase := w.Pool.Stats()
@@ -132,8 +122,8 @@ func RunPass(cfg PassConfig) (PassResult, error) {
 		Exchanges: cfg.Stages,
 		PerRecord: elapsed / time.Duration(n),
 	}
-	if sink != nil && sink.Histogram() != nil {
-		res.SinkLatency = sink.Histogram().Snapshot()
+	if sink != nil {
+		res.SinkLatency = sink.Stats().Next.Snapshot()
 	}
 	if cfg.Analyze {
 		res.Breakdown = formatBreakdown(sink, hubs, w.Pool.Stats().Sub(poolBase), res.SinkLatency)

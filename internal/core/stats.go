@@ -15,13 +15,16 @@ import (
 // — the per-producer subtrees an exchange instantiates — and updated
 // concurrently without coordination beyond the counter itself.
 type OpStats struct {
-	Rows      atomic.Int64 // records returned by NextBatch
-	NextCalls atomic.Int64 // NextBatch invocations (including the EOS call)
-	Opens     atomic.Int64 // Open invocations (parallel instances add up)
-	Closes    atomic.Int64 // Close invocations
+	Rows   atomic.Int64 // records returned by NextBatch
+	Opens  atomic.Int64 // Open invocations (parallel instances add up)
+	Closes atomic.Int64 // Close invocations
+
+	// Next is the NextBatch latency distribution. Its count is the
+	// node's NextBatch calls (including the EOS call) and its sum the
+	// cumulative wall time inside them: each call is counted once.
+	Next metrics.Histogram
 
 	OpenNanos  atomic.Int64 // wall time inside Open
-	NextNanos  atomic.Int64 // cumulative wall time inside NextBatch
 	CloseNanos atomic.Int64 // wall time inside Close
 	Arena      atomic.Bool  // output records go to an arena, not the pool
 }
@@ -46,11 +49,11 @@ type OpStatsSnapshot struct {
 func (s *OpStats) Snapshot() OpStatsSnapshot {
 	return OpStatsSnapshot{
 		Rows:      s.Rows.Load(),
-		NextCalls: s.NextCalls.Load(),
+		NextCalls: s.Next.Count(),
 		Opens:     s.Opens.Load(),
 		Closes:    s.Closes.Load(),
 		OpenTime:  time.Duration(s.OpenNanos.Load()),
-		NextTime:  time.Duration(s.NextNanos.Load()),
+		NextTime:  s.Next.Sum(),
 		CloseTime: time.Duration(s.CloseNanos.Load()),
 	}
 }
@@ -86,11 +89,6 @@ type Instrumented struct {
 	tk        *trace.Track
 	openName  string
 	closeName string
-
-	// hist, when attached, receives every NextBatch duration so a scraper (or
-	// EXPLAIN ANALYZE) can report latency quantiles, not just totals. The
-	// nil histogram costs one branch, like the nil tracer.
-	hist *metrics.Histogram
 }
 
 // Instrument wraps it with a fresh, private OpStats.
@@ -110,18 +108,6 @@ func (i *Instrumented) WithTracer(t *trace.Tracer) *Instrumented {
 	i.tracer = t
 	return i
 }
-
-// WithHistogram attaches a latency histogram fed one observation per
-// NextBatch call, reusing the wall-time measurement the wrapper already
-// takes. Sibling wrappers of parallel instances may share one
-// histogram; Observe is atomic. Returns i.
-func (i *Instrumented) WithHistogram(h *metrics.Histogram) *Instrumented {
-	i.hist = h
-	return i
-}
-
-// Histogram returns the attached latency histogram (nil when none).
-func (i *Instrumented) Histogram() *metrics.Histogram { return i.hist }
 
 // Name returns the label given at wrap time.
 func (i *Instrumented) Name() string { return i.name }
@@ -160,15 +146,15 @@ func (i *Instrumented) Open() error {
 
 // NextBatch implements Iterator: the wrapper times the whole batch call
 // and counts every delivered record, so EXPLAIN ANALYZE row counts agree
-// at every batch size while NextCalls reflects the amortisation.
+// at every batch size while the call count reflects the amortisation.
+// One clock pair and four atomic adds: the rows, and the latency
+// histogram's count, sum and bucket.
 func (i *Instrumented) NextBatch(b *Batch) error {
 	start := time.Now()
 	err := i.inner.NextBatch(b)
 	d := time.Since(start)
-	i.st.NextNanos.Add(int64(d))
-	i.st.NextCalls.Add(1)
 	i.st.Rows.Add(int64(b.Len()))
-	i.hist.Observe(d)
+	i.st.Next.Observe(d)
 	i.tk.SpanAt("op", i.name, start, d)
 	return err
 }

@@ -233,7 +233,7 @@ func (w *Worker) runFragment(ctx context.Context, rw http.ResponseWriter, rc *ht
 // inside the fragment.
 func (w *Worker) streamFragment(ctx context.Context, s *core.WireSender, x *plan.Node, spec FragmentSpec) error {
 	it, err := plan.BuildFragmentProducer(w.cfg.Env, w.cfg.Catalog, x, spec.Producer,
-		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Metrics: w.cfg.Metrics, Done: ctx.Done()})
+		plan.BuildOptions{BatchSize: spec.BatchSize, QueryID: spec.QueryID, Done: ctx.Done()})
 	if err != nil {
 		err = fmt.Errorf("build: %w", err)
 		// Best effort: the coordinator would otherwise read a cut

@@ -24,17 +24,15 @@ func buildGoldenRegistry() *Registry {
 	r.SetCounterFunc("volcano_device_page_reads_total", "Pages read from devices.", func() float64 { return 128 })
 	r.SetGaugeFunc("volcano_buffer_frames", "Total frames in the buffer pool.", func() float64 { return 1024 })
 
-	h := r.Histogram("volcano_op_next_seconds", "Operator Next call latency.",
-		[]time.Duration{time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond},
-		Label{"op", "sort"})
+	h := r.Histogram("volcano_server_query_phase_seconds", "Wall time queries spent in each lifecycle phase.",
+		Label{"phase", "stream"})
 	for i := 0; i < 10; i++ {
 		h.Observe(500 * time.Nanosecond)
 	}
 	h.Observe(50 * time.Microsecond)
-	h.Observe(time.Second) // overflow
-	h2 := r.Histogram("volcano_op_next_seconds", "Operator Next call latency.",
-		[]time.Duration{time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond},
-		Label{"op", "scan"})
+	h.Observe(10 * time.Second) // overflow
+	h2 := r.Histogram("volcano_server_query_phase_seconds", "Wall time queries spent in each lifecycle phase.",
+		Label{"phase", "plan"})
 	h2.Observe(2 * time.Microsecond)
 	return r
 }
@@ -68,7 +66,7 @@ func TestExpositionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden output does not parse: %v", err)
 	}
-	if fams["volcano_op_next_seconds"] == 0 {
+	if fams["volcano_server_query_phase_seconds"] == 0 {
 		t.Fatal("histogram family missing from parse result")
 	}
 }
@@ -88,9 +86,9 @@ func TestExpositionDeterministic(t *testing.T) {
 
 func TestHistogramExpositionShape(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_seconds", "h", []time.Duration{time.Millisecond, time.Second})
+	h := r.Histogram("h_seconds", "h")
 	h.Observe(500 * time.Microsecond)
-	h.Observe(2 * time.Second)
+	h.Observe(5 * time.Second)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -99,9 +97,9 @@ func TestHistogramExpositionShape(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE h_seconds histogram",
 		`h_seconds_bucket{le="0.001"} 1`,
-		`h_seconds_bucket{le="1"} 1`,
+		`h_seconds_bucket{le="4"} 1`,
 		`h_seconds_bucket{le="+Inf"} 2`,
-		"h_seconds_sum 2.0005",
+		"h_seconds_sum 5.0005",
 		"h_seconds_count 2",
 	} {
 		if !strings.Contains(out, want) {

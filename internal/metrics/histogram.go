@@ -1,15 +1,14 @@
 package metrics
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
 
-// DefLatencyBuckets are the default histogram bounds for operator and
-// protocol latencies: roughly ×4 steps from sub-microsecond (a cached
+// DefLatencyBuckets are the bounds of every Histogram, sized for operator
+// and protocol latencies: roughly ×4 steps from sub-microsecond (a cached
 // Next call) to seconds (a blocking sort or a stalled port).
-var DefLatencyBuckets = []time.Duration{
+var DefLatencyBuckets = [...]time.Duration{
 	250 * time.Nanosecond,
 	1 * time.Microsecond,
 	4 * time.Microsecond,
@@ -25,36 +24,14 @@ var DefLatencyBuckets = []time.Duration{
 	4 * time.Second,
 }
 
-// Histogram is a fixed-bucket latency histogram. Observe is a linear
-// scan over ~a dozen bounds plus two atomic adds — no locks, no
-// allocations — so it sits directly on the operator Next path. The nil
-// handle discards observations.
+// Histogram is a latency histogram over DefLatencyBuckets. Observe is a
+// linear scan over the bounds plus three atomic adds — no locks, no
+// allocations — so it sits directly on the operator Next path. The zero
+// value is ready to use; the nil handle discards observations.
 type Histogram struct {
-	bounds []int64 // upper bounds in ns, ascending
-	counts []atomic.Int64
-	over   atomic.Int64 // observations above the last bound (+Inf bucket)
-	sum    atomic.Int64 // total observed ns
-	total  atomic.Int64 // observation count
-}
-
-// NewHistogram creates a standalone histogram with the given bucket
-// upper bounds (nil or empty = DefLatencyBuckets). Bounds must be
-// positive and strictly ascending.
-func NewHistogram(buckets []time.Duration) *Histogram {
-	if len(buckets) == 0 {
-		buckets = DefLatencyBuckets
-	}
-	h := &Histogram{
-		bounds: make([]int64, len(buckets)),
-		counts: make([]atomic.Int64, len(buckets)),
-	}
-	for i, b := range buckets {
-		h.bounds[i] = int64(b)
-		if b <= 0 || (i > 0 && h.bounds[i] <= h.bounds[i-1]) {
-			panic(fmt.Sprintf("metrics: histogram bounds must be positive ascending, got %v", buckets))
-		}
-	}
-	return h
+	counts [len(DefLatencyBuckets) + 1]atomic.Int64 // per bucket; the last is +Inf
+	sum    atomic.Int64                             // total observed ns
+	total  atomic.Int64                             // observation count
 }
 
 // Observe records one duration.
@@ -62,20 +39,23 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+	if d < 0 {
+		d = 0
 	}
-	h.sum.Add(ns)
+	h.sum.Add(int64(d))
 	h.total.Add(1)
-	for i, b := range h.bounds {
-		if ns <= b {
-			h.counts[i].Add(1)
-			return
-		}
+	i := 0
+	for i < len(DefLatencyBuckets) && d > DefLatencyBuckets[i] {
+		i++
 	}
-	h.over.Add(1)
+	h.counts[i].Add(1)
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.total.Load() }
+
+// Sum returns the total observed time.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, safe to
 // aggregate and query after the fact. Counts are per-bucket (not
@@ -87,20 +67,22 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies the current state. Nil histograms snapshot to a
-// zero-observation snapshot over the default bounds.
+// zero-observation snapshot over the same bounds.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return NewHistogram(nil).Snapshot()
-	}
 	s := HistogramSnapshot{
-		Bounds:   append([]int64(nil), h.bounds...),
-		Counts:   make([]int64, len(h.bounds)+1),
-		SumNanos: h.sum.Load(),
+		Bounds: make([]int64, len(DefLatencyBuckets)),
+		Counts: make([]int64, len(DefLatencyBuckets)+1),
 	}
+	for i, b := range DefLatencyBuckets {
+		s.Bounds[i] = int64(b)
+	}
+	if h == nil {
+		return s
+	}
+	s.SumNanos = h.sum.Load()
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
 	}
-	s.Counts[len(h.bounds)] = h.over.Load()
 	return s
 }
 
@@ -121,9 +103,9 @@ func (s HistogramSnapshot) Count() int64 {
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	total := s.Count()
 	if total == 0 || len(s.Bounds) == 0 {
-		// len(s.Bounds) == 0 can only come from a hand-built snapshot —
-		// NewHistogram always has at least one bound — but guard it so a
-		// zero-value HistogramSnapshot with counts never indexes Bounds[-1].
+		// len(s.Bounds) == 0 can only come from a hand-built snapshot — a
+		// Histogram's has DefLatencyBuckets — but guard it so a zero-value
+		// HistogramSnapshot with counts never indexes Bounds[-1].
 		return 0
 	}
 	if q < 0 {

@@ -8,30 +8,39 @@ import (
 )
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond})
+	var h Histogram
 	for i := 0; i < 100; i++ {
-		h.Observe(500 * time.Nanosecond) // all in bucket 0
+		h.Observe(500 * time.Nanosecond) // all in bucket 1, (250ns, 1µs]
 	}
 	s := h.Snapshot()
-	if s.Count() != 100 || s.Counts[0] != 100 {
-		t.Fatalf("counts = %v, want all 100 in bucket 0", s.Counts)
+	if s.Count() != 100 || s.Counts[1] != 100 || h.Count() != 100 {
+		t.Fatalf("counts = %v, want all 100 in bucket 1", s.Counts)
 	}
-	// Median of a uniform fill of (0, 1µs] interpolates to ~500ns.
-	if q := s.Quantile(0.5); q < 400*time.Nanosecond || q > 600*time.Nanosecond {
-		t.Fatalf("p50 = %v, want ~500ns", q)
+	if h.Sum() != 100*500*time.Nanosecond {
+		t.Fatalf("sum = %v, want 50µs", h.Sum())
+	}
+	// Median of a uniform fill of (250ns, 1µs] interpolates to its middle.
+	if q := s.Quantile(0.5); q != 625*time.Nanosecond {
+		t.Fatalf("p50 = %v, want 625ns", q)
 	}
 	if m := s.Mean(); m != 500*time.Nanosecond {
 		t.Fatalf("mean = %v, want 500ns", m)
 	}
+	// A bound is inclusive.
+	h.Observe(time.Microsecond)
+	if got := h.Snapshot().Counts[1]; got != 101 {
+		t.Fatalf("bucket 1 = %d after observing its bound, want 101", got)
+	}
 
 	// Overflow saturates at the last bound.
-	h.Observe(time.Second)
+	last := DefLatencyBuckets[len(DefLatencyBuckets)-1]
+	h.Observe(2 * last)
 	s = h.Snapshot()
-	if s.Counts[3] != 1 {
-		t.Fatalf("overflow bucket = %d, want 1", s.Counts[3])
+	if s.Counts[len(DefLatencyBuckets)] != 1 {
+		t.Fatalf("overflow bucket = %d, want 1", s.Counts[len(DefLatencyBuckets)])
 	}
-	if q := s.Quantile(1); q != 100*time.Microsecond {
-		t.Fatalf("p100 with overflow = %v, want saturation at 100µs", q)
+	if q := s.Quantile(1); q != last {
+		t.Fatalf("p100 with overflow = %v, want saturation at %v", q, last)
 	}
 }
 
@@ -42,19 +51,19 @@ func TestHistogramEmptyAndNil(t *testing.T) {
 	if s.Count() != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
 		t.Fatal("nil histogram must snapshot empty")
 	}
-	if got := NewHistogram(nil).Snapshot().Quantile(0.99); got != 0 {
+	if len(s.Bounds) != len(DefLatencyBuckets) || len(s.Counts) != len(DefLatencyBuckets)+1 {
+		t.Fatalf("nil snapshot shape: %d bounds, %d counts", len(s.Bounds), len(s.Counts))
+	}
+	var zero Histogram
+	if got := zero.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 }
 
-// TestHistogramEmptyBucketSlice pins the fix for a constructor hole: an
-// empty non-nil bucket slice used to build a zero-bound histogram whose
-// Quantile indexed Bounds[-1] after the first Observe.
-func TestHistogramEmptyBucketSlice(t *testing.T) {
-	h := NewHistogram([]time.Duration{})
-	if len(h.bounds) != len(DefLatencyBuckets) {
-		t.Fatalf("empty bucket slice must fall back to defaults, got %d bounds", len(h.bounds))
-	}
+// TestHistogramZeroValue checks that a zero Histogram is ready to use and
+// that a snapshot with counts but no bounds cannot index Bounds[-1].
+func TestHistogramZeroValue(t *testing.T) {
+	var h Histogram
 	h.Observe(time.Millisecond)
 	if got := h.Snapshot().Quantile(0.99); got <= 0 {
 		t.Fatalf("quantile after observe = %v, want > 0", got)
@@ -67,7 +76,7 @@ func TestHistogramEmptyBucketSlice(t *testing.T) {
 }
 
 func TestHistogramNegativeClampedToZero(t *testing.T) {
-	h := NewHistogram(nil)
+	var h Histogram
 	h.Observe(-time.Second)
 	s := h.Snapshot()
 	if s.Counts[0] != 1 || s.SumNanos != 0 {
@@ -75,28 +84,11 @@ func TestHistogramNegativeClampedToZero(t *testing.T) {
 	}
 }
 
-func TestHistogramBadBoundsPanic(t *testing.T) {
-	for _, bad := range [][]time.Duration{
-		{0, time.Second},
-		{time.Second, time.Second},
-		{2 * time.Second, time.Second},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bounds %v must panic", bad)
-				}
-			}()
-			NewHistogram(bad)
-		}()
-	}
-}
-
 // TestHistogramConcurrentUpdates drives one histogram from many
 // goroutines; under -race this proves Observe and Snapshot are safe to
 // run concurrently, and the final counts prove no update was lost.
 func TestHistogramConcurrentUpdates(t *testing.T) {
-	h := NewHistogram(nil)
+	var h Histogram
 	const goroutines, per = 8, 2000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -126,7 +118,7 @@ func TestHistogramConcurrentUpdates(t *testing.T) {
 // TestObserveZeroAlloc pins the hot-path contract: Observe allocates
 // nothing, enabled or nil.
 func TestObserveZeroAlloc(t *testing.T) {
-	h := NewHistogram(nil)
+	h := &Histogram{}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(3 * time.Microsecond) }); n != 0 {
 		t.Fatalf("Observe allocates %v per call", n)
 	}

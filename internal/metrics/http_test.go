@@ -11,7 +11,7 @@ import (
 func TestServeMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("volcano_test_total", "test counter").Add(9)
-	r.Histogram("volcano_test_seconds", "test latency", nil).Observe(time.Millisecond)
+	r.Histogram("volcano_test_seconds", "test latency").Observe(time.Millisecond)
 
 	s, err := Serve("127.0.0.1:0", r)
 	if err != nil {

@@ -15,9 +15,9 @@
 //     this layer is the always-on view across queries.
 //
 // Registration is get-or-create: asking twice for the same family and
-// label set returns the same instrument, so the parallel instances of an
-// operator (or successive benchmark passes) share one time series instead
-// of fighting over a name. Callback collectors (SetCounterFunc,
+// label set returns the same instrument, so concurrent callers (or
+// successive benchmark passes) share one time series instead of fighting
+// over a name. Callback collectors (SetCounterFunc,
 // SetGaugeFunc) read state that a subsystem already maintains — e.g. the
 // buffer pool's counters — at scrape time, for zero additional cost on
 // the subsystem's own hot path; re-registering a callback replaces it, so
@@ -31,12 +31,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one constant name/value pair attached to an instrument.
-// Labels distinguish the children of a family, e.g. op="sort" under
-// volcano_op_next_seconds.
+// Labels distinguish the children of a family, e.g. phase="plan" under
+// volcano_server_query_phase_seconds.
 type Label struct {
 	Key, Value string
 }
@@ -143,10 +142,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return c.gauge
 }
 
-// Histogram returns the histogram with the given name, labels and bucket
-// bounds (nil buckets = DefLatencyBuckets). Asking again for an existing
-// child returns it regardless of the buckets argument.
-func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels ...Label) *Histogram {
+// Histogram returns the histogram with the given name and labels.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -155,7 +152,7 @@ func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels 
 	f := r.lookup(name, help, kindHistogram)
 	c := f.child(labels)
 	if c.hist == nil {
-		c.hist = NewHistogram(buckets)
+		c.hist = &Histogram{}
 	}
 	return c.hist
 }

@@ -16,7 +16,7 @@ func TestNilRegistryIsDisabledAndSafe(t *testing.T) {
 	}
 	c := r.Counter("x_total", "x")
 	g := r.Gauge("g", "g")
-	h := r.Histogram("h_seconds", "h", nil)
+	h := r.Histogram("h_seconds", "h")
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
@@ -56,8 +56,8 @@ func TestGetOrCreateReturnsSameInstrument(t *testing.T) {
 		t.Fatalf("shared counter = %d, want 3", a.Value())
 	}
 
-	h1 := r.Histogram("volcano_h_seconds", "h", nil, Label{"op", "join"})
-	h2 := r.Histogram("volcano_h_seconds", "h", nil, Label{"op", "join"})
+	h1 := r.Histogram("volcano_h_seconds", "h", Label{"op", "join"})
+	h2 := r.Histogram("volcano_h_seconds", "h", Label{"op", "join"})
 	if h1 != h2 {
 		t.Fatal("same name+labels must return the same histogram")
 	}
@@ -139,7 +139,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				op := ops[n%len(ops)]
 				r.Counter("volcano_next_total", "next calls", Label{"op", op}).Inc()
 				r.Gauge("volcano_depth", "queue depth", Label{"op", op}).Add(1)
-				r.Histogram("volcano_next_seconds", "latency", nil, Label{"op", op}).
+				r.Histogram("volcano_next_seconds", "latency", Label{"op", op}).
 					Observe(time.Duration(n) * time.Microsecond)
 			}
 		}(i)
@@ -192,7 +192,7 @@ func TestScrapeRacesRegistration(t *testing.T) {
 				// swap below races the scraper for the whole run.
 				lbl := Label{"worker", fmt.Sprintf("w%d-%d", id, n%256)}
 				r.Counter("volcano_race_total", "per-worker children", lbl).Inc()
-				r.Histogram("volcano_race_seconds", "per-worker children", nil, lbl).
+				r.Histogram("volcano_race_seconds", "per-worker children", lbl).
 					Observe(time.Duration(n) * time.Microsecond)
 				v := float64(n)
 				r.SetGaugeFunc("volcano_race_fn", "replaced every call", func() float64 { return v })

@@ -86,7 +86,6 @@ func TestParseScrapeArtifact(t *testing.T) {
 		"volcano_buffer_fixes_total",
 		"volcano_device_page_reads_total",
 		"volcano_exchange_packets_total",
-		"volcano_op_next_seconds",
 	} {
 		if fams[want] == 0 {
 			t.Errorf("scrape missing family %s (got %v)", want, fams)

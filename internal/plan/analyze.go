@@ -2,42 +2,30 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/storage/buffer"
 )
 
 // Analysis is the EXPLAIN ANALYZE collector: runtime statistics per plan
 // node (rows out, NextBatch calls, open/next/close wall time via core.OpStats),
 // exchange port counters (packets, records, flow-control stall and
-// consumer wait) per exchange node, and the buffer pool's activity over
-// the run. Parallel instances of the same node — the per-producer subtrees
-// an exchange instantiates — aggregate into one entry.
+// consumer wait) per exchange node, and the query's resource bill.
+// Parallel instances of the same node — the per-producer subtrees an
+// exchange instantiates — aggregate into one entry.
 type Analysis struct {
 	root  *Node
 	stats map[*Node]*core.OpStats
-	// hists holds one Next-latency histogram per node, shared by the
-	// node's parallel instances like its OpStats. When the build was
-	// given a metrics registry these are the registry's children
-	// (volcano_op_next_seconds), so a live scraper and the analyze
-	// report read the same distributions.
-	hists map[*Node]*metrics.Histogram
-
-	pool *buffer.Pool
-	base buffer.Stats // pool counters at build time; String() shows the delta
 
 	// queryID is the serving-layer identity of the run ("" outside the
 	// query service); String() prints it and live snapshots join on it.
 	queryID string
 
-	// meter is the query's resource meter (BuildOptions.Meter, nil when
-	// the build carried none). String() appends a resources footer and
-	// Resources() derives CPU time into it.
+	// meter is the query's resource meter (BuildOptions.Meter, or the
+	// build's own). Resources() derives CPU time into it, and the report's
+	// resources footer renders its snapshot.
 	meter *core.ResourceMeter
 
 	// hubs collects the hubs instantiated for each exchange node, bound
@@ -76,52 +64,26 @@ type FragmentStat struct {
 	State     string `json:"state"` // running | done | failed
 }
 
-// NodeStats are one node's counters; an alias for the shared core type so
-// callers can use either name.
-type NodeStats = core.OpStats
-
-// buildObserved performs the instrumented build. The env is expected to
-// already carry the meter when o.Meter is set (BuildWith derives it).
-// partition pins the producer index for fragment builds (see
-// BuildFragmentProducer); whole-plan builds pass 0.
-func buildObserved(env *core.Env, cat Catalog, n *Node, partition int, o BuildOptions) (core.Iterator, *Analysis, error) {
-	tr, mr := o.Tracer, o.Metrics
+// buildObserved performs the instrumented build. The env carries the
+// query's meter (BuildWith derives it).
+func buildObserved(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterator, *Analysis, error) {
 	an := &Analysis{
 		root:    n,
 		stats:   map[*Node]*core.OpStats{},
-		hists:   map[*Node]*metrics.Histogram{},
 		hubs:    map[*Node][]*core.Exchange{},
-		pool:    env.Pool,
 		queryID: o.QueryID,
-		meter:   env.Meter(),
+		meter:   o.Meter,
 		est:     o.Estimates,
 	}
-	if an.pool != nil {
-		an.base = an.pool.Stats()
-	}
-	idx := 0
 	var walk func(*Node)
 	walk = func(nd *Node) {
 		an.stats[nd] = &core.OpStats{}
-		if mr.Enabled() {
-			// Registry child: visible to live scrapers, labelled by the
-			// operator kind and the node's pre-order position so two sorts
-			// in one plan stay distinct time series.
-			an.hists[nd] = mr.Histogram("volcano_op_next_seconds",
-				"Operator Next call latency.", nil,
-				metrics.Label{Key: "op", Value: nd.Kind.String()},
-				metrics.Label{Key: "node", Value: strconv.Itoa(idx)})
-		} else {
-			// Standalone: quantiles for the analyze report only.
-			an.hists[nd] = metrics.NewHistogram(nil)
-		}
-		idx++
 		for _, in := range nd.Inputs {
 			walk(in)
 		}
 	}
 	walk(n)
-	it, err := build(&buildCtx{env: env, cat: cat, partition: partition, analysis: an, tracer: tr, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
+	it, err := build(&buildCtx{env: env, cat: cat, analysis: an, tracer: o.Tracer, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,16 +167,6 @@ func (a *Analysis) ExchangeStats(n *Node) core.ExchangeStats {
 	return sum
 }
 
-// PoolStats returns the buffer pool's activity since the build:
-// hits/misses, device I/O, and the pin balance (outstanding pins are a
-// leak once the query has closed).
-func (a *Analysis) PoolStats() buffer.Stats {
-	if a.pool == nil {
-		return buffer.Stats{}
-	}
-	return a.pool.Stats().Sub(a.base)
-}
-
 // CPUNanos derives the query's CPU time from the operator wall-time
 // counters: each node contributes its exclusive time — total open+next+
 // close minus the totals of its demand-driven children, which are nested
@@ -231,13 +183,13 @@ func (a *Analysis) CPUNanos() int64 {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if st := a.stats[n]; st != nil {
-			own := st.OpenNanos.Load() + st.NextNanos.Load() + st.CloseNanos.Load()
+			own := st.OpenNanos.Load() + int64(st.Next.Sum()) + st.CloseNanos.Load()
 			if n.Kind == KindExchange {
 				own -= int64(a.ExchangeStats(n).ConsumerWait)
 			} else {
 				for _, in := range n.Inputs {
 					if cst := a.stats[in]; cst != nil {
-						own -= cst.OpenNanos.Load() + cst.NextNanos.Load() + cst.CloseNanos.Load()
+						own -= cst.OpenNanos.Load() + int64(cst.Next.Sum()) + cst.CloseNanos.Load()
 					}
 				}
 			}
@@ -258,11 +210,8 @@ func (a *Analysis) CPUNanos() int64 {
 // pull-batch bytes summed over the query's hubs: each fact is counted
 // once, where it happens, and derived here. This is the one view the
 // trailer, the live registry, the slow-query log and the metric families
-// read. A build without a meter returns the zero snapshot.
+// read.
 func (a *Analysis) Resources() core.ResourceSnapshot {
-	if a.meter == nil {
-		return core.ResourceSnapshot{}
-	}
 	a.meter.SetCPUNanos(a.CPUNanos())
 	r := a.meter.Snapshot()
 	a.mu.Lock()
@@ -278,12 +227,17 @@ func (a *Analysis) Resources() core.ResourceSnapshot {
 	return r
 }
 
-// String renders the annotated plan tree: per-operator rows, NextBatch calls
-// and open/next/close wall time; packet, stall and wait counters under
-// each exchange; and the buffer pool's totals as a footer. All counters
-// are atomic, so rendering a still-running query yields a consistent
-// mid-flight view.
-func (a *Analysis) String() string {
+// String renders the report over a fresh Resources snapshot.
+func (a *Analysis) String() string { return a.Render(a.Resources()) }
+
+// Render renders the annotated plan tree: per-operator rows, NextBatch
+// calls, open/next/close wall time and latency quantiles; packet, stall
+// and wait counters under each exchange; and r, the query's resource
+// bill, as the footer. A caller that already holds the query's snapshot
+// passes it, so the report and its other surfaces show the same numbers.
+// All counters are atomic, so rendering a still-running query yields a
+// consistent mid-flight view.
+func (a *Analysis) Render(r core.ResourceSnapshot) string {
 	var sb strings.Builder
 	if a.queryID != "" {
 		fmt.Fprintf(&sb, "query %s\n", a.queryID)
@@ -295,26 +249,11 @@ func (a *Analysis) String() string {
 				f.Path, f.Producer, f.Worker, f.Attempts, f.Records, f.WireBytes, f.State)
 		}
 	}
-	if a.pool != nil {
-		st := a.PoolStats()
-		balance := "pins balanced"
-		if st.CurrentlyFixedHint != 0 {
-			balance = fmt.Sprintf("PIN LEAK: %d outstanding", st.CurrentlyFixedHint)
-		}
-		fmt.Fprintf(&sb, "buffer: fixes=%d hits=%d misses=%d reads=%d writes=%d extra-pins=%d (%s)\n",
-			st.Fixes, st.Hits, st.Misses, st.Reads, st.Writes, st.ExtraPins, balance)
-	}
-	if a.meter != nil {
-		// The attributed footer: unlike the pool delta above (process-wide,
-		// polluted by concurrent queries), these numbers are this query's
-		// own.
-		r := a.Resources()
-		fmt.Fprintf(&sb, "resources: cpu=%v buf-fixes=%d (%dh/%dm) io=%dB (r%d/w%d) x-packets=%d x-records=%d wire=%dB batch-hw=%dB\n",
-			time.Duration(r.CPUSeconds*1e9).Round(time.Microsecond),
-			r.BufferFixes, r.BufferHits, r.BufferMisses,
-			r.IOBytes(), r.DeviceReads, r.DeviceWrites,
-			r.ExchangePackets, r.ExchangeRecords, r.WireBytes, r.BatchHighWater)
-	}
+	fmt.Fprintf(&sb, "resources: cpu=%v buf-fixes=%d (%dh/%dm) io=%dB (r%d/w%d) x-packets=%d x-records=%d wire=%dB batch-hw=%dB\n",
+		time.Duration(r.CPUSeconds*1e9).Round(time.Microsecond),
+		r.BufferFixes, r.BufferHits, r.BufferMisses,
+		r.IOBytes(), r.DeviceReads, r.DeviceWrites,
+		r.ExchangePackets, r.ExchangeRecords, r.WireBytes, r.BatchHighWater)
 	return sb.String()
 }
 
@@ -332,7 +271,7 @@ func (a *Analysis) render(sb *strings.Builder, n *Node, depth int) {
 		}
 		// Latency quantiles once there is a distribution worth reading:
 		// a single NextBatch call's p50=p95=p99 adds nothing over next=.
-		if s := a.hists[n].Snapshot(); s.Count() > 1 {
+		if s := st.Next.Snapshot(); s.Count() > 1 {
 			fmt.Fprintf(sb, " p50=%v p95=%v p99=%v",
 				s.Quantile(0.50).Round(time.Microsecond),
 				s.Quantile(0.95).Round(time.Microsecond),

@@ -12,12 +12,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// timingRE matches the wall-time values in an analyze report. The pool
-// hit/miss/discard split depends on how producer refills interleave with
-// consumer returns, so it is normalized too. Everything else — rows,
-// calls, packets, records, buffer counters — is deterministic for a
-// fixed plan over fixed data.
-var timingRE = regexp.MustCompile(`(open|next|close|stall|wait|p50|p95|p99)=[^] }\n]+`)
+// timingRE matches the wall-time values in an analyze report, the
+// footer's CPU time included. The pool hit/miss/discard split depends on
+// how producer refills interleave with consumer returns, so it is
+// normalized too. Everything else — rows, calls, packets, records, the
+// footer's fixes and bytes — is deterministic for a fixed plan over
+// fixed data.
+var timingRE = regexp.MustCompile(`(open|next|close|stall|wait|p50|p95|p99|cpu)=[^] }\n]+`)
 var poolRE = regexp.MustCompile(`pool=\d+h/\d+m/\d+d`)
 
 func normalizeTimings(s string) string {
@@ -26,7 +27,7 @@ func normalizeTimings(s string) string {
 
 // TestAnalyzeGoldenOutput pins the whole EXPLAIN ANALYZE report for a
 // parallel plan: tree shape, per-operator counters, exchange port lines
-// and the buffer footer. The plan is chosen so every non-time counter is
+// and the resources footer. The plan is chosen so every non-time counter is
 // deterministic: three disjoint partitions of 200 rows each, packet size
 // 50 dividing 200 evenly, and a pool large enough that nothing evicts.
 // It runs record-at-a-time (batch size 1), so every operator's calls

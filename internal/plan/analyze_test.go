@@ -81,13 +81,13 @@ func TestBuildAnalyzedParallelAggregatesInstances(t *testing.T) {
 		t.Fatalf("pool hits %d + misses %d != packets %d", xs.PoolHits, xs.PoolMisses, xs.Packets)
 	}
 	out := an.String()
-	for _, want := range []string{"packets=", "stall=", "wait=", "buffer: fixes="} {
+	for _, want := range []string{"packets=", "stall=", "wait=", "resources: cpu=", "x-records=600 "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analysis output missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.Contains(out, "pins balanced") {
-		t.Fatalf("pin leak reported:\n%s", out)
+	if pins := db.env.Pool.Stats().CurrentlyFixedHint; pins != 0 {
+		t.Fatalf("%d pins outstanding after the query closed", pins)
 	}
 }
 

@@ -125,17 +125,10 @@ func checkFragment(n *Node) error {
 // scans resolve to their partition files. This is what a volcano-worker
 // executes — the same instantiation the local exchange's NewProducer
 // closure performs, minus the exchange itself (the wire takes its place).
+// The build is plain: o.Analyze and o.Tracer are not read.
 func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o BuildOptions) (core.Iterator, error) {
-	env = queryEnv(env, o)
-	if observed(o) {
-		// Instrumented fragment: a worker scraping its own registry sees
-		// the subtree's volcano_op_next_seconds series like any local
-		// query. The Analysis itself stays worker-local.
-		it, _, err := buildObserved(env, cat, x.Inputs[0], producer, o)
-		return it, err
-	}
 	return build(&buildCtx{
-		env:       env,
+		env:       queryEnv(env, o),
 		cat:       cat,
 		partition: producer,
 		done:      o.Done,

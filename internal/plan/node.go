@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/storage/btree"
 	"repro/internal/storage/file"
@@ -283,16 +282,13 @@ func (c *buildCtx) in(i int) *buildCtx {
 
 // BuildOptions selects the optional build facilities. The zero value is a
 // plain Build. All combinations compose: one iterator tree can be
-// instrumented, traced, scrape-visible and cancellable at once.
+// instrumented, traced and cancellable at once.
 type BuildOptions struct {
 	// Analyze wraps every operator for EXPLAIN ANALYZE; the returned
-	// *Analysis is non-nil. Implied by Metrics.
+	// *Analysis is non-nil. Implied by Tracer.
 	Analyze bool
 	// Tracer records structured protocol events (nil = off).
 	Tracer *trace.Tracer
-	// Metrics registers per-operator Next-latency histograms
-	// (volcano_op_next_seconds) on the registry (nil = off).
-	Metrics *metrics.Registry
 	// Done, when non-nil, is plumbed into every exchange the build
 	// instantiates: closing it makes producer groups abandon their
 	// subtrees (core.ExchangeConfig.Done), bounding the work done on
@@ -318,7 +314,8 @@ type BuildOptions struct {
 	// one core.ResourceMeter. The build derives a metered Env and metered
 	// file handles once, so the per-event cost at run time is a single
 	// atomic add. Exchange traffic is not metered: Analysis.Resources
-	// sums it from the hubs.
+	// sums it from the hubs. An observed build without one meters into
+	// its own, so every Analysis has a resource bill.
 	Meter *core.ResourceMeter
 	// Estimates carries the cost pass's per-node cardinality estimates
 	// (CostedPlan.Estimates) into the Analysis, so EXPLAIN ANALYZE can
@@ -343,7 +340,7 @@ type BuildOptions struct {
 type RemoteBinder func(path string, n *Node, schema *record.Schema) (producer func(g int) (core.Iterator, error), stop func(), err error)
 
 // BuildWith instantiates the plan with the given options. The *Analysis
-// is non-nil iff the build is observed (see observed).
+// is non-nil iff the build is observed (Analyze or Tracer).
 func BuildWith(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterator, *Analysis, error) {
 	if o.Tracer.Enabled() && o.QueryID != "" {
 		// One instant on a query-named track: every event the run emits
@@ -352,19 +349,16 @@ func BuildWith(env *core.Env, cat Catalog, n *Node, o BuildOptions) (core.Iterat
 		// joins with the server's slow-query log and response trailers.
 		o.Tracer.NewTrack("query "+o.QueryID).Instant("query", "begin")
 	}
-	env = queryEnv(env, o)
-	if observed(o) {
-		return buildObserved(env, cat, n, 0, o)
+	// An Analysis collects per-node counters whenever anything will read
+	// them: EXPLAIN ANALYZE or a tracer's operator spans.
+	if o.Analyze || o.Tracer.Enabled() {
+		if o.Meter == nil {
+			o.Meter = &core.ResourceMeter{}
+		}
+		return buildObserved(queryEnv(env, o), cat, n, o)
 	}
-	it, err := build(&buildCtx{env: env, cat: cat, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
+	it, err := build(&buildCtx{env: queryEnv(env, o), cat: cat, done: o.Done, queryID: o.QueryID, remote: o.Remote}, n)
 	return it, nil, err
-}
-
-// observed reports whether a build is instrumented: an Analysis collects
-// per-node counters whenever anything will read them — EXPLAIN ANALYZE,
-// a metrics registry's latency histograms, or a tracer's operator spans.
-func observed(o BuildOptions) bool {
-	return o.Analyze || o.Metrics.Enabled() || o.Tracer.Enabled()
 }
 
 // queryEnv derives, once up front, the Env the operators of one build
@@ -393,12 +387,11 @@ func build(ctx *buildCtx, n *Node) (core.Iterator, error) {
 	if st == nil {
 		return it, nil
 	}
+	// Parallel instances share the node's OpStats, latency included.
 	inst := core.InstrumentWith(it, n.Kind.String(), st)
 	if ctx.tracer.Enabled() {
 		inst.WithTracer(ctx.tracer)
 	}
-	// Parallel instances share the node's histogram, like OpStats.
-	inst.WithHistogram(ctx.analysis.hists[n])
 	return inst, nil
 }
 

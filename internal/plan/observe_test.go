@@ -12,10 +12,11 @@ import (
 	"repro/internal/storage/device"
 )
 
-// TestBuildObservedHistograms checks the metrics-registry path of
-// BuildOptions.Metrics: operator latency lands in registry-owned histograms
-// (one child per node, labelled op + position) and the analyze report
-// renders quantiles from them.
+// TestBuildObservedHistograms checks that each node's OpStats is its one
+// latency probe: the analyze report renders quantiles with no registry,
+// and across several analyzed builds of one plan in one process every
+// node's latency count equals its own calls — no build sees another's
+// observations.
 func TestBuildObservedHistograms(t *testing.T) {
 	db := newTestDB(t)
 	db.loadPartitioned(t, "nums", 200, 2)
@@ -23,41 +24,37 @@ func TestBuildObservedHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr := metrics.NewRegistry()
-	it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true, Metrics: mr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Drain(it, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s := an.hists[n].Snapshot(); s.Count() == 0 {
-		t.Fatal("root node recorded no Next latency")
-	}
-	var sb strings.Builder
-	if err := mr.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`volcano_op_next_seconds_bucket{node="0",op="aggregate",le="+Inf"}`,
-		`node="1",op="exchange"`,
-		`node="2",op="pscan"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in exposition:\n%s", want, out)
+	for build := 1; build <= 3; build++ {
+		it, an, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	report := an.String()
-	if !strings.Contains(report, "p50=") || !strings.Contains(report, "p99=") {
-		t.Fatalf("analyze report missing quantiles:\n%s", report)
+		if _, err := core.Drain(it, 0); err != nil {
+			t.Fatal(err)
+		}
+		var walk func(*Node)
+		walk = func(nd *Node) {
+			st := an.Stats(nd)
+			calls, lat := st.Snapshot().NextCalls, st.Next.Snapshot()
+			if calls == 0 || lat.Count() != calls {
+				t.Errorf("build %d: %s latency count = %d, calls = %d, want equal and > 0", build, nd.Kind, lat.Count(), calls)
+			}
+			for _, in := range nd.Inputs {
+				walk(in)
+			}
+		}
+		walk(n)
+		report := an.String()
+		if !strings.Contains(report, "p50=") || !strings.Contains(report, "p99=") {
+			t.Fatalf("analyze report missing quantiles:\n%s", report)
+		}
 	}
 }
 
 // TestLiveScrapeDuringParallelQuery is the acceptance criterion run as
 // a test: a parallel query executes while an HTTP client GETs /metrics
 // mid-run; every scrape must be well-formed exposition covering the
-// buffer, device, btree, exchange and operator families.
+// buffer, device, btree and exchange families.
 func TestLiveScrapeDuringParallelQuery(t *testing.T) {
 	db := newTestDB(t)
 	db.loadPartitioned(t, "nums", 4000, 4)
@@ -78,7 +75,7 @@ func TestLiveScrapeDuringParallelQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true, Metrics: mr})
+	it, _, err := BuildWith(db.env, db.cat, n, BuildOptions{Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,6 @@ func TestLiveScrapeDuringParallelQuery(t *testing.T) {
 		"volcano_btree_page_fetches_total",
 		"volcano_exchange_packets_total",
 		"volcano_exchange_producers_live",
-		"volcano_op_next_seconds",
 	} {
 		if last[fam] == 0 {
 			t.Errorf("final scrape missing family %s", fam)

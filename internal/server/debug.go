@@ -62,7 +62,7 @@ func (q *queryRecord) status(drilldown bool) queryStatus {
 		res := an.Resources()
 		st.Resources = &res
 		if drilldown {
-			st.Analyze = an.String()
+			st.Analyze = an.Render(res)
 		}
 	}
 	return st

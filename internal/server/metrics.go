@@ -27,7 +27,6 @@ type serverMetrics struct {
 	inFlight  *metrics.Gauge     // queries currently executing
 	queueWait *metrics.Histogram // time spent in the admission queue
 	querySecs *metrics.Histogram // admission-to-trailer latency of admitted queries
-	rowsOut   *metrics.Counter   // result rows streamed to clients
 
 	cacheHits      *metrics.Counter
 	cacheMisses    *metrics.Counter
@@ -137,11 +136,9 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	m.inFlight = r.Gauge("volcano_server_in_flight",
 		"Queries currently executing.")
 	m.queueWait = r.Histogram("volcano_server_queue_wait_seconds",
-		"Time queries spent in the admission queue.", nil)
+		"Time queries spent in the admission queue.")
 	m.querySecs = r.Histogram("volcano_server_query_seconds",
-		"Latency of admitted queries, admission to trailer.", nil)
-	m.rowsOut = r.Counter("volcano_server_rows_total",
-		"Result rows streamed to clients.")
+		"Latency of admitted queries, admission to trailer.")
 	m.cacheHits = r.Counter("volcano_server_plan_cache_hits_total",
 		"Plan-cache lookups that reused a compiled template.")
 	m.cacheMisses = r.Counter("volcano_server_plan_cache_misses_total",
@@ -154,7 +151,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		"Queries recorded in the slow-query log (over threshold, errored, or canceled).")
 	phase := func(name string) *metrics.Histogram {
 		return r.Histogram("volcano_server_query_phase_seconds",
-			"Wall time queries spent in each lifecycle phase.", nil,
+			"Wall time queries spent in each lifecycle phase.",
 			metrics.Label{Key: "phase", Value: name})
 	}
 	m.phasePlan = phase(phasePlan)

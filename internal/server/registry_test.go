@@ -298,7 +298,7 @@ func TestAnalyzeHeader(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze query: %v status %d", err, resp.StatusCode)
 	}
-	for _, want := range []string{"sort", "filter", "scan emp", "rows=", "buffer:"} {
+	for _, want := range []string{"sort", "filter", "scan emp", "rows=", "resources:"} {
 		if !strings.Contains(tr.Analyze, want) {
 			t.Errorf("analyze text lacks %q:\n%s", want, tr.Analyze)
 		}
@@ -332,7 +332,7 @@ func TestPhaseMetricsAndRowOutcomes(t *testing.T) {
 		t.Fatalf("query: %v status %d", err, res.status)
 	}
 	for _, phase := range []string{"plan", "queued", "execute", "stream"} {
-		h := mr.Histogram("volcano_server_query_phase_seconds", "", nil,
+		h := mr.Histogram("volcano_server_query_phase_seconds", "",
 			metrics.Label{Key: "phase", Value: phase})
 		if h.Snapshot().Count() < 1 {
 			t.Errorf("phase %s histogram count = %d, want >= 1", phase, h.Snapshot().Count())

@@ -129,6 +129,26 @@ func TestTrailerResources(t *testing.T) {
 			}
 		})
 	}
+
+	// The EXPLAIN ANALYZE footer renders the snapshot the trailer carries
+	// in resources, not a second one taken later.
+	t.Run("analyzed", func(t *testing.T) {
+		res, err := postQueryAnalyze(ts, "pscan emp 4 | exchange producers=4 | agg group dept compute count, avg(salary)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.trailer.Resources
+		if r == nil || r.ExchangeRecords != empRows {
+			t.Fatalf("trailer resources = %+v, want %d exchange records", r, empRows)
+		}
+		want := fmt.Sprintf("resources: cpu=%v buf-fixes=%d (%dh/%dm) io=%dB (r%d/w%d) x-packets=%d x-records=%d wire=%dB batch-hw=%dB\n",
+			time.Duration(r.CPUSeconds*1e9).Round(time.Microsecond),
+			r.BufferFixes, r.BufferHits, r.BufferMisses, r.IOBytes(), r.DeviceReads, r.DeviceWrites,
+			r.ExchangePackets, r.ExchangeRecords, r.WireBytes, r.BatchHighWater)
+		if !strings.HasSuffix(res.trailer.Analyze, want) {
+			t.Errorf("analyze footer does not render the trailer's resources:\nwant %sgot:\n%s", want, res.trailer.Analyze)
+		}
+	})
 }
 
 // TestResourceReconciliation is the attribution soundness check: many

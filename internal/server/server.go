@@ -396,7 +396,6 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	rec.state.Store(stateExecuting)
 	opts := plan.BuildOptions{
 		Analyze:   true,
-		Metrics:   s.cfg.Metrics,
 		Done:      ctx.Done(),
 		BatchSize: batch,
 		QueryID:   rec.id,
@@ -452,7 +451,6 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 	streamErr := drainBatches(ctx, it, batch, st.row, st.pulled)
 	closeErr := it.Close()
 	st.publish()
-	s.m.rowsOut.Add(st.rows)
 	rec.streamNs.Store(int64(time.Since(streamStart)))
 	s.m.phaseStream.Observe(time.Since(streamStart))
 
@@ -492,7 +490,7 @@ func (s *Server) execute(w http.ResponseWriter, ctx context.Context, rec *queryR
 		}
 	}
 	if analyze {
-		t.Analyze = an.String()
+		t.Analyze = an.Render(res)
 	}
 	if costed != nil {
 		s.recordChoices(costed, an)

@@ -517,7 +517,7 @@ func TestSaturation429AndQueueWait(t *testing.T) {
 	if got := mr.Counter("volcano_server_rejected_total", "", metrics.Label{Key: "reason", Value: "saturated"}).Value(); got != 1 {
 		t.Errorf("rejected{saturated} = %d, want 1", got)
 	}
-	if got := mr.Histogram("volcano_server_queue_wait_seconds", "", nil).Snapshot().Count(); got < 1 {
+	if got := mr.Histogram("volcano_server_queue_wait_seconds", "").Snapshot().Count(); got < 1 {
 		t.Errorf("queue-wait histogram count = %d, want >= 1", got)
 	}
 	if got := mr.Counter("volcano_server_canceled_total", "").Value(); got < 1 {
