@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -17,15 +18,18 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/record"
+	"repro/internal/server"
 	"repro/internal/storage/buffer"
 	"repro/internal/storage/device"
 	"repro/internal/storage/file"
 )
 
 // buildTestDB authors a durable database file the way `volcano -db` does:
-// disk device, formatted volume, one loaded table.
-func buildTestDB(t *testing.T, rows int) string {
+// disk device, formatted volume, one loaded table emp, and emp dealt
+// round robin into emp.0..emp.parts-1.
+func buildTestDB(t *testing.T, rows, parts int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "serve.vdb")
 	reg := device.NewRegistry()
@@ -50,9 +54,21 @@ func buildTestDB(t *testing.T, rows int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < rows; i++ {
-		if _, err := f.Insert(sch.MustEncode(record.Int(int64(i)), record.Int(int64(i%4)))); err != nil {
+	dealt := make([]*file.File, parts)
+	for p := range dealt {
+		if dealt[p], err = vol.Create(fmt.Sprintf("emp.%d", p), sch); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		data := sch.MustEncode(record.Int(int64(i)), record.Int(int64(i%4)))
+		if _, err := f.Insert(data); err != nil {
+			t.Fatal(err)
+		}
+		if parts > 0 {
+			if _, err := dealt[i%parts].Insert(data); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := vol.Save(); err != nil {
@@ -69,27 +85,29 @@ func buildTestDB(t *testing.T, rows int) string {
 // the stop seam (the same path as SIGTERM).
 func TestServeEndToEnd(t *testing.T) {
 	const rows = 100
-	db := buildTestDB(t, rows)
+	db := buildTestDB(t, rows, 0)
 
 	ready := make(chan string, 1)
 	metricsReady := make(chan string, 1)
 	stop := make(chan struct{})
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- run(options{
-			db:               db,
-			addr:             "127.0.0.1:0",
-			metricsAddr:      "127.0.0.1:0",
-			frames:           256,
-			maxConcurrent:    2,
-			maxProducers:     16,
-			maxQueue:         4,
-			queueWait:        5 * time.Second,
-			planCache:        16,
-			drainTimeout:     10 * time.Second,
-			readyHook:        func(addr string) { ready <- addr },
-			metricsReadyHook: func(addr string) { metricsReady <- addr },
-			stop:             stop,
+		runErr <- node.Run(node.Options{
+			DB:          db,
+			Addr:        "127.0.0.1:0",
+			MetricsAddr: "127.0.0.1:0",
+			Frames:      256,
+			Server: server.Config{
+				MaxConcurrent: 2,
+				MaxProducers:  16,
+				MaxQueue:      4,
+				QueueWait:     5 * time.Second,
+				PlanCacheSize: 16,
+			},
+			DrainTimeout:     10 * time.Second,
+			ReadyHook:        func(addr string) { ready <- addr },
+			MetricsReadyHook: func(addr string) { metricsReady <- addr },
+			Stop:             stop,
 		})
 	}()
 	var addr string
@@ -228,20 +246,20 @@ func TestServeEndToEnd(t *testing.T) {
 // the connection (and, behind admission control, eventually every
 // connection) open indefinitely.
 func TestServeSlowHeaderClientIsDisconnected(t *testing.T) {
-	db := buildTestDB(t, 10)
+	db := buildTestDB(t, 10, 0)
 
 	ready := make(chan string, 1)
 	stop := make(chan struct{})
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- run(options{
-			db:                db,
-			addr:              "127.0.0.1:0",
-			frames:            256,
-			drainTimeout:      10 * time.Second,
-			readHeaderTimeout: 300 * time.Millisecond,
-			readyHook:         func(addr string) { ready <- addr },
-			stop:              stop,
+		runErr <- node.Run(node.Options{
+			DB:                db,
+			Addr:              "127.0.0.1:0",
+			Frames:            256,
+			DrainTimeout:      10 * time.Second,
+			ReadHeaderTimeout: 300 * time.Millisecond,
+			ReadyHook:         func(addr string) { ready <- addr },
+			Stop:              stop,
 		})
 	}()
 	defer func() {
@@ -339,7 +357,7 @@ func TestServeSigtermRightAfterHealthz(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	db := buildTestDB(t, 10)
+	db := buildTestDB(t, 10, 0)
 	// Reserve a port so /healthz can be polled from before the banner.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -381,7 +399,109 @@ func TestServeSigtermRightAfterHealthz(t *testing.T) {
 }
 
 func TestServeRequiresDB(t *testing.T) {
-	if err := run(options{}); err == nil || !strings.Contains(err.Error(), "-db") {
+	if err := node.Run(node.Options{}); err == nil || !strings.Contains(err.Error(), "-db") {
 		t.Fatalf("run without -db: %v, want usage error", err)
+	}
+}
+
+// TestServeCoordinatorRegisters runs two nodes over one database file in
+// process: a coordinator (Dist) and a node that joins it (Coordinator).
+// The coordinator sees the worker live, a query's exchange ships its four
+// fragments to it and returns the rows the worker node computes alone,
+// and both nodes drain cleanly.
+func TestServeCoordinatorRegisters(t *testing.T) {
+	const rows = 400
+	const query = "pscan emp 4 | exchange producers=4 | sort id"
+	db := buildTestDB(t, rows, 4)
+	start := func(o node.Options) (string, chan struct{}, chan error) {
+		ready := make(chan string, 1)
+		stop := make(chan struct{})
+		runErr := make(chan error, 1)
+		o.DB, o.Addr, o.Frames, o.DrainTimeout = db, "127.0.0.1:0", 256, 10*time.Second
+		o.ReadyHook, o.Stop = func(addr string) { ready <- addr }, stop
+		go func() { runErr <- node.Run(o) }()
+		select {
+		case addr := <-ready:
+			return "http://" + addr, stop, runErr
+		case err := <-runErr:
+			t.Fatalf("node exited early: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("node never became ready")
+		}
+		return "", nil, nil
+	}
+	coord, coordStop, coordErr := start(node.Options{Dist: true})
+	worker, workerStop, workerErr := start(node.Options{Coordinator: strings.TrimPrefix(coord, "http://")})
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(coord + "/debug/workers")
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if strings.Contains(string(body), `"live":1`) {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never saw the worker live")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// run returns a query's rows and its trailer.
+	run := func(base string) ([]string, map[string]any) {
+		resp, err := http.Post(base+"/query", "text/plain", strings.NewReader(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", base, resp.StatusCode, err, body)
+		}
+		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+		var trailer map[string]any
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil || trailer["status"] != "ok" {
+			t.Fatalf("%s: trailer %s, %v", base, lines[len(lines)-1], err)
+		}
+		return lines[:len(lines)-1], trailer
+	}
+	solo, _ := run(worker)
+	fleet, trailer := run(coord)
+	if len(solo) != rows || strings.Join(fleet, "\n") != strings.Join(solo, "\n") {
+		t.Fatalf("fleet returned %d rows, the worker alone %d; they differ", len(fleet), len(solo))
+	}
+	d, _ := trailer["dist"].(map[string]any)
+	if frags, _ := d["fragments"].([]any); len(frags) != 4 {
+		t.Fatalf("trailer's dist block %v, want four shipped fragments", trailer["dist"])
+	}
+
+	for _, n := range []struct {
+		name string
+		stop chan struct{}
+		err  chan error
+	}{{"worker", workerStop, workerErr}, {"coordinator", coordStop, coordErr}} {
+		close(n.stop)
+		select {
+		case err := <-n.err:
+			if err != nil {
+				t.Fatalf("%s: %v", n.name, err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("%s did not drain and exit", n.name)
+		}
+	}
+}
+
+// TestServeCoordinatorNeedsHost: a node registers the address it binds,
+// so joining a fleet from a wildcard bind — which the coordinator would
+// dial as itself — is refused before anything opens.
+func TestServeCoordinatorNeedsHost(t *testing.T) {
+	for _, addr := range []string{":0", "0.0.0.0:0", "[::]:0"} {
+		err := node.Run(node.Options{DB: "unopened.vdb", Addr: addr, Coordinator: "127.0.0.1:9"})
+		if err == nil || !strings.Contains(err.Error(), "bind a specific address") {
+			t.Errorf("-addr %s -coordinator: %v, want a refusal", addr, err)
+		}
 	}
 }

@@ -21,8 +21,7 @@ var goAllowed = map[string]struct {
 	n      int
 	reason string
 }{
-	"cmd/volcano-serve/main.go run":                    {2, "serves the query listener and the separate -metrics listener"},
-	"cmd/volcano-worker/main.go run":                   {2, "serves the dispatch listener and runs the registration loop"},
+	"internal/node/node.go Run":                        {2, "serves the query listener and the separate -metrics listener"},
 	"internal/core/exchange.go Exchange.ensureStarted": {2, "the exchange forks its producers: the root of the spawn tree, or each producer of an inline group"},
 	"internal/core/exchange.go Exchange.spawnTree":     {1, "the exchange's spawn tree forks its second half"},
 	"internal/dist/coordinator.go NewCoordinator":      {1, "the worker heartbeat loop"},

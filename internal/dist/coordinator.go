@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -33,6 +34,12 @@ const (
 	// connWait bounds a dispatch's dial and the wait for its response
 	// header; a worker slower than that counts as lost.
 	connWait = 10 * time.Second
+	// AdmitWait bounds how long a node queues a fragment for admission
+	// before refusing it as busy: below connWait, so the refusal reaches
+	// the coordinator before it stops waiting and counts the node lost.
+	AdmitWait = connWait / 2
+	// maxBusy bounds the busy refusals one dispatch attempt waits out.
+	maxBusy = 20
 	// idlePerWorker is how many finished fragment connections the
 	// coordinator keeps open per worker for the next dispatch.
 	idlePerWorker = 16
@@ -280,8 +287,11 @@ func (c *Coordinator) dispatch(ctx context.Context, worker string, spec Fragment
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
+			return nil, fmt.Errorf("dist: worker %s refused for load (%w): %s", worker, errBusy, bytes.TrimSpace(msg))
+		}
 		if resp.StatusCode >= 500 {
-			// The worker is unwell (stopping, overloaded), not refusing
+			// The worker is unwell (stopping, failing), not refusing
 			// this fragment in particular: worker-loss shaped, retryable
 			// elsewhere.
 			return nil, fmt.Errorf("dist: worker %s unavailable (%d): %s", worker, resp.StatusCode, string(bytes.TrimSpace(msg)))
@@ -296,6 +306,10 @@ func (c *Coordinator) dispatch(ctx context.Context, worker string, spec Fragment
 	c.mu.Unlock()
 	return resp.Body, nil
 }
+
+// errBusy marks a worker's refusal for load (503 with Retry-After): the
+// worker is alive, so it stays in rotation.
+var errBusy = errors.New("busy")
 
 // dispatchRejected is a worker's synchronous refusal (4xx): the
 // worker is alive and said no, so retrying the same spec elsewhere is

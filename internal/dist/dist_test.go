@@ -84,7 +84,8 @@ func newDistDB(t testing.TB, rows, pad int) *distDB {
 // fleet is a coordinator plus in-process workers on httptest listeners.
 type fleet struct {
 	c       *Coordinator
-	workers map[string]*Worker // dispatch addr -> worker
+	workers map[string]*Worker          // dispatch addr -> worker
+	servers map[string]*httptest.Server // dispatch addr -> its listener
 
 	// delay, when set, holds every /fragment request that many
 	// nanoseconds, or until its context ends, before the worker sees it.
@@ -131,6 +132,20 @@ func (f *fleet) recording(addr *string, h http.Handler) http.Handler {
 	})
 }
 
+// serveFragments is a worker node's HTTP surface as far as the dist
+// package knows it: POST /fragment checked and streamed with no
+// admission in between, and a /healthz that always answers.
+func serveFragments(w *Worker) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /fragment", func(rw http.ResponseWriter, r *http.Request) {
+		if f := w.Accept(rw, r); f != nil {
+			_ = w.Run(rw, r, f, plan.BuildOptions{})
+		}
+	})
+	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) { fmt.Fprintln(rw, "ok") })
+	return mux
+}
+
 func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *WorkerConfig)) *fleet {
 	t.Helper()
 	quiet := log.New(io.Discard, "", 0)
@@ -139,20 +154,17 @@ func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *Work
 		Log:            quiet,
 	})
 	t.Cleanup(c.Close)
-	f := &fleet{c: c, workers: map[string]*Worker{}}
+	f := &fleet{c: c, workers: map[string]*Worker{}, servers: map[string]*httptest.Server{}}
 	for i := 0; i < workers; i++ {
 		db := newDistDB(t, rows, pad)
-		cfg := WorkerConfig{Env: db.env, Catalog: db.cat, Log: quiet}
+		cfg := WorkerConfig{Env: db.env, Catalog: db.cat}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		w, err := NewWorker(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := NewWorker(cfg)
 		var addr string
-		srv := httptest.NewUnstartedServer(f.recording(&addr, w.Handler()))
-		srv.Config.ConnContext = CapSendBuffer
+		srv := httptest.NewUnstartedServer(f.recording(&addr, serveFragments(w)))
+		srv.Config.ConnContext = ConnContext
 		srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
 			if state == http.StateNew {
 				f.conns.Add(1)
@@ -160,14 +172,23 @@ func newFleet(t testing.TB, rows, pad, workers int, mutate func(i int, cfg *Work
 		}
 		srv.Start()
 		t.Cleanup(srv.Close)
-		t.Cleanup(w.Stop)
 		addr = strings.TrimPrefix(srv.URL, "http://")
 		if err := c.Register(addr); err != nil {
 			t.Fatal(err)
 		}
 		f.workers[addr] = w
+		f.servers[addr] = srv
 	}
 	return f
+}
+
+// kill does to a worker what a process kill does: every connection is
+// cut before its fragment's EOS, and the listener is gone, so heartbeats
+// fail too. It returns once the worker's fragments have unwound.
+func (f *fleet) kill(addr string) {
+	srv := f.servers[addr]
+	srv.CloseClientConnections()
+	srv.Close()
 }
 
 const distScript = "pscan nums 4 | exchange producers=4 packet=16"
@@ -419,7 +440,7 @@ func testWorkerLossRetry(t *testing.T, batch int) {
 	if victim == "" {
 		t.Fatal("no running fragment to kill — fixture too small to outlast the initial drain")
 	}
-	f.workers[victim].Stop()
+	f.kill(victim)
 
 	if err := drain(0); err != nil {
 		t.Fatalf("drain after worker loss: %v", err)
@@ -536,7 +557,7 @@ func testWorkerLossAggRetry(t *testing.T) {
 		for _, fr := range sum.Fragments() {
 			if fr.State == "running" && fr.Records > 0 && fr.Worker != "" {
 				victim = fr.Worker
-				f.workers[victim].Stop()
+				f.kill(victim)
 				return
 			}
 		}
@@ -910,11 +931,7 @@ func TestDistRemoteBuildError(t *testing.T) {
 // builds or streams anything, naming 1 as the record-at-a-time size.
 func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 	db := newDistDB(t, 10, 8)
-	w, err := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Log: log.New(io.Discard, "", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
+	w := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat})
 	for _, size := range []int{0, -1, core.MaxBatchSize + 1, 1 << 62} {
 		body, err := json.Marshal(FragmentSpec{
 			QueryID: "q-bad-batch", Fragment: fragmentOf(t, distScript), Path: "", Producer: 0, Attempt: 1,
@@ -924,7 +941,7 @@ func TestWorkerRefusesBatchSizeOutOfRange(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(body)))
+		serveFragments(w).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "1 is record-at-a-time") {
 			t.Errorf("batch size %d: status %d, body %q; want 400 naming the record-at-a-time size", size, rec.Code, rec.Body.String())
 		}
@@ -953,11 +970,7 @@ func fragmentOf(t testing.TB, script string) json.RawMessage {
 func TestWorkerRefusesBadFragment(t *testing.T) {
 	db := newDistDB(t, 10, 8)
 	reg := metrics.NewRegistry()
-	w, err := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Metrics: reg, Log: log.New(io.Discard, "", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
+	w := NewWorker(WorkerConfig{Env: db.env, Catalog: db.cat, Metrics: reg})
 	// edit parses the exchange-over-pscan script and changes its tree.
 	edit := func(change func(x *plan.Node)) json.RawMessage {
 		x, err := plan.Parse(distScript)
@@ -1009,7 +1022,7 @@ func TestWorkerRefusesBadFragment(t *testing.T) {
 	} {
 		before := w.m.rejected.Value()
 		rec := httptest.NewRecorder()
-		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(tc.body)))
+		serveFragments(w).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(tc.body)))
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
 			t.Errorf("%s: status %d, body %q; want 400 naming %q", tc.name, rec.Code, rec.Body.String(), tc.want)
 		}

@@ -28,14 +28,17 @@ func newDistMetrics(r *metrics.Registry) *distMetrics {
 			"Fragments that failed permanently (attempt budget exhausted or non-resumable)."),
 		heartbeatKO: r.Counter("volcano_dist_heartbeat_failures_total",
 			"Worker heartbeat probes that failed."),
-		wireRecv: r.Counter("volcano_dist_wire_bytes_total",
-			"Fragment payload bytes received from workers.",
+		wireRecv: r.Counter("volcano_dist_wire_bytes_total", wireBytesHelp,
 			metrics.Label{Key: "direction", Value: "recv"}),
 	}
 }
 
-// workerMetrics are the worker-side volcano_dist_* handles, registered
-// on the worker process's own registry.
+// wireBytesHelp is the one help text of volcano_dist_wire_bytes_total:
+// every node may both send fragment streams and receive them.
+const wireBytesHelp = "Fragment payload bytes on the wire, by direction: sent by this node as a worker, received by it as a coordinator."
+
+// workerMetrics are the volcano_dist_* handles of the fragment half of a
+// node, registered on the node's own registry.
 type workerMetrics struct {
 	accepted *metrics.Counter // volcano_dist_worker_fragments_total{outcome="ok"}
 	failed   *metrics.Counter // volcano_dist_worker_fragments_total{outcome="error"}
@@ -51,8 +54,7 @@ func newWorkerMetrics(r *metrics.Registry) *workerMetrics {
 		accepted: r.Counter(fam, help, metrics.Label{Key: "outcome", Value: "ok"}),
 		failed:   r.Counter(fam, help, metrics.Label{Key: "outcome", Value: "error"}),
 		rejected: r.Counter(fam, help, metrics.Label{Key: "outcome", Value: "rejected"}),
-		wireSent: r.Counter("volcano_dist_wire_bytes_total",
-			"Fragment payload bytes this worker sent to the coordinator.",
+		wireSent: r.Counter("volcano_dist_wire_bytes_total", wireBytesHelp,
 			metrics.Label{Key: "direction", Value: "sent"}),
 		active: r.Gauge("volcano_dist_worker_active_fragments",
 			"Fragments currently executing on this worker."),

@@ -1,10 +1,11 @@
 // Package dist is the distributed-execution layer: a coordinator that
 // splits plans at the exchange boundaries plan.Distributable accepts and
-// ships producer fragments to a fleet of volcano-worker processes, and the
-// worker that executes them. Everything travels over HTTP (register,
-// dispatch, heartbeat). A fragment takes one connection: the coordinator
-// POSTs its spec to /fragment, and the response body is the fragment's
-// record stream in the wire format of internal/core — the worker's
+// ships producer fragments to a fleet of nodes (volcano-serve
+// -coordinator), and the worker side's checks and stream, which every
+// node's server mounts as POST /fragment. Everything travels over HTTP
+// (register, dispatch, heartbeat). A fragment takes one connection: the
+// coordinator POSTs its spec to /fragment, and the response body is the
+// fragment's record stream in the wire format of internal/core — the worker's
 // core.SendWire drains the fragment into length-prefixed frames, and the
 // coordinator decodes them with core.ReadWireFrame. Keep-alive returns
 // the connection to the coordinator's pool once the stream has ended.

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -278,9 +279,10 @@ func (r *remoteFragment) readFrame() error {
 }
 
 // dispatch starts the next attempt on a live worker, skipping the
-// records already returned. A refusal fails the fragment; a worker that
-// cannot be reached is marked lost and the next attempt goes elsewhere,
-// up to maxAttempts in all.
+// records already returned. A refusal fails the fragment, and so does a
+// fleet still busy after send's backoff; a worker that cannot be reached
+// is marked lost and the next attempt goes elsewhere, up to maxAttempts
+// in all.
 func (r *remoteFragment) dispatch() error {
 	c := r.cut.c
 	for {
@@ -306,11 +308,7 @@ func (r *remoteFragment) dispatch() error {
 			c.cfg.Log.Printf("dist: query %s fragment %s/%d: retrying (attempt %d, skip %d): %v",
 				r.cut.req.QueryID, r.cut.path, r.stat.Producer, r.attempt, skip, r.lastErr)
 		}
-		w := c.pickWorker(r.stat.Worker)
-		if w == nil {
-			return r.fail(fmt.Errorf("dist: fragment %s producer %d: no live workers", r.cut.path, r.stat.Producer))
-		}
-		body, err := c.dispatch(r.cut.ctx, w.addr, FragmentSpec{
+		w, body, err := r.send(FragmentSpec{
 			QueryID:        r.cut.req.QueryID,
 			Fragment:       r.cut.fragment,
 			CatalogVersion: r.cut.req.CatalogVersion,
@@ -320,9 +318,12 @@ func (r *remoteFragment) dispatch() error {
 			Skip:           skip,
 			BatchSize:      r.cut.req.BatchSize,
 		})
+		if w == nil {
+			return r.fail(fmt.Errorf("dist: fragment %s producer %d: no live workers", r.cut.path, r.stat.Producer))
+		}
 		if err != nil {
 			var rej *dispatchRejected
-			if errors.As(err, &rej) {
+			if errors.As(err, &rej) || errors.Is(err, errBusy) {
 				return r.fail(err)
 			}
 			if r.cut.ctx.Err() == nil {
@@ -336,6 +337,32 @@ func (r *remoteFragment) dispatch() error {
 		r.stat.Worker = w.addr
 		r.mu.Unlock()
 		return nil
+	}
+}
+
+// send dispatches spec to a live worker; a nil worker means there is
+// none. A worker that refuses for load is alive: it stays in rotation,
+// and the dispatch goes again after a backoff, to another worker when
+// there is one, up to maxBusy times.
+func (r *remoteFragment) send(spec FragmentSpec) (*workerState, io.ReadCloser, error) {
+	c, avoid := r.cut.c, r.stat.Worker
+	for busy := 0; ; busy++ {
+		w := c.pickWorker(avoid)
+		if w == nil {
+			return nil, nil, nil
+		}
+		body, err := c.dispatch(r.cut.ctx, w.addr, spec)
+		if !errors.Is(err, errBusy) || busy == maxBusy {
+			return w, body, err
+		}
+		avoid = w.addr
+		t := time.NewTimer(min(time.Second, 10*time.Millisecond<<busy))
+		select {
+		case <-r.cut.ctx.Done():
+			t.Stop()
+			return w, nil, r.cut.ctx.Err()
+		case <-t.C:
+		}
 	}
 }
 

@@ -122,8 +122,8 @@ func checkFragment(n *Node) error {
 // BuildFragmentProducer instantiates one producer fragment of the
 // exchange cut x (one input, as Parse and DecodeFragment guarantee): its
 // producer subtree, with the producer index in scope so partitioned
-// scans resolve to their partition files. This is what a volcano-worker
-// executes — the same instantiation the local exchange's NewProducer
+// scans resolve to their partition files. This is what a worker node
+// (volcano-serve -coordinator) executes — the same instantiation the local exchange's NewProducer
 // closure performs, minus the exchange itself (the wire takes its place).
 // The build is plain: o.Analyze and o.Tracer are not read.
 func BuildFragmentProducer(env *core.Env, cat Catalog, x *Node, producer int, o BuildOptions) (core.Iterator, error) {

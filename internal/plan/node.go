@@ -333,8 +333,8 @@ type BuildOptions struct {
 // child-index path from the root ("0.1": the root's first input's second
 // input), names the cut within one query. A non-nil producer binds the
 // cut: the exchange hub stays in the plan, but producer g is
-// producer(g), the receiving end of a subtree that runs elsewhere (a
-// volcano-worker fleet), and closing the exchange's consumer calls stop
+// producer(g), the receiving end of a subtree that runs elsewhere (on a
+// fleet of volcano-serve -coordinator nodes), and closing the exchange's consumer calls stop
 // first, so no producer keeps the close handshake waiting on the wire.
 // A nil producer declines, and the node builds locally as usual.
 type RemoteBinder func(path string, n *Node, schema *record.Schema) (producer func(g int) (core.Iterator, error), stop func(), err error)

@@ -44,8 +44,10 @@ func errTooParallel(weight, budget int) *AdmitError {
 // governor is the token-based admission controller: a query needs one of
 // slots (bounding concurrently executing queries) plus weight producer
 // tokens (bounding the total exchange producer goroutines the process
-// forks). Requests that cannot be served immediately wait in a bounded
-// FIFO; beyond that bound admission fails fast with ErrSaturated.
+// forks); a shipped fragment needs producer tokens only, so a node that
+// is both coordinator and worker never waits on its own slots. Requests
+// that cannot be served immediately wait in a bounded FIFO; beyond that
+// bound admission fails fast with ErrSaturated.
 type governor struct {
 	mu        sync.Mutex
 	slotsFree int
@@ -61,6 +63,7 @@ type governor struct {
 // waiter is one queued admission request. granted/ready are written under
 // governor.mu; ready has capacity 1 so grants never block the granter.
 type waiter struct {
+	slots   int // 1 for a query, 0 for a fragment
 	weight  int
 	granted bool
 	ready   chan error
@@ -77,11 +80,12 @@ func newGovernor(maxConcurrent, maxProducers, maxQueue int, m *serverMetrics) *g
 	}
 }
 
-// admit blocks until the query holds one slot and weight producer tokens,
-// or fails with an *AdmitError / the context's error mapped to
-// ErrQueueTimeout. On nil return the caller owns the resources and must
-// release(weight) exactly once.
-func (g *governor) admit(ctx context.Context, weight int) error {
+// admit blocks until the request holds slots query slots (1 for a query,
+// 0 for a shipped fragment) and weight producer tokens, or fails with an
+// *AdmitError / the context's error mapped to ErrQueueTimeout. On nil
+// return the caller owns the resources and must release(slots, weight)
+// exactly once.
+func (g *governor) admit(ctx context.Context, slots, weight int) error {
 	g.mu.Lock()
 	if g.draining {
 		g.mu.Unlock()
@@ -93,18 +97,27 @@ func (g *governor) admit(ctx context.Context, weight int) error {
 	}
 	// Fast path: resources free and nobody queued ahead of us (FIFO — a
 	// light query must not overtake a heavy one that is already waiting).
-	if g.waiters.Len() == 0 && g.slotsFree > 0 && g.prodFree >= weight {
-		g.slotsFree--
+	if g.waiters.Len() == 0 && g.slotsFree >= slots && g.prodFree >= weight {
+		g.slotsFree -= slots
 		g.prodFree -= weight
 		g.mu.Unlock()
 		return nil
 	}
-	if g.waiters.Len() >= g.maxQueue {
+	// Queue, then grant: a request that fits with nobody ahead of it
+	// holding it back — a fragment behind queries waiting only for a
+	// slot — is admitted at once.
+	w := &waiter{slots: slots, weight: weight, ready: make(chan error, 1)}
+	el := g.waiters.PushBack(w)
+	g.grantLocked()
+	if w.granted {
+		g.mu.Unlock()
+		return <-w.ready
+	}
+	if g.waiters.Len() > g.maxQueue {
+		g.waiters.Remove(el)
 		g.mu.Unlock()
 		return ErrSaturated
 	}
-	w := &waiter{weight: weight, ready: make(chan error, 1)}
-	el := g.waiters.PushBack(w)
 	g.mu.Unlock()
 
 	g.m.queued.Inc()
@@ -118,7 +131,7 @@ func (g *governor) admit(ctx context.Context, weight int) error {
 		if w.granted {
 			// Lost the race against a grant: the resources are ours, hand
 			// them back and wake whoever they now fit.
-			g.slotsFree++
+			g.slotsFree += w.slots
 			g.prodFree += w.weight
 			g.grantLocked()
 		} else {
@@ -133,29 +146,35 @@ func (g *governor) admit(ctx context.Context, weight int) error {
 	}
 }
 
-// release returns a query's resources and wakes queued requests they fit.
-func (g *governor) release(weight int) {
+// release returns resources and wakes queued requests they fit.
+func (g *governor) release(slots, weight int) {
 	g.mu.Lock()
-	g.slotsFree++
+	g.slotsFree += slots
 	g.prodFree += weight
 	g.grantLocked()
 	g.mu.Unlock()
 }
 
-// grantLocked admits queued requests in FIFO order while the head fits.
-// Head-of-line blocking is deliberate: it keeps heavy queries from
-// starving behind a stream of light ones. Callers hold g.mu.
+// grantLocked admits queued requests in FIFO order. A request short of
+// producer tokens holds back every one behind it: head-of-line blocking
+// is deliberate, it keeps heavy queries from starving behind a stream of
+// light ones. A request short only of a slot is passed over, so a
+// fragment, which needs none, never waits on queries waiting for slots.
+// Callers hold g.mu.
 func (g *governor) grantLocked() {
-	for g.waiters.Len() > 0 && g.slotsFree > 0 {
-		w := g.waiters.Front().Value.(*waiter)
+	for e := g.waiters.Front(); e != nil; {
+		w, next := e.Value.(*waiter), e.Next()
 		if g.prodFree < w.weight {
 			return
 		}
-		g.waiters.Remove(g.waiters.Front())
-		g.slotsFree--
-		g.prodFree -= w.weight
-		w.granted = true
-		w.ready <- nil
+		if g.slotsFree >= w.slots {
+			g.waiters.Remove(e)
+			g.slotsFree -= w.slots
+			g.prodFree -= w.weight
+			w.granted = true
+			w.ready <- nil
+		}
+		e = next
 	}
 }
 

@@ -20,10 +20,10 @@ func TestGovernorFIFOAndWeights(t *testing.T) {
 	g := newGovernor(2, 8, 4, noMetrics())
 	ctx := context.Background()
 
-	if err := g.admit(ctx, 6); err != nil {
+	if err := g.admit(ctx, 1, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.admit(ctx, 2); err != nil {
+	if err := g.admit(ctx, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +31,7 @@ func TestGovernorFIFOAndWeights(t *testing.T) {
 	order := make(chan int, 2)
 	enqueue := func(id, weight int) {
 		go func() {
-			if err := g.admit(ctx, weight); err != nil {
+			if err := g.admit(ctx, 1, weight); err != nil {
 				t.Errorf("queued admit %d: %v", id, err)
 			}
 			order <- id
@@ -44,7 +44,7 @@ func TestGovernorFIFOAndWeights(t *testing.T) {
 
 	// Freeing the light query (2 tokens) leaves only 2 free: the heavy
 	// head still doesn't fit, and FIFO must hold the light one behind it.
-	g.release(2)
+	g.release(1, 2)
 	select {
 	case id := <-order:
 		t.Fatalf("waiter %d admitted past the blocked queue head", id)
@@ -54,7 +54,7 @@ func TestGovernorFIFOAndWeights(t *testing.T) {
 	// behind it. (Both grants land together; the goroutines report in
 	// scheduler order, so assert the set, not the sequence — FIFO itself
 	// was proven by the overtake check above.)
-	g.release(6)
+	g.release(1, 6)
 	got := map[int]bool{<-order: true, <-order: true}
 	if !got[1] || !got[2] {
 		t.Fatalf("admitted waiters = %v, want {1,2}", got)
@@ -68,26 +68,26 @@ func TestGovernorRejections(t *testing.T) {
 	ctx := context.Background()
 
 	var ae *AdmitError
-	if err := g.admit(ctx, 5); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+	if err := g.admit(ctx, 1, 5); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Fatalf("over-budget admit: %v, want 400 AdmitError", err)
 	}
 
-	if err := g.admit(ctx, 1); err != nil {
+	if err := g.admit(ctx, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// One waiter fits the queue...
 	done := make(chan error, 1)
-	go func() { done <- g.admit(ctx, 1) }()
+	go func() { done <- g.admit(ctx, 1, 1) }()
 	waitFor(t, 5*time.Second, "waiter queued", func() bool { return g.queueLen() == 1 })
 	// ...the next overflows.
-	if err := g.admit(ctx, 1); !errors.Is(err, ErrSaturated) {
+	if err := g.admit(ctx, 1, 1); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("overflow admit: %v, want ErrSaturated", err)
 	}
 	// A deadline expiring in the queue maps to ErrQueueTimeout.
 	short, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 	defer cancel()
 	g2 := newGovernor(0, 4, 4, noMetrics()) // zero slots: everything queues
-	if err := g2.admit(short, 1); !errors.Is(err, ErrQueueTimeout) {
+	if err := g2.admit(short, 1, 1); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("expired admit: %v, want ErrQueueTimeout", err)
 	}
 	// Drain rejects the queued waiter and everything after it.
@@ -95,8 +95,33 @@ func TestGovernorRejections(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrDraining) {
 		t.Fatalf("queued waiter under drain: %v, want ErrDraining", err)
 	}
-	if err := g.admit(ctx, 1); !errors.Is(err, ErrDraining) {
+	if err := g.admit(ctx, 1, 1); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admit after drain: %v, want ErrDraining", err)
+	}
+}
+
+// TestGovernorFragmentNeedsNoSlot: a shipped fragment takes producer
+// tokens and no slot, so with the one slot held and a query queued for it
+// a fragment that fits the tokens is admitted at once, and the query
+// still gets the slot when it frees.
+func TestGovernorFragmentNeedsNoSlot(t *testing.T) {
+	g := newGovernor(1, 4, 4, noMetrics())
+	ctx := context.Background()
+	if err := g.admit(ctx, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- g.admit(ctx, 1, 1) }()
+	waitFor(t, 5*time.Second, "query queued for the slot", func() bool { return g.queueLen() == 1 })
+	if err := g.admit(ctx, 0, 2); err != nil {
+		t.Fatalf("fragment behind a query waiting for a slot: %v", err)
+	}
+	g.release(1, 1)
+	if err := <-done; err != nil {
+		t.Fatalf("queued query: %v", err)
+	}
+	if g.queueLen() != 0 {
+		t.Fatalf("%d requests still queued", g.queueLen())
 	}
 }
 
@@ -106,28 +131,28 @@ func TestGovernorRejections(t *testing.T) {
 func TestGovernorCancelGrantRace(t *testing.T) {
 	g := newGovernor(1, 4, 64, noMetrics())
 	for i := 0; i < 200; i++ {
-		if err := g.admit(context.Background(), 1); err != nil {
+		if err := g.admit(context.Background(), 1, 1); err != nil {
 			t.Fatalf("iter %d: baseline admit: %v", i, err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
-		go func() { done <- g.admit(ctx, 1) }()
+		go func() { done <- g.admit(ctx, 1, 1) }()
 		waitFor(t, 5*time.Second, "waiter queued", func() bool { return g.queueLen() == 1 })
 		// Release and cancel concurrently: the waiter either got the slot
 		// (and must give it back on cancel) or was removed from the queue.
-		go g.release(1)
+		go g.release(1, 1)
 		cancel()
 		err := <-done
 		if err == nil {
-			g.release(1)
+			g.release(1, 1)
 		} else if !errors.Is(err, context.Canceled) && !errors.Is(err, ErrQueueTimeout) {
 			t.Fatalf("iter %d: %v", i, err)
 		}
 		// Either way the slot must be free again.
-		if err := g.admit(context.Background(), 1); err != nil {
+		if err := g.admit(context.Background(), 1, 1); err != nil {
 			t.Fatalf("iter %d: capacity leaked: %v", i, err)
 		}
-		g.release(1)
+		g.release(1, 1)
 	}
 }
 

@@ -17,6 +17,8 @@ import (
 // OpStats the running operators are updating.
 type queryStatus struct {
 	QueryID   string           `json:"query_id"`
+	Kind      string           `json:"kind"` // "query" or "fragment"
+	Fragment  *fragmentRef     `json:"fragment,omitempty"`
 	State     string           `json:"state"`
 	Plan      string           `json:"plan"`
 	Batch     int              `json:"batch"`
@@ -44,6 +46,8 @@ type queryStatus struct {
 func (q *queryRecord) status(drilldown bool) queryStatus {
 	st := queryStatus{
 		QueryID:   q.id,
+		Kind:      q.kind,
+		Fragment:  q.frag,
 		State:     stateName(q.state.Load()),
 		Plan:      q.source,
 		Batch:     q.batch,

@@ -9,10 +9,11 @@ import (
 	"repro/internal/dist"
 )
 
-// handleDistRegister serves POST /dist/register: a volcano-worker
-// announces (or re-announces) the address the coordinator should
-// dispatch fragments to and health-check. Registration is idempotent,
-// so workers repeat it periodically as a liveness refresher.
+// handleDistRegister serves POST /dist/register: a worker node
+// (volcano-serve -coordinator) announces (or re-announces) the address
+// the coordinator should dispatch fragments to and health-check.
+// Registration is idempotent, so workers repeat it periodically as a
+// liveness refresher.
 func (s *Server) handleDistRegister(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

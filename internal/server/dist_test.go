@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -21,32 +22,51 @@ import (
 	"repro/internal/record"
 )
 
-// newFleetCoordinator starts n in-process workers, each over its own
-// copy of the test database (mkWorld builds one) and at the given
-// catalog version, and returns a coordinator with all of them
+// newFleetCoordinator starts n in-process worker nodes, each a Server
+// over its own copy of the test database (mkWorld builds one) and at the
+// given catalog version, and returns a coordinator with all of them
 // registered.
 func newFleetCoordinator(t *testing.T, n int, catalogVersion string, mkWorld func(testing.TB) *world) *dist.Coordinator {
 	t.Helper()
-	quiet := log.New(io.Discard, "", 0)
-	coord := dist.NewCoordinator(dist.CoordinatorConfig{
-		HeartbeatEvery: 100 * time.Millisecond,
-		Log:            quiet,
-	})
-	t.Cleanup(coord.Close)
-	for i := 0; i < n; i++ {
+	urls := make([]string, n)
+	for i := range urls {
 		ww := mkWorld(t)
-		wk, err := dist.NewWorker(dist.WorkerConfig{Env: ww.env, Catalog: ww.cat, CatalogVersion: catalogVersion, Log: quiet})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(wk.Handler())
-		t.Cleanup(srv.Close)
-		t.Cleanup(wk.Stop)
-		if err := coord.Register(strings.TrimPrefix(srv.URL, "http://")); err != nil {
+		_, ts := newWorkerNode(t, Config{Env: ww.env, Catalog: ww.cat, CatalogVersion: catalogVersion}, nil)
+		urls[i] = ts.URL
+	}
+	return newCoordinator(t, urls...)
+}
+
+// newCoordinator is a coordinator with the given worker nodes registered.
+func newCoordinator(t *testing.T, workers ...string) *dist.Coordinator {
+	t.Helper()
+	coord := dist.NewCoordinator(dist.CoordinatorConfig{HeartbeatEvery: 100 * time.Millisecond, Log: log.New(io.Discard, "", 0)})
+	t.Cleanup(coord.Close)
+	for _, url := range workers {
+		if err := coord.Register(strings.TrimPrefix(url, "http://")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return coord
+}
+
+// newWorkerNode starts a Server on an httptest listener, with wrap (when
+// non-nil) around its handler, as a coordinator's fleet meets it.
+func newWorkerNode(t testing.TB, cfg Config, wrap func(http.Handler) http.Handler) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ConnContext = dist.ConnContext
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return s, ts
 }
 
 // bodyRows returns a streamed response's rows, sorted, without the

@@ -42,14 +42,17 @@ func stateName(s int32) string {
 	}
 }
 
-// queryRecord is one live query: its identity, lifecycle timings and —
-// once the iterator tree exists — a handle on the live per-operator
-// counters. Registration is per query; nothing here is touched per row
-// (the row stream publishes its counts into meter at each write).
+// queryRecord is one live query, or one fragment a coordinator shipped
+// here: its identity, lifecycle timings and — once the iterator tree
+// exists — a handle on the live per-operator counters. Registration is
+// per query; nothing here is touched per row (the row stream publishes
+// its counts into meter at each write).
 type queryRecord struct {
 	id       string
-	source   string // normalized plan text
-	batch    int    // effective batch size (1 = record-at-a-time)
+	kind     string       // "query" or "fragment"
+	frag     *fragmentRef // the dispatch a fragment came with; nil for a query
+	source   string       // normalized plan text
+	batch    int          // effective batch size (1 = record-at-a-time)
 	cacheHit bool
 	started  time.Time
 
@@ -76,6 +79,16 @@ type queryRecord struct {
 	// stream publishes the rows and bytes it streamed. Embedded by value
 	// so registering a query costs one allocation, not two.
 	meter core.ResourceMeter
+}
+
+// fragmentRef names a shipped fragment's dispatch on the debug views and
+// in the slow-query log: the coordinator's query, the cut's path, the
+// producer it runs and the attempt.
+type fragmentRef struct {
+	ParentQueryID string `json:"parent_query_id"`
+	Path          string `json:"path"`
+	Producer      int    `json:"producer"`
+	Attempt       int    `json:"attempt"`
 }
 
 // resources returns the query's attributed resource usage. When the
@@ -165,17 +178,18 @@ func (r *registry) snapshot() []*queryRecord {
 	return out
 }
 
-// newQueryID generates a fresh query identity: 8 random bytes, hex.
-// Collisions across a process lifetime are vanishingly unlikely, and a
-// collision among *active* queries is refused by registry.add anyway.
-func newQueryID() string {
+// newID generates a fresh registry key: prefix ("q" for a query, "f" for
+// a fragment), a dash and 8 random bytes in hex. Collisions across a
+// process lifetime are vanishingly unlikely, and a collision among
+// *active* entries is refused by registry.add anyway.
+func newID(prefix string) string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is a broken platform; fall back to the
-		// clock so queries still get distinct-enough identities.
-		return fmt.Sprintf("q-%x", time.Now().UnixNano())
+		// clock so entries still get distinct-enough identities.
+		return fmt.Sprintf("%s-%x", prefix, time.Now().UnixNano())
 	}
-	return "q-" + hex.EncodeToString(b[:])
+	return prefix + "-" + hex.EncodeToString(b[:])
 }
 
 // validQueryID accepts client-supplied IDs: 1..120 chars drawn from a

@@ -103,10 +103,10 @@ type Config struct {
 
 	// Dist, when non-nil, enables distributed execution: every query
 	// build offers its distributable exchange cuts to the coordinator,
-	// which ships producer fragments to registered volcano-worker
-	// processes while the root fragment runs here. The server also
-	// mounts POST /dist/register (worker registration) and GET
-	// /debug/workers (fleet view). With no live workers registered the
+	// which ships producer fragments to the POST /fragment endpoint of
+	// registered nodes (volcano-serve -coordinator) while the root
+	// fragment runs here. The server also mounts POST /dist/register
+	// (worker registration) and GET /debug/workers (fleet view). With no live workers registered the
 	// binder declines and queries execute locally, unchanged.
 	Dist *dist.Coordinator
 }
@@ -146,12 +146,14 @@ type Server struct {
 	life  *lifecycle
 	reg   *registry
 	slow  *slowLog
+	frags *dist.Worker // checks and streams the fragments shipped here
 	mux   *http.ServeMux
 }
 
 // New builds a Server. The caller owns the listener; Handler returns the
-// full mux (POST /query, GET /healthz, GET /metrics, GET /debug/queries
-// and /debug/queries/{id}, GET /debug/slowlog, /debug/pprof/).
+// full mux (POST /query, POST /fragment, GET /healthz, GET /metrics, GET
+// /debug/queries and /debug/queries/{id}, GET /debug/slowlog,
+// /debug/pprof/).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Env == nil || cfg.Catalog == nil {
@@ -166,16 +168,16 @@ func New(cfg Config) (*Server, error) {
 		life:  newLifecycle(),
 		reg:   newRegistry(m),
 		slow:  newSlowLog(cfg.SlowLogCapacity, cfg.SlowLogSink),
-		mux:   http.NewServeMux(),
+		frags: dist.NewWorker(dist.WorkerConfig{Env: cfg.Env, Catalog: cfg.Catalog,
+			CatalogVersion: cfg.CatalogVersion, Metrics: cfg.Metrics}),
+		mux: http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/query", s.handleQuery)
+	s.mux.HandleFunc("POST /fragment", s.handleFragment)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/debug/queries", s.handleDebugQueries)
-	s.mux.HandleFunc("/debug/queries/", s.handleDebugQuery)
-	s.mux.HandleFunc("/debug/slowlog", s.handleDebugSlowlog)
+	s.MountDebug(s.mux)
 	if cfg.Dist != nil {
 		s.mux.HandleFunc("/dist/register", s.handleDistRegister)
-		s.mux.HandleFunc("/debug/workers", s.handleDebugWorkers)
 	}
 	metrics.Mount(s.mux, cfg.Metrics)
 	return s, nil
@@ -215,7 +217,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// clients, traces, logs and debug views join on one key.
 	id := r.Header.Get("X-Volcano-Query-Id")
 	if id == "" {
-		id = newQueryID()
+		id = newID("q")
 	} else if !validQueryID(id) {
 		s.m.rejParse.Inc()
 		writeReject(w, http.StatusBadRequest, "",
@@ -276,7 +278,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The query now has identity, a plan, and a start time: it enters the
 	// active registry and stays visible on /debug/queries until done.
-	rec := &queryRecord{id: id, source: tpl.Source(), batch: batch, cacheHit: cacheHit, started: start, entry: entry}
+	rec := &queryRecord{id: id, kind: "query", source: tpl.Source(), batch: batch, cacheHit: cacheHit, started: start, entry: entry}
 	rec.planNs.Store(int64(planDur))
 	if err := s.reg.add(rec); err != nil {
 		s.m.rejDuplicate.Inc()
@@ -296,7 +298,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	weight := tpl.ProducerGoroutines()
 	queuedStart := time.Now()
 	admitCtx, cancelAdmit := context.WithTimeout(qctx, s.cfg.QueueWait)
-	err = s.gov.admit(admitCtx, weight)
+	err = s.gov.admit(admitCtx, 1, weight)
 	cancelAdmit()
 	queuedDur := time.Since(queuedStart)
 	rec.queuedNs.Store(int64(queuedDur))
@@ -316,7 +318,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.finishQuery(rec, rec.resources(), "canceled", fmt.Sprintf("query %s: canceled while queued", id))
 		return
 	}
-	defer s.gov.release(weight)
+	defer s.gov.release(1, weight)
 
 	s.m.admitted.Inc()
 	s.m.inFlight.Inc()
@@ -333,6 +335,84 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	pprof.Do(qctx, pprof.Labels("query_id", rec.id, "op", "query-handler"), func(ctx context.Context) {
 		s.execute(w, ctx, rec, entry, costed, tpl, batch, analyze)
 	})
+}
+
+// handleFragment serves POST /fragment: one producer fragment a
+// coordinator shipped to this node. dist.Worker checks the dispatch and
+// streams the fragment; in between it runs like a query. It enters the
+// lifecycle, so Drain waits for it, and the registry, so /debug/queries
+// lists it. It is admitted against the producer budget but takes no
+// query slot, so a node that coordinates and works at once never waits
+// on its own slots, nor on its own query's tokens. It is metered, and
+// its end goes through finishQuery. Its build stays plain: no
+// per-operator analysis.
+func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
+	f := s.frags.Accept(w, r)
+	if f == nil {
+		return
+	}
+	if !s.life.enter() {
+		s.frags.Refuse(w, ErrDraining.Status, ErrDraining.Error())
+		return
+	}
+	defer s.life.exit()
+
+	// The key is fresh per dispatch: a retry landing here again is a new
+	// entry, never a duplicate.
+	spec := f.Spec
+	rec := &queryRecord{id: newID("f"), kind: "fragment", batch: spec.BatchSize, started: time.Now(),
+		frag: &fragmentRef{ParentQueryID: spec.QueryID, Path: spec.Path, Producer: spec.Producer, Attempt: spec.Attempt}}
+	if err := s.reg.add(rec); err != nil {
+		s.frags.Refuse(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	defer s.reg.remove(rec.id)
+
+	// A fragment of a query this node runs itself is paid for: that
+	// query's weight counted the cut's producers, so charging again would
+	// queue the fragment behind tokens its own query holds. Any other
+	// waits for producer tokens at most dist.AdmitWait, so a refusal
+	// reaches the coordinator before it stops waiting for the header.
+	weight := 0
+	if p, ok := s.reg.get(spec.QueryID); !ok || p.kind != "query" {
+		weight = f.Goroutines()
+	}
+	if weight > 0 {
+		admitCtx, cancel := context.WithTimeout(r.Context(), min(s.cfg.QueueWait, dist.AdmitWait))
+		err := s.gov.admit(admitCtx, 0, weight)
+		cancel()
+		rec.queuedNs.Store(int64(time.Since(rec.started)))
+		if err != nil {
+			var ae *AdmitError
+			switch {
+			case !errors.As(err, &ae):
+				s.finishQuery(rec, rec.resources(), "canceled", fmt.Sprintf("fragment of query %s: canceled while queued", spec.QueryID))
+				return
+			case ae == ErrSaturated || ae == ErrQueueTimeout:
+				// Busy, not lost: the coordinator backs off and sends
+				// it again.
+				s.frags.Busy(w, ae.Error())
+			default:
+				s.frags.Refuse(w, ae.Status, ae.Error())
+			}
+			s.finishQuery(rec, rec.resources(), "error", fmt.Sprintf("fragment of query %s: %v", spec.QueryID, ae))
+			return
+		}
+		defer s.gov.release(0, weight)
+	}
+
+	rec.state.Store(stateStreaming)
+	streamStart := time.Now()
+	err := s.frags.Run(w, r, f, plan.BuildOptions{Meter: &rec.meter})
+	rec.streamNs.Store(int64(time.Since(streamStart)))
+	outcome, errText := "ok", ""
+	if err != nil {
+		outcome, errText = "error", fmt.Sprintf("fragment of query %s: %v", spec.QueryID, err)
+		if r.Context().Err() != nil { // the coordinator hung up
+			outcome = "canceled"
+		}
+	}
+	s.finishQuery(rec, rec.resources(), outcome, errText)
 }
 
 // batchSize resolves the effective batch size for one request: the
@@ -563,8 +643,8 @@ func (s *Server) recordChoices(cp *plan.CostedPlan, an *plan.Analysis) {
 	walk(cp.Template.Root())
 }
 
-// finishQuery settles a query's lifecycle accounting from its final
-// resource snapshot res: rows by outcome, the process-wide resource
+// finishQuery settles a query's or a fragment's lifecycle accounting from
+// its final resource snapshot res: rows by outcome, the process-wide resource
 // totals, and — when the query was slow, errored, or canceled — one
 // structured slow-query log entry carrying the final per-operator
 // snapshot.
@@ -592,6 +672,8 @@ func (s *Server) finishQuery(rec *queryRecord, res core.ResourceSnapshot, outcom
 	s.slow.record(slowLogEntry{
 		Time:      time.Now(),
 		QueryID:   rec.id,
+		Kind:      rec.kind,
+		Fragment:  rec.frag,
 		Plan:      rec.source,
 		Batch:     rec.batch,
 		CacheHit:  rec.cacheHit,

@@ -199,6 +199,11 @@ func postQueryBatch(ts *httptest.Server, script, batch string) (queryResult, err
 	if err != nil {
 		return queryResult{}, err
 	}
+	return readQueryResult(resp)
+}
+
+// readQueryResult reads and checks a /query response as postQuery does.
+func readQueryResult(resp *http.Response) (queryResult, error) {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {

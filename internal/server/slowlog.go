@@ -20,6 +20,8 @@ import (
 type slowLogEntry struct {
 	Time      time.Time        `json:"ts"`
 	QueryID   string           `json:"query_id"`
+	Kind      string           `json:"kind"` // "query" or "fragment"
+	Fragment  *fragmentRef     `json:"fragment,omitempty"`
 	Plan      string           `json:"plan"`
 	Batch     int              `json:"batch"`
 	CacheHit  bool             `json:"plan_cache_hit"`
@@ -72,6 +74,8 @@ func (l *slowLog) record(e slowLogEntry) {
 	if lg != nil {
 		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query",
 			slog.String("query_id", e.QueryID),
+			slog.String("kind", e.Kind),
+			slog.Any("fragment", e.Fragment),
 			slog.String("plan", e.Plan),
 			slog.Int("batch", e.Batch),
 			slog.Bool("plan_cache_hit", e.CacheHit),
